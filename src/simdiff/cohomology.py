@@ -5,10 +5,14 @@ bases.  Integer Smith form gives presentations H = Z^r + sum Z/d, coordinates
 for classifying cocycles, and representative cocycles for each summand.
 Rational cohomology rides on the integer computation (torsion dropped).
 
-solve_coboundary answers "is this cochain a coboundary" with either a
-primitive or a functional certificate; solve_closed_extension solves for
-closed cochains on a product with prescribed values on a set of generators,
-which is the workhorse behind homotopy existence and class equality.
+delta_system is the one constructor of linear systems on cochains: delta in
+one degree with a set of pinned generators held out, factored once and
+cached on the complex.  solve_coboundary answers "is this cochain a
+coboundary" with either a primitive or a functional certificate;
+solve_closed_extension solves for closed cochains on a product with
+prescribed values on a set of generators, which is the workhorse behind
+homotopy existence and class equality.  Both are one substitution into a
+cached system.
 """
 
 from __future__ import annotations
@@ -20,8 +24,19 @@ from typing import Hashable, Mapping, Sequence
 
 from .cochains import Cochain, Coefficients, INTEGERS, coboundary
 from .complexes import ProductWithSimplex, Simplex, SimplicialSet, key_str
-from .exact import (Matrix, Obstruction, Solution, mat_vec,
-                    smith_normal_form, solve_int, solve_mod, solve_rational)
+from .exact import Matrix, Obstruction, System, mat_vec, smith_normal_form
+
+
+def _delta_rows(X: SimplicialSet, n: int):
+    """Each (n+1)-generator with its row of delta, {n-generator: coefficient}."""
+    for gen in X.generators(n + 1):
+        row: dict = {}
+        s = Simplex(gen)
+        for i in range(n + 2):
+            f = X.face(s, i)
+            if not f.word:
+                row[f.gen] = row.get(f.gen, 0) + (-1) ** i
+        yield gen, row
 
 
 def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
@@ -30,15 +45,42 @@ def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
     if token not in X._cache:
         cols = {g: j for j, g in enumerate(X.generators(n))}
         rows = []
-        for gen in X.generators(n + 1):
+        for _, sparse in _delta_rows(X, n):
             row = [0] * len(cols)
-            s = Simplex(gen)
-            for i in range(n + 2):
-                f = X.face(s, i)
-                if not f.word:
-                    row[cols[f.gen]] += (-1) ** i
+            for g, a in sparse.items():
+                row[cols[g]] = a
             rows.append(row)
         X._cache[token] = rows
+    return X._cache[token]
+
+
+def delta_system(X: SimplicialSet, n: int, pinned: frozenset = frozenset(),
+                 coeffs: Coefficients = INTEGERS) -> System:
+    """delta: C^n -> C^{n+1} over coeffs, with the pinned generators held out.
+
+    A pinned generator of degree n is an unknown with a known value: its
+    column moves to System.pins, so System.rhs turns the known values into
+    a right-hand side.  A pinned generator of degree n + 1 drops its
+    equation.  The system is factored once and cached on X under (n,
+    pinned, coeffs), never under matrix content.
+    """
+    token = ("system", n, pinned, coeffs)
+    if token not in X._cache:
+        free = {g: j for j, g in enumerate(g for g in X.generators(n) if g not in pinned)}
+        rows, A, pins = [], [], {}
+        for gen, sparse in _delta_rows(X, n):
+            if gen in pinned:
+                continue
+            row = [0] * len(free)
+            for g, a in sparse.items():
+                if g in free:
+                    row[free[g]] = a
+                elif a:
+                    pins.setdefault(g, []).append((len(rows), a))
+            rows.append(gen)
+            A.append(row)
+        kind = "Q" if coeffs.exact_field else coeffs.kind
+        X._cache[token] = System(A, rows, list(free), kind, coeffs.modulus, pins)
     return X._cache[token]
 
 
@@ -96,7 +138,9 @@ class CoboundaryObstruction:
     ring records the sense of the certificate, not the ring asked for: "Q"
     means the pairing kills every coboundary and is nonzero on the target
     (refutes rational solvability, hence integral too); "Z" means the
-    pairing is integral on integral coboundaries but not on the target.
+    pairing is integral on integral coboundaries but not on the target;
+    "Z/k" means it is integral on integral coboundaries and on k times any
+    cochain, but not on the target's integer representatives.
     """
 
     functional: dict[Hashable, Fraction]
@@ -126,29 +170,33 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
     coeffs = coeffs or target.coeffs
     X = target.complex
     n = target.degree
-    A = delta_matrix(X, n - 1) if n >= 1 else []
-    b = vector_of(target)
-    ngens = X.generators(n - 1) if n >= 1 else []
-    if n < 1 or not ngens:
+    if n < 1 or not X.generators(n - 1):
         if target.is_zero():
             return CoboundaryWitness(Cochain.zero(X, max(n - 1, 0), coeffs))
         first = next(iter(target.values))
         if coeffs.exact_field:
             return CoboundaryObstruction({first: Fraction(1)}, "Q")
         return CoboundaryObstruction({first: Fraction(1, 2 * abs(int(target.values[first])))}, "Z")
-    if coeffs.kind == "Z":
-        res = solve_int(A, [int(v) for v in b])
-    elif coeffs.kind == "Zmod":
-        res = solve_mod(A, [int(v) for v in b], coeffs.modulus)
-        if res is None:
-            return CoboundaryObstruction({}, coeffs.label())
-    else:
-        res = solve_rational(A, b)
+    return solve_coboundary_in(delta_system(X, n - 1, coeffs=coeffs), target, coeffs)
+
+
+def solve_coboundary_in(S: System, target: Cochain, coeffs: Coefficients):
+    """solve_coboundary within S: beta on S.cols, equations on S.rows.
+
+    target must vanish off S.rows.  Returns CoboundaryWitness or
+    CoboundaryObstruction.
+    """
+    rest = dict(target.values)
+    b = [rest.pop(g, 0) for g in S.rows]
+    if rest:
+        raise ValueError("target is not supported on the system's rows")
+    res = S.solve(b)
     if isinstance(res, Obstruction):
-        gens = X.generators(n)
-        fun = {g: v for g, v in zip(gens, res.functional) if v}
+        fun = {g: v for g, v in zip(S.rows, res.functional) if v}
         return CoboundaryObstruction(fun, res.ring)
-    return CoboundaryWitness(cochain_of(X, n - 1, coeffs, res.x0))
+    primitive = Cochain(target.complex, target.degree - 1, coeffs,
+                        {g: v for g, v in zip(S.cols, res.x0) if v})
+    return CoboundaryWitness(primitive)
 
 
 def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
@@ -158,30 +206,30 @@ def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
 class CohomologyGroup:
     """H^n(X; Z) (or Q) with representatives and coordinates.
 
-    The integer computation is done once; rational answers reuse it.
+    The integer computation is done once; the rational group reuses the
+    integral group's factorizations and drops the torsion.
     """
 
     def __init__(self, X: SimplicialSet, n: int, coeffs: Coefficients):
         if coeffs.kind not in ("Z", "Q"):
             raise ValueError("cohomology groups are computed over Z or Q")
+        if coeffs.kind == "Q":
+            vars(self).update(vars(cohomology(X, n, INTEGERS)))
+            self.coeffs = coeffs
+            self.presentation = GroupPresentation(free_rank=len(self._free_pos))
+            return
         self.complex = X
         self.degree = n
         self.coeffs = coeffs
-        cgens = X.generators(n)
-        c = len(cgens)
-        rows_out = delta_matrix(X, n)
-        if not rows_out:
-            # no generators one degree up: everything is a cocycle
-            self._snf_out = None
-            kernel_cols = list(range(c))
-            K = [[1 if i == j else 0 for j in kernel_cols] for i in range(c)]
-        else:
-            self._snf_out = smith_normal_form(rows_out)
-            diag = self._snf_out.diagonal
-            kernel_cols = [j for j in range(c) if j >= len(diag) or diag[j] == 0]
-            K = [[self._snf_out.T[i][j] for j in kernel_cols] for i in range(c)]
+        c = len(X.generators(n))
+        out = delta_system(X, n)
+        # no generators one degree up leaves no form: everything is a cocycle
+        self._snf_out = out.form
+        diag = out.form.diagonal if out.form else [0] * c
+        kernel_cols = [j for j in range(c) if j >= len(diag) or diag[j] == 0]
         self._kernel_cols = kernel_cols
-        self._K = K  # c x z, columns = cocycle basis
+        # c x z, columns = cocycle basis
+        self._K = [[v[i] for v in out.kernel] for i in range(c)]
         z = len(kernel_cols)
         rows_in = delta_matrix(X, n - 1) if n >= 1 else []
         img_in_K: list[list[int]] = []
@@ -199,12 +247,9 @@ class CohomologyGroup:
         self._img_diag = dia
         self._torsion_pos = [i for i, d in enumerate(dia) if d > 1]
         self._free_pos = [i for i in range(z) if i >= len(dia) or dia[i] == 0]
-        torsion = tuple(dia[i] for i in self._torsion_pos)
-        if coeffs.kind == "Q":
-            self.presentation = GroupPresentation(free_rank=len(self._free_pos))
-        else:
-            self.presentation = GroupPresentation(free_rank=len(self._free_pos),
-                                                  torsion=torsion)
+        self.presentation = GroupPresentation(
+            free_rank=len(self._free_pos),
+            torsion=tuple(dia[i] for i in self._torsion_pos))
 
     # -- internals ---------------------------------------------------------
 
@@ -291,50 +336,16 @@ def solve_closed_extension(P: SimplicialSet, degree: int,
     degree are free.  Returns the affine solution set or an obstruction
     functional on C^{degree+1} (pulled back from the closure rows).
     """
-    gens = P.generators(degree)
     pinned = {g: coeffs.normalize(v) for g, v in pins.items()}
-    free = [g for g in gens if g not in pinned]
-    fid = {g: j for j, g in enumerate(free)}
-    rows = []
-    rhs = []
-    out_gens = P.generators(degree + 1)
-    for gen in out_gens:
-        row = [0] * len(free)
-        b = 0
-        s = Simplex(gen)
-        for i in range(degree + 2):
-            f = P.face(s, i)
-            if f.word:
-                continue
-            sign = (-1) ** i
-            if f.gen in pinned:
-                b -= sign * pinned[f.gen]
-            else:
-                row[fid[f.gen]] += sign
-        rows.append(row)
-        rhs.append(b)
-    if coeffs.kind == "Z":
-        res = solve_int(rows, [int(v) for v in rhs]) if rows else Solution([0] * 0, [])
-    elif coeffs.kind == "Zmod":
-        r = solve_mod(rows, [int(v) for v in rhs], coeffs.modulus) if rows else Solution([], [])
-        if r is None:
-            return PinnedObstruction({}, coeffs.label())
-        res = r
-    else:
-        res = solve_rational(rows, rhs) if rows else Solution([], [])
+    S = delta_system(P, degree, frozenset(pinned), coeffs)
+    res = S.solve(S.rhs(pinned))
     if isinstance(res, Obstruction):
-        fun = {g: v for g, v in zip(out_gens, res.functional) if v}
+        fun = {g: v for g, v in zip(S.rows, res.functional) if v}
         return PinnedObstruction(fun, res.ring)
-    if not rows:
-        # no closure constraints: all free generators are independent
-        res = Solution([0] * len(free),
-                       [[1 if i == j else 0 for i in range(len(free))]
-                        for j in range(len(free))])
     vals = dict(pinned)
-    for g, v in zip(free, res.x0):
-        vals[g] = v
+    vals.update(zip(S.cols, res.x0))
     particular = Cochain(P, degree, coeffs, vals)
-    kernel = [Cochain(P, degree, coeffs, {g: v for g, v in zip(free, kv) if v})
+    kernel = [Cochain(P, degree, coeffs, {g: v for g, v in zip(S.cols, kv) if v})
               for kv in res.kernel]
     return PinnedSolution(particular, kernel)
 

@@ -36,24 +36,16 @@ from .cohomology import (
     GroupPresentation,
     PinnedObstruction,
     PinnedSolution,
-    cochain_of,
     cohomology,
     delta_matrix,
+    delta_system,
     face_pins,
     solve_closed_extension,
     solve_coboundary,
     vector_of,
 )
 from .complexes import SimplicialSet, cylinder, key_str
-from .exact import (
-    Obstruction,
-    Solution,
-    kernel_int,
-    smith_normal_form,
-    solve_int,
-    solve_rational,
-    transpose,
-)
+from .exact import Obstruction, System, kernel_int, transpose
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .subdiv import halving
 
@@ -178,7 +170,7 @@ class HatTheory:
             self._push = halving(X, self.model.parity(X)).realize
         else:
             self._push = lambda w: w
-        self._homotopy_cache: dict = {}
+        self._periods: System | None = None
 
     # -- representatives ----------------------------------------------
 
@@ -246,16 +238,15 @@ class HatTheory:
 
     def homotopies(self, src: MapObject,
                    tgt: MapObject) -> PinnedSolution | PinnedObstruction:
-        """Every level-2 filler from src to tgt, or what separates them."""
-        token = (src, tgt)
-        if token not in self._homotopy_cache:
-            cyl2 = cylinder(self.base, 2)
-            lid = Cochain.zero(cylinder(self.base, 1).complex,
-                               self.degree + 1, INTEGERS)
-            pins = face_pins(cyl2, {0: lid, 1: tgt.data, 2: src.data})
-            self._homotopy_cache[token] = solve_closed_extension(
-                cyl2.complex, self.degree + 1, pins, INTEGERS)
-        return self._homotopy_cache[token]
+        """Every level-2 filler from src to tgt, or what separates them.
+
+        The faces pin the same generators for every pair, so every call
+        substitutes into one cached system.
+        """
+        cyl2 = cylinder(self.base, 2)
+        lid = Cochain.zero(cylinder(self.base, 1).complex, self.degree + 1, INTEGERS)
+        pins = face_pins(cyl2, {0: lid, 1: tgt.data, 2: src.data})
+        return solve_closed_extension(cyl2.complex, self.degree + 1, pins, INTEGERS)
 
     def _quotient_functionals(self) -> list[list[int]]:
         # integer rows spanning the annihilator of rational coboundaries
@@ -277,6 +268,21 @@ class HatTheory:
         cyl2 = cylinder(self.base, 2)
         return self._push(rational_form(fiber_integrate(B, cyl2)))
 
+    def _period_system(self, kernel: list[Cochain]) -> System:
+        """Quotient functionals on the characters of the homotopy kernel.
+
+        The kernel is the shared one of the pinned system behind
+        homotopies, so the matrix is the same for every pair and is
+        factored once per theory.
+        """
+        if self._periods is None:
+            colvecs = [[int(v) for v in vector_of(self._character_column(B))]
+                       for B in kernel]
+            M = [[sum(p * col[i] for i, p in enumerate(phi) if p) for col in colvecs]
+                 for phi in self._quotient_functionals()]
+            self._periods = System(M, range(len(M)), range(len(colvecs)))
+        return self._periods
+
     def compare(self, x: HatClass, y: HatClass) -> HatComparison:
         """Decide x = y with a literal witness or a refuting functional."""
         if x.theory is not self or y.theory is not self:
@@ -289,13 +295,11 @@ class HatTheory:
         mor0 = self.character.on_morphism(base)
         target = (x.omega - y.omega) - mor0
         gens = self.carrier.generators(n - 1)
-        colvecs = [[int(v) for v in vector_of(self._character_column(B))]
-                   for B in sol.kernel]
         rows = self._quotient_functionals()
         tvec = vector_of(target)
         v = [sum(Fraction(p) * Fraction(t) for p, t in zip(phi, tvec) if p)
              for phi in rows]
-        if not colvecs:
+        if not sol.kernel:
             bad = next((j for j, val in enumerate(v) if val != 0), None)
             if bad is not None:
                 fun = {g: Fraction(p) for g, p in zip(gens, rows[bad]) if p}
@@ -308,9 +312,7 @@ class HatTheory:
                 fun = {g: Fraction(p) for g, p in zip(gens, rows[bad]) if p}
                 return HatComparison(False, homotopy=sol.particular,
                                      obstruction=PeriodObstruction(fun, "Z", v[bad]))
-            M = [[sum(p * col[i] for i, p in enumerate(phi) if p)
-                  for col in colvecs] for phi in rows]
-            got = solve_int(M, [int(val) for val in v]) if rows else Solution([], [])
+            got = self._period_system(sol.kernel).solve([int(val) for val in v])
             if isinstance(got, Obstruction):
                 fun: dict[Hashable, Fraction] = {}
                 for yr, phi in zip(got.functional, rows):
@@ -333,11 +335,10 @@ class HatTheory:
         residual = (x.omega - y.omega) - morH
         if residual.is_zero():
             return HatComparison(True, homotopy=data)
-        fill = solve_rational(delta_matrix(self.carrier, n - 2),
-                              vector_of(residual))
-        if isinstance(fill, Obstruction):
+        fill = solve_coboundary(residual)
+        if not isinstance(fill, CoboundaryWitness):
             raise ArithmeticError("residual escaped the coboundary image")
-        shift = cochain_of(self.carrier, n - 2, RATIONALS, fill.x0)
+        shift = fill.primitive
         if morH + coboundary(shift) != x.omega - y.omega:
             raise ArithmeticError("witness failed its literal check")
         return HatComparison(True, homotopy=data, shift=shift)
@@ -359,8 +360,9 @@ def hat_group(X: SimplicialSet, n: int) -> GroupPresentation:
             free_rank=cohomology(X, 0, INTEGERS).presentation.free_rank)
     top = cohomology(X, n, INTEGERS).presentation
     below = cohomology(X, n - 1, INTEGERS).presentation
-    D = delta_matrix(X, n - 1) if X.generators(n - 1) else []
-    drank = smith_normal_form(D).rank if D and D[0] else 0
+    # rank of delta in degree n - 1, from the factorization cohomology shares
+    D = delta_system(X, n - 1)
+    drank = len(D.cols) - len(D.kernel)
     return GroupPresentation(free_rank=top.free_rank, torsion=top.torsion,
                              divisible_rank=drank,
                              circle_rank=below.free_rank)

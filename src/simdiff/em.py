@@ -12,12 +12,11 @@ X x Delta^m; these are what the homotopy-of-maps machinery fills horns in.
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
 index by one.  (Writings that grade the spectrum the other way would call
-our K(A,n+1) "E_n"; a table in the README spells this out.)
+our K(A,n+1) "E_n".)
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,8 +26,7 @@ from .complexes import (ConstructionError, Simplex, SimplicialMap,
                         SimplicialSet, codegeneracy_map, coface_map, cylinder,
                         identity_map, key_str, product_map, standard_simplex,
                         vertex_path)
-from .cohomology import cochain_of, delta_matrix
-from .exact import kernel_int, kernel_mod
+from .cohomology import cochain_of, delta_system
 
 
 class SimplicialGroup:
@@ -70,7 +68,6 @@ class EMSpace(SimplicialGroup):
         self.coeffs = coeffs
         self.n = n
         self._levels: dict[int, list[Cochain]] = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"K({self.coeffs.label()},{self.n})"
@@ -86,23 +83,11 @@ class EMSpace(SimplicialGroup):
 
     def level(self, m: int) -> list[Cochain]:
         """Spanning set of the level-m group (a basis when A = Z)."""
-        with self._lock:
-            if m not in self._levels:
-                D = standard_simplex(m)
-                rows = delta_matrix(D, self.n)
-                ncols = len(D.generators(self.n))
-                if ncols == 0:
-                    vecs: list[list[int]] = []
-                elif not rows:
-                    vecs = [[1 if i == j else 0 for i in range(ncols)]
-                            for j in range(ncols)]
-                elif self.coeffs.kind == "Z":
-                    vecs = kernel_int(rows)
-                else:
-                    vecs = kernel_mod(rows, self.coeffs.modulus)
-                self._levels[m] = [cochain_of(D, self.n, self.coeffs, v)
-                                   for v in vecs]
-            return self._levels[m]
+        if m not in self._levels:
+            D = standard_simplex(m)
+            self._levels[m] = [cochain_of(D, self.n, self.coeffs, v)
+                               for v in delta_system(D, self.n, coeffs=self.coeffs).kernel]
+        return self._levels[m]
 
     def contains(self, z: Cochain) -> bool:
         return (z.degree == self.n and z.coeffs == self.coeffs

@@ -1,23 +1,33 @@
-"""Exact linear algebra: Smith normal form, solvers, and certificates.
+"""Exact linear algebra: one factor-once System behind every solver.
 
-Everything is pure Python over int and Fraction.  Matrices are lists of
-lists (rows).  The solvers return either a particular solution plus a
-kernel basis or an explicit obstruction functional that the caller (and
-the test suite) can re-verify independently:
+A System holds one integer matrix A over one ring, with named rows
+(equations) and columns (unknowns), and factors A once when it is built:
 
-* over Q, a row r with r A = 0 and r b != 0;
-* over Z, a rational row r with r A integral and r b not an integer.
+* over Z, the Smith form D = S A T;
+* over Z/k, the Smith form of the integer lift [A | k I];
+* over Q, the reduced row echelon form E A.
 
-Matrix sizes here stay in the hundreds, so cubic algorithms with small
-pivots are fast enough; no numeric libraries are involved, which keeps
-every certificate exact.
+The kernel basis is read off once too, so System.solve(b) for each new
+right-hand side is a substitution.  It returns a Solution (x0 plus the
+kernel) or an Obstruction, a functional that Obstruction.check re-verifies
+against System.matrix without trusting the solver:
+
+* "Q": a row r with r A = 0 and r b != 0;
+* "Z": a rational row r with r A integral and r b not an integer;
+* "Z/k": the "Z" sense against the lift [A | k I], which System.matrix is.
+
+The one-shot solvers solve_int, solve_mod and solve_rational factor and
+substitute in one call, with the same substitution code.  Everything is
+pure Python over int and Fraction, so every certificate is exact.  Matrix
+sizes stay in the hundreds, where cubic algorithms with small pivots are
+fast enough.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 Matrix = list[list[int]]
 
@@ -42,14 +52,9 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
 
 
 def mat_vec(A: Sequence[Sequence], v: Sequence) -> list:
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            if a and x:
-                s += a * x
-        out.append(s)
-    return out
+    # right-hand sides are sparse: visit only v's nonzero entries
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nz if row[j]) for row in A]
 
 
 def transpose(A: Sequence[Sequence]) -> list[list]:
@@ -178,7 +183,11 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
 
 @dataclass
 class Solution:
-    """x0 + span(kernel) solves A x = b over the relevant ring."""
+    """x0 + span(kernel) solves A x = b over the relevant ring.
+
+    A System hands every Solution the same kernel list: read it, do not
+    change it.
+    """
 
     x0: list
     kernel: list[list]
@@ -186,7 +195,11 @@ class Solution:
 
 @dataclass
 class Obstruction:
-    """A functional certifying unsolvability; see check() for the sense."""
+    """A functional certifying unsolvability; see check() for the sense.
+
+    ring "Q" is the rational sense; "Z" and "Z/k" are the integral sense,
+    for "Z/k" against the lift [A | k I].
+    """
 
     functional: list[Fraction]
     ring: str
@@ -217,11 +230,13 @@ def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstru
     return solve_int_snf(smith_normal_form(A), b)
 
 
-def solve_int_snf(f: SmithForm, b: Sequence[int]) -> Solution | Obstruction:
+def solve_int_snf(f: SmithForm, b: Sequence[int],
+                  kernel: list[list[int]] | None = None) -> Solution | Obstruction:
     """solve_int against a precomputed nonempty Smith form.
 
     Splitting the decomposition from the substitution lets callers solving
-    many right-hand sides against one matrix pay for it once.
+    many right-hand sides against one matrix pay for it once; a kernel
+    read off f beforehand is passed in and returned as it is.
     """
     r = len(f.D)
     c = len(f.D[0]) if f.D else 0
@@ -239,17 +254,29 @@ def solve_int_snf(f: SmithForm, b: Sequence[int]) -> Solution | Obstruction:
             # rationally inconsistent: rA = 0 with rb != 0
             return Obstruction([Fraction(v) for v in f.S[i]], "Q")
     x0 = mat_vec(f.T, y)
-    return Solution(x0, _snf_kernel(f))
+    return Solution(x0, _snf_kernel(f) if kernel is None else kernel)
 
 
-def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
-    """All rational solutions of A x = b, or a functional with rA=0, rb!=0."""
+@dataclass
+class EchelonForm:
+    """E A in reduced row echelon form over Q, with E invertible.
+
+    pivots lists the (row, column) pairs of the reduced form; kernel is the
+    basis read off it, one vector per non-pivot column.
+    """
+
+    E: list[list[Fraction]]
+    pivots: list[tuple[int, int]]
+    kernel: list[list[Fraction]]
+
+
+def echelon_form(A: Sequence[Sequence]) -> EchelonForm:
+    """Gauss-Jordan elimination of A over Q, row operations kept in E."""
     r = len(A)
     c = len(A[0]) if r else 0
-    M = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(A, b)]
+    M = [[Fraction(v) for v in row] for row in A]
     # track row ops so an inconsistent row yields a functional on the input
-    ops = identity_matrix(r)
-    ops = [[Fraction(v) for v in row] for row in ops]
+    E = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(c):
@@ -257,25 +284,19 @@ def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        ops[row], ops[piv] = ops[piv], ops[row]
+        E[row], E[piv] = E[piv], E[row]
         inv = 1 / M[row][col]
         M[row] = [v * inv for v in M[row]]
-        ops[row] = [v * inv for v in ops[row]]
+        E[row] = [v * inv for v in E[row]]
         for i in range(r):
             if i != row and M[i][col]:
                 q = M[i][col]
                 M[i] = [a - q * p for a, p in zip(M[i], M[row])]
-                ops[i] = [a - q * p for a, p in zip(ops[i], ops[row])]
+                E[i] = [a - q * p for a, p in zip(E[i], E[row])]
         pivots.append((row, col))
         row += 1
         if row == r:
             break
-    for i in range(row, r):
-        if M[i][c]:
-            return Obstruction(ops[i], "Q")
-    x0 = [Fraction(0)] * c
-    for i, col in pivots:
-        x0[col] = M[i][c]
     pivot_cols = {col for _, col in pivots}
     kernel = []
     for free in range(c):
@@ -286,7 +307,24 @@ def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction
         for i, col in pivots:
             v[col] = -M[i][free]
         kernel.append(v)
-    return Solution(x0, kernel)
+    return EchelonForm(E, pivots, kernel)
+
+
+def solve_echelon(f: EchelonForm, b: Sequence) -> Solution | Obstruction:
+    """solve_rational against a precomputed echelon form."""
+    Eb = [sum((e * v for e, v in zip(row, b) if e and v), Fraction(0)) for row in f.E]
+    for i in range(len(f.pivots), len(Eb)):
+        if Eb[i]:
+            return Obstruction(list(f.E[i]), "Q")
+    x0 = [Fraction(0)] * (len(f.pivots) + len(f.kernel))
+    for i, col in f.pivots:
+        x0[col] = Eb[i]
+    return Solution(x0, f.kernel)
+
+
+def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
+    """All rational solutions of A x = b, or a functional with rA=0, rb!=0."""
+    return solve_echelon(echelon_form(A), b)
 
 
 def kernel_int(A: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -330,14 +368,17 @@ def kernel_mod_prime(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return kernel
 
 
-def kernel_mod(A: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """Spanning set (not necessarily a basis) of ker A over Z/k."""
+def _lift(A: Sequence[Sequence[int]], k: int) -> Matrix:
+    """The integer lift [A | k I] of a matrix over Z/k."""
     r = len(A)
-    c = len(A[0]) if r else 0
-    lifted = [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
+    return [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
+
+
+def _reduce_mod(vectors: Sequence[Sequence[int]], c: int, k: int) -> list[list[int]]:
+    """Distinct nonzero residues mod k of the vectors' first c entries."""
     out = []
     seen = set()
-    for v in kernel_int(lifted):
+    for v in vectors:
         w = tuple(u % k for u in v[:c])
         if any(w) and w not in seen:
             seen.add(w)
@@ -347,29 +388,81 @@ def kernel_mod(A: Sequence[Sequence[int]], k: int) -> list[list[int]]:
 
 def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution | None:
     """Solutions of A x = b over Z/k, via the integer lift [A | k I]."""
-    r = len(A)
-    if r == 0:
+    if not A:
         return Solution([], [])
-    lifted = [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
-    return solve_mod_snf(smith_normal_form(lifted), b, k)
+    return solve_mod_snf(smith_normal_form(_lift(A, k)), b, k)
 
 
 def solve_mod_snf(f: SmithForm, b: Sequence[int], k: int) -> Solution | None:
     """solve_mod against a precomputed Smith form of the lift [A | k I]."""
-    r = len(f.D)
-    c = (len(f.D[0]) if f.D else 0) - r
+    c = (len(f.D[0]) if f.D else 0) - len(f.D)
     res = solve_int_snf(f, list(b))
     if isinstance(res, Obstruction):
         return None
-    x0 = [v % k for v in res.x0[:c]]
-    seen = set()
-    kernel = []
-    for v in res.kernel:
-        w = tuple(u % k for u in v[:c])
-        if any(w) and w not in seen:
-            seen.add(w)
-            kernel.append(list(w))
-    return Solution(x0, kernel)
+    return Solution([v % k for v in res.x0[:c]], _reduce_mod(res.kernel, c, k))
+
+
+# -- the factor-once system ------------------------------------------------
+
+
+class System:
+    """A x = b over one ring for many right-hand sides b, factored once.
+
+    kind is "Z", "Zmod" (with modulus k) or "Q".  rows and cols name the
+    equations and the unknowns.  pins maps each name held out of the
+    unknowns to its sparse column [(row, coefficient), ...], so rhs() moves
+    known values to the right-hand side without a dense product.  matrix is
+    what was factored: A itself, or over Z/k the lift [A | k I].
+    """
+
+    def __init__(self, A: Sequence[Sequence[int]], rows: Sequence[Hashable],
+                 cols: Sequence[Hashable], kind: str = "Z", modulus: int = 0,
+                 pins: Mapping[Hashable, list[tuple[int, int]]] | None = None):
+        if kind not in ("Z", "Zmod", "Q"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        self.rows = list(rows)
+        self.cols = list(cols)
+        self.kind = kind
+        self.modulus = modulus
+        self.ring = f"Z/{modulus}" if kind == "Zmod" else kind
+        self.pins = dict(pins or {})
+        c = len(self.cols)
+        self.matrix = _lift(A, modulus) if kind == "Zmod" else A
+        self.form: SmithForm | EchelonForm | None
+        if not A:
+            # no equations: every vector solves, the kernel is everything
+            self.form = None
+            self.kernel = [[int(i == j) for i in range(c)] for j in range(c)]
+        elif kind == "Q":
+            self.form = echelon_form(A)
+            self.kernel = self.form.kernel
+        else:
+            self.form = smith_normal_form(self.matrix)
+            self.kernel = _snf_kernel(self.form)
+            if kind == "Zmod":
+                self.kernel = _reduce_mod(self.kernel, c, modulus)
+
+    def rhs(self, known: Mapping[Hashable, object]) -> list:
+        """b = -(sum of each known value times its pinned column)."""
+        b: list = [0] * len(self.rows)
+        for g, v in known.items():
+            if v:
+                for i, a in self.pins.get(g, ()):
+                    b[i] -= a * v
+        return b
+
+    def solve(self, b: Sequence) -> Solution | Obstruction:
+        """Substitute b into the factorization: every solution, or why none."""
+        if self.form is None:
+            return Solution([0] * len(self.cols), self.kernel)
+        if self.kind == "Q":
+            return solve_echelon(self.form, b)
+        res = solve_int_snf(self.form, b, self.kernel)
+        if self.kind == "Z":
+            return res
+        if isinstance(res, Obstruction):
+            return Obstruction(res.functional, self.ring)
+        return Solution([v % self.modulus for v in res.x0[:len(self.cols)]], self.kernel)
 
 
 # -- lattice membership ----------------------------------------------------

@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
-from .cohomology import CoboundaryObstruction, cohomology
+from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology,
+                         delta_system, solve_coboundary_in)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cylinder,
                         identity_map, pair_canonical, product_map,
                         standard_simplex, vertex_path)
 from .em import MappingComplex, e_section, loop_integrate, moore_fill
-from .exact import (Obstruction, smith_normal_form, solve_int, solve_int_snf,
-                    solve_mod, solve_mod_snf, solve_rational)
+# smith_normal_form is unused here, but bench/tests/test_tracing.py checks
+# that the tracer rewraps it in this module; drop it with that assertion
+from .exact import System, smith_normal_form  # noqa: F401
 from .words import apply_word, word_of_surjection
 
 
@@ -165,78 +166,6 @@ class ClassComparison:
 def _interior(key, k: int) -> bool:
     """Does the product generator's simplex factor touch every vertex?"""
     return len(key[2]) == k + 1
-
-
-class _InteriorSolver:
-    """delta Q = D restricted to the inside of X x Delta^2.
-
-    Parallel-homotopy differences are supported on interior generators, and
-    interior coboundaries stay interior, so the relative system is small.
-    The Smith form is computed once; each comparison is a substitution.
-    """
-
-    def __init__(self, X: SimplicialSet, q: int, coeffs: Coefficients):
-        P = cylinder(X, 2).complex
-        self.complex = P
-        self.degree = q
-        self.coeffs = coeffs
-        self.cols = ([g for g in P.generators(q - 1) if _interior(g, 2)]
-                     if q >= 1 else [])
-        self.rows = [g for g in P.generators(q) if _interior(g, 2)]
-        col_index = {g: j for j, g in enumerate(self.cols)}
-        mat = []
-        for g in self.rows:
-            row = [0] * len(self.cols)
-            s = Simplex(g)
-            for i in range(q + 1):
-                fc = P.face(s, i)
-                if not fc.word:
-                    j = col_index.get(fc.gen)
-                    if j is not None:
-                        row[j] += -1 if i % 2 else 1
-            mat.append(row)
-        self.matrix = mat
-        self._snf = None
-        self._lift_snf = None
-        if mat and self.cols:
-            if coeffs.kind == "Z":
-                self._snf = smith_normal_form(mat)
-            elif coeffs.kind == "Zmod":
-                k = coeffs.modulus
-                lifted = [list(r) + [k if i == j else 0 for j in range(len(mat))]
-                          for i, r in enumerate(mat)]
-                self._lift_snf = smith_normal_form(lifted)
-
-    def solve(self, D: Cochain) -> Cochain | CoboundaryObstruction:
-        support = dict(D.values)
-        b = [support.pop(g, 0) for g in self.rows]
-        if support:
-            raise ValueError("difference is not supported inside the prism")
-        if not self.cols:
-            if all(v == 0 for v in b):
-                return Cochain.zero(self.complex, max(self.degree - 1, 0), self.coeffs)
-            if self.coeffs.kind == "Zmod":
-                return CoboundaryObstruction({}, self.coeffs.label())
-            g = next(g for g, v in zip(self.rows, b) if v)
-            return CoboundaryObstruction({g: Fraction(1)}, "Q")
-        if self.coeffs.kind == "Z":
-            ib = [int(v) for v in b]
-            res = solve_int_snf(self._snf, ib) if self._snf else solve_int(self.matrix, ib)
-        elif self.coeffs.kind == "Zmod":
-            ib = [int(v) for v in b]
-            k = self.coeffs.modulus
-            got = (solve_mod_snf(self._lift_snf, ib, k) if self._lift_snf
-                   else solve_mod(self.matrix, ib, k))
-            if got is None:
-                return CoboundaryObstruction({}, self.coeffs.label())
-            res = got
-        else:
-            res = solve_rational(self.matrix, b)
-        if isinstance(res, Obstruction):
-            fun = {g: v for g, v in zip(self.rows, res.functional) if v}
-            return CoboundaryObstruction(fun, res.ring)
-        vals = {g: v for g, v in zip(self.cols, res.x0) if v}
-        return Cochain(self.complex, self.degree - 1, self.coeffs, vals)
 
 
 # -- instance surface for the generic coherence battery --------------------
@@ -503,19 +432,29 @@ class MappingGroupoid:
         if c0.source != c1.source or c0.target != c1.target:
             raise ValueError("classes compare only between equal endpoints")
 
-    def _solver(self) -> _InteriorSolver:
-        key = ("homotopy_classes", self.degree + 1, self.coeffs.label())
-        cache = self.base._cache
-        if key not in cache:
-            cache[key] = _InteriorSolver(self.base, self.degree + 1, self.coeffs)
-        return cache[key]
+    def _solver(self) -> System:
+        """delta Q = D restricted to the inside of X x Delta^2.
+
+        Parallel-homotopy differences are supported on interior generators,
+        and interior coboundaries stay interior, so the relative system
+        pins every generator that misses a vertex of the triangle.  It is
+        factored once; each comparison is a substitution.
+        """
+        P = cylinder(self.base, 2).complex
+        q = self.degree + 1
+        token = ("prism-boundary", q)
+        if token not in P._cache:
+            P._cache[token] = frozenset(g for d in (q - 1, q) for g in P.generators(d)
+                                        if not _interior(g, 2))
+        return delta_system(P, q - 1, P._cache[token], self.coeffs)
 
     def same_class(self, c0: HomotopyClass, c1: HomotopyClass) -> bool:
         self._require_parallel(c0, c1)
         diff = c1.rep.data - c0.rep.data
         if diff.is_zero():
             return True
-        return isinstance(self._solver().solve(diff), Cochain)
+        return isinstance(solve_coboundary_in(self._solver(), diff, self.coeffs),
+                          CoboundaryWitness)
 
     def compare(self, c0: HomotopyClass, c1: HomotopyClass) -> ClassComparison:
         """Decide equality and build the evidence.
@@ -530,10 +469,10 @@ class MappingGroupoid:
         reflexive = M.degeneracy(c0.rep.data, 0)
         if diff.is_zero():
             return ClassComparison(True, witness=reflexive)
-        got = self._solver().solve(diff)
+        got = solve_coboundary_in(self._solver(), diff, self.coeffs)
         if isinstance(got, CoboundaryObstruction):
             return ClassComparison(False, obstruction=got)
-        witness = reflexive + coboundary(self._level3_pushforward(got))
+        witness = reflexive + coboundary(self._level3_pushforward(got.primitive))
         return ClassComparison(True, witness=witness)
 
     def _level3_pushforward(self, Q: Cochain) -> Cochain:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from simdiff import exact
 from simdiff.character import CharacterModel
 from simdiff.cochains import Cochain, INTEGERS, RATIONALS, coboundary
 from simdiff.cohomology import GroupPresentation, PinnedObstruction, cohomology
@@ -205,10 +206,23 @@ def test_group_presentations():
     assert str(hat_group(point(), 0)) == "Z"
 
 
-def test_homotopy_solver_is_cached_per_endpoints():
+def test_homotopy_solver_substitutes_into_one_system(monkeypatch):
     T = HatTheory(circle(3), 1)
-    u = T.groupoid.unit()
-    assert T.homotopies(u, u) is T.homotopies(u, u)
+    G = T.groupoid
+    u = G.unit()
+    first = T.homotopies(u, u)
+    calls = []
+    real = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", lambda A: calls.append(A) or real(A))
+    rng = random.Random(5)
+    objs = [u] + [G.random_object(rng) for _ in range(3)]
+    for a in objs:
+        for b in objs:
+            sol = T.homotopies(a, b)
+            if not isinstance(sol, PinnedObstruction):
+                assert sol.kernel == first.kernel
+    assert calls == []
+    assert T.homotopies(u, u).particular == first.particular
 
 
 def test_certificates_pass_on_fixtures():

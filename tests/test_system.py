@@ -1,0 +1,222 @@
+"""The factor-once System against the one-shot solvers, sympy and itself.
+
+Every Solution is checked by multiplying out A x = b, and every Obstruction
+by Obstruction.check against the matrix that was factored, so neither
+verdict is taken from the code that produced it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from simdiff import exact
+from simdiff.cochains import Cochain, INTEGERS, RATIONALS, mod_coefficients
+from simdiff.cohomology import delta_matrix, delta_system, face_pins
+from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
+from simdiff.diffhat import HatTheory
+from simdiff.exact import (Obstruction, Solution, System, mat_vec, solve_int,
+                           solve_mod, solve_rational)
+
+RINGS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
+
+
+def fixture_deltas() -> list[tuple[str, list[list[int]]]]:
+    out = []
+    for X in (circle(3), sphere2(), build_standard("rp2"), torus()):
+        for n in range(X.top_dim):
+            out.append((f"{X.name} delta{n}", delta_matrix(X, n)))
+    return out
+
+
+def pinned_torus_system() -> tuple[System, dict]:
+    """The 351 x 81 closed-extension system behind HatTheory(torus, 1)."""
+    X = torus()
+    cyl2 = cylinder(X, 2)
+    lid = Cochain.zero(cylinder(X, 1).complex, 2, INTEGERS)
+    G = HatTheory(X, 1).groupoid
+    pins = face_pins(cyl2, {0: lid, 1: G.unit().data, 2: G.unit().data})
+    return delta_system(cyl2.complex, 2, frozenset(pins)), pins
+
+
+def residues(v, S: System) -> list:
+    return [x % S.modulus for x in v] if S.kind == "Zmod" else list(v)
+
+
+def verify(S: System, A, b, got) -> None:
+    """Re-check a verdict without trusting the solver."""
+    if isinstance(got, Obstruction):
+        assert got.check(S.matrix, b)
+        return
+    assert isinstance(got, Solution)
+    assert residues(mat_vec(A, got.x0), S) == residues(b, S)
+    for v in got.kernel:
+        assert not any(residues(mat_vec(A, v), S))
+
+
+def one_shot(S: System, A, b):
+    if S.kind == "Z":
+        return solve_int(A, b)
+    if S.kind == "Q":
+        return solve_rational(A, b)
+    return solve_mod(A, b, S.modulus)
+
+
+def check_against_one_shot(S: System, A, b):
+    got = S.solve(b)
+    ref = one_shot(S, A, b)
+    if ref is None:
+        # solve_mod has no certificate; the system's must still verify
+        assert isinstance(got, Obstruction) and got.ring == S.ring
+    else:
+        assert type(got) is type(ref)
+        assert vars(got) == vars(ref)
+    verify(S, A, b, got)
+    return got
+
+
+def right_hand_sides(A, rng: random.Random, count: int) -> list[list]:
+    """Half images A x (solvable), half perturbed images (mostly not)."""
+    c = len(A[0]) if A else 0
+    out = []
+    for i in range(count):
+        b = mat_vec(A, [rng.randint(-3, 3) for _ in range(c)])
+        if i % 2:
+            j = rng.randrange(len(b))
+            b[j] += rng.choice([1, -1, 2])
+        out.append(b)
+    return out
+
+
+def test_fixture_deltas_agree_with_one_shot_solvers_in_every_ring():
+    rng = random.Random(3)
+    verdicts = {ring: set() for ring in RINGS}
+    for _, A in fixture_deltas():
+        for kind, k in RINGS:
+            S = System(A, range(len(A)), range(len(A[0])), kind, k)
+            for b in right_hand_sides(A, rng, 6):
+                if kind == "Q" and rng.random() < 0.5:
+                    b = [Fraction(v, 2) for v in b]
+                got = check_against_one_shot(S, A, b)
+                verdicts[(kind, k)].add(type(got))
+    for ring, seen in verdicts.items():
+        assert seen == {Solution, Obstruction}, ring
+
+
+def test_fixture_kernels_have_the_rank_sympy_gives():
+    for name, A in fixture_deltas():
+        rank = Matrix(A).rank()
+        for kind in ("Z", "Q"):
+            S = System(A, range(len(A)), range(len(A[0])), kind)
+            assert len(S.kernel) == len(A[0]) - rank, (name, kind)
+
+
+def test_rational_verdicts_match_sympy_ranks():
+    rng = random.Random(5)
+    for _, A in fixture_deltas():
+        S = System(A, range(len(A)), range(len(A[0])), "Q")
+        rank = Matrix(A).rank()
+        for b in right_hand_sides(A, rng, 4):
+            solvable = Matrix(A).row_join(Matrix(b)).rank() == rank
+            assert isinstance(S.solve(b), Solution) == solvable
+
+
+def test_cached_diagonal_matches_sympy():
+    cases = fixture_deltas() + [("torus pinned", pinned_torus_system()[0].matrix)]
+    for name, A in cases:
+        S = System(A, range(len(A)), range(len(A[0])))
+        ours = sorted(d for d in S.form.diagonal if d)
+        D = sympy_snf(Matrix(A), domain=ZZ)
+        theirs = sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
+        assert ours == theirs, name
+
+
+def test_pinned_torus_system_solves_random_right_hand_sides():
+    S, pins = pinned_torus_system()
+    A = S.matrix
+    assert (len(S.rows), len(S.cols)) == (351, 81)
+    rng = random.Random(11)
+    verdicts = set()
+    for i, b in enumerate(right_hand_sides(A, rng, 12)):
+        # the one-shot solver refactors the matrix, so compare it on a few
+        got = check_against_one_shot(S, A, b) if i < 3 else S.solve(b)
+        verify(S, A, b, got)
+        verdicts.add(type(got))
+    assert verdicts == {Solution, Obstruction}
+
+
+def test_pin_table_moves_known_values_like_the_dense_matrix():
+    S, pins = pinned_torus_system()
+    P = cylinder(torus(), 2).complex
+    D = delta_matrix(P, 2)
+    gens = P.generators(2)
+    rng = random.Random(2)
+    known = {g: rng.randint(-2, 2) for g in pins}
+    kept = [i for i, g in enumerate(P.generators(3)) if g in set(S.rows)]
+    dense = [-sum(D[i][j] * known[g] for j, g in enumerate(gens) if g in known)
+             for i in kept]
+    assert S.rhs(known) == dense
+
+
+def test_systems_are_cached_by_degree_pins_and_ring():
+    S, pins = pinned_torus_system()
+    P = cylinder(torus(), 2).complex
+    assert delta_system(P, 2, frozenset(dict(pins))) is S
+    Y = cylinder(circle(3), 1).complex
+    ends = frozenset(g for g in Y.generators(1) if len(g[2]) == 1)
+    Z = delta_system(Y, 1, ends)
+    assert delta_system(Y, 1, frozenset(set(ends))) is Z
+    assert delta_system(Y, 1, ends, RATIONALS) is not Z
+    assert delta_system(Y, 1, ends, mod_coefficients(2)).ring == "Z/2"
+    assert delta_system(Y, 1) is not Z
+    assert len(delta_system(Y, 1).cols) == len(Z.cols) + len(ends)
+
+
+def test_ring_kind_is_validated():
+    with pytest.raises(ValueError):
+        System([[1]], [0], [0], "R")
+
+
+def test_mod_obstruction_is_a_checkable_certificate():
+    S = System([[2]], [0], [0], "Zmod", 4)
+    got = S.solve([1])
+    assert isinstance(got, Obstruction) and got.ring == "Z/4"
+    assert got.check(S.matrix, [1])
+    assert solve_mod([[2]], [1], 4) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from(RINGS),
+       st.randoms(use_true_random=False))
+def test_random_matrices_agree_with_one_shot_solvers(r, c, ring, rng):
+    A = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(c)] for _ in range(r)]
+    S = System(A, range(r), range(c), *ring)
+    for b in right_hand_sides(A, rng, 4):
+        check_against_one_shot(S, A, b)
+
+
+def test_ten_compares_factor_the_pinned_matrix_once(monkeypatch):
+    shapes = []
+    real = exact.smith_normal_form
+
+    def counting(A):
+        shapes.append((len(A), len(A[0]) if A else 0))
+        return real(A)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counting)
+    # a fresh torus, so no earlier test has factored its systems
+    T = HatTheory(product(circle(3), circle(3), name="torus"), 1)
+    G = T.groupoid
+    rng = random.Random(7)
+    decisions = []
+    for i in range(10):
+        x = T.hat(G.random_object(rng))
+        m = G.random_morphism(x.obj, rng)
+        shift = T.character.on_morphism(m)
+        y = T.hat(m.target, (-shift) if i % 2 == 0 else shift.scale(Fraction(1, 2)))
+        decisions.append(T.compare(x, y).equal)
+    assert shapes.count((351, 81)) == 1
+    assert all(decisions[::2])
