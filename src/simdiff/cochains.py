@@ -2,17 +2,22 @@
 
 Cochains are finitely supported maps on the nondegenerate generators of one
 dimension; degenerate simplices evaluate to zero.  Coefficients are the
-integers, the rationals (standing in for real forms), integers mod k, or
-graded rationals (only the degree-0 part is ever nonzero for the ordinary
-theories built here).
+integers, the rationals (standing in for real forms), or integers mod k.
 
 Real coefficients are modeled by exact rationals throughout, which is what
 makes every identity in the test suite hold with zero tolerance.
+
+Values are normalized where they enter: the public Cochain constructor
+checks degrees and normalizes user dicts, JSON, random and vector input.
+The kernel operations (coboundary, pullback, fiber_integrate, +, -) read
+index tables compiled once per complex, degree and map, and build their
+results with Cochain._trusted: the keys come from those tables and the
+values are already in the ring, so it only reduces mod k and drops zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Hashable, Mapping
 
@@ -21,29 +26,25 @@ from .complexes import ProductWithSimplex, Simplex, SimplicialMap, SimplicialSet
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Coefficient system: Z, Q, Z/k, or graded rationals.
-
-    grading lists (degree, dimension) pairs and is only populated for the
-    graded kind; arithmetic for graded coefficients is plain rational
-    arithmetic in the single degree the ordinary theory occupies.
-    """
+    """Coefficient system: Z, Q or Z/k; zero is the ring's own zero."""
 
     kind: str
     modulus: int = 0
-    grading: tuple[tuple[int, int], ...] = ()
+    zero: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Zmod", "gradedQ"):
+        if self.kind not in ("Z", "Q", "Zmod"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "Zmod" and self.modulus < 2:
             raise ValueError("Zmod needs modulus >= 2")
+        object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
 
     @property
     def exact_field(self) -> bool:
-        return self.kind in ("Q", "gradedQ")
+        return self.kind == "Q"
 
     def normalize(self, v) -> Any:
-        if self.kind in ("Q", "gradedQ"):
+        if self.kind == "Q":
             return Fraction(v)
         if self.kind == "Zmod":
             return int(v) % self.modulus
@@ -57,9 +58,7 @@ class Coefficients:
         return self.normalize(-v)
 
     def label(self) -> str:
-        if self.kind == "Zmod":
-            return f"Z/{self.modulus}"
-        return {"Z": "Z", "Q": "Q", "gradedQ": "Q-graded"}[self.kind]
+        return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
 
 
 INTEGERS = Coefficients("Z")
@@ -79,12 +78,6 @@ def parse_coefficients(text: str) -> Coefficients:
     if t.startswith("Z/"):
         return mod_coefficients(int(t[2:]))
     raise ValueError(f"cannot parse coefficients {text!r}")
-
-
-def rationalized(A: Coefficients) -> Coefficients:
-    """The graded rational coefficients A tensor Q, concentrated in degree 0."""
-    rank = 1 if A.kind == "Z" else 0 if A.kind == "Zmod" else 1
-    return Coefficients("gradedQ", grading=((0, rank),))
 
 
 def embed_rational(A: Coefficients, v) -> Fraction:
@@ -114,6 +107,22 @@ class Cochain:
                 vals[gen] = v
         self.values = vals
 
+    @classmethod
+    def _trusted(cls, complex: SimplicialSet, degree: int, coeffs: Coefficients,
+                 values: dict[Hashable, Any]) -> "Cochain":
+        """A kernel result: keys are degree-`degree` generators of complex and
+        values are already in the ring, so only reduce mod k and drop zeros."""
+        c = cls.__new__(cls)
+        c.complex = complex
+        c.degree = degree
+        c.coeffs = coeffs
+        k = coeffs.modulus
+        if k:
+            c.values = {g: r for g, v in values.items() if (r := v % k)}
+        else:
+            c.values = {g: v for g, v in values.items() if v}
+        return c
+
     # -- basics ------------------------------------------------------------
 
     @classmethod
@@ -127,15 +136,14 @@ class Cochain:
 
     def eval(self, s: Simplex):
         if s.word:
-            return self.coeffs.normalize(0)
-        return self.values.get(s.gen, self.coeffs.normalize(0))
+            return self.coeffs.zero
+        return self.values.get(s.gen, self.coeffs.zero)
 
     def is_zero(self) -> bool:
         return not self.values
 
     def support(self) -> list[Hashable]:
-        order = {k: i for i, k in enumerate(self.complex.generators(self.degree))}
-        return sorted(self.values, key=order.__getitem__)
+        return sorted(self.values, key=self.complex.gen_index(self.degree).__getitem__)
 
     def _compatible(self, other: "Cochain") -> None:
         if (self.complex is not other.complex or self.degree != other.degree
@@ -147,14 +155,14 @@ class Cochain:
         vals = dict(self.values)
         for g, v in other.values.items():
             vals[g] = vals.get(g, 0) + v
-        return Cochain(self.complex, self.degree, self.coeffs, vals)
+        return Cochain._trusted(self.complex, self.degree, self.coeffs, vals)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.coeffs,
-                       {g: -v for g, v in self.values.items()})
+        return Cochain._trusted(self.complex, self.degree, self.coeffs,
+                                {g: -v for g, v in self.values.items()})
 
     def scale(self, c) -> "Cochain":
         return Cochain(self.complex, self.degree, self.coeffs,
@@ -180,35 +188,50 @@ class Cochain:
                 f" ({self.coeffs.label()}), {n} nonzero>")
 
 
+def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[Hashable, tuple], ...]:
+    """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
+
+    One row (gen, ((face_gen, coefficient), ...)) per (n+1)-generator, in
+    generator order; degenerate faces are dropped and repeated faces merged
+    into one coefficient (rows may come out empty).
+    """
+    token = ("delta_table", n)
+    if token not in X._cache:
+        rows = []
+        for gen in X.generators(n + 1):
+            s = Simplex(gen)
+            row: dict[Hashable, int] = {}
+            for i in range(n + 2):
+                f = X.face(s, i)
+                if not f.word:
+                    row[f.gen] = row.get(f.gen, 0) + (-1 if i % 2 else 1)
+            rows.append((gen, tuple((g, a) for g, a in row.items() if a)))
+        X._cache[token] = tuple(rows)
+    return X._cache[token]
+
+
 def coboundary(c: Cochain) -> Cochain:
     """Alternating sum over faces, degree raised by one; delta delta = 0."""
-    X = c.complex
+    get = c.values.get
     out: dict[Hashable, Any] = {}
-    for gen in X.generators(c.degree + 1):
-        s = Simplex(gen)
+    for gen, row in delta_table(c.complex, c.degree):
         total = 0
-        for i in range(c.degree + 2):
-            v = c.eval(X.face(s, i))
-            total = total + v if i % 2 == 0 else total - v
+        for g, a in row:
+            v = get(g)
+            if v is not None:
+                total += a * v
         if total:
             out[gen] = total
-    return Cochain(X, c.degree + 1, c.coeffs, out)
-
-
-def is_closed(c: Cochain) -> bool:
-    return c.degree >= c.complex.top_dim or coboundary(c).is_zero()
+    return Cochain._trusted(c.complex, c.degree + 1, c.coeffs, out)
 
 
 def pullback(f: SimplicialMap, c: Cochain) -> Cochain:
     """f^# c; normalization kills images that got degenerate."""
     if c.complex is not f.target:
         raise ValueError("cochain does not live on the target of the map")
-    vals = {}
-    for gen in f.source.generators(c.degree):
-        v = c.eval(f(Simplex(gen)))
-        if v:
-            vals[gen] = v
-    return Cochain(f.source, c.degree, c.coeffs, vals)
+    vals = c.values
+    return Cochain._trusted(f.source, c.degree, c.coeffs,
+                            {g: vals[t] for g, t in f.pullback_table(c.degree) if t in vals})
 
 
 def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
@@ -240,7 +263,7 @@ def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
                 total = total + v if sign > 0 else total - v
         if total:
             out[gen] = total
-    return Cochain(X, z.degree - k, z.coeffs, out)
+    return Cochain._trusted(X, z.degree - k, z.coeffs, out)
 
 
 def random_cochain(X: SimplicialSet, degree: int, coeffs: Coefficients, rng,

@@ -22,32 +22,20 @@ from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping, Sequence
 
-from .cochains import Cochain, Coefficients, INTEGERS, coboundary
+from .cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
 from .complexes import ProductWithSimplex, Simplex, SimplicialSet, key_str
 from .exact import Matrix, Obstruction, System, mat_vec, smith_normal_form
-
-
-def _delta_rows(X: SimplicialSet, n: int):
-    """Each (n+1)-generator with its row of delta, {n-generator: coefficient}."""
-    for gen in X.generators(n + 1):
-        row: dict = {}
-        s = Simplex(gen)
-        for i in range(n + 2):
-            f = X.face(s, i)
-            if not f.word:
-                row[f.gen] = row.get(f.gen, 0) + (-1) ** i
-        yield gen, row
 
 
 def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
     """Matrix of delta: C^n -> C^{n+1}; rows index (n+1)-generators."""
     token = ("delta_matrix", n)
     if token not in X._cache:
-        cols = {g: j for j, g in enumerate(X.generators(n))}
+        cols = X.gen_index(n)
         rows = []
-        for _, sparse in _delta_rows(X, n):
+        for _, sparse in delta_table(X, n):
             row = [0] * len(cols)
-            for g, a in sparse.items():
+            for g, a in sparse:
                 row[cols[g]] = a
             rows.append(row)
         X._cache[token] = rows
@@ -68,14 +56,14 @@ def delta_system(X: SimplicialSet, n: int, pinned: frozenset = frozenset(),
     if token not in X._cache:
         free = {g: j for j, g in enumerate(g for g in X.generators(n) if g not in pinned)}
         rows, A, pins = [], [], {}
-        for gen, sparse in _delta_rows(X, n):
+        for gen, sparse in delta_table(X, n):
             if gen in pinned:
                 continue
             row = [0] * len(free)
-            for g, a in sparse.items():
+            for g, a in sparse:
                 if g in free:
                     row[free[g]] = a
-                elif a:
+                else:
                     pins.setdefault(g, []).append((len(rows), a))
             rows.append(gen)
             A.append(row)
@@ -239,7 +227,10 @@ class CohomologyGroup:
                 img_in_K.append(self._kernel_coords(col))
         Y = [[img_in_K[j][i] for j in range(len(img_in_K))] for i in range(z)]
         if z and Y and Y[0]:
-            self._snf_img = smith_normal_form(Y)
+            # with no generators one degree up the kernel basis is the unit
+            # basis, so Y is delta_{n-1}, already factored by its system
+            self._snf_img = (delta_system(X, n - 1).form if out.form is None
+                             else smith_normal_form(Y))
             dia = self._snf_img.diagonal
         else:
             self._snf_img = None

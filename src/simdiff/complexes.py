@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from .words import (
     Word,
@@ -48,19 +49,25 @@ def degenerate(s: Simplex, extra: Word) -> Simplex:
     return Simplex(s.gen, apply_word(s.word, extra)) if extra else s
 
 
+_NO_INDEX: Mapping[Hashable, int] = MappingProxyType({})
+
+
 class SimplicialSet:
     """Finite simplicial set presented by nondegenerate generators.
 
     Instances are immutable once frozen; every operation is pure.  Generator
     order is fixed at freeze time (by dimension, then key string) so that
-    cochain bases and JSON output are deterministic.
+    cochain bases and JSON output are deterministic.  The generator tuple and
+    the position index of each dimension are built once, at freeze time.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._dims: dict[Hashable, int] = {}
         self._faces: dict[Hashable, tuple[Simplex, ...]] = {}
-        self._order: list[Hashable] = []
+        self._order: tuple[Hashable, ...] = ()
+        self._by_dim: dict[int, tuple[Hashable, ...]] = {}
+        self._index: dict[int, Mapping[Hashable, int]] = {}
         self._frozen = False
         self._cache: dict[Any, Any] = {}
 
@@ -85,17 +92,27 @@ class SimplicialSet:
 
     def freeze(self) -> "SimplicialSet":
         if not self._frozen:
-            self._order = sorted(self._dims, key=lambda k: (self._dims[k], key_str(k)))
+            self._order = tuple(sorted(self._dims, key=lambda k: (self._dims[k], key_str(k))))
+            by_dim: dict[int, list[Hashable]] = {}
+            for k in self._order:
+                by_dim.setdefault(self._dims[k], []).append(k)
+            self._by_dim = {d: tuple(gens) for d, gens in by_dim.items()}
+            self._index = {d: MappingProxyType({k: i for i, k in enumerate(gens)})
+                           for d, gens in self._by_dim.items()}
             self._frozen = True
             self.check()
         return self
 
     # -- structure ---------------------------------------------------------
 
-    def generators(self, dim: int | None = None) -> list[Hashable]:
+    def generators(self, dim: int | None = None) -> tuple[Hashable, ...]:
         if dim is None:
-            return list(self._order)
-        return [k for k in self._order if self._dims[k] == dim]
+            return self._order
+        return self._by_dim.get(dim, ())
+
+    def gen_index(self, dim: int) -> Mapping[Hashable, int]:
+        """Position of each generator of one dimension in generators(dim)."""
+        return self._index.get(dim, _NO_INDEX)
 
     def gen_dim(self, key: Hashable) -> int:
         return self._dims[key]
@@ -214,17 +231,30 @@ class SimplicialMap:
 
     Images may be degenerate.  Compatibility with degeneracies is automatic
     from the word algebra; compatibility with faces is what check() verifies.
+    The images are read-only, so the pullback tables cached per degree can
+    never go stale.
     """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet,
-                 images: dict[Hashable, Simplex], name: str = ""):
+                 images: Mapping[Hashable, Simplex], name: str = ""):
         self.source = source
         self.target = target
-        self.images = dict(images)
+        self.images = MappingProxyType(dict(images))
         self.name = name or f"{source.name}->{target.name}"
+        self._pullback: dict[int, tuple[tuple[Hashable, Hashable], ...]] = {}
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.images[s.gen], s.word)
+
+    def pullback_table(self, dim: int) -> tuple[tuple[Hashable, Hashable], ...]:
+        """(source generator, target generator) for each source generator of
+        one dimension whose image is nondegenerate; built once per degree."""
+        if dim not in self._pullback:
+            images = self.images
+            self._pullback[dim] = tuple(
+                (g, images[g].gen) for g in self.source.generators(dim)
+                if not images[g].word)
+        return self._pullback[dim]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SimplicialMap)

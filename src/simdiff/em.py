@@ -207,8 +207,8 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
 class FundamentalCocycle:
     """The tautological n-cochain rule on K(A,n): z maps to z(top n-face).
 
-    Reduced and closed; with rational=True values are pushed along
-    A -> A (x) Q, the degree-0 slice of the rationalized coefficients.
+    Reduced and closed; with rational=True values are pushed along the
+    coefficient map A -> A (x) Q, which kills torsion.
     """
 
     space: EMSpace

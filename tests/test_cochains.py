@@ -6,8 +6,7 @@ from fractions import Fraction
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
                               fiber_integrate, mod_coefficients,
-                              parse_coefficients, pullback, random_cochain,
-                              rationalized)
+                              parse_coefficients, pullback, random_cochain)
 from simdiff.complexes import (Simplex, SimplicialMap, circle, cylinder, point,
                                rp2, sphere2, standard_simplex, torus)
 
@@ -158,10 +157,7 @@ def test_fiber_integration_naturality():
             assert fiber_integrate(pullback(fk, z), cb) == pullback(f, fiber_integrate(z, cs))
 
 
-def test_rationalized_coefficients():
-    V = rationalized(INTEGERS)
-    assert V.grading == ((0, 1),)
-    assert rationalized(mod_coefficients(2)).grading == ((0, 0),)
+def test_embed_rational_kills_torsion():
     assert embed_rational(INTEGERS, 3) == Fraction(3)
     assert embed_rational(mod_coefficients(2), 1) == Fraction(0)
 

@@ -3,14 +3,16 @@ import random
 import pytest
 from fractions import Fraction
 
+from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, random_cochain)
 from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
                                 GroupPresentation, PinnedObstruction,
                                 PinnedSolution, cohomology, delta_matrix,
-                                face_pins, is_coboundary, solve_closed_extension,
+                                delta_system, face_pins, is_coboundary, solve_closed_extension,
                                 solve_coboundary, vector_of)
-from simdiff.complexes import circle, cylinder, point, rp2, sphere2, torus
+from simdiff.complexes import (circle, cylinder, from_facets, key_str, point, rp2,
+                               sphere2, torus)
 
 
 def test_presentation_rendering():
@@ -201,3 +203,44 @@ def test_face_pins_conflict_on_shared_edge():
     F1 = Cochain(wall, 0, INTEGERS, {v1: 2})
     with pytest.raises(ValueError):
         face_pins(cyl2, {0: F0, 1: F1})
+
+
+TORUS7 = ([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+          + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+
+
+def values_of(c: Cochain) -> list:
+    return sorted((key_str(g), v) for g, v in c.values.items())
+
+
+def test_top_degree_reuses_the_factored_delta(monkeypatch):
+    calls = [0]
+    original = exact.smith_normal_form
+
+    def counted(A):
+        calls[0] += 1
+        return original(A)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    monkeypatch.setattr(cohomology_module, "smith_normal_form", counted)
+    P = cylinder(from_facets("torus7", TORUS7), 1).complex
+    groups = [cohomology(P, n, INTEGERS) for n in range(P.top_dim + 1)]
+    # delta_0..delta_2 once each, the image forms of H^1 and H^2; H^3 reuses delta_2
+    assert calls[0] == 5
+    assert groups[3]._snf_img is delta_system(P, 2).form
+    assert [str(G.presentation) for G in groups] == ["Z", "Z^2", "Z", "0"]
+    assert groups[3].generators == []
+    assert [values_of(c) for c in groups[2].generators] == [[
+        ("(3.5.6|)*(0.1|0)", 1), ("(3.5.6|)*(0.1|1)", 1),
+        ("(3.5.6|)*(0|0,1)", 1), ("(3.5.6|)*(1|0,1)", 1)]]
+
+
+@pytest.mark.parametrize("build, expected", [
+    (rp2, [("3.4.5", 1)]),
+    (sphere2, [("1.2.3", 1)]),
+    (torus, [("(e2|1)*(e2|0)", 1)]),
+])
+def test_top_degree_generators_are_unchanged(build, expected):
+    X = build()
+    (gen,) = cohomology(X, X.top_dim, INTEGERS).generators
+    assert values_of(gen) == expected
