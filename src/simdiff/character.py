@@ -66,6 +66,7 @@ from .moncat import (
     check_monoidal_functor,
     weak_inverse,
 )
+from .report import Check, Report, sampled
 from .subdiv import (
     chain_primitive,
     comparison,
@@ -344,18 +345,21 @@ def character_functor(G: MappingGroupoid) -> MonFunctor:
 
 
 def integration_witness_report(G: MappingGroupoid, trials: int = 10,
-                               seed: int = 0) -> dict:
+                               seed: int = 0) -> Report:
     """Audit the character functor with literal defects and prism integrals.
 
     Beyond the class-level battery, the coherence squares are rechecked as
     literal cochain identities (zero defect), and equality witnesses from
     the class oracle are integrated: their triangle-face alternating sums
     must vanish, and from degree two up the 3-prism integral of a witness
-    must cobound that alternating sum.
+    must cobound that alternating sum.  The report holds the functor
+    battery's checks followed by ``literal-defects-zero`` and
+    ``witness-integrals``, both drawn from one generator.
     """
     F = check_monoidal_functor(character_functor(G), trials=trials, seed=seed)
     rng = random.Random(seed + 101)
     cyl2 = cylinder(G.base, 2)
+    cyl3 = cylinder(G.base, 3)
     n = G.degree
 
     def tri(c: Cochain) -> Cochain:
@@ -364,15 +368,17 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
     def mu_eta(x: MapObject, y: MapObject) -> Cochain:
         return _mu_eta(G, x, y)
 
-    literal = True
-    for _ in range(trials):
+    def literal_sample(rng: random.Random) -> dict:
         a, b, c = (G.random_object(rng) for _ in range(3))
         f = G.random_morphism(a, rng)
         g = G.random_morphism(f.target, rng)
         h = G.random_morphism(b, rng)
+        return dict(a=a, b=b, c=c, f=f, g=g, h=h)
+
+    def literal(a, b, c, f, g, h) -> bool:
         ab = G.oplus_objects(a, b)[0]
         bc = G.oplus_objects(b, c)[0]
-        checks = [
+        defects = [
             tri(G.compose(f, g).rep.data) - tri(f.rep.data) - tri(g.rep.data),
             tri(G.identity(a).rep.data),
             tri(G.oplus_morphisms(f, h).rep.data)
@@ -385,42 +391,30 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
             tri(G.right_unitor(a).rep.data) - mu_eta(a, G.unit()),
             mu_eta(a, b) - tri(G.braid(a, b).rep.data) - mu_eta(b, a),
         ]
-        if not all(d.is_zero() for d in checks):
-            literal = False
-            break
+        return all(d.is_zero() for d in defects)
 
-    stokes = True
-    cyl3 = cylinder(G.base, 3)
-    for _ in range(trials):
+    def stokes_sample(rng: random.Random) -> dict:
         a = G.random_object(rng)
         f = G.random_morphism(a, rng)
-        g = G.random_morphism(f.target, rng)
+        return dict(f=f, g=G.random_morphism(f.target, rng))
+
+    def stokes(f, g) -> bool:
         one = G.compose(f, g)
         two = G.compose(f, G.compose(g, G.identity(g.target)))
-        comp = G.compare(one, two)
-        W = comp.witness
+        W = G.compare(one, two).witness
         if W is None or not coboundary(W).is_zero():
-            stokes = False
-            break
+            return False
         ints = [tri(G.maps.face(W, i)) for i in range(4)]
         alt = ints[0] - ints[1] + ints[2] - ints[3]
         if n >= 2:
             vol = rational_form(fiber_integrate(W, cyl3))
-            if not (coboundary(vol) - alt).is_zero():
-                stokes = False
-                break
-        elif not alt.is_zero():
-            stokes = False
-            break
+            return (coboundary(vol) - alt).is_zero()
+        return alt.is_zero()
 
-    return {
-        "subject": f"character({G.base.name}, deg {n})",
-        "battery_ok": F.ok,
-        "battery": F.to_json(),
-        "literal_defects_zero": literal,
-        "witness_integrals_ok": stokes,
-        "ok": F.ok and literal and stokes,
-    }
+    return Report(f"character({G.base.name}, deg {n})", trials, seed, F.results + [
+        sampled("literal-defects-zero", trials, literal_sample, literal, rng),
+        sampled("witness-integrals", trials, stokes_sample, stokes, rng),
+    ])
 
 
 # -- cells with a prescribed integral --------------------------------------
@@ -467,12 +461,13 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
 
 
 def suspension_consistency(G: MappingGroupoid, trials: int = 25,
-                           seed: int = 0) -> dict:
+                           seed: int = 0) -> Report:
     """Characters of built cells recover the data they were built from.
 
     Each trial picks a closed base cocycle, a primitive step, and a closed
     shift; the cell built from that eta must integrate back to eta's
     class, and its endpoint characters must equal the chosen cocycles.
+    Every trial runs; the one check's counterexample counts the failures.
     """
     n, X = G.degree, G.base
     CG = character_groupoid(G)
@@ -498,8 +493,9 @@ def suspension_consistency(G: MappingGroupoid, trials: int = 25,
                 and object_character(G, src) == rational_form(w0)
                 and object_character(G, tgt) == rational_form(w1)):
             failures += 1
-    return {"subject": f"suspension({X.name}, deg {n})", "trials": trials,
-            "failures": failures, "ok": failures == 0}
+    return Report(f"suspension({X.name}, deg {n})", trials, seed, [
+        Check("suspension-consistency", failures == 0, trials,
+              {"failures": failures} if failures else None)])
 
 
 # -- restriction along base maps -------------------------------------------
@@ -671,7 +667,7 @@ class CharacterModel:
 
 
 def arrow_equation_report(model: CharacterModel, arrow: CharacterArrow,
-                          trials: int = 5, seed: int = 0) -> dict:
+                          trials: int = 5, seed: int = 0) -> Report:
     """The pullback equations for one equipped arrow, checked exactly.
 
     Object-level: the correction cobounds the gap between pulling the
@@ -679,6 +675,7 @@ def arrow_equation_report(model: CharacterModel, arrow: CharacterArrow,
     Morphism-level: the same square one degree down closes with the
     stated primitive as an explicit coboundary witness (absent primitives
     force a literally zero defect).  Identity arrows carry no correction.
+    One check per equation, each over every trial.
     """
     G_N = arrow.source.groupoid
     G_M = arrow.dest.groupoid
@@ -712,10 +709,10 @@ def arrow_equation_report(model: CharacterModel, arrow: CharacterArrow,
         z = rational_form(G_N.random_object(rng2).integral())
         if not ident.correction(z).is_zero():
             identity_eq = False
-    return {"map": arrow.f.name, "model": model.kind,
-            "object_equation": object_eq, "morphism_equation": morphism_eq,
-            "identity_trivial": identity_eq,
-            "ok": object_eq and morphism_eq and identity_eq}
+    return Report(f"arrow({arrow.f.name}, {model.kind})", trials, seed, [
+        Check("object-equation", object_eq, trials),
+        Check("morphism-equation", morphism_eq, trials),
+        Check("identity-trivial", identity_eq, trials)])
 
 
 def composition_equation_report(model: CharacterModel,
@@ -726,12 +723,13 @@ def composition_equation_report(model: CharacterModel,
                                 trials: int = 5, seed: int = 0,
                                 pins_f: dict | None = None,
                                 pins_g: dict | None = None,
-                                pins_gf: dict | None = None) -> dict:
+                                pins_gf: dict | None = None) -> Report:
     """Corrections compose along f then g against an independent equipment.
 
     The composite map gets its own lift and staircase; its correction must
     equal the pasted one, the f-correction of the pulled-back form plus
-    the f-pull of the g-correction, as literal cochains.
+    the f-pull of the g-correction, as literal cochains.  The report's
+    checks are ``corrections-compose`` (every trial) and ``lifts-compose``.
     """
     if f.target is not g.source:
         raise ValueError("maps do not compose")
@@ -752,9 +750,9 @@ def composition_equation_report(model: CharacterModel,
                                    compose_maps(a_f.lift, a_g.lift))
     else:
         lifts_compose = maps_equal(a_gf.lift, gf)
-    return {"composite": gf.name, "model": model.kind, "trials": trials,
-            "corrections_compose": ok, "lifts_compose": lifts_compose,
-            "ok": ok and lifts_compose}
+    return Report(f"composition({gf.name}, {model.kind})", trials, seed, [
+        Check("corrections-compose", ok, trials),
+        Check("lifts-compose", lifts_compose, 1)])
 
 
 # -- the halving transformation and its weak inverse -----------------------

@@ -1,9 +1,13 @@
-"""Command line: ``simdiff cohomology --space rp2 --degree 2 --coeffs Z``.
+"""Command line: ``simdiff cohomology`` and ``simdiff cert``.
 
-Prints the group presentation as JSON.  Fixture parameters are passed as
-``--param name=value`` (for example ``--space circle --param n=5``).  Bad
-input -- an unknown space, parameter, degree or coefficient string -- exits
-with status 2 and a one-line message on stderr.
+``simdiff cohomology --space rp2 --degree 2 --coeffs Z`` prints the group
+presentation as JSON.  ``simdiff cert --space torus --degree 2 [--model
+sheared] [--trials N] [--seed S]`` prints the exactness certificate of the
+refined degree-n classes as report JSON and exits 1 when a check failed.
+Fixture parameters are passed as ``--param name=value`` (for example
+``--space circle --param n=5``).  Bad input -- an unknown space, parameter,
+degree, model, trial count or coefficient string -- exits with status 2
+and a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ import json
 import sys
 from typing import Sequence
 
+from .character import CharacterModel
 from .cochains import parse_coefficients
 from .cohomology import cohomology
 from .complexes import build_standard
+from .diffhat import exactness_certificate
 
 
 class _UsageError(ValueError):
@@ -31,11 +37,18 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simdiff", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     coh = commands.add_parser("cohomology", help="H^n(X; A) of a standard fixture")
-    coh.add_argument("--space", required=True, help="pt, delta_k, circle, sphere2, torus, rp2")
-    coh.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                     help="fixture parameter, repeatable")
-    coh.add_argument("--degree", required=True, type=int)
-    coh.add_argument("--coeffs", default="Z", help="Z or Q")
+    cert = commands.add_parser("cert", help="exactness certificate of refined classes")
+    for sub in (coh, cert):
+        sub.add_argument("--space", required=True,
+                         help="pt, delta_k, circle, sphere2, torus, rp2")
+        sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
+                         help="fixture parameter, repeatable")
+        sub.add_argument("--degree", required=True, type=int)
+    coh.add_argument("--coeffs", default="Z",
+                     help="Z (default) or Q, also spelled int, integers, rat, rationals")
+    cert.add_argument("--model", default="plain", choices=CharacterModel.KINDS)
+    cert.add_argument("--trials", default=3, type=int, help="rounds per claim")
+    cert.add_argument("--seed", default=0, type=int)
     return parser
 
 
@@ -54,14 +67,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if args.degree < 0:
             raise ValueError(f"degree must be >= 0, got {args.degree}")
-        coeffs = parse_coefficients(args.coeffs)
-        X = build_standard(args.space, **_params(args.param))
-        group = cohomology(X, args.degree, coeffs)
+        if args.command == "cert":
+            if args.trials < 0:
+                raise ValueError(f"trials must be >= 0, got {args.trials}")
+            X = build_standard(args.space, **_params(args.param))
+            out = exactness_certificate(X, args.degree, args.trials, args.seed,
+                                        CharacterModel(args.model))
+        else:
+            coeffs = parse_coefficients(args.coeffs)
+            X = build_standard(args.space, **_params(args.param))
+            out = cohomology(X, args.degree, coeffs).presentation
     except ValueError as e:
         print("simdiff: error: " + " ".join(str(e).split()), file=sys.stderr)
         return 2
-    print(json.dumps(group.presentation.to_json()))
-    return 0
+    print(json.dumps(out.to_json()))
+    return 0 if getattr(out, "ok", True) else 1
 
 
 if __name__ == "__main__":

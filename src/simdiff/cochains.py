@@ -54,9 +54,6 @@ class Coefficients:
             return v.numerator
         return int(v)
 
-    def negate(self, v):
-        return self.normalize(-v)
-
     def label(self) -> str:
         return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
 
@@ -70,6 +67,8 @@ def mod_coefficients(k: int) -> Coefficients:
 
 
 def parse_coefficients(text: str) -> Coefficients:
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse coefficients {text!r}")
     t = text.strip()
     if t in ("Z", "int", "integers"):
         return INTEGERS
@@ -289,11 +288,16 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(X: SimplicialSet, data: dict) -> Cochain:
-    coeffs = parse_coefficients(data.get("coefficients", "Q"))
+    try:
+        coeffs = parse_coefficients(data.get("coefficients", "Q"))
+        valstr = {v["id"]: Fraction(v["value"]) for v in data.get("values", ())}
+        degree = int(data["degree"])
+    except (KeyError, TypeError, AttributeError, OverflowError,
+            ZeroDivisionError) as e:
+        raise ValueError(f"malformed cochain JSON: {e!r}") from None
     ids = {key_str(g): g for g in X.generators()}
-    valstr = {v["id"]: Fraction(v["value"]) for v in data.get("values", ())}
     try:
         vals = {ids[i]: v for i, v in valstr.items()}
     except KeyError as e:
         raise ValueError(f"cochain references unknown generator {e}") from None
-    return Cochain(X, int(data["degree"]), coeffs, vals)
+    return Cochain(X, degree, coeffs, vals)

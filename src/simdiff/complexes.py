@@ -614,11 +614,6 @@ def cylinder(X: SimplicialSet, k: int = 1) -> ProductWithSimplex:
     return X._cache[token]
 
 
-def product_with_simplex(X: SimplicialSet, k: int) -> tuple[SimplicialSet, PrismDecomposition]:
-    cyl = cylinder(X, k)
-    return cyl.complex, cyl.decomposition
-
-
 # -- vertex paths ----------------------------------------------------------
 
 
@@ -648,6 +643,6 @@ def complex_from_json(data: dict) -> SimplicialSet:
             faces = [Simplex(f["id"], tuple(int(j) for j in f.get("degeneracies", ())))
                      for f in entry.get("faces", ())]
             X.add_generator(entry["id"], int(entry["dim"]), faces)
-    except (KeyError, TypeError) as e:
-        raise ConstructionError(f"malformed complex JSON: {e}") from None
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
+        raise ConstructionError(f"malformed complex JSON: {e!r}") from None
     return X.freeze()

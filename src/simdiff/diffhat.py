@@ -47,6 +47,7 @@ from .cohomology import (
 from .complexes import SimplicialSet, cylinder, key_str
 from .exact import Obstruction, System, kernel_int, transpose
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
+from .report import Check, Report, tally
 from .subdiv import halving
 
 
@@ -377,7 +378,7 @@ def _random_form(T: HatTheory, rng: random.Random) -> Cochain:
     return c.map_values(lambda v: v / denom, RATIONALS)
 
 
-def _claim_class_surjective(T: HatTheory) -> dict:
+def _claim_class_surjective(T: HatTheory) -> Check:
     H = cohomology(T.base, T.degree, INTEGERS)
     pres = H.presentation
     cases = []
@@ -386,19 +387,14 @@ def _claim_class_surjective(T: HatTheory) -> dict:
         want_free = tuple(1 if i == j else 0 for i in range(pres.free_rank))
         want_tor = tuple(1 if pres.free_rank + i == j else 0
                          for i in range(len(pres.torsion)))
-        cases.append({"generator": j,
-                      "class": [list(map(int, free)), list(map(int, torsion))],
-                      "ok": (tuple(free), tuple(torsion)) == (want_free, want_tor)})
-    note = None if cases else "integral group is trivial"
-    out = {"name": "underlying-class-surjective",
-           "ok": all(c["ok"] for c in cases), "cases": cases}
-    if note:
-        out["note"] = note
-    return out
+        cases.append(((tuple(free), tuple(torsion)) == (want_free, want_tor),
+                      {"generator": j,
+                       "class": [list(map(int, free)), list(map(int, torsion))]}))
+    return tally("underlying-class-surjective", cases)
 
 
 def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
-                                 trials: int) -> dict:
+                                 trials: int) -> Check:
     G, n = T.groupoid, T.degree
     rounds = []
     for _ in range(trials):
@@ -409,20 +405,19 @@ def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
         in_kernel = not any(free) and not any(torsion)
         sol = T.homotopies(G.unit(), c)
         if isinstance(sol, PinnedObstruction):
-            rounds.append({"ok": False, "note": "coboundary object not null-homotopic"})
+            rounds.append((False, {"note": "coboundary object not null-homotopic"}))
             continue
         connect = HomotopyClass(Homotopy2(G.unit(), c, sol.particular))
         alpha = x.omega + T.character.on_morphism(connect)
         comp = T.compare(T.from_form(alpha), x)
         back = T.underlying_class(T.from_form(_random_form(T, rng)))
         forms_in_kernel = not any(back[0]) and not any(back[1])
-        rounds.append({"kernel_member": in_kernel,
-                       "matched_by_form": comp.equal,
-                       "forms_land_in_kernel": forms_in_kernel,
-                       "witness": comp.to_json(),
-                       "ok": in_kernel and comp.equal and forms_in_kernel})
-    return {"name": "kernel-of-class-is-image-of-forms",
-            "ok": all(r["ok"] for r in rounds), "rounds": rounds}
+        rounds.append((in_kernel and comp.equal and forms_in_kernel,
+                       {"kernel_member": in_kernel,
+                        "matched_by_form": comp.equal,
+                        "forms_land_in_kernel": forms_in_kernel,
+                        "comparison": comp.to_json()}))
+    return tally("kernel-of-class-is-image-of-forms", rounds)
 
 
 def _audit_period(T: HatTheory, obs: PeriodObstruction,
@@ -455,7 +450,7 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
 
 
 def _claim_kernel_forms_is_characters(T: HatTheory, rng: random.Random,
-                                      trials: int) -> dict:
+                                      trials: int) -> Check:
     G, n, X = T.groupoid, T.degree, T.base
     below = cohomology(X, n - 1, INTEGERS)
     rounds = []
@@ -468,17 +463,14 @@ def _claim_kernel_forms_is_characters(T: HatTheory, rng: random.Random,
         h = cell_with_integral(G, G.unit(), G.unit(), z)
         alpha = T.character.on_morphism(h)
         comp = T.compare(T.from_form(alpha), T.zero())
-        rounds.append({"character_support": len(alpha.values),
-                       "vanishes": comp.equal, "witness": comp.to_json(),
-                       "ok": comp.equal})
-    ok = all(r["ok"] for r in rounds)
-    negative = _negative_forms_round(T)
-    return {"name": "kernel-of-forms-is-image-of-characters",
-            "ok": ok and negative["ok"], "rounds": rounds,
-            "negative": negative}
+        rounds.append((comp.equal, {"character_support": len(alpha.values),
+                                    "comparison": comp.to_json()}))
+    return tally("kernel-of-forms-is-image-of-characters", rounds)
 
 
-def _negative_forms_round(T: HatTheory) -> dict:
+def _negative_forms_round(T: HatTheory) -> Check:
+    """A rational datum outside the character image must stay nonzero."""
+    name = "kernel-of-forms-is-image-of-characters:negative"
     n = T.degree
     below = cohomology(T.base, n - 1, INTEGERS)
     candidate = None
@@ -494,35 +486,35 @@ def _negative_forms_round(T: HatTheory) -> dict:
                 candidate, kind = ind, "non-closed"
                 break
     if candidate is None:
-        return {"note": "no rational datum lies outside the character image",
-                "ok": True}
+        return Check(name, True, 0, witness={
+            "note": "no rational datum lies outside the character image"})
     comp = T.compare(T.from_form(candidate), T.zero())
-    entry: dict = {"candidate": kind, "separated": not comp.equal,
-                   "witness": comp.to_json(), "ok": not comp.equal}
+    ok = not comp.equal
+    entry: dict = {"candidate": kind, "separated": ok,
+                   "comparison": comp.to_json()}
     if isinstance(comp.obstruction, PeriodObstruction):
         audit = _audit_period(T, comp.obstruction, candidate)
         entry["audit"] = audit
-        entry["ok"] = entry["ok"] and audit["ok"]
+        ok = ok and audit["ok"]
     if kind == "non-closed":
         flat = T.curvature(T.from_form(candidate)).is_zero()
         entry["curvature_separates"] = not flat
-        entry["ok"] = entry["ok"] and not flat
-    return entry
+        ok = ok and not flat
+    return Check(name, ok, 1, witness=entry)
 
 
 def _claim_curvature_of_forms(T: HatTheory, rng: random.Random,
-                              trials: int) -> dict:
+                              trials: int) -> Check:
     rounds = []
     for _ in range(trials):
         alpha = _random_form(T, rng)
         ok = T.curvature(T.from_form(alpha)) == coboundary(alpha)
-        rounds.append({"support": len(alpha.values), "ok": ok})
-    return {"name": "curvature-on-forms-is-coboundary",
-            "ok": all(r["ok"] for r in rounds), "rounds": rounds}
+        rounds.append((ok, {"support": len(alpha.values)}))
+    return tally("curvature-on-forms-is-coboundary", rounds)
 
 
 def _claim_curvature_class_matches(T: HatTheory, rng: random.Random,
-                                   trials: int) -> dict:
+                                   trials: int) -> Check:
     G = T.groupoid
     rounds = []
     for _ in range(trials):
@@ -530,34 +522,35 @@ def _claim_curvature_class_matches(T: HatTheory, rng: random.Random,
         diff = (T.curvature(x)
                 - T._push(rational_form(x.obj.integral())))
         wit = solve_coboundary(diff, RATIONALS)
-        ok = (isinstance(wit, CoboundaryWitness)
-              and coboundary(wit.primitive) == diff)
-        entry = {"ok": ok}
         if isinstance(wit, CoboundaryWitness):
-            entry["primitive_support"] = len(wit.primitive.values)
-        rounds.append(entry)
-    return {"name": "curvature-class-is-rational-class",
-            "ok": all(r["ok"] for r in rounds), "rounds": rounds}
+            rounds.append((coboundary(wit.primitive) == diff,
+                           {"primitive_support": len(wit.primitive.values)}))
+        else:
+            rounds.append((False, {}))
+    return tally("curvature-class-is-rational-class", rounds)
 
 
 def exactness_certificate(X: SimplicialSet, n: int, trials: int = 3,
                           seed: int = 0,
-                          model: CharacterModel | None = None) -> dict:
+                          model: CharacterModel | None = None) -> Report:
     """Check the five kernel/image claims for refined degree-n classes.
 
-    Seeded rounds construct explicit witnesses and verify them literally;
-    the negative round audits the refuting functional from scratch.  The
-    result is JSON-ready, one entry per claim.
+    Seeded rounds, all drawn from one generator, construct explicit
+    witnesses and verify them literally.  The returned
+    :class:`~simdiff.report.Report` has witness ``{"space", "degree",
+    "model"}`` and one check per claim, in the order below, whose witness
+    lists every round's data and comparison witness.  The negative round of
+    the third claim is its own check, ``...:negative``, whose witness holds
+    the refuted candidate and the from-scratch audit of the refuting
+    period functional.
     """
     T = HatTheory(X, n, model)
     rng = random.Random(seed)
-    claims = [
+    return Report(f"exactness({X.name}, deg {n})", trials, seed, [
         _claim_class_surjective(T),
         _claim_kernel_class_is_forms(T, rng, trials),
         _claim_kernel_forms_is_characters(T, rng, trials),
+        _negative_forms_round(T),
         _claim_curvature_of_forms(T, rng, trials),
         _claim_curvature_class_matches(T, rng, trials),
-    ]
-    return {"space": X.name, "degree": n, "model": T.model.kind,
-            "trials": trials, "ok": all(c["ok"] for c in claims),
-            "claims": claims}
+    ], {"space": X.name, "degree": n, "model": T.model.kind})

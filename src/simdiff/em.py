@@ -13,11 +13,15 @@ Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
 index by one.  (Writings that grade the spectrum the other way would call
 our K(A,n+1) "E_n".)
+
+check_iota_compatibility audits the fundamental family exhaustively on
+spanning level elements and returns a :class:`~simdiff.report.Report` with
+one check per property and level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .cochains import (Cochain, Coefficients, coboundary, embed_rational,
@@ -27,6 +31,7 @@ from .complexes import (ConstructionError, Simplex, SimplicialMap,
                         identity_map, key_str, product_map, standard_simplex,
                         vertex_path)
 from .cohomology import cochain_of, delta_system
+from .report import Report, scan
 
 
 class SimplicialGroup:
@@ -350,43 +355,10 @@ def structure_element(a: Cochain, b: Simplex, n: int) -> Cochain:
 # -- compatibility of the fundamental family -------------------------------
 
 
-@dataclass
-class IotaCheck:
-    check: str
-    level: int
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class IotaReport:
-    coeffs: str
-    n: int
-    truncation: int
-    checks: list[IotaCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[IotaCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "coefficients": self.coeffs,
-            "n": self.n,
-            "truncation": self.truncation,
-            "ok": self.ok,
-            "checks": [{"check": c.check, "level": c.level, "ok": c.ok,
-                        "detail": c.detail} for c in self.checks],
-        }
-
-
 def check_iota_compatibility(coeffs: Coefficients, n: int,
                              truncation: int | None = None,
                              scale_upper: int = 1,
-                             scale_lower: int = 1) -> IotaReport:
+                             scale_lower: int = 1) -> Report:
     """Verify the loop identity tying iota_{n-1} to iota_n.
 
     Checks, on spanning level elements up to the truncation (default n+3):
@@ -395,6 +367,11 @@ def check_iota_compatibility(coeffs: Coefficients, n: int,
     integrating it over the interval returns the lower fundamental class.
     The scale arguments deform the family (scale != 1 models an
     incompatible choice and must be flagged by the final check).
+
+    The checks are exhaustive, not sampled: the report's ``trials`` is the
+    truncation level, its seed is 0, and each check is named
+    ``<check>:<level>`` with ``checked`` counting the elements examined up
+    to the first defect, which is the counterexample.
     """
     if n < 1:
         raise ValueError("compatibility pairs need n >= 1")
@@ -404,97 +381,83 @@ def check_iota_compatibility(coeffs: Coefficients, n: int,
     iota_low = FundamentalCocycle(lower)
     iota_up = FundamentalCocycle(upper)
     norm = coeffs.normalize
-    report = IotaReport(coeffs.label(), n, L)
+    report = Report(f"iota({coeffs.label()}, {n})", L, 0)
+    checks = report.results
     D1 = standard_simplex(1)
 
     def upper_eval(y: Cochain):
         """iota'_n = scale_upper * iota_n applied to a K(A,n) level element."""
         return norm(scale_upper * iota_up.value(y))
 
+    def pairs(m: int):
+        return ((a, b, m) for a in lower.level(m) for b in D1.all_simplices(m))
+
     # closedness of both rules on all spanning elements up to level L
     for E, rule, tag in ((lower, iota_low, "iota-lower-closed"),
                          (upper, iota_up, "iota-upper-closed")):
         for m in range(E.n + 1, L + 1):
-            bad = next((z for z in E.level(m)
-                        if norm(rule.coboundary_value(z)) != 0), None)
-            report.checks.append(
-                IotaCheck(tag, m, bad is None,
-                          "" if bad is None else _describe(bad)))
+            checks.append(scan(
+                f"{tag}:{m}", E.level(m),
+                lambda z, rule=rule: (None if norm(rule.coboundary_value(z)) == 0
+                                      else {"detail": _describe(z)})))
 
     # reducedness: degenerate elements evaluate to zero
     for E, rule, tag in ((lower, iota_low, "iota-lower-reduced"),
                          (upper, iota_up, "iota-upper-reduced")):
         if E.n == 0:
             continue
-        bad = None
-        for z in E.level(E.n - 1):
-            for j in range(E.n):
-                s = E.degeneracy(z, j)
-                if rule.value(s) != 0:
-                    bad = s
-        report.checks.append(
-            IotaCheck(tag, E.n, bad is None,
-                      "" if bad is None else _describe(bad)))
+        degenerate = (E.degeneracy(z, j) for z in E.level(E.n - 1)
+                      for j in range(E.n))
+        checks.append(scan(
+            f"{tag}:{E.n}", degenerate,
+            lambda s, rule=rule: (None if rule.value(s) == 0
+                                  else {"detail": _describe(s)})))
 
     # the structure map produces honest cocycle elements, simplicially
+    def simplicial(abm) -> dict | None:
+        a, b, m = abm
+        y = structure_element(a, b, n)
+        if not coboundary(y).is_zero():
+            return {"detail": f"non-cocycle value at {_describe(a)}"}
+        for i in range(m + 1):
+            left = pullback(coface_map(m, i), y)
+            right = structure_element(lower.face(a, i), D1.face(b, i), n)
+            if left != right:
+                return {"detail": f"face {i} at {_describe(a)}"}
+        return None
+
     for m in range(n, min(L, n + 2) + 1):
-        ok = True
-        detail = ""
-        for a in lower.level(m):
-            for b in D1.all_simplices(m):
-                y = structure_element(a, b, n)
-                if not coboundary(y).is_zero():
-                    ok, detail = False, f"non-cocycle value at {_describe(a)}"
-                    break
-                for i in range(m + 1):
-                    left = pullback(coface_map(m, i), y)
-                    right = structure_element(lower.face(a, i), D1.face(b, i), n)
-                    if left != right:
-                        ok, detail = False, f"face {i} at {_describe(a)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.checks.append(IotaCheck("structure-map-simplicial", m, ok, detail))
+        checks.append(scan(f"structure-map-simplicial:{m}", pairs(m), simplicial))
 
     # the pulled-back fundamental class is closed at every level up to L
+    def closed(abm) -> dict | None:
+        a, b, m = abm
+        total = 0
+        for i in range(m + 1):
+            v = upper_eval(structure_element(lower.face(a, i), D1.face(b, i), n))
+            total = total + v if i % 2 == 0 else total - v
+        if norm(total) == 0:
+            return None
+        return {"detail": f"pair ({_describe(a)}, {key_str(b.gen)}{b.word})"}
+
     for m in range(n + 1, L + 1):
-        ok = True
-        detail = ""
-        for a in lower.level(m):
-            for b in D1.all_simplices(m):
-                total = 0
-                for i in range(m + 1):
-                    v = upper_eval(structure_element(lower.face(a, i),
-                                                     D1.face(b, i), n))
-                    total = total + v if i % 2 == 0 else total - v
-                if norm(total) != 0:
-                    ok = False
-                    detail = f"pair ({_describe(a)}, {key_str(b.gen)}{b.word})"
-                    break
-            if not ok:
-                break
-        report.checks.append(IotaCheck("pullback-closed", m, ok, detail))
+        checks.append(scan(f"pullback-closed:{m}", pairs(m), closed))
 
     # end-triviality of the pulled-back class
-    ok = True
-    detail = ""
-    for a in lower.level(n):
-        for eps in (0, 1):
-            b = Simplex((eps,), tuple(range(n)))
-            if upper_eval(structure_element(a, b, n)) != 0:
-                ok, detail = False, f"end {eps} at {_describe(a)}"
-    report.checks.append(IotaCheck("pullback-end-trivial", n, ok, detail))
+    ends = ((a, eps) for a in lower.level(n) for eps in (0, 1))
+    checks.append(scan(
+        f"pullback-end-trivial:{n}", ends,
+        lambda ae: (None if upper_eval(structure_element(
+            ae[0], Simplex((ae[1],), tuple(range(n))), n)) == 0
+            else {"detail": f"end {ae[1]} at {_describe(ae[0])}"})))
 
     # the loop identity: integrating the pulled-back class over the
     # interval must return the lower fundamental class
-    ok = True
-    detail = ""
     X = standard_simplex(n - 1)
     bij = maps_as_cocycles(X, lower)
     cyl = cylinder(X, 1)
-    for z in lower.level(n - 1):
+
+    def loop(z: Cochain) -> dict | None:
         f = bij.to_map(z)
         vals = {}
         for key in cyl.complex.generators(n):
@@ -504,11 +467,11 @@ def check_iota_compatibility(coeffs: Coefficients, n: int,
             if v:
                 vals[key] = v
         pulled = Cochain(cyl.complex, n, coeffs, vals)
-        if fiber_integrate(pulled, cyl) != z.scale(scale_lower):
-            ok = False
-            detail = _describe(z)
-            break
-    report.checks.append(IotaCheck("loop-identity", n - 1, ok, detail))
+        if fiber_integrate(pulled, cyl) == z.scale(scale_lower):
+            return None
+        return {"detail": _describe(z)}
+
+    checks.append(scan(f"loop-identity:{n - 1}", lower.level(n - 1), loop))
     return report
 
 

@@ -465,24 +465,6 @@ class System:
         return Solution([v % self.modulus for v in res.x0[:len(self.cols)]], self.kernel)
 
 
-# -- lattice membership ----------------------------------------------------
-
-
-@dataclass
-class LatticePoint:
-    """Witness that target = L u for the given integer u."""
-
-    coords: list[int]
-
-
-def lattice_member(L: Sequence[Sequence[int]], target: Sequence[int]) -> LatticePoint | Obstruction:
-    """Is target in the integer column span of L?  Witness or functional."""
-    res = solve_int(L, list(target))
-    if isinstance(res, Obstruction):
-        return res
-    return LatticePoint(res.x0)
-
-
 def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     if not A or not A[0]:

@@ -37,6 +37,7 @@ from .em import MappingComplex, e_section, loop_integrate, moore_fill
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
 from .exact import System, smith_normal_form  # noqa: F401
+from .report import Check, Report
 from .words import apply_word, word_of_surjection
 
 
@@ -630,19 +631,24 @@ class MappingGroupoid:
 
     # -- reporting ---------------------------------------------------------
 
-    def strictness_report(self, seed: int = 0) -> dict[str, bool]:
-        """Data-level strictness of the object sum (a model fact, not an axiom)."""
+    def strictness_report(self, seed: int = 0) -> Report:
+        """Data-level strictness of the object sum (a model fact, not an axiom).
+
+        One sampled triple of objects, one check per law.
+        """
         rng = random.Random(seed)
         a, b, c = (self.random_object(rng) for _ in range(3))
         ab = self.oplus_objects(a, b)[0]
         bc = self.oplus_objects(b, c)[0]
-        return {
-            "sum_is_data_sum": ab.data == a.data + b.data,
-            "associative_on_data": (self.oplus_objects(ab, c)[0].data
+        laws = {
+            "sum-is-data-sum": ab.data == a.data + b.data,
+            "associative-on-data": (self.oplus_objects(ab, c)[0].data
                                     == self.oplus_objects(a, bc)[0].data),
-            "commutative_on_data": self.oplus_objects(b, a)[0].data == ab.data,
-            "unital_on_data": self.oplus_objects(self.unit(), a)[0].data == a.data,
+            "commutative-on-data": self.oplus_objects(b, a)[0].data == ab.data,
+            "unital-on-data": self.oplus_objects(self.unit(), a)[0].data == a.data,
         }
+        return Report(f"strictness({self.base.name}, deg {self.degree})", 1, seed,
+                      [Check(name, ok, 1) for name, ok in laws.items()])
 
     def as_instance(self) -> SymMonGroupoidInstance:
         """Package the groupoid for the generic coherence battery."""

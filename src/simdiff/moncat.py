@@ -2,19 +2,27 @@
 
 Everything operates on the opaque :class:`~simdiff.groupoid.SymMonGroupoidInstance`
 surface, so mapping groupoids, cocycle groupoids and synthetic skeletal
-examples all run through the same code paths.  Checks are sampled with a
-seeded generator and report per-axiom outcomes with counterexample data
-instead of raising, except where a construction is impossible (bad adjoint
-data), which raises :class:`CoherenceError`.
+examples all run through the same code paths.  Each battery returns a
+:class:`~simdiff.report.Report` with one sampled :class:`~simdiff.report.Check`
+per axiom, each drawn from its own derived seed and stopped at its first
+counterexample.  Batteries report instead of raising, except where a
+construction is impossible (bad adjoint data), which raises
+:class:`CoherenceError`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .groupoid import SymMonGroupoidInstance
+from .report import Check, Report, short_repr
+
+# Older names of the report record; the benchmark harness builds reports
+# under them positionally, so they stay until it moves to Report and Check.
+CoherenceReport = Report
+AxiomResult = Check
 
 __all__ = [
     "AdjointEquivalenceData",
@@ -46,91 +54,18 @@ class CoherenceError(ValueError):
         self.detail = detail
 
 
-def _show(x: Any, limit: int = 160) -> str:
-    text = repr(x)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-# -- reports ---------------------------------------------------------------
-
-
-@dataclass
-class AxiomResult:
-    axiom: str
-    ok: bool
-    checked: int
-    counterexample: dict | None = None
-
-
-@dataclass
-class CoherenceReport:
-    subject: str
-    trials: int
-    seed: int
-    results: list[AxiomResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def failures(self) -> list[AxiomResult]:
-        return [r for r in self.results if not r.ok]
-
-    def result(self, axiom: str) -> AxiomResult:
-        for r in self.results:
-            if r.axiom == axiom:
-                return r
-        raise KeyError(axiom)
-
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ok": self.ok,
-            "results": [
-                {"axiom": r.axiom, "ok": r.ok, "checked": r.checked,
-                 **({"counterexample": r.counterexample}
-                    if r.counterexample is not None else {})}
-                for r in self.results
-            ],
-        }
-
-
-class _Battery:
-    """Accumulates sampled checks for one report."""
-
-    def __init__(self, subject: str, trials: int, seed: int):
-        self.report = CoherenceReport(subject, trials, seed)
-
-    def run(self, axiom: str, rounds: int, sampler: Callable[[random.Random], dict],
-            law: Callable[..., bool], seed: int) -> None:
-        rng = random.Random(seed)
-        failure = None
-        done = 0
-        for trial in range(rounds):
-            data = sampler(rng)
-            done += 1
-            if not law(**data):
-                failure = {"trial": trial,
-                           **{k: _show(v) for k, v in data.items()}}
-                break
-        self.report.results.append(
-            AxiomResult(axiom, failure is None, done, failure))
-
-
 # -- the axiom battery -----------------------------------------------------
 
 
 def check_coherence(G: SymMonGroupoidInstance, trials: int = 25,
-                    seed: int = 0) -> CoherenceReport:
+                    seed: int = 0) -> Report:
     """Sampled verification of the symmetric monoidal groupoid axioms.
 
     Each axiom gets its own derived seed, so reports are reproducible and
     adding an axiom does not reshuffle the others.  Composition is written
     diagrammatically throughout: ``compose(f, g)`` is f-then-g.
     """
-    bat = _Battery(G.name, trials, seed)
+    report = Report(G.name, trials, seed)
     cp, op, om, idm = G.compose, G.oplus, G.oplus_mor, G.identity
 
     def objects(rng: random.Random, k: int) -> list:
@@ -183,25 +118,25 @@ def check_coherence(G: SymMonGroupoidInstance, trials: int = 25,
     def mor_sample(rng: random.Random, k: int) -> list:
         return [G.random_morphism(rng, a) for a in objects(rng, k)]
 
-    bat.run("pentagon", trials,
-            lambda rng: dict(zip("abcd", objects(rng, 4))), pentagon, seed + 1)
-    bat.run("triangle", trials,
-            lambda rng: dict(zip("ab", objects(rng, 2))), triangle, seed + 2)
-    bat.run("hexagon", trials,
-            lambda rng: dict(zip("abc", objects(rng, 3))), hexagon, seed + 3)
-    bat.run("braid-involutive", trials,
-            lambda rng: dict(zip("ab", objects(rng, 2))), involutive, seed + 4)
-    bat.run("naturality-associator", trials,
-            lambda rng: dict(zip("fgh", mor_sample(rng, 3))), natural_assoc,
-            seed + 5)
-    bat.run("naturality-left-unitor", trials,
-            lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_left, seed + 6)
-    bat.run("naturality-right-unitor", trials,
-            lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_right, seed + 7)
-    bat.run("naturality-braid", trials,
-            lambda rng: dict(zip("fg", mor_sample(rng, 2))), natural_braid,
-            seed + 8)
-    return bat.report
+    report.sample("pentagon",
+                  lambda rng: dict(zip("abcd", objects(rng, 4))), pentagon, seed + 1)
+    report.sample("triangle",
+                  lambda rng: dict(zip("ab", objects(rng, 2))), triangle, seed + 2)
+    report.sample("hexagon",
+                  lambda rng: dict(zip("abc", objects(rng, 3))), hexagon, seed + 3)
+    report.sample("braid-involutive",
+                  lambda rng: dict(zip("ab", objects(rng, 2))), involutive, seed + 4)
+    report.sample("naturality-associator",
+                  lambda rng: dict(zip("fgh", mor_sample(rng, 3))), natural_assoc,
+                  seed + 5)
+    report.sample("naturality-left-unitor",
+                  lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_left, seed + 6)
+    report.sample("naturality-right-unitor",
+                  lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_right, seed + 7)
+    report.sample("naturality-braid",
+                  lambda rng: dict(zip("fg", mor_sample(rng, 2))), natural_braid,
+                  seed + 8)
+    return report
 
 
 # -- skeletal instances from group cochains --------------------------------
@@ -341,7 +276,7 @@ def compose_functors(F: MonFunctor, G: MonFunctor) -> MonFunctor:
 
 
 def check_monoidal_functor(F: MonFunctor, trials: int = 25,
-                           seed: int = 0) -> CoherenceReport:
+                           seed: int = 0) -> Report:
     """Sampled verification of the monoidal functor axioms for F.
 
     Covers plain functoriality, naturality of the structure cells, and the
@@ -349,7 +284,7 @@ def check_monoidal_functor(F: MonFunctor, trials: int = 25,
     morphism-class equalities in the target instance.
     """
     S, T = F.source, F.target
-    bat = _Battery(F.name, trials, seed)
+    report = Report(F.name, trials, seed)
     cp, om, idm = T.compose, T.oplus_mor, T.identity
     Fo, Fm = F.on_objects, F.on_morphisms
 
@@ -400,22 +335,22 @@ def check_monoidal_functor(F: MonFunctor, trials: int = 25,
         two = cp(Fm(S.braid(a, b)), F.mu(b, a))
         return T.eq(one, two)
 
-    bat.run("functor-identity", trials,
-            lambda rng: dict(a=objects(rng, 1)[0]), identities, seed + 11)
-    bat.run("functor-composition", trials, composable, composites, seed + 12)
-    bat.run("mu-naturality", trials,
-            lambda rng: dict(zip("fg", morphisms(rng, 2))), mu_natural,
-            seed + 13)
-    bat.run("associativity-square", trials,
-            lambda rng: dict(zip("abc", objects(rng, 3))), assoc_square,
-            seed + 14)
-    bat.run("left-unit-square", trials,
-            lambda rng: dict(a=objects(rng, 1)[0]), unit_left, seed + 15)
-    bat.run("right-unit-square", trials,
-            lambda rng: dict(a=objects(rng, 1)[0]), unit_right, seed + 16)
-    bat.run("symmetry-square", trials,
-            lambda rng: dict(zip("ab", objects(rng, 2))), symmetry, seed + 17)
-    return bat.report
+    report.sample("functor-identity",
+                  lambda rng: dict(a=objects(rng, 1)[0]), identities, seed + 11)
+    report.sample("functor-composition", composable, composites, seed + 12)
+    report.sample("mu-naturality",
+                  lambda rng: dict(zip("fg", morphisms(rng, 2))), mu_natural,
+                  seed + 13)
+    report.sample("associativity-square",
+                  lambda rng: dict(zip("abc", objects(rng, 3))), assoc_square,
+                  seed + 14)
+    report.sample("left-unit-square",
+                  lambda rng: dict(a=objects(rng, 1)[0]), unit_left, seed + 15)
+    report.sample("right-unit-square",
+                  lambda rng: dict(a=objects(rng, 1)[0]), unit_right, seed + 16)
+    report.sample("symmetry-square",
+                  lambda rng: dict(zip("ab", objects(rng, 2))), symmetry, seed + 17)
+    return report
 
 
 # -- transformations over a finite diagram ---------------------------------
@@ -486,7 +421,7 @@ class WeakInverse:
 
     components: dict[str, MonFunctor]
     cells: dict[str, Callable[[Any], Any]]
-    report: CoherenceReport
+    report: Report
 
 
 def _backward_monoidal(u: MonFunctor, adj: AdjointEquivalenceData) -> MonFunctor:
@@ -521,7 +456,7 @@ def weak_inverse(u: StrictTransformation,
     monoidal structure of each component and of unit/counit) is then checked
     on samples and recorded in the report.
     """
-    report = CoherenceReport(f"weak-inverse[{u.name}]", trials, seed)
+    report = Report(f"weak-inverse[{u.name}]", trials, seed)
     components: dict[str, MonFunctor] = {}
 
     for key, node in u.nodes.items():
@@ -537,13 +472,13 @@ def weak_inverse(u: StrictTransformation,
                             uc.on_morphisms(data.counit(a)))
             if not B.eq(zig, B.identity(ua)):
                 raise CoherenceError(
-                    f"zig-zag failed at node {key}", node=key, detail=_show(a))
+                    f"zig-zag failed at node {key}", node=key, detail=short_repr(a))
         for b in B.sample_objects(rng, trials):
             vb = v.on_objects(b)
             zag = A.compose(v.on_morphisms(data.unit(b)), data.counit(vb))
             if not A.eq(zag, A.identity(vb)):
                 raise CoherenceError(
-                    f"zag-zig failed at node {key}", node=key, detail=_show(b))
+                    f"zag-zig failed at node {key}", node=key, detail=short_repr(b))
         components[key] = _backward_monoidal(uc, data)
 
     for arrow in u.arrows:
@@ -557,7 +492,7 @@ def weak_inverse(u: StrictTransformation,
             if through != under:
                 raise CoherenceError(
                     f"transformation square not strict on arrow {arrow.name}",
-                    node=arrow.src, detail=_show(b))
+                    node=arrow.src, detail=short_repr(b))
 
     def make_cell(arrow: TransformationArrow) -> Callable[[Any], Any]:
         src, dst = u.nodes[arrow.src], u.nodes[arrow.dst]
@@ -579,13 +514,12 @@ def weak_inverse(u: StrictTransformation,
     for key, node in u.nodes.items():
         sub = check_monoidal_functor(components[key], trials,
                                      seed * 31 + len(key))
-        report.results.append(AxiomResult(
+        report.results.append(Check(
             f"component-monoidal:{key}", sub.ok, trials,
             None if sub.ok else sub.failures()[0].counterexample))
 
         A, B = node.upper, node.lower
         uc, v, data = node.component, components[key], adj[key]
-        bat = _Battery("", trials, seed)
 
         def unit_monoidal(b, bp, *, A=A, B=B, uc=uc, v=v, data=data) -> bool:
             one = B.compose(data.unit(B.oplus(b, bp)), B.compose(
@@ -601,19 +535,17 @@ def weak_inverse(u: StrictTransformation,
             two = data.counit(A.oplus(a, ap))
             return A.eq(one, two)
 
-        bat.run(f"unit-monoidal:{key}", trials,
-                lambda rng, B=B: dict(zip(("b", "bp"), B.sample_objects(rng, 2))),
-                unit_monoidal, seed * 37 + 1)
-        bat.run(f"counit-monoidal:{key}", trials,
-                lambda rng, A=A: dict(zip(("a", "ap"), A.sample_objects(rng, 2))),
-                counit_monoidal, seed * 37 + 2)
-        report.results.extend(bat.report.results)
+        report.sample(f"unit-monoidal:{key}",
+                      lambda rng, B=B: dict(zip(("b", "bp"), B.sample_objects(rng, 2))),
+                      unit_monoidal, seed * 37 + 1)
+        report.sample(f"counit-monoidal:{key}",
+                      lambda rng, A=A: dict(zip(("a", "ap"), A.sample_objects(rng, 2))),
+                      counit_monoidal, seed * 37 + 2)
 
     for arrow in u.arrows:
         src, dst = u.nodes[arrow.src], u.nodes[arrow.dst]
         v_src, v_dst = components[arrow.src], components[arrow.dst]
         cell = cells[arrow.name]
-        bat = _Battery("", trials, seed)
 
         def u_natural(k, *, arrow=arrow, src=src, dst=dst) -> bool:
             one = dst.component.on_morphisms(arrow.upper.on_morphisms(k))
@@ -647,20 +579,19 @@ def weak_inverse(u: StrictTransformation,
                 adj[arrow.dst].counit(arrow.upper.on_objects(a)))
             return dst.upper.eq(one, two)
 
-        bat.run(f"transformation-naturality:{arrow.name}", trials,
-                lambda rng, src=src: dict(k=src.upper.random_morphism(
-                    rng, src.upper.sample_objects(rng, 1)[0])),
-                u_natural, seed * 41 + 2)
-        bat.run(f"cell-naturality:{arrow.name}", trials,
-                lambda rng, src=src: dict(k=src.lower.random_morphism(
-                    rng, src.lower.sample_objects(rng, 1)[0])),
-                cell_natural, seed * 41 + 3)
-        bat.run(f"unit-modification:{arrow.name}", trials,
-                lambda rng, src=src: dict(b=src.lower.sample_objects(rng, 1)[0]),
-                unit_mod_square, seed * 41 + 4)
-        bat.run(f"counit-modification:{arrow.name}", trials,
-                lambda rng, src=src: dict(a=src.upper.sample_objects(rng, 1)[0]),
-                counit_mod_square, seed * 41 + 5)
-        report.results.extend(bat.report.results)
+        report.sample(f"transformation-naturality:{arrow.name}",
+                      lambda rng, src=src: dict(k=src.upper.random_morphism(
+                          rng, src.upper.sample_objects(rng, 1)[0])),
+                      u_natural, seed * 41 + 2)
+        report.sample(f"cell-naturality:{arrow.name}",
+                      lambda rng, src=src: dict(k=src.lower.random_morphism(
+                          rng, src.lower.sample_objects(rng, 1)[0])),
+                      cell_natural, seed * 41 + 3)
+        report.sample(f"unit-modification:{arrow.name}",
+                      lambda rng, src=src: dict(b=src.lower.sample_objects(rng, 1)[0]),
+                      unit_mod_square, seed * 41 + 4)
+        report.sample(f"counit-modification:{arrow.name}",
+                      lambda rng, src=src: dict(a=src.upper.sample_objects(rng, 1)[0]),
+                      counit_mod_square, seed * 41 + 5)
 
     return WeakInverse(components, cells, report)

@@ -24,6 +24,7 @@ from .cohomology import PinnedObstruction, cohomology, is_coboundary
 from .diffhat import HatClass, HatTheory, _cochain_json, _random_form
 from .exact import smith_normal_form
 from .groupoid import Homotopy2, HomotopyClass
+from .report import Check, Report, scan, tally
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,34 +261,30 @@ def _exact(d: Cochain) -> bool:
 
 
 def _objects_respected(comp: ModelComparison, rng: random.Random,
-                       trials: int) -> dict:
+                       trials: int) -> Check:
     A, B = comp.source.theory, comp.target.theory
-    bad = None
-    for _ in range(trials):
+
+    def defect(_) -> dict | None:
         x = comp.source.random_object(rng)
         image = comp.on_object(x)
         if A.underlying_class(x) != B.underlying_class(image):
-            bad = {"stage": "integral-class",
-                   "source": [list(map(int, t)) for t in A.underlying_class(x)],
-                   "image": [list(map(int, t)) for t in B.underlying_class(image)]}
-            break
+            return {"stage": "integral-class",
+                    "source": [list(map(int, t)) for t in A.underlying_class(x)],
+                    "image": [list(map(int, t)) for t in B.underlying_class(image)]}
         if B.curvature(image) != comp.push_form(A.curvature(x)):
             gap = B.curvature(image) - comp.push_form(A.curvature(x))
-            bad = {"stage": "curvature", "gap": _cochain_json(gap)}
-            break
+            return {"stage": "curvature", "gap": _cochain_json(gap)}
         beta = _random_form(A, rng)
         c = B.compare(comp.on_object(A.from_form(beta)),
                       B.from_form(comp.push_form(beta)))
         if not c.equal:
-            bad = {"stage": "forms", "obstruction": c.to_json()}
-            break
-    out = {"name": "objects-respected", "ok": bad is None, "samples": trials}
-    if bad is not None:
-        out["counterexample"] = bad
-    return out
+            return {"stage": "forms", "obstruction": c.to_json()}
+        return None
+
+    return scan("objects-respected", range(trials), defect)
 
 
-def _character_lattice(comp: ModelComparison) -> dict:
+def _character_lattice(comp: ModelComparison) -> Check:
     # arrow groups are torsors under the character lattice, so the
     # functor is arrow-bijective exactly when the pushed lattice matches
     A, B = comp.source.theory, comp.target.theory
@@ -313,13 +310,13 @@ def _character_lattice(comp: ModelComparison) -> dict:
     iso = flat and bs == bt and (
         bs == 0 or (sf is not None and sf.rank == bt
                     and all(abs(d) == 1 for d in sf.diagonal[:sf.rank])))
-    return {"rank": [bs, bt], "matrix": matrix,
-            "diagonal": [] if sf is None else [int(d) for d in sf.diagonal],
-            "iso": iso}
+    return Check("fully-faithful:lattice", iso, 1, witness={
+        "rank": [bs, bt], "matrix": matrix,
+        "diagonal": [] if sf is None else [int(d) for d in sf.diagonal]})
 
 
 def _fully_faithful(comp: ModelComparison, rng: random.Random,
-                    trials: int) -> dict:
+                    trials: int) -> list[Check]:
     src, tgt = comp.source, comp.target
     A = src.theory
     lattice = _character_lattice(comp)
@@ -330,9 +327,10 @@ def _fully_faithful(comp: ModelComparison, rng: random.Random,
         y = A.add(x, A.from_form(_random_form(A, rng)))
         m = src.hom(x, y)
         if isinstance(m, PinnedObstruction):
-            entry = {"ok": False, "note": "arrow missing where classes agree"}
+            ok, entry = False, {"note": "arrow missing where classes agree"}
         else:
-            entry = {"ok": tgt.verify(comp.on_morphism(m)).equal}
+            ok = tgt.verify(comp.on_morphism(m)).equal
+            entry = {"transported": ok}
         if gens:
             far = A.add(x, A.from_cocycle(gens[0]))
             agree = (isinstance(src.hom(x, far), PinnedObstruction)
@@ -340,15 +338,13 @@ def _fully_faithful(comp: ModelComparison, rng: random.Random,
                                             comp.on_object(far)),
                                     PinnedObstruction))
             entry["empty-agrees"] = agree
-            entry["ok"] = entry["ok"] and agree
-        pairs.append(entry)
-    ok = lattice["iso"] and all(p["ok"] for p in pairs)
-    return {"name": "fully-faithful", "ok": ok,
-            "lattice": lattice, "pairs": pairs}
+            ok = ok and agree
+        pairs.append((ok, entry))
+    return [tally("fully-faithful", pairs), lattice]
 
 
 def _essentially_surjective(comp: ModelComparison, rng: random.Random,
-                            trials: int) -> dict:
+                            trials: int) -> Check:
     A, B = comp.source.theory, comp.target.theory
     rounds = []
     for _ in range(trials):
@@ -357,17 +353,15 @@ def _essentially_surjective(comp: ModelComparison, rng: random.Random,
         d = B.sub(u, comp.on_object(x))
         alpha = comp.target.lift(d)
         c = B.compare(B.add(comp.on_object(x), B.from_form(alpha)), u)
-        entry = {"ok": c.equal,
-                 "class": [list(map(int, t)) for t in B.underlying_class(u)]}
+        entry = {"class": [list(map(int, t)) for t in B.underlying_class(u)]}
         if not c.equal:
             entry["obstruction"] = c.to_json()
-        rounds.append(entry)
-    return {"name": "essentially-surjective",
-            "ok": all(r["ok"] for r in rounds), "rounds": rounds}
+        rounds.append((c.equal, entry))
+    return tally("essentially-surjective", rounds)
 
 
 def _monoidal_cells(comp: ModelComparison, rng: random.Random,
-                    trials: int) -> dict:
+                    trials: int) -> list[Check]:
     src = comp.source
     A, B = src.theory, comp.target.theory
     arrows_ok = 0
@@ -396,41 +390,44 @@ def _monoidal_cells(comp: ModelComparison, rng: random.Random,
             if not _exact(c):
                 fails["units"].append({"object": classes(x),
                                        "gap": _cochain_json(c)})
-    identities = {}
-    for name, bad in fails.items():
-        identities[name] = {"ok": not bad, "failures": len(bad)}
-        if bad:
-            identities[name]["counterexample"] = bad[0]
-    ok = arrows_ok == trials and all(not bad for bad in fails.values())
-    return {"name": "monoidal-cells", "ok": ok,
-            "arrows-verified": arrows_ok, "identities": identities}
+    arrows = Check("monoidal-cells", arrows_ok == trials, trials,
+                   witness={"arrows-verified": arrows_ok})
+    return [arrows] + [
+        Check(f"monoidal-cells:{name}", not bad, trials,
+              {"failures": len(bad), **bad[0]} if bad else None)
+        for name, bad in fails.items()]
 
 
 def check_equivalence(comp: ModelComparison, *, seed: int = 0,
-                      trials: int = 5) -> dict:
+                      trials: int = 5) -> Report:
     """Certify the functor as a monoidal equivalence, or say where not.
 
-    Object compatibilities come first; everything later leans on them.
-    Then arrow bijectivity (one lattice unimodularity fact plus a
-    transported witness per sampled pair), essential surjectivity (split
-    a sampled target off the image up to a datum), and the coherence
-    identities of the supplied cell, compared modulo exact data.
+    Object compatibilities come first; everything later leans on them,
+    so when they fail the report holds that one check.  Then arrow
+    bijectivity (one lattice unimodularity fact plus a transported
+    witness per sampled pair), essential surjectivity (split a sampled
+    target off the image up to a datum), and the coherence identities of
+    the supplied cell, compared modulo exact data.
+
+    The returned :class:`~simdiff.report.Report` has the functor's label
+    as subject and ``{"models", "space", "degree"}`` as witness.  Its
+    checks, all drawn from one generator, are ``objects-respected``,
+    ``fully-faithful`` (the sampled pairs) with ``fully-faithful:lattice``
+    (witness: the pushed lattice's ranks, matrix and Smith diagonal),
+    ``essentially-surjective``, and ``monoidal-cells`` (the arrow
+    condition) with one ``monoidal-cells:<identity>`` check per coherence
+    identity, whose counterexample counts the failures and shows the first.
     """
     rng = random.Random(seed)
     A, B = comp.source.theory, comp.target.theory
     checks = [_objects_respected(comp, rng, trials)]
-    if checks[0]["ok"]:
-        checks.append(_fully_faithful(comp, rng, trials))
+    if checks[0].ok:
+        checks += _fully_faithful(comp, rng, trials)
         checks.append(_essentially_surjective(comp, rng, trials))
-        checks.append(_monoidal_cells(comp, rng, trials))
-    else:
-        checks[0]["note"] = "remaining checks skipped"
-    return {"functor": comp.label,
-            "models": [A.model.kind, B.model.kind],
-            "space": A.base.name, "degree": A.degree,
-            "seed": seed, "trials": trials,
-            "ok": all(c["ok"] for c in checks),
-            "checks": checks}
+        checks += _monoidal_cells(comp, rng, trials)
+    return Report(comp.label, trials, seed, checks, {
+        "models": [A.model.kind, B.model.kind],
+        "space": A.base.name, "degree": A.degree})
 
 
 # -- the additivity cell ------------------------------------------------
@@ -490,8 +487,14 @@ class BObstruction:
         return BObstruction(self.source, self.target, self.on_object,
                             self.push_form, bump=bump)
 
-    def check_identities(self, *, seed: int = 0, trials: int = 8) -> dict:
-        """Cocycle, symmetry, units, and translation, on seeded samples."""
+    def check_identities(self, *, seed: int = 0, trials: int = 8) -> Report:
+        """Cocycle, symmetry, units, and translation, on seeded samples.
+
+        One check per identity, whose counterexample counts its failing
+        samples; the report's witness says whether any sampled cell was
+        nonzero, that is, whether the identities were tested on more than
+        the zero cell.
+        """
         rng = random.Random(seed)
         A, B = self.source.theory, self.target.theory
         fails = {"cocycle": 0, "symmetry": 0, "units": 0, "translation": 0}
@@ -516,11 +519,10 @@ class BObstruction:
                 fails["translation"] += 1
             if not nonzero_seen and not B.eq(B.from_form(bxy), B.zero()):
                 nonzero_seen = True
-        return {"name": "additivity-cell", "seed": seed, "trials": trials,
-                "ok": not any(fails.values()),
-                "identities": {k: {"ok": v == 0, "failures": v}
-                               for k, v in fails.items()},
-                "cell_seen_nonzero": nonzero_seen}
+        return Report("additivity-cell", trials, seed,
+                      [Check(k, v == 0, trials, {"failures": v} if v else None)
+                       for k, v in fails.items()],
+                      {"cell_seen_nonzero": nonzero_seen})
 
 
 def derive_B(source: TildeGroupoid, target: TildeGroupoid,

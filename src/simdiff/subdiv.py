@@ -365,10 +365,6 @@ def one_step_homotopy(g0: SimplicialMap, g1: SimplicialMap,
     return H
 
 
-def constant_homotopy(g: SimplicialMap) -> SimplicialMap:
-    return one_step_homotopy(g, g, f"const({g.name})")
-
-
 def prism_primitive(H: SimplicialMap, z: Cochain) -> Cochain:
     """Integrate the pullback of z over the prism interval.
 

@@ -147,28 +147,30 @@ def test_character_functor_rejects_torsion_and_degree_zero():
 
 def test_character_functor_battery_and_literal_defects_circle():
     report = integration_witness_report(groupoid(), trials=4, seed=3)
-    assert report["battery_ok"]
-    assert report["literal_defects_zero"]
-    assert report["witness_integrals_ok"]
-    assert report["ok"]
+    battery = [c for c in report.results
+               if c.axiom not in ("literal-defects-zero", "witness-integrals")]
+    assert len(battery) == 7 and all(c.ok for c in battery)
+    assert report.result("literal-defects-zero").ok
+    assert report.result("witness-integrals").ok
+    assert report.ok
 
 
 def test_character_functor_battery_over_rationals():
     report = integration_witness_report(groupoid(coeffs=RATIONALS),
                                         trials=3, seed=3)
-    assert report["ok"]
+    assert report.ok
 
 
 def test_character_functor_battery_torus_degree_two():
     report = integration_witness_report(groupoid(torus(), n=2),
                                         trials=3, seed=3)
-    assert report["ok"]
+    assert report.ok
 
 
 def test_character_functor_battery_survives_perturbation():
     G = groupoid(perturb=random.Random(9))
     report = integration_witness_report(G, trials=4, seed=3)
-    assert report["ok"]
+    assert report.ok
 
 
 def test_mu_cell_is_trivial_on_the_strict_model():
@@ -207,12 +209,12 @@ def test_cell_with_integral_rejects_unreachable_data():
 
 
 def test_suspension_consistency_across_fixtures():
-    assert suspension_consistency(groupoid(), trials=8, seed=2)["ok"]
+    assert suspension_consistency(groupoid(), trials=8, seed=2).ok
     assert suspension_consistency(groupoid(coeffs=RATIONALS),
-                                  trials=6, seed=2)["ok"]
+                                  trials=6, seed=2).ok
     assert suspension_consistency(groupoid(sphere2(), n=2),
-                                  trials=4, seed=2)["ok"]
-    assert suspension_consistency(groupoid(point()), trials=4, seed=2)["ok"]
+                                  trials=4, seed=2).ok
+    assert suspension_consistency(groupoid(point()), trials=4, seed=2).ok
 
 
 # -- restriction -----------------------------------------------------------
@@ -246,7 +248,7 @@ def test_plain_model_pullback_equations_are_strict():
     chN, chM = model.character(groupoid()), model.character(groupoid(circle(6)))
     report = arrow_equation_report(model, model.arrow(chM, chN, covering(3, 2)),
                                    trials=4, seed=7)
-    assert report["ok"]
+    assert report.ok
 
 
 def test_sheared_model_differs_but_satisfies_the_equations():
@@ -259,7 +261,7 @@ def test_sheared_model_differs_but_satisfies_the_equations():
     report = arrow_equation_report(sheared,
                                    sheared.arrow(chM, chN, covering(3, 2)),
                                    trials=4, seed=7)
-    assert report["ok"]
+    assert report.ok
 
 
 def test_halved_model_equations_with_nonzero_corrections():
@@ -273,7 +275,7 @@ def test_halved_model_equations_with_nonzero_corrections():
     turn = model.arrow(chN, chN, rotation(3))
     collapse = model.arrow(chN, chPt, constant_map(circle(3), point(), "*"))
     for arrow in (cover, base, turn, collapse):
-        assert arrow_equation_report(model, arrow, trials=4, seed=7)["ok"]
+        assert arrow_equation_report(model, arrow, trials=4, seed=7).ok
     z = rational_form(G3.random_object(random.Random(1)).integral())
     assert not cover.correction(z).is_zero()
     assert not base.correction(z).is_zero()
@@ -298,7 +300,8 @@ def test_composition_pasting_is_literal_in_every_model():
         chN = model.character(groupoid())
         report = composition_equation_report(model, chM, chN, chN, d, r,
                                              trials=4, seed=5)
-        assert report["corrections_compose"] and report["lifts_compose"]
+        assert report.result("corrections-compose").ok
+        assert report.result("lifts-compose").ok
 
 
 # -- the halved transformation and its weak inverse ------------------------

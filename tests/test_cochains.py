@@ -2,13 +2,15 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
                               fiber_integrate, mod_coefficients,
                               parse_coefficients, pullback, random_cochain)
-from simdiff.complexes import (Simplex, SimplicialMap, circle, cylinder, point,
-                               rp2, sphere2, standard_simplex, torus)
+from simdiff.complexes import (Simplex, SimplicialMap, circle, complex_from_json,
+                               cylinder, point, rp2, sphere2, standard_simplex,
+                               torus)
 
 
 def test_parse_coefficients():
@@ -177,3 +179,39 @@ def test_cochain_json_rejects_unknown_generator():
             "values": [{"id": "nope", "value": "1"}]}
     with pytest.raises(ValueError):
         cochain_from_json(X, data)
+
+
+# Nested JSON values, biased towards the keys and strings both parsers read.
+_KEYS = ["name", "generators", "id", "dim", "faces", "degeneracies",
+         "degree", "values", "value", "coefficients"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["Z", "Q", "Z/2", "Z/0", "v0", "e0", "1/2", "1/0", "x"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner,
+                      max_size=5),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example({"name": "x", "generators": [[1]]})
+@example({"name": "x", "generators": ["a"]})
+@example({"name": "x", "generators": [{"id": "a", "dim": 1, "faces": [1, 2]}]})
+@example([])
+@example({"degree": 0, "coefficients": 5})
+@example({"degree": 0, "values": ["a"]})
+@example({"degree": 0, "values": [{"id": "v0", "value": None}]})
+@example({"degree": 0, "values": [{"id": "v0", "value": "1/0"}]})
+@example({"degree": None})
+@example({"values": []})
+@example(None)
+def test_malformed_json_raises_only_value_errors(data):
+    X = circle(3)
+    for parse in (complex_from_json, lambda d: cochain_from_json(X, d),
+                  parse_coefficients):
+        try:
+            parse(data)
+        except ValueError:  # ConstructionError is a ValueError
+            pass

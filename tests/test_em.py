@@ -254,8 +254,8 @@ def test_structure_element_jump_support():
 def test_iota_family_is_compatible(coeffs, n):
     report = check_iota_compatibility(coeffs, n)
     assert report.ok, report.failures()
-    assert report.truncation == n + 3
-    names = {c.check for c in report.checks}
+    assert report.trials == n + 3
+    names = {c.axiom.split(":")[0] for c in report.results}
     assert "loop-identity" in names and "pullback-closed" in names
 
 
@@ -264,15 +264,14 @@ def test_scaled_family_is_flagged(coeffs):
     report = check_iota_compatibility(coeffs, 1, scale_upper=2)
     assert not report.ok
     bad = report.failures()
-    assert [c.check for c in bad] == ["loop-identity"]
-    assert bad[0].level == 0 and "element" in bad[0].detail
+    assert [c.axiom for c in bad] == ["loop-identity:0"]
+    assert "element" in bad[0].counterexample["detail"]
 
 
 def test_iota_report_json_and_truncation():
     report = check_iota_compatibility(INTEGERS, 1, truncation=2)
     data = report.to_json()
-    assert data["ok"] is True and data["truncation"] == 2
-    assert all(set(c) == {"check", "level", "ok", "detail"}
-               for c in data["checks"])
+    assert data["ok"] is True and data["trials"] == 2
+    assert all(set(c) == {"axiom", "ok", "checked"} for c in data["results"])
     with pytest.raises(ValueError):
         check_iota_compatibility(INTEGERS, 0)

@@ -293,7 +293,7 @@ def test_torus_coherence_smoke():
     h = G.random_morphism(a, rng)
     assert G.same_class(G.compose(h, G.inverse(h)), G.identity(a))
     assert triangle_holds(G, a, b)
-    assert G.strictness_report()["sum_is_data_sum"]
+    assert G.strictness_report().result("sum-is-data-sum").ok
 
 
 # -- perturbed fillers -----------------------------------------------------
@@ -553,4 +553,4 @@ def test_instance_adapter_wires_operations():
 
 def test_strictness_report_all_true():
     G = MappingGroupoid(circle(), INTEGERS, 1)
-    assert all(G.strictness_report().values())
+    assert G.strictness_report().ok

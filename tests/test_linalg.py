@@ -2,9 +2,9 @@ import random
 
 from fractions import Fraction
 
-from simdiff.exact import (LatticePoint, Obstruction, Solution, identity_matrix,
+from simdiff.exact import (Obstruction, Solution, identity_matrix,
                            invariant_factors, kernel_int, kernel_mod_prime,
-                           lattice_member, mat_mul, mat_vec, smith_normal_form,
+                           mat_mul, mat_vec, smith_normal_form,
                            solve_int, solve_mod, solve_rational)
 
 
@@ -139,12 +139,3 @@ def test_solve_mod():
     assert (2 * res.x0[0]) % 4 == 2
     assert any((2 * k[0]) % 4 == 0 and k[0] % 4 for k in res.kernel)
 
-
-def test_lattice_member():
-    L = [[2, 0], [0, 3]]
-    res = lattice_member(L, [4, -3])
-    assert isinstance(res, LatticePoint)
-    assert res.coords == [2, -1]
-    res = lattice_member(L, [1, 0])
-    assert isinstance(res, Obstruction)
-    assert res.check(L, [1, 0])

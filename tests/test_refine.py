@@ -22,8 +22,10 @@ from simdiff.refine import (
     with_cell_defect,
 )
 
-CHECK_NAMES = ["objects-respected", "fully-faithful",
-               "essentially-surjective", "monoidal-cells"]
+IDENTITIES = ["cocycle", "symmetry", "units"]
+CHECK_NAMES = ["objects-respected", "fully-faithful", "fully-faithful:lattice",
+               "essentially-surjective", "monoidal-cells",
+               *(f"monoidal-cells:{name}" for name in IDENTITIES)]
 
 
 def test_hom_and_automorphisms():
@@ -96,11 +98,12 @@ def test_lift_requires_trivial_class():
 def test_identity_equivalence_is_deterministic():
     G = build_tilde(circle(3), 1)
     rep = check_equivalence(identity_comparison(G), seed=1)
-    assert rep["ok"]
-    assert [c["name"] for c in rep["checks"]] == CHECK_NAMES
-    assert rep["models"] == ["plain", "plain"]
+    assert rep.ok
+    assert [c.axiom for c in rep.results] == CHECK_NAMES
+    assert rep.witness["models"] == ["plain", "plain"]
     again = check_equivalence(identity_comparison(G), seed=1)
-    assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
+    assert (json.dumps(rep.to_json(), sort_keys=True)
+            == json.dumps(again.to_json(), sort_keys=True))
 
 
 def test_shear_equivalence():
@@ -108,18 +111,18 @@ def test_shear_equivalence():
         G = build_tilde(X, n)
         Gs = build_tilde(X, n, CharacterModel("sheared"))
         rep = check_equivalence(canonical_comparison(G, Gs), seed=1)
-        assert rep["ok"], rep
-        assert rep["models"] == ["plain", "sheared"]
+        assert rep.ok, rep.failures()
+        assert rep.witness["models"] == ["plain", "sheared"]
 
 
 def test_halved_equivalence_and_lattice():
     G = build_tilde(circle(3), 1)
     Gh = build_tilde(circle(3), 1, CharacterModel("halved"))
     rep = check_equivalence(canonical_comparison(G, Gh), seed=1)
-    assert rep["ok"]
-    lattice = rep["checks"][1]["lattice"]
-    assert lattice == {"rank": [1, 1], "matrix": [[1]],
-                       "diagonal": [1], "iso": True}
+    assert rep.ok
+    lattice = rep.result("fully-faithful:lattice")
+    assert lattice.ok
+    assert lattice.witness == {"rank": [1, 1], "matrix": [[1]], "diagonal": [1]}
 
 
 def test_canonical_comparison_guards():
@@ -139,14 +142,12 @@ def test_cell_defects_detected_exactly():
     base = identity_comparison(G)
     for kind in ("cocycle", "symmetry", "units"):
         rep = check_equivalence(with_cell_defect(base, kind), seed=3, trials=6)
-        assert not rep["ok"]
-        for check in rep["checks"][:3]:
-            assert check["ok"], (kind, check["name"])
-        identities = rep["checks"][3]["identities"]
-        assert not identities[kind]["ok"]
-        for other, verdict in identities.items():
-            if other != kind:
-                assert verdict["ok"], (kind, other)
+        assert not rep.ok
+        for check in rep.results[:5]:
+            assert check.ok, (kind, check.axiom)
+        for other in IDENTITIES:
+            verdict = rep.result(f"monoidal-cells:{other}")
+            assert verdict.ok == (other != kind), (kind, other)
 
 
 def test_defects_need_free_directions():
@@ -163,9 +164,9 @@ def test_defects_need_free_directions():
 def test_derived_cell_of_additive_map_is_zero():
     G = build_tilde(circle(3), 1)
     rep = derive_B(G, G, lambda x: x).check_identities(seed=0, trials=6)
-    assert rep["ok"]
-    assert not rep["cell_seen_nonzero"]
-    assert [k for k in rep["identities"]] == [
+    assert rep.ok
+    assert not rep.witness["cell_seen_nonzero"]
+    assert [c.axiom for c in rep.results] == [
         "cocycle", "symmetry", "units", "translation"]
 
 
@@ -192,8 +193,8 @@ def test_derived_cell_of_quadratic_shift():
     assert bo.value(u, u) == gamma.scale(2)
     assert not T.eq(T.from_form(bo.value(u, u)), T.zero())
     rep = bo.check_identities(seed=0, trials=12)
-    assert rep["ok"]
-    assert rep["cell_seen_nonzero"]
+    assert rep.ok
+    assert rep.witness["cell_seen_nonzero"]
 
 
 def test_derived_cell_completes_the_functor():
@@ -203,7 +204,7 @@ def test_derived_cell_completes_the_functor():
     comp = ModelComparison(G, G, phi, lambda w: w, bo.as_cell(),
                            label="shifted")
     rep = check_equivalence(comp, seed=2, trials=5)
-    assert rep["ok"], rep
+    assert rep.ok, rep.failures()
 
 
 def test_derive_B_rejects_class_moving_map():
@@ -219,6 +220,6 @@ def test_cell_defects_on_derived_cell():
     honest = derive_B(G, G, lambda x: x)
     for kind in ("cocycle", "symmetry", "units"):
         rep = honest.with_defect(kind).check_identities(seed=3, trials=6)
-        assert not rep["ok"]
-        for name, verdict in rep["identities"].items():
-            assert verdict["ok"] == (name != kind), (kind, name)
+        assert not rep.ok
+        for verdict in rep.results:
+            assert verdict.ok == (verdict.axiom != kind), (kind, verdict.axiom)

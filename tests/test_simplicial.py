@@ -20,7 +20,6 @@ from simdiff.complexes import (
     point,
     product,
     product_map,
-    product_with_simplex,
     rp2,
     sphere2,
     standard_simplex,
@@ -119,7 +118,8 @@ def test_torus_counts():
 
 
 def test_circle_cylinder_counts():
-    P, decomp = product_with_simplex(circle(3), 1)
+    cyl = cylinder(circle(3), 1)
+    P, decomp = cyl.complex, cyl.decomposition
     assert counts(P) == {0: 6, 1: 12, 2: 6}
     assert P.euler_characteristic() == 0
     for e in ("e0", "e1", "e2"):
@@ -129,13 +129,13 @@ def test_circle_cylinder_counts():
 def test_prism_cell_counts_and_signs():
     X = circle(3)
     for k in (1, 2, 3):
-        _, decomp = product_with_simplex(X, k)
+        decomp = cylinder(X, k).decomposition
         from math import comb
         for g in X.generators():
             m = X.gen_dim(g)
             assert len(decomp[g]) == comb(m + k, k)
     # Delta^1 x Delta^1: the two shuffle 2-cells carry opposite signs
-    _, decomp = product_with_simplex(standard_simplex(1), 1)
+    decomp = cylinder(standard_simplex(1), 1).decomposition
     signs = sorted(sign for sign, _ in decomp[(0, 1)])
     assert signs == [-1, 1]
 
@@ -143,17 +143,17 @@ def test_prism_cell_counts_and_signs():
 def test_chi_invariance_under_cylinder():
     for X in (circle(3), sphere2(), rp2()):
         for k in (1, 2):
-            P, _ = product_with_simplex(X, k)
+            P = cylinder(X, k).complex
             assert P.euler_characteristic() == X.euler_characteristic()
 
 
 def test_pt_cylinder_is_interval():
-    P, _ = product_with_simplex(point(), 1)
+    P = cylinder(point(), 1).complex
     assert counts(P) == {0: 2, 1: 1}
 
 
 def test_product_face_consistency():
-    for P in (torus(), product_with_simplex(circle(3), 2)[0]):
+    for P in (torus(), cylinder(circle(3), 2).complex):
         assert P.problems() == []
 
 
