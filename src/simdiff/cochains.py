@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Hashable, Mapping
 
-from .complexes import ProductWithSimplex, Simplex, SimplicialMap, SimplicialSet, key_str
+from .complexes import (ProductWithSimplex, Simplex, SimplicialMap, SimplicialSet,
+                        json_int, key_str)
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def cochain_from_json(X: SimplicialSet, data: dict) -> Cochain:
     try:
         coeffs = parse_coefficients(data.get("coefficients", "Q"))
         valstr = {v["id"]: Fraction(v["value"]) for v in data.get("values", ())}
-        degree = int(data["degree"])
+        degree = json_int(data["degree"])
     except (KeyError, TypeError, AttributeError, OverflowError,
             ZeroDivisionError) as e:
         raise ValueError(f"malformed cochain JSON: {e!r}") from None

@@ -636,13 +636,20 @@ def complex_to_json(X: SimplicialSet) -> dict:
     return {"name": X.name, "generators": gens}
 
 
+def json_int(value: Any) -> int:
+    """value if it is a JSON integer (an int, not a bool); else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def complex_from_json(data: dict) -> SimplicialSet:
     try:
         X = SimplicialSet(str(data["name"]))
         for entry in data["generators"]:
-            faces = [Simplex(f["id"], tuple(int(j) for j in f.get("degeneracies", ())))
+            faces = [Simplex(f["id"], tuple(json_int(j) for j in f.get("degeneracies", ())))
                      for f in entry.get("faces", ())]
-            X.add_generator(entry["id"], int(entry["dim"]), faces)
+            X.add_generator(entry["id"], json_int(entry["dim"]), faces)
     except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ConstructionError(f"malformed complex JSON: {e!r}") from None
     return X.freeze()

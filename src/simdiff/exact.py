@@ -18,15 +18,21 @@ against System.matrix without trusting the solver:
 
 The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
-pure Python over int and Fraction, so every certificate is exact.  Matrix
-sizes stay in the hundreds, where cubic algorithms with small pivots are
-fast enough.
+pure Python over int and Fraction, so every certificate is exact.
+
+The Smith form eliminates on sparse rows and columns.  Coboundary matrices
+hold a few nonzeros per row and almost every pivot is +-1, so the work
+follows the nonzeros and their fill rather than the cube of the matrix
+size.  The pivot order is the dense smallest-entry rule, so the
+transforms, and every cocycle and certificate read off them, are the ones
+a dense elimination gives.  The Q echelon form is still dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 Matrix = list[list[int]]
@@ -84,61 +90,90 @@ class SmithForm:
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
+    """D = S A T by sparse elimination that replays the dense pivot order.
+
+    The pivot is the smallest |entry| of the trailing block, first in
+    row-major order; the scan stops at the first row holding a +-1.  The
+    pivot is swapped into place and made positive, rows then columns are
+    reduced by it, and a pass that leaves a remainder starts over.  Once the
+    pivot's row and column are clear, a row whose entries it does not divide
+    is added to its row and the search starts over (never for pivot 1).
+    The trailing block holding no entry ends the elimination.
+
+    D is held as rows {column id: entry} with a lazy column permutation, so
+    a column swap touches no entry; S and Tinv are sparse rows, Sinv and T
+    sparse columns.  The operations are the dense elimination's, in its
+    order, so the dense SmithForm built at the end is the same, entry for
+    entry, as a dense loop's (tests/test_snf.py keeps one as the reference).
+    """
     r = len(A)
     c = len(A[0]) if r else 0
-    D = [list(map(int, row)) for row in A]
-    S, Sinv = identity_matrix(r), identity_matrix(r)
-    T, Tinv = identity_matrix(c), identity_matrix(c)
+    D = [{j: int(v) for j, v in filter(itemgetter(1), enumerate(row))} for row in A]
+    pos = list(range(c))  # column id -> position
+    at = list(range(c))  # position -> column id
+    S = [{i: 1} for i in range(r)]
+    Sinv = [{i: 1} for i in range(r)]
+    T = [{j: 1} for j in range(c)]
+    Tinv = [{j: 1} for j in range(c)]
+
+    def axpy(dst, src, q):
+        # dst += q * src, dropping the entries that cancel
+        for t, v in src.items():
+            w = dst.get(t, 0) + q * v
+            if w:
+                dst[t] = w
+            else:
+                del dst[t]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         S[i], S[j] = S[j], S[i]
-        for row in Sinv:
-            row[i], row[j] = row[j], row[i]
+        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
 
     def row_add(i, j, q):
         # row i += q * row j
-        for t in range(c):
-            D[i][t] += q * D[j][t]
-        for t in range(r):
-            S[i][t] += q * S[j][t]
-        for row in Sinv:
-            row[j] -= q * row[i]
+        axpy(D[i], D[j], q)
+        axpy(S[i], S[j], q)
+        axpy(Sinv[j], Sinv[i], -q)
 
     def row_neg(i):
-        for t in range(c):
-            D[i][t] = -D[i][t]
-        for t in range(r):
-            S[i][t] = -S[i][t]
-        for row in Sinv:
-            row[i] = -row[i]
+        for M in (D, S, Sinv):
+            M[i] = {t: -v for t, v in M[i].items()}
 
     def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in T:
-            row[i], row[j] = row[j], row[i]
+        at[i], at[j] = at[j], at[i]
+        pos[at[i]], pos[at[j]] = i, j
+        T[i], T[j] = T[j], T[i]
         Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
-    def col_add(i, j, q):
-        # col i += q * col j
-        for row in D:
-            row[i] += q * row[j]
-        for row in T:
-            row[i] += q * row[j]
-        for t in range(c):
-            Tinv[j][t] -= q * Tinv[i][t]
+    def col_add(i, j, q, rows):
+        # col i += q * col j, whose entries all lie in rows
+        ci, cj = at[i], at[j]
+        for row in rows:
+            w = row.get(ci, 0) + q * row[cj]
+            if w:
+                row[ci] = w
+            else:
+                del row[ci]
+        axpy(T[i], T[j], q)
+        axpy(Tinv[j], Tinv[i], -q)
 
-    n = min(r, c)
-    for k in range(n):
+    def pivot(k):
+        # (|entry|, row, position) of the pivot, or None for a zero block
+        best = None
+        for i in range(k, r):
+            row = D[i]
+            if row:
+                m = min(map(abs, row.values()))
+                if best is None or m < best[0]:
+                    best = (m, i, min(pos[t] for t, v in row.items() if abs(v) == m))
+                    if m == 1:
+                        break
+        return best
+
+    for k in range(min(r, c)):
         while True:
-            # smallest nonzero entry of the trailing block into the pivot
-            best = None
-            for i in range(k, r):
-                for j in range(k, c):
-                    v = D[i][j]
-                    if v and (best is None or abs(v) < abs(best[0])):
-                        best = (v, i, j)
+            best = pivot(k)
             if best is None:
                 break
             _, pi, pj = best
@@ -146,36 +181,49 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 row_swap(k, pi)
             if pj != k:
                 col_swap(k, pj)
-            if D[k][k] < 0:
+            ck = at[k]
+            if D[k][ck] < 0:
                 row_neg(k)
-            dirty = False
+            p = D[k][ck]
+            rows = [D[k]]  # where the pivot column is nonzero after the row pass
             for i in range(k + 1, r):
-                if D[i][k]:
-                    q = D[i][k] // D[k][k]
-                    row_add(i, k, -q)
-                    if D[i][k]:
-                        dirty = True
-            for j in range(k + 1, c):
-                if D[k][j]:
-                    q = D[k][j] // D[k][k]
-                    col_add(j, k, -q)
-                    if D[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: fold any non-multiple into the pivot's column
-            offender = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if D[i][j] % D[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                v = D[i].get(ck)
+                if v:
+                    row_add(i, k, -(v // p))
+                    if ck in D[i]:
+                        rows.append(D[i])
+            for t, v in list(D[k].items()):
+                if t != ck:
+                    col_add(pos[t], k, -(v // p), rows)
+            if len(rows) > 1 or len(D[k]) > 1:
+                continue  # a remainder is left in the pivot's column or row
+            if p == 1:
+                break  # a unit divides every entry: nothing to fold
+            # divisibility: fold a row holding a non-multiple into the pivot's
+            offender = next((i for i in range(k + 1, r)
+                             if any(v % p for v in D[i].values())), None)
             if offender is None:
                 break
             row_add(k, offender, 1)
-    return SmithForm(D, S, T, Sinv, Tinv)
+        if best is None:
+            break  # the trailing block is zero, and so are all later ones
+
+    def dense(vectors, n, columns):
+        out = [[0] * n for _ in range(n)]
+        for i, vec in enumerate(vectors):
+            for t, v in vec.items():
+                if columns:
+                    out[t][i] = v
+                else:
+                    out[i][t] = v
+        return out
+
+    Dd = [[0] * c for _ in range(r)]
+    for i, row in enumerate(D):
+        for t, v in row.items():
+            Dd[i][pos[t]] = v
+    return SmithForm(Dd, dense(S, r, False), dense(T, c, True),
+                     dense(Sinv, r, True), dense(Tinv, c, False))
 
 
 # -- solvers ---------------------------------------------------------------

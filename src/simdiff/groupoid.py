@@ -23,7 +23,7 @@ synthetic instances checked by the monoidal-category module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .cochains import Cochain, coboundary, pullback
+from .cochains import Cochain, pullback
 from .complexes import (
     ConstructionError,
     Simplex,
@@ -27,7 +27,6 @@ from .complexes import (
     SimplicialSet,
     circle,
     compose_maps,
-    constant_map,
     cylinder,
     identity_map,
     point,

@@ -8,9 +8,9 @@ from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
                               fiber_integrate, mod_coefficients,
                               parse_coefficients, pullback, random_cochain)
-from simdiff.complexes import (Simplex, SimplicialMap, circle, complex_from_json,
-                               cylinder, point, rp2, sphere2, standard_simplex,
-                               torus)
+from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, circle,
+                               complex_from_json, cylinder, point, rp2, sphere2,
+                               standard_simplex, torus)
 
 
 def test_parse_coefficients():
@@ -205,6 +205,10 @@ _JSON = st.recursive(
 @example({"degree": 0, "values": [{"id": "v0", "value": None}]})
 @example({"degree": 0, "values": [{"id": "v0", "value": "1/0"}]})
 @example({"degree": None})
+@example({"degree": 1.9, "values": []})
+@example({"degree": True, "values": []})
+@example({"name": "x", "generators": [{"id": "a", "dim": 0.9}]})
+@example({"name": "x", "generators": [{"id": "a", "dim": False}]})
 @example({"values": []})
 @example(None)
 def test_malformed_json_raises_only_value_errors(data):
@@ -215,3 +219,35 @@ def test_malformed_json_raises_only_value_errors(data):
             parse(data)
         except ValueError:  # ConstructionError is a ValueError
             pass
+
+
+# Anything but a JSON integer (an int that is not a bool) where one is read.
+_NOT_INT = (st.booleans() | st.floats() | st.none() | st.text(max_size=3)
+            | st.lists(st.integers(), max_size=2)
+            | st.integers().map(lambda n: n + 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NOT_INT)
+@example(1.9)
+@example(True)
+@example(0.9)
+@example(1.0)
+@example(0.5)
+@example(False)
+def test_json_integers_are_not_coerced(bad):
+    X = circle(3)
+    with pytest.raises(ValueError):
+        cochain_from_json(X, {"degree": bad, "coefficients": "Z", "values": []})
+    with pytest.raises(ConstructionError):
+        complex_from_json({"name": "x", "generators": [{"id": "a", "dim": bad}]})
+    # a triangle with a degenerate face, valid with degeneracies [0]
+    def pinched(word):
+        return {"name": "x", "generators": [
+            {"id": "v", "dim": 0},
+            {"id": "e", "dim": 1, "faces": [{"id": "v"}, {"id": "v"}]},
+            {"id": "t", "dim": 2, "faces": [{"id": "e"}, {"id": "e"},
+                                            {"id": "v", "degeneracies": word}]}]}
+    assert complex_from_json(pinched([0])).gen_dim("t") == 2
+    with pytest.raises(ConstructionError):
+        complex_from_json(pinched([bad]))

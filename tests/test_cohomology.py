@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
@@ -13,6 +14,7 @@ from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
                                 solve_coboundary, vector_of)
 from simdiff.complexes import (circle, cylinder, from_facets, key_str, point, rp2,
                                sphere2, torus)
+from simdiff.exact import kernel_mod_prime
 
 
 def test_presentation_rendering():
@@ -244,3 +246,64 @@ def test_top_degree_generators_are_unchanged(build, expected):
     X = build()
     (gen,) = cohomology(X, X.top_dim, INTEGERS).generators
     assert values_of(gen) == expected
+
+
+@pytest.mark.parametrize("build", [rp2, torus])
+def test_base_times_delta3_has_the_cohomology_of_the_base(build):
+    # X x Delta^3 deformation retracts onto X
+    X = build()
+    Y = cylinder(X, 3).complex
+    for n in range(Y.top_dim + 1):
+        base = X.top_dim >= n
+        expected = cohomology(X, n, INTEGERS).presentation if base else GroupPresentation()
+        assert cohomology(Y, n, INTEGERS).presentation == expected, n
+        rank = cohomology(X, n, RATIONALS).presentation if base else GroupPresentation()
+        assert cohomology(Y, n, RATIONALS).presentation == rank == GroupPresentation(
+            free_rank=expected.free_rank), n
+
+
+# -- the universal coefficient theorem, mod p by row reduction, not Smith form --
+
+
+def cocycle_dim_mod(X, n: int, p: int) -> int:
+    A = delta_matrix(X, n)
+    # with no (n+1)-generators every n-cochain is a cocycle
+    return len(kernel_mod_prime(A, p)) if A else len(X.generators(n))
+
+
+def cohomology_dim_mod(X, n: int, p: int) -> int:
+    boundaries = len(X.generators(n - 1)) - cocycle_dim_mod(X, n - 1, p) if n else 0
+    return cocycle_dim_mod(X, n, p) - boundaries
+
+
+def universal_coefficient_dim(X, n: int, p: int) -> int:
+    """dim of H^n(X; Z) (x) Z/p + Tor(H^{n+1}(X; Z), Z/p) over Z/p."""
+    H = cohomology(X, n, INTEGERS).presentation
+    up = cohomology(X, n + 1, INTEGERS).presentation.torsion if n < X.top_dim else ()
+    return (H.free_rank + sum(1 for d in H.torsion if d % p == 0)
+            + sum(1 for d in up if d % p == 0))
+
+
+def assert_universal_coefficients(X) -> None:
+    for p in (2, 3):
+        for n in range(X.top_dim + 1):
+            assert cohomology_dim_mod(X, n, p) == universal_coefficient_dim(X, n, p), (p, n)
+
+
+@pytest.mark.parametrize("build", [
+    point, lambda: circle(4), sphere2, rp2, torus, lambda: cylinder(rp2(), 1).complex])
+def test_universal_coefficients_on_fixtures(build):
+    assert_universal_coefficients(build())
+
+
+def test_universal_coefficients_see_the_torsion_of_rp2():
+    X = rp2()
+    assert [cohomology_dim_mod(X, n, 2) for n in range(3)] == [1, 1, 1]
+    assert [cohomology_dim_mod(X, n, 3) for n in range(3)] == [1, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_universal_coefficients_on_generated_complexes(facets):
+    assert_universal_coefficients(from_facets("X", [tuple(sorted(f)) for f in facets]))

@@ -1,0 +1,235 @@
+"""The sparse Smith form against the dense loop it replaced, and sympy.
+
+exact.smith_normal_form eliminates on sparse rows and columns but replays
+the dense elimination's pivots and operations, so its D, S, T, Sinv and
+Tinv must equal the dense loop's entry for entry.  The dense loop is kept
+here, verbatim, as the reference.
+"""
+
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from simdiff import exact
+from simdiff.cohomology import delta_matrix
+from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
+from simdiff.exact import SmithForm, _lift, identity_matrix, smith_normal_form
+
+BASES = {"circle": lambda: circle(3), "sphere2": sphere2, "rp2": rp2, "torus": torus}
+
+
+def reference_smith_normal_form(A):
+    """The dense triple loop that exact.smith_normal_form replaced."""
+    r = len(A)
+    c = len(A[0]) if r else 0
+    D = [list(map(int, row)) for row in A]
+    S, Sinv = identity_matrix(r), identity_matrix(r)
+    T, Tinv = identity_matrix(c), identity_matrix(c)
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        S[i], S[j] = S[j], S[i]
+        for row in Sinv:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(i, j, q):
+        # row i += q * row j
+        for t in range(c):
+            D[i][t] += q * D[j][t]
+        for t in range(r):
+            S[i][t] += q * S[j][t]
+        for row in Sinv:
+            row[j] -= q * row[i]
+
+    def row_neg(i):
+        for t in range(c):
+            D[i][t] = -D[i][t]
+        for t in range(r):
+            S[i][t] = -S[i][t]
+        for row in Sinv:
+            row[i] = -row[i]
+
+    def col_swap(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in T:
+            row[i], row[j] = row[j], row[i]
+        Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
+
+    def col_add(i, j, q):
+        # col i += q * col j
+        for row in D:
+            row[i] += q * row[j]
+        for row in T:
+            row[i] += q * row[j]
+        for t in range(c):
+            Tinv[j][t] -= q * Tinv[i][t]
+
+    n = min(r, c)
+    for k in range(n):
+        while True:
+            # smallest nonzero entry of the trailing block into the pivot
+            best = None
+            for i in range(k, r):
+                for j in range(k, c):
+                    v = D[i][j]
+                    if v and (best is None or abs(v) < abs(best[0])):
+                        best = (v, i, j)
+            if best is None:
+                break
+            _, pi, pj = best
+            if pi != k:
+                row_swap(k, pi)
+            if pj != k:
+                col_swap(k, pj)
+            if D[k][k] < 0:
+                row_neg(k)
+            dirty = False
+            for i in range(k + 1, r):
+                if D[i][k]:
+                    q = D[i][k] // D[k][k]
+                    row_add(i, k, -q)
+                    if D[i][k]:
+                        dirty = True
+            for j in range(k + 1, c):
+                if D[k][j]:
+                    q = D[k][j] // D[k][k]
+                    col_add(j, k, -q)
+                    if D[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility: fold any non-multiple into the pivot's column
+            offender = None
+            for i in range(k + 1, r):
+                for j in range(k + 1, c):
+                    if D[i][j] % D[k][k]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(k, offender, 1)
+    return SmithForm(D, S, T, Sinv, Tinv)
+
+
+def parts(f: SmithForm) -> tuple:
+    return f.D, f.S, f.T, f.Sinv, f.Tinv
+
+
+def assert_replays(A) -> SmithForm:
+    f = smith_normal_form(A)
+    assert parts(f) == parts(reference_smith_normal_form(A))
+    return f
+
+
+def assert_sympy_diagonal(A, f: SmithForm) -> None:
+    D = sympy_snf(Matrix(A), domain=ZZ)
+    theirs = sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
+    assert sorted(d for d in f.diagonal if d) == theirs
+
+
+def deltas(name: str, k: int) -> list[list[list[int]]]:
+    X = BASES[name]()
+    Y = cylinder(X, k).complex if k else X
+    return [delta_matrix(Y, n) for n in range(Y.top_dim)]
+
+
+# -- fixture matrices ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", list(BASES))
+def test_fixture_deltas_replay_the_dense_loop(name, k):
+    for A in deltas(name, k):
+        assert_replays(A)
+
+
+def test_rp2_times_delta3_low_degrees_replay_the_dense_loop():
+    for A in deltas("rp2", 3)[:2]:
+        assert_replays(A)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 6])
+def test_mod_k_lifts_replay_the_dense_loop(modulus):
+    cases = [A for name in BASES for A in deltas(name, 0)] + deltas("circle", 1)
+    for A in cases:
+        f = assert_replays(_lift(A, modulus))
+        assert_sympy_diagonal(_lift(A, modulus), f)
+
+
+# -- generated matrices --------------------------------------------------------
+
+ENTRIES = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -2, 3, 4, 6])
+
+
+@st.composite
+def sparse_matrices(draw):
+    r = draw(st.integers(0, 7))
+    c = draw(st.integers(0, 7))
+    return [[draw(ENTRIES) for _ in range(c)] for _ in range(r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example([])
+@example([[]])
+@example([[], [], []])
+@example([[0, 2, -3, 4]])
+@example([[6], [4], [0]])
+@example([[2, 0], [0, 3]])
+@example([[0, 0], [0, 0]])
+def test_generated_matrices_replay_the_dense_loop(A):
+    f = assert_replays(A)
+    if A and A[0]:
+        assert_sympy_diagonal(A, f)
+
+
+# -- the branches a unit pivot never takes ---------------------------------------
+
+
+def lines_run(A) -> set[int]:
+    """Line numbers of exact.py executed while factoring A."""
+    hit: set[int] = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == exact.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        smith_normal_form(A)
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+def line_of(marker: str) -> int:
+    with open(exact.__file__) as source:
+        found = [n for n, text in enumerate(source, 1) if marker in text]
+    assert len(found) == 1, marker
+    return found[0]
+
+
+def test_non_unit_branches_are_reached_and_replayed():
+    branches = {
+        "non-unit pivot": line_of("offender = next("),
+        "remainder re-loop": line_of("continue  # a remainder is left"),
+        "divisibility fold": line_of("row_add(k, offender, 1)"),
+    }
+    hit = lines_run([[2, 0], [0, 3]])
+    assert {name for name, line in branches.items() if line not in hit} == set()
+    # a unit pivot takes none of them
+    hit = lines_run([[1, 1, 0], [0, -1, 1]])
+    assert all(line not in hit for line in branches.values())
+    for A in ([[2, 0], [0, 3]], [[2, 4], [6, 8]], [[4, 6], [6, 4]], [[3, 0, 0], [0, 2, 0]]):
+        assert_replays(A)
