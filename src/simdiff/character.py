@@ -49,7 +49,7 @@ from .complexes import (
     product_map,
     standard_simplex,
 )
-from .exact import Obstruction, solve_int, solve_rational
+from .exact import Obstruction, System
 from .groupoid import (
     HomotopyClass,
     Homotopy2,
@@ -449,8 +449,9 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
             raise ValueError("no cell carries the requested integral class")
         return HomotopyClass(Homotopy2(source, target, sol.particular))
     rows = [[col[i] for col in cols] for i in range(len(rhs))]
-    got = (solve_rational(rows, rhs) if G.coeffs.kind == "Q"
-           else solve_int(rows, [int(v) for v in rhs]))
+    kind = "Q" if G.coeffs.kind == "Q" else "Z"
+    got = System(rows, range(len(rows)), range(len(cols)), kind).solve(
+        rhs if kind == "Q" else [int(v) for v in rhs])
     if isinstance(got, Obstruction):
         raise ValueError("no cell carries the requested integral class")
     data = sol.particular
@@ -553,16 +554,6 @@ class DiffCharacter:
     @property
     def degree(self) -> int:
         return self.groupoid.degree
-
-    def forms(self) -> CocycleGroupoid:
-        token = ("character-forms", self.degree)
-        if token not in self.carrier._cache:
-            self.carrier._cache[token] = CocycleGroupoid(
-                self.carrier, self.degree, RATIONALS)
-        return self.carrier._cache[token]
-
-    def same_eta_class(self, a: Cochain, b: Cochain) -> bool:
-        return self.forms().exact_eta(a - b)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Hashable, Mapping, Sequence
 
 from .cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
 from .complexes import ProductWithSimplex, Simplex, SimplicialSet, key_str
-from .exact import Matrix, Obstruction, System, mat_vec, smith_normal_form
+from .exact import Matrix, Obstruction, System, apply_rows, smith_normal_form
 
 
 def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
@@ -209,23 +209,25 @@ class CohomologyGroup:
         self.complex = X
         self.degree = n
         self.coeffs = coeffs
-        c = len(X.generators(n))
         out = delta_system(X, n)
         # no generators one degree up leaves no form: everything is a cocycle
         self._snf_out = out.form
-        diag = out.form.diagonal if out.form else [0] * c
-        kernel_cols = [j for j in range(c) if j >= len(diag) or diag[j] == 0]
-        self._kernel_cols = kernel_cols
-        # c x z, columns = cocycle basis
-        self._K = [[v[i] for v in out.kernel] for i in range(c)]
-        z = len(kernel_cols)
-        rows_in = delta_matrix(X, n - 1) if n >= 1 else []
-        img_in_K: list[list[int]] = []
-        if rows_in and rows_in[0]:
-            for j in range(len(rows_in[0])):
-                col = [rows_in[i][j] for i in range(len(rows_in))]
-                img_in_K.append(self._kernel_coords(col))
-        Y = [[img_in_K[j][i] for j in range(len(img_in_K))] for i in range(z)]
+        self._kernel = out.kernel  # the cocycle basis
+        z = len(out.kernel)
+        # delta_{n-1} in kernel coordinates: the rows of Tinv past the rank
+        # (the kernel's dual basis) times delta_{n-1}, row by row
+        Y: list[list[int]] = []
+        if n >= 1 and out.form is not None:
+            index = X.gen_index(n - 1)
+            faces = [[(index[g], a) for g, a in sparse] for _, sparse in delta_table(X, n - 1)]
+            for dual in out.form.Tinv[out.form.rank:]:
+                y = [0] * len(index)
+                for t, a in dual.items():
+                    for j, w in faces[t]:
+                        y[j] += a * w
+                Y.append(y)
+        elif n >= 1:
+            Y = delta_matrix(X, n - 1)
         if z and Y and Y[0]:
             # with no generators one degree up the kernel basis is the unit
             # basis, so Y is delta_{n-1}, already factored by its system
@@ -246,14 +248,13 @@ class CohomologyGroup:
 
     def _kernel_coords(self, vec: Sequence[int]) -> list[int]:
         """Coordinates of a cocycle vector in the kernel basis."""
-        if self._snf_out is None:
+        f = self._snf_out
+        if f is None:
             return list(vec)
-        u = mat_vec(self._snf_out.Tinv, vec)
-        members = set(self._kernel_cols)
-        for j in range(len(u)):
-            if j not in members and u[j]:
-                raise ValueError("vector is not a cocycle")
-        return [u[j] for j in self._kernel_cols]
+        u = apply_rows(f.Tinv, vec)
+        if any(u[:f.rank]):
+            raise ValueError("vector is not a cocycle")
+        return u[f.rank:]
 
     # -- public ------------------------------------------------------------
 
@@ -261,13 +262,15 @@ class CohomologyGroup:
     def generators(self) -> list[Cochain]:
         """Representative cocycles: free summands first, then torsion."""
         out = []
-        z = len(self._kernel_cols)
+        c = len(self.complex.generators(self.degree))
         for pos in self._free_pos + self._torsion_pos:
-            if self._snf_img is not None:
-                u = [self._snf_img.Sinv[i][pos] for i in range(z)]
-            else:
-                u = [1 if i == pos else 0 for i in range(z)]
-            vec = mat_vec(self._K, u)
+            # column pos of Sinv in the kernel basis
+            u = self._snf_img.Sinv[pos] if self._snf_img is not None else {pos: 1}
+            vec = [0] * c
+            for i, a in u.items():
+                for t, v in enumerate(self._kernel[i]):
+                    if v:
+                        vec[t] += a * v
             out.append(cochain_of(self.complex, self.degree, INTEGERS, vec))
         return out
 
@@ -283,7 +286,7 @@ class CohomologyGroup:
             denom = 1
             ivec = [int(v) for v in vec]
         u = self._kernel_coords(ivec)
-        w = mat_vec(self._snf_img.S, u) if self._snf_img is not None else u
+        w = apply_rows(self._snf_img.S, u) if self._snf_img is not None else u
         if self.coeffs.kind == "Q":
             return tuple(Fraction(w[i], denom) for i in self._free_pos), ()
         free = tuple(w[i] for i in self._free_pos)

@@ -40,9 +40,6 @@ class Simplex:
     gen: Hashable
     word: Word = ()
 
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
 
 def degenerate(s: Simplex, extra: Word) -> Simplex:
     """Apply the degeneracies `extra` (innermost first) on top of s."""

@@ -421,12 +421,14 @@ def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
 
 
 def _audit_period(T: HatTheory, obs: PeriodObstruction,
-                  alpha: Cochain) -> dict:
+                  alpha: Cochain) -> Check:
     """Re-derive the functional's properties instead of trusting the solver.
 
     The functional must kill rational coboundaries, pair integrally (ring
     "Z") or trivially (ring "Q") with the character of every self-homotopy
     shift of the trivial object, and land off the lattice on alpha itself.
+    The returned check's witness records each property and the recomputed
+    value.
     """
     n, G = T.degree, T.groupoid
     lower = T.carrier.generators(n - 2) if n >= 2 else []
@@ -443,10 +445,10 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
     else:
         cols_ok = all(v.denominator == 1 for v in col_vals)
         separated = value.denominator != 1
-    return {"kills_coboundaries": kills, "columns_ok": cols_ok,
-            "recomputed_value": str(value),
-            "matches_reported": value == obs.value,
-            "ok": kills and cols_ok and separated and value == obs.value}
+    return Check("period-audit", kills and cols_ok and separated and value == obs.value,
+                 1, witness={"kills_coboundaries": kills, "columns_ok": cols_ok,
+                             "recomputed_value": str(value),
+                             "matches_reported": value == obs.value})
 
 
 def _claim_kernel_forms_is_characters(T: HatTheory, rng: random.Random,
@@ -494,8 +496,8 @@ def _negative_forms_round(T: HatTheory) -> Check:
                    "comparison": comp.to_json()}
     if isinstance(comp.obstruction, PeriodObstruction):
         audit = _audit_period(T, comp.obstruction, candidate)
-        entry["audit"] = audit
-        ok = ok and audit["ok"]
+        entry["audit"] = audit.to_json()
+        ok = ok and audit.ok
     if kind == "non-closed":
         flat = T.curvature(T.from_form(candidate)).is_zero()
         entry["curvature_separates"] = not flat

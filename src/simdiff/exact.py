@@ -1,18 +1,20 @@
 """Exact linear algebra: one factor-once System behind every solver.
 
-A System holds one integer matrix A over one ring, with named rows
-(equations) and columns (unknowns), and factors A once when it is built:
+A System holds one matrix A over one ring, with named rows (equations) and
+columns (unknowns).  When it is built it factors one integer matrix, once,
+as a Smith form D = S A' T:
 
-* over Z, the Smith form D = S A T;
-* over Z/k, the Smith form of the integer lift [A | k I];
-* over Q, the reduced row echelon form E A.
+* over Z, A' is A;
+* over Z/k, A' is the integer lift [A | k I];
+* over Q, A' is A with each row scaled to clear its denominators.
 
-The kernel basis is read off once too, so System.solve(b) for each new
-right-hand side is a substitution.  It returns a Solution (x0 plus the
-kernel) or an Obstruction, a functional that Obstruction.check re-verifies
-against System.matrix without trusting the solver:
+The kernel basis (the columns of T past the rank) is read off once too, so
+System.solve(b) for each new right-hand side is a substitution,
+x = T D^+ S b.  It returns a Solution (x0 plus the kernel) or an
+Obstruction, a functional that Obstruction.check re-verifies against
+System.matrix without trusting the solver:
 
-* "Q": a row r with r A = 0 and r b != 0;
+* "Q": a row r with r A = 0 and r b != 0 (a row of S past the rank);
 * "Z": a rational row r with r A integral and r b not an integer;
 * "Z/k": the "Z" sense against the lift [A | k I], which System.matrix is.
 
@@ -20,69 +22,63 @@ The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
 pure Python over int and Fraction, so every certificate is exact.
 
-The Smith form eliminates on sparse rows and columns.  Coboundary matrices
-hold a few nonzeros per row and almost every pivot is +-1, so the work
-follows the nonzeros and their fill rather than the cube of the matrix
-size.  The pivot order is the dense smallest-entry rule, so the
-transforms, and every cocycle and certificate read off them, are the ones
-a dense elimination gives.  The Q echelon form is still dense.
+The Smith form eliminates on sparse rows and columns and keeps them: no
+transform is ever made dense, and a substitution touches only its
+nonzeros.  Coboundary matrices hold a few nonzeros per row and almost
+every pivot is +-1, so the work follows the nonzeros and their fill rather
+than the cube of the matrix size.  The pivot order is the dense
+smallest-entry rule, so the transforms, and every cocycle and certificate
+read off them, are the ones a dense elimination gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
-    cols = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for k, a in enumerate(row):
-            if a:
-                rb = B[k]
-                for j in range(cols):
-                    if rb[j]:
-                        acc[j] += a * rb[j]
-        out.append(acc)
-    return out
-
-
-def mat_vec(A: Sequence[Sequence], v: Sequence) -> list:
-    # right-hand sides are sparse: visit only v's nonzero entries
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nz if row[j]) for row in A]
+Sparse = list[dict[int, int]]
 
 
 def transpose(A: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*A)] if A else []
 
 
+def apply_rows(M: Sparse, v: Sequence) -> list:
+    """M v for M held as sparse rows {column: entry}."""
+    return [sum(a * v[t] for t, a in row.items()) for row in M]
+
+
+def apply_cols(M: Sparse, y: Sequence, n: int) -> list:
+    """M y for an n-row M held as sparse columns {row: entry}."""
+    out = [0] * n
+    for col, w in zip(M, y):
+        if w:
+            for t, a in col.items():
+                out[t] += a * w
+    return out
+
+
 @dataclass
 class SmithForm:
-    """D = S A T with S, T unimodular; inverses accumulated alongside.
+    """D = S A T with S, T unimodular, kept as the elimination built them.
 
-    D is rectangular diagonal with nonnegative entries d_0 | d_1 | ...
+    A is r x c (shape).  D is rectangular diagonal; diagonal lists its
+    min(r, c) entries d_0 | d_1 | ..., nonnegative, the zeros last.  S and
+    Tinv are sparse rows {column: entry}, Sinv and T sparse columns
+    {row: entry}: S b and Tinv v are read row by row, T y and a column of
+    T or Sinv column by column, and none of the four is made dense.
     """
 
-    D: Matrix
-    S: Matrix
-    T: Matrix
-    Sinv: Matrix
-    Tinv: Matrix
-
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
+    shape: tuple[int, int]
+    diagonal: list[int]
+    S: Sparse
+    T: Sparse
+    Sinv: Sparse
+    Tinv: Sparse
 
     @property
     def rank(self) -> int:
@@ -102,9 +98,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
 
     D is held as rows {column id: entry} with a lazy column permutation, so
     a column swap touches no entry; S and Tinv are sparse rows, Sinv and T
-    sparse columns.  The operations are the dense elimination's, in its
-    order, so the dense SmithForm built at the end is the same, entry for
-    entry, as a dense loop's (tests/test_snf.py keeps one as the reference).
+    sparse columns, and the SmithForm keeps them as they are.  The
+    operations are the dense elimination's, in its order, so every factor
+    equals a dense loop's entry for entry (tests/test_snf.py keeps one as
+    the reference).
     """
     r = len(A)
     c = len(A[0]) if r else 0
@@ -208,22 +205,8 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
         if best is None:
             break  # the trailing block is zero, and so are all later ones
 
-    def dense(vectors, n, columns):
-        out = [[0] * n for _ in range(n)]
-        for i, vec in enumerate(vectors):
-            for t, v in vec.items():
-                if columns:
-                    out[t][i] = v
-                else:
-                    out[i][t] = v
-        return out
-
-    Dd = [[0] * c for _ in range(r)]
-    for i, row in enumerate(D):
-        for t, v in row.items():
-            Dd[i][pos[t]] = v
-    return SmithForm(Dd, dense(S, r, False), dense(T, c, True),
-                     dense(Sinv, r, True), dense(Tinv, c, False))
+    diagonal = [D[k].get(at[k], 0) for k in range(min(r, c))]
+    return SmithForm((r, c), diagonal, S, T, Sinv, Tinv)
 
 
 # -- solvers ---------------------------------------------------------------
@@ -262,11 +245,8 @@ class Obstruction:
 
 
 def _snf_kernel(f: SmithForm) -> list[list[int]]:
-    r = len(f.D)
-    c = len(f.D[0]) if f.D else 0
-    diag = f.diagonal
-    cols = [j for j in range(c) if j >= len(diag) or diag[j] == 0]
-    return [[f.T[i][j] for i in range(c)] for j in cols]
+    c = f.shape[1]
+    return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
 
 
 def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstruction:
@@ -286,93 +266,23 @@ def solve_int_snf(f: SmithForm, b: Sequence[int],
     many right-hand sides against one matrix pay for it once; a kernel
     read off f beforehand is passed in and returned as it is.
     """
-    r = len(f.D)
-    c = len(f.D[0]) if f.D else 0
-    sb = mat_vec(f.S, b)
-    diag = f.diagonal
-    y = [0] * c
-    for i in range(r):
-        d = diag[i] if i < len(diag) else 0
+    r, c = f.shape
+    y = []
+    for i, (row, sb) in enumerate(zip(f.S, apply_rows(f.S, b))):
+        d = f.diagonal[i] if i < c else 0
         if d:
-            if sb[i] % d:
-                row = [Fraction(v, d) for v in f.S[i]]
-                return Obstruction(row, "Z")
-            y[i] = sb[i] // d
-        elif sb[i]:
+            if sb % d:
+                return Obstruction([Fraction(row.get(t, 0), d) for t in range(r)], "Z")
+            y.append(sb // d)
+        elif sb:
             # rationally inconsistent: rA = 0 with rb != 0
-            return Obstruction([Fraction(v) for v in f.S[i]], "Q")
-    x0 = mat_vec(f.T, y)
-    return Solution(x0, _snf_kernel(f) if kernel is None else kernel)
-
-
-@dataclass
-class EchelonForm:
-    """E A in reduced row echelon form over Q, with E invertible.
-
-    pivots lists the (row, column) pairs of the reduced form; kernel is the
-    basis read off it, one vector per non-pivot column.
-    """
-
-    E: list[list[Fraction]]
-    pivots: list[tuple[int, int]]
-    kernel: list[list[Fraction]]
-
-
-def echelon_form(A: Sequence[Sequence]) -> EchelonForm:
-    """Gauss-Jordan elimination of A over Q, row operations kept in E."""
-    r = len(A)
-    c = len(A[0]) if r else 0
-    M = [[Fraction(v) for v in row] for row in A]
-    # track row ops so an inconsistent row yields a functional on the input
-    E = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        E[row], E[piv] = E[piv], E[row]
-        inv = 1 / M[row][col]
-        M[row] = [v * inv for v in M[row]]
-        E[row] = [v * inv for v in E[row]]
-        for i in range(r):
-            if i != row and M[i][col]:
-                q = M[i][col]
-                M[i] = [a - q * p for a, p in zip(M[i], M[row])]
-                E[i] = [a - q * p for a, p in zip(E[i], E[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == r:
-            break
-    pivot_cols = {col for _, col in pivots}
-    kernel = []
-    for free in range(c):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * c
-        v[free] = Fraction(1)
-        for i, col in pivots:
-            v[col] = -M[i][free]
-        kernel.append(v)
-    return EchelonForm(E, pivots, kernel)
-
-
-def solve_echelon(f: EchelonForm, b: Sequence) -> Solution | Obstruction:
-    """solve_rational against a precomputed echelon form."""
-    Eb = [sum((e * v for e, v in zip(row, b) if e and v), Fraction(0)) for row in f.E]
-    for i in range(len(f.pivots), len(Eb)):
-        if Eb[i]:
-            return Obstruction(list(f.E[i]), "Q")
-    x0 = [Fraction(0)] * (len(f.pivots) + len(f.kernel))
-    for i, col in f.pivots:
-        x0[col] = Eb[i]
-    return Solution(x0, f.kernel)
+            return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
+    return Solution(apply_cols(f.T, y, c), _snf_kernel(f) if kernel is None else kernel)
 
 
 def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
     """All rational solutions of A x = b, or a functional with rA=0, rb!=0."""
-    return solve_echelon(echelon_form(A), b)
+    return System(A, range(len(A)), range(len(A[0]) if A else 0), "Q").solve(b)
 
 
 def kernel_int(A: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -443,7 +353,7 @@ def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution 
 
 def solve_mod_snf(f: SmithForm, b: Sequence[int], k: int) -> Solution | None:
     """solve_mod against a precomputed Smith form of the lift [A | k I]."""
-    c = (len(f.D[0]) if f.D else 0) - len(f.D)
+    c = f.shape[1] - f.shape[0]
     res = solve_int_snf(f, list(b))
     if isinstance(res, Obstruction):
         return None
@@ -460,10 +370,16 @@ class System:
     equations and the unknowns.  pins maps each name held out of the
     unknowns to its sparse column [(row, coefficient), ...], so rhs() moves
     known values to the right-hand side without a dense product.  matrix is
-    what was factored: A itself, or over Z/k the lift [A | k I].
+    what an Obstruction is checked against: A itself, or over Z/k the lift
+    [A | k I].
+
+    Every ring factors an integer matrix by smith_normal_form.  Over Q, A
+    may hold Fractions: row i is first scaled by the least common
+    denominator of its entries, and a "Q" obstruction, a row of S, is
+    scaled back by the same factors, so it is a functional on A.
     """
 
-    def __init__(self, A: Sequence[Sequence[int]], rows: Sequence[Hashable],
+    def __init__(self, A: Sequence[Sequence], rows: Sequence[Hashable],
                  cols: Sequence[Hashable], kind: str = "Z", modulus: int = 0,
                  pins: Mapping[Hashable, list[tuple[int, int]]] | None = None):
         if kind not in ("Z", "Zmod", "Q"):
@@ -476,19 +392,20 @@ class System:
         self.pins = dict(pins or {})
         c = len(self.cols)
         self.matrix = _lift(A, modulus) if kind == "Zmod" else A
-        self.form: SmithForm | EchelonForm | None
+        self.form: SmithForm | None
         if not A:
             # no equations: every vector solves, the kernel is everything
             self.form = None
             self.kernel = [[int(i == j) for i in range(c)] for j in range(c)]
-        elif kind == "Q":
-            self.form = echelon_form(A)
-            self.kernel = self.form.kernel
-        else:
-            self.form = smith_normal_form(self.matrix)
-            self.kernel = _snf_kernel(self.form)
-            if kind == "Zmod":
-                self.kernel = _reduce_mod(self.kernel, c, modulus)
+            return
+        factored = self.matrix
+        if kind == "Q":
+            self._scale = [lcm(*(v.denominator for v in row)) for row in A]
+            factored = [[v * m for v in row] for row, m in zip(A, self._scale)]
+        self.form = smith_normal_form(factored)
+        self.kernel = _snf_kernel(self.form)
+        if kind == "Zmod":
+            self.kernel = _reduce_mod(self.kernel, c, modulus)
 
     def rhs(self, known: Mapping[Hashable, object]) -> list:
         """b = -(sum of each known value times its pinned column)."""
@@ -504,13 +421,24 @@ class System:
         if self.form is None:
             return Solution([0] * len(self.cols), self.kernel)
         if self.kind == "Q":
-            return solve_echelon(self.form, b)
+            return self._solve_rational(b)
         res = solve_int_snf(self.form, b, self.kernel)
         if self.kind == "Z":
             return res
         if isinstance(res, Obstruction):
             return Obstruction(res.functional, self.ring)
         return Solution([v % self.modulus for v in res.x0[:len(self.cols)]], self.kernel)
+
+    def _solve_rational(self, b: Sequence) -> Solution | Obstruction:
+        # b scaled like A's rows, cleared of denominators and multiplied by
+        # the last invariant factor e, which every d_i divides: the integer
+        # substitution then divides exactly, and x0 is its answer over e
+        f = self.form
+        e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
+        res = solve_int_snf(f, [int(v * m * e) for v, m in zip(b, self._scale)], self.kernel)
+        if isinstance(res, Obstruction):
+            return Obstruction([v * m for v, m in zip(res.functional, self._scale)], "Q")
+        return Solution([Fraction(v, e) for v in res.x0], self.kernel)
 
 
 def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:

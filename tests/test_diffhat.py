@@ -254,13 +254,14 @@ def test_certificate_negative_round_audits_the_functional():
     assert cert.result(negative).ok
     neg = cert.result(negative).witness
     assert neg["candidate"] == "non-closed" and neg["separated"]
-    assert neg["audit"]["ok"] and neg["audit"]["kills_coboundaries"]
+    assert neg["audit"]["ok"] and neg["audit"]["witness"]["kills_coboundaries"]
     assert neg["curvature_separates"]
     flat = exactness_certificate(point(), 1, trials=2, seed=11)
     audit = flat.result(negative).witness["audit"]
-    assert audit == {"kills_coboundaries": True, "columns_ok": True,
-                     "recomputed_value": "1/2", "matches_reported": True,
-                     "ok": True}
+    assert audit == {"axiom": "period-audit", "ok": True, "checked": 1,
+                     "witness": {"kills_coboundaries": True, "columns_ok": True,
+                                 "recomputed_value": "1/2",
+                                 "matches_reported": True}}
 
 
 def test_sheared_model_certificates():

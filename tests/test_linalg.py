@@ -2,10 +2,11 @@ import random
 
 from fractions import Fraction
 
-from simdiff.exact import (Obstruction, Solution, identity_matrix,
-                           invariant_factors, kernel_int, kernel_mod_prime,
-                           mat_mul, mat_vec, smith_normal_form,
+from simdiff.exact import (Obstruction, Solution, invariant_factors,
+                           kernel_int, kernel_mod_prime, smith_normal_form,
                            solve_int, solve_mod, solve_rational)
+
+from dense import dense_factors, identity_matrix, mat_mul, mat_vec
 
 
 def random_matrix(rng, r, c, lo=-5, hi=5):
@@ -15,14 +16,13 @@ def random_matrix(rng, r, c, lo=-5, hi=5):
 def check_smith(A):
     f = smith_normal_form(A)
     r, c = len(A), len(A[0])
-    assert mat_mul(mat_mul(f.S, A), f.T) == f.D
-    assert mat_mul(f.S, f.Sinv) == identity_matrix(r)
-    assert mat_mul(f.T, f.Tinv) == identity_matrix(c)
+    assert f.shape == (r, c)
+    D, S, T, Sinv, Tinv = dense_factors(f)
+    assert mat_mul(mat_mul(S, A), T) == D
+    assert mat_mul(S, Sinv) == identity_matrix(r)
+    assert mat_mul(T, Tinv) == identity_matrix(c)
     diag = f.diagonal
-    for i in range(r):
-        for j in range(c):
-            if i != j:
-                assert f.D[i][j] == 0
+    assert len(diag) == min(r, c)
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if a:

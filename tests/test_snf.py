@@ -2,8 +2,9 @@
 
 exact.smith_normal_form eliminates on sparse rows and columns but replays
 the dense elimination's pivots and operations, so its D, S, T, Sinv and
-Tinv must equal the dense loop's entry for entry.  The dense loop is kept
-here, verbatim, as the reference.
+Tinv, made dense here, must equal the dense loop's entry for entry, and
+S Sinv and T Tinv must be identities.  The dense loop is kept here as the
+reference.
 """
 
 import sys
@@ -16,13 +17,18 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from simdiff import exact
 from simdiff.cohomology import delta_matrix
 from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
-from simdiff.exact import SmithForm, _lift, identity_matrix, smith_normal_form
+from simdiff.exact import SmithForm, _lift, smith_normal_form
+
+from dense import dense_factors, identity_matrix, mat_mul
 
 BASES = {"circle": lambda: circle(3), "sphere2": sphere2, "rp2": rp2, "torus": torus}
 
 
 def reference_smith_normal_form(A):
-    """The dense triple loop that exact.smith_normal_form replaced."""
+    """The dense triple loop that exact.smith_normal_form replaced.
+
+    It returns (D, S, T, Sinv, Tinv) as dense lists of rows.
+    """
     r = len(A)
     c = len(A[0]) if r else 0
     D = [list(map(int, row)) for row in A]
@@ -114,16 +120,16 @@ def reference_smith_normal_form(A):
             if offender is None:
                 break
             row_add(k, offender, 1)
-    return SmithForm(D, S, T, Sinv, Tinv)
-
-
-def parts(f: SmithForm) -> tuple:
-    return f.D, f.S, f.T, f.Sinv, f.Tinv
+    return D, S, T, Sinv, Tinv
 
 
 def assert_replays(A) -> SmithForm:
     f = smith_normal_form(A)
-    assert parts(f) == parts(reference_smith_normal_form(A))
+    D, S, T, Sinv, Tinv = dense_factors(f)
+    assert (D, S, T, Sinv, Tinv) == reference_smith_normal_form(A)
+    r, c = f.shape
+    assert mat_mul(S, Sinv) == identity_matrix(r)
+    assert mat_mul(T, Tinv) == identity_matrix(c)
     return f
 
 

@@ -3,13 +3,21 @@
 Every Solution is checked by multiplying out A x = b, and every Obstruction
 by Obstruction.check against the matrix that was factored, so neither
 verdict is taken from the code that produced it.
+
+Over Q the System solves through the integer Smith form.  The dense
+Gauss-Jordan elimination it replaced is kept here as the reference.  Its
+particular solutions and kernel bases differ from the System's, so the two
+are compared by solution set: the same verdict, the same kernel dimension,
+and particular solutions that differ by a kernel vector.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -18,10 +26,102 @@ from simdiff.cochains import Cochain, INTEGERS, RATIONALS, mod_coefficients
 from simdiff.cohomology import delta_matrix, delta_system, face_pins
 from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
 from simdiff.diffhat import HatTheory
-from simdiff.exact import (Obstruction, Solution, System, mat_vec, solve_int,
-                           solve_mod, solve_rational)
+from simdiff.exact import (Obstruction, Solution, System, solve_int, solve_mod,
+                           solve_rational, transpose)
+
+from dense import mat_vec
 
 RINGS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
+
+
+# -- the Q reference: dense Gauss-Jordan ---------------------------------------
+
+
+@dataclass
+class EchelonForm:
+    """E A in reduced row echelon form over Q, with E invertible.
+
+    pivots lists the (row, column) pairs of the reduced form; kernel is the
+    basis read off it, one vector per non-pivot column.
+    """
+
+    E: list[list[Fraction]]
+    pivots: list[tuple[int, int]]
+    kernel: list[list[Fraction]]
+
+
+def echelon_form(A: Sequence[Sequence]) -> EchelonForm:
+    """Gauss-Jordan elimination of A over Q, row operations kept in E."""
+    r = len(A)
+    c = len(A[0]) if r else 0
+    M = [[Fraction(v) for v in row] for row in A]
+    # track row ops so an inconsistent row yields a functional on the input
+    E = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(c):
+        piv = next((i for i in range(row, r) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        E[row], E[piv] = E[piv], E[row]
+        inv = 1 / M[row][col]
+        M[row] = [v * inv for v in M[row]]
+        E[row] = [v * inv for v in E[row]]
+        for i in range(r):
+            if i != row and M[i][col]:
+                q = M[i][col]
+                M[i] = [a - q * p for a, p in zip(M[i], M[row])]
+                E[i] = [a - q * p for a, p in zip(E[i], E[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == r:
+            break
+    pivot_cols = {col for _, col in pivots}
+    kernel = []
+    for free in range(c):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * c
+        v[free] = Fraction(1)
+        for i, col in pivots:
+            v[col] = -M[i][free]
+        kernel.append(v)
+    return EchelonForm(E, pivots, kernel)
+
+
+def solve_echelon(f: EchelonForm, b: Sequence) -> Solution | Obstruction:
+    """solve_rational against a precomputed echelon form."""
+    Eb = [sum((e * v for e, v in zip(row, b) if e and v), Fraction(0)) for row in f.E]
+    for i in range(len(f.pivots), len(Eb)):
+        if Eb[i]:
+            return Obstruction(list(f.E[i]), "Q")
+    x0 = [Fraction(0)] * (len(f.pivots) + len(f.kernel))
+    for i, col in f.pivots:
+        x0[col] = Eb[i]
+    return Solution(x0, f.kernel)
+
+
+def reference_solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
+    """All rational solutions of A x = b, or a functional with rA=0, rb!=0."""
+    return solve_echelon(echelon_form(A), b)
+
+
+def assert_same_rational_solutions(got, ref) -> None:
+    """The same verdict and, for a Solution, the same affine solution set."""
+    assert type(got) is type(ref)
+    if isinstance(got, Obstruction):
+        assert got.ring == ref.ring == "Q"
+        return
+    assert len(got.kernel) == len(ref.kernel)
+    if got.kernel:
+        assert Matrix(got.kernel).rank() == len(got.kernel)
+    diff = [a - b for a, b in zip(got.x0, ref.x0, strict=True)]
+    # x0 - ref.x0 lies in the span of the kernel
+    if got.kernel:
+        assert isinstance(reference_solve_rational(transpose(got.kernel), diff), Solution)
+    else:
+        assert not any(diff)
 
 
 def fixture_deltas() -> list[tuple[str, list[list[int]]]]:
@@ -68,6 +168,8 @@ def one_shot(S: System, A, b):
 def check_against_one_shot(S: System, A, b):
     got = S.solve(b)
     ref = one_shot(S, A, b)
+    if S.kind == "Q":
+        assert_same_rational_solutions(got, reference_solve_rational(A, b))
     if ref is None:
         # solve_mod has no certificate; the system's must still verify
         assert isinstance(got, Obstruction) and got.ring == S.ring
@@ -111,6 +213,7 @@ def test_fixture_kernels_have_the_rank_sympy_gives():
         rank = Matrix(A).rank()
         for kind in ("Z", "Q"):
             S = System(A, range(len(A)), range(len(A[0])), kind)
+            assert S.form.rank == rank, (name, kind)
             assert len(S.kernel) == len(A[0]) - rank, (name, kind)
 
 
@@ -196,6 +299,41 @@ def test_random_matrices_agree_with_one_shot_solvers(r, c, ring, rng):
     S = System(A, range(r), range(c), *ring)
     for b in right_hand_sides(A, rng, 4):
         check_against_one_shot(S, A, b)
+
+
+FRACTIONS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                             Fraction(3, 4), Fraction(-5, 6)])
+
+
+@st.composite
+def rational_systems(draw):
+    """A Fraction matrix, some rows and columns zeroed, and a right-hand side."""
+    r = draw(st.integers(1, 5))
+    c = draw(st.integers(0, 5))
+    A = [[draw(FRACTIONS) for _ in range(c)] for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        A[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2)) if c else ():
+        for row in A:
+            row[j] = 0
+    return A, [draw(FRACTIONS) for _ in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems(), st.randoms(use_true_random=False))
+@example(([[0, 0, 0]], [1]), random.Random(0))
+@example(([[Fraction(1, 2), 0, Fraction(1, 3)]], [Fraction(1, 5)]), random.Random(0))
+@example(([[0], [Fraction(2, 3)]], [0, 1]), random.Random(0))
+@example(([[1, 0], [0, 0]], [1, 0]), random.Random(0))
+@example(([[], []], [0, Fraction(1, 2)]), random.Random(0))
+def test_rational_systems_with_fraction_entries(system, rng):
+    A, b = system
+    c = len(A[0])
+    S = System(A, range(len(A)), range(c), "Q")
+    assert S.form.rank == Matrix(A).rank()
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)]
+    assert isinstance(check_against_one_shot(S, A, mat_vec(A, x)), Solution)
+    check_against_one_shot(S, A, b)
 
 
 def test_ten_compares_factor_the_pinned_matrix_once(monkeypatch):
