@@ -28,7 +28,7 @@ from .cochains import (
     random_cochain,
 )
 from .cohomology import (
-    PinnedObstruction,
+    CoboundaryObstruction,
     cohomology,
     delta_matrix,
     face_pins,
@@ -184,15 +184,9 @@ class CocycleGroupoid:
         return CocycleMorphism(a.source + b.source, a.target + b.target,
                                a.eta + b.eta)
 
-    def exact_eta(self, c: Cochain) -> bool:
-        """Whether an eta-level cochain is a coboundary (zero in degree 0)."""
-        if c.degree == 0:
-            return c.is_zero()
-        return c.is_zero() or is_coboundary(c)
-
     def eq(self, a: CocycleMorphism, b: CocycleMorphism) -> bool:
         return (a.source == b.source and a.target == b.target
-                and self.exact_eta(a.eta - b.eta))
+                and is_coboundary(a.eta - b.eta))
 
     # -- sampling ----------------------------------------------------------
 
@@ -435,7 +429,7 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
     pins = face_pins(cyl2, {0: Cochain.zero(cyl1.complex, n + 1, G.coeffs),
                             1: target.data, 2: source.data})
     sol = solve_closed_extension(cyl2.complex, n + 1, pins, G.coeffs)
-    if isinstance(sol, PinnedObstruction):
+    if isinstance(sol, CoboundaryObstruction):
         raise ValueError("the faces admit no closed filling")
     rhs = vector_of(eta - fiber_integrate(sol.particular, cyl2))
     cols = [vector_of(fiber_integrate(B, cyl2)) for B in sol.kernel]

@@ -13,6 +13,17 @@ solve_closed_extension solves for closed cochains on a product with
 prescribed values on a set of generators, which is the workhorse behind
 homotopy existence and class equality.  Both are one substitution into a
 cached system.
+
+Every "no" comes back as one kind of certificate, a CoboundaryObstruction:
+a functional on cochains whose pairing refutes the target.  Its ring names
+the sense in which it does, decided by exact.blind alone:
+
+* "Q": zero on every coboundary, nonzero on the target;
+* "Z": an integer on every integral coboundary, not on the target;
+* "Z/k": as "Z", and an integer on k times every cochain too.
+
+CoboundaryObstruction.certifies re-checks a certificate against a
+spanning set of what it must be blind on, sharing no code with the solver.
 """
 
 from __future__ import annotations
@@ -20,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
-from .complexes import ProductWithSimplex, Simplex, SimplicialSet, key_str
-from .exact import Matrix, Obstruction, System, apply_rows, smith_normal_form
+from .complexes import ProductWithSimplex, SimplicialSet, key_str
+from .exact import Matrix, Obstruction, System, apply_rows, blind, smith_normal_form
 
 
 def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
@@ -119,16 +130,27 @@ class CoboundaryWitness:
     primitive: Cochain
 
 
+def keyed_json(values: Mapping[Hashable, object]) -> dict[str, str]:
+    """Values as exact strings, keyed and ordered by key_str."""
+    return {key_str(g): str(v)
+            for g, v in sorted(values.items(), key=lambda kv: key_str(kv[0]))}
+
+
 @dataclass
 class CoboundaryObstruction:
-    """Functional on C^n refuting delta beta = target.
+    """Functional on cochains refuting delta beta = target.
 
-    ring records the sense of the certificate, not the ring asked for: "Q"
-    means the pairing kills every coboundary and is nonzero on the target
-    (refutes rational solvability, hence integral too); "Z" means the
-    pairing is integral on integral coboundaries but not on the target;
-    "Z/k" means it is integral on integral coboundaries and on k times any
-    cochain, but not on the target's integer representatives.
+    ring records the sense of the certificate, not the ring asked for:
+
+    * "Q": the pairing is zero on every coboundary and nonzero on the
+      target, which refutes rational solvability, hence integral too;
+    * "Z": the pairing is an integer on every integral coboundary but not
+      on the target;
+    * "Z/k": the pairing is an integer on every integral coboundary and on
+      k times every cochain, but not on the target's integer
+      representatives.
+
+    The one place that reads these senses is exact.blind.
     """
 
     functional: dict[Hashable, Fraction]
@@ -139,14 +161,26 @@ class CoboundaryObstruction:
                     for g, v in c.values.items()), Fraction(0))
 
     def refutes(self, target: Cochain) -> bool:
-        val = self.pairing(target)
-        probe = val != 0 if self.ring == "Q" else val.denominator != 1
-        return probe
+        return not blind(self.pairing(target), self.ring)
+
+    def certifies(self, target: Cochain, spanning: Iterable[Cochain]) -> bool:
+        """Refutes target and is blind on every cochain in spanning.
+
+        spanning must span what a solution is built from: the coboundaries
+        of the free generators one degree down, and for "Z/k" also k times
+        each unit cochain on the functional's generators.
+        """
+        return self.refutes(target) and all(
+            blind(self.pairing(c), self.ring) for c in spanning)
 
     def to_json(self) -> dict:
-        order = {key_str(g): g for g in self.functional}
-        return {"ring": self.ring,
-                "functional": {i: str(self.functional[order[i]]) for i in sorted(order)}}
+        return {"ring": self.ring, "functional": keyed_json(self.functional)}
+
+
+def _on_rows(S: System, res: Obstruction) -> CoboundaryObstruction:
+    """An Obstruction over S's equations, as a functional on their generators."""
+    return CoboundaryObstruction({g: v for g, v in zip(S.rows, res.functional) if v},
+                                 res.ring)
 
 
 def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
@@ -158,13 +192,14 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
     coeffs = coeffs or target.coeffs
     X = target.complex
     n = target.degree
+    if target.is_zero():
+        return CoboundaryWitness(Cochain.zero(X, max(n - 1, 0), coeffs))
     if n < 1 or not X.generators(n - 1):
-        if target.is_zero():
-            return CoboundaryWitness(Cochain.zero(X, max(n - 1, 0), coeffs))
-        first = next(iter(target.values))
-        if coeffs.exact_field:
-            return CoboundaryObstruction({first: Fraction(1)}, "Q")
-        return CoboundaryObstruction({first: Fraction(1, 2 * abs(int(target.values[first])))}, "Z")
+        # nothing to be a coboundary of: pair off the first nonzero value
+        first, v = next(iter(target.values.items()))
+        w = (Fraction(1) if coeffs.exact_field else Fraction(1, coeffs.modulus)
+             if coeffs.modulus else Fraction(1, 2 * abs(int(v))))
+        return CoboundaryObstruction({first: w}, coeffs.label())
     return solve_coboundary_in(delta_system(X, n - 1, coeffs=coeffs), target, coeffs)
 
 
@@ -180,8 +215,7 @@ def solve_coboundary_in(S: System, target: Cochain, coeffs: Coefficients):
         raise ValueError("target is not supported on the system's rows")
     res = S.solve(b)
     if isinstance(res, Obstruction):
-        fun = {g: v for g, v in zip(S.rows, res.functional) if v}
-        return CoboundaryObstruction(fun, res.ring)
+        return _on_rows(S, res)
     primitive = Cochain(target.complex, target.degree - 1, coeffs,
                         {g: v for g, v in zip(S.cols, res.x0) if v})
     return CoboundaryWitness(primitive)
@@ -315,27 +349,21 @@ class PinnedSolution:
     kernel: list[Cochain]
 
 
-@dataclass
-class PinnedObstruction:
-    functional: dict[Hashable, Fraction]
-    ring: str
-
-
 def solve_closed_extension(P: SimplicialSet, degree: int,
                            pins: Mapping[Hashable, object],
-                           coeffs: Coefficients) -> PinnedSolution | PinnedObstruction:
+                           coeffs: Coefficients) -> PinnedSolution | CoboundaryObstruction:
     """All closed degree-`degree` cochains on P with prescribed generator values.
 
     pins maps generator keys to required values; remaining generators of the
-    degree are free.  Returns the affine solution set or an obstruction
-    functional on C^{degree+1} (pulled back from the closure rows).
+    degree are free.  Returns the affine solution set or a functional on
+    C^{degree+1} refuting delta x = -delta(pins) over the free x: it
+    certifies against delta of each free generator.
     """
     pinned = {g: coeffs.normalize(v) for g, v in pins.items()}
     S = delta_system(P, degree, frozenset(pinned), coeffs)
     res = S.solve(S.rhs(pinned))
     if isinstance(res, Obstruction):
-        fun = {g: v for g, v in zip(S.rows, res.functional) if v}
-        return PinnedObstruction(fun, res.ring)
+        return _on_rows(S, res)
     vals = dict(pinned)
     vals.update(zip(S.cols, res.x0))
     particular = Cochain(P, degree, coeffs, vals)
@@ -349,20 +377,23 @@ def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> dict:
 
     faces maps i to the required (id x delta_i)# restriction, a cochain on
     X x Delta^{k-1} (on X itself for k = 1).  Overlaps must agree; a
-    conflict raises ValueError, which callers surface as incompatible faces.
+    conflict raises ValueError, which callers surface as incompatible faces,
+    and so does a value on a generator the inclusion degenerates.
     """
     pins: dict = {}
     for i, F in faces.items():
         inc = cyl.face_inclusion(i)
-        for g in inc.source.generators(F.degree):
-            img = inc(Simplex(g))
-            if img.word:
-                if F.values.get(g):
+        table = inc.pullback_table(F.degree)
+        vals = F.values
+        if sum(1 for g, _ in table if g in vals) != len(vals):
+            image = dict(table)
+            for g in inc.source.generators(F.degree):
+                if g in vals and g not in image:
                     raise ValueError(f"face {i} not normalized at {g!r}")
-                continue
-            v = F.values.get(g, F.coeffs.normalize(0))
-            old = pins.get(img.gen)
+        for g, t in table:
+            v = vals.get(g, F.coeffs.zero)
+            old = pins.get(t)
             if old is not None and old != v:
-                raise ValueError(f"faces disagree at generator {img.gen!r}")
-            pins[img.gen] = v
+                raise ValueError(f"faces disagree at generator {t!r}")
+            pins[t] = v
     return pins

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
 
 from .character import CharacterModel, cell_with_integral, rational_form
 from .cochains import (
@@ -32,28 +31,24 @@ from .cochains import (
     random_cochain,
 )
 from .cohomology import (
+    CoboundaryObstruction,
     CoboundaryWitness,
     GroupPresentation,
-    PinnedObstruction,
     PinnedSolution,
     cohomology,
     delta_matrix,
     delta_system,
     face_pins,
+    keyed_json,
     solve_closed_extension,
     solve_coboundary,
     vector_of,
 )
-from .complexes import SimplicialSet, cylinder, key_str
-from .exact import Obstruction, System, kernel_int, transpose
+from .complexes import SimplicialSet, cylinder
+from .exact import Obstruction, System, blind, kernel_int, transpose
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
 from .subdiv import halving
-
-
-def _cochain_json(c: Cochain) -> dict[str, str]:
-    return {key_str(g): str(v)
-            for g, v in sorted(c.values.items(), key=lambda kv: key_str(kv[0]))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,33 +74,18 @@ class HatClass:
 
 
 @dataclass
-class PeriodObstruction:
-    """Functional separating two refined classes.
+class PeriodObstruction(CoboundaryObstruction):
+    """A functional on carrier cochains separating two refined classes.
 
-    With ring "Z" the pairing is integral on the character of every
-    homotopy between the endpoints and on rational coboundaries, but not
-    on the required difference of rational parts; with ring "Q" it kills
-    all of those exactly and is nonzero on the difference.  value records
-    the offending pairing.
+    It is blind on rational coboundaries and on the character of every
+    homotopy between the endpoints, and refutes the required difference of
+    rational parts; value records that pairing.
     """
 
-    functional: dict[Hashable, Fraction]
-    ring: str
     value: Fraction
 
-    def pairing(self, c: Cochain) -> Fraction:
-        return sum((Fraction(v) * self.functional.get(g, Fraction(0))
-                    for g, v in c.values.items()), Fraction(0))
-
-    def refutes(self, difference: Cochain) -> bool:
-        val = self.pairing(difference)
-        return val != 0 if self.ring == "Q" else val.denominator != 1
-
     def to_json(self) -> dict:
-        fun = {key_str(g): str(v)
-               for g, v in sorted(self.functional.items(),
-                                  key=lambda kv: key_str(kv[0]))}
-        return {"ring": self.ring, "value": str(self.value), "functional": fun}
+        return {**super().to_json(), "value": str(self.value)}
 
 
 @dataclass
@@ -118,28 +98,25 @@ class HatComparison:
         character(homotopy) + delta(shift) = omega_left - omega_right
 
     holding literally (shift is None when nothing needs absorbing).
-    When unequal, obstruction separates the classes: a PinnedObstruction
-    if the objects are not even homotopic, a PeriodObstruction otherwise.
+    When unequal, obstruction separates the classes: the one refuting a
+    homotopy if the objects are not even homotopic ("classes" in JSON), a
+    PeriodObstruction otherwise ("period").
     """
 
     equal: bool
     homotopy: Cochain | None = None
     shift: Cochain | None = None
-    obstruction: PinnedObstruction | PeriodObstruction | None = None
+    obstruction: CoboundaryObstruction | None = None
 
     def to_json(self) -> dict:
         out: dict = {"equal": self.equal}
         if self.homotopy is not None:
             out["homotopy_support"] = len(self.homotopy.values)
         if self.shift is not None:
-            out["shift"] = _cochain_json(self.shift)
-        if isinstance(self.obstruction, PeriodObstruction):
-            out["period"] = self.obstruction.to_json()
-        elif isinstance(self.obstruction, PinnedObstruction):
-            fun = {key_str(g): str(v)
-                   for g, v in sorted(self.obstruction.functional.items(),
-                                      key=lambda kv: key_str(kv[0]))}
-            out["classes"] = {"ring": self.obstruction.ring, "functional": fun}
+            out["shift"] = keyed_json(self.shift.values)
+        if self.obstruction is not None:
+            key = "period" if isinstance(self.obstruction, PeriodObstruction) else "classes"
+            out[key] = self.obstruction.to_json()
         return out
 
 
@@ -238,7 +215,7 @@ class HatTheory:
     # -- the equality solver ------------------------------------------
 
     def homotopies(self, src: MapObject,
-                   tgt: MapObject) -> PinnedSolution | PinnedObstruction:
+                   tgt: MapObject) -> PinnedSolution | CoboundaryObstruction:
         """Every level-2 filler from src to tgt, or what separates them.
 
         The faces pin the same generators for every pair, so every call
@@ -288,45 +265,27 @@ class HatTheory:
         """Decide x = y with a literal witness or a refuting functional."""
         if x.theory is not self or y.theory is not self:
             raise ValueError("classes belong to a different theory")
-        n = self.degree
         sol = self.homotopies(x.obj, y.obj)
-        if isinstance(sol, PinnedObstruction):
+        if isinstance(sol, CoboundaryObstruction):
             return HatComparison(False, obstruction=sol)
         base = HomotopyClass(Homotopy2(x.obj, y.obj, sol.particular))
         mor0 = self.character.on_morphism(base)
-        target = (x.omega - y.omega) - mor0
-        gens = self.carrier.generators(n - 1)
-        rows = self._quotient_functionals()
-        tvec = vector_of(target)
+        tvec = vector_of((x.omega - y.omega) - mor0)
         v = [sum(Fraction(p) * Fraction(t) for p, t in zip(phi, tvec) if p)
-             for phi in rows]
-        if not sol.kernel:
-            bad = next((j for j, val in enumerate(v) if val != 0), None)
-            if bad is not None:
-                fun = {g: Fraction(p) for g, p in zip(gens, rows[bad]) if p}
-                return HatComparison(False, homotopy=sol.particular,
-                                     obstruction=PeriodObstruction(fun, "Q", v[bad]))
-            coords: list[int] = []
-        else:
-            bad = next((j for j, val in enumerate(v) if val.denominator != 1), None)
-            if bad is not None:
-                fun = {g: Fraction(p) for g, p in zip(gens, rows[bad]) if p}
-                return HatComparison(False, homotopy=sol.particular,
-                                     obstruction=PeriodObstruction(fun, "Z", v[bad]))
+             for phi in self._quotient_functionals()]
+        # with no homotopy kernel the periods must vanish; with one they
+        # must be integer combinations of the kernel's character periods
+        ring = "Z" if sol.kernel else "Q"
+        bad = next((j for j, val in enumerate(v) if not blind(val, ring)), None)
+        got = None
+        if bad is not None:
+            got = Obstruction([Fraction(int(j == bad)) for j in range(len(v))], ring)
+        elif sol.kernel:
             got = self._period_system(sol.kernel).solve([int(val) for val in v])
-            if isinstance(got, Obstruction):
-                fun: dict[Hashable, Fraction] = {}
-                for yr, phi in zip(got.functional, rows):
-                    if yr:
-                        for g, p in zip(gens, phi):
-                            if p:
-                                fun[g] = fun.get(g, Fraction(0)) + yr * p
-                fun = {g: val for g, val in fun.items() if val}
-                value = sum((yr * val for yr, val in zip(got.functional, v) if yr),
-                            Fraction(0))
-                return HatComparison(False, homotopy=sol.particular,
-                                     obstruction=PeriodObstruction(fun, got.ring, value))
-            coords = [int(c) for c in got.x0]
+        if isinstance(got, Obstruction):
+            return HatComparison(False, homotopy=sol.particular,
+                                 obstruction=self._period_obstruction(got, v))
+        coords = [] if got is None else [int(c) for c in got.x0]
         data = sol.particular
         for c, B in zip(coords, sol.kernel):
             if c:
@@ -343,6 +302,19 @@ class HatTheory:
         if morH + coboundary(shift) != x.omega - y.omega:
             raise ArithmeticError("witness failed its literal check")
         return HatComparison(True, homotopy=data, shift=shift)
+
+    def _period_obstruction(self, got: Obstruction, v: list[Fraction]) -> PeriodObstruction:
+        """The combination got.functional of the quotient functionals, as a
+        functional on carrier generators, with its value on the periods v."""
+        gens = self.carrier.generators(self.degree - 1)
+        fun: dict = {}
+        for yr, phi in zip(got.functional, self._quotient_functionals()):
+            if yr:
+                for g, p in zip(gens, phi):
+                    if p:
+                        fun[g] = fun.get(g, Fraction(0)) + yr * p
+        value = sum((yr * val for yr, val in zip(got.functional, v) if yr), Fraction(0))
+        return PeriodObstruction({g: val for g, val in fun.items() if val}, got.ring, value)
 
     def eq(self, x: HatClass, y: HatClass) -> bool:
         return self.compare(x, y).equal
@@ -404,7 +376,7 @@ def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
         free, torsion = T.underlying_class(x)
         in_kernel = not any(free) and not any(torsion)
         sol = T.homotopies(G.unit(), c)
-        if isinstance(sol, PinnedObstruction):
+        if isinstance(sol, CoboundaryObstruction):
             rounds.append((False, {"note": "coboundary object not null-homotopic"}))
             continue
         connect = HomotopyClass(Homotopy2(G.unit(), c, sol.particular))
@@ -424,11 +396,10 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
                   alpha: Cochain) -> Check:
     """Re-derive the functional's properties instead of trusting the solver.
 
-    The functional must kill rational coboundaries, pair integrally (ring
-    "Z") or trivially (ring "Q") with the character of every self-homotopy
-    shift of the trivial object, and land off the lattice on alpha itself.
-    The returned check's witness records each property and the recomputed
-    value.
+    The functional must kill rational coboundaries, be blind on the
+    character of every self-homotopy shift of the trivial object, and
+    refute alpha itself.  The returned check's witness records each
+    property and the recomputed value.
     """
     n, G = T.degree, T.groupoid
     lower = T.carrier.generators(n - 2) if n >= 2 else []
@@ -439,12 +410,8 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
     mor0 = T.character.on_morphism(base)
     col_vals = [obs.pairing(T._character_column(B)) for B in sol.kernel]
     value = obs.pairing(alpha) - obs.pairing(mor0)
-    if obs.ring == "Q":
-        cols_ok = all(v == 0 for v in col_vals)
-        separated = value != 0
-    else:
-        cols_ok = all(v.denominator == 1 for v in col_vals)
-        separated = value.denominator != 1
+    cols_ok = all(blind(v, obs.ring) for v in col_vals)
+    separated = not blind(value, obs.ring)
     return Check("period-audit", kills and cols_ok and separated and value == obs.value,
                  1, witness={"kills_coboundaries": kills, "columns_ok": cols_ok,
                              "recomputed_value": str(value),

@@ -12,11 +12,10 @@ The kernel basis (the columns of T past the rank) is read off once too, so
 System.solve(b) for each new right-hand side is a substitution,
 x = T D^+ S b.  It returns a Solution (x0 plus the kernel) or an
 Obstruction, a functional that Obstruction.check re-verifies against
-System.matrix without trusting the solver:
-
-* "Q": a row r with r A = 0 and r b != 0 (a row of S past the rank);
-* "Z": a rational row r with r A integral and r b not an integer;
-* "Z/k": the "Z" sense against the lift [A | k I], which System.matrix is.
+System.matrix (over Z/k the lift [A | k I]) without trusting the solver:
+a row of S past the rank ("Q") or a row of S over its invariant factor
+("Z", "Z/k").  blind() is the one definition of what each ring's
+certificate means.
 
 The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
@@ -224,12 +223,21 @@ class Solution:
     kernel: list[list]
 
 
+def blind(value, ring: str) -> bool:
+    """Is a certificate's pairing value one that refutes nothing?
+
+    The one definition of a certificate's sense: over "Q" a blind value is
+    zero, over "Z" and "Z/k" an integer.  A certificate is blind on
+    everything a solution could be built from and not blind on the target.
+    """
+    return value == 0 if ring == "Q" else Fraction(value).denominator == 1
+
+
 @dataclass
 class Obstruction:
-    """A functional certifying unsolvability; see check() for the sense.
+    """A functional certifying unsolvability, in the sense of blind().
 
-    ring "Q" is the rational sense; "Z" and "Z/k" are the integral sense,
-    for "Z/k" against the lift [A | k I].
+    ring "Z/k" is checked against the lift [A | k I].
     """
 
     functional: list[Fraction]
@@ -239,9 +247,7 @@ class Obstruction:
         r = self.functional
         rA = [sum(ri * aij for ri, aij in zip(r, col) if ri) for col in zip(*A)] if A and A[0] else []
         rb = sum(ri * bi for ri, bi in zip(r, b) if ri)
-        if self.ring == "Q":
-            return all(v == 0 for v in rA) and rb != 0
-        return all(Fraction(v).denominator == 1 for v in rA) and Fraction(rb).denominator != 1
+        return all(blind(v, self.ring) for v in rA) and not blind(rb, self.ring)
 
 
 def _snf_kernel(f: SmithForm) -> list[list[int]]:

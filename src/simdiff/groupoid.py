@@ -507,28 +507,14 @@ class MappingGroupoid:
 
     def verify_obstruction(self, c0: HomotopyClass, c1: HomotopyClass,
                            ob: CoboundaryObstruction) -> bool:
-        """Check that a functional genuinely refutes the equality.
-
-        The pairing must kill (or stay integral on) the coboundary of every
-        interior generator one degree down, and fail on the difference.
-        """
-        if not ob.functional:
-            return False
-        diff = c1.rep.data - c0.rep.data
-        if not ob.refutes(diff):
-            return False
+        """Check that a functional genuinely refutes the equality: it must
+        certify the difference against the coboundary of every interior
+        generator one degree down."""
         P = cylinder(self.base, 2).complex
         q = self.degree + 1
-        for g in P.generators(q - 1):
-            if not _interior(g, 2):
-                continue
-            probe = ob.pairing(coboundary(Cochain(P, q - 1, INTEGERS, {g: 1})))
-            if ob.ring == "Q":
-                if probe != 0:
-                    return False
-            elif probe.denominator != 1:
-                return False
-        return True
+        return ob.certifies(c1.rep.data - c0.rep.data,
+                            (coboundary(Cochain(P, q - 1, INTEGERS, {g: 1}))
+                             for g in P.generators(q - 1) if _interior(g, 2)))
 
     # -- the square presentation ------------------------------------------
 

@@ -20,8 +20,8 @@ from typing import Callable
 
 from .character import rational_form, shear
 from .cochains import Cochain, INTEGERS, RATIONALS
-from .cohomology import PinnedObstruction, cohomology, is_coboundary
-from .diffhat import HatClass, HatTheory, _cochain_json, _random_form
+from .cohomology import CoboundaryObstruction, cohomology, is_coboundary, keyed_json
+from .diffhat import HatClass, HatTheory, _random_form
 from .exact import smith_normal_form
 from .groupoid import Homotopy2, HomotopyClass
 from .report import Check, Report, scan, tally
@@ -36,7 +36,7 @@ class TildeMorphism:
     form: Cochain
 
     def __repr__(self) -> str:
-        return f"TildeMorphism(deg {self.source.degree}, |form|={len(self.form.support)})"
+        return f"TildeMorphism(deg {self.source.degree}, |form|={len(self.form.values)})"
 
 
 class TildeGroupoid:
@@ -77,17 +77,17 @@ class TildeGroupoid:
         T = self.theory
         unit = T.groupoid.unit()
         sol = T.homotopies(unit, d.obj)
-        if isinstance(sol, PinnedObstruction):
+        if isinstance(sol, CoboundaryObstruction):
             raise ValueError("class has a nonzero integral part; no datum spans it")
         connect = HomotopyClass(Homotopy2(unit, d.obj, sol.particular))
         return d.omega + T.character.on_morphism(connect) - self._baseline()
 
-    def hom(self, x: HatClass, y: HatClass) -> TildeMorphism | PinnedObstruction:
+    def hom(self, x: HatClass, y: HatClass) -> TildeMorphism | CoboundaryObstruction:
         """The arrow x -> y, or the functional separating the classes."""
         T = self.theory
         d = T.sub(y, x)
         sol = T.homotopies(T.groupoid.unit(), d.obj)
-        if isinstance(sol, PinnedObstruction):
+        if isinstance(sol, CoboundaryObstruction):
             return sol
         return TildeMorphism(x, y, self.lift(d))
 
@@ -120,8 +120,7 @@ class TildeGroupoid:
         if not (self.theory.eq(m1.source, m2.source)
                 and self.theory.eq(m1.target, m2.target)):
             return False
-        d = m1.form - m2.form
-        return d.is_zero() or is_coboundary(d)
+        return is_coboundary(m1.form - m2.form)
 
     def automorphism_basis(self) -> list[Cochain]:
         """Characters spanning every arrow group's translations.
@@ -256,10 +255,6 @@ def with_cell_defect(comp: ModelComparison, kind: str) -> ModelComparison:
 # -- the equivalence certificate ----------------------------------------
 
 
-def _exact(d: Cochain) -> bool:
-    return d.is_zero() or is_coboundary(d)
-
-
 def _objects_respected(comp: ModelComparison, rng: random.Random,
                        trials: int) -> Check:
     A, B = comp.source.theory, comp.target.theory
@@ -273,7 +268,7 @@ def _objects_respected(comp: ModelComparison, rng: random.Random,
                     "image": [list(map(int, t)) for t in B.underlying_class(image)]}
         if B.curvature(image) != comp.push_form(A.curvature(x)):
             gap = B.curvature(image) - comp.push_form(A.curvature(x))
-            return {"stage": "curvature", "gap": _cochain_json(gap)}
+            return {"stage": "curvature", "gap": keyed_json(gap.values)}
         beta = _random_form(A, rng)
         c = B.compare(comp.on_object(A.from_form(beta)),
                       B.from_form(comp.push_form(beta)))
@@ -326,17 +321,17 @@ def _fully_faithful(comp: ModelComparison, rng: random.Random,
         x = src.random_object(rng)
         y = A.add(x, A.from_form(_random_form(A, rng)))
         m = src.hom(x, y)
-        if isinstance(m, PinnedObstruction):
+        if isinstance(m, CoboundaryObstruction):
             ok, entry = False, {"note": "arrow missing where classes agree"}
         else:
             ok = tgt.verify(comp.on_morphism(m)).equal
             entry = {"transported": ok}
         if gens:
             far = A.add(x, A.from_cocycle(gens[0]))
-            agree = (isinstance(src.hom(x, far), PinnedObstruction)
+            agree = (isinstance(src.hom(x, far), CoboundaryObstruction)
                      and isinstance(tgt.hom(comp.on_object(x),
                                             comp.on_object(far)),
-                                    PinnedObstruction))
+                                    CoboundaryObstruction))
             entry["empty-agrees"] = agree
             ok = ok and agree
         pairs.append((ok, entry))
@@ -378,18 +373,18 @@ def _monoidal_cells(comp: ModelComparison, rng: random.Random,
             arrows_ok += 1
         coc = (comp.cell(x, A.add(y, z)) + comp.cell(y, z)
                - comp.cell(x, y) - comp.cell(A.add(x, y), z))
-        if not _exact(coc):
+        if not is_coboundary(coc):
             fails["cocycle"].append({"triple": classes(x, y, z),
-                                     "gap": _cochain_json(coc)})
+                                     "gap": keyed_json(coc.values)})
         sym = comp.cell(x, y) - comp.cell(y, x)
-        if not _exact(sym):
+        if not is_coboundary(sym):
             fails["symmetry"].append({"pair": classes(x, y),
-                                      "gap": _cochain_json(sym)})
+                                      "gap": keyed_json(sym.values)})
         zero = A.zero()
         for c in (comp.cell(x, zero), comp.cell(zero, x)):
-            if not _exact(c):
+            if not is_coboundary(c):
                 fails["units"].append({"object": classes(x),
-                                       "gap": _cochain_json(c)})
+                                       "gap": keyed_json(c.values)})
     arrows = Check("monoidal-cells", arrows_ok == trials, trials,
                    witness={"arrows-verified": arrows_ok})
     return [arrows] + [

@@ -1,0 +1,47 @@
+"""The benchmark still finds every simdiff name it uses.
+
+The benchmark lives in bench/, outside the test paths, so deleting or
+renaming a name in simdiff could break it while every test here passes.
+These tests install and uninstall the benchmark's tracer, whose install
+raises KeyError when a name in its TARGETS has gone, and resolve the names
+the workloads read.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import tracing, workloads  # noqa: E402
+from simdiff import diffhat, moncat  # noqa: E402
+
+
+def resolve(module: str, path: str):
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_tracer_wraps_every_target_and_puts_it_back():
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # KeyError when a target has gone from simdiff
+        wrapped = {(m, p): resolve(m, p) for _, m, p, _ in tracing.TARGETS}
+    finally:
+        tracer.uninstall()
+    assert not tracer.patches
+    for (m, p), wrapper in wrapped.items():
+        assert resolve(m, p) is wrapper.__bench_original__, (m, p)
+
+
+def test_workloads_resolve_their_names():
+    assert set(workloads.WORKLOADS) == {"hat-compare", "coherence-battery",
+                                        "cohomology-fresh"}
+    assert workloads.diffhat is diffhat and workloads.moncat is moncat
+    period = diffhat.PeriodObstruction
+    assert callable(period.refutes) and callable(period.pairing)
+    assert isinstance(moncat.CoherenceReport, type)

@@ -8,13 +8,13 @@ from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, random_cochain)
 from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
-                                GroupPresentation, PinnedObstruction,
-                                PinnedSolution, cohomology, delta_matrix,
+                                GroupPresentation, PinnedSolution, cohomology, delta_matrix,
                                 delta_system, face_pins, is_coboundary, solve_closed_extension,
                                 solve_coboundary, vector_of)
-from simdiff.complexes import (circle, cylinder, from_facets, key_str, point, rp2,
-                               sphere2, torus)
+from simdiff.complexes import (Simplex, circle, cylinder, from_facets, key_str, point,
+                               rp2, sphere2, torus)
 from simdiff.exact import kernel_mod_prime
+from simdiff.groupoid import MappingGroupoid
 
 
 def test_presentation_rendering():
@@ -182,8 +182,17 @@ def test_solve_closed_extension_detects_impossible():
     z = cohomology(X, 2, INTEGERS).generators[0]
     pins = face_pins(cyl, {1: z, 0: z.scale(2)})
     res = solve_closed_extension(cyl.complex, 2, pins, INTEGERS)
-    assert isinstance(res, PinnedObstruction)
-    assert res.functional
+    assert isinstance(res, CoboundaryObstruction)
+    # re-verified from the definition: the functional refutes delta of the
+    # pinned part and is blind on delta of every free generator
+    P = cyl.complex
+    free = [coboundary(Cochain.indicator(P, g, INTEGERS))
+            for g in P.generators(2) if g not in pins]
+    pinned = Cochain(P, 2, INTEGERS, pins)
+    assert res.certifies(coboundary(pinned), free)
+    g, v = next(iter(res.functional.items()))
+    flipped = CoboundaryObstruction({**res.functional, g: -v}, res.ring)
+    assert res.ring != "Q" or not flipped.certifies(coboundary(pinned), free)
 
 
 def test_face_pins_disjoint_ends():
@@ -203,8 +212,40 @@ def test_face_pins_conflict_on_shared_edge():
     v1 = ("*", (), (1,), ())
     F0 = Cochain(wall, 0, INTEGERS, {v1: 1})
     F1 = Cochain(wall, 0, INTEGERS, {v1: 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="faces disagree"):
         face_pins(cyl2, {0: F0, 1: F1})
+
+
+def walked_face_pins(cyl, faces):
+    """face_pins by walking the inclusion simplex by simplex."""
+    pins = {}
+    for i, F in faces.items():
+        inc = cyl.face_inclusion(i)
+        for g in inc.source.generators(F.degree):
+            img = inc(Simplex(g))
+            if img.word:
+                if F.values.get(g):
+                    raise ValueError(f"face {i} not normalized at {g!r}")
+                continue
+            v = F.values.get(g, F.coeffs.normalize(0))
+            if pins.get(img.gen, v) != v:
+                raise ValueError(f"faces disagree at generator {img.gen!r}")
+            pins[img.gen] = v
+    return pins
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, RATIONALS])
+def test_face_pins_match_the_inclusion_walk(coeffs):
+    rng = random.Random(3)
+    for X in (circle(3), torus()):
+        G = MappingGroupoid(X, INTEGERS, 1)
+        cyl2 = cylinder(X, 2)
+        a, b = (G.random_object(rng).data.map_values(coeffs.normalize, coeffs)
+                for _ in range(2))
+        faces = {0: Cochain.zero(cylinder(X, 1).complex, 2, coeffs), 1: b, 2: a}
+        got = face_pins(cyl2, faces)
+        assert list(got.items()) == list(walked_face_pins(cyl2, faces).items())
+        assert {type(v) for v in got.values()} == {type(coeffs.zero)}
 
 
 TORUS7 = ([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]

@@ -6,7 +6,7 @@ import pytest
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback, random_cochain)
-from simdiff.cohomology import (PinnedObstruction, PinnedSolution, cohomology,
+from simdiff.cohomology import (CoboundaryObstruction, PinnedSolution, cohomology,
                                 face_pins, solve_closed_extension)
 from simdiff.complexes import (Simplex, SimplicialMap, circle, cylinder,
                                standard_simplex, torus, vertex_path)
@@ -134,7 +134,7 @@ def test_homotopy_classes_match_cohomology():
     res = solve_closed_extension(cyl.complex, 1,
                                  face_pins(cyl, {1: gen, 0: gen.scale(2)}),
                                  INTEGERS)
-    assert isinstance(res, PinnedObstruction)
+    assert isinstance(res, CoboundaryObstruction)
 
 
 # -- horn filling ----------------------------------------------------------

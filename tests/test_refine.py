@@ -8,7 +8,7 @@ import pytest
 
 from simdiff.character import CharacterModel, rational_form
 from simdiff.cochains import Cochain, INTEGERS, RATIONALS, coboundary
-from simdiff.cohomology import PinnedObstruction, cohomology
+from simdiff.cohomology import CoboundaryObstruction, cohomology
 from simdiff.complexes import circle, point, rp2, torus
 from simdiff.diffhat import HatTheory, _random_form
 from simdiff.refine import (
@@ -40,7 +40,7 @@ def test_hom_and_automorphisms():
         assert G.verify(TildeMorphism(G.zero(), G.zero(), g)).equal
     # arrows exist exactly when the integral classes match
     gen = cohomology(T.base, 1, INTEGERS).generators[0]
-    assert isinstance(G.hom(G.zero(), T.from_cocycle(gen)), PinnedObstruction)
+    assert isinstance(G.hom(G.zero(), T.from_cocycle(gen)), CoboundaryObstruction)
     rng = random.Random(4)
     x = G.random_object(rng)
     y = T.add(x, T.from_form(_random_form(T, rng)))
@@ -223,3 +223,11 @@ def test_cell_defects_on_derived_cell():
         assert not rep.ok
         for verdict in rep.results:
             assert verdict.ok == (verdict.axiom != kind), (kind, verdict.axiom)
+
+
+def test_tilde_morphism_repr():
+    G = build_tilde(circle(3), 1)
+    assert repr(G.identity(G.zero())) == "TildeMorphism(deg 1, |form|=0)"
+    x = G.zero()
+    m = TildeMorphism(x, x, G.automorphism_basis()[0])
+    assert repr(m) == f"TildeMorphism(deg 1, |form|={len(m.form.values)})"
