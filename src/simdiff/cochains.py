@@ -1,28 +1,37 @@
 """Normalized cochains with exact coefficients.
 
-Cochains are finitely supported maps on the nondegenerate generators of one
-dimension; degenerate simplices evaluate to zero.  Coefficients are the
-integers, the rationals (standing in for real forms), or integers mod k.
+Cochains are maps on the nondegenerate generators of one dimension;
+degenerate simplices evaluate to zero.  Coefficients are the integers, the
+rationals (standing in for real forms), or integers mod k.
 
 Real coefficients are modeled by exact rationals throughout, which is what
 makes every identity in the test suite hold with zero tolerance.
 
+A cochain stores its values positionally: vec is a tuple with one value of
+the ring per generator of its degree, in the order of
+complex.generators(degree), zeros included.  values is a read-only Mapping
+view of vec that skips zeros and iterates in generator order.  Zeros
+compare and hash alike whatever their type, so == and hash read vec.
+
 Values are normalized where they enter: the public Cochain constructor
-checks degrees and normalizes user dicts, JSON, random and vector input.
-The kernel operations (coboundary, pullback, fiber_integrate, +, -) read
-index tables compiled once per complex, degree and map, and build their
-results with Cochain._trusted: the keys come from those tables and the
-values are already in the ring, so it only reduces mod k and drops zeros.
+checks degrees and normalizes user dicts, JSON and random input.  The kernel
+operations (coboundary, pullback, fiber_integrate, +, -) read position
+gathers compiled once per complex, degree and map, combine whole vectors
+with operator.add and operator.sub, and build their results with
+Cochain._trusted, which only reduces mod k.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Hashable, Mapping
+from itertools import compress
+from operator import add, neg, sub
+from typing import Any, Hashable, Iterable, Iterator
 
-from .complexes import (ProductWithSimplex, Simplex, SimplicialMap, SimplicialSet,
-                        json_int, key_str)
+from .complexes import (Gather, ProductWithSimplex, Simplex, SimplicialMap,
+                        SimplicialSet, json_int, key_str)
 
 
 @dataclass(frozen=True)
@@ -87,100 +96,157 @@ def embed_rational(A: Coefficients, v) -> Fraction:
     return Fraction(v)
 
 
-class Cochain:
-    """A sparse normalized cochain of one degree on one complex."""
+class CochainValues(Mapping):
+    """Read-only view of a cochain's nonzero values, in generator order."""
 
-    __slots__ = ("complex", "degree", "coeffs", "values")
+    __slots__ = ("_gens", "_index", "_vec")
+
+    def __init__(self, gens: tuple, index: Mapping[Hashable, int], vec: tuple):
+        self._gens = gens
+        self._index = index
+        self._vec = vec
+
+    def __getitem__(self, gen: Hashable):
+        v = self._vec[self._index[gen]]
+        if not v:
+            raise KeyError(gen)
+        return v
+
+    def get(self, gen: Hashable, default=None):
+        i = self._index.get(gen)
+        if i is None:
+            return default
+        return self._vec[i] or default
+
+    def __contains__(self, gen: object) -> bool:
+        i = self._index.get(gen)
+        return i is not None and bool(self._vec[i])
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return compress(self._gens, self._vec)
+
+    def __len__(self) -> int:
+        return len(self._vec) - self._vec.count(0)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        m = self._mapping
+        return ((g, v) for g, v in zip(m._gens, m._vec) if v)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return filter(None, self._mapping._vec)
+
+
+class Cochain:
+    """A normalized cochain of one degree on one complex, stored by position."""
+
+    __slots__ = ("complex", "degree", "coeffs", "vec")
 
     def __init__(self, complex: SimplicialSet, degree: int, coeffs: Coefficients,
                  values: Mapping[Hashable, Any] | None = None):
         self.complex = complex
         self.degree = degree
         self.coeffs = coeffs
-        vals: dict[Hashable, Any] = {}
+        index = complex.gen_index(degree)
+        vec = [coeffs.zero] * len(index)
         for gen, v in (values or {}).items():
             if complex.gen_dim(gen) != degree:
                 raise ValueError(
                     f"value on {gen!r} of dim {complex.gen_dim(gen)} in degree {degree}")
-            v = coeffs.normalize(v)
-            if v:
-                vals[gen] = v
-        self.values = vals
+            vec[index[gen]] = coeffs.normalize(v)
+        self.vec = tuple(vec)
 
     @classmethod
     def _trusted(cls, complex: SimplicialSet, degree: int, coeffs: Coefficients,
-                 values: dict[Hashable, Any]) -> "Cochain":
-        """A kernel result: keys are degree-`degree` generators of complex and
-        values are already in the ring, so only reduce mod k and drop zeros."""
+                 vec: Iterable) -> "Cochain":
+        """A kernel result: vec holds one ring value per degree-`degree`
+        generator of complex, in generator order, so only reduce mod k."""
         c = cls.__new__(cls)
         c.complex = complex
         c.degree = degree
         c.coeffs = coeffs
         k = coeffs.modulus
-        if k:
-            c.values = {g: r for g, v in values.items() if (r := v % k)}
-        else:
-            c.values = {g: v for g, v in values.items() if v}
+        c.vec = tuple([v % k for v in vec]) if k else tuple(vec)
         return c
 
     # -- basics ------------------------------------------------------------
 
     @classmethod
     def zero(cls, X: SimplicialSet, degree: int, coeffs: Coefficients) -> "Cochain":
-        return cls(X, degree, coeffs)
+        return cls._trusted(X, degree, coeffs, (coeffs.zero,) * len(X.generators(degree)))
 
     @classmethod
     def indicator(cls, X: SimplicialSet, gen: Hashable, coeffs: Coefficients,
                   value=1) -> "Cochain":
         return cls(X, X.gen_dim(gen), coeffs, {gen: value})
 
+    @property
+    def values(self) -> CochainValues:
+        X = self.complex
+        return CochainValues(X.generators(self.degree), X.gen_index(self.degree), self.vec)
+
     def eval(self, s: Simplex):
         if s.word:
             return self.coeffs.zero
-        return self.values.get(s.gen, self.coeffs.zero)
+        i = self.complex.gen_index(self.degree).get(s.gen)
+        if i is None:
+            return self.coeffs.zero
+        return self.vec[i] or self.coeffs.zero
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not any(self.vec)
 
     def support(self) -> list[Hashable]:
-        return sorted(self.values, key=self.complex.gen_index(self.degree).__getitem__)
+        return list(self.values)
 
     def _compatible(self, other: "Cochain") -> None:
         if (self.complex is not other.complex or self.degree != other.degree
-                or self.coeffs != other.coeffs):
+                or (self.coeffs is not other.coeffs and self.coeffs != other.coeffs)):
             raise ValueError("cochains live on different complexes, degrees, or coefficients")
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        vals = dict(self.values)
-        for g, v in other.values.items():
-            vals[g] = vals.get(g, 0) + v
-        return Cochain._trusted(self.complex, self.degree, self.coeffs, vals)
+        return Cochain._trusted(self.complex, self.degree, self.coeffs,
+                                map(add, self.vec, other.vec))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        self._compatible(other)
+        return Cochain._trusted(self.complex, self.degree, self.coeffs,
+                                map(sub, self.vec, other.vec))
 
     def __neg__(self) -> "Cochain":
-        return Cochain._trusted(self.complex, self.degree, self.coeffs,
-                                {g: -v for g, v in self.values.items()})
+        return Cochain._trusted(self.complex, self.degree, self.coeffs, map(neg, self.vec))
 
     def scale(self, c) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.coeffs,
-                       {g: v * c for g, v in self.values.items()})
+        norm = self.coeffs.normalize
+        return Cochain._trusted(self.complex, self.degree, self.coeffs,
+                                [norm(v * c) for v in self.vec])
 
     def map_values(self, fn, coeffs: Coefficients) -> "Cochain":
         """Apply a coefficient map (e.g. the rational embedding) valuewise."""
-        return Cochain(self.complex, self.degree, coeffs,
-                       {g: fn(v) for g, v in self.values.items()})
+        norm, zero = coeffs.normalize, coeffs.zero
+        return Cochain._trusted(self.complex, self.degree, coeffs,
+                                [norm(fn(v)) if v else zero for v in self.vec])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Cochain) and self.complex is other.complex
                 and self.degree == other.degree and self.coeffs == other.coeffs
-                and self.values == other.values)
+                and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((id(self.complex), self.degree,
-                     tuple(sorted(((key_str(g), v) for g, v in self.values.items())))))
+        return hash((id(self.complex), self.degree, self.vec))
 
     def __repr__(self):
         n = len(self.values)
@@ -188,50 +254,97 @@ class Cochain:
                 f" ({self.coeffs.label()}), {n} nonzero>")
 
 
-def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[Hashable, tuple], ...]:
+def _combine(gathers, padded: tuple) -> Iterable:
+    """sum of sign * gather(padded) over the (sign, Gather) pairs."""
+    (sign, first), *rest = gathers
+    out = first.get(padded) if sign > 0 else map(neg, first.get(padded))
+    for sign, g in rest:
+        out = map(add if sign > 0 else sub, out, g.get(padded))
+    return out
+
+
+def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
+    """(sign, gather of face i) for i = 0..n+1 over the (n+1)-generators of X.
+
+    Gather i reads the position of face i of each (n+1)-generator off a
+    degree-n vector, the sentinel where that face is degenerate; the signs
+    alternate from +1.  Built once per complex and degree.
+    """
+    token = ("face_table", n)
+    if token not in X._cache:
+        index = X.gen_index(n)
+        size = len(index)
+        faces: list[list[int]] = [[] for _ in range(n + 2)]
+        for gen in X.generators(n + 1):
+            s = Simplex(gen)
+            for i, col in enumerate(faces):
+                f = X.face(s, i)
+                col.append(size if f.word else index[f.gen])
+        X._cache[token] = tuple((-1 if i % 2 else 1, Gather(col, size))
+                                for i, col in enumerate(faces))
+    return X._cache[token]
+
+
+def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
 
-    One row (gen, ((face_gen, coefficient), ...)) per (n+1)-generator, in
-    generator order; degenerate faces are dropped and repeated faces merged
-    into one coefficient (rows may come out empty).
+    One row ((position, coefficient), ...) per (n+1)-generator, in
+    generator order, with positions in X.generators(n); degenerate faces are
+    dropped and repeated faces merged into one coefficient (rows may come
+    out empty).
     """
     token = ("delta_table", n)
     if token not in X._cache:
+        faces = face_table(X, n)
+        size = len(X.generators(n))
         rows = []
-        for gen in X.generators(n + 1):
-            s = Simplex(gen)
-            row: dict[Hashable, int] = {}
-            for i in range(n + 2):
-                f = X.face(s, i)
-                if not f.word:
-                    row[f.gen] = row.get(f.gen, 0) + (-1 if i % 2 else 1)
-            rows.append((gen, tuple((g, a) for g, a in row.items() if a)))
+        for r in range(len(X.generators(n + 1))):
+            row: dict[int, int] = {}
+            for sign, g in faces:
+                p = g.positions[r]
+                if p != size:
+                    row[p] = row.get(p, 0) + sign
+            rows.append(tuple((p, a) for p, a in row.items() if a))
         X._cache[token] = tuple(rows)
     return X._cache[token]
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Alternating sum over faces, degree raised by one; delta delta = 0."""
-    get = c.values.get
-    out: dict[Hashable, Any] = {}
-    for gen, row in delta_table(c.complex, c.degree):
-        total = 0
-        for g, a in row:
-            v = get(g)
-            if v is not None:
-                total += a * v
-        if total:
-            out[gen] = total
-    return Cochain._trusted(c.complex, c.degree + 1, c.coeffs, out)
+    X = c.complex
+    faces = face_table(X, c.degree)
+    return Cochain._trusted(X, c.degree + 1, c.coeffs,
+                            _combine(faces, c.vec + (c.coeffs.zero,)))
 
 
 def pullback(f: SimplicialMap, c: Cochain) -> Cochain:
     """f^# c; normalization kills images that got degenerate."""
     if c.complex is not f.target:
         raise ValueError("cochain does not live on the target of the map")
-    vals = c.values
+    gather = f.pullback_table(c.degree)
     return Cochain._trusted(f.source, c.degree, c.coeffs,
-                            {g: vals[t] for g, t in f.pullback_table(c.degree) if t in vals})
+                            gather.get(c.vec + (c.coeffs.zero,)))
+
+
+def fiber_table(cyl: ProductWithSimplex, degree: int) -> tuple[tuple[int, Gather], ...]:
+    """(sign, gather of cell j) over the (degree - k)-generators of the base.
+
+    Every base generator of one dimension has its shuffle cells in the same
+    partition order, and a cell's sign depends on its partition alone, so
+    column j of the decomposition is one gather with one sign.  Built once
+    per product and degree.
+    """
+    P = cyl.complex
+    token = ("fiber_table", degree)
+    if token not in P._cache:
+        index = P.gen_index(degree)
+        gens = cyl.base.generators(degree - cyl.k)
+        table = []
+        for column in zip(*(cyl.decomposition[g] for g in gens)):
+            (sign,) = {s for s, _ in column}
+            table.append((sign, Gather([index[cell] for _, cell in column], len(index))))
+        P._cache[token] = tuple(table)
+    return P._cache[token]
 
 
 def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
@@ -253,17 +366,9 @@ def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
         raise ValueError("cochain does not live on the given product")
     if z.degree < k:
         raise ValueError(f"cannot integrate degree {z.degree} over Delta^{k}")
-    X = cyl.base
-    out: dict[Hashable, Any] = {}
-    for gen in X.generators(z.degree - k):
-        total = 0
-        for sign, cell in cyl.decomposition[gen]:
-            v = z.values.get(cell)
-            if v:
-                total = total + v if sign > 0 else total - v
-        if total:
-            out[gen] = total
-    return Cochain._trusted(X, z.degree - k, z.coeffs, out)
+    cells = fiber_table(cyl, z.degree)
+    out = _combine(cells, z.vec + (z.coeffs.zero,)) if cells else ()
+    return Cochain._trusted(cyl.base, z.degree - k, z.coeffs, out)
 
 
 def random_cochain(X: SimplicialSet, degree: int, coeffs: Coefficients, rng,
@@ -283,8 +388,7 @@ def cochain_to_json(c: Cochain) -> dict:
         "complex": c.complex.name,
         "degree": c.degree,
         "coefficients": c.coeffs.label(),
-        "values": [{"id": key_str(g), "value": str(c.values[g])}
-                   for g in c.support()],
+        "values": [{"id": key_str(g), "value": str(v)} for g, v in c.values.items()],
     }
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -42,12 +43,12 @@ def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
     """Matrix of delta: C^n -> C^{n+1}; rows index (n+1)-generators."""
     token = ("delta_matrix", n)
     if token not in X._cache:
-        cols = X.gen_index(n)
+        width = len(X.generators(n))
         rows = []
-        for _, sparse in delta_table(X, n):
-            row = [0] * len(cols)
-            for g, a in sparse:
-                row[cols[g]] = a
+        for sparse in delta_table(X, n):
+            row = [0] * width
+            for p, a in sparse:
+                row[p] = a
             rows.append(row)
         X._cache[token] = rows
     return X._cache[token]
@@ -65,32 +66,47 @@ def delta_system(X: SimplicialSet, n: int, pinned: frozenset = frozenset(),
     """
     token = ("system", n, pinned, coeffs)
     if token not in X._cache:
-        free = {g: j for j, g in enumerate(g for g in X.generators(n) if g not in pinned)}
+        gens = X.generators(n)
+        free = [p for p, g in enumerate(gens) if g not in pinned]
+        column = {p: j for j, p in enumerate(free)}
         rows, A, pins = [], [], {}
-        for gen, sparse in delta_table(X, n):
+        for gen, sparse in zip(X.generators(n + 1), delta_table(X, n)):
             if gen in pinned:
                 continue
             row = [0] * len(free)
-            for g, a in sparse:
-                if g in free:
-                    row[free[g]] = a
+            for p, a in sparse:
+                j = column.get(p)
+                if j is not None:
+                    row[j] = a
                 else:
-                    pins.setdefault(g, []).append((len(rows), a))
+                    pins.setdefault(gens[p], []).append((len(rows), a))
             rows.append(gen)
             A.append(row)
         kind = "Q" if coeffs.exact_field else coeffs.kind
-        X._cache[token] = System(A, rows, list(free), kind, coeffs.modulus, pins)
+        X._cache[token] = System(A, rows, [gens[p] for p in free], kind,
+                                 coeffs.modulus, pins)
     return X._cache[token]
 
 
 def vector_of(c: Cochain) -> list:
-    gens = c.complex.generators(c.degree)
-    return [c.values.get(g, 0) for g in gens]
+    return list(c.vec)
 
 
 def cochain_of(X: SimplicialSet, n: int, coeffs: Coefficients, vec: Sequence) -> Cochain:
-    gens = X.generators(n)
-    return Cochain(X, n, coeffs, {g: v for g, v in zip(gens, vec) if v})
+    if len(vec) != len(X.generators(n)):
+        raise ValueError(f"vector of length {len(vec)} for {len(X.generators(n))} generators")
+    return Cochain._trusted(X, n, coeffs, map(coeffs.normalize, vec))
+
+
+def _on_gens(X: SimplicialSet, n: int, coeffs: Coefficients,
+             pairs: Iterable[tuple[Hashable, object]]) -> Cochain:
+    """The cochain taking the ring value v on each (generator, v) pair and
+    zero elsewhere, built by position."""
+    index = X.gen_index(n)
+    vec = [coeffs.zero] * len(index)
+    for g, v in pairs:
+        vec[index[g]] = v
+    return Cochain._trusted(X, n, coeffs, vec)
 
 
 @dataclass(frozen=True)
@@ -187,15 +203,19 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
     """Find beta with delta beta = target, else a certificate.
 
     Returns CoboundaryWitness or CoboundaryObstruction.  The coefficient
-    ring defaults to the target's own.
+    ring defaults to the target's own; a target asked over Z/k is reduced
+    mod k first, so zero is decided in the ring asked for.
     """
     coeffs = coeffs or target.coeffs
+    if coeffs.modulus and coeffs != target.coeffs:
+        target = target.map_values(coeffs.normalize, coeffs)
     X = target.complex
     n = target.degree
     if target.is_zero():
         return CoboundaryWitness(Cochain.zero(X, max(n - 1, 0), coeffs))
     if n < 1 or not X.generators(n - 1):
-        # nothing to be a coboundary of: pair off the first nonzero value
+        # nothing to be a coboundary of: pair off the first nonzero value,
+        # in generator order
         first, v = next(iter(target.values.items()))
         w = (Fraction(1) if coeffs.exact_field else Fraction(1, coeffs.modulus)
              if coeffs.modulus else Fraction(1, 2 * abs(int(v))))
@@ -209,16 +229,16 @@ def solve_coboundary_in(S: System, target: Cochain, coeffs: Coefficients):
     target must vanish off S.rows.  Returns CoboundaryWitness or
     CoboundaryObstruction.
     """
-    rest = dict(target.values)
-    b = [rest.pop(g, 0) for g in S.rows]
-    if rest:
+    index = target.complex.gen_index(target.degree)
+    vec = target.vec
+    b = [vec[index[g]] for g in S.rows]
+    if len(b) - b.count(0) != len(target.values):
         raise ValueError("target is not supported on the system's rows")
     res = S.solve(b)
     if isinstance(res, Obstruction):
         return _on_rows(S, res)
-    primitive = Cochain(target.complex, target.degree - 1, coeffs,
-                        {g: v for g, v in zip(S.cols, res.x0) if v})
-    return CoboundaryWitness(primitive)
+    return CoboundaryWitness(_on_gens(target.complex, target.degree - 1, coeffs,
+                                      zip(S.cols, res.x0)))
 
 
 def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
@@ -252,10 +272,10 @@ class CohomologyGroup:
         # (the kernel's dual basis) times delta_{n-1}, row by row
         Y: list[list[int]] = []
         if n >= 1 and out.form is not None:
-            index = X.gen_index(n - 1)
-            faces = [[(index[g], a) for g, a in sparse] for _, sparse in delta_table(X, n - 1)]
+            faces = delta_table(X, n - 1)
+            width = len(X.generators(n - 1))
             for dual in out.form.Tinv[out.form.rank:]:
-                y = [0] * len(index)
+                y = [0] * width
                 for t, a in dual.items():
                     for j, w in faces[t]:
                         y[j] += a * w
@@ -357,19 +377,25 @@ def solve_closed_extension(P: SimplicialSet, degree: int,
     pins maps generator keys to required values; remaining generators of the
     degree are free.  Returns the affine solution set or a functional on
     C^{degree+1} refuting delta x = -delta(pins) over the free x: it
-    certifies against delta of each free generator.
+    certifies against delta of each free generator.  The kernel cochains
+    are built once per cached system and shared between answers.
     """
-    pinned = {g: coeffs.normalize(v) for g, v in pins.items()}
-    S = delta_system(P, degree, frozenset(pinned), coeffs)
+    norm = coeffs.normalize
+    # pins from face_pins are ring values already: normalize only the others
+    ring_type = Fraction if coeffs.exact_field else int
+    pinned = {g: v if type(v) is ring_type and not coeffs.modulus else norm(v)
+              for g, v in pins.items()}
+    token = frozenset(pinned)
+    S = delta_system(P, degree, token, coeffs)
     res = S.solve(S.rhs(pinned))
     if isinstance(res, Obstruction):
         return _on_rows(S, res)
-    vals = dict(pinned)
-    vals.update(zip(S.cols, res.x0))
-    particular = Cochain(P, degree, coeffs, vals)
-    kernel = [Cochain(P, degree, coeffs, {g: v for g, v in zip(S.cols, kv) if v})
-              for kv in res.kernel]
-    return PinnedSolution(particular, kernel)
+    particular = _on_gens(P, degree, coeffs, chain(pinned.items(), zip(S.cols, res.x0)))
+    key = ("closed-extension-kernel", degree, token, coeffs)
+    if key not in P._cache:
+        P._cache[key] = tuple(_on_gens(P, degree, coeffs, zip(S.cols, map(norm, kv)))
+                              for kv in S.kernel)
+    return PinnedSolution(particular, list(P._cache[key]))
 
 
 def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> dict:
@@ -382,16 +408,14 @@ def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> dict:
     """
     pins: dict = {}
     for i, F in faces.items():
-        inc = cyl.face_inclusion(i)
-        table = inc.pullback_table(F.degree)
-        vals = F.values
-        if sum(1 for g, _ in table if g in vals) != len(vals):
-            image = dict(table)
-            for g in inc.source.generators(F.degree):
-                if g in vals and g not in image:
+        table = cyl.face_inclusion(i).pullback_table(F.degree)
+        targets = cyl.complex.generators(F.degree)
+        for g, p, v in zip(F.complex.generators(F.degree), table.positions, F.vec):
+            if p == table.size:
+                if v:
                     raise ValueError(f"face {i} not normalized at {g!r}")
-        for g, t in table:
-            v = vals.get(g, F.coeffs.zero)
+                continue
+            t = targets[p]
             old = pins.get(t)
             if old is not None and old != v:
                 raise ValueError(f"faces disagree at generator {t!r}")

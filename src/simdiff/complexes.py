@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -220,6 +221,34 @@ def key_str(key: Hashable) -> str:
     return str(key)
 
 
+# -- position gathers ------------------------------------------------------
+
+
+class Gather:
+    """out[i] = vec[positions[i]], compiled once to one C-level getter.
+
+    positions index a vector of length size padded by one zero: position
+    size is the sentinel that degenerate images and faces read.  get takes
+    the padded vector and returns a tuple.
+    """
+
+    __slots__ = ("positions", "size", "get")
+
+    def __init__(self, positions: Iterable[int], size: int):
+        self.positions = tuple(positions)
+        self.size = size
+        if len(self.positions) > 1:
+            self.get = itemgetter(*self.positions)
+        elif self.positions:
+            p, = self.positions
+            self.get = lambda vec: (vec[p],)
+        else:
+            self.get = lambda vec: ()
+
+    def __repr__(self):
+        return f"Gather({self.positions}, size={self.size})"
+
+
 # -- simplicial maps -------------------------------------------------------
 
 
@@ -238,19 +267,22 @@ class SimplicialMap:
         self.target = target
         self.images = MappingProxyType(dict(images))
         self.name = name or f"{source.name}->{target.name}"
-        self._pullback: dict[int, tuple[tuple[Hashable, Hashable], ...]] = {}
+        self._pullback: dict[int, Gather] = {}
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.images[s.gen], s.word)
 
-    def pullback_table(self, dim: int) -> tuple[tuple[Hashable, Hashable], ...]:
-        """(source generator, target generator) for each source generator of
-        one dimension whose image is nondegenerate; built once per degree."""
+    def pullback_table(self, dim: int) -> Gather:
+        """The position of each source generator's image among the target
+        generators of one dimension, the sentinel where the image is
+        degenerate; built once per degree."""
         if dim not in self._pullback:
             images = self.images
-            self._pullback[dim] = tuple(
-                (g, images[g].gen) for g in self.source.generators(dim)
-                if not images[g].word)
+            index = self.target.gen_index(dim)
+            size = len(index)
+            self._pullback[dim] = Gather(
+                (size if images[g].word else index[images[g].gen]
+                 for g in self.source.generators(dim)), size)
         return self._pullback[dim]
 
     def __eq__(self, other: object) -> bool:

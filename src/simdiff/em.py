@@ -26,10 +26,10 @@ from typing import Callable
 
 from .cochains import (Cochain, Coefficients, coboundary, embed_rational,
                        fiber_integrate, pullback)
-from .complexes import (ConstructionError, Simplex, SimplicialMap,
-                        SimplicialSet, codegeneracy_map, coface_map, cylinder,
-                        identity_map, key_str, product_map, standard_simplex,
-                        vertex_path)
+from .complexes import (ConstructionError, ProductWithSimplex, Simplex,
+                        SimplicialMap, SimplicialSet, codegeneracy_map,
+                        coface_map, cylinder, identity_map, key_str,
+                        product_map, standard_simplex, vertex_path)
 from .cohomology import cochain_of, delta_system
 from .report import Report, scan
 
@@ -125,25 +125,37 @@ class MappingComplex(SimplicialGroup):
     """Hom(X x Delta^*, K(A,n)) in cocycle form: level m is C-degree-n
     cocycle data on X x Delta^m, with level 0 living on X itself.
 
-    Levels are capped at 3, which is all the homotopy calculus needs.
+    Levels are capped at 3, which is all the homotopy calculus needs.  Each
+    level's cylinder is looked up once; after that an element's level is
+    one lookup by the identity of its complex.
     """
 
     def __init__(self, X: SimplicialSet, coeffs: Coefficients, n: int):
         self.base = X
         self.coeffs = coeffs
         self.n = n
+        self._cylinders: dict[int, ProductWithSimplex] = {}
+        self._level_of: dict[int, int] = {id(X): 0}
+
+    def _cylinder(self, m: int) -> ProductWithSimplex:
+        cyl = self._cylinders.get(m)
+        if cyl is None:
+            cyl = self._cylinders[m] = cylinder(self.base, m)
+            self._level_of[id(cyl.complex)] = m
+        return cyl
 
     def level_complex(self, m: int) -> SimplicialSet:
         if m == 0:
             return self.base
-        return cylinder(self.base, m).complex
+        return self._cylinder(m).complex
 
     def degree(self) -> int:
         return self.n
 
     def element_level(self, z: Cochain) -> int:
-        if z.complex is self.base:
-            return 0
+        m = self._level_of.get(id(z.complex))
+        if m is not None:
+            return m
         for m in (1, 2, 3):
             if z.complex is self.level_complex(m):
                 return m
@@ -153,7 +165,7 @@ class MappingComplex(SimplicialGroup):
         m = self.element_level(z)
         if m == 0:
             raise ValueError("level-0 elements have no faces")
-        return pullback(cylinder(self.base, m).face_inclusion(i), z)
+        return pullback(self._cylinders[m].face_inclusion(i), z)
 
     def degeneracy(self, z: Cochain, j: int) -> Cochain:
         m = self.element_level(z)

@@ -268,30 +268,14 @@ class MappingGroupoid:
                         rng: random.Random) -> HomotopyClass:
         """A seeded morphism out of ``source``; the target comes with it."""
         M = self.maps
-        P = cylinder(self.base, 2).complex
-        q = self.degree + 1
-        vals = {}
-        for g in P.generators(q - 1):
-            if {0, 2} <= set(g[2]) and rng.random() < 0.5:
-                v = rng.randint(-3, 3)
-                if v:
-                    vals[g] = v
-        data = M.degeneracy(source.data, 1) + coboundary(
-            Cochain(P, q - 1, self.coeffs, vals))
+        data = M.degeneracy(source.data, 1) + self._random_coboundary(
+            2, frozenset((0, 2)), rng, 0.5)
         target = MapObject(self, M.face(data, 1))
         return HomotopyClass(Homotopy2(source, target, data))
 
     def _edge_coboundary(self, rng: random.Random) -> Cochain:
         """delta of a random end-trivial cochain on the 1-cylinder."""
-        P = cylinder(self.base, 1).complex
-        q = self.degree + 1
-        vals = {}
-        for g in P.generators(q - 1):
-            if len(g[2]) == 2 and rng.random() < 0.5:
-                v = rng.randint(-3, 3)
-                if v:
-                    vals[g] = v
-        return coboundary(Cochain(P, q - 1, self.coeffs, vals))
+        return self._random_coboundary(1, frozenset((0, 1)), rng, 0.5)
 
     def _interior_coboundary(self, m: int, rng: random.Random,
                              keep: int) -> Cochain:
@@ -302,16 +286,29 @@ class MappingGroupoid:
         d_i of the result is zero and only the produced face moves, by an
         interior coboundary.
         """
-        P = cylinder(self.base, m).complex
+        return self._random_coboundary(
+            m, frozenset(range(m + 1)) - {keep}, rng, 0.6)
+
+    def _random_coboundary(self, m: int, need: frozenset, rng: random.Random,
+                           density: float) -> Cochain:
+        """delta of a random cochain on X x Delta^m, one degree below the
+        object data, supported where the simplex factor covers ``need``.
+
+        Each eligible generator, in generator order, draws rng.random()
+        and, when that falls below density, a value in -3..3.
+        """
+        P = self.maps.level_complex(m)
         q = self.degree + 1
-        need = set(range(m + 1)) - {keep}
-        vals = {}
-        for g in P.generators(q - 1):
-            if need <= set(g[2]) and rng.random() < 0.6:
-                v = rng.randint(-3, 3)
-                if v:
-                    vals[g] = v
-        return coboundary(Cochain(P, q - 1, self.coeffs, vals))
+        token = ("covering", q - 1, need)
+        if token not in P._cache:
+            P._cache[token] = tuple(p for p, g in enumerate(P.generators(q - 1))
+                                    if need <= set(g[2]))
+        norm = self.coeffs.normalize
+        vec = [self.coeffs.zero] * len(P.generators(q - 1))
+        for p in P._cache[token]:
+            if rng.random() < density:
+                vec[p] = norm(rng.randint(-3, 3))
+        return coboundary(Cochain._trusted(P, q - 1, self.coeffs, vec))
 
     def _fill(self, m: int, missing: int, faces: dict[int, Cochain]) -> Cochain:
         w = moore_fill(self.maps, m, missing, faces)

@@ -4,7 +4,7 @@ The benchmark lives in bench/, outside the test paths, so deleting or
 renaming a name in simdiff could break it while every test here passes.
 These tests install and uninstall the benchmark's tracer, whose install
 raises KeyError when a name in its TARGETS has gone, and resolve the names
-the workloads read.
+the workloads read, running cochain_key on a cochain the kernel built.
 """
 
 import importlib
@@ -17,6 +17,8 @@ if str(ROOT) not in sys.path:
 
 from bench import tracing, workloads  # noqa: E402
 from simdiff import diffhat, moncat  # noqa: E402
+from simdiff.cochains import Cochain, INTEGERS, coboundary  # noqa: E402
+from simdiff.complexes import circle  # noqa: E402
 
 
 def resolve(module: str, path: str):
@@ -45,3 +47,9 @@ def test_workloads_resolve_their_names():
     period = diffhat.PeriodObstruction
     assert callable(period.refutes) and callable(period.pairing)
     assert isinstance(moncat.CoherenceReport, type)
+
+
+def test_cochain_key_reads_a_kernel_built_cochain():
+    X = circle(3)
+    c = coboundary(Cochain(X, 0, INTEGERS, {"v0": 2, "v2": -1}))
+    assert workloads.cochain_key(c) == [["e0", "-2"], ["e1", "-1"], ["e2", "3"]]

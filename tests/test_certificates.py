@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback)
-from simdiff.cohomology import (CoboundaryObstruction, cohomology, face_pins,
-                                solve_coboundary)
+from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology,
+                                face_pins, solve_coboundary)
 from simdiff.complexes import build_standard, circle, cylinder, point, rp2, torus
 from simdiff.diffhat import HatTheory, PeriodObstruction
 from simdiff.groupoid import HomotopyClass, Homotopy2, MappingGroupoid, _interior
@@ -104,6 +104,34 @@ def test_mod_sense_in_degree_zero():
         ob = solve_coboundary(c)
         assert ob.ring == f"Z/{k}"
         assert ob.certifies(c, [Cochain.indicator(X, "*", INTEGERS, k)])
+
+
+def test_zero_is_decided_in_the_ring_asked_for():
+    # 2 vanishes mod 2: the integer target is a coboundary over Z/2
+    X = point()
+    got = solve_coboundary(Cochain(X, 0, INTEGERS, {"*": 2}), mod_coefficients(2))
+    assert isinstance(got, CoboundaryWitness)
+    assert got.primitive.coeffs == mod_coefficients(2) and got.primitive.is_zero()
+    # the first value that survives mod 2 is the one paired off
+    Y = circle(3)
+    target = Cochain(Y, 0, INTEGERS, {"v0": 2, "v1": 3})
+    ob = solve_coboundary(target, mod_coefficients(2))
+    assert ob == CoboundaryObstruction({"v1": Fraction(1, 2)}, "Z/2")
+    assert ob.refutes(target)
+    assert ob.certifies(target, [Cochain.indicator(Y, g, INTEGERS, 2)
+                                 for g in Y.generators(0)])
+
+
+def test_degree_zero_certificate_ignores_summand_order():
+    # the paired-off generator is the first nonzero one in generator order,
+    # whichever operand of the sum carried it
+    X = circle(3)
+    a = Cochain(X, 0, INTEGERS, {"v2": 1})
+    b = Cochain(X, 0, INTEGERS, {"v0": 3})
+    want = CoboundaryObstruction({"v0": Fraction(1, 6)}, "Z")
+    assert solve_coboundary(a + b) == want
+    assert solve_coboundary(b + a) == want
+    assert want.refutes(a + b)
 
 
 def test_groupoid_compare_certificate():

@@ -1,10 +1,11 @@
-"""The compiled cochain kernel against the per-generator walks it replaced.
+"""The positional cochain kernel against the per-generator walks it replaced.
 
-coboundary, pullback and fiber_integrate read index tables built once per
-complex, degree and map.  The reference functions below are the walks they
-replaced: every face through SimplicialSet.face, every image through
-SimplicialMap.__call__, every value through Cochain.eval, and every result
-through the public, normalizing Cochain constructor.
+coboundary, pullback and fiber_integrate read position gathers built once
+per complex, degree and map, and +, - combine whole value vectors.  The
+reference functions below are the walks they replaced: every face through
+SimplicialSet.face, every image through SimplicialMap.__call__, every value
+through Cochain.eval, and every result through the public, normalizing
+Cochain constructor from a dict.
 """
 
 from fractions import Fraction
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
-                              fiber_integrate, mod_coefficients, pullback)
+                              cochain_from_json, cochain_to_json, fiber_integrate,
+                              mod_coefficients, pullback)
 from simdiff.complexes import (Simplex, SimplicialMap, SimplicialSet, compose_maps,
-                               cylinder, from_facets, identity_map,
+                               cylinder, from_facets, identity_map, key_str,
                                vertex_induced_map)
 
 RINGS = [INTEGERS, RATIONALS, mod_coefficients(2), mod_coefficients(6)]
@@ -50,11 +52,37 @@ def ref_fiber_integrate(z: Cochain, cyl) -> Cochain:
     return Cochain(cyl.base, z.degree - cyl.k, z.coeffs, out)
 
 
+def ref_json(c: Cochain) -> dict:
+    """cochain_to_json as the dict representation wrote it."""
+    index = c.complex.gen_index(c.degree)
+    values = {g: v for g, v in c.values.items()}
+    return {"complex": c.complex.name, "degree": c.degree,
+            "coefficients": c.coeffs.label(),
+            "values": [{"id": key_str(g), "value": str(values[g])}
+                       for g in sorted(values, key=index.__getitem__)]}
+
+
 def assert_canonical(c: Cochain) -> None:
-    """c equals its re-validation through the public constructor, value types included."""
+    """c equals its re-validation through the public constructor, value
+    types, hash, generator order and JSON included; its values are read-only."""
     again = Cochain(c.complex, c.degree, c.coeffs, c.values)
-    assert again == c
+    assert again == c and hash(again) == hash(c)
     assert all(type(again.values[g]) is type(v) for g, v in c.values.items())
+    order = [c.complex.gen_index(c.degree)[g] for g in c.values]
+    assert order == sorted(order) and len(order) == len(c.values)
+    assert list(c.values.items()) == list(zip(c.values, c.values.values()))
+    with pytest.raises(TypeError):
+        c.values[next(iter(c.complex.generators(c.degree)), "x")] = 1
+    assert cochain_to_json(c) == ref_json(c)
+    assert cochain_from_json(c.complex, cochain_to_json(c)) == c
+
+
+def assert_matches(got: Cochain, want: Cochain) -> None:
+    """A kernel result equals its reference, hash and value types included."""
+    assert got == want and hash(got) == hash(want)
+    assert list(got.values.items()) == list(want.values.items())
+    assert [type(v) for v in got.values.values()] == [type(v) for v in want.values.values()]
+    assert_canonical(got)
 
 
 # -- strategies --------------------------------------------------------------
@@ -110,8 +138,7 @@ def test_coboundary_matches_the_face_walk(data):
     X = data.draw(complexes())
     c = data.draw(cochains(X, data.draw(degrees(X))))
     dc = coboundary(c)
-    assert dc == ref_coboundary(c)
-    assert_canonical(dc)
+    assert_matches(dc, ref_coboundary(c))
     assert coboundary(dc).is_zero()
 
 
@@ -124,8 +151,7 @@ def test_pullback_matches_the_image_walk_and_is_functorial(data):
     d = data.draw(degrees(X))
     c = data.draw(cochains(f.target, d))
     pc = pullback(f, c)
-    assert pc == ref_pullback(f, c)
-    assert_canonical(pc)
+    assert_matches(pc, ref_pullback(f, c))
     assert coboundary(pc) == pullback(f, coboundary(c))
     z = data.draw(cochains(g.target, d))
     assert pullback(compose_maps(f, g), z) == pullback(f, pullback(g, z))
@@ -139,8 +165,7 @@ def test_fiber_integrate_matches_the_cell_walk(k, data):
     cyl = cylinder(X, k)
     z = data.draw(cochains(cyl.complex, data.draw(degrees(cyl.complex, low=k))))
     out = fiber_integrate(z, cyl)
-    assert out == ref_fiber_integrate(z, cyl)
-    assert_canonical(out)
+    assert_matches(out, ref_fiber_integrate(z, cyl))
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,9 +180,29 @@ def test_sums_and_negation_match_the_public_constructor(data):
                     (-a, lambda u, v: -u)):
         want = Cochain(X, d, a.coeffs, {g: fn(a.values.get(g, 0), b.values.get(g, 0))
                                         for g in keys})
-        assert got == want
-        assert_canonical(got)
+        assert_matches(got, want)
     assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("coeffs", RINGS, ids=lambda c: c.label())
+def test_every_ring_matches_the_walks(coeffs):
+    X = build("X", [(0, 1, 2), (1, 2, 3), (0, 3)])
+    value = (lambda i: Fraction(i % 7 - 3, 1 + i % 2)) if coeffs is RATIONALS \
+        else (lambda i: i % 7 - 3)
+    f = vertex_induced_map(X, build("T", [(0, 1, 2)]), lambda v: min(v, 2))
+    for d in range(X.top_dim + 1):
+        c = Cochain(X, d, coeffs, {g: value(i) for i, g in enumerate(X.generators(d))})
+        assert_matches(coboundary(c), ref_coboundary(c))
+        assert_matches(c - c.scale(3), Cochain(X, d, coeffs, {g: -2 * v
+                                                              for g, v in c.values.items()}))
+        t = Cochain(f.target, d, coeffs,
+                    {g: value(i + 1) for i, g in enumerate(f.target.generators(d))})
+        assert_matches(pullback(f, t), ref_pullback(f, t))
+    cyl = cylinder(X, 2)
+    for d in range(2, cyl.complex.top_dim + 1):
+        z = Cochain(cyl.complex, d, coeffs,
+                    {g: value(i) for i, g in enumerate(cyl.complex.generators(d))})
+        assert_matches(fiber_integrate(z, cyl), ref_fiber_integrate(z, cyl))
 
 
 def test_mod_k_sums_reduce():
@@ -167,6 +212,24 @@ def test_mod_k_sums_reduce():
     assert (c + c).values == {(1,): 4}
     assert (-c).values == {(0,): 3, (1,): 1}
     assert coboundary(Cochain(X, 1, Z6, {(0, 1): 3, (1, 2): 3})).values == {}
+
+
+def test_values_is_a_read_only_view_in_generator_order():
+    X = build("X", [(0, 1, 2)])
+    a = Cochain(X, 0, INTEGERS, {(2,): 5, (0,): 1})
+    b = Cochain(X, 0, INTEGERS, {(1,): 2, (0,): -1})
+    total = b + a
+    assert total.vec == (0, 2, 5)
+    assert list(total.values) == [(1,), (2,)]
+    assert total.values == {(2,): 5, (1,): 2} and len(total.values) == 2
+    assert (0,) not in total.values and total.values.get((0,), "none") == "none"
+    with pytest.raises(KeyError):
+        total.values[(0,)]
+    with pytest.raises(TypeError):
+        total.values[(0,)] = 1
+    with pytest.raises(TypeError):
+        del total.values[(1,)]
+    assert total == a + b and hash(total) == hash(a + b)
 
 
 # -- the tables are built once -----------------------------------------------
@@ -224,7 +287,7 @@ def test_map_images_are_read_only():
         f.images[(0,)] = Simplex((1,))
     assert f == identity_map(X)
     assert hash(f) == hash(identity_map(X))
-    assert f.pullback_table(1) == (((0, 1), (0, 1)),)
+    assert f.pullback_table(1).positions == (0,)
 
 
 def test_rational_zero_is_a_fraction():
