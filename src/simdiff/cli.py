@@ -20,7 +20,7 @@ from typing import Sequence
 from .character import CharacterModel
 from .cochains import parse_coefficients
 from .cohomology import cohomology
-from .complexes import build_standard
+from .complexes import _FIXTURE_BUILDERS, build_standard
 from .diffhat import exactness_certificate
 
 
@@ -40,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     cert = commands.add_parser("cert", help="exactness certificate of refined classes")
     for sub in (coh, cert):
         sub.add_argument("--space", required=True,
-                         help="pt, delta_k, circle, sphere2, torus, rp2")
+                         help=", ".join(_FIXTURE_BUILDERS))
         sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                          help="fixture parameter, repeatable")
         sub.add_argument("--degree", required=True, type=int)

@@ -268,20 +268,17 @@ def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
 
     Gather i reads the position of face i of each (n+1)-generator off a
     degree-n vector, the sentinel where that face is degenerate; the signs
-    alternate from +1.  Built once per complex and degree.
+    alternate from +1.  Read off the compiled face table once per complex
+    and degree.
     """
     token = ("face_table", n)
     if token not in X._cache:
-        index = X.gen_index(n)
-        size = len(index)
-        faces: list[list[int]] = [[] for _ in range(n + 2)]
-        for gen in X.generators(n + 1):
-            s = Simplex(gen)
-            for i, col in enumerate(faces):
-                f = X.face(s, i)
-                col.append(size if f.word else index[f.gen])
-        X._cache[token] = tuple((-1 if i % 2 else 1, Gather(col, size))
-                                for i, col in enumerate(faces))
+        start = X.offset(n)
+        size = len(X.generators(n))
+        columns = zip(*X.face_rows(n + 1)) if X.generators(n + 1) else [()] * (n + 2)
+        X._cache[token] = tuple(
+            (-1 if i % 2 else 1, Gather([size if w else q - start for q, w in col], size))
+            for i, col in enumerate(columns))
     return X._cache[token]
 
 

@@ -402,19 +402,20 @@ def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> dict:
     """Generator pins on X x Delta^k realizing prescribed face restrictions.
 
     faces maps i to the required (id x delta_i)# restriction, a cochain on
-    X x Delta^{k-1} (on X itself for k = 1).  Overlaps must agree; a
-    conflict raises ValueError, which callers surface as incompatible faces,
-    and so does a value on a generator the inclusion degenerates.
+    X x Delta^{k-1} (on X itself for k = 1); a cochain on any other complex
+    raises ValueError.  Every id x delta_i sends generators to generators,
+    so each value lands on one generator of X x Delta^k.  Overlaps must
+    agree; a conflict raises ValueError, which callers surface as
+    incompatible faces.
     """
     pins: dict = {}
     for i, F in faces.items():
-        table = cyl.face_inclusion(i).pullback_table(F.degree)
+        inclusion = cyl.face_inclusion(i)
+        if F.complex is not inclusion.source:
+            raise ValueError(f"face {i} lives on {F.complex.name},"
+                             f" not on {inclusion.source.name}")
         targets = cyl.complex.generators(F.degree)
-        for g, p, v in zip(F.complex.generators(F.degree), table.positions, F.vec):
-            if p == table.size:
-                if v:
-                    raise ValueError(f"face {i} not normalized at {g!r}")
-                continue
+        for p, v in zip(inclusion.pullback_table(F.degree).positions, F.vec):
             t = targets[p]
             old = pins.get(t)
             if old is not None and old != v:

@@ -2,18 +2,23 @@
 
 A complex is presented by its nondegenerate simplices (generators); an
 arbitrary simplex is a generator decorated with a degeneracy word.  Faces of
-generators may be degenerate, so the face tables store decorated references
-and the word algebra from :mod:`simdiff.words` does the rest.
+generators may be degenerate, so a frozen complex compiles its face table to
+(position, word) pairs, the position indexing its generator tuple, and the
+word algebra from :mod:`simdiff.words` does the rest.  Validation, the
+cochain kernels' face tables and products all read the compiled table.
 
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
-are disjoint.  Only products with standard simplices are part of the public
-surface (plus the torus fixture, which reuses the same machinery).
+are disjoint.  product() computes each generator's faces from its factors'
+compiled tables and spells its key string from theirs, once.  Only products
+with standard simplices are part of the public surface (plus the torus and
+ladder fixtures, which reuse the same machinery).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from types import MappingProxyType
@@ -53,19 +58,32 @@ _NO_INDEX: Mapping[Hashable, int] = MappingProxyType({})
 class SimplicialSet:
     """Finite simplicial set presented by nondegenerate generators.
 
-    Instances are immutable once frozen; every operation is pure.  Generator
-    order is fixed at freeze time (by dimension, then key string) so that
-    cochain bases and JSON output are deterministic.  The generator tuple and
-    the position index of each dimension are built once, at freeze time.
+    add_generator records each generator's key, dimension and faces;
+    freeze() compiles them once, and the complex is immutable from then on.
+    Freezing orders the generators by dimension, then key string, so that
+    cochain bases and JSON output are deterministic, builds the generator
+    tuple and the position index of each dimension, and stores the face
+    table by position: face i of the generator at position q of
+    generators() is the pair (position, word), the position again in
+    generators() and the word its degeneracies.  face(), the cochain
+    kernels and the validation in problems() all read that table.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._dims: dict[Hashable, int] = {}
-        self._faces: dict[Hashable, tuple[Simplex, ...]] = {}
+        # until freeze, the faces of each generator in the order added: Simplex
+        # objects from add_generator, or (id, word) pairs from product, id
+        # counting generators in the order added; product also sets the key
+        # strings, which freeze otherwise spells with key_str
+        self._added: list[tuple] = []
+        self._strs: list[str] | None = None
         self._order: tuple[Hashable, ...] = ()
         self._by_dim: dict[int, tuple[Hashable, ...]] = {}
         self._index: dict[int, Mapping[Hashable, int]] = {}
+        self._start: dict[int, int] = {}
+        self._table: tuple[tuple[tuple[int, Word], ...], ...] = ()
+        self._missing: tuple[Hashable, ...] = ()
         self._frozen = False
         self._cache: dict[Any, Any] = {}
 
@@ -86,20 +104,53 @@ class SimplicialSet:
             raise ConstructionError(
                 f"{self.name}: generator {key!r} of dim {dim} has {len(faces)} faces")
         self._dims[key] = dim
-        self._faces[key] = faces
+        self._added.append(faces)
 
     def freeze(self) -> "SimplicialSet":
         if not self._frozen:
-            self._order = tuple(sorted(self._dims, key=lambda k: (self._dims[k], key_str(k))))
-            by_dim: dict[int, list[Hashable]] = {}
-            for k in self._order:
-                by_dim.setdefault(self._dims[k], []).append(k)
-            self._by_dim = {d: tuple(gens) for d, gens in by_dim.items()}
-            self._index = {d: MappingProxyType({k: i for i, k in enumerate(gens)})
-                           for d, gens in self._by_dim.items()}
+            keys = list(self._dims)
+            dims = list(self._dims.values())
+            rows = self._added
+            if self._strs is None:
+                rows = self._resolve(keys)
+                self._strs = [key_str(k) for k in keys]
+            order = [i for _, _, i in sorted(zip(dims, self._strs, range(len(keys))))]
+            # pos[id] is the position of a generator, and pos[-1 - k] = -1 - k
+            # keeps the marks of missing references
+            pos = [0] * len(order) + list(range(-len(self._missing), 0))
+            for q, i in enumerate(order):
+                pos[i] = q
+            self._order = tuple(keys[i] for i in order)
+            self._table = tuple(tuple([(pos[j], w) for j, w in rows[i]]) for i in order)
+            start = 0
+            for d in sorted(set(dims)):
+                gens = self._order[start:start + dims.count(d)]
+                self._by_dim[d] = gens
+                self._index[d] = MappingProxyType({k: p for p, k in enumerate(gens)})
+                self._start[d] = start
+                start += len(gens)
+            self._added, self._strs = [], None
             self._frozen = True
             self.check()
         return self
+
+    def _resolve(self, keys: list) -> list[tuple[tuple[int, Word], ...]]:
+        """The added Simplex faces as (id, word) pairs; a face on a missing
+        generator gets id -1 - k, k indexing self._missing."""
+        ids = {k: i for i, k in enumerate(keys)}
+        missing: list[Hashable] = []
+        rows = []
+        for faces in self._added:
+            row = []
+            for f in faces:
+                i = ids.get(f.gen)
+                if i is None:
+                    missing.append(f.gen)
+                    i = -len(missing)
+                row.append((i, f.word))
+            rows.append(tuple(row))
+        self._missing = tuple(missing)
+        return rows
 
     # -- structure ---------------------------------------------------------
 
@@ -111,6 +162,16 @@ class SimplicialSet:
     def gen_index(self, dim: int) -> Mapping[Hashable, int]:
         """Position of each generator of one dimension in generators(dim)."""
         return self._index.get(dim, _NO_INDEX)
+
+    def offset(self, dim: int) -> int:
+        """Position in generators() of the first generator of one dimension."""
+        return self._start.get(dim, 0)
+
+    def face_rows(self, dim: int) -> tuple[tuple[tuple[int, Word], ...], ...]:
+        """The compiled faces of generators(dim), one row per generator: face
+        i is (position in generators(), word)."""
+        start = self._start.get(dim, 0)
+        return self._table[start:start + len(self.generators(dim))]
 
     def gen_dim(self, key: Hashable) -> int:
         return self._dims[key]
@@ -127,16 +188,22 @@ class SimplicialSet:
             raise KeyError(f"{self.name}: no generator {key!r}")
         return Simplex(key)
 
+    def _gen_face(self, key: Hashable, dim: int, i: int) -> Simplex:
+        q, word = self._table[self._start[dim] + self._index[dim][key]][i]
+        return Simplex(self._order[q], word)
+
     def face(self, s: Simplex, i: int) -> Simplex:
-        d = self.dim_of(s)
+        p = self._dims[s.gen]
+        d = p + len(s.word)
         if d == 0 or not 0 <= i <= d:
             raise ValueError(f"face index {i} out of range for dimension {d}")
         if s.word:
             word, residual = apply_face(s.word, i)
             if residual is None:
                 return Simplex(s.gen, word)
-            return degenerate(self._faces[s.gen][residual], word)
-        return self._faces[s.gen][i]
+            return degenerate(self._gen_face(s.gen, p, residual), word)
+        return self._gen_face(s.gen, p, i)
+
 
     def degeneracy(self, s: Simplex, j: int) -> Simplex:
         d = self.dim_of(s)
@@ -162,37 +229,63 @@ class SimplicialSet:
     # -- validation --------------------------------------------------------
 
     def problems(self) -> list[str]:
-        """Simplicial-identity and reference violations, empty when valid."""
+        """Simplicial-identity and reference violations, empty when valid.
+
+        Runs on the compiled table, so it has nothing to check before
+        freeze.  Reference problems (a missing generator, a bad word, a face
+        of the wrong dimension) are listed in the order the generators were
+        added; only when there are none are the identities d_i d_j =
+        d_{j-1} d_i checked, in generator order.  The word algebra is
+        memoized on the words for the one call.
+        """
+        table, order = self._table, self._order
+        dims = [d for d in sorted(self._by_dim) for _ in self._by_dim[d]]
+        words: dict[tuple[Word, int], str | None] = {}
+        bad: dict[int, list[str]] = {}
+        for q, row in enumerate(table):
+            expect = dims[q] - 1
+            for i, (r, w) in enumerate(row):
+                # all but the common case, a nondegenerate face of dimension expect
+                if w or r < 0 or dims[r] != expect:
+                    msg = self._face_problem(dims, r, w, expect, words)
+                    if msg:
+                        bad.setdefault(q, []).append(f"{order[q]!r}: face {i} {msg}")
+        if bad:
+            return [msg for key, d in self._dims.items()
+                    for msg in bad.get(self._start[d] + self._index[d][key], ())]
         out: list[str] = []
-        for key, facelist in self._faces.items():
-            dim = self._dims[key]
-            for i, f in enumerate(facelist):
-                if f.gen not in self._dims:
-                    out.append(f"{key!r}: face {i} references missing {f.gen!r}")
-                    continue
-                try:
-                    check_word(f.word, self._dims[f.gen])
-                except ValueError as e:
-                    out.append(f"{key!r}: face {i} has bad word ({e})")
-                    continue
-                if self.dim_of(f) != dim - 1:
-                    out.append(f"{key!r}: face {i} has dimension {self.dim_of(f)},"
-                               f" expected {dim - 1}")
-        if out:
-            return out
-        for key in self._order:
-            dim = self._dims[key]
-            if dim < 2:
-                continue
-            s = Simplex(key)
-            for j in range(dim + 1):
+        face = _FaceMemo(table)
+        for q, row in enumerate(table):
+            for j in range(1, len(row) if len(row) > 2 else 0):
+                rj, wj = row[j]
+                below = None if wj else table[rj]
                 for i in range(j):
-                    left = self.face(self.face(s, j), i)
-                    right = self.face(self.face(s, i), j - 1)
+                    left = face(rj, wj, i) if below is None else below[i]
+                    ri, wi = row[i]
+                    right = face(ri, wi, j - 1) if wi else table[ri][j - 1]
                     if left != right:
-                        out.append(f"{key!r}: d_{i} d_{j} != d_{j-1} d_{i}"
-                                   f" ({left} vs {right})")
+                        out.append(f"{order[q]!r}: d_{i} d_{j} != d_{j-1} d_{i}"
+                                   f" ({Simplex(order[left[0]], left[1])} vs"
+                                   f" {Simplex(order[right[0]], right[1])})")
         return out
+
+    def _face_problem(self, dims: list[int], r: int, w: Word, expect: int,
+                      words: dict[tuple[Word, int], str | None]) -> str | None:
+        """What is wrong with the face (r, w) of a generator of dimension
+        expect + 1, or None; words memoizes the word checks for one call."""
+        if r < 0:
+            return f"references missing {self._missing[-1 - r]!r}"
+        if (w, dims[r]) not in words:
+            try:
+                check_word(w, dims[r])
+                words[w, dims[r]] = None
+            except ValueError as e:
+                words[w, dims[r]] = f"has bad word ({e})"
+        if words[w, dims[r]] is not None:
+            return words[w, dims[r]]
+        if dims[r] + len(w) != expect:
+            return f"has dimension {dims[r] + len(w)}, expected {expect}"
+        return None
 
     def check(self) -> None:
         problems = self.problems()
@@ -345,15 +438,25 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     seen: set[tuple] = set()
     subsets: list[tuple] = []
     for facet in facets:
-        t = tuple(sorted(set(facet)))
-        if len(t) != len(facet):
+        try:
+            t = tuple(sorted(set(facet)))
+            repeats = len(t) != len(facet)
+        except TypeError as e:
+            raise ConstructionError(
+                f"{name}: facet {facet!r} does not have sortable vertex labels ({e})") from None
+        if repeats:
             raise ConstructionError(f"{name}: facet {facet!r} repeats a vertex")
         for r in range(1, len(t) + 1):
             for sub in combinations(t, r):
                 if sub not in seen:
                     seen.add(sub)
                     subsets.append(sub)
-    for sub in sorted(subsets, key=lambda s: (len(s), s)):
+    try:
+        subsets.sort(key=lambda s: (len(s), s))
+    except TypeError as e:
+        raise ConstructionError(
+            f"{name}: vertex labels of different facets do not sort together ({e})") from None
+    for sub in subsets:
         if len(sub) == 1:
             X.add_generator(sub, 0)
         else:
@@ -471,6 +574,26 @@ def torus() -> SimplicialSet:
     return _memo(("torus",), lambda: product(circle(3), circle(3), name="torus"))
 
 
+def _torus9(rename: Callable[[int], Hashable]) -> list[tuple]:
+    """The 3x3 grid torus minus the triangle (0, 3, 4); vertex 3i + j at
+    grid point (i, j), renamed."""
+    def at(i: int, j: int) -> Hashable:
+        return rename(3 * (i % 3) + j % 3)
+    hole = {rename(0), rename(3), rename(4)}
+    return [t for i in range(3) for j in range(3)
+            for t in ((at(i, j), at(i + 1, j), at(i + 1, j + 1)),
+                      (at(i, j), at(i, j + 1), at(i + 1, j + 1)))
+            if set(t) != hole]
+
+
+def genus2() -> SimplicialSet:
+    """Two 9-vertex tori, each minus one triangle, glued along its boundary."""
+    def build():
+        second = {0: 0, 3: 3, 4: 4, 1: 9, 2: 10, 5: 11, 6: 12, 7: 13, 8: 14}
+        return from_facets("genus2", _torus9(int) + _torus9(second.__getitem__))
+    return _memo(("genus2",), build)
+
+
 _FIXTURE_BUILDERS: dict[str, Callable[..., SimplicialSet]] = {
     "pt": point,
     "delta_k": lambda k=1: standard_simplex(int(k)),
@@ -478,6 +601,9 @@ _FIXTURE_BUILDERS: dict[str, Callable[..., SimplicialSet]] = {
     "sphere2": sphere2,
     "torus": torus,
     "rp2": rp2,
+    "genus2": genus2,
+    "rp2xS1": lambda: _memo(("rp2xS1",), lambda: product(rp2(), circle(3), name="rp2xS1")),
+    "T3": lambda: _memo(("T3",), lambda: product(torus(), circle(3), name="T3")),
 }
 
 
@@ -494,14 +620,52 @@ def build_standard(kind: str, **params) -> SimplicialSet:
 # -- products --------------------------------------------------------------
 
 
-def _pair(sx: Simplex, sy: Simplex) -> Simplex:
-    """Canonical form of a component pair as a product simplex.
+class _FaceMemo:
+    """Faces of (position, word) simplices over one compiled face table.
+
+    The word algebra is memoized on the words, which are few, and row() on
+    the simplex; a memo lives for one build or one validation and is then
+    dropped.
+    """
+
+    def __init__(self, table: tuple):
+        self.table = table
+        self.through: dict[tuple[Word, int], tuple[Word, int | None]] = {}
+        self.raised: dict[tuple[Word, Word], Word] = {}
+        self.rows: dict[tuple[int, Word], tuple[tuple[int, ...], tuple[Word, ...]]] = {}
+
+    def __call__(self, r: int, w: Word, i: int) -> tuple[int, Word]:
+        if not w:
+            return self.table[r][i]
+        hit = self.through.get((w, i))
+        if hit is None:
+            hit = self.through[w, i] = apply_face(w, i)
+        word, residual = hit
+        if residual is None:
+            return r, word
+        r, w = self.table[r][residual]
+        if word:
+            up = self.raised.get((w, word))
+            if up is None:
+                up = self.raised[w, word] = apply_word(w, word)
+            w = up
+        return r, w
+
+    def row(self, r: int, w: Word, d: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """(positions, words) of faces 0..d of the d-simplex (r, w), memoized."""
+        hit = self.rows.get((r, w))
+        if hit is None:
+            hit = self.rows[r, w] = tuple(zip(*(self(r, w, i) for i in range(d + 1))))
+        return hit
+
+
+def _pair_words(wx: Word, wy: Word) -> tuple[Word, Word, Word]:
+    """Canonical form of a pair of component words.
 
     Shared degeneracies are stripped innermost-first until the component
-    words are disjoint; what was stripped becomes the word of the result.
+    words are disjoint; what was stripped becomes the word of the pair.
     """
     shared: list[int] = []
-    wx, wy = sx.word, sy.word
     while True:
         common = set(wx) & set(wy)
         if not common:
@@ -515,6 +679,12 @@ def _pair(sx: Simplex, sy: Simplex) -> Simplex:
     word: Word = ()
     for j in reversed(shared):
         word = compose_degeneracy(word, j)
+    return wx, wy, word
+
+
+def _pair(sx: Simplex, sy: Simplex) -> Simplex:
+    """Canonical form of a component pair as a product simplex."""
+    wx, wy, word = _pair_words(sx.word, sy.word)
     return Simplex((sx.gen, wx, sy.gen, wy), word)
 
 
@@ -527,23 +697,65 @@ def pair_canonical(P: SimplicialSet, sx: Simplex, sy: Simplex) -> Simplex:
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> SimplicialSet:
-    """Simplicial product via shuffle enumeration of nondegenerate pairs."""
+    """Simplicial product via shuffle enumeration of nondegenerate pairs.
+
+    A generator (gx, wx, gy, wy) is numbered in enumeration order as
+    (position of gx, wx, position of gy, wy), and its key string is put
+    together once from the factors' key strings and the word strings.  Its
+    faces come from the factors' compiled tables and are handed to freeze
+    as (number, word) pairs, so no Simplex is built; the memos are keyed by
+    ints and words and dropped when the build ends.
+    """
     P = SimplicialSet(name or f"{X.name}x{Y.name}")
-    entries: list[tuple[int, tuple]] = []
-    for gx in X.generators():
-        p = X.gen_dim(gx)
-        for gy in Y.generators():
-            q = Y.gen_dim(gy)
+    xgens, ygens = X.generators(), Y.generators()
+    xdims = [X.gen_dim(g) for g in xgens]
+    ydims = [Y.gen_dim(g) for g in ygens]
+    ystrs = [key_str(g) for g in ygens]
+    shuffles: dict[tuple[int, int], list[tuple[Word, Word, str, str]]] = {}
+
+    def shuffles_of(p: int, q: int) -> list[tuple[Word, Word, str, str]]:
+        """The disjoint word pairs over a p- and a q-generator, with their
+        strings, in enumeration order."""
+        if (p, q) not in shuffles:
+            out = shuffles[p, q] = []
             for d in range(max(p, q), p + q + 1):
                 for wx in combinations(range(d), d - p):
                     rest = [v for v in range(d) if v not in wx]
                     for wy in combinations(rest, d - q):
-                        entries.append((d, (gx, wx, gy, wy)))
-    for d, key in sorted(entries, key=lambda e: (e[0], key_str(e[1]))):
-        gx, wx, gy, wy = key
-        sx, sy = Simplex(gx, wx), Simplex(gy, wy)
-        faces = [_pair(X.face(sx, i), Y.face(sy, i)) for i in range(d + 1)] if d else []
-        P.add_generator(key, d, faces)
+                        out.append((wx, wy, ",".join(map(str, wx)), ",".join(map(str, wy))))
+        return shuffles[p, q]
+
+    numbered: dict[tuple[int, Word, int, Word], int] = {}
+    keys, dims, strs = [], [], []
+    for ax, gx in enumerate(xgens):
+        p = xdims[ax]
+        # key_str reads a 4-tuple with an int first entry as a plain tuple
+        sx = None if isinstance(gx, int) else key_str(gx)
+        for ay, gy in enumerate(ygens):
+            sy = ystrs[ay]
+            for wx, wy, swx, swy in shuffles_of(p, ydims[ay]):
+                key = (gx, wx, gy, wy)
+                numbered[ax, wx, ay, wy] = len(keys)
+                keys.append(key)
+                dims.append(p + len(wx))
+                strs.append(key_str(key) if sx is None else f"({sx}|{swx})*({sy}|{swy})")
+
+    xface, yface = _FaceMemo(X._table), _FaceMemo(Y._table)
+    pairs: dict[tuple, tuple[tuple[Word, Word, Word], ...]] = {}
+    rows = []
+    for (ax, wx, ay, wy), d in zip(numbered, dims):
+        if not d:
+            rows.append(())
+            continue
+        xpos, xwords = xface.row(ax, wx, d)
+        ypos, ywords = yface.row(ay, wy, d)
+        canon = pairs.get((xwords, ywords))
+        if canon is None:
+            canon = pairs[xwords, ywords] = tuple(map(_pair_words, xwords, ywords))
+        rows.append(tuple([(numbered[a, cx, b, cy], w)
+                           for a, b, (cx, cy, w) in zip(xpos, ypos, canon)]))
+    P._dims = dict(zip(keys, dims))
+    P._added, P._strs = rows, strs
     P._factors = (X, Y)
     return P.freeze()
 
@@ -577,7 +789,11 @@ class PrismDecomposition:
 
 
 class ProductWithSimplex:
-    """X x Delta^k with its prism decomposition and structural maps."""
+    """X x Delta^k with its prism decomposition and structural maps.
+
+    The decomposition, the projection and the face inclusions are built
+    the first time they are used.
+    """
 
     def __init__(self, X: SimplicialSet, k: int):
         if k not in (1, 2, 3):
@@ -586,6 +802,11 @@ class ProductWithSimplex:
         self.base = X
         self.k = k
         self.complex = product(X, D, name=f"{X.name}xD{k}")
+        self._inclusions: dict[int, SimplicialMap] = {}
+
+    @cached_property
+    def decomposition(self) -> PrismDecomposition:
+        X, k = self.base, self.k
         iota = tuple(range(k + 1))
         cells: dict[Hashable, tuple[tuple[int, tuple], ...]] = {}
         for g in X.generators():
@@ -596,12 +817,14 @@ class ProductWithSimplex:
                 inv = sum(1 for b in B for a in A if b > a)
                 entries.append(((-1) ** inv, (g, B, iota, A)))
             cells[g] = tuple(entries)
-        self.decomposition = PrismDecomposition(X.name, k, cells)
-        self.projection = SimplicialMap(
-            self.complex, X,
+        return PrismDecomposition(X.name, k, cells)
+
+    @cached_property
+    def projection(self) -> SimplicialMap:
+        return SimplicialMap(
+            self.complex, self.base,
             {key: Simplex(key[0], key[1]) for key in self.complex.generators()},
-            f"proj_{X.name}")
-        self._inclusions: dict[int, SimplicialMap] = {}
+            f"proj_{self.base.name}")
 
     def face_inclusion(self, i: int) -> SimplicialMap:
         """id x delta_i, from X x Delta^{k-1} (or X itself when k = 1)."""
@@ -660,7 +883,7 @@ def complex_to_json(X: SimplicialSet) -> dict:
     for key in X.generators():
         entry: dict[str, Any] = {"id": key_str(key), "dim": X.gen_dim(key)}
         entry["faces"] = [{"id": key_str(f.gen), "degeneracies": list(f.word)}
-                          for f in X._faces[key]]
+                          for f in (X.faces(Simplex(key)) if entry["dim"] else ())]
         gens.append(entry)
     return {"name": X.name, "generators": gens}
 

@@ -1,0 +1,297 @@
+"""The complex construction before compiled face tables, kept as a reference.
+
+SimplicialSet, from_facets, _pair and product are the package's code from
+before freeze compiled the face tables to positions: faces are stored as
+Simplex objects, product sorts its generators by key_str and freeze sorts
+them again, and problems() walks Simplex faces.  face_table and
+delta_table build the cochain tables through SimplicialSet.face.  The
+differential tests in test_compiled.py compare the compiled construction
+with these, generator for generator and face for face.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable, Iterator, Mapping
+
+from simdiff.complexes import ConstructionError, Gather, Simplex, degenerate, key_str
+from simdiff.words import Word, apply_face, check_word, compose_degeneracy
+
+_NO_INDEX: Mapping[Hashable, int] = MappingProxyType({})
+
+
+class SimplicialSet:
+    """Finite simplicial set presented by nondegenerate generators.
+
+    Instances are immutable once frozen; every operation is pure.  Generator
+    order is fixed at freeze time (by dimension, then key string) so that
+    cochain bases and JSON output are deterministic.  The generator tuple and
+    the position index of each dimension are built once, at freeze time.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self._dims: dict[Hashable, int] = {}
+        self._faces: dict[Hashable, tuple[Simplex, ...]] = {}
+        self._order: tuple[Hashable, ...] = ()
+        self._by_dim: dict[int, tuple[Hashable, ...]] = {}
+        self._index: dict[int, Mapping[Hashable, int]] = {}
+        self._frozen = False
+        self._cache: dict[Any, Any] = {}
+
+    # -- construction ------------------------------------------------------
+
+    def add_generator(self, key: Hashable, dim: int,
+                      faces: Iterable[Simplex] = ()) -> None:
+        if self._frozen:
+            raise ConstructionError(f"{self.name}: frozen, cannot add generators")
+        if key in self._dims:
+            raise ConstructionError(f"{self.name}: duplicate generator {key!r}")
+        if dim < 0:
+            raise ConstructionError(f"{self.name}: negative dimension for {key!r}")
+        faces = tuple(faces)
+        if dim == 0 and faces:
+            raise ConstructionError(f"{self.name}: vertex {key!r} has faces")
+        if dim > 0 and len(faces) != dim + 1:
+            raise ConstructionError(
+                f"{self.name}: generator {key!r} of dim {dim} has {len(faces)} faces")
+        self._dims[key] = dim
+        self._faces[key] = faces
+
+    def freeze(self) -> "SimplicialSet":
+        if not self._frozen:
+            self._order = tuple(sorted(self._dims, key=lambda k: (self._dims[k], key_str(k))))
+            by_dim: dict[int, list[Hashable]] = {}
+            for k in self._order:
+                by_dim.setdefault(self._dims[k], []).append(k)
+            self._by_dim = {d: tuple(gens) for d, gens in by_dim.items()}
+            self._index = {d: MappingProxyType({k: i for i, k in enumerate(gens)})
+                           for d, gens in self._by_dim.items()}
+            self._frozen = True
+            self.check()
+        return self
+
+    # -- structure ---------------------------------------------------------
+
+    def generators(self, dim: int | None = None) -> tuple[Hashable, ...]:
+        if dim is None:
+            return self._order
+        return self._by_dim.get(dim, ())
+
+    def gen_index(self, dim: int) -> Mapping[Hashable, int]:
+        """Position of each generator of one dimension in generators(dim)."""
+        return self._index.get(dim, _NO_INDEX)
+
+    def gen_dim(self, key: Hashable) -> int:
+        return self._dims[key]
+
+    def dim_of(self, s: Simplex) -> int:
+        return self._dims[s.gen] + len(s.word)
+
+    @property
+    def top_dim(self) -> int:
+        return max(self._dims.values()) if self._dims else -1
+
+    def simplex(self, key: Hashable) -> Simplex:
+        if key not in self._dims:
+            raise KeyError(f"{self.name}: no generator {key!r}")
+        return Simplex(key)
+
+    def face(self, s: Simplex, i: int) -> Simplex:
+        d = self.dim_of(s)
+        if d == 0 or not 0 <= i <= d:
+            raise ValueError(f"face index {i} out of range for dimension {d}")
+        if s.word:
+            word, residual = apply_face(s.word, i)
+            if residual is None:
+                return Simplex(s.gen, word)
+            return degenerate(self._faces[s.gen][residual], word)
+        return self._faces[s.gen][i]
+
+    def degeneracy(self, s: Simplex, j: int) -> Simplex:
+        d = self.dim_of(s)
+        if not 0 <= j <= d:
+            raise ValueError(f"degeneracy index {j} out of range for dimension {d}")
+        return degenerate(s, (j,))
+
+    def faces(self, s: Simplex) -> list[Simplex]:
+        return [self.face(s, i) for i in range(self.dim_of(s) + 1)]
+
+    def all_simplices(self, dim: int) -> Iterator[Simplex]:
+        """All simplices of a dimension, degenerate ones included."""
+        for key in self._order:
+            p = self._dims[key]
+            if p > dim:
+                continue
+            for word in combinations(range(dim), dim - p):
+                yield Simplex(key, word)
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d for d in self._dims.values())
+
+    # -- validation --------------------------------------------------------
+
+    def problems(self) -> list[str]:
+        """Simplicial-identity and reference violations, empty when valid."""
+        out: list[str] = []
+        for key, facelist in self._faces.items():
+            dim = self._dims[key]
+            for i, f in enumerate(facelist):
+                if f.gen not in self._dims:
+                    out.append(f"{key!r}: face {i} references missing {f.gen!r}")
+                    continue
+                try:
+                    check_word(f.word, self._dims[f.gen])
+                except ValueError as e:
+                    out.append(f"{key!r}: face {i} has bad word ({e})")
+                    continue
+                if self.dim_of(f) != dim - 1:
+                    out.append(f"{key!r}: face {i} has dimension {self.dim_of(f)},"
+                               f" expected {dim - 1}")
+        if out:
+            return out
+        for key in self._order:
+            dim = self._dims[key]
+            if dim < 2:
+                continue
+            s = Simplex(key)
+            for j in range(dim + 1):
+                for i in range(j):
+                    left = self.face(self.face(s, j), i)
+                    right = self.face(self.face(s, i), j - 1)
+                    if left != right:
+                        out.append(f"{key!r}: d_{i} d_{j} != d_{j-1} d_{i}"
+                                   f" ({left} vs {right})")
+        return out
+
+    def check(self) -> None:
+        problems = self.problems()
+        if problems:
+            raise ConstructionError(f"{self.name}: " + "; ".join(problems[:5]))
+
+    def __repr__(self) -> str:
+        counts = {}
+        for d in self._dims.values():
+            counts[d] = counts.get(d, 0) + 1
+        shape = ",".join(f"{counts[d]}" for d in sorted(counts))
+        return f"<SimplicialSet {self.name} ({shape})>"
+
+
+def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
+    """Ordered simplicial complex generated by the given top faces.
+
+    Vertex labels must be sortable; every subset of a facet becomes a
+    generator keyed by its sorted vertex tuple.
+    """
+    X = SimplicialSet(name)
+    seen: set[tuple] = set()
+    subsets: list[tuple] = []
+    for facet in facets:
+        t = tuple(sorted(set(facet)))
+        if len(t) != len(facet):
+            raise ConstructionError(f"{name}: facet {facet!r} repeats a vertex")
+        for r in range(1, len(t) + 1):
+            for sub in combinations(t, r):
+                if sub not in seen:
+                    seen.add(sub)
+                    subsets.append(sub)
+    for sub in sorted(subsets, key=lambda s: (len(s), s)):
+        if len(sub) == 1:
+            X.add_generator(sub, 0)
+        else:
+            faces = [Simplex(sub[:i] + sub[i + 1:]) for i in range(len(sub))]
+            X.add_generator(sub, len(sub) - 1, faces)
+    return X.freeze()
+
+
+def _pair(sx: Simplex, sy: Simplex) -> Simplex:
+    """Canonical form of a component pair as a product simplex.
+
+    Shared degeneracies are stripped innermost-first until the component
+    words are disjoint; what was stripped becomes the word of the result.
+    """
+    shared: list[int] = []
+    wx, wy = sx.word, sy.word
+    while True:
+        common = set(wx) & set(wy)
+        if not common:
+            break
+        j = min(common)
+        wx, rx = apply_face(wx, j)
+        wy, ry = apply_face(wy, j)
+        if rx is not None or ry is not None:
+            raise AssertionError("shared degeneracy failed to cancel")
+        shared.append(j)
+    word: Word = ()
+    for j in reversed(shared):
+        word = compose_degeneracy(word, j)
+    return Simplex((sx.gen, wx, sy.gen, wy), word)
+
+
+def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> SimplicialSet:
+    """Simplicial product via shuffle enumeration of nondegenerate pairs."""
+    P = SimplicialSet(name or f"{X.name}x{Y.name}")
+    entries: list[tuple[int, tuple]] = []
+    for gx in X.generators():
+        p = X.gen_dim(gx)
+        for gy in Y.generators():
+            q = Y.gen_dim(gy)
+            for d in range(max(p, q), p + q + 1):
+                for wx in combinations(range(d), d - p):
+                    rest = [v for v in range(d) if v not in wx]
+                    for wy in combinations(rest, d - q):
+                        entries.append((d, (gx, wx, gy, wy)))
+    for d, key in sorted(entries, key=lambda e: (e[0], key_str(e[1]))):
+        gx, wx, gy, wy = key
+        sx, sy = Simplex(gx, wx), Simplex(gy, wy)
+        faces = [_pair(X.face(sx, i), Y.face(sy, i)) for i in range(d + 1)] if d else []
+        P.add_generator(key, d, faces)
+    P._factors = (X, Y)
+    return P.freeze()
+
+
+def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
+    """(sign, gather of face i) for i = 0..n+1 over the (n+1)-generators of X.
+
+    Gather i reads the position of face i of each (n+1)-generator off a
+    degree-n vector, the sentinel where that face is degenerate; the signs
+    alternate from +1.  Built once per complex and degree.
+    """
+    token = ("face_table", n)
+    if token not in X._cache:
+        index = X.gen_index(n)
+        size = len(index)
+        faces: list[list[int]] = [[] for _ in range(n + 2)]
+        for gen in X.generators(n + 1):
+            s = Simplex(gen)
+            for i, col in enumerate(faces):
+                f = X.face(s, i)
+                col.append(size if f.word else index[f.gen])
+        X._cache[token] = tuple((-1 if i % 2 else 1, Gather(col, size))
+                                for i, col in enumerate(faces))
+    return X._cache[token]
+
+
+def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
+
+    One row ((position, coefficient), ...) per (n+1)-generator, in
+    generator order, with positions in X.generators(n); degenerate faces are
+    dropped and repeated faces merged into one coefficient (rows may come
+    out empty).
+    """
+    token = ("delta_table", n)
+    if token not in X._cache:
+        faces = face_table(X, n)
+        size = len(X.generators(n))
+        rows = []
+        for r in range(len(X.generators(n + 1))):
+            row: dict[int, int] = {}
+            for sign, g in faces:
+                p = g.positions[r]
+                if p != size:
+                    row[p] = row.get(p, 0) + sign
+            rows.append(tuple((p, a) for p, a in row.items() if a))
+        X._cache[token] = tuple(rows)
+    return X._cache[token]

@@ -21,6 +21,8 @@ def run(capsys, *argv):
     (("--space", "torus", "--degree", "1"), {"free_rank": 2, "pretty": "Z^2"}),
     (("--space", "circle", "--param", "n=5", "--degree", "1"), {"free_rank": 1}),
     (("--space", "sphere2", "--degree", "7"), {"pretty": "0"}),
+    (("--space", "rp2xS1", "--degree", "3"), {"free_rank": 0, "torsion": [2], "pretty": "Z/2"}),
+    (("--space", "genus2", "--degree", "1"), {"free_rank": 4, "torsion": [], "pretty": "Z^4"}),
 ])
 def test_cohomology_prints_the_presentation(capsys, argv, expected):
     code, out, err = run(capsys, "cohomology", *argv)
@@ -111,3 +113,10 @@ def test_cert_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "cert", *argv)
     assert code == 2 and out == ""
     assert err.startswith("simdiff: error: ") and err.count("\n") == 1
+
+
+def test_space_help_lists_every_fixture(capsys):
+    with pytest.raises(SystemExit):
+        cli._parser().parse_args(["cohomology", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "pt, delta_k, circle, sphere2, torus, rp2, genus2, rp2xS1, T3" in out

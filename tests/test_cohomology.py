@@ -216,6 +216,16 @@ def test_face_pins_conflict_on_shared_edge():
         face_pins(cyl2, {0: F0, 1: F1})
 
 
+
+def test_face_pins_rejects_a_face_on_another_complex():
+    cyl = cylinder(torus(), 1)
+    stray = Cochain(rp2(), 1, INTEGERS, {g: 1 for g in rp2().generators(1)})
+    with pytest.raises(ValueError, match="face 0 lives on rp2, not on torus"):
+        face_pins(cyl, {0: stray})
+    # for k = 2 the faces live on X x Delta^1, not on X
+    with pytest.raises(ValueError, match="face 1 lives on torus, not on torusxD1"):
+        face_pins(cylinder(torus(), 2), {1: Cochain.zero(torus(), 1, INTEGERS)})
+
 def walked_face_pins(cyl, faces):
     """face_pins by walking the inclusion simplex by simplex."""
     pins = {}
@@ -348,3 +358,14 @@ def test_universal_coefficients_see_the_torsion_of_rp2():
                 min_size=1, max_size=8))
 def test_universal_coefficients_on_generated_complexes(facets):
     assert_universal_coefficients(from_facets("X", [tuple(sorted(f)) for f in facets]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_rational_ranks_add_up_to_the_euler_characteristic(facets):
+    X = from_facets("X", [tuple(sorted(f)) for f in facets])
+    Z = [cohomology(X, n, INTEGERS).presentation for n in range(X.top_dim + 1)]
+    Q = [cohomology(X, n, RATIONALS).presentation for n in range(X.top_dim + 1)]
+    assert sum((-1) ** n * q.free_rank for n, q in enumerate(Q)) == X.euler_characteristic()
+    assert [z.free_rank for z in Z] == [q.free_rank for q in Q]

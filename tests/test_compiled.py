@@ -1,0 +1,173 @@
+"""The compiled construction against the reference construction.
+
+reference_complexes keeps the construction from before freeze compiled the
+face tables: Simplex faces, key_str sorts in product and freeze, and
+problems() on Simplex objects.  Both must give the same generators in the
+same order, the same faces, the same cochain tables and the same problem
+lists, on generated complexes, their products with standard simplices,
+products of the fixtures and hand-built broken complexes.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_complexes as ref
+from simdiff import complexes
+from simdiff.cochains import delta_table, face_table
+from simdiff.complexes import (ConstructionError, Simplex, SimplicialSet, circle, from_facets,
+                               product, rp2, sphere2, standard_simplex, torus)
+
+
+def compiled_faces(X):
+    return {g: tuple(X.faces(Simplex(g))) if X.gen_dim(g) else () for g in X.generators()}
+
+
+def tables(X, face_table, delta_table):
+    return [([(sign, g.positions, g.size) for sign, g in face_table(X, n)], delta_table(X, n))
+            for n in range(X.top_dim)]
+
+
+def assert_same(new, old):
+    assert new.generators() == old.generators()
+    for d in range(new.top_dim + 1):
+        assert new.generators(d) == old.generators(d)
+        assert dict(new.gen_index(d)) == dict(old.gen_index(d))
+    assert compiled_faces(new) == old._faces
+    assert new.problems() == old.problems() == []
+    assert (tables(new, face_table, delta_table)
+            == tables(old, ref.face_table, ref.delta_table))
+
+
+def reference_circle(n):
+    X = ref.SimplicialSet(f"circle{n}")
+    for i in range(n):
+        X.add_generator(f"v{i}", 0)
+    for i in range(n):
+        X.add_generator(f"e{i}", 1, [Simplex(f"v{(i + 1) % n}"), Simplex(f"v{i}")])
+    return X.freeze()
+
+
+def reference_simplex(k):
+    return ref.from_facets(f"delta{k}", [tuple(range(k + 1))])
+
+
+# vertex labels of 1 to 4 digits, so numeric and string orders disagree
+labels = st.lists(st.integers(1, 4).flatmap(lambda n: st.integers(10 ** (n - 1) - (n == 1),
+                                                                   10 ** n - 1)),
+                  min_size=7, max_size=7, unique=True)
+facet_sets = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=3),
+                      min_size=1, max_size=6)
+
+
+def relabel(facets, names):
+    return [tuple(sorted(names[v] for v in f)) for f in facets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_sets, labels)
+def test_from_facets_matches_the_reference(facets, names):
+    F = relabel(facets, names)
+    assert_same(from_facets("X", F), ref.from_facets("X", F))
+
+
+@settings(max_examples=40, deadline=None)
+@given(facet_sets, labels, st.integers(1, 3))
+def test_products_with_simplices_match_the_reference(facets, names, k):
+    F = relabel(facets, names)
+    new = product(from_facets("X", F), standard_simplex(k))
+    old = ref.product(ref.from_facets("X", F), reference_simplex(k))
+    assert_same(new, old)
+
+
+def reference_torus():
+    return ref.product(reference_circle(3), reference_circle(3), name="torus")
+
+
+@pytest.mark.parametrize("build, build_ref", [
+    (lambda: torus(), reference_torus),
+    (lambda: product(rp2(), standard_simplex(1)),
+     lambda: ref.product(ref.from_facets("rp2", complexes.RP2_TRIANGLES), reference_simplex(1))),
+    (lambda: product(torus(), standard_simplex(2)),
+     lambda: ref.product(reference_torus(), reference_simplex(2))),
+    (lambda: product(sphere2(), standard_simplex(3)),
+     lambda: ref.product(ref.from_facets("sphere2", [(0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                                      (1, 2, 3)]), reference_simplex(3))),
+    (lambda: product(rp2(), circle(3)),
+     lambda: ref.product(ref.from_facets("rp2", complexes.RP2_TRIANGLES), reference_circle(3))),
+    (lambda: product(torus(), circle(3)),
+     lambda: ref.product(reference_torus(), reference_circle(3))),
+    (lambda: product(circle(4), torus()),
+     lambda: ref.product(reference_circle(4), reference_torus())),
+])
+def test_fixture_products_match_the_reference(build, build_ref):
+    assert_same(build(), build_ref())
+
+
+def test_products_with_int_keyed_factors_match_the_reference():
+    # key_str spells a product key with an int first entry as a plain tuple
+    def build(cls):
+        X = cls("ints")
+        X.add_generator(0, 0)
+        X.add_generator(1, 0)
+        X.add_generator(2, 1, [Simplex(1), Simplex(0)])
+        return X.freeze()
+    assert_same(product(build(SimplicialSet), circle(3)),
+                ref.product(build(ref.SimplicialSet), reference_circle(3)))
+
+
+# -- the same problems, in the same order --------------------------------------
+
+
+def broken(cls, case):
+    X = cls(case)
+    for key, dim, faces in BROKEN[case]:
+        X.add_generator(key, dim, faces)
+    try:
+        X.freeze()
+    except ConstructionError as e:
+        return str(e), X.problems()
+    return None, X.problems()
+
+
+BROKEN = {
+    "missing": [("a", 0, ()), ("e", 1, [Simplex("a"), Simplex("zz")])],
+    "bad word": [("a", 0, ()), ("b", 0, ()), ("e", 1, [Simplex("a"), Simplex("b")]),
+                 ("t", 2, [Simplex("e"), Simplex("a", (1,)), Simplex("e")]),
+                 ("u", 2, [Simplex("e"), Simplex("a", (0, 0)), Simplex("e")])],
+    "wrong dimension": [("a", 0, ()), ("e", 1, [Simplex("a"), Simplex("a")]),
+                        ("t", 2, [Simplex("e"), Simplex("a"), Simplex("e", (0,))])],
+    "identity": [("a", 0, ()), ("b", 0, ()), ("c", 0, ()),
+                 ("ab", 1, [Simplex("b"), Simplex("a")]),
+                 ("bc", 1, [Simplex("c"), Simplex("b")]),
+                 ("ac", 1, [Simplex("c"), Simplex("a")]),
+                 ("t", 2, [Simplex("ab"), Simplex("ac"), Simplex("bc")]),
+                 ("s", 2, [Simplex("bc"), Simplex("ac"), Simplex("a", (0,))])],
+    # several classes at once, added out of generator order
+    "mixed": [("z", 1, [Simplex("y"), Simplex("q")]), ("y", 0, ()),
+              ("x", 2, [Simplex("z"), Simplex("y"), Simplex("z", (2,))]),
+              ("w", 1, [Simplex("y"), Simplex("x")]),
+              ("b", 2, [Simplex("z"), Simplex("nowhere"), Simplex("y", (0, 1))])],
+    "valid": [("a", 0, ()), ("e", 1, [Simplex("a"), Simplex("a")]),
+              ("t", 2, [Simplex("e"), Simplex("e"), Simplex("a", (0,))])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_problems_match_the_reference(case):
+    new, old = broken(SimplicialSet, case), broken(ref.SimplicialSet, case)
+    assert new == old
+    assert (new[0] is None) == (case == "valid")
+    assert len(new[1]) > 0 or case == "valid"
+
+
+@pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1)])
+def test_keys_with_equal_strings_keep_the_order_they_were_added_in(first, second):
+    def build(cls):
+        X = cls("ties")
+        for key in (second, "0", first):
+            X.add_generator(key, 0)
+        X.add_generator("e", 1, [Simplex(first), Simplex(second)])
+        return X.freeze()
+    new = build(SimplicialSet)
+    assert new.generators(0) == ("0", second, first)
+    assert_same(new, build(ref.SimplicialSet))

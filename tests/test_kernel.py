@@ -264,11 +264,12 @@ def test_second_coboundary_in_a_degree_makes_no_face_calls(monkeypatch):
     X = build("X", [(0, 1, 2), (1, 2, 3)])
     c = Cochain(X, 1, INTEGERS, {(0, 1): 2, (2, 3): -1})
     calls = counting(monkeypatch, SimplicialSet, "face")
+    reads = counting(monkeypatch, SimplicialSet, "face_rows")
     first = coboundary(c)
-    built = calls[0]
-    assert built > 0
+    built = reads[0]
+    assert built > 0  # the face table is read off the compiled complex
     assert coboundary(c + c) == first + first
-    assert calls[0] == built
+    assert reads[0] == built and calls[0] == 0
 
 
 def test_generator_tables_are_built_once():

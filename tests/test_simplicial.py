@@ -16,6 +16,7 @@ from simdiff.complexes import (
     compose_maps,
     constant_map,
     cylinder,
+    from_facets,
     identity_map,
     point,
     product,
@@ -236,3 +237,26 @@ def test_duplicate_generator_rejected():
     X.add_generator("a", 0)
     with pytest.raises(ConstructionError):
         X.add_generator("a", 0)
+
+
+def test_from_facets_names_a_facet_whose_labels_do_not_sort():
+    with pytest.raises(ConstructionError, match=r"m: facet \(0, 'a', 1\)"):
+        from_facets("m", [(0, "a", 1)])
+    with pytest.raises(ConstructionError, match=r"facet 5 "):
+        from_facets("m", [5])
+    with pytest.raises(ConstructionError, match=r"facet \(\[0\], \[1\]\)"):
+        from_facets("m", [([0], [1])])
+    with pytest.raises(ConstructionError, match="different facets"):
+        from_facets("m", [(0, 1), ("a", "b")])
+
+
+@pytest.mark.parametrize("kind, shape, chi", [
+    ("genus2", {0: 15, 1: 51, 2: 34}, -2),
+    ("rp2xS1", {0: 18, 1: 108, 2: 180, 3: 90}, 0),
+    ("T3", {0: 27, 1: 189, 2: 324, 3: 162}, 0),
+])
+def test_ladder_fixtures(kind, shape, chi):
+    X = build_standard(kind)
+    assert X is build_standard(kind)
+    assert X.name == kind and counts(X) == shape
+    assert X.euler_characteristic() == chi
