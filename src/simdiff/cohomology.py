@@ -3,7 +3,11 @@
 The coboundary in each degree is a sparse integer matrix over the generator
 bases.  Integer Smith form gives presentations H = Z^r + sum Z/d, coordinates
 for classifying cocycles, and representative cocycles for each summand.
-Rational cohomology rides on the integer computation (torsion dropped).
+A presentation of H^n reads only the factorizations of delta_n and
+delta_{n-1} that delta_system caches on the complex; the image form behind
+representatives and coordinates (delta_{n-1} in cocycle coordinates, a
+Smith form of its own) is built on first use.  Rational cohomology rides on
+the integer computation (torsion dropped).
 
 delta_system is the one constructor of linear systems on cochains: delta in
 one degree with a set of pinned generators held out, factored once and
@@ -30,13 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
 from .complexes import ProductWithSimplex, SimplicialSet, key_str
-from .exact import Matrix, Obstruction, System, apply_rows, blind, smith_normal_form
+from .exact import (Matrix, Obstruction, SmithForm, System, apply_rows, blind,
+                    smith_normal_form)
 
 
 def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
@@ -245,64 +251,93 @@ def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
     return isinstance(solve_coboundary(target, coeffs), CoboundaryWitness)
 
 
+@dataclass(frozen=True)
+class _Classes:
+    """What representatives and classify read, built once per integral group.
+
+    cocycles holds the cocycle basis as sparse columns {generator position:
+    entry}; image is the Smith form of delta_{n-1} in its coordinates,
+    None when there is nothing to divide out.
+    """
+
+    cocycles: Sequence[Mapping[int, int]]
+    image: SmithForm | None
+    free_pos: list[int]
+    torsion_pos: list[int]
+
+
 class CohomologyGroup:
     """H^n(X; Z) (or Q) with representatives and coordinates.
 
-    The integer computation is done once; the rational group reuses the
-    integral group's factorizations and drops the torsion.
+    The presentation reads two factorizations that delta_system caches on
+    X: delta_n's and delta_{n-1}'s.  The cocycles are a saturated sublattice
+    holding every coboundary, so H^n has free rank dim ker delta_n - rank
+    delta_{n-1} and torsion the invariant factors > 1 of delta_{n-1}.
+
+    generators and classify also need the image form: delta_{n-1} in the
+    cocycle basis's coordinates, factored by its own Smith form, which
+    gives the free and torsion positions.  It is built on first use.  The
+    rational group delegates to the integral group, so both rings share
+    that one build.
     """
 
     def __init__(self, X: SimplicialSet, n: int, coeffs: Coefficients):
         if coeffs.kind not in ("Z", "Q"):
             raise ValueError("cohomology groups are computed over Z or Q")
-        if coeffs.kind == "Q":
-            vars(self).update(vars(cohomology(X, n, INTEGERS)))
-            self.coeffs = coeffs
-            self.presentation = GroupPresentation(free_rank=len(self._free_pos))
-            return
         self.complex = X
         self.degree = n
         self.coeffs = coeffs
-        out = delta_system(X, n)
-        # no generators one degree up leaves no form: everything is a cocycle
-        self._snf_out = out.form
-        self._kernel = out.kernel  # the cocycle basis
-        z = len(out.kernel)
-        # delta_{n-1} in kernel coordinates: the rows of Tinv past the rank
-        # (the kernel's dual basis) times delta_{n-1}, row by row
-        Y: list[list[int]] = []
-        if n >= 1 and out.form is not None:
-            faces = delta_table(X, n - 1)
-            width = len(X.generators(n - 1))
-            for dual in out.form.Tinv[out.form.rank:]:
-                y = [0] * width
-                for t, a in dual.items():
-                    for j, w in faces[t]:
-                        y[j] += a * w
-                Y.append(y)
-        elif n >= 1:
-            Y = delta_matrix(X, n - 1)
-        if z and Y and Y[0]:
-            # with no generators one degree up the kernel basis is the unit
-            # basis, so Y is delta_{n-1}, already factored by its system
-            self._snf_img = (delta_system(X, n - 1).form if out.form is None
-                             else smith_normal_form(Y))
-            dia = self._snf_img.diagonal
-        else:
-            self._snf_img = None
-            dia = []
-        self._img_diag = dia
-        self._torsion_pos = [i for i, d in enumerate(dia) if d > 1]
-        self._free_pos = [i for i in range(z) if i >= len(dia) or dia[i] == 0]
+        if coeffs.kind == "Q":
+            self._integral = cohomology(X, n, INTEGERS)
+            self.presentation = GroupPresentation(
+                free_rank=self._integral.presentation.free_rank)
+            return
+        self._integral = self
+        out = delta_system(X, n).form
+        below = delta_system(X, n - 1).form if n >= 1 else None
+        # no generators one degree up (down) leaves no form: rank zero
+        cocycles = len(X.generators(n)) - (out.rank if out else 0)
         self.presentation = GroupPresentation(
-            free_rank=len(self._free_pos),
-            torsion=tuple(dia[i] for i in self._torsion_pos))
+            free_rank=cocycles - (below.rank if below else 0),
+            torsion=tuple(d for d in below.diagonal if d > 1) if below else ())
 
     # -- internals ---------------------------------------------------------
 
+    @cached_property
+    def _classes(self) -> _Classes:
+        X, n = self.complex, self.degree
+        out = delta_system(X, n).form
+        if out is None:
+            # no generators one degree up: everything is a cocycle, the
+            # basis is the unit basis, and delta_{n-1} in its coordinates is
+            # delta_{n-1} itself, already factored by its system
+            cocycles: Sequence[Mapping[int, int]] = [
+                {i: 1} for i in range(len(X.generators(n)))]
+            image = delta_system(X, n - 1).form if n >= 1 else None
+        else:
+            cocycles = out.T[out.rank:]
+            # delta_{n-1} in kernel coordinates: the rows of Tinv past the
+            # rank (the kernel's dual basis) times delta_{n-1}, row by row
+            Y: list[list[int]] = []
+            if n >= 1:
+                faces = delta_table(X, n - 1)
+                width = len(X.generators(n - 1))
+                for dual in out.Tinv[out.rank:]:
+                    y = [0] * width
+                    for t, a in dual.items():
+                        for j, w in faces[t]:
+                            y[j] += a * w
+                    Y.append(y)
+            image = smith_normal_form(Y) if Y and Y[0] else None
+        dia = image.diagonal if image is not None else []
+        return _Classes(
+            cocycles, image,
+            free_pos=[i for i in range(len(cocycles)) if i >= len(dia) or dia[i] == 0],
+            torsion_pos=[i for i, d in enumerate(dia) if d > 1])
+
     def _kernel_coords(self, vec: Sequence[int]) -> list[int]:
         """Coordinates of a cocycle vector in the kernel basis."""
-        f = self._snf_out
+        f = delta_system(self.complex, self.degree).form
         if f is None:
             return list(vec)
         u = apply_rows(f.Tinv, vec)
@@ -315,16 +350,16 @@ class CohomologyGroup:
     @property
     def generators(self) -> list[Cochain]:
         """Representative cocycles: free summands first, then torsion."""
+        k = self._integral._classes
         out = []
         c = len(self.complex.generators(self.degree))
-        for pos in self._free_pos + self._torsion_pos:
+        for pos in k.free_pos + k.torsion_pos:
             # column pos of Sinv in the kernel basis
-            u = self._snf_img.Sinv[pos] if self._snf_img is not None else {pos: 1}
+            u = k.image.Sinv[pos] if k.image is not None else {pos: 1}
             vec = [0] * c
             for i, a in u.items():
-                for t, v in enumerate(self._kernel[i]):
-                    if v:
-                        vec[t] += a * v
+                for t, v in k.cocycles[i].items():
+                    vec[t] += a * v
             out.append(cochain_of(self.complex, self.degree, INTEGERS, vec))
         return out
 
@@ -332,6 +367,7 @@ class CohomologyGroup:
         """(free coords, torsion coords) of a cocycle's class."""
         if not coboundary(c).is_zero():
             raise ValueError("classify expects a cocycle")
+        k = self._integral._classes
         vec = vector_of(c)
         if self.coeffs.kind == "Q":
             denom = lcm(*(Fraction(v).denominator for v in vec)) if vec else 1
@@ -340,11 +376,11 @@ class CohomologyGroup:
             denom = 1
             ivec = [int(v) for v in vec]
         u = self._kernel_coords(ivec)
-        w = apply_rows(self._snf_img.S, u) if self._snf_img is not None else u
+        w = apply_rows(k.image.S, u) if k.image is not None else u
         if self.coeffs.kind == "Q":
-            return tuple(Fraction(w[i], denom) for i in self._free_pos), ()
-        free = tuple(w[i] for i in self._free_pos)
-        torsion = tuple(w[i] % self._img_diag[i] for i in self._torsion_pos)
+            return tuple(Fraction(w[i], denom) for i in k.free_pos), ()
+        free = tuple(w[i] for i in k.free_pos)
+        torsion = tuple(w[i] % k.image.diagonal[i] for i in k.torsion_pos)
         return free, torsion
 
     def same_class(self, c1: Cochain, c2: Cochain) -> bool:

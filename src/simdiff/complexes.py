@@ -895,13 +895,21 @@ def json_int(value: Any) -> int:
     return value
 
 
+def json_key(value: Any) -> Hashable:
+    """value if it can be a generator id (not a JSON list or object); else TypeError."""
+    if isinstance(value, (list, dict)):
+        raise TypeError(f"expected a generator id, got {value!r}")
+    return value
+
+
 def complex_from_json(data: dict) -> SimplicialSet:
     try:
         X = SimplicialSet(str(data["name"]))
         for entry in data["generators"]:
-            faces = [Simplex(f["id"], tuple(json_int(j) for j in f.get("degeneracies", ())))
+            faces = [Simplex(json_key(f["id"]),
+                             tuple(json_int(j) for j in f.get("degeneracies", ())))
                      for f in entry.get("faces", ())]
-            X.add_generator(entry["id"], json_int(entry["dim"]), faces)
+            X.add_generator(json_key(entry["id"]), json_int(entry["dim"]), faces)
     except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ConstructionError(f"malformed complex JSON: {e!r}") from None
     return X.freeze()

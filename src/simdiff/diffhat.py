@@ -256,8 +256,10 @@ class HatTheory:
         if self._periods is None:
             colvecs = [[int(v) for v in vector_of(self._character_column(B))]
                        for B in kernel]
-            M = [[sum(p * col[i] for i, p in enumerate(phi) if p) for col in colvecs]
-                 for phi in self._quotient_functionals()]
+            M = []
+            for phi in self._quotient_functionals():
+                nonzero = [(i, p) for i, p in enumerate(phi) if p]
+                M.append([sum(p * col[i] for i, p in nonzero) for col in colvecs])
             self._periods = System(M, range(len(M)), range(len(colvecs)))
         return self._periods
 
@@ -334,8 +336,8 @@ def hat_group(X: SimplicialSet, n: int) -> GroupPresentation:
     top = cohomology(X, n, INTEGERS).presentation
     below = cohomology(X, n - 1, INTEGERS).presentation
     # rank of delta in degree n - 1, from the factorization cohomology shares
-    D = delta_system(X, n - 1)
-    drank = len(D.cols) - len(D.kernel)
+    D = delta_system(X, n - 1).form
+    drank = D.rank if D is not None else 0
     return GroupPresentation(free_rank=top.free_rank, torsion=top.torsion,
                              divisible_rank=drank,
                              circle_rank=below.free_rank)

@@ -8,8 +8,9 @@ as a Smith form D = S A' T:
 * over Z/k, A' is the integer lift [A | k I];
 * over Q, A' is A with each row scaled to clear its denominators.
 
-The kernel basis (the columns of T past the rank) is read off once too, so
-System.solve(b) for each new right-hand side is a substitution,
+The kernel basis (the columns of T past the rank) is read off once, on
+first use, so a system factored only for its rank or diagonal never makes
+it dense.  System.solve(b) for each new right-hand side is a substitution,
 x = T D^+ S b.  It returns a Solution (x0 plus the kernel) or an
 Obstruction, a functional that Obstruction.check re-verifies against
 System.matrix (over Z/k the lift [A | k I]) without trusting the solver:
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
@@ -396,22 +398,28 @@ class System:
         self.modulus = modulus
         self.ring = f"Z/{modulus}" if kind == "Zmod" else kind
         self.pins = dict(pins or {})
-        c = len(self.cols)
         self.matrix = _lift(A, modulus) if kind == "Zmod" else A
-        self.form: SmithForm | None
+        self.form: SmithForm | None = None  # no equations leave no form
         if not A:
-            # no equations: every vector solves, the kernel is everything
-            self.form = None
-            self.kernel = [[int(i == j) for i in range(c)] for j in range(c)]
             return
         factored = self.matrix
         if kind == "Q":
             self._scale = [lcm(*(v.denominator for v in row)) for row in A]
             factored = [[v * m for v in row] for row, m in zip(A, self._scale)]
         self.form = smith_normal_form(factored)
-        self.kernel = _snf_kernel(self.form)
-        if kind == "Zmod":
-            self.kernel = _reduce_mod(self.kernel, c, modulus)
+
+    @cached_property
+    def kernel(self) -> list[list]:
+        """A basis of the solutions of A x = 0, dense, built on first read.
+
+        The columns of T past the rank, over Z/k reduced mod k; with no
+        equations every vector solves, and the basis is the unit vectors.
+        """
+        c = len(self.cols)
+        if self.form is None:
+            return [[int(i == j) for i in range(c)] for j in range(c)]
+        kernel = _snf_kernel(self.form)
+        return _reduce_mod(kernel, c, self.modulus) if self.kind == "Zmod" else kernel
 
     def rhs(self, known: Mapping[Hashable, object]) -> list:
         """b = -(sum of each known value times its pinned column)."""

@@ -278,11 +278,17 @@ def test_top_degree_reuses_the_factored_delta(monkeypatch):
     monkeypatch.setattr(cohomology_module, "smith_normal_form", counted)
     P = cylinder(from_facets("torus7", TORUS7), 1).complex
     groups = [cohomology(P, n, INTEGERS) for n in range(P.top_dim + 1)]
-    # delta_0..delta_2 once each, the image forms of H^1 and H^2; H^3 reuses delta_2
-    assert calls[0] == 5
-    assert groups[3]._snf_img is delta_system(P, 2).form
+    # the presentations read delta_0..delta_2, factored once each
     assert [str(G.presentation) for G in groups] == ["Z", "Z^2", "Z", "0"]
+    assert calls[0] == 3
+    # representatives add the image forms of H^1 and H^2; H^3 reuses delta_2
+    assert [len(groups[n].generators) for n in (1, 2)] == [2, 1]
+    assert calls[0] == 5
     assert groups[3].generators == []
+    assert calls[0] == 5
+    assert groups[3]._classes.image is delta_system(P, 2).form
+    # neither read a dense kernel, which System builds on first read
+    assert not any("kernel" in vars(delta_system(P, n)) for n in range(P.top_dim + 1))
     assert [values_of(c) for c in groups[2].generators] == [[
         ("(3.5.6|)*(0.1|0)", 1), ("(3.5.6|)*(0.1|1)", 1),
         ("(3.5.6|)*(0|0,1)", 1), ("(3.5.6|)*(1|0,1)", 1)]]

@@ -207,6 +207,18 @@ def test_group_presentations():
     assert str(hat_group(point(), 0)) == "Z"
 
 
+@pytest.mark.parametrize("build, n", [(lambda: circle(3), 1), (sphere2, 2), (torus, 2)])
+def test_period_matrix_dots_every_functional_with_every_column(build, n):
+    T = HatTheory(build(), n)
+    u = T.groupoid.unit()
+    kernel = T.homotopies(u, u).kernel
+    assert kernel
+    cols = [[int(v) for v in T._character_column(B).vec] for B in kernel]
+    expected = [[sum(p * col[i] for i, p in enumerate(phi)) for col in cols]
+                for phi in T._quotient_functionals()]
+    assert T._period_system(kernel).matrix == expected
+
+
 def test_homotopy_solver_substitutes_into_one_system(monkeypatch):
     T = HatTheory(circle(3), 1)
     G = T.groupoid

@@ -232,6 +232,19 @@ def test_json_rejects_malformed():
         complex_from_json({"name": "x", "generators": [{"id": "a"}]})
 
 
+@pytest.mark.parametrize("blob", [
+    '{"name": "x", "generators": [{"id": "a", "dim": 0},'
+    ' {"id": "e", "dim": 1, "faces": [{"id": ["a"]}, {"id": "a"}]}]}',
+    '{"name": "x", "generators": [{"id": "a", "dim": 0},'
+    ' {"id": "e", "dim": 1, "faces": [{"id": {"a": 0}}, {"id": "a"}]}]}',
+    '{"name": "x", "generators": [{"id": ["a"], "dim": 0}]}',
+    '{"name": "x", "generators": [{"id": {"a": 0}, "dim": 0}]}',
+], ids=["face-list", "face-object", "generator-list", "generator-object"])
+def test_json_rejects_list_and_object_ids(blob):
+    with pytest.raises(ConstructionError):
+        complex_from_json(json.loads(blob))
+
+
 def test_duplicate_generator_rejected():
     X = SimplicialSet("dup")
     X.add_generator("a", 0)
