@@ -26,8 +26,8 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import add, neg, sub
+from itertools import compress, repeat
+from operator import add, mul, neg, sub
 from typing import Any, Hashable, Iterable, Iterator
 
 from .complexes import (Gather, ProductWithSimplex, Simplex, SimplicialMap,
@@ -230,9 +230,12 @@ class Cochain:
         return Cochain._trusted(self.complex, self.degree, self.coeffs, map(neg, self.vec))
 
     def scale(self, c) -> "Cochain":
-        norm = self.coeffs.normalize
+        """c times this cochain; c is normalized once, so a value that is
+        not a ring element (a non-integral Fraction over Z) raises
+        ValueError."""
+        c = self.coeffs.normalize(c)
         return Cochain._trusted(self.complex, self.degree, self.coeffs,
-                                [norm(v * c) for v in self.vec])
+                                map(mul, self.vec, repeat(c)))
 
     def map_values(self, fn, coeffs: Coefficients) -> "Cochain":
         """Apply a coefficient map (e.g. the rational embedding) valuewise."""
@@ -306,12 +309,14 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
     return X._cache[token]
 
 
+def coboundary_values(c: Cochain) -> Iterable:
+    """The values of delta c in generator order, not reduced mod k."""
+    return _combine(face_table(c.complex, c.degree), c.vec + (c.coeffs.zero,))
+
+
 def coboundary(c: Cochain) -> Cochain:
     """Alternating sum over faces, degree raised by one; delta delta = 0."""
-    X = c.complex
-    faces = face_table(X, c.degree)
-    return Cochain._trusted(X, c.degree + 1, c.coeffs,
-                            _combine(faces, c.vec + (c.coeffs.zero,)))
+    return Cochain._trusted(c.complex, c.degree + 1, c.coeffs, coboundary_values(c))
 
 
 def pullback(f: SimplicialMap, c: Cochain) -> Cochain:

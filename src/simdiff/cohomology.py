@@ -10,13 +10,15 @@ Smith form of its own) is built on first use.  Rational cohomology rides on
 the integer computation (torsion dropped).
 
 delta_system is the one constructor of linear systems on cochains: delta in
-one degree with a set of pinned generators held out, factored once and
+one degree with a set of generator positions held out, factored once and
 cached on the complex.  solve_coboundary answers "is this cochain a
 coboundary" with either a primitive or a functional certificate;
 solve_closed_extension solves for closed cochains on a product with
 prescribed values on a set of generators, which is the workhorse behind
 homotopy existence and class equality.  Both are one substitution into a
-cached system.
+cached system, and both work by generator position: face_pins compiles
+where the faces of X x Delta^k land once per face set, and the pinned
+values reach the system as one cochain.
 
 Every "no" comes back as one kind of certificate, a CoboundaryObstruction:
 a functional on cochains whose pairing refutes the target.  Its ring names
@@ -37,10 +39,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
+from operator import neg
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
-from .complexes import ProductWithSimplex, SimplicialSet, key_str
+from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, coboundary_values,
+                       delta_table)
+from .complexes import Gather, ProductWithSimplex, SimplicialSet, key_str
 from .exact import (Matrix, Obstruction, SmithForm, System, apply_rows, blind,
                     smith_normal_form)
 
@@ -60,37 +64,36 @@ def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
     return X._cache[token]
 
 
-def delta_system(X: SimplicialSet, n: int, pinned: frozenset = frozenset(),
-                 coeffs: Coefficients = INTEGERS) -> System:
-    """delta: C^n -> C^{n+1} over coeffs, with the pinned generators held out.
+def delta_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset(),
+                 coeffs: Coefficients = INTEGERS,
+                 dropped: frozenset[int] = frozenset()) -> System:
+    """delta: C^n -> C^{n+1} over coeffs, with some generators held out.
 
-    A pinned generator of degree n is an unknown with a known value: its
-    column moves to System.pins, so System.rhs turns the known values into
-    a right-hand side.  A pinned generator of degree n + 1 drops its
-    equation.  The system is factored once and cached on X under (n,
-    pinned, coeffs), never under matrix content.
+    pinned holds positions in X.generators(n): an unknown with a known
+    value, whose column leaves the system (solve_closed_extension moves the
+    known values to the right-hand side as -delta of the pinned cochain).
+    dropped holds positions in X.generators(n + 1), whose equations leave
+    it.  rows and cols are the positions kept, in order.  The system is
+    factored once and cached on X under (n, pinned, dropped, coeffs), never
+    under matrix content.
     """
-    token = ("system", n, pinned, coeffs)
+    token = ("system", n, pinned, dropped, coeffs)
     if token not in X._cache:
-        gens = X.generators(n)
-        free = [p for p, g in enumerate(gens) if g not in pinned]
+        free = [p for p in range(len(X.generators(n))) if p not in pinned]
         column = {p: j for j, p in enumerate(free)}
-        rows, A, pins = [], [], {}
-        for gen, sparse in zip(X.generators(n + 1), delta_table(X, n)):
-            if gen in pinned:
+        rows, A = [], []
+        for q, sparse in enumerate(delta_table(X, n)):
+            if q in dropped:
                 continue
             row = [0] * len(free)
             for p, a in sparse:
                 j = column.get(p)
                 if j is not None:
                     row[j] = a
-                else:
-                    pins.setdefault(gens[p], []).append((len(rows), a))
-            rows.append(gen)
+            rows.append(q)
             A.append(row)
         kind = "Q" if coeffs.exact_field else coeffs.kind
-        X._cache[token] = System(A, rows, [gens[p] for p in free], kind,
-                                 coeffs.modulus, pins)
+        X._cache[token] = System(A, rows, free, kind, coeffs.modulus)
     return X._cache[token]
 
 
@@ -104,14 +107,13 @@ def cochain_of(X: SimplicialSet, n: int, coeffs: Coefficients, vec: Sequence) ->
     return Cochain._trusted(X, n, coeffs, map(coeffs.normalize, vec))
 
 
-def _on_gens(X: SimplicialSet, n: int, coeffs: Coefficients,
-             pairs: Iterable[tuple[Hashable, object]]) -> Cochain:
-    """The cochain taking the ring value v on each (generator, v) pair and
-    zero elsewhere, built by position."""
-    index = X.gen_index(n)
-    vec = [coeffs.zero] * len(index)
-    for g, v in pairs:
-        vec[index[g]] = v
+def _scatter(X: SimplicialSet, n: int, coeffs: Coefficients,
+             positions: Iterable[int], values: Iterable) -> Cochain:
+    """The cochain taking ring value v at each generator position p of the
+    zipped (positions, values) and zero elsewhere."""
+    vec = [coeffs.zero] * len(X.generators(n))
+    for p, v in zip(positions, values):
+        vec[p] = v
     return Cochain._trusted(X, n, coeffs, vec)
 
 
@@ -199,9 +201,10 @@ class CoboundaryObstruction:
         return {"ring": self.ring, "functional": keyed_json(self.functional)}
 
 
-def _on_rows(S: System, res: Obstruction) -> CoboundaryObstruction:
-    """An Obstruction over S's equations, as a functional on their generators."""
-    return CoboundaryObstruction({g: v for g, v in zip(S.rows, res.functional) if v},
+def _on_rows(S: System, res: Obstruction, gens: Sequence[Hashable]) -> CoboundaryObstruction:
+    """An Obstruction over S's equations, whose rows are positions in gens,
+    as a functional on those generators."""
+    return CoboundaryObstruction({gens[q]: v for q, v in zip(S.rows, res.functional) if v},
                                  res.ring)
 
 
@@ -230,21 +233,20 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
 
 
 def solve_coboundary_in(S: System, target: Cochain, coeffs: Coefficients):
-    """solve_coboundary within S: beta on S.cols, equations on S.rows.
+    """solve_coboundary within S = delta_system(X, n - 1, ...): beta on the
+    positions S.cols, equations on the positions S.rows.
 
     target must vanish off S.rows.  Returns CoboundaryWitness or
     CoboundaryObstruction.
     """
-    index = target.complex.gen_index(target.degree)
-    vec = target.vec
-    b = [vec[index[g]] for g in S.rows]
+    X, n, vec = target.complex, target.degree, target.vec
+    b = [vec[q] for q in S.rows]
     if len(b) - b.count(0) != len(target.values):
         raise ValueError("target is not supported on the system's rows")
     res = S.solve(b)
     if isinstance(res, Obstruction):
-        return _on_rows(S, res)
-    return CoboundaryWitness(_on_gens(target.complex, target.degree - 1, coeffs,
-                                      zip(S.cols, res.x0)))
+        return _on_rows(S, res, X.generators(n))
+    return CoboundaryWitness(_scatter(X, n - 1, coeffs, S.cols, res.x0))
 
 
 def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
@@ -405,56 +407,143 @@ class PinnedSolution:
     kernel: list[Cochain]
 
 
-def solve_closed_extension(P: SimplicialSet, degree: int,
-                           pins: Mapping[Hashable, object],
+@dataclass(frozen=True)
+class Pins:
+    """Known values on some generators of one degree, by position.
+
+    positions are the pinned positions in cochain.complex.generators(
+    cochain.degree); cochain holds the known values there and zero
+    everywhere else (a known value may be zero too).
+    """
+
+    positions: frozenset[int]
+    cochain: Cochain
+
+
+class _Extension:
+    """delta_system(P, degree, pinned, coeffs) with what solve_closed_extension
+    reads off it, cached on P per (degree, pinned, coeffs).
+
+    place gathers a closed cochain from the pinned cochain's vector followed
+    by the system's unknowns: each generator reads its pinned value or its
+    unknown.  The kernel cochains are built the same way on first use and
+    shared between answers.
+    """
+
+    def __init__(self, P: SimplicialSet, degree: int, pinned: frozenset[int],
+                 coeffs: Coefficients):
+        self.complex, self.degree, self.coeffs = P, degree, coeffs
+        self.system = S = delta_system(P, degree, pinned, coeffs)
+        N = len(P.generators(degree))
+        unknown = {p: N + j for j, p in enumerate(S.cols)}
+        self.place = Gather([unknown.get(p, p) for p in range(N)], N + len(S.cols))
+
+    @cached_property
+    def kernel(self) -> tuple[Cochain, ...]:
+        P, coeffs = self.complex, self.coeffs
+        zeros = (coeffs.zero,) * len(P.generators(self.degree))
+        return tuple(Cochain._trusted(P, self.degree, coeffs,
+                                      self.place.get(zeros + tuple(map(coeffs.normalize, kv))))
+                     for kv in self.system.kernel)
+
+
+def solve_closed_extension(P: SimplicialSet, degree: int, pins: Pins,
                            coeffs: Coefficients) -> PinnedSolution | CoboundaryObstruction:
     """All closed degree-`degree` cochains on P with prescribed generator values.
 
-    pins maps generator keys to required values; remaining generators of the
-    degree are free.  Returns the affine solution set or a functional on
-    C^{degree+1} refuting delta x = -delta(pins) over the free x: it
-    certifies against delta of each free generator.  The kernel cochains
-    are built once per cached system and shared between answers.
+    pins (see face_pins) holds the pinned cochain pi on P in this degree;
+    the other generators of the degree are free.  The right-hand side is
+    b = -delta(pi) on every (degree + 1)-generator, read through the cached
+    face gathers over the integers (over Z/k not reduced, so it is the
+    integer vector the lift is solved against).  Returns the affine
+    solution set or a functional on C^{degree+1} refuting delta x = b over
+    the free x: it certifies against delta of each free generator.  The
+    particular solution is one gather over pi's values and the unknowns;
+    the kernel cochains are built once per cached system.
     """
-    norm = coeffs.normalize
-    # pins from face_pins are ring values already: normalize only the others
-    ring_type = Fraction if coeffs.exact_field else int
-    pinned = {g: v if type(v) is ring_type and not coeffs.modulus else norm(v)
-              for g, v in pins.items()}
-    token = frozenset(pinned)
-    S = delta_system(P, degree, token, coeffs)
-    res = S.solve(S.rhs(pinned))
+    pi = pins.cochain
+    if pi.complex is not P or pi.degree != degree:
+        raise ValueError(f"pins live on {pi.complex.name} in degree {pi.degree},"
+                         f" not on {P.name} in degree {degree}")
+    if pi.coeffs != coeffs:
+        pi = pi.map_values(coeffs.normalize, coeffs)
+    token = ("closed-extension", degree, pins.positions, coeffs)
+    ext = P._cache.get(token)
+    if ext is None:
+        ext = P._cache[token] = _Extension(P, degree, pins.positions, coeffs)
+    S = ext.system
+    res = S.solve(list(map(neg, coboundary_values(pi))))
     if isinstance(res, Obstruction):
-        return _on_rows(S, res)
-    particular = _on_gens(P, degree, coeffs, chain(pinned.items(), zip(S.cols, res.x0)))
-    key = ("closed-extension-kernel", degree, token, coeffs)
-    if key not in P._cache:
-        P._cache[key] = tuple(_on_gens(P, degree, coeffs, zip(S.cols, map(norm, kv)))
-                              for kv in S.kernel)
-    return PinnedSolution(particular, list(P._cache[key]))
+        return _on_rows(S, res, P.generators(degree + 1))
+    particular = Cochain._trusted(P, degree, coeffs, ext.place.get(pi.vec + tuple(res.x0)))
+    return PinnedSolution(particular, list(ext.kernel))
 
 
-def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> dict:
+class _PinPlan:
+    """Where the faces of X x Delta^k land in one degree, for one face order.
+
+    The faces' vectors are read concatenated in that order, with one zero
+    appended.  positions are the generators some face lands on; place
+    gathers the pinned cochain, each generator reading the last face value
+    landing on it, else the zero; earlier and later gather the pairs of
+    face values landing on one generator (at position overlap[j]) in the
+    order they land, so the faces agree exactly when the two gathers do.
+    """
+
+    __slots__ = ("positions", "place", "earlier", "later", "overlap")
+
+    def __init__(self, cyl: ProductWithSimplex, degree: int, order: tuple[int, ...]):
+        last: dict[int, int] = {}  # generator position -> index of its last value
+        pairs = []
+        at = 0
+        for i in order:
+            for p in cyl.face_inclusion(i).pullback_table(degree).positions:
+                if p in last:
+                    pairs.append((last[p], at, p))
+                last[p] = at
+                at += 1
+        self.positions = frozenset(last)
+        self.place = Gather([last.get(p, at) for p in range(len(cyl.complex.generators(degree)))],
+                            at)
+        self.earlier = Gather([a for a, _, _ in pairs], at)
+        self.later = Gather([b for _, b, _ in pairs], at)
+        self.overlap = tuple(p for _, _, p in pairs)
+
+
+def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> Pins:
     """Generator pins on X x Delta^k realizing prescribed face restrictions.
 
     faces maps i to the required (id x delta_i)# restriction, a cochain on
-    X x Delta^{k-1} (on X itself for k = 1); a cochain on any other complex
-    raises ValueError.  Every id x delta_i sends generators to generators,
-    so each value lands on one generator of X x Delta^k.  Overlaps must
-    agree; a conflict raises ValueError, which callers surface as
-    incompatible faces.
+    X x Delta^{k-1} (on X itself for k = 1); all of one degree and one
+    coefficient ring.  A cochain on any other complex, or of another
+    degree or ring, raises ValueError.  Every id x delta_i sends generators
+    to generators, so each value lands on one generator of X x Delta^k.
+    Where the values land is compiled once per degree and face order and
+    cached on the cylinder (see _PinPlan); a call concatenates the faces'
+    vectors and gathers.  Overlaps must agree; a conflict raises
+    ValueError naming the first generator where faces disagree, which
+    callers surface as incompatible faces.
     """
-    pins: dict = {}
+    if not faces:
+        raise ValueError("face_pins needs at least one face")
+    order = tuple(faces)
+    first = faces[order[0]]
+    degree, coeffs = first.degree, first.coeffs
     for i, F in faces.items():
         inclusion = cyl.face_inclusion(i)
         if F.complex is not inclusion.source:
             raise ValueError(f"face {i} lives on {F.complex.name},"
                              f" not on {inclusion.source.name}")
-        targets = cyl.complex.generators(F.degree)
-        for p, v in zip(inclusion.pullback_table(F.degree).positions, F.vec):
-            t = targets[p]
-            old = pins.get(t)
-            if old is not None and old != v:
-                raise ValueError(f"faces disagree at generator {t!r}")
-            pins[t] = v
-    return pins
+        if F.degree != degree or (F.coeffs is not coeffs and F.coeffs != coeffs):
+            raise ValueError(f"face {i} is not a degree-{degree} cochain over {coeffs.label()}")
+    P = cyl.complex
+    token = ("pin-plan", degree, order)
+    plan = P._cache.get(token)
+    if plan is None:
+        plan = P._cache[token] = _PinPlan(cyl, degree, order)
+    vec = tuple(chain.from_iterable(F.vec for F in faces.values())) + (coeffs.zero,)
+    earlier, later = plan.earlier.get(vec), plan.later.get(vec)
+    if earlier != later:
+        p = next(p for p, u, v in zip(plan.overlap, earlier, later) if u != v)
+        raise ValueError(f"faces disagree at generator {P.generators(degree)[p]!r}")
+    return Pins(plan.positions, Cochain._trusted(P, degree, coeffs, plan.place.get(vec)))

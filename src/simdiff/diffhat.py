@@ -20,6 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from operator import add, mul
 
 from .character import CharacterModel, cell_with_integral, rational_form
 from .cochains import (
@@ -45,7 +48,7 @@ from .cohomology import (
     vector_of,
 )
 from .complexes import SimplicialSet, cylinder
-from .exact import Obstruction, System, blind, kernel_int, transpose
+from .exact import Obstruction, System, blind, compile_rows, kernel_int, transpose
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
 from .subdiv import halving
@@ -242,6 +245,12 @@ class HatTheory:
             self.carrier._cache[token] = rows
         return self.carrier._cache[token]
 
+    @cached_property
+    def _functional_rows(self) -> list:
+        """The quotient functionals' nonzeros, compiled by exact.compile_rows."""
+        return compile_rows({i: p for i, p in enumerate(phi) if p}
+                            for phi in self._quotient_functionals())
+
     def _character_column(self, B: Cochain) -> Cochain:
         cyl2 = cylinder(self.base, 2)
         return self._push(rational_form(fiber_integrate(B, cyl2)))
@@ -272,9 +281,8 @@ class HatTheory:
             return HatComparison(False, obstruction=sol)
         base = HomotopyClass(Homotopy2(x.obj, y.obj, sol.particular))
         mor0 = self.character.on_morphism(base)
-        tvec = vector_of((x.omega - y.omega) - mor0)
-        v = [sum(Fraction(p) * Fraction(t) for p, t in zip(phi, tvec) if p)
-             for phi in self._quotient_functionals()]
+        tvec = ((x.omega - y.omega) - mor0).vec
+        v = [sum(map(mul, a, read(tvec))) for read, a in self._functional_rows]
         # with no homotopy kernel the periods must vanish; with one they
         # must be integer combinations of the kernel's character periods
         ring = "Z" if sol.kernel else "Q"
@@ -289,9 +297,12 @@ class HatTheory:
                                  obstruction=self._period_obstruction(got, v))
         coords = [] if got is None else [int(c) for c in got.x0]
         data = sol.particular
-        for c, B in zip(coords, sol.kernel):
-            if c:
-                data = data + B.scale(c)
+        if any(coords):
+            vec = data.vec
+            for c, B in zip(coords, sol.kernel):
+                if c:
+                    vec = map(add, vec, map(mul, B.vec, repeat(c)))
+            data = Cochain._trusted(data.complex, data.degree, INTEGERS, vec)
         chosen = HomotopyClass(Homotopy2(x.obj, y.obj, data))
         morH = self.character.on_morphism(chosen)
         residual = (x.omega - y.omega) - morH

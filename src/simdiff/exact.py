@@ -10,13 +10,17 @@ as a Smith form D = S A' T:
 
 The kernel basis (the columns of T past the rank) is read off once, on
 first use, so a system factored only for its rank or diagonal never makes
-it dense.  System.solve(b) for each new right-hand side is a substitution,
-x = T D^+ S b.  It returns a Solution (x0 plus the kernel) or an
-Obstruction, a functional that Obstruction.check re-verifies against
-System.matrix (over Z/k the lift [A | k I]) without trusting the solver:
-a row of S past the rank ("Q") or a row of S over its invariant factor
-("Z", "Z/k").  blind() is the one definition of what each ring's
-certificate means.
+it dense.  So is the Substitution, on the first solve: S's rows up to the
+rank compiled to (column read, coefficient tuple) pairs, and A' kept as
+sparse columns.  System.solve(b) for each new right-hand side is one
+substitution: y from S's rank rows divided by the diagonal, x0 = T y,
+then the test A' x0 = b.
+It returns a Solution (x0 plus the kernel) or an Obstruction, a
+functional that Obstruction.check re-verifies against System.matrix (over
+Z/k the lift [A | k I]) without trusting the solver: a row of S over its
+invariant factor ("Z", "Z/k") or, read only when the test fails, the
+first row of S past the rank that does not vanish on b ("Q").  blind() is
+the one definition of what each ring's certificate means.
 
 The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import itemgetter
-from typing import Hashable, Mapping, Sequence
+from operator import floordiv, itemgetter, mul, ne
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Matrix = list[list[int]]
 Sparse = list[dict[int, int]]
@@ -51,6 +55,25 @@ def transpose(A: Sequence[Sequence]) -> list[list]:
 def apply_rows(M: Sparse, v: Sequence) -> list:
     """M v for M held as sparse rows {column: entry}."""
     return [sum(a * v[t] for t, a in row.items()) for row in M]
+
+
+def _reader(idx: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """v -> the tuple of v's entries at idx, by one C-level getter."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        p, = idx
+        return lambda v: (v[p],)
+    return lambda v: ()
+
+
+def compile_rows(M: Iterable[Mapping[int, int]]) -> list[tuple[Callable, tuple[int, ...]]]:
+    """Sparse rows {column: entry} as (read, entries) pairs, one per row.
+
+    read(v) is the row's (index tuple) entries of v, so the row times v is
+    sum(map(mul, entries, read(v))) with no Python loop over the row.
+    """
+    return [(_reader(tuple(row)), tuple(row.values())) for row in M]
 
 
 def apply_cols(M: Sparse, y: Sequence, n: int) -> list:
@@ -257,35 +280,58 @@ def _snf_kernel(f: SmithForm) -> list[list[int]]:
     return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
 
 
+class Substitution:
+    """A Smith form D = S A T compiled for many right-hand sides.
+
+    rank_rows holds S's rows up to the rank by compile_rows, and cols A's
+    sparse columns {row: entry}, for the test A x0 = b.  S's rows past the
+    rank stay as the elimination left them: only an inconsistent
+    right-hand side reads them, for its certificate.
+    """
+
+    __slots__ = ("form", "rank_rows", "cols")
+
+    def __init__(self, form: SmithForm, A: Sequence[Sequence[int]]):
+        self.form = form
+        self.rank_rows = compile_rows(form.S[:form.rank])
+        self.cols = [{i: int(v) for i, v in enumerate(col) if v} for col in zip(*A)]
+
+
 def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstruction:
     """All integer solutions of A x = b, or a rational obstruction row."""
     r = len(A)
     c = len(A[0]) if r else 0
     if r == 0:
         return Solution([], [[1 if i == j else 0 for i in range(c)] for j in range(c)])
-    return solve_int_snf(smith_normal_form(A), b)
+    return solve_int_snf(Substitution(smith_normal_form(A), A), b)
 
 
-def solve_int_snf(f: SmithForm, b: Sequence[int],
+def solve_int_snf(sub: Substitution, b: Sequence[int],
                   kernel: list[list[int]] | None = None) -> Solution | Obstruction:
-    """solve_int against a precomputed nonempty Smith form.
+    """solve_int against a precomputed nonempty Smith form, compiled.
 
-    Splitting the decomposition from the substitution lets callers solving
-    many right-hand sides against one matrix pay for it once; a kernel
-    read off f beforehand is passed in and returned as it is.
+    y_i = (S b)_i / d_i over the rank rows, the first row d_i does not
+    divide giving a "Z" obstruction; then x0 = T y.  A x0 = b holds exactly
+    when S b vanishes past the rank, so only when it fails are those rows
+    read, the first nonzero one giving a "Q" obstruction.  Splitting the
+    decomposition from the substitution lets callers solving many
+    right-hand sides against one matrix pay for it once; a kernel read off
+    the form beforehand is passed in and returned as it is.
     """
+    f = sub.form
     r, c = f.shape
-    y = []
-    for i, (row, sb) in enumerate(zip(f.S, apply_rows(f.S, b))):
-        d = f.diagonal[i] if i < c else 0
-        if d:
-            if sb % d:
-                return Obstruction([Fraction(row.get(t, 0), d) for t in range(r)], "Z")
-            y.append(sb // d)
-        elif sb:
-            # rationally inconsistent: rA = 0 with rb != 0
-            return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
-    return Solution(apply_cols(f.T, y, c), _snf_kernel(f) if kernel is None else kernel)
+    sb = [sum(map(mul, a, read(b))) for read, a in sub.rank_rows]
+    for i, (v, d) in enumerate(zip(sb, f.diagonal)):
+        if v % d:
+            return Obstruction([Fraction(f.S[i].get(t, 0), d) for t in range(r)], "Z")
+    x0 = apply_cols(f.T, list(map(floordiv, sb, f.diagonal)), c)
+    if any(map(ne, apply_cols(sub.cols, x0, r), b)):
+        for row in f.S[f.rank:]:
+            if sum(a * b[t] for t, a in row.items()):
+                # rationally inconsistent: rA = 0 with rb != 0
+                return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
+        raise ArithmeticError("A x0 != b although S b vanishes past the rank")
+    return Solution(x0, _snf_kernel(f) if kernel is None else kernel)
 
 
 def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
@@ -297,41 +343,6 @@ def kernel_int(A: Sequence[Sequence[int]]) -> list[list[int]]:
     if not A:
         return []
     return _snf_kernel(smith_normal_form(A))
-
-
-def kernel_mod_prime(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Basis of the kernel of A over the field Z/p (p prime)."""
-    r = len(A)
-    c = len(A[0]) if r else 0
-    M = [[v % p for v in row] for row in A]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i][col] % p), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = pow(M[row][col], -1, p)
-        M[row] = [(v * inv) % p for v in M[row]]
-        for i in range(r):
-            if i != row and M[i][col]:
-                q = M[i][col]
-                M[i] = [(a - q * b) % p for a, b in zip(M[i], M[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == r:
-            break
-    pivot_cols = {col for _, col in pivots}
-    kernel = []
-    for free in range(c):
-        if free in pivot_cols:
-            continue
-        v = [0] * c
-        v[free] = 1
-        for i, col in pivots:
-            v[col] = (-M[i][free]) % p
-        kernel.append(v)
-    return kernel
 
 
 def _lift(A: Sequence[Sequence[int]], k: int) -> Matrix:
@@ -356,13 +367,14 @@ def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution 
     """Solutions of A x = b over Z/k, via the integer lift [A | k I]."""
     if not A:
         return Solution([], [])
-    return solve_mod_snf(smith_normal_form(_lift(A, k)), b, k)
+    lift = _lift(A, k)
+    return solve_mod_snf(Substitution(smith_normal_form(lift), lift), b, k)
 
 
-def solve_mod_snf(f: SmithForm, b: Sequence[int], k: int) -> Solution | None:
-    """solve_mod against a precomputed Smith form of the lift [A | k I]."""
-    c = f.shape[1] - f.shape[0]
-    res = solve_int_snf(f, list(b))
+def solve_mod_snf(sub: Substitution, b: Sequence[int], k: int) -> Solution | None:
+    """solve_mod against a precomputed, compiled Smith form of the lift [A | k I]."""
+    c = sub.form.shape[1] - sub.form.shape[0]
+    res = solve_int_snf(sub, list(b))
     if isinstance(res, Obstruction):
         return None
     return Solution([v % k for v in res.x0[:c]], _reduce_mod(res.kernel, c, k))
@@ -375,21 +387,21 @@ class System:
     """A x = b over one ring for many right-hand sides b, factored once.
 
     kind is "Z", "Zmod" (with modulus k) or "Q".  rows and cols name the
-    equations and the unknowns.  pins maps each name held out of the
-    unknowns to its sparse column [(row, coefficient), ...], so rhs() moves
-    known values to the right-hand side without a dense product.  matrix is
-    what an Obstruction is checked against: A itself, or over Z/k the lift
-    [A | k I].
+    equations and the unknowns (delta_system names them by generator
+    position).  matrix is what an Obstruction is checked against: A itself,
+    or over Z/k the lift [A | k I].
 
     Every ring factors an integer matrix by smith_normal_form.  Over Q, A
     may hold Fractions: row i is first scaled by the least common
     denominator of its entries, and a "Q" obstruction, a row of S, is
-    scaled back by the same factors, so it is a functional on A.
+    scaled back by the same factors, so it is a functional on A.  The
+    Substitution that solve substitutes into (S's rank rows and the
+    factored matrix's rows, compiled) is built on the first solve, so a
+    system factored only for its rank or diagonal never pays for it.
     """
 
     def __init__(self, A: Sequence[Sequence], rows: Sequence[Hashable],
-                 cols: Sequence[Hashable], kind: str = "Z", modulus: int = 0,
-                 pins: Mapping[Hashable, list[tuple[int, int]]] | None = None):
+                 cols: Sequence[Hashable], kind: str = "Z", modulus: int = 0):
         if kind not in ("Z", "Zmod", "Q"):
             raise ValueError(f"unknown ring kind {kind!r}")
         self.rows = list(rows)
@@ -397,16 +409,19 @@ class System:
         self.kind = kind
         self.modulus = modulus
         self.ring = f"Z/{modulus}" if kind == "Zmod" else kind
-        self.pins = dict(pins or {})
         self.matrix = _lift(A, modulus) if kind == "Zmod" else A
         self.form: SmithForm | None = None  # no equations leave no form
         if not A:
             return
-        factored = self.matrix
         if kind == "Q":
             self._scale = [lcm(*(v.denominator for v in row)) for row in A]
-            factored = [[v * m for v in row] for row, m in zip(A, self._scale)]
-        self.form = smith_normal_form(factored)
+        self.form = smith_normal_form(self._factored())
+
+    def _factored(self) -> Sequence[Sequence]:
+        """The integer matrix the Smith form factors."""
+        if self.kind != "Q":
+            return self.matrix
+        return [[v * m for v in row] for row, m in zip(self.matrix, self._scale)]
 
     @cached_property
     def kernel(self) -> list[list]:
@@ -421,14 +436,9 @@ class System:
         kernel = _snf_kernel(self.form)
         return _reduce_mod(kernel, c, self.modulus) if self.kind == "Zmod" else kernel
 
-    def rhs(self, known: Mapping[Hashable, object]) -> list:
-        """b = -(sum of each known value times its pinned column)."""
-        b: list = [0] * len(self.rows)
-        for g, v in known.items():
-            if v:
-                for i, a in self.pins.get(g, ()):
-                    b[i] -= a * v
-        return b
+    @cached_property
+    def _substitution(self) -> Substitution:
+        return Substitution(self.form, self._factored())
 
     def solve(self, b: Sequence) -> Solution | Obstruction:
         """Substitute b into the factorization: every solution, or why none."""
@@ -436,7 +446,7 @@ class System:
             return Solution([0] * len(self.cols), self.kernel)
         if self.kind == "Q":
             return self._solve_rational(b)
-        res = solve_int_snf(self.form, b, self.kernel)
+        res = solve_int_snf(self._substitution, b, self.kernel)
         if self.kind == "Z":
             return res
         if isinstance(res, Obstruction):
@@ -449,14 +459,8 @@ class System:
         # substitution then divides exactly, and x0 is its answer over e
         f = self.form
         e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
-        res = solve_int_snf(f, [int(v * m * e) for v, m in zip(b, self._scale)], self.kernel)
+        res = solve_int_snf(self._substitution,
+                            [int(v * m * e) for v, m in zip(b, self._scale)], self.kernel)
         if isinstance(res, Obstruction):
             return Obstruction([v * m for v, m in zip(res.functional, self._scale)], "Q")
         return Solution([Fraction(v, e) for v in res.x0], self.kernel)
-
-
-def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    if not A or not A[0]:
-        return []
-    return [d for d in smith_normal_form(A).diagonal if d]

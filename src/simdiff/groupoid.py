@@ -442,9 +442,12 @@ class MappingGroupoid:
         q = self.degree + 1
         token = ("prism-boundary", q)
         if token not in P._cache:
-            P._cache[token] = frozenset(g for d in (q - 1, q) for g in P.generators(d)
-                                        if not _interior(g, 2))
-        return delta_system(P, q - 1, P._cache[token], self.coeffs)
+            # (positions pinned in degree q - 1, positions dropped in degree q)
+            P._cache[token] = tuple(
+                frozenset(p for p, g in enumerate(P.generators(d)) if not _interior(g, 2))
+                for d in (q - 1, q))
+        pinned, dropped = P._cache[token]
+        return delta_system(P, q - 1, pinned, self.coeffs, dropped)
 
     def same_class(self, c0: HomotopyClass, c1: HomotopyClass) -> bool:
         self._require_parallel(c0, c1)

@@ -2,10 +2,11 @@
 
 The package keeps its Smith form factors sparse and never multiplies dense
 matrices; the tests build dense copies here to check them entry for entry
-and to multiply solutions out.
+and to multiply solutions out.  invariant_factors and kernel_mod_prime are
+the tests' own readings of a matrix's Smith diagonal and of its rank mod p.
 """
 
-from simdiff.exact import SmithForm
+from simdiff.exact import SmithForm, smith_normal_form
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -43,3 +44,47 @@ def dense_factors(f: SmithForm) -> tuple:
     r, c = f.shape
     D = [[f.diagonal[i] if i == j else 0 for j in range(c)] for i in range(r)]
     return D, from_rows(f.S, r), from_cols(f.T, c), from_cols(f.Sinv, r), from_rows(f.Tinv, c)
+
+
+def invariant_factors(A) -> list[int]:
+    """Nonzero diagonal of the Smith form, in divisibility order."""
+    if not A or not A[0]:
+        return []
+    return [d for d in smith_normal_form(A).diagonal if d]
+
+
+def kernel_mod_prime(A, p: int) -> list[list[int]]:
+    """Basis of the kernel of A over the field Z/p (p prime), by dense
+    Gauss-Jordan elimination: a rank oracle that shares no code with the
+    Smith form."""
+    r = len(A)
+    c = len(A[0]) if r else 0
+    M = [[v % p for v in row] for row in A]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(c):
+        piv = next((i for i in range(row, r) if M[i][col] % p), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = pow(M[row][col], -1, p)
+        M[row] = [(v * inv) % p for v in M[row]]
+        for i in range(r):
+            if i != row and M[i][col]:
+                q = M[i][col]
+                M[i] = [(a - q * b) % p for a, b in zip(M[i], M[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == r:
+            break
+    pivot_cols = {col for _, col in pivots}
+    kernel = []
+    for free in range(c):
+        if free in pivot_cols:
+            continue
+        v = [0] * c
+        v[free] = 1
+        for i, col in pivots:
+            v[col] = (-M[i][free]) % p
+        kernel.append(v)
+    return kernel

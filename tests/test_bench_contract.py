@@ -4,7 +4,9 @@ The benchmark lives in bench/, outside the test paths, so deleting or
 renaming a name in simdiff could break it while every test here passes.
 These tests install and uninstall the benchmark's tracer, whose install
 raises KeyError when a name in its TARGETS has gone, and resolve the names
-the workloads read, running cochain_key on a cochain the kernel built.
+the workloads read, running cochain_key on a cochain the kernel built.  A
+traced hat-compare op must still open the spans of the layers its
+per-layer numbers are read from.
 """
 
 import importlib
@@ -53,3 +55,18 @@ def test_cochain_key_reads_a_kernel_built_cochain():
     X = circle(3)
     c = coboundary(Cochain(X, 0, INTEGERS, {"v0": 2, "v2": -1}))
     assert workloads.cochain_key(c) == [["e0", "-2"], ["e1", "-1"], ["e2", "3"]]
+
+
+def test_traced_hat_compare_op_keeps_its_layers():
+    w = workloads.WORKLOADS["hat-compare"](0)
+    w.setup()
+    pair = w.make_input(0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.span(tracing.OP):
+            comp = w.run(pair)
+    assert w.check(pair, comp) is None
+    layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
+    seen = {layer[n] for n in tracer.names if n in layer}
+    assert {"exact.solve", "cohomology.solve_closed_extension",
+            "diffhat.homotopies"} <= seen

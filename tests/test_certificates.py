@@ -50,10 +50,11 @@ def closed_extension_problem(cyl, faces, degree):
     """(pinned cochain, free generators) of the closed-extension problem
     whose faces are given, with the pins checked by pullback."""
     pins = face_pins(cyl, faces)
-    pinned = Cochain(cyl.complex, degree, INTEGERS, pins)
+    pinned = pins.cochain
     for i, F in faces.items():
         assert pullback(cyl.face_inclusion(i), pinned) == F
-    return pinned, pins.keys()
+    gens = cyl.complex.generators(degree)
+    return pinned, {gens[p] for p in pins.positions}
 
 
 def homotopy_problem(T, src, tgt):

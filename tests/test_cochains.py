@@ -27,6 +27,20 @@ def test_integer_coefficients_reject_fractions():
         Cochain(X, 0, INTEGERS, {"*": Fraction(1, 2)})
 
 
+def test_scale_takes_ring_elements_only():
+    X = circle(3)
+    c = Cochain(X, 1, INTEGERS, {"e0": 2, "e1": -1})
+    assert c.scale(3) == Cochain(X, 1, INTEGERS, {"e0": 6, "e1": -3})
+    assert c.scale(Fraction(4, 2)) == c + c
+    # a non-integral scalar is not an element of Z, even where every
+    # product would be an integer
+    with pytest.raises(ValueError, match="non-integer value 1/2"):
+        Cochain(X, 1, INTEGERS, {"e0": 2}).scale(Fraction(1, 2))
+    q = c.map_values(Fraction, RATIONALS).scale(Fraction(1, 2))
+    assert q.values == {"e0": 1, "e1": Fraction(-1, 2)}
+    assert Cochain(X, 1, mod_coefficients(3), {"e0": 2}).scale(5).values == {"e0": 1}
+
+
 def test_mod_arithmetic():
     Z2 = mod_coefficients(2)
     X = circle(3)

@@ -13,8 +13,10 @@ from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
                                 solve_coboundary, vector_of)
 from simdiff.complexes import (Simplex, circle, cylinder, from_facets, key_str, point,
                                rp2, sphere2, torus)
-from simdiff.exact import kernel_mod_prime
 from simdiff.groupoid import MappingGroupoid
+
+from dense import kernel_mod_prime
+from reference_pins import pins_by_generator
 
 
 def test_presentation_rendering():
@@ -187,8 +189,8 @@ def test_solve_closed_extension_detects_impossible():
     # pinned part and is blind on delta of every free generator
     P = cyl.complex
     free = [coboundary(Cochain.indicator(P, g, INTEGERS))
-            for g in P.generators(2) if g not in pins]
-    pinned = Cochain(P, 2, INTEGERS, pins)
+            for p, g in enumerate(P.generators(2)) if p not in pins.positions]
+    pinned = pins.cochain
     assert res.certifies(coboundary(pinned), free)
     g, v = next(iter(res.functional.items()))
     flipped = CoboundaryObstruction({**res.functional, g: -v}, res.ring)
@@ -202,7 +204,8 @@ def test_face_pins_disjoint_ends():
     b = Cochain(X, 0, INTEGERS, {"*": 2})
     pins = face_pins(cyl, {0: a, 1: b})
     # ends are disjoint generators, so unequal values on them never clash
-    assert len(pins) == 2
+    assert len(pins.positions) == 2
+    assert sorted(pins.cochain.vec) == [1, 2]
 
 
 def test_face_pins_conflict_on_shared_edge():
@@ -225,6 +228,21 @@ def test_face_pins_rejects_a_face_on_another_complex():
     # for k = 2 the faces live on X x Delta^1, not on X
     with pytest.raises(ValueError, match="face 1 lives on torus, not on torusxD1"):
         face_pins(cylinder(torus(), 2), {1: Cochain.zero(torus(), 1, INTEGERS)})
+
+
+def test_face_pins_rejects_faces_of_another_degree_or_ring():
+    X = torus()
+    cyl = cylinder(X, 1)
+    one = Cochain.zero(X, 1, INTEGERS)
+    with pytest.raises(ValueError, match="face 1 is not a degree-1 cochain over Z"):
+        face_pins(cyl, {0: one, 1: Cochain.zero(X, 2, INTEGERS)})
+    with pytest.raises(ValueError, match="face 1 is not a degree-1 cochain over Z"):
+        face_pins(cyl, {0: one, 1: Cochain.zero(X, 1, RATIONALS)})
+    with pytest.raises(ValueError, match="at least one face"):
+        face_pins(cyl, {})
+    pins = face_pins(cyl, {0: one})
+    with pytest.raises(ValueError, match="pins live on torusxD1 in degree 1"):
+        solve_closed_extension(cyl.complex, 2, pins, INTEGERS)
 
 def walked_face_pins(cyl, faces):
     """face_pins by walking the inclusion simplex by simplex."""
@@ -253,8 +271,8 @@ def test_face_pins_match_the_inclusion_walk(coeffs):
         a, b = (G.random_object(rng).data.map_values(coeffs.normalize, coeffs)
                 for _ in range(2))
         faces = {0: Cochain.zero(cylinder(X, 1).complex, 2, coeffs), 1: b, 2: a}
-        got = face_pins(cyl2, faces)
-        assert list(got.items()) == list(walked_face_pins(cyl2, faces).items())
+        got = pins_by_generator(face_pins(cyl2, faces))
+        assert got == walked_face_pins(cyl2, faces)
         assert {type(v) for v in got.values()} == {type(coeffs.zero)}
 
 

@@ -254,6 +254,15 @@ def test_certificates_pass_on_fixtures():
         json.dumps(cert.to_json())
 
 
+def test_certificates_pass_on_genus2():
+    # a base with two free classes one degree down, where every pinned
+    # solve runs on the 45-vertex genus2 x Delta^2
+    X = build_standard("genus2")
+    for n in (1, 2):
+        cert = exactness_certificate(X, n, trials=2, seed=11)
+        assert cert.ok, (n, cert.failures())
+
+
 def test_certificate_is_deterministic():
     X = circle(3)
     a = exactness_certificate(X, 1, trials=3, seed=7).to_json()

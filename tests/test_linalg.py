@@ -2,11 +2,11 @@ import random
 
 from fractions import Fraction
 
-from simdiff.exact import (Obstruction, Solution, invariant_factors,
-                           kernel_int, kernel_mod_prime, smith_normal_form,
+from simdiff.exact import (Obstruction, Solution, kernel_int, smith_normal_form,
                            solve_int, solve_mod, solve_rational)
 
-from dense import dense_factors, identity_matrix, mat_mul, mat_vec
+from dense import (dense_factors, identity_matrix, invariant_factors, kernel_mod_prime,
+                   mat_mul, mat_vec)
 
 
 def random_matrix(rng, r, c, lo=-5, hi=5):

@@ -20,11 +20,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 import reference_cohomology as ref
+from dense import kernel_mod_prime
 from simdiff.cochains import INTEGERS, RATIONALS, Cochain, coboundary, random_cochain
 from simdiff.cohomology import cohomology, delta_matrix
 from simdiff.complexes import build_standard, cylinder, from_facets, torus
 from simdiff.diffhat import hat_group
-from simdiff.exact import kernel_mod_prime
 
 KINDS = ["pt", "delta_k", "circle", "sphere2", "torus", "rp2", "genus2", "rp2xS1", "T3"]
 FIXTURES = {kind: (lambda kind=kind: build_standard(kind)) for kind in KINDS}

@@ -9,7 +9,7 @@ import pytest
 from simdiff.character import CharacterModel, rational_form
 from simdiff.cochains import Cochain, INTEGERS, RATIONALS, coboundary
 from simdiff.cohomology import CoboundaryObstruction, cohomology
-from simdiff.complexes import circle, point, rp2, torus
+from simdiff.complexes import build_standard, circle, point, rp2, torus
 from simdiff.diffhat import HatTheory, _random_form
 from simdiff.refine import (
     ModelComparison,
@@ -113,6 +113,14 @@ def test_shear_equivalence():
         rep = check_equivalence(canonical_comparison(G, Gs), seed=1)
         assert rep.ok, rep.failures()
         assert rep.witness["models"] == ["plain", "sheared"]
+
+
+def test_shear_equivalence_on_genus2():
+    X = build_standard("genus2")
+    G = build_tilde(X, 1)
+    Gs = build_tilde(X, 1, CharacterModel("sheared"))
+    rep = check_equivalence(canonical_comparison(G, Gs), seed=1, trials=2)
+    assert rep.ok, rep.failures()
 
 
 def test_halved_equivalence_and_lattice():

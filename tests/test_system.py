@@ -22,8 +22,9 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from simdiff import exact
-from simdiff.cochains import Cochain, INTEGERS, RATIONALS, mod_coefficients
-from simdiff.cohomology import delta_matrix, delta_system, face_pins
+from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary_values,
+                              mod_coefficients)
+from simdiff.cohomology import Pins, delta_matrix, delta_system, face_pins
 from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
 from simdiff.diffhat import HatTheory
 from simdiff.exact import (Obstruction, Solution, System, solve_int, solve_mod,
@@ -132,14 +133,14 @@ def fixture_deltas() -> list[tuple[str, list[list[int]]]]:
     return out
 
 
-def pinned_torus_system() -> tuple[System, dict]:
+def pinned_torus_system() -> tuple[System, Pins]:
     """The 351 x 81 closed-extension system behind HatTheory(torus, 1)."""
     X = torus()
     cyl2 = cylinder(X, 2)
     lid = Cochain.zero(cylinder(X, 1).complex, 2, INTEGERS)
     G = HatTheory(X, 1).groupoid
     pins = face_pins(cyl2, {0: lid, 1: G.unit().data, 2: G.unit().data})
-    return delta_system(cyl2.complex, 2, frozenset(pins)), pins
+    return delta_system(cyl2.complex, 2, pins.positions), pins
 
 
 def residues(v, S: System) -> list:
@@ -252,30 +253,40 @@ def test_pinned_torus_system_solves_random_right_hand_sides():
 
 
 def test_pin_table_moves_known_values_like_the_dense_matrix():
+    # the right-hand side of a pinned solve is -delta of the pinned cochain:
+    # the known values times the pinned columns of the dense matrix, moved
     S, pins = pinned_torus_system()
     P = cylinder(torus(), 2).complex
     D = delta_matrix(P, 2)
-    gens = P.generators(2)
     rng = random.Random(2)
-    known = {g: rng.randint(-2, 2) for g in pins}
-    kept = [i for i, g in enumerate(P.generators(3)) if g in set(S.rows)]
-    dense = [-sum(D[i][j] * known[g] for j, g in enumerate(gens) if g in known)
-             for i in kept]
-    assert S.rhs(known) == dense
+    known = {p: rng.randint(-2, 2) for p in pins.positions}
+    vec = [known.get(p, 0) for p in range(len(P.generators(2)))]
+    b = [-v for v in coboundary_values(Cochain(P, 2, INTEGERS, dict(zip(P.generators(2), vec))))]
+    dense = [-sum(D[q][p] * v for p, v in known.items()) for q in S.rows]
+    assert S.rows == list(range(len(P.generators(3))))
+    assert b == dense
+    # and S's columns are the positions left free, in order
+    assert S.cols == [p for p in range(len(P.generators(2))) if p not in pins.positions]
+    assert S.matrix == [[D[q][p] for p in S.cols] for q in S.rows]
 
 
 def test_systems_are_cached_by_degree_pins_and_ring():
     S, pins = pinned_torus_system()
     P = cylinder(torus(), 2).complex
-    assert delta_system(P, 2, frozenset(dict(pins))) is S
+    assert delta_system(P, 2, frozenset(sorted(pins.positions))) is S
     Y = cylinder(circle(3), 1).complex
-    ends = frozenset(g for g in Y.generators(1) if len(g[2]) == 1)
+    ends = frozenset(p for p, g in enumerate(Y.generators(1)) if len(g[2]) == 1)
     Z = delta_system(Y, 1, ends)
     assert delta_system(Y, 1, frozenset(set(ends))) is Z
     assert delta_system(Y, 1, ends, RATIONALS) is not Z
     assert delta_system(Y, 1, ends, mod_coefficients(2)).ring == "Z/2"
     assert delta_system(Y, 1) is not Z
     assert len(delta_system(Y, 1).cols) == len(Z.cols) + len(ends)
+    # dropped equations are positions one degree up, a key of their own
+    tops = frozenset(range(0, len(Y.generators(2)), 2))
+    W = delta_system(Y, 1, ends, dropped=tops)
+    assert W is not Z and delta_system(Y, 1, ends, INTEGERS, tops) is W
+    assert W.rows == [q for q in Z.rows if q not in tops] and W.cols == Z.cols
 
 
 def test_ring_kind_is_validated():
