@@ -23,6 +23,7 @@ from .cochains import (
     INTEGERS,
     RATIONALS,
     coboundary,
+    delta_table,
     fiber_integrate,
     pullback,
     random_cochain,
@@ -30,7 +31,6 @@ from .cochains import (
 from .cohomology import (
     CoboundaryObstruction,
     cohomology,
-    delta_matrix,
     face_pins,
     is_coboundary,
     solve_closed_extension,
@@ -418,9 +418,12 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
                        target: MapObject, eta: Cochain) -> HomotopyClass:
     """A homotopy source -> target whose triangle integral is eta, as classes.
 
-    Solves the pinned closed-extension problem on the 2-cylinder, then
-    adjusts within its kernel so the integral hits eta up to a coboundary.
-    Raises when no such cell exists over the groupoid's coefficients.
+    Solves the pinned closed-extension problem on the 2-cylinder, then adds
+    loops (MappingGroupoid.loops) so the integral hits eta up to a
+    coboundary: each loop's integral is its cocycle, and the coboundaries
+    are the sparse columns of delta one degree further down.  The system is
+    solved over the groupoid's ring (over Z/k modulo k).  Raises when no
+    such cell exists.
     """
     n, X = G.degree, G.base
     if eta.complex is not X or eta.degree != n - 1:
@@ -428,28 +431,25 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
     cyl1, cyl2 = cylinder(X, 1), cylinder(X, 2)
     pins = face_pins(cyl2, {0: Cochain.zero(cyl1.complex, n + 1, G.coeffs),
                             1: target.data, 2: source.data})
-    sol = solve_closed_extension(cyl2.complex, n + 1, pins, G.coeffs)
-    if isinstance(sol, CoboundaryObstruction):
+    data = solve_closed_extension(cyl2.complex, n + 1, pins, G.coeffs)
+    if isinstance(data, CoboundaryObstruction):
         raise ValueError("the faces admit no closed filling")
-    rhs = vector_of(eta - fiber_integrate(sol.particular, cyl2))
-    cols = [vector_of(fiber_integrate(B, cyl2)) for B in sol.kernel]
+    rhs = vector_of(eta - fiber_integrate(data, cyl2))
+    loops = G.loops()
+    cols = [vector_of(fiber_integrate(B, cyl2)) for B in loops]
     free = len(cols)
-    if n >= 2:
-        D = delta_matrix(X, n - 2)
-        for j in range(len(D[0]) if D else 0):
-            cols.append([D[i][j] for i in range(len(D))])
-    if not cols:
-        if any(rhs):
-            raise ValueError("no cell carries the requested integral class")
-        return HomotopyClass(Homotopy2(source, target, sol.particular))
-    rows = [[col[i] for col in cols] for i in range(len(rhs))]
-    kind = "Q" if G.coeffs.kind == "Q" else "Z"
-    got = System(rows, range(len(rows)), range(len(cols)), kind).solve(
+    width = len(X.generators(n - 2)) if n >= 2 else 0
+    rows = [[col[i] for col in cols] + [0] * width for i in range(len(rhs))]
+    if width:
+        for row, faces in zip(rows, delta_table(X, n - 2)):
+            for p, a in faces:
+                row[free + p] = a
+    kind = G.coeffs.kind
+    got = System(rows, range(len(rows)), range(free + width), kind, G.coeffs.modulus).solve(
         rhs if kind == "Q" else [int(v) for v in rhs])
     if isinstance(got, Obstruction):
         raise ValueError("no cell carries the requested integral class")
-    data = sol.particular
-    for coeff, B in zip(got.x0[:free], sol.kernel):
+    for coeff, B in zip(got.x0[:free], loops):
         if coeff:
             data = data + B.scale(G.coeffs.normalize(coeff))
     return HomotopyClass(Homotopy2(source, target, data))

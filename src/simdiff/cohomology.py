@@ -13,12 +13,14 @@ delta_system is the one constructor of linear systems on cochains: delta in
 one degree with a set of generator positions held out, factored once and
 cached on the complex.  solve_coboundary answers "is this cochain a
 coboundary" with either a primitive or a functional certificate;
-solve_closed_extension solves for closed cochains on a product with
+solve_closed_extension finds one closed cochain on a product with
 prescribed values on a set of generators, which is the workhorse behind
-homotopy existence and class equality.  Both are one substitution into a
-cached system, and both work by generator position: face_pins compiles
-where the faces of X x Delta^k land once per face set, and the pinned
-values reach the system as one cochain.
+homotopy existence and class equality.  With the three faces of
+X x Delta^2 pinned, the others differ from it by MappingGroupoid.loops up
+to coboundary, so no kernel is enumerated.  Both solvers are one
+substitution into a cached system, and both work by generator position:
+face_pins compiles where the faces of X x Delta^k land once per face set,
+and the pinned values reach the system as one cochain.
 
 Every "no" comes back as one kind of certificate, a CoboundaryObstruction:
 a functional on cochains whose pairing refutes the target.  Its ring names
@@ -45,23 +47,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, coboundary_values,
                        delta_table)
 from .complexes import Gather, ProductWithSimplex, SimplicialSet, key_str
-from .exact import (Matrix, Obstruction, SmithForm, System, apply_rows, blind,
-                    smith_normal_form)
-
-
-def delta_matrix(X: SimplicialSet, n: int) -> Matrix:
-    """Matrix of delta: C^n -> C^{n+1}; rows index (n+1)-generators."""
-    token = ("delta_matrix", n)
-    if token not in X._cache:
-        width = len(X.generators(n))
-        rows = []
-        for sparse in delta_table(X, n):
-            row = [0] * width
-            for p, a in sparse:
-                row[p] = a
-            rows.append(row)
-        X._cache[token] = rows
-    return X._cache[token]
+from .exact import Obstruction, SmithForm, System, apply_rows, blind, smith_normal_form
 
 
 def delta_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset(),
@@ -399,14 +385,6 @@ def cohomology(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> Coh
 # -- closed extensions with prescribed values ------------------------------
 
 
-@dataclass
-class PinnedSolution:
-    """particular + integer/rational span of kernel, as cochains."""
-
-    particular: Cochain
-    kernel: list[Cochain]
-
-
 @dataclass(frozen=True)
 class Pins:
     """Known values on some generators of one degree, by position.
@@ -420,46 +398,20 @@ class Pins:
     cochain: Cochain
 
 
-class _Extension:
-    """delta_system(P, degree, pinned, coeffs) with what solve_closed_extension
-    reads off it, cached on P per (degree, pinned, coeffs).
-
-    place gathers a closed cochain from the pinned cochain's vector followed
-    by the system's unknowns: each generator reads its pinned value or its
-    unknown.  The kernel cochains are built the same way on first use and
-    shared between answers.
-    """
-
-    def __init__(self, P: SimplicialSet, degree: int, pinned: frozenset[int],
-                 coeffs: Coefficients):
-        self.complex, self.degree, self.coeffs = P, degree, coeffs
-        self.system = S = delta_system(P, degree, pinned, coeffs)
-        N = len(P.generators(degree))
-        unknown = {p: N + j for j, p in enumerate(S.cols)}
-        self.place = Gather([unknown.get(p, p) for p in range(N)], N + len(S.cols))
-
-    @cached_property
-    def kernel(self) -> tuple[Cochain, ...]:
-        P, coeffs = self.complex, self.coeffs
-        zeros = (coeffs.zero,) * len(P.generators(self.degree))
-        return tuple(Cochain._trusted(P, self.degree, coeffs,
-                                      self.place.get(zeros + tuple(map(coeffs.normalize, kv))))
-                     for kv in self.system.kernel)
-
-
 def solve_closed_extension(P: SimplicialSet, degree: int, pins: Pins,
-                           coeffs: Coefficients) -> PinnedSolution | CoboundaryObstruction:
-    """All closed degree-`degree` cochains on P with prescribed generator values.
+                           coeffs: Coefficients) -> Cochain | CoboundaryObstruction:
+    """A closed degree-`degree` cochain on P with prescribed generator values.
 
     pins (see face_pins) holds the pinned cochain pi on P in this degree;
     the other generators of the degree are free.  The right-hand side is
     b = -delta(pi) on every (degree + 1)-generator, read through the cached
     face gathers over the integers (over Z/k not reduced, so it is the
-    integer vector the lift is solved against).  Returns the affine
-    solution set or a functional on C^{degree+1} refuting delta x = b over
-    the free x: it certifies against delta of each free generator.  The
-    particular solution is one gather over pi's values and the unknowns;
-    the kernel cochains are built once per cached system.
+    integer vector the lift is solved against).  Returns one particular
+    solution or a functional on C^{degree+1} refuting delta x = b over the
+    free x: it certifies against delta of each free generator.  The
+    solution is one gather over pi's values followed by the system's
+    unknowns, each generator reading its pinned value or its unknown; the
+    system and that gather are cached on P per (degree, pins, ring).
     """
     pi = pins.cochain
     if pi.complex is not P or pi.degree != degree:
@@ -470,13 +422,16 @@ def solve_closed_extension(P: SimplicialSet, degree: int, pins: Pins,
     token = ("closed-extension", degree, pins.positions, coeffs)
     ext = P._cache.get(token)
     if ext is None:
-        ext = P._cache[token] = _Extension(P, degree, pins.positions, coeffs)
-    S = ext.system
+        S = delta_system(P, degree, pins.positions, coeffs)
+        N = len(P.generators(degree))
+        unknown = {p: N + j for j, p in enumerate(S.cols)}
+        ext = P._cache[token] = S, Gather([unknown.get(p, p) for p in range(N)],
+                                          N + len(S.cols))
+    S, place = ext
     res = S.solve(list(map(neg, coboundary_values(pi))))
     if isinstance(res, Obstruction):
         return _on_rows(S, res, P.generators(degree + 1))
-    particular = Cochain._trusted(P, degree, coeffs, ext.place.get(pi.vec + tuple(res.x0)))
-    return PinnedSolution(particular, list(ext.kernel))
+    return Cochain._trusted(P, degree, coeffs, place.get(pi.vec + tuple(res.x0)))
 
 
 class _PinPlan:

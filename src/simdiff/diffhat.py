@@ -7,7 +7,9 @@ equal to the difference of the rational parts modulo rational
 coboundaries.  That relation is decided exactly: equality comes with a
 homotopy and a rational primitive that reproduce the difference
 literally, inequality with a functional whose pairing refutes every
-candidate at once.
+candidate at once.  The candidates are one homotopy plus integer
+combinations of the groupoid's loops, one per cocycle of the base one
+degree down, so their characters differ by periods read off the base.
 
 Curvature, the underlying integral class, and the inclusion of rational
 cochains are the three transformations out of the resulting group; their
@@ -37,18 +39,15 @@ from .cohomology import (
     CoboundaryObstruction,
     CoboundaryWitness,
     GroupPresentation,
-    PinnedSolution,
     cohomology,
-    delta_matrix,
     delta_system,
     face_pins,
     keyed_json,
     solve_closed_extension,
     solve_coboundary,
-    vector_of,
 )
 from .complexes import SimplicialSet, cylinder
-from .exact import Obstruction, System, blind, compile_rows, kernel_int, transpose
+from .exact import Obstruction, System, blind, compile_rows
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
 from .subdiv import halving
@@ -128,8 +127,10 @@ class HatTheory:
 
     Degree zero is excluded: with no rational datum below it, that group
     is just the integral 0-cocycles (see hat_group).  All arithmetic is
-    exact, and the equality solver enumerates every homotopy between two
-    objects at once, so decisions are complete rather than sampled.
+    exact, and the equality solver covers every homotopy between two
+    objects at once: one particular homotopy plus integer combinations of
+    the groupoid's loops, whose characters' periods it solves for, so
+    decisions are complete rather than sampled.
     """
 
     def __init__(self, X: SimplicialSet, n: int,
@@ -218,10 +219,12 @@ class HatTheory:
     # -- the equality solver ------------------------------------------
 
     def homotopies(self, src: MapObject,
-                   tgt: MapObject) -> PinnedSolution | CoboundaryObstruction:
-        """Every level-2 filler from src to tgt, or what separates them.
+                   tgt: MapObject) -> Cochain | CoboundaryObstruction:
+        """One level-2 filler from src to tgt, or what separates them.
 
-        The faces pin the same generators for every pair, so every call
+        Every other filler differs from it by an integer combination of
+        self.groupoid.loops() plus a coboundary vanishing on the faces.  The
+        faces pin the same generators for every pair, so every call
         substitutes into one cached system.
         """
         cyl2 = cylinder(self.base, 2)
@@ -229,82 +232,74 @@ class HatTheory:
         pins = face_pins(cyl2, {0: lid, 1: tgt.data, 2: src.data})
         return solve_closed_extension(cyl2.complex, self.degree + 1, pins, INTEGERS)
 
-    def _quotient_functionals(self) -> list[list[int]]:
-        # integer rows spanning the annihilator of rational coboundaries
-        # in carrier degree n - 1; identity rows when nothing is divided out
-        token = ("hat-functionals", self.degree)
-        if token not in self.carrier._cache:
-            n = self.degree
-            gens = self.carrier.generators(n - 1)
-            lower = self.carrier.generators(n - 2) if n >= 2 else []
-            if lower:
-                rows = kernel_int(transpose(delta_matrix(self.carrier, n - 2)))
-            else:
-                rows = [[1 if i == j else 0 for i in range(len(gens))]
-                        for j in range(len(gens))]
-            self.carrier._cache[token] = rows
-        return self.carrier._cache[token]
+    def _quotient_functionals(self) -> list[dict[int, int]]:
+        """Sparse integer rows spanning the annihilator of rational
+        coboundaries in carrier degree n - 1: the rows of S past the rank in
+        the cached Smith form S D T of delta_{n-2}, since r D = 0 exactly
+        when r is an integer combination of them.  Unit rows below n = 2.
+        """
+        n, C = self.degree, self.carrier
+        if n < 2:
+            return [{j: 1} for j in range(len(C.generators(n - 1)))]
+        f = delta_system(C, n - 2).form
+        return f.S[f.rank:] if f is not None else []
 
     @cached_property
     def _functional_rows(self) -> list:
-        """The quotient functionals' nonzeros, compiled by exact.compile_rows."""
-        return compile_rows({i: p for i, p in enumerate(phi) if p}
-                            for phi in self._quotient_functionals())
+        """The quotient functionals, compiled by exact.compile_rows."""
+        return compile_rows(self._quotient_functionals())
 
     def _character_column(self, B: Cochain) -> Cochain:
         cyl2 = cylinder(self.base, 2)
         return self._push(rational_form(fiber_integrate(B, cyl2)))
 
-    def _period_system(self, kernel: list[Cochain]) -> System:
-        """Quotient functionals on the characters of the homotopy kernel.
+    def _period_system(self) -> System:
+        """Quotient functionals on the characters of the groupoid's loops.
 
-        The kernel is the shared one of the pinned system behind
-        homotopies, so the matrix is the same for every pair and is
-        factored once per theory.
+        The loops are the same for every pair, so the matrix is factored
+        once per theory.
         """
         if self._periods is None:
-            colvecs = [[int(v) for v in vector_of(self._character_column(B))]
-                       for B in kernel]
-            M = []
-            for phi in self._quotient_functionals():
-                nonzero = [(i, p) for i, p in enumerate(phi) if p]
-                M.append([sum(p * col[i] for i, p in nonzero) for col in colvecs])
-            self._periods = System(M, range(len(M)), range(len(colvecs)))
+            cols = [tuple(map(int, self._character_column(B).vec))
+                    for B in self.groupoid.loops()]
+            M = [[sum(map(mul, a, read(col))) for col in cols]
+                 for read, a in self._functional_rows]
+            self._periods = System(M, range(len(M)), range(len(cols)))
         return self._periods
 
     def compare(self, x: HatClass, y: HatClass) -> HatComparison:
         """Decide x = y with a literal witness or a refuting functional."""
         if x.theory is not self or y.theory is not self:
             raise ValueError("classes belong to a different theory")
-        sol = self.homotopies(x.obj, y.obj)
-        if isinstance(sol, CoboundaryObstruction):
-            return HatComparison(False, obstruction=sol)
-        base = HomotopyClass(Homotopy2(x.obj, y.obj, sol.particular))
+        data = self.homotopies(x.obj, y.obj)
+        if isinstance(data, CoboundaryObstruction):
+            return HatComparison(False, obstruction=data)
+        base = HomotopyClass(Homotopy2(x.obj, y.obj, data))
         mor0 = self.character.on_morphism(base)
         tvec = ((x.omega - y.omega) - mor0).vec
         v = [sum(map(mul, a, read(tvec))) for read, a in self._functional_rows]
-        # with no homotopy kernel the periods must vanish; with one they
-        # must be integer combinations of the kernel's character periods
-        ring = "Z" if sol.kernel else "Q"
+        # with no loops the periods must vanish; with some they must be
+        # integer combinations of the loops' character periods
+        loops = self.groupoid.loops()
+        ring = "Z" if loops else "Q"
         bad = next((j for j, val in enumerate(v) if not blind(val, ring)), None)
         got = None
         if bad is not None:
             got = Obstruction([Fraction(int(j == bad)) for j in range(len(v))], ring)
-        elif sol.kernel:
-            got = self._period_system(sol.kernel).solve([int(val) for val in v])
+        elif loops:
+            got = self._period_system().solve([int(val) for val in v])
         if isinstance(got, Obstruction):
-            return HatComparison(False, homotopy=sol.particular,
+            return HatComparison(False, homotopy=data,
                                  obstruction=self._period_obstruction(got, v))
         coords = [] if got is None else [int(c) for c in got.x0]
-        data = sol.particular
+        morH = mor0
         if any(coords):
             vec = data.vec
-            for c, B in zip(coords, sol.kernel):
+            for c, B in zip(coords, loops):
                 if c:
                     vec = map(add, vec, map(mul, B.vec, repeat(c)))
             data = Cochain._trusted(data.complex, data.degree, INTEGERS, vec)
-        chosen = HomotopyClass(Homotopy2(x.obj, y.obj, data))
-        morH = self.character.on_morphism(chosen)
+            morH = self.character.on_morphism(HomotopyClass(Homotopy2(x.obj, y.obj, data)))
         residual = (x.omega - y.omega) - morH
         if residual.is_zero():
             return HatComparison(True, homotopy=data)
@@ -323,9 +318,8 @@ class HatTheory:
         fun: dict = {}
         for yr, phi in zip(got.functional, self._quotient_functionals()):
             if yr:
-                for g, p in zip(gens, phi):
-                    if p:
-                        fun[g] = fun.get(g, Fraction(0)) + yr * p
+                for t, p in phi.items():
+                    fun[gens[t]] = fun.get(gens[t], Fraction(0)) + yr * p
         value = sum((yr * val for yr, val in zip(got.functional, v) if yr), Fraction(0))
         return PeriodObstruction({g: val for g, val in fun.items() if val}, got.ring, value)
 
@@ -392,7 +386,7 @@ def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
         if isinstance(sol, CoboundaryObstruction):
             rounds.append((False, {"note": "coboundary object not null-homotopic"}))
             continue
-        connect = HomotopyClass(Homotopy2(G.unit(), c, sol.particular))
+        connect = HomotopyClass(Homotopy2(G.unit(), c, sol))
         alpha = x.omega + T.character.on_morphism(connect)
         comp = T.compare(T.from_form(alpha), x)
         back = T.underlying_class(T.from_form(_random_form(T, rng)))
@@ -410,18 +404,18 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
     """Re-derive the functional's properties instead of trusting the solver.
 
     The functional must kill rational coboundaries, be blind on the
-    character of every self-homotopy shift of the trivial object, and
-    refute alpha itself.  The returned check's witness records each
-    property and the recomputed value.
+    character of every loop (the self-homotopy shifts of the trivial
+    object, up to shifts whose characters are coboundaries), and refute
+    alpha itself.  The returned check's witness records each property and
+    the recomputed value.
     """
     n, G = T.degree, T.groupoid
     lower = T.carrier.generators(n - 2) if n >= 2 else []
     kills = all(obs.pairing(coboundary(
         Cochain.indicator(T.carrier, g, RATIONALS))) == 0 for g in lower)
-    sol = T.homotopies(G.unit(), G.unit())
-    base = HomotopyClass(Homotopy2(G.unit(), G.unit(), sol.particular))
+    base = HomotopyClass(Homotopy2(G.unit(), G.unit(), T.homotopies(G.unit(), G.unit())))
     mor0 = T.character.on_morphism(base)
-    col_vals = [obs.pairing(T._character_column(B)) for B in sol.kernel]
+    col_vals = [obs.pairing(T._character_column(B)) for B in G.loops()]
     value = obs.pairing(alpha) - obs.pairing(mor0)
     cols_ok = all(blind(v, obs.ring) for v in col_vals)
     separated = not blind(value, obs.ring)

@@ -22,11 +22,12 @@ one check per property and level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable
 
 from .cochains import (Cochain, Coefficients, coboundary, embed_rational,
                        fiber_integrate, pullback)
-from .complexes import (ConstructionError, ProductWithSimplex, Simplex,
+from .complexes import (ConstructionError, Gather, ProductWithSimplex, Simplex,
                         SimplicialMap, SimplicialSet, codegeneracy_map,
                         coface_map, cylinder, identity_map, key_str,
                         product_map, standard_simplex, vertex_path)
@@ -312,6 +313,36 @@ def maps_as_cocycles(X: SimplicialSet, E: EMSpace) -> MapCocycleBijection:
 # -- the loop identification ----------------------------------------------
 
 
+def _cross_section(w: Cochain, k: int, sign: int) -> Cochain:
+    """sign times the cross product of w with the top cell of Delta^k.
+
+    Supported on X x Delta^k where the simplex path of a generator is
+    (0, ..., 0, 1, ..., k), with value sign * w(front face) there.  Where
+    the values land is compiled once per base, k and degree into one
+    Gather.
+    """
+    X, m = w.complex, w.degree
+    P = cylinder(X, k).complex
+    token = ("cross-section", m)
+    gather = P._cache.get(token)
+    if gather is None:
+        index = X.gen_index(m)
+        path = (0,) * (m + 1) + tuple(range(1, k + 1))
+        positions = []
+        for gx, wx, t, wt in P.generators(m + k):
+            p = len(index)
+            if vertex_path(Simplex(t, wt), m + k) == path:
+                front = Simplex(gx, wx)
+                for v in range(m + k, m, -1):
+                    front = X.face(front, v)
+                if not front.word:
+                    p = index[front.gen]
+            positions.append(p)
+        gather = P._cache[token] = Gather(positions, len(index))
+    vals = gather.get(w.vec + (w.coeffs.zero,))
+    return Cochain._trusted(P, m + k, w.coeffs, vals if sign > 0 else map(neg, vals))
+
+
 def e_section(w: Cochain) -> Cochain:
     """The based loop presenting w: an end-trivial cocycle on X x Delta^1.
 
@@ -319,20 +350,18 @@ def e_section(w: Cochain) -> Cochain:
     the value there is (-1)^n w(front face).  Fiber integration over the
     interval recovers w exactly.
     """
-    X = w.complex
-    n = w.degree
-    cyl = cylinder(X, 1)
-    jump = (0,) * (n + 1) + (1,)
-    sign = 1 if n % 2 == 0 else -1
-    vals = {}
-    for key in cyl.complex.generators(n + 1):
-        gx, wx, t, wt = key
-        if vertex_path(Simplex(t, wt), n + 1) != jump:
-            continue
-        v = w.eval(X.face(Simplex(gx, wx), n + 1))
-        if v:
-            vals[key] = sign * v
-    return Cochain(cyl.complex, n + 1, w.coeffs, vals)
+    return _cross_section(w, 1, -1 if w.degree % 2 else 1)
+
+
+def relative_section(w: Cochain) -> Cochain:
+    """The self-homotopy presenting w: a cocycle on X x Delta^2 vanishing on
+    all three faces.
+
+    It is the cross product of w with the relative class of the triangle,
+    supported where the triangle path is (0, ..., 0, 1, 2), so it is closed
+    when w is.  Fiber integration over the triangle recovers w exactly.
+    """
+    return _cross_section(w, 2, 1)
 
 
 def loop_integrate(z: Cochain) -> Cochain:

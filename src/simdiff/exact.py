@@ -8,19 +8,20 @@ as a Smith form D = S A' T:
 * over Z/k, A' is the integer lift [A | k I];
 * over Q, A' is A with each row scaled to clear its denominators.
 
-The kernel basis (the columns of T past the rank) is read off once, on
-first use, so a system factored only for its rank or diagonal never makes
-it dense.  So is the Substitution, on the first solve: S's rows up to the
-rank compiled to (column read, coefficient tuple) pairs, and A' kept as
-sparse columns.  System.solve(b) for each new right-hand side is one
+The kernel basis (the columns of T past the rank) is read off only when
+System.kernel is read, never by a solve, so a system factored for its
+rank, its diagonal or its right-hand sides never makes it dense.  The
+Substitution is built on the first solve: S's rows up to the rank
+compiled to (column read, coefficient tuple) pairs, and A' kept as sparse
+columns.  System.solve(b) for each new right-hand side is one
 substitution: y from S's rank rows divided by the diagonal, x0 = T y,
-then the test A' x0 = b.
-It returns a Solution (x0 plus the kernel) or an Obstruction, a
-functional that Obstruction.check re-verifies against System.matrix (over
-Z/k the lift [A | k I]) without trusting the solver: a row of S over its
-invariant factor ("Z", "Z/k") or, read only when the test fails, the
-first row of S past the rank that does not vanish on b ("Q").  blind() is
-the one definition of what each ring's certificate means.
+then the test A' x0 = b.  It returns a Solution (one particular x0; the
+others differ from it by System.kernel) or an Obstruction, a functional
+that Obstruction.check re-verifies against System.matrix (over Z/k the
+lift [A | k I]) without trusting the solver: a row of S over its invariant
+factor ("Z", "Z/k") or, read only when the test fails, the first row of S
+past the rank that does not vanish on b ("Q").  blind() is the one
+definition of what each ring's certificate means.
 
 The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
@@ -44,12 +45,7 @@ from math import lcm
 from operator import floordiv, itemgetter, mul, ne
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-Matrix = list[list[int]]
 Sparse = list[dict[int, int]]
-
-
-def transpose(A: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*A)] if A else []
 
 
 def apply_rows(M: Sparse, v: Sequence) -> list:
@@ -238,14 +234,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
 
 @dataclass
 class Solution:
-    """x0 + span(kernel) solves A x = b over the relevant ring.
-
-    A System hands every Solution the same kernel list: read it, do not
-    change it.
-    """
+    """One solution x0 of A x = b over the relevant ring; every other differs
+    from it by a vector of System.kernel."""
 
     x0: list
-    kernel: list[list]
 
 
 def blind(value, ring: str) -> bool:
@@ -275,11 +267,6 @@ class Obstruction:
         return all(blind(v, self.ring) for v in rA) and not blind(rb, self.ring)
 
 
-def _snf_kernel(f: SmithForm) -> list[list[int]]:
-    c = f.shape[1]
-    return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
-
-
 class Substitution:
     """A Smith form D = S A T compiled for many right-hand sides.
 
@@ -298,16 +285,13 @@ class Substitution:
 
 
 def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstruction:
-    """All integer solutions of A x = b, or a rational obstruction row."""
-    r = len(A)
-    c = len(A[0]) if r else 0
-    if r == 0:
-        return Solution([], [[1 if i == j else 0 for i in range(c)] for j in range(c)])
+    """An integer solution of A x = b, or an obstruction row."""
+    if not A:
+        return Solution([])
     return solve_int_snf(Substitution(smith_normal_form(A), A), b)
 
 
-def solve_int_snf(sub: Substitution, b: Sequence[int],
-                  kernel: list[list[int]] | None = None) -> Solution | Obstruction:
+def solve_int_snf(sub: Substitution, b: Sequence[int]) -> Solution | Obstruction:
     """solve_int against a precomputed nonempty Smith form, compiled.
 
     y_i = (S b)_i / d_i over the rank rows, the first row d_i does not
@@ -315,8 +299,7 @@ def solve_int_snf(sub: Substitution, b: Sequence[int],
     when S b vanishes past the rank, so only when it fails are those rows
     read, the first nonzero one giving a "Q" obstruction.  Splitting the
     decomposition from the substitution lets callers solving many
-    right-hand sides against one matrix pay for it once; a kernel read off
-    the form beforehand is passed in and returned as it is.
+    right-hand sides against one matrix pay for it once.
     """
     f = sub.form
     r, c = f.shape
@@ -331,42 +314,24 @@ def solve_int_snf(sub: Substitution, b: Sequence[int],
                 # rationally inconsistent: rA = 0 with rb != 0
                 return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
         raise ArithmeticError("A x0 != b although S b vanishes past the rank")
-    return Solution(x0, _snf_kernel(f) if kernel is None else kernel)
+    return Solution(x0)
 
 
 def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
-    """All rational solutions of A x = b, or a functional with rA=0, rb!=0."""
+    """A rational solution of A x = b, or a functional with rA=0, rb!=0."""
     return System(A, range(len(A)), range(len(A[0]) if A else 0), "Q").solve(b)
 
 
-def kernel_int(A: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not A:
-        return []
-    return _snf_kernel(smith_normal_form(A))
-
-
-def _lift(A: Sequence[Sequence[int]], k: int) -> Matrix:
+def _lift(A: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     """The integer lift [A | k I] of a matrix over Z/k."""
     r = len(A)
     return [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
 
 
-def _reduce_mod(vectors: Sequence[Sequence[int]], c: int, k: int) -> list[list[int]]:
-    """Distinct nonzero residues mod k of the vectors' first c entries."""
-    out = []
-    seen = set()
-    for v in vectors:
-        w = tuple(u % k for u in v[:c])
-        if any(w) and w not in seen:
-            seen.add(w)
-            out.append(list(w))
-    return out
-
-
 def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution | None:
-    """Solutions of A x = b over Z/k, via the integer lift [A | k I]."""
+    """A solution of A x = b over Z/k, via the integer lift [A | k I]."""
     if not A:
-        return Solution([], [])
+        return Solution([])
     lift = _lift(A, k)
     return solve_mod_snf(Substitution(smith_normal_form(lift), lift), b, k)
 
@@ -377,7 +342,7 @@ def solve_mod_snf(sub: Substitution, b: Sequence[int], k: int) -> Solution | Non
     res = solve_int_snf(sub, list(b))
     if isinstance(res, Obstruction):
         return None
-    return Solution([v % k for v in res.x0[:c]], _reduce_mod(res.kernel, c, k))
+    return Solution([v % k for v in res.x0[:c]])
 
 
 # -- the factor-once system ------------------------------------------------
@@ -425,33 +390,38 @@ class System:
 
     @cached_property
     def kernel(self) -> list[list]:
-        """A basis of the solutions of A x = 0, dense, built on first read.
+        """A basis of the solutions of A x = 0 (over Z/k a spanning set),
+        dense, built on first read; no solve reads it.
 
-        The columns of T past the rank, over Z/k reduced mod k; with no
-        equations every vector solves, and the basis is the unit vectors.
+        The columns of T past the rank, over Z/k cut to the unknowns and
+        reduced mod k, without zeros and repeats; with no equations every
+        vector solves, and the basis is the unit vectors.
         """
-        c = len(self.cols)
-        if self.form is None:
+        c, f = len(self.cols), self.form
+        if f is None:
             return [[int(i == j) for i in range(c)] for j in range(c)]
-        kernel = _snf_kernel(self.form)
-        return _reduce_mod(kernel, c, self.modulus) if self.kind == "Zmod" else kernel
+        if self.kind != "Zmod":
+            return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
+        k = self.modulus
+        residues = (tuple(col.get(t, 0) % k for t in range(c)) for col in f.T[f.rank:])
+        return [list(w) for w in dict.fromkeys(residues) if any(w)]
 
     @cached_property
     def _substitution(self) -> Substitution:
         return Substitution(self.form, self._factored())
 
     def solve(self, b: Sequence) -> Solution | Obstruction:
-        """Substitute b into the factorization: every solution, or why none."""
+        """Substitute b into the factorization: one solution, or why none."""
         if self.form is None:
-            return Solution([0] * len(self.cols), self.kernel)
+            return Solution([0] * len(self.cols))
         if self.kind == "Q":
             return self._solve_rational(b)
-        res = solve_int_snf(self._substitution, b, self.kernel)
+        res = solve_int_snf(self._substitution, b)
         if self.kind == "Z":
             return res
         if isinstance(res, Obstruction):
             return Obstruction(res.functional, self.ring)
-        return Solution([v % self.modulus for v in res.x0[:len(self.cols)]], self.kernel)
+        return Solution([v % self.modulus for v in res.x0[:len(self.cols)]])
 
     def _solve_rational(self, b: Sequence) -> Solution | Obstruction:
         # b scaled like A's rows, cleared of denominators and multiplied by
@@ -460,7 +430,7 @@ class System:
         f = self.form
         e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
         res = solve_int_snf(self._substitution,
-                            [int(v * m * e) for v, m in zip(b, self._scale)], self.kernel)
+                            [int(v * m * e) for v, m in zip(b, self._scale)])
         if isinstance(res, Obstruction):
             return Obstruction([v * m for v, m in zip(res.functional, self._scale)], "Q")
-        return Solution([Fraction(v, e) for v in res.x0], self.kernel)
+        return Solution([Fraction(v, e) for v in res.x0])

@@ -28,12 +28,12 @@ from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
-from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology,
+from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cochain_of, cohomology,
                          delta_system, solve_coboundary_in)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cylinder,
                         identity_map, pair_canonical, product_map,
                         standard_simplex, vertex_path)
-from .em import MappingComplex, e_section, loop_integrate, moore_fill
+from .em import MappingComplex, e_section, loop_integrate, moore_fill, relative_section
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
 from .exact import System, smith_normal_form  # noqa: F401
@@ -423,6 +423,23 @@ class MappingGroupoid:
         down = self.oplus_morphisms(self.left_unitor(g), self.right_unitor(f))
         interchange = self.identity(up.target)
         return self.compose(self.compose(up, interchange), down)
+
+    def loops(self) -> tuple[Cochain, ...]:
+        """Closed data on X x Delta^2, zero on the faces, spanning the
+        differences of parallel homotopies up to coboundaries vanishing there.
+
+        Those differences are cross products of degree n - 1 cocycles with
+        the triangle's relative class (Hatcher, Algebraic Topology, 3.B):
+        the em.relative_section of each cocycle delta_system(X, n - 1).kernel
+        lists over the groupoid's ring.  Cached on the base per degree and ring.
+        """
+        X, n = self.base, self.degree
+        token = ("loops", n, self.coeffs)
+        if token not in X._cache:
+            kernel = delta_system(X, n - 1, coeffs=self.coeffs).kernel if n else []
+            X._cache[token] = tuple(relative_section(cochain_of(X, n - 1, self.coeffs, v))
+                                    for v in kernel)
+        return X._cache[token]
 
     # -- class equality ---------------------------------------------------
 

@@ -66,7 +66,7 @@ class TildeGroupoid:
         unit = T.groupoid.unit()
         sol = T.homotopies(unit, unit)
         return T.character.on_morphism(HomotopyClass(
-            Homotopy2(unit, unit, sol.particular)))
+            Homotopy2(unit, unit, sol)))
 
     def lift(self, d: HatClass) -> Cochain:
         """A rational datum whose inclusion is d.
@@ -79,7 +79,7 @@ class TildeGroupoid:
         sol = T.homotopies(unit, d.obj)
         if isinstance(sol, CoboundaryObstruction):
             raise ValueError("class has a nonzero integral part; no datum spans it")
-        connect = HomotopyClass(Homotopy2(unit, d.obj, sol.particular))
+        connect = HomotopyClass(Homotopy2(unit, d.obj, sol))
         return d.omega + T.character.on_morphism(connect) - self._baseline()
 
     def hom(self, x: HatClass, y: HatClass) -> TildeMorphism | CoboundaryObstruction:

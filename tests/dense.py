@@ -1,12 +1,40 @@
 """Dense matrix helpers for the tests.
 
-The package keeps its Smith form factors sparse and never multiplies dense
-matrices; the tests build dense copies here to check them entry for entry
-and to multiply solutions out.  invariant_factors and kernel_mod_prime are
-the tests' own readings of a matrix's Smith diagonal and of its rank mod p.
+The package keeps its Smith form factors and coboundaries sparse and never
+multiplies dense matrices; the tests build dense copies here to check them
+entry for entry and to multiply solutions out.  invariant_factors and
+kernel_mod_prime are the tests' own readings of a matrix's Smith diagonal
+and of its rank mod p; delta_matrix, transpose and kernel_int are the dense
+readings the package once made itself.
 """
 
+from simdiff.cochains import delta_table
 from simdiff.exact import SmithForm, smith_normal_form
+
+
+def delta_matrix(X, n: int) -> list[list[int]]:
+    """Matrix of delta: C^n -> C^{n+1}; rows index (n+1)-generators."""
+    width = len(X.generators(n))
+    rows = []
+    for sparse in delta_table(X, n):
+        row = [0] * width
+        for p, a in sparse:
+            row[p] = a
+        rows.append(row)
+    return rows
+
+
+def transpose(A) -> list[list]:
+    return [list(col) for col in zip(*A)] if A else []
+
+
+def kernel_int(A) -> list[list[int]]:
+    """A basis of the integer solutions of A x = 0: the columns of T past
+    the rank of A's Smith form."""
+    if not A:
+        return []
+    f = smith_normal_form(A)
+    return [[col.get(t, 0) for t in range(f.shape[1])] for col in f.T[f.rank:]]
 
 
 def identity_matrix(n: int) -> list[list[int]]:

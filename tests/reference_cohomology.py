@@ -16,10 +16,11 @@ from math import lcm
 from typing import Sequence
 
 from simdiff.cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
-from simdiff.cohomology import (GroupPresentation, cochain_of, delta_matrix, delta_system,
-                                vector_of)
+from simdiff.cohomology import GroupPresentation, cochain_of, delta_system, vector_of
 from simdiff.complexes import SimplicialSet
 from simdiff.exact import apply_rows, smith_normal_form
+
+from dense import delta_matrix
 
 
 class CohomologyGroup:

@@ -8,19 +8,32 @@ from the face gathers, compiled rank rows and the test A x0 = b) can be
 compared with them answer for answer.  The reference builds its own
 matrix and checks it against the positional system's, then substitutes
 into that system's Smith form, so each pinned problem is factored once.
+
+The package's solve_closed_extension has since stopped returning the
+kernel cochains with its particular solution.  The reference still builds
+them, from System.kernel, as a PinnedSolution of its own.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping
 
 from simdiff.cochains import Cochain, Coefficients, delta_table
-from simdiff.cohomology import CoboundaryObstruction, PinnedSolution, Pins
+from simdiff.cohomology import CoboundaryObstruction, Pins
 from simdiff.complexes import ProductWithSimplex, SimplicialSet
-from simdiff.exact import (Obstruction, SmithForm, Solution, System, _lift, _snf_kernel,
-                           apply_cols, apply_rows)
+from simdiff.exact import (Obstruction, SmithForm, Solution, System, _lift, apply_cols,
+                           apply_rows)
+
+
+@dataclass
+class PinnedSolution:
+    """particular + integer/rational span of kernel, as cochains."""
+
+    particular: Cochain
+    kernel: list[Cochain]
 
 
 def pins_by_generator(pins: Pins) -> dict:
@@ -81,7 +94,7 @@ def rhs(pins: Mapping[Hashable, list], rows: int, known: Mapping[Hashable, objec
     return b
 
 
-def solve_int_snf(f: SmithForm, b, kernel=None) -> Solution | Obstruction:
+def solve_int_snf(f: SmithForm, b) -> Solution | Obstruction:
     """The substitution through every row of S."""
     r, c = f.shape
     y = []
@@ -93,26 +106,26 @@ def solve_int_snf(f: SmithForm, b, kernel=None) -> Solution | Obstruction:
             y.append(sb // d)
         elif sb:
             return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
-    return Solution(apply_cols(f.T, y, c), _snf_kernel(f) if kernel is None else kernel)
+    return Solution(apply_cols(f.T, y, c))
 
 
 def solve(S: System, b) -> Solution | Obstruction:
     """System.solve through the full-S substitution."""
     if S.form is None:
-        return Solution([0] * len(S.cols), S.kernel)
+        return Solution([0] * len(S.cols))
     f = S.form
     if S.kind == "Q":
         e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
-        res = solve_int_snf(f, [int(v * m * e) for v, m in zip(b, S._scale)], S.kernel)
+        res = solve_int_snf(f, [int(v * m * e) for v, m in zip(b, S._scale)])
         if isinstance(res, Obstruction):
             return Obstruction([v * m for v, m in zip(res.functional, S._scale)], "Q")
-        return Solution([Fraction(v, e) for v in res.x0], S.kernel)
-    res = solve_int_snf(f, b, S.kernel)
+        return Solution([Fraction(v, e) for v in res.x0])
+    res = solve_int_snf(f, b)
     if S.kind == "Z":
         return res
     if isinstance(res, Obstruction):
         return Obstruction(res.functional, S.ring)
-    return Solution([v % S.modulus for v in res.x0[:len(S.cols)]], S.kernel)
+    return Solution([v % S.modulus for v in res.x0[:len(S.cols)]])
 
 
 def solve_closed_extension(P: SimplicialSet, degree: int, pins: Mapping[Hashable, object],

@@ -2,11 +2,11 @@ import random
 
 from fractions import Fraction
 
-from simdiff.exact import (Obstruction, Solution, kernel_int, smith_normal_form,
-                           solve_int, solve_mod, solve_rational)
+from simdiff.exact import (Obstruction, Solution, System, smith_normal_form, solve_int,
+                           solve_mod, solve_rational)
 
-from dense import (dense_factors, identity_matrix, invariant_factors, kernel_mod_prime,
-                   mat_mul, mat_vec)
+from dense import (dense_factors, identity_matrix, invariant_factors, kernel_int,
+                   kernel_mod_prime, mat_mul, mat_vec)
 
 
 def random_matrix(rng, r, c, lo=-5, hi=5):
@@ -59,8 +59,9 @@ def test_solve_int_simple():
 def test_solve_int_kernel():
     res = solve_int([[1, 1]], [0])
     assert isinstance(res, Solution)
-    assert len(res.kernel) == 1
-    (k,) = res.kernel
+    kernel = System([[1, 1]], [0], [0, 1]).kernel
+    assert len(kernel) == 1
+    (k,) = kernel
     assert k[0] + k[1] == 0 and abs(k[0]) == 1
 
 
@@ -74,7 +75,7 @@ def test_solve_int_random():
         res = solve_int(A, b)
         assert isinstance(res, Solution)
         assert mat_vec(A, res.x0) == b
-        for k in res.kernel:
+        for k in System(A, range(r), range(c)).kernel:
             assert all(v == 0 for v in mat_vec(A, k))
 
 
@@ -110,7 +111,7 @@ def test_solve_rational_random():
         res = solve_rational(A, b)
         assert isinstance(res, Solution)
         assert mat_vec(A, res.x0) == b
-        for k in res.kernel:
+        for k in System(A, range(r), range(c), "Q").kernel:
             assert all(v == 0 for v in mat_vec(A, k))
 
 
@@ -137,5 +138,6 @@ def test_solve_mod():
     res = solve_mod([[2]], [2], 4)
     assert isinstance(res, Solution)
     assert (2 * res.x0[0]) % 4 == 2
-    assert any((2 * k[0]) % 4 == 0 and k[0] % 4 for k in res.kernel)
+    kernel = System([[2]], [0], [0], "Zmod", 4).kernel
+    assert any((2 * k[0]) % 4 == 0 and k[0] % 4 for k in kernel)
 

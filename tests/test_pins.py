@@ -6,8 +6,9 @@ position, the right-hand side is -delta of the pinned cochain, and the
 substitution reads S's rank rows only, testing A x0 = b before it reads
 any row past the rank.  tests/reference_pins.py keeps the code this
 replaced; here both answer the same problems and must agree exactly:
-pins, particular solutions, kernels, obstructions ("Z", "Q" and "Z/k")
-and face-conflict errors.
+pins, particular solutions, obstructions ("Z", "Q" and "Z/k") and
+face-conflict errors.  The reference's kernel cochains, built from
+System.kernel, must be closed and vanish on every pin.
 """
 
 import random
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import reference_pins as ref
 from simdiff.cochains import (INTEGERS, RATIONALS, Cochain, coboundary, mod_coefficients,
                               pullback, random_cochain)
-from simdiff.cohomology import (CoboundaryObstruction, PinnedSolution, cohomology,
-                                delta_system, face_pins, solve_closed_extension)
+from simdiff.cohomology import (CoboundaryObstruction, cohomology, delta_system, face_pins,
+                                solve_closed_extension)
 from simdiff.complexes import circle, cylinder, genus2, rp2, torus
 from simdiff.exact import System
 
@@ -45,11 +46,13 @@ def pinned_answers(cyl, faces, degree, coeffs):
     got = solve_closed_extension(cyl.complex, degree, pins, coeffs)
     S = delta_system(cyl.complex, degree, pins.positions, coeffs)
     want = ref.solve_closed_extension(cyl.complex, degree, want_pins, coeffs, S)
-    assert type(got) is type(want)
-    if isinstance(want, PinnedSolution):
-        assert got.particular == want.particular
-        assert got.kernel == want.kernel
+    if isinstance(want, ref.PinnedSolution):
+        assert got == want.particular
+        for K in want.kernel:
+            assert coboundary(K).is_zero()
+            assert not any(K.vec[p] for p in pins.positions)
     else:
+        assert type(got) is type(want)
         assert got.ring == want.ring and got.functional == want.functional
     return got
 
@@ -97,7 +100,7 @@ def test_pinned_solves_match_the_generator_keyed_reference(base, k):
                 W = closed_cochain(cyl, degree, coeffs, rng)
                 # consistent closed faces: W itself extends them
                 got = pinned_answers(cyl, faces_of(cyl, W, order), degree, coeffs)
-                assert isinstance(got, PinnedSolution)
+                assert isinstance(got, Cochain)
                 seen.add("solution")
                 # faces agreeing on overlaps but not closed
                 bent = W + random_cochain(cyl.complex, degree, coeffs, rng, density=0.2)

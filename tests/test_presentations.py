@@ -20,9 +20,9 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 import reference_cohomology as ref
-from dense import kernel_mod_prime
+from dense import delta_matrix, kernel_mod_prime
 from simdiff.cochains import INTEGERS, RATIONALS, Cochain, coboundary, random_cochain
-from simdiff.cohomology import cohomology, delta_matrix
+from simdiff.cohomology import cohomology
 from simdiff.complexes import build_standard, cylinder, from_facets, torus
 from simdiff.diffhat import hat_group
 

@@ -15,11 +15,10 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from simdiff import exact
-from simdiff.cohomology import delta_matrix
 from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
 from simdiff.exact import SmithForm, _lift, smith_normal_form
 
-from dense import dense_factors, identity_matrix, mat_mul
+from dense import delta_matrix, dense_factors, identity_matrix, mat_mul
 
 BASES = {"circle": lambda: circle(3), "sphere2": sphere2, "rp2": rp2, "torus": torus}
 

@@ -7,8 +7,9 @@ verdict is taken from the code that produced it.
 Over Q the System solves through the integer Smith form.  The dense
 Gauss-Jordan elimination it replaced is kept here as the reference.  Its
 particular solutions and kernel bases differ from the System's, so the two
-are compared by solution set: the same verdict, the same kernel dimension,
-and particular solutions that differ by a kernel vector.
+are compared by solution set: the same verdict, the same kernel dimension
+(System.kernel against the echelon form's), and particular solutions that
+differ by a kernel vector.
 """
 
 import random
@@ -24,13 +25,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from simdiff import exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary_values,
                               mod_coefficients)
-from simdiff.cohomology import Pins, delta_matrix, delta_system, face_pins
+from simdiff.cohomology import Pins, delta_system, face_pins
 from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
 from simdiff.diffhat import HatTheory
-from simdiff.exact import (Obstruction, Solution, System, solve_int, solve_mod,
-                           solve_rational, transpose)
+from simdiff.exact import Obstruction, Solution, System, solve_int, solve_mod, solve_rational
 
-from dense import mat_vec
+from dense import delta_matrix, mat_vec, transpose
 
 RINGS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
 
@@ -100,7 +100,7 @@ def solve_echelon(f: EchelonForm, b: Sequence) -> Solution | Obstruction:
     x0 = [Fraction(0)] * (len(f.pivots) + len(f.kernel))
     for i, col in f.pivots:
         x0[col] = Eb[i]
-    return Solution(x0, f.kernel)
+    return Solution(x0)
 
 
 def reference_solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
@@ -108,19 +108,24 @@ def reference_solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | O
     return solve_echelon(echelon_form(A), b)
 
 
-def assert_same_rational_solutions(got, ref) -> None:
-    """The same verdict and, for a Solution, the same affine solution set."""
+def assert_same_rational_solutions(S: System, A, b, got) -> None:
+    """got = S.solve(b) has the echelon reference's verdict and, for a
+    Solution, its affine solution set: x0 plus S.kernel against the
+    reference's."""
+    f = echelon_form(A)
+    ref = solve_echelon(f, b)
     assert type(got) is type(ref)
     if isinstance(got, Obstruction):
         assert got.ring == ref.ring == "Q"
         return
-    assert len(got.kernel) == len(ref.kernel)
-    if got.kernel:
-        assert Matrix(got.kernel).rank() == len(got.kernel)
+    kernel = S.kernel
+    assert len(kernel) == len(f.kernel)
+    if kernel:
+        assert Matrix(kernel).rank() == len(kernel)
     diff = [a - b for a, b in zip(got.x0, ref.x0, strict=True)]
     # x0 - ref.x0 lies in the span of the kernel
-    if got.kernel:
-        assert isinstance(reference_solve_rational(transpose(got.kernel), diff), Solution)
+    if kernel:
+        assert isinstance(reference_solve_rational(transpose(kernel), diff), Solution)
     else:
         assert not any(diff)
 
@@ -154,7 +159,7 @@ def verify(S: System, A, b, got) -> None:
         return
     assert isinstance(got, Solution)
     assert residues(mat_vec(A, got.x0), S) == residues(b, S)
-    for v in got.kernel:
+    for v in S.kernel:
         assert not any(residues(mat_vec(A, v), S))
 
 
@@ -170,7 +175,7 @@ def check_against_one_shot(S: System, A, b):
     got = S.solve(b)
     ref = one_shot(S, A, b)
     if S.kind == "Q":
-        assert_same_rational_solutions(got, reference_solve_rational(A, b))
+        assert_same_rational_solutions(S, A, b, got)
     if ref is None:
         # solve_mod has no certificate; the system's must still verify
         assert isinstance(got, Obstruction) and got.ring == S.ring
@@ -287,6 +292,27 @@ def test_systems_are_cached_by_degree_pins_and_ring():
     W = delta_system(Y, 1, ends, dropped=tops)
     assert W is not Z and delta_system(Y, 1, ends, INTEGERS, tops) is W
     assert W.rows == [q for q in Z.rows if q not in tops] and W.cols == Z.cols
+
+
+def test_a_solve_leaves_the_kernel_unbuilt():
+    # the kernel is dense, so only a reader of System.kernel builds it
+    for kind, k in RINGS:
+        for _, A in fixture_deltas()[:3]:
+            S = System(A, range(len(A)), range(len(A[0])), kind, k)
+            S.solve([0] * len(A))
+            S.solve(mat_vec(A, [1] * len(A[0])))
+            assert "kernel" not in vars(S)
+    # nor does a class comparison, on a fresh torus no other test has read
+    T = HatTheory(product(circle(3), circle(3), name="torus"), 1)
+    G = T.groupoid
+    rng = random.Random(4)
+    x = T.hat(G.random_object(rng))
+    assert T.compare(x, x).equal
+    assert not T.compare(x, T.from_form(Cochain(T.carrier, 0, RATIONALS, {
+        T.carrier.generators(0)[0]: Fraction(1, 2)}))).equal
+    P = cylinder(T.base, 2).complex
+    pinned = [S for token, S in P._cache.items() if token[0] == "system"]
+    assert pinned and not any("kernel" in vars(S) for S in pinned)
 
 
 def test_ring_kind_is_validated():
