@@ -23,7 +23,6 @@ from .cochains import (
     INTEGERS,
     RATIONALS,
     coboundary,
-    delta_table,
     fiber_integrate,
     pullback,
     random_cochain,
@@ -31,10 +30,7 @@ from .cochains import (
 from .cohomology import (
     CoboundaryObstruction,
     cohomology,
-    face_pins,
     is_coboundary,
-    solve_closed_extension,
-    vector_of,
 )
 from .complexes import (
     Simplex,
@@ -46,10 +42,8 @@ from .complexes import (
     cylinder,
     identity_map,
     point,
-    product_map,
-    standard_simplex,
 )
-from .exact import Obstruction, System
+from .em import relative_section
 from .groupoid import (
     HomotopyClass,
     Homotopy2,
@@ -343,7 +337,9 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
     """Audit the character functor with literal defects and prism integrals.
 
     Beyond the class-level battery, the coherence squares are rechecked as
-    literal cochain identities (zero defect), and equality witnesses from
+    literal cochain identities (zero defect; a perturbed groupoid moves the
+    defects by coboundaries, so that check fails there from degree 2 up,
+    while the class-level checks must not), and equality witnesses from
     the class oracle are integrated: their triangle-face alternating sums
     must vanish, and from degree two up the 3-prism integral of a witness
     must cobound that alternating sum.  The report holds the functor
@@ -416,43 +412,25 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
 
 def cell_with_integral(G: MappingGroupoid, source: MapObject,
                        target: MapObject, eta: Cochain) -> HomotopyClass:
-    """A homotopy source -> target whose triangle integral is eta, as classes.
+    """A homotopy source -> target whose triangle integral is exactly eta.
 
-    Solves the pinned closed-extension problem on the 2-cylinder, then adds
-    loops (MappingGroupoid.loops) so the integral hits eta up to a
-    coboundary: each loop's integral is its cocycle, and the coboundaries
-    are the sparse columns of delta one degree further down.  The system is
-    solved over the groupoid's ring (over Z/k modulo k).  Raises when no
-    such cell exists.
+    The groupoid's filler (MappingGroupoid.homotopy) plus the relative
+    section of eta minus the filler's integral: a section integrates back
+    to its cocycle exactly, and it is closed and zero on the faces when the
+    difference is closed.  Over Z, Q and Z/k every cocycle is a combination
+    of the base's cocycle basis, so a cell exists exactly then; otherwise
+    this raises ValueError.
     """
     n, X = G.degree, G.base
     if eta.complex is not X or eta.degree != n - 1:
         raise ValueError("eta must live on the base one degree down")
-    cyl1, cyl2 = cylinder(X, 1), cylinder(X, 2)
-    pins = face_pins(cyl2, {0: Cochain.zero(cyl1.complex, n + 1, G.coeffs),
-                            1: target.data, 2: source.data})
-    data = solve_closed_extension(cyl2.complex, n + 1, pins, G.coeffs)
+    data = G.homotopy(source, target)
     if isinstance(data, CoboundaryObstruction):
         raise ValueError("the faces admit no closed filling")
-    rhs = vector_of(eta - fiber_integrate(data, cyl2))
-    loops = G.loops()
-    cols = [vector_of(fiber_integrate(B, cyl2)) for B in loops]
-    free = len(cols)
-    width = len(X.generators(n - 2)) if n >= 2 else 0
-    rows = [[col[i] for col in cols] + [0] * width for i in range(len(rhs))]
-    if width:
-        for row, faces in zip(rows, delta_table(X, n - 2)):
-            for p, a in faces:
-                row[free + p] = a
-    kind = G.coeffs.kind
-    got = System(rows, range(len(rows)), range(free + width), kind, G.coeffs.modulus).solve(
-        rhs if kind == "Q" else [int(v) for v in rhs])
-    if isinstance(got, Obstruction):
+    rest = eta - fiber_integrate(data, cylinder(X, 2))
+    if not coboundary(rest).is_zero():
         raise ValueError("no cell carries the requested integral class")
-    for coeff, B in zip(got.x0[:free], loops):
-        if coeff:
-            data = data + B.scale(G.coeffs.normalize(coeff))
-    return HomotopyClass(Homotopy2(source, target, data))
+    return HomotopyClass(Homotopy2(source, target, data + relative_section(rest)))
 
 
 def suspension_consistency(G: MappingGroupoid, trials: int = 25,
@@ -496,19 +474,6 @@ def suspension_consistency(G: MappingGroupoid, trials: int = 25,
 # -- restriction along base maps -------------------------------------------
 
 
-_CYLINDER_MAPS: dict[tuple, tuple] = {}
-
-
-def _cylinder_map(f: SimplicialMap, k: int) -> SimplicialMap:
-    token = (id(f), k)
-    if token not in _CYLINDER_MAPS:
-        m = product_map(cylinder(f.source, k).complex,
-                        cylinder(f.target, k).complex,
-                        f, identity_map(standard_simplex(k)))
-        _CYLINDER_MAPS[token] = (f, m)
-    return _CYLINDER_MAPS[token][1]
-
-
 def restrict_object(G: MappingGroupoid, f: SimplicialMap,
                     obj: MapObject) -> MapObject:
     """Pull an object back along a base map into the groupoid over f's source."""
@@ -516,14 +481,14 @@ def restrict_object(G: MappingGroupoid, f: SimplicialMap,
         raise ValueError("map does not run between the groupoid bases")
     if (G.coeffs, G.degree) != (obj.groupoid.coeffs, obj.groupoid.degree):
         raise ValueError("groupoids disagree in degree or coefficients")
-    return G.object(pullback(_cylinder_map(f, 1), obj.data))
+    return G.object(pullback(f.cylinder_map(1), obj.data))
 
 
 def restrict_morphism(G: MappingGroupoid, f: SimplicialMap,
                       m: HomotopyClass) -> HomotopyClass:
     src = restrict_object(G, f, m.source)
     tgt = restrict_object(G, f, m.target)
-    data = pullback(_cylinder_map(f, 2), m.rep.data)
+    data = pullback(f.cylinder_map(2), m.rep.data)
     return HomotopyClass(Homotopy2(src, tgt, data))
 
 

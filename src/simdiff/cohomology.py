@@ -16,8 +16,9 @@ coboundary" with either a primitive or a functional certificate;
 solve_closed_extension finds one closed cochain on a product with
 prescribed values on a set of generators, which is the workhorse behind
 homotopy existence and class equality.  With the three faces of
-X x Delta^2 pinned, the others differ from it by MappingGroupoid.loops up
-to coboundary, so no kernel is enumerated.  Both solvers are one
+X x Delta^2 pinned, every other solution differs from it by the
+em.relative_section of a cocycle one degree down, up to coboundary, so no
+kernel is enumerated.  Both solvers are one
 substitution into a cached system, and both work by generator position:
 face_pins compiles where the faces of X x Delta^k land once per face set,
 and the pinned values reach the system as one cochain.

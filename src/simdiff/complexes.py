@@ -350,8 +350,8 @@ class SimplicialMap:
 
     Images may be degenerate.  Compatibility with degeneracies is automatic
     from the word algebra; compatibility with faces is what check() verifies.
-    The images are read-only, so the pullback tables cached per degree can
-    never go stale.
+    The images are read-only, so the pullback tables and cylinder maps
+    cached on the map can never go stale.
     """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet,
@@ -361,6 +361,7 @@ class SimplicialMap:
         self.images = MappingProxyType(dict(images))
         self.name = name or f"{source.name}->{target.name}"
         self._pullback: dict[int, Gather] = {}
+        self._cylinders: dict[int, SimplicialMap] = {}
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.images[s.gen], s.word)
@@ -377,6 +378,16 @@ class SimplicialMap:
                 (size if images[g].word else index[images[g].gen]
                  for g in self.source.generators(dim)), size)
         return self._pullback[dim]
+
+    def cylinder_map(self, k: int) -> "SimplicialMap":
+        """This map times the identity of Delta^k, between the two
+        cylinders; built once per k and kept on the map, so it lives
+        exactly as long as the map does."""
+        if k not in self._cylinders:
+            self._cylinders[k] = product_map(
+                cylinder(self.source, k).complex, cylinder(self.target, k).complex,
+                self, identity_map(standard_simplex(k)))
+        return self._cylinders[k]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SimplicialMap)

@@ -7,9 +7,11 @@ equal to the difference of the rational parts modulo rational
 coboundaries.  That relation is decided exactly: equality comes with a
 homotopy and a rational primitive that reproduce the difference
 literally, inequality with a functional whose pairing refutes every
-candidate at once.  The candidates are one homotopy plus integer
-combinations of the groupoid's loops, one per cocycle of the base one
-degree down, so their characters differ by periods read off the base.
+candidate at once.  The candidates are one homotopy plus the relative
+section (em.relative_section) of an integer combination of the cocycle
+basis W of the base one degree down.  A section integrates back to its
+cocycle exactly, so the candidates' characters differ by the pushes of W:
+the periods are read off the base, with no fiber integration.
 
 Curvature, the underlying integral class, and the inclusion of rational
 cochains are the three transformations out of the resulting group; their
@@ -23,8 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 from .character import CharacterModel, cell_with_integral, rational_form
 from .cochains import (
@@ -40,13 +41,13 @@ from .cohomology import (
     CoboundaryWitness,
     GroupPresentation,
     cohomology,
+    cochain_of,
     delta_system,
-    face_pins,
     keyed_json,
-    solve_closed_extension,
     solve_coboundary,
 )
 from .complexes import SimplicialSet, cylinder
+from .em import relative_section
 from .exact import Obstruction, System, blind, compile_rows
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
@@ -128,9 +129,9 @@ class HatTheory:
     Degree zero is excluded: with no rational datum below it, that group
     is just the integral 0-cocycles (see hat_group).  All arithmetic is
     exact, and the equality solver covers every homotopy between two
-    objects at once: one particular homotopy plus integer combinations of
-    the groupoid's loops, whose characters' periods it solves for, so
-    decisions are complete rather than sampled.
+    objects at once: one particular homotopy plus the relative section of
+    an integer combination of the cocycles one degree down, whose periods
+    it solves for, so decisions are complete rather than sampled.
     """
 
     def __init__(self, X: SimplicialSet, n: int,
@@ -220,17 +221,15 @@ class HatTheory:
 
     def homotopies(self, src: MapObject,
                    tgt: MapObject) -> Cochain | CoboundaryObstruction:
-        """One level-2 filler from src to tgt, or what separates them.
+        """One level-2 filler from src to tgt, or what separates them
+        (MappingGroupoid.homotopy)."""
+        return self.groupoid.homotopy(src, tgt)
 
-        Every other filler differs from it by an integer combination of
-        self.groupoid.loops() plus a coboundary vanishing on the faces.  The
-        faces pin the same generators for every pair, so every call
-        substitutes into one cached system.
-        """
-        cyl2 = cylinder(self.base, 2)
-        lid = Cochain.zero(cylinder(self.base, 1).complex, self.degree + 1, INTEGERS)
-        pins = face_pins(cyl2, {0: lid, 1: tgt.data, 2: src.data})
-        return solve_closed_extension(cyl2.complex, self.degree + 1, pins, INTEGERS)
+    @cached_property
+    def _cocycles(self) -> list[list[int]]:
+        """W, the integral cocycle basis of the base one degree down, as
+        the vectors the cached delta_system lists."""
+        return delta_system(self.base, self.degree - 1).kernel
 
     def _quotient_functionals(self) -> list[dict[int, int]]:
         """Sparse integer rows spanning the annihilator of rational
@@ -254,14 +253,16 @@ class HatTheory:
         return self._push(rational_form(fiber_integrate(B, cyl2)))
 
     def _period_system(self) -> System:
-        """Quotient functionals on the characters of the groupoid's loops.
+        """Quotient functionals on the pushes of the cocycle basis W.
 
-        The loops are the same for every pair, so the matrix is factored
-        once per theory.
+        The push of w is the character of relative_section(w), which
+        integrates back to w exactly.  W is the same for every pair, so
+        the matrix is factored once per theory.
         """
         if self._periods is None:
-            cols = [tuple(map(int, self._character_column(B).vec))
-                    for B in self.groupoid.loops()]
+            X, n = self.base, self.degree
+            cols = [tuple(map(int, self._push(cochain_of(X, n - 1, RATIONALS, w)).vec))
+                    for w in self._cocycles]
             M = [[sum(map(mul, a, read(col))) for col in cols]
                  for read, a in self._functional_rows]
             self._periods = System(M, range(len(M)), range(len(cols)))
@@ -278,15 +279,15 @@ class HatTheory:
         mor0 = self.character.on_morphism(base)
         tvec = ((x.omega - y.omega) - mor0).vec
         v = [sum(map(mul, a, read(tvec))) for read, a in self._functional_rows]
-        # with no loops the periods must vanish; with some they must be
-        # integer combinations of the loops' character periods
-        loops = self.groupoid.loops()
-        ring = "Z" if loops else "Q"
+        # with no cocycles below the periods must vanish; with some they
+        # must be integer combinations of the cocycles' periods
+        W = self._cocycles
+        ring = "Z" if W else "Q"
         bad = next((j for j, val in enumerate(v) if not blind(val, ring)), None)
         got = None
         if bad is not None:
             got = Obstruction([Fraction(int(j == bad)) for j in range(len(v))], ring)
-        elif loops:
+        elif W:
             got = self._period_system().solve([int(val) for val in v])
         if isinstance(got, Obstruction):
             return HatComparison(False, homotopy=data,
@@ -294,11 +295,8 @@ class HatTheory:
         coords = [] if got is None else [int(c) for c in got.x0]
         morH = mor0
         if any(coords):
-            vec = data.vec
-            for c, B in zip(coords, loops):
-                if c:
-                    vec = map(add, vec, map(mul, B.vec, repeat(c)))
-            data = Cochain._trusted(data.complex, data.degree, INTEGERS, vec)
+            z = [sum(map(mul, coords, col)) for col in zip(*W)]
+            data = data + relative_section(cochain_of(self.base, self.degree - 1, INTEGERS, z))
             morH = self.character.on_morphism(HomotopyClass(Homotopy2(x.obj, y.obj, data)))
         residual = (x.omega - y.omega) - morH
         if residual.is_zero():
@@ -404,19 +402,22 @@ def _audit_period(T: HatTheory, obs: PeriodObstruction,
     """Re-derive the functional's properties instead of trusting the solver.
 
     The functional must kill rational coboundaries, be blind on the
-    character of every loop (the self-homotopy shifts of the trivial
-    object, up to shifts whose characters are coboundaries), and refute
-    alpha itself.  The returned check's witness records each property and
-    the recomputed value.
+    character of every self-homotopy shift of the trivial object (up to
+    shifts whose characters are coboundaries), and refute alpha itself.
+    The shifts are re-derived from the cocycle basis one degree down, each
+    by relative_section, fiber integration and the push, without reading
+    the period system.  The returned check's witness records each property
+    and the recomputed value.
     """
-    n, G = T.degree, T.groupoid
+    n, X = T.degree, T.base
     lower = T.carrier.generators(n - 2) if n >= 2 else []
     kills = all(obs.pairing(coboundary(
         Cochain.indicator(T.carrier, g, RATIONALS))) == 0 for g in lower)
-    base = HomotopyClass(Homotopy2(G.unit(), G.unit(), T.homotopies(G.unit(), G.unit())))
-    mor0 = T.character.on_morphism(base)
-    col_vals = [obs.pairing(T._character_column(B)) for B in G.loops()]
-    value = obs.pairing(alpha) - obs.pairing(mor0)
+    col_vals = [obs.pairing(T._character_column(
+        relative_section(cochain_of(X, n - 1, INTEGERS, w)))) for w in T._cocycles]
+    # the zero cochain is a self-homotopy of the trivial object, and any
+    # other one moves the pairing by a blind period: refute alpha itself
+    value = obs.pairing(alpha)
     cols_ok = all(blind(v, obs.ring) for v in col_vals)
     separated = not blind(value, obs.ring)
     return Check("period-audit", kills and cols_ok and separated and value == obs.value,

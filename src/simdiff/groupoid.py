@@ -16,7 +16,10 @@ In this model the object sum is strictly associative, commutative and unital
 at the data level, so the structural cells land in identity classes; the
 point of running the coherence battery here is that a perturbation hook can
 add interior coboundaries to every morphism-producing filler, and no class
-outcome may change.  Genuinely nontrivial coherence data lives in the
+outcome may change.  The hook moves fillers from degree 2 up only: a
+level-3 fill is perturbed by delta of a degree-n cochain on generators of
+X x Delta^3 whose simplex factor covers three vertices, and in degree 1
+no generator does.  Genuinely nontrivial coherence data lives in the
 synthetic instances checked by the monoidal-category module.
 """
 
@@ -28,12 +31,12 @@ from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
-from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cochain_of, cohomology,
-                         delta_system, solve_coboundary_in)
+from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology, delta_system,
+                         face_pins, solve_closed_extension, solve_coboundary_in)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cylinder,
                         identity_map, pair_canonical, product_map,
                         standard_simplex, vertex_path)
-from .em import MappingComplex, e_section, loop_integrate, moore_fill, relative_section
+from .em import MappingComplex, e_section, loop_integrate, moore_fill
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
 from .exact import System, smith_normal_form  # noqa: F401
@@ -218,8 +221,10 @@ class MappingGroupoid:
     ``degree`` is n; object data has cochain degree n+1.  With ``perturb``
     set to a seeded Random, every morphism-producing filler gets an extra
     interior coboundary: representatives change, endpoints and classes
-    must not.  Object-level fills stay deterministic either way so that
-    sums of objects are reproducible.
+    must not.  In degree 1 that coboundary is zero (no degree-1 generator
+    of X x Delta^3 covers three vertices of Delta^3), so only degrees 2
+    and up perturb anything.  Object-level fills stay deterministic either
+    way so that sums of objects are reproducible.
     """
 
     def __init__(self, X: SimplicialSet, coeffs: Coefficients, n: int,
@@ -424,22 +429,21 @@ class MappingGroupoid:
         interchange = self.identity(up.target)
         return self.compose(self.compose(up, interchange), down)
 
-    def loops(self) -> tuple[Cochain, ...]:
-        """Closed data on X x Delta^2, zero on the faces, spanning the
-        differences of parallel homotopies up to coboundaries vanishing there.
+    def homotopy(self, src: MapObject,
+                 tgt: MapObject) -> Cochain | CoboundaryObstruction:
+        """One closed level-2 filler from src to tgt, or what refutes one.
 
-        Those differences are cross products of degree n - 1 cocycles with
-        the triangle's relative class (Hatcher, Algebraic Topology, 3.B):
-        the em.relative_section of each cocycle delta_system(X, n - 1).kernel
-        lists over the groupoid's ring.  Cached on the base per degree and ring.
+        The pins are lid 0 on X x Delta^1, face 1 the target and face 2 the
+        source, solved over the groupoid's ring.  They pin the same
+        generators for every pair, so every call substitutes into one
+        cached system.  Every other filler differs from this one by the
+        em.relative_section of a cocycle one degree down (the cross product
+        with the triangle's relative class; Hatcher, Algebraic Topology,
+        3.B) plus a coboundary vanishing on the faces.
         """
-        X, n = self.base, self.degree
-        token = ("loops", n, self.coeffs)
-        if token not in X._cache:
-            kernel = delta_system(X, n - 1, coeffs=self.coeffs).kernel if n else []
-            X._cache[token] = tuple(relative_section(cochain_of(X, n - 1, self.coeffs, v))
-                                    for v in kernel)
-        return X._cache[token]
+        cyl2 = cylinder(self.base, 2)
+        pins = face_pins(cyl2, {0: self.maps.zero(1), 1: tgt.data, 2: src.data})
+        return solve_closed_extension(cyl2.complex, self.degree + 1, pins, self.coeffs)
 
     # -- class equality ---------------------------------------------------
 

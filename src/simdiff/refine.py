@@ -59,20 +59,13 @@ class TildeGroupoid:
         T = self.theory
         return T.hat(T.groupoid.random_object(rng), _random_form(T, rng))
 
-    def _baseline(self) -> Cochain:
-        # character of the solver's own unit self-homotopy; subtracted so
-        # the zero class lifts to the zero datum
-        T = self.theory
-        unit = T.groupoid.unit()
-        sol = T.homotopies(unit, unit)
-        return T.character.on_morphism(HomotopyClass(
-            Homotopy2(unit, unit, sol)))
-
     def lift(self, d: HatClass) -> Cochain:
         """A rational datum whose inclusion is d.
 
         Exists exactly when d's integral class vanishes; the connecting
-        homotopy's character supplies it.
+        homotopy's character supplies it.  The unit's own self-homotopy is
+        the zero cochain (its faces pin zero), so the zero class lifts to
+        the zero datum.
         """
         T = self.theory
         unit = T.groupoid.unit()
@@ -80,7 +73,7 @@ class TildeGroupoid:
         if isinstance(sol, CoboundaryObstruction):
             raise ValueError("class has a nonzero integral part; no datum spans it")
         connect = HomotopyClass(Homotopy2(unit, d.obj, sol))
-        return d.omega + T.character.on_morphism(connect) - self._baseline()
+        return d.omega + T.character.on_morphism(connect)
 
     def hom(self, x: HatClass, y: HatClass) -> TildeMorphism | CoboundaryObstruction:
         """The arrow x -> y, or the functional separating the classes."""

@@ -1,5 +1,5 @@
 """The enumerated homotopy kernel behind HatTheory.compare, kept as the
-reference for the loops that replaced it.
+reference for the cocycle periods that replaced it.
 
 compare once read every closed cochain on X x Delta^2 vanishing on the
 three faces: the kernel of the pinned system behind homotopies, one dense
@@ -8,10 +8,14 @@ solve_closed_extension returned beside its particular solution.  The
 period system was the quotient functionals, then the integer kernel of
 delta's transpose, on the characters of those cochains, and compare chose
 the homotopy particular + sum(coordinate * kernel cochain).  The code is
-kept here as it was, so the loops can be checked against it: the same
+kept here as it was, so the package can be checked against it: the same
 period lattices, the same verdicts, and witnesses and obstructions that
 pass the same checks.  The particular solution is still the package's:
 homotopies returns the one it always did.
+
+loops lists the self-homotopies of the unit that compare read in between
+(one relative section per cocycle of the base one degree down), so the
+period matrix can be checked against their integrals entry for entry.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from itertools import repeat
 from operator import add, mul
 
 from simdiff.cochains import INTEGERS, Cochain, coboundary
-from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, delta_system,
-                                face_pins, solve_coboundary, vector_of)
+from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, cochain_of,
+                                delta_system, face_pins, solve_coboundary, vector_of)
 from simdiff.complexes import cylinder
 from simdiff.diffhat import HatClass, HatComparison, HatTheory, PeriodObstruction
+from simdiff.em import relative_section
 from simdiff.exact import Obstruction, System, blind
 from simdiff.groupoid import HomotopyClass, Homotopy2
 
@@ -51,6 +56,14 @@ def kernel(T: HatTheory) -> list[Cochain]:
             vec[p] = v
         out.append(Cochain._trusted(P, n + 1, INTEGERS, vec))
     return out
+
+
+def loops(T: HatTheory) -> list[Cochain]:
+    """The relative section of each cocycle delta_system(X, n - 1).kernel
+    lists, in its order: closed data on X x Delta^2, zero on the faces."""
+    X, n = T.base, T.degree
+    return [relative_section(cochain_of(X, n - 1, INTEGERS, w))
+            for w in delta_system(X, n - 1).kernel]
 
 
 def quotient_functionals(T: HatTheory) -> list[list[int]]:

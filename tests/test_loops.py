@@ -1,24 +1,27 @@
-"""Loops: the self-homotopies MappingGroupoid.loops builds from the base.
+"""Loops: the self-homotopies of the unit built from the base's cocycles.
 
 em.relative_section(w) is the cross product of a cocycle w with the
 relative class of the triangle.  It must be closed, vanish on the three
 faces of X x Delta^2 and integrate back to w exactly, in every ring and
 degree.  The loops are the relative sections of the cocycles the base's
-coboundary system lists, so cell_with_integral reaches every class they
-present, mod k included.
+coboundary system lists.  cell_with_integral adds one section to the
+groupoid's filler, so it reaches every class they present, mod k
+included, hits eta exactly and factors nothing after its first call.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simdiff import exact
 from simdiff.character import cell_with_integral
 from simdiff.cochains import (INTEGERS, RATIONALS, Cochain, coboundary, fiber_integrate,
-                              mod_coefficients, pullback)
-from simdiff.cohomology import cochain_of, cohomology, delta_system, is_coboundary
+                              mod_coefficients, pullback, random_cochain)
+from simdiff.cohomology import cochain_of, cohomology, delta_system, face_pins, is_coboundary
 from simdiff.complexes import circle, cylinder, from_facets, point, rp2, sphere2, torus
-from simdiff.em import relative_section
+from simdiff.em import e_section, relative_section
 from simdiff.groupoid import Homotopy2, MappingGroupoid
 
 Z2, Z3 = mod_coefficients(2), mod_coefficients(3)
@@ -74,14 +77,18 @@ def test_loops_are_self_homotopies_of_the_unit(coeffs):
     cyl = cylinder(X, 2)
     for n in (1, 2):
         G = MappingGroupoid(X, coeffs, n)
-        loops = G.loops()
-        assert loops is G.loops()
         ws = cocycles(X, n - 1, coeffs)
+        loops = [relative_section(w) for w in ws]
         assert [fiber_integrate(B, cyl) for B in loops] == ws
         u = G.unit()
+        # the unit's filler is zero, so each loop is a self-homotopy of it
+        assert G.homotopy(u, u).is_zero()
         for B in loops:
             Homotopy2(u, u, B)
-    assert MappingGroupoid(X, INTEGERS, 0).loops() == ()
+    # in degree 0 nothing lies below: the unit has exactly one filler
+    G = MappingGroupoid(X, INTEGERS, 0)
+    pins = face_pins(cyl, {0: G.maps.zero(1), 1: G.unit().data, 2: G.unit().data})
+    assert delta_system(cyl.complex, 1, pins.positions).kernel == []
 
 
 def test_cells_reach_a_mod_two_class_that_is_not_a_coboundary():
@@ -110,3 +117,42 @@ def test_cells_reach_every_mod_k_cocycle(coeffs):
                 eta = eta + z.scale(rng.randrange(coeffs.modulus))
             H = cell_with_integral(G, u, u, eta)
             assert is_coboundary(H.integral() - eta, coeffs)
+
+
+def test_cells_factor_nothing_after_the_first_call(monkeypatch):
+    X = torus()
+    G = MappingGroupoid(X, INTEGERS, 2)
+    u = G.unit()
+    zs = cocycles(X, 1, INTEGERS)
+    cell_with_integral(G, u, u, zs[0])
+    calls = []
+    real = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", lambda A: calls.append(A) or real(A))
+    rng = random.Random(7)
+    for _ in range(3):
+        w0 = G.random_object(rng)
+        q = random_cochain(X, 1, INTEGERS, rng)
+        target = G.object(w0.data + e_section(coboundary(q)))
+        H = cell_with_integral(G, w0, target, q + zs[rng.randrange(len(zs))])
+        assert H.source is w0 and H.target is target
+    assert calls == []
+
+
+def test_cells_hit_eta_exactly_over_the_rationals():
+    X = torus()
+    G = MappingGroupoid(X, RATIONALS, 2)
+    rng = random.Random(3)
+    zs = cocycles(X, 1, RATIONALS)
+    for _ in range(4):
+        w0 = G.random_object(rng)
+        q = random_cochain(X, 1, RATIONALS, rng)
+        target = G.object(w0.data + e_section(coboundary(q)))
+        eta = q
+        for z in zs:
+            eta = eta + z.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        H = cell_with_integral(G, w0, target, eta)
+        assert H.integral() == eta
+    # a difference that is not closed has no cell
+    u = G.unit()
+    with pytest.raises(ValueError):
+        cell_with_integral(G, u, u, Cochain.indicator(X, X.generators(1)[0], RATIONALS))

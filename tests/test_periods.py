@@ -1,12 +1,15 @@
-"""Periods from the base's loops against the enumerated homotopy kernel.
+"""Periods from the base's cocycles against the enumerated homotopy kernel.
 
-HatTheory.compare reads the periods of the groupoid's loops, one per
-cocycle of the base one degree down.  tests/reference_periods.py keeps the
-path it replaced, which enumerated the kernel of the pinned system on
-X x Delta^2.  Both must give the same period lattice (compared by the
-Smith form of the stacked columns) and, seed by seed, the same verdicts;
-every witness must pass Homotopy2 and the literal check, and every
-obstruction must certify against a spanning set built without the solver.
+HatTheory.compare reads one period column per cocycle of the base one
+degree down, the push of the cocycle itself.  tests/reference_periods.py
+keeps the path it replaced, which enumerated the kernel of the pinned
+system on X x Delta^2, and the loops in between, the relative sections of
+those cocycles, whose integrals the period matrix must equal entry for
+entry.  The kernel and the package must give the same period lattice
+(compared by the Smith form of the stacked columns) and, seed by seed,
+the same verdicts; every witness must pass Homotopy2 and the literal
+check, and every obstruction must certify against a spanning set built
+without the solver.
 """
 
 import random
@@ -58,10 +61,17 @@ def test_loop_periods_span_the_kernel_periods(case):
     # the cached factorization's rows span the reference's saturated lattice
     assert same_lattice(R.functionals, new)
     # in either functional basis, the loops' periods span the kernel's
-    old_cols = transpose(ref.period_matrix(T, R.functionals, T.groupoid.loops()))
+    old_cols = transpose(ref.period_matrix(T, R.functionals, ref.loops(T)))
     assert same_lattice(transpose(R.periods.matrix), old_cols)
     assert same_lattice(transpose(ref.period_matrix(T, new, R.kernel)),
                         transpose(T._period_system().matrix))
+
+
+def test_period_matrix_is_the_section_then_integrate_matrix(case):
+    T, _ = case
+    width = len(T.carrier.generators(T.degree - 1))
+    functionals = from_rows(T._quotient_functionals(), width)
+    assert T._period_system().matrix == ref.period_matrix(T, functionals, ref.loops(T))
 
 
 def pairs(T: HatTheory, seed: int) -> list:
@@ -75,7 +85,8 @@ def pairs(T: HatTheory, seed: int) -> list:
     c = T.character.on_morphism(m)
     x = T.hat(obj, omega)
     out = [(x, T.hat(m.target, omega - c)), (x, T.hat(m.target, omega + c))]
-    for B in rng.sample(G.loops(), min(2, len(G.loops()))):
+    loops = ref.loops(T)
+    for B in rng.sample(loops, min(2, len(loops))):
         half = T._character_column(B).scale(Fraction(1, 2))
         out.append((x, T.hat(m.target, omega - c + half)))
     out.append((x, T.hat(G.random_object(rng), _random_form(T, rng))))

@@ -28,6 +28,18 @@ CHECK_NAMES = ["objects-respected", "fully-faithful", "fully-faithful:lattice",
                *(f"monoidal-cells:{name}" for name in IDENTITIES)]
 
 
+@pytest.mark.parametrize("model, build, n", [
+    ("plain", lambda: circle(3), 1), ("sheared", torus, 2), ("plain", rp2, 2),
+    ("halved", lambda: circle(3), 1), ("halved", point, 1)])
+def test_unit_lifts_to_zero_without_a_baseline(model, build, n):
+    # the unit's faces pin zero, so its filler is zero and so is its lift
+    G = build_tilde(build(), n, CharacterModel(model))
+    T = G.theory
+    unit = T.groupoid.unit()
+    assert T.homotopies(unit, unit).is_zero()
+    assert G.lift(T.zero()).is_zero()
+
+
 def test_hom_and_automorphisms():
     G = build_tilde(circle(3), 1)
     T = G.theory
