@@ -8,6 +8,16 @@ materialized as simplicial sets; everything works with level elements
 The same simplicial-group interface drives mapping complexes
 Hom(X x Delta^*, K(A,n)), whose level-m elements are n-cocycles on
 X x Delta^m; these are what the homotopy-of-maps machinery fills horns in.
+A group supplies its face and degeneracy maps between level complexes
+(face_map, degeneracy_map); the base class pulls back along them.
+
+Horn filling (moore_fill) is Moore's filler, a fixed integer-linear map of
+the horn's faces.  It is compiled once per horn shape -- level complex,
+degree, level and missing face -- into gathers cached in the level-m
+complex's _cache, so the plan outlives the groups and groupoids built on
+that complex and serves every ring.  Every call still checks that each
+face is a cochain of the right complex, degree and ring and that the horn
+identities hold; only the filler's arithmetic is precompiled.
 
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
@@ -22,7 +32,8 @@ one check per property and level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from itertools import combinations
+from operator import add, neg
 from typing import Callable
 
 from .cochains import (Cochain, Coefficients, coboundary, embed_rational,
@@ -53,11 +64,21 @@ class SimplicialGroup:
     def element_level(self, z: Cochain) -> int:
         raise NotImplementedError
 
-    def face(self, z: Cochain, i: int) -> Cochain:
+    def face_map(self, m: int, i: int) -> SimplicialMap:
+        """The map level_complex(m - 1) -> level_complex(m) that d_i pulls
+        back along."""
         raise NotImplementedError
 
-    def degeneracy(self, z: Cochain, j: int) -> Cochain:
+    def degeneracy_map(self, m: int, j: int) -> SimplicialMap:
+        """The map level_complex(m + 1) -> level_complex(m) that s_j pulls
+        back along."""
         raise NotImplementedError
+
+    def face(self, z: Cochain, i: int) -> Cochain:
+        return pullback(self.face_map(self.element_level(z), i), z)
+
+    def degeneracy(self, z: Cochain, j: int) -> Cochain:
+        return pullback(self.degeneracy_map(self.element_level(z), j), z)
 
     def zero(self, m: int) -> Cochain:
         return Cochain.zero(self.level_complex(m), self.degree(), self.coeffs)
@@ -99,11 +120,11 @@ class EMSpace(SimplicialGroup):
         return (z.degree == self.n and z.coeffs == self.coeffs
                 and coboundary(z).is_zero())
 
-    def face(self, z: Cochain, i: int) -> Cochain:
-        return pullback(coface_map(self.element_level(z), i), z)
+    def face_map(self, m: int, i: int) -> SimplicialMap:
+        return coface_map(m, i)
 
-    def degeneracy(self, z: Cochain, j: int) -> Cochain:
-        return pullback(codegeneracy_map(self.element_level(z), j), z)
+    def degeneracy_map(self, m: int, j: int) -> SimplicialMap:
+        return codegeneracy_map(m, j)
 
     def check_levels(self, up_to: int = 3) -> None:
         """Simplicial identities on spanning elements of small levels."""
@@ -162,15 +183,13 @@ class MappingComplex(SimplicialGroup):
                 return m
         raise ValueError("element does not belong to this mapping complex")
 
-    def face(self, z: Cochain, i: int) -> Cochain:
-        m = self.element_level(z)
+    def face_map(self, m: int, i: int) -> SimplicialMap:
         if m == 0:
             raise ValueError("level-0 elements have no faces")
-        return pullback(self._cylinders[m].face_inclusion(i), z)
+        return self._cylinder(m).face_inclusion(i)
 
-    def degeneracy(self, z: Cochain, j: int) -> Cochain:
-        m = self.element_level(z)
-        return pullback(_product_codegeneracy(self.base, m, j), z)
+    def degeneracy_map(self, m: int, j: int) -> SimplicialMap:
+        return _product_codegeneracy(self.base, m, j)
 
 
 def _product_codegeneracy(X: SimplicialSet, m: int, j: int) -> SimplicialMap:
@@ -191,12 +210,111 @@ def _product_codegeneracy(X: SimplicialSet, m: int, j: int) -> SimplicialMap:
 # -- horn filling ----------------------------------------------------------
 
 
+class _MoorePlan:
+    """Moore's filler for one horn shape, compiled to gathers.
+
+    It is built by running Moore's recurrence once on symbolic rows, from
+    the pullback tables of the group's face and degeneracy maps.  The
+    level complex fixes those maps and the coefficients are integers, so
+    one plan serves every ring.
+
+    Both halves read the horn's face vectors concatenated in index order,
+    followed by one ring zero (the sentinel).  pairs lists each identity
+    d_{l-1} x_j = d_j x_l as (j, l, start, stop): its two sides are the
+    slices [start:stop] of left and right.  The filler is a sparse signed
+    integer matrix over the concatenation.  Its rows are grouped by their
+    number of terms and each group is a short sum of gathers; the entries
+    that carry a minus sign are read from one negated copy (minus), and
+    order puts the grouped rows back into generator order.
+    """
+
+    __slots__ = ("pairs", "left", "right", "minus", "groups", "order")
+
+    def __init__(self, G: SimplicialGroup, m: int, missing: int):
+        d = G.degree()
+        expected = [j for j in range(m + 1) if j != missing]
+        n = len(G.level_complex(m - 1).generators(d))
+        size = len(G.level_complex(m).generators(d))
+        sentinel = len(expected) * n
+        block = {j: b * n for b, j in enumerate(expected)}
+
+        def face_of(j: int, i: int) -> list[int]:
+            """Where d_i x_j reads the concatenation."""
+            table = G.face_map(m - 1, i).pullback_table(d).positions
+            return [sentinel if p == n else block[j] + p for p in table]
+
+        self.pairs, left, right = [], [], []
+        for j, l in combinations(expected, 2):
+            start = len(left)
+            left += face_of(j, l - 1)
+            right += face_of(l, j)
+            self.pairs.append((j, l, start, len(left)))
+        self.left, self.right = Gather(left, sentinel), Gather(right, sentinel)
+
+        # Moore's recurrence run once on rows {input position: coefficient}
+        w: list[dict[int, int]] = [{} for _ in range(size)]
+        steps = ([(j, j) for j in range(missing)]
+                 + [(j, j - 1) for j in range(m, missing, -1)])
+        for j, s in steps:
+            diff = []
+            for q, p in enumerate(G.face_map(m, j).pullback_table(d).positions):
+                row = {block[j] + q: 1}
+                for k, c in (w[p].items() if p != size else ()):
+                    row[k] = row.get(k, 0) - c
+                diff.append(row)
+            for p, q in enumerate(G.degeneracy_map(m - 1, s).pullback_table(d).positions):
+                if q != n:
+                    row = w[p]
+                    for k, c in diff[q].items():
+                        row[k] = row.get(k, 0) + c
+
+        # entries read with a minus sign come from one negated copy of
+        # them, appended after the sentinel
+        minus = sorted({k for row in w for k, c in row.items() if c < 0})
+        self.minus = Gather(minus, sentinel)
+        at_minus = {k: sentinel + 1 + i for i, k in enumerate(minus)}
+        by_terms: dict[int, list[tuple[int, list[int]]]] = {}
+        for r, row in enumerate(w):
+            terms = [k if c > 0 else at_minus[k]
+                     for k, c in sorted(row.items()) for _ in range(abs(c))]
+            by_terms.setdefault(len(terms) or 1, []).append((r, terms or [sentinel]))
+        ranked = [by_terms[t] for t in sorted(by_terms)]
+        self.groups = [tuple(Gather(col, sentinel + 1 + len(minus))
+                             for col in zip(*(terms for _, terms in rows)))
+                       for rows in ranked]
+        order = [0] * size
+        for at, (r, _) in enumerate(row for rows in ranked for row in rows):
+            order[r] = at
+        self.order = Gather(order, size)
+
+    def fill(self, padded: tuple) -> tuple:
+        """The filler's vector, not reduced mod k, from the padded
+        concatenation of the faces."""
+        both = padded + tuple(map(neg, self.minus.get(padded)))
+        out = []
+        for first, *rest in self.groups:
+            col = first.get(both)
+            for g in rest:
+                col = map(add, col, g.get(both))
+            out.extend(col)
+        return self.order.get(out)
+
+
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
                faces: dict[int, Cochain]) -> Cochain:
     """Deterministic filler for the horn with the given faces.
 
-    faces maps each j != missing to the required d_j of the result.
-    Incompatible faces raise with the first violated identity.
+    faces maps each j != missing to the required d_j of the result.  Each
+    face must be a cochain on level_complex(m - 1) of the group's degree
+    and ring, or ValueError names it; incompatible faces raise with the
+    first violated identity.
+
+    The filler is Moore's (May, Simplicial Objects in Algebraic Topology,
+    section 17), a fixed integer-linear map of the faces.  It is compiled
+    once per horn shape (level complex, degree, m, missing) into a
+    _MoorePlan cached in level_complex(m)._cache, which every group and
+    ring on that complex shares; a call checks the faces and the horn
+    identities and then evaluates the plan's gathers.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -205,17 +323,26 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     expected = [j for j in range(m + 1) if j != missing]
     if sorted(faces) != expected:
         raise ValueError(f"horn needs exactly faces {expected}")
+    below, d, coeffs = G.level_complex(m - 1), G.degree(), G.coeffs
     for j in expected:
-        for l in expected:
-            if j < l and G.face(faces[j], l - 1) != G.face(faces[l], j):
+        x = faces[j]
+        if not (isinstance(x, Cochain) and x.complex is below
+                and x.degree == d and x.coeffs == coeffs):
+            raise ValueError(f"face {j} is not a degree-{d} {coeffs.label()} "
+                             f"cochain on the level-{m - 1} complex")
+    P = G.level_complex(m)
+    token = ("moore_plan", d, m, missing)
+    plan = P._cache.get(token)
+    if plan is None:
+        plan = P._cache[token] = _MoorePlan(G, m, missing)
+    padded = sum([faces[j].vec for j in expected], ()) + (coeffs.zero,)
+    left, right = plan.left.get(padded), plan.right.get(padded)
+    if left != right:
+        for j, l, a, b in plan.pairs:
+            if left[a:b] != right[a:b]:
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
-    w = G.zero(m)
-    for j in range(missing):
-        w = w + G.degeneracy(faces[j] - G.face(w, j), j)
-    for j in range(m, missing, -1):
-        w = w + G.degeneracy(faces[j] - G.face(w, j), j - 1)
-    return w
+    return Cochain._trusted(P, d, coeffs, plan.fill(padded))
 
 
 # -- fundamental cocycles --------------------------------------------------

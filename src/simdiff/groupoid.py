@@ -19,8 +19,14 @@ add interior coboundaries to every morphism-producing filler, and no class
 outcome may change.  The hook moves fillers from degree 2 up only: a
 level-3 fill is perturbed by delta of a degree-n cochain on generators of
 X x Delta^3 whose simplex factor covers three vertices, and in degree 1
-no generator does.  Genuinely nontrivial coherence data lives in the
+no generator does, so a degree-1 fill draws no random numbers and builds
+no coboundary at all.  Genuinely nontrivial coherence data lives in the
 synthetic instances checked by the monoidal-category module.
+
+Every fill goes through em.moore_fill, whose compiled plans are cached on
+the cylinders of the base: a new groupoid on the same base, of any ring,
+reuses them.  The MapObject and Homotopy2 constructors validate every
+object and morphism they are given.
 """
 
 from __future__ import annotations
@@ -304,20 +310,31 @@ class MappingGroupoid:
         """
         P = self.maps.level_complex(m)
         q = self.degree + 1
-        token = ("covering", q - 1, need)
-        if token not in P._cache:
-            P._cache[token] = tuple(p for p, g in enumerate(P.generators(q - 1))
-                                    if need <= set(g[2]))
         norm = self.coeffs.normalize
         vec = [self.coeffs.zero] * len(P.generators(q - 1))
-        for p in P._cache[token]:
+        for p in self._covering(m, need):
             if rng.random() < density:
                 vec[p] = norm(rng.randint(-3, 3))
         return coboundary(Cochain._trusted(P, q - 1, self.coeffs, vec))
 
+    def _covering(self, m: int, need: frozenset) -> tuple[int, ...]:
+        """Positions of the generators of X x Delta^m one degree below the
+        object data whose simplex factor covers ``need``; cached."""
+        P = self.maps.level_complex(m)
+        token = ("covering", self.degree, need)
+        if token not in P._cache:
+            P._cache[token] = tuple(p for p, g in enumerate(P.generators(self.degree))
+                                    if need <= set(g[2]))
+        return P._cache[token]
+
     def _fill(self, m: int, missing: int, faces: dict[int, Cochain]) -> Cochain:
+        """The Moore filler, plus an interior coboundary under perturbation.
+
+        Where no generator is eligible (every level-3 fill in degree 1) that
+        coboundary is zero, so it is neither drawn nor built.
+        """
         w = moore_fill(self.maps, m, missing, faces)
-        if self.perturb is not None:
+        if self.perturb is not None and self._covering(m, frozenset(range(m + 1)) - {missing}):
             w = w + self._interior_coboundary(m, self.perturb, keep=missing)
         return w
 

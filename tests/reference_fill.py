@@ -1,0 +1,37 @@
+"""Reference for the compiled horn filler: Moore's iterative loop.
+
+This is the loop em.moore_fill ran on every call before the filler was
+compiled to one cached linear plan per horn shape.  It reads the group's
+face, degeneracy and zero, builds a Cochain per step, and serves as the
+oracle that the compiled plan must match entry for entry.
+"""
+
+from simdiff.cochains import Cochain
+from simdiff.em import SimplicialGroup
+
+
+def moore_fill(G: SimplicialGroup, m: int, missing: int,
+               faces: dict[int, Cochain]) -> Cochain:
+    """Deterministic filler for the horn with the given faces.
+
+    faces maps each j != missing to the required d_j of the result.
+    Incompatible faces raise with the first violated identity.
+    """
+    if m not in (2, 3):
+        raise ValueError("horn filling is supported for levels 2 and 3")
+    if not 0 <= missing <= m:
+        raise ValueError(f"missing face index {missing} out of range")
+    expected = [j for j in range(m + 1) if j != missing]
+    if sorted(faces) != expected:
+        raise ValueError(f"horn needs exactly faces {expected}")
+    for j in expected:
+        for l in expected:
+            if j < l and G.face(faces[j], l - 1) != G.face(faces[l], j):
+                raise ValueError(
+                    f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
+    w = G.zero(m)
+    for j in range(missing):
+        w = w + G.degeneracy(faces[j] - G.face(w, j), j)
+    for j in range(m, missing, -1):
+        w = w + G.degeneracy(faces[j] - G.face(w, j), j - 1)
+    return w

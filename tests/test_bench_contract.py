@@ -5,8 +5,8 @@ renaming a name in simdiff could break it while every test here passes.
 These tests install and uninstall the benchmark's tracer, whose install
 raises KeyError when a name in its TARGETS has gone, and resolve the names
 the workloads read, running cochain_key on a cochain the kernel built.  A
-traced hat-compare op must still open the spans of the layers its
-per-layer numbers are read from.
+traced hat-compare op and a traced coherence-battery op must still open the
+spans of the layers their per-layer numbers are read from.
 """
 
 import importlib
@@ -70,3 +70,20 @@ def test_traced_hat_compare_op_keeps_its_layers():
     seen = {layer[n] for n in tracer.names if n in layer}
     assert {"exact.solve", "cohomology.solve_closed_extension",
             "diffhat.homotopies"} <= seen
+
+
+def test_traced_coherence_op_keeps_its_layers():
+    """A coherence-battery op must still fill horns through em.moore_fill
+    and build its cells through the traced groupoid operations and
+    constructors."""
+    w = workloads.WORKLOADS["coherence-battery"](0)
+    w.setup()
+    s = w.make_input(0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.span(tracing.OP):
+            report = w.run(s)
+    assert w.check(s, report) is None
+    layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
+    seen = {layer[n] for n in tracer.names if n in layer}
+    assert {"em.moore_fill", "groupoid.ops", "groupoid.validate"} <= seen

@@ -8,11 +8,13 @@ from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback, random_cochain)
 from simdiff.cohomology import (CoboundaryObstruction, cohomology, face_pins,
                                 solve_closed_extension)
-from simdiff.complexes import (Simplex, SimplicialMap, circle, cylinder,
+from simdiff.complexes import (Simplex, SimplicialMap, circle, cylinder, rp2,
                                standard_simplex, torus, vertex_path)
 from simdiff.em import (EMMap, EMSpace, FundamentalCocycle, MappingComplex,
                         check_iota_compatibility, e_section, loop_integrate,
                         maps_as_cocycles, moore_fill, structure_element)
+
+import reference_fill
 
 Z2 = mod_coefficients(2)
 
@@ -200,6 +202,68 @@ def test_moore_fill_rejects_bad_horns():
     with pytest.raises(ValueError, match=r"d_1 x_0 != d_0 x_2"):
         moore_fill(G, 2, 1, {0: pullback(cyl.projection, u),
                              2: G.zero(1)})
+
+    # a face off the level complex, of another degree or ring, or not a
+    # cochain at all is named before any horn identity is checked
+    for G in (E, MappingComplex(circle(3), INTEGERS, 2)):
+        below = G.level_complex(1)
+        good = G.zero(1)
+        bad = [Cochain.zero(below, G.degree() - 1, INTEGERS),
+               Cochain.zero(below, G.degree(), Z2),
+               Cochain.zero(G.level_complex(2), G.degree(), INTEGERS),
+               good.vec, None]
+        for x in bad:
+            for j in (0, 2):
+                with pytest.raises(ValueError, match=rf"^face {j} is not a degree-"):
+                    moore_fill(G, 2, 1, {0: good, 2: good, j: x})
+        with pytest.raises(ValueError, match="^face 0 "):
+            moore_fill(G, 2, 1, {0: bad[1], 2: bad[0]})
+
+
+def _fill_outcome(fill, G, m, missing, faces):
+    try:
+        return fill(G, m, missing, faces).vec
+    except ValueError as e:
+        return str(e)
+
+
+_RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Z/3": mod_coefficients(3)}
+
+
+def _compare_with_reference(G, rng, trials=2):
+    """Compiled filler against the reference loop on random horns of every
+    shape: faces of a random level element, then the same horn with one
+    face disturbed, which the two must reject with the same message."""
+    for m in (2, 3):
+        for missing in range(m + 1):
+            for _ in range(trials):
+                w = random_cochain(G.level_complex(m), G.degree(), G.coeffs, rng)
+                faces = {j: G.face(w, j) for j in range(m + 1) if j != missing}
+                got = moore_fill(G, m, missing, faces)
+                want = reference_fill.moore_fill(G, m, missing, faces)
+                assert got == want
+                assert list(map(type, got.vec)) == list(map(type, want.vec))
+                assert all(G.face(got, j) == x for j, x in faces.items())
+                j = rng.choice(sorted(faces))
+                faces[j] = faces[j] + random_cochain(
+                    G.level_complex(m - 1), G.degree(), G.coeffs, rng)
+                assert (_fill_outcome(moore_fill, G, m, missing, faces)
+                        == _fill_outcome(reference_fill.moore_fill, G, m, missing, faces))
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/3"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_compiled_fill_matches_reference_on_em_spaces(n, ring):
+    # EMSpace takes integer or finite coefficients only, so no Q here
+    _compare_with_reference(EMSpace(_RINGS[ring], n), random.Random(100 + n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("base", [circle(3), torus(), rp2()],
+                         ids=["circle3", "torus", "rp2"])
+def test_compiled_fill_matches_reference_on_mapping_complexes(base, n):
+    for ring in _RINGS.values():
+        _compare_with_reference(MappingComplex(base, ring, n), random.Random(200 + n))
 
 
 # -- loop identification ---------------------------------------------------

@@ -331,6 +331,45 @@ def test_perturbed_coherence_outcomes_match():
     assert pentagon_holds(noisy, a, b, c, d)
 
 
+@pytest.mark.parametrize("n,draws", [(1, False), (2, True)])
+def test_compose_draws_perturbation_only_above_degree_1(n, draws):
+    """A degree-1 level-3 fill has no eligible generator, so compose leaves
+    the perturbation Random untouched; in degree 2 it draws."""
+    noisy = MappingGroupoid(circle(), INTEGERS, n, perturb=random.Random(42))
+    rng = random.Random(16)
+    f = noisy.random_object(rng)
+    h = noisy.random_morphism(f, rng)
+    k = noisy.random_morphism(h.target, rng)
+    before = noisy.perturb.getstate()
+    composite = noisy.compose(h, k)
+    assert (noisy.perturb.getstate() != before) == draws
+    assert (composite.source, composite.target) == (f, k.target)
+
+
+def test_new_groupoid_reuses_cached_fill_plans():
+    """The compiled horn fillers live on the cylinders of the base, so a
+    second groupoid on it, over another ring, fills with the same plans."""
+    X = circle(4)
+    rng = random.Random(17)
+
+    def plans():
+        return {(m, key): plan for m in (2, 3)
+                for key, plan in cylinder(X, m).complex._cache.items()
+                if key[0] == "moore_plan"}
+
+    first = MappingGroupoid(X, INTEGERS, 1)
+    f, g = first.random_object(rng), first.random_object(rng)
+    first.braid(f, g)
+    built = plans()
+    assert {key[3] for _, key in built} == {1, 2}
+    second = MappingGroupoid(X, RATIONALS, 1)
+    second.braid(second.object(f.data.map_values(lambda v: v, RATIONALS)),
+                 second.object(g.data.map_values(lambda v: v, RATIONALS)))
+    again = plans()
+    assert again.keys() == built.keys()
+    assert all(again[key] is plan for key, plan in built.items())
+
+
 # -- the class oracle against the full solve -------------------------------
 
 def closed_interior_basis(X, q):
