@@ -19,6 +19,11 @@ operations (coboundary, pullback, fiber_integrate, +, -) read position
 gathers compiled once per complex, degree and map, combine whole vectors
 with operator.add and operator.sub, and build their results with
 Cochain._trusted, which only reduces mod k.
+
+fiber_integrate over Delta^2, cross_section(., 2) and shih_homotopy are
+the three maps of the Eilenberg-Zilber contraction of the relative
+cochains of (X x Delta^2, X x dDelta^2) onto the base's, which lets
+questions on X x Delta^2 be solved on X.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import add, mul, neg, sub
 from typing import Any, Hashable, Iterable, Iterator
 
-from .complexes import (Gather, ProductWithSimplex, Simplex, SimplicialMap,
-                        SimplicialSet, json_int, key_str)
+from .complexes import (FaceMemo, Gather, LinearPlan, ProductWithSimplex, Simplex,
+                        SimplicialMap, SimplicialSet, cylinder, json_int, key_str,
+                        vertex_path)
+from .words import apply_word, surjection_of_word, word_of_surjection
 
 
 @dataclass(frozen=True)
@@ -371,6 +378,134 @@ def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
     cells = fiber_table(cyl, z.degree)
     out = _combine(cells, z.vec + (z.coeffs.zero,)) if cells else ()
     return Cochain._trusted(cyl.base, z.degree - k, z.coeffs, out)
+
+
+def cross_section(w: Cochain, k: int, sign: int = 1) -> Cochain:
+    """sign times the cross product of w with the top cell of Delta^k.
+
+    Supported on X x Delta^k where the simplex path of a generator is
+    (0, ..., 0, 1, ..., k), with value sign * w(front face) there.  Where
+    the values land is compiled once per base, k and degree into one
+    Gather.  For k = 2 and sign 1 it is the dual of the Alexander-Whitney
+    map, g in the contraction that shih_homotopy completes.
+    """
+    X, m = w.complex, w.degree
+    P = cylinder(X, k).complex
+    token = ("cross-section", m)
+    gather = P._cache.get(token)
+    if gather is None:
+        index = X.gen_index(m)
+        path = (0,) * (m + 1) + tuple(range(1, k + 1))
+        positions = []
+        for gx, wx, t, wt in P.generators(m + k):
+            p = len(index)
+            if vertex_path(Simplex(t, wt), m + k) == path:
+                front = Simplex(gx, wx)
+                for v in range(m + k, m, -1):
+                    front = X.face(front, v)
+                if not front.word:
+                    p = index[front.gen]
+            positions.append(p)
+        gather = P._cache[token] = Gather(positions, len(index))
+    vals = gather.get(w.vec + (w.coeffs.zero,))
+    return Cochain._trusted(P, m + k, w.coeffs, vals if sign > 0 else map(neg, vals))
+
+
+# -- the Eilenberg-Zilber contraction of X x Delta^2 rel X x dDelta^2 ---------
+
+
+def _shih_terms(path: tuple[int, ...]):
+    """The terms of Shih's homotopy on an m-simplex (a, b) of X x Delta^2
+    whose triangle side covers the triangle, b given by its vertex path.
+
+    The homotopy is the sum over 0 <= q < m, mb = m - p - q >= 1 and the
+    (p + 1, q)-shuffles (alpha, beta) of {0, ..., p + q} of
+
+        (-1)^(mb + sum_i (alpha_i - i)) *
+            (s_{beta + mb} s_{mb - 1} d_{m-q+1} ... d_m a,
+             s_{alpha + mb} d_{mb} ... d_{m-q-1} b)
+
+    (Gonzalez-Diaz and Real, JPAA 139, 1999).  Each term is yielded as
+    (q, degeneracies of the base side, innermost first, sign, word of the
+    triangle side).
+    """
+    m = len(path) - 1
+    for q in range(m):
+        for p in range(m - q):
+            mb = m - p - q
+            every = range(p + q + 1)
+            for alpha in combinations(every, p + 1):
+                b = path[:mb] + path[m - q:]
+                for a in alpha:
+                    b = b[:a + mb + 1] + b[a + mb:]
+                if len(set(b)) == 3:
+                    twist = sum(a - i for i, a in enumerate(alpha))
+                    yield (q, (mb - 1, *(v + mb for v in every if v not in alpha)),
+                           -1 if (mb + twist) % 2 else 1, word_of_surjection(b))
+
+
+def _shih_plan(cyl: ProductWithSimplex, degree: int) -> LinearPlan:
+    """h: R^degree -> R^(degree - 1) as one LinearPlan, cached on X x Delta^2.
+
+    Row t is the sum of sign * z(term) over the terms of Shih's homotopy
+    on the (degree - 1)-generator at position t that are generators over
+    the whole triangle (the others are degenerate or lie where z vanishes).
+    The base side is read off X's compiled face table and the word algebra;
+    rows over the triangle's boundary are empty.
+    """
+    P, X = cyl.complex, cyl.base
+    token = ("shih", degree)
+    plan = P._cache.get(token)
+    if plan is None:
+        m = degree - 1
+        index, xgens, face = P.gen_index(degree), X.generators(), FaceMemo(X._table)
+        sides: dict[tuple, list] = {}  # the terms, per word of the triangle side
+        rows = []
+        for gx, wx, gd, wd in P.generators(m):
+            row: dict[int, int] = {}
+            rows.append(row)
+            if len(gd) < 3:
+                continue
+            if wd not in sides:
+                sides[wd] = list(_shih_terms(surjection_of_word(wd, m)))
+            dim = X.gen_dim(gx)
+            r0 = X.offset(dim) + X.gen_index(dim)[gx]
+            for q, extra, sign, wb in sides[wd]:
+                r, w = r0, wx
+                for i in range(m, m - q, -1):
+                    r, w = face(r, w, i)
+                w = apply_word(w, extra)
+                if not set(w).intersection(wb):
+                    col = index[xgens[r], w, (0, 1, 2), wb]
+                    row[col] = row.get(col, 0) + sign
+        plan = P._cache[token] = LinearPlan(rows, len(P.generators(degree)))
+    return plan
+
+
+def shih_homotopy(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
+    """h z: the dual of Shih's Eilenberg-Zilber homotopy, lowering degree by one.
+
+    On the relative cochains R of (X x Delta^2, X x dDelta^2), those
+    vanishing on every generator whose triangle factor misses a vertex,
+    it completes f = fiber_integrate and g = cross_section(., 2) to a
+    contraction of R onto C(X) shifted up by two:
+
+        f g = id,   g f - id = -(delta h + h delta),
+        h g = 0,    f h = 0,    h h = 0.
+
+    h z reads z on R's generators only and lands in R.  It is compiled
+    once per base and degree into a LinearPlan (_shih_plan) cached on
+    X x Delta^2, which serves every ring.
+    """
+    if cyl.k != 2:
+        raise ValueError("the contraction is built for X x Delta^2")
+    if z.complex is not cyl.complex:
+        raise ValueError("cochain does not live on the given product")
+    if z.degree < 1:
+        raise ValueError("h lowers degree by one: no degree-0 input")
+    plan = _shih_plan(cyl, z.degree)
+    return Cochain._trusted(cyl.complex, z.degree - 1, z.coeffs,
+                            plan.apply(z.vec + (z.coeffs.zero,)))
 
 
 def random_cochain(X: SimplicialSet, degree: int, coeffs: Coefficients, rng,

@@ -9,19 +9,24 @@ representatives and coordinates (delta_{n-1} in cocycle coordinates, a
 Smith form of its own) is built on first use.  Rational cohomology rides on
 the integer computation (torsion dropped).
 
-delta_system is the one constructor of linear systems on cochains: delta in
-one degree with a set of generator positions held out, factored once and
-cached on the complex.  solve_coboundary answers "is this cochain a
-coboundary" with either a primitive or a functional certificate;
-solve_closed_extension finds one closed cochain on a product with
-prescribed values on a set of generators, which is the workhorse behind
-homotopy existence and class equality.  With the three faces of
-X x Delta^2 pinned, every other solution differs from it by the
-em.relative_section of a cocycle one degree down, up to coboundary, so no
-kernel is enumerated.  Both solvers are one
-substitution into a cached system, and both work by generator position:
-face_pins compiles where the faces of X x Delta^k land once per face set,
-and the pinned values reach the system as one cochain.
+delta_system is the one constructor of linear systems on cochains: delta
+of a complex in one degree over one ring, factored once and cached on the
+complex.  solve_coboundary answers "is this cochain a coboundary" with
+either a primitive or a functional certificate, by one substitution into
+that system.
+
+Homotopy existence and class equality are questions on X x Delta^2 about
+the relative cochains R of (X x Delta^2, X x dDelta^2), and they are
+answered on the base.  R contracts onto C(X) shifted up by two (the
+Eilenberg-Zilber contraction, dualized; see cochains.shih_homotopy): f =
+fiber_integrate, g = cross_section(., 2) (em.relative_section) and h, the
+dual of Shih's homotopy, compiled once per base and degree into a
+LinearPlan cached on X x Delta^2.  solve_relative_coboundary solves
+delta x = y in R by solving delta b = f y on X and returning x = h y + g b,
+or composes the base certificate with f.  solve_closed_extension pins the
+three faces (face_pins compiles where the faces of X x Delta^k land once
+per face set) and solves for the rest through it.  No system on
+X x Delta^2 is built: every linear solve is in the base's cached systems.
 
 Every "no" comes back as one kind of certificate, a CoboundaryObstruction:
 a functional on cochains whose pairing refutes the target.  Its ring names
@@ -42,45 +47,32 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from operator import neg
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, coboundary_values,
-                       delta_table)
+from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, cross_section,
+                       delta_table, fiber_integrate, shih_homotopy)
 from .complexes import Gather, ProductWithSimplex, SimplicialSet, key_str
 from .exact import Obstruction, SmithForm, System, apply_rows, blind, smith_normal_form
 
 
-def delta_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset(),
-                 coeffs: Coefficients = INTEGERS,
-                 dropped: frozenset[int] = frozenset()) -> System:
-    """delta: C^n -> C^{n+1} over coeffs, with some generators held out.
+def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> System:
+    """delta: C^n -> C^{n+1} of X over coeffs, factored once.
 
-    pinned holds positions in X.generators(n): an unknown with a known
-    value, whose column leaves the system (solve_closed_extension moves the
-    known values to the right-hand side as -delta of the pinned cochain).
-    dropped holds positions in X.generators(n + 1), whose equations leave
-    it.  rows and cols are the positions kept, in order.  The system is
-    factored once and cached on X under (n, pinned, dropped, coeffs), never
-    under matrix content.
+    Rows and columns are the generator positions of degrees n + 1 and n,
+    in order.  The system is cached on X under (n, coeffs), never under
+    matrix content.
     """
-    token = ("system", n, pinned, dropped, coeffs)
+    token = ("system", n, coeffs)
     if token not in X._cache:
-        free = [p for p in range(len(X.generators(n))) if p not in pinned]
-        column = {p: j for j, p in enumerate(free)}
-        rows, A = [], []
-        for q, sparse in enumerate(delta_table(X, n)):
-            if q in dropped:
-                continue
-            row = [0] * len(free)
+        width = len(X.generators(n))
+        A = []
+        for sparse in delta_table(X, n):
+            row = [0] * width
             for p, a in sparse:
-                j = column.get(p)
-                if j is not None:
-                    row[j] = a
-            rows.append(q)
+                row[p] = a
             A.append(row)
         kind = "Q" if coeffs.exact_field else coeffs.kind
-        X._cache[token] = System(A, rows, free, kind, coeffs.modulus)
+        X._cache[token] = System(A, range(len(A)), range(width), kind, coeffs.modulus)
     return X._cache[token]
 
 
@@ -92,16 +84,6 @@ def cochain_of(X: SimplicialSet, n: int, coeffs: Coefficients, vec: Sequence) ->
     if len(vec) != len(X.generators(n)):
         raise ValueError(f"vector of length {len(vec)} for {len(X.generators(n))} generators")
     return Cochain._trusted(X, n, coeffs, map(coeffs.normalize, vec))
-
-
-def _scatter(X: SimplicialSet, n: int, coeffs: Coefficients,
-             positions: Iterable[int], values: Iterable) -> Cochain:
-    """The cochain taking ring value v at each generator position p of the
-    zipped (positions, values) and zero elsewhere."""
-    vec = [coeffs.zero] * len(X.generators(n))
-    for p, v in zip(positions, values):
-        vec[p] = v
-    return Cochain._trusted(X, n, coeffs, vec)
 
 
 @dataclass(frozen=True)
@@ -188,11 +170,17 @@ class CoboundaryObstruction:
         return {"ring": self.ring, "functional": keyed_json(self.functional)}
 
 
-def _on_rows(S: System, res: Obstruction, gens: Sequence[Hashable]) -> CoboundaryObstruction:
-    """An Obstruction over S's equations, whose rows are positions in gens,
-    as a functional on those generators."""
-    return CoboundaryObstruction({gens[q]: v for q, v in zip(S.rows, res.functional) if v},
-                                 res.ring)
+def _pair_off(gen: Hashable, v, coeffs: Coefficients) -> CoboundaryObstruction:
+    """The certificate for a target value v at a generator that no
+    coboundary of the unknowns reaches: the unit functional at gen, weighted
+    so that its pairing with the target is nonzero ("Q") or not an integer.
+
+    Over Z the weight is 1/(2|numerator of v|), so even a target value that
+    is not an integer pairs to +-1/(2 * its denominator).
+    """
+    w = (Fraction(1) if coeffs.exact_field else Fraction(1, coeffs.modulus)
+         if coeffs.modulus else Fraction(1, 2 * abs(Fraction(v).numerator)))
+    return CoboundaryObstruction({gen: w}, coeffs.label())
 
 
 def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
@@ -200,7 +188,8 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
 
     Returns CoboundaryWitness or CoboundaryObstruction.  The coefficient
     ring defaults to the target's own; a target asked over Z/k is reduced
-    mod k first, so zero is decided in the ring asked for.
+    mod k first, so zero is decided in the ring asked for.  The answer is
+    one substitution into the cached delta_system(X, n - 1, coeffs).
     """
     coeffs = coeffs or target.coeffs
     if coeffs.modulus and coeffs != target.coeffs:
@@ -212,28 +201,14 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
     if n < 1 or not X.generators(n - 1):
         # nothing to be a coboundary of: pair off the first nonzero value,
         # in generator order
-        first, v = next(iter(target.values.items()))
-        w = (Fraction(1) if coeffs.exact_field else Fraction(1, coeffs.modulus)
-             if coeffs.modulus else Fraction(1, 2 * abs(int(v))))
-        return CoboundaryObstruction({first: w}, coeffs.label())
-    return solve_coboundary_in(delta_system(X, n - 1, coeffs=coeffs), target, coeffs)
-
-
-def solve_coboundary_in(S: System, target: Cochain, coeffs: Coefficients):
-    """solve_coboundary within S = delta_system(X, n - 1, ...): beta on the
-    positions S.cols, equations on the positions S.rows.
-
-    target must vanish off S.rows.  Returns CoboundaryWitness or
-    CoboundaryObstruction.
-    """
-    X, n, vec = target.complex, target.degree, target.vec
-    b = [vec[q] for q in S.rows]
-    if len(b) - b.count(0) != len(target.values):
-        raise ValueError("target is not supported on the system's rows")
-    res = S.solve(b)
+        return _pair_off(*next(iter(target.values.items())), coeffs)
+    S = delta_system(X, n - 1, coeffs)
+    res = S.solve(list(target.vec))
     if isinstance(res, Obstruction):
-        return _on_rows(S, res, X.generators(n))
-    return CoboundaryWitness(_scatter(X, n - 1, coeffs, S.cols, res.x0))
+        gens = X.generators(n)
+        return CoboundaryObstruction({gens[q]: v for q, v in enumerate(res.functional) if v},
+                                     res.ring)
+    return CoboundaryWitness(Cochain._trusted(X, n - 1, coeffs, res.x0))
 
 
 def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
@@ -383,70 +358,84 @@ def cohomology(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> Coh
     return X._cache[token]
 
 
-# -- closed extensions with prescribed values ------------------------------
+# -- the relative problems on X x Delta^2 ------------------------------------
 
 
-@dataclass(frozen=True)
-class Pins:
-    """Known values on some generators of one degree, by position.
+def solve_relative_coboundary(target: Cochain, cyl: ProductWithSimplex):
+    """Find x in R with delta x = target, else a certificate.
 
-    positions are the pinned positions in cochain.complex.generators(
-    cochain.degree); cochain holds the known values there and zero
-    everywhere else (a known value may be zero too).
+    R is the relative cochains of (X x Delta^2, X x dDelta^2), and target
+    must be closed and in R.  Through the contraction (f, g, h) of R onto
+    the base (cochains.shih_homotopy), target is a coboundary in R exactly
+    when f target = fiber_integrate(target) is one on X.  With delta b =
+    f target, from solve_coboundary in the base's cached system, x = h
+    target + g b: g f - id = -(delta h + h delta) and delta target = 0 give
+    delta x = target.  Otherwise the base certificate phi refutes, and
+    phi o f refutes here, since f commutes with delta.
+
+    Returns CoboundaryWitness or CoboundaryObstruction over target's ring.
     """
+    if target.is_zero():
+        return CoboundaryWitness(Cochain.zero(target.complex, max(target.degree - 1, 0),
+                                              target.coeffs))
+    base = fiber_integrate(target, cyl)
+    got = solve_coboundary(base)
+    if isinstance(got, CoboundaryObstruction):
+        cells = cyl.decomposition
+        return CoboundaryObstruction({cell: sign * v for g, v in got.functional.items()
+                                      for sign, cell in cells[g]}, got.ring)
+    x = shih_homotopy(target, cyl)
+    if base.degree:
+        # in degree 0 there is no b: f target is zero
+        x = x + cross_section(got.primitive, 2)
+    return CoboundaryWitness(x)
 
-    positions: frozenset[int]
-    cochain: Cochain
 
-
-def solve_closed_extension(P: SimplicialSet, degree: int, pins: Pins,
+def solve_closed_extension(cyl: ProductWithSimplex, pinned: Cochain,
                            coeffs: Coefficients) -> Cochain | CoboundaryObstruction:
-    """A closed degree-`degree` cochain on P with prescribed generator values.
+    """A closed cochain on X x Delta^2 equal to pinned over the triangle's
+    boundary, or a functional refuting one.
 
-    pins (see face_pins) holds the pinned cochain pi on P in this degree;
-    the other generators of the degree are free.  The right-hand side is
-    b = -delta(pi) on every (degree + 1)-generator, read through the cached
-    face gathers over the integers (over Z/k not reduced, so it is the
-    integer vector the lift is solved against).  Returns one particular
-    solution or a functional on C^{degree+1} refuting delta x = b over the
-    free x: it certifies against delta of each free generator.  The
-    solution is one gather over pi's values followed by the system's
-    unknowns, each generator reading its pinned value or its unknown; the
-    system and that gather are cached on P per (degree, pins, ring).
+    pinned is K0 = face_pins(cyl, faces) for all three faces; every other
+    generator is free.  The answer is K = K0 - x with delta x = y = delta
+    K0 and x in R: x = h y + g b from solve_relative_coboundary, or its
+    certificate.  If a face is not closed, y has a value over the boundary
+    that no free generator's coboundary reaches, and that generator,
+    paired off, refutes.  Every certificate is a functional on the degree
+    + 1 generators, blind on delta of each free generator.  The only
+    linear system solved is the base's cached delta_system.
     """
-    pi = pins.cochain
-    if pi.complex is not P or pi.degree != degree:
-        raise ValueError(f"pins live on {pi.complex.name} in degree {pi.degree},"
-                         f" not on {P.name} in degree {degree}")
-    if pi.coeffs != coeffs:
-        pi = pi.map_values(coeffs.normalize, coeffs)
-    token = ("closed-extension", degree, pins.positions, coeffs)
-    ext = P._cache.get(token)
-    if ext is None:
-        S = delta_system(P, degree, pins.positions, coeffs)
-        N = len(P.generators(degree))
-        unknown = {p: N + j for j, p in enumerate(S.cols)}
-        ext = P._cache[token] = S, Gather([unknown.get(p, p) for p in range(N)],
-                                          N + len(S.cols))
-    S, place = ext
-    res = S.solve(list(map(neg, coboundary_values(pi))))
-    if isinstance(res, Obstruction):
-        return _on_rows(S, res, P.generators(degree + 1))
-    return Cochain._trusted(P, degree, coeffs, place.get(pi.vec + tuple(res.x0)))
+    P = cyl.complex
+    if cyl.k != 2 or pinned.complex is not P:
+        raise ValueError(f"pins live on {pinned.complex.name}, not on {P.name}"
+                         if cyl.k == 2 else "closed extensions are solved on X x Delta^2")
+    if pinned.coeffs != coeffs:
+        pinned = pinned.map_values(coeffs.normalize, coeffs)
+    y = coboundary(pinned)
+    padded = y.vec + (coeffs.zero,)
+    for i in range(3):
+        table = cyl.face_inclusion(i).pullback_table(y.degree)
+        if any(table.get(padded)):
+            p = next(p for p in table.positions if padded[p])
+            return _pair_off(P.generators(y.degree)[p], padded[p], coeffs)
+    got = solve_relative_coboundary(y, cyl)
+    if isinstance(got, CoboundaryObstruction):
+        return got
+    return pinned - got.primitive
 
 
 class _PinPlan:
     """Where the faces of X x Delta^k land in one degree, for one face order.
 
     The faces' vectors are read concatenated in that order, with one zero
-    appended.  positions are the generators some face lands on; place
-    gathers the pinned cochain, each generator reading the last face value
-    landing on it, else the zero; earlier and later gather the pairs of
-    face values landing on one generator (at position overlap[j]) in the
-    order they land, so the faces agree exactly when the two gathers do.
+    appended.  place gathers the pinned cochain, each generator reading
+    the last face value landing on it, else the zero; earlier and later
+    gather the pairs of face values landing on one generator (at position
+    overlap[j]) in the order they land, so the faces agree exactly when the
+    two gathers do.
     """
 
-    __slots__ = ("positions", "place", "earlier", "later", "overlap")
+    __slots__ = ("place", "earlier", "later", "overlap")
 
     def __init__(self, cyl: ProductWithSimplex, degree: int, order: tuple[int, ...]):
         last: dict[int, int] = {}  # generator position -> index of its last value
@@ -458,7 +447,6 @@ class _PinPlan:
                     pairs.append((last[p], at, p))
                 last[p] = at
                 at += 1
-        self.positions = frozenset(last)
         self.place = Gather([last.get(p, at) for p in range(len(cyl.complex.generators(degree)))],
                             at)
         self.earlier = Gather([a for a, _, _ in pairs], at)
@@ -466,8 +454,9 @@ class _PinPlan:
         self.overlap = tuple(p for _, _, p in pairs)
 
 
-def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> Pins:
-    """Generator pins on X x Delta^k realizing prescribed face restrictions.
+def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> Cochain:
+    """The cochain on X x Delta^k with prescribed face restrictions, zero
+    on every generator no face reaches.
 
     faces maps i to the required (id x delta_i)# restriction, a cochain on
     X x Delta^{k-1} (on X itself for k = 1); all of one degree and one
@@ -502,4 +491,4 @@ def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> Pins:
     if earlier != later:
         p = next(p for p, u, v in zip(plan.overlap, earlier, later) if u != v)
         raise ValueError(f"faces disagree at generator {P.generators(degree)[p]!r}")
-    return Pins(plan.positions, Cochain._trusted(P, degree, coeffs, plan.place.get(vec)))
+    return Cochain._trusted(P, degree, coeffs, plan.place.get(vec))

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter, neg
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .words import (
     Word,
@@ -254,7 +254,7 @@ class SimplicialSet:
             return [msg for key, d in self._dims.items()
                     for msg in bad.get(self._start[d] + self._index[d][key], ())]
         out: list[str] = []
-        face = _FaceMemo(table)
+        face = FaceMemo(table)
         for q, row in enumerate(table):
             for j in range(1, len(row) if len(row) > 2 else 0):
                 rj, wj = row[j]
@@ -340,6 +340,50 @@ class Gather:
 
     def __repr__(self):
         return f"Gather({self.positions}, size={self.size})"
+
+
+class LinearPlan:
+    """A sparse integer matrix, compiled to gathers: apply(padded) = M vec.
+
+    rows hold {input position: coefficient} over a vector of length size,
+    which apply reads padded by one zero, as Gather does.  The rows are
+    grouped by their number of terms (an entry c counts |c| times) and each
+    group is a short sum of gathers; the entries read with a minus sign
+    come from one negated copy of them, appended after the padding zero,
+    and order puts the grouped rows back in row order.  An empty row reads
+    the zero.  The plan holds integers only, so it serves every ring, and
+    apply does not reduce mod k.
+    """
+
+    __slots__ = ("minus", "groups", "order")
+
+    def __init__(self, rows: Sequence[Mapping[int, int]], size: int):
+        minus = sorted({k for row in rows for k, c in row.items() if c < 0})
+        self.minus = Gather(minus, size)
+        at_minus = {k: size + 1 + i for i, k in enumerate(minus)}
+        by_terms: dict[int, list[tuple[int, list[int]]]] = {}
+        for r, row in enumerate(rows):
+            terms = [k if c > 0 else at_minus[k]
+                     for k, c in sorted(row.items()) for _ in range(abs(c))]
+            by_terms.setdefault(len(terms) or 1, []).append((r, terms or [size]))
+        ranked = [by_terms[t] for t in sorted(by_terms)]
+        self.groups = [tuple(Gather(col, size + 1 + len(minus))
+                             for col in zip(*(terms for _, terms in group)))
+                       for group in ranked]
+        order = [0] * len(rows)
+        for at, (r, _) in enumerate(row for group in ranked for row in group):
+            order[r] = at
+        self.order = Gather(order, len(rows))
+
+    def apply(self, padded: tuple) -> tuple:
+        both = padded + tuple(map(neg, self.minus.get(padded)))
+        out = []
+        for first, *rest in self.groups:
+            col = first.get(both)
+            for g in rest:
+                col = map(add, col, g.get(both))
+            out.extend(col)
+        return self.order.get(out)
 
 
 # -- simplicial maps -------------------------------------------------------
@@ -631,7 +675,7 @@ def build_standard(kind: str, **params) -> SimplicialSet:
 # -- products --------------------------------------------------------------
 
 
-class _FaceMemo:
+class FaceMemo:
     """Faces of (position, word) simplices over one compiled face table.
 
     The word algebra is memoized on the words, which are few, and row() on
@@ -751,7 +795,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
                 dims.append(p + len(wx))
                 strs.append(key_str(key) if sx is None else f"({sx}|{swx})*({sy}|{swy})")
 
-    xface, yface = _FaceMemo(X._table), _FaceMemo(Y._table)
+    xface, yface = FaceMemo(X._table), FaceMemo(Y._table)
     pairs: dict[tuple, tuple[tuple[Word, Word, Word], ...]] = {}
     rows = []
     for (ax, wx, ay, wy), d in zip(numbered, dims):

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, neg
 from typing import Callable
 
-from .cochains import (Cochain, Coefficients, coboundary, embed_rational,
+from .cochains import (Cochain, Coefficients, coboundary, cross_section, embed_rational,
                        fiber_integrate, pullback)
-from .complexes import (ConstructionError, Gather, ProductWithSimplex, Simplex,
+from .complexes import (ConstructionError, Gather, LinearPlan, ProductWithSimplex, Simplex,
                         SimplicialMap, SimplicialSet, codegeneracy_map,
                         coface_map, cylinder, identity_map, key_str,
                         product_map, standard_simplex, vertex_path)
@@ -222,13 +221,10 @@ class _MoorePlan:
     followed by one ring zero (the sentinel).  pairs lists each identity
     d_{l-1} x_j = d_j x_l as (j, l, start, stop): its two sides are the
     slices [start:stop] of left and right.  The filler is a sparse signed
-    integer matrix over the concatenation.  Its rows are grouped by their
-    number of terms and each group is a short sum of gathers; the entries
-    that carry a minus sign are read from one negated copy (minus), and
-    order puts the grouped rows back into generator order.
+    integer matrix over the concatenation, compiled to a LinearPlan.
     """
 
-    __slots__ = ("pairs", "left", "right", "minus", "groups", "order")
+    __slots__ = ("pairs", "left", "right", "filler")
 
     def __init__(self, G: SimplicialGroup, m: int, missing: int):
         d = G.degree()
@@ -268,36 +264,7 @@ class _MoorePlan:
                     for k, c in diff[q].items():
                         row[k] = row.get(k, 0) + c
 
-        # entries read with a minus sign come from one negated copy of
-        # them, appended after the sentinel
-        minus = sorted({k for row in w for k, c in row.items() if c < 0})
-        self.minus = Gather(minus, sentinel)
-        at_minus = {k: sentinel + 1 + i for i, k in enumerate(minus)}
-        by_terms: dict[int, list[tuple[int, list[int]]]] = {}
-        for r, row in enumerate(w):
-            terms = [k if c > 0 else at_minus[k]
-                     for k, c in sorted(row.items()) for _ in range(abs(c))]
-            by_terms.setdefault(len(terms) or 1, []).append((r, terms or [sentinel]))
-        ranked = [by_terms[t] for t in sorted(by_terms)]
-        self.groups = [tuple(Gather(col, sentinel + 1 + len(minus))
-                             for col in zip(*(terms for _, terms in rows)))
-                       for rows in ranked]
-        order = [0] * size
-        for at, (r, _) in enumerate(row for rows in ranked for row in rows):
-            order[r] = at
-        self.order = Gather(order, size)
-
-    def fill(self, padded: tuple) -> tuple:
-        """The filler's vector, not reduced mod k, from the padded
-        concatenation of the faces."""
-        both = padded + tuple(map(neg, self.minus.get(padded)))
-        out = []
-        for first, *rest in self.groups:
-            col = first.get(both)
-            for g in rest:
-                col = map(add, col, g.get(both))
-            out.extend(col)
-        return self.order.get(out)
+        self.filler = LinearPlan(w, sentinel)
 
 
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
@@ -342,7 +309,7 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
             if left[a:b] != right[a:b]:
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
-    return Cochain._trusted(P, d, coeffs, plan.fill(padded))
+    return Cochain._trusted(P, d, coeffs, plan.filler.apply(padded))
 
 
 # -- fundamental cocycles --------------------------------------------------
@@ -440,36 +407,6 @@ def maps_as_cocycles(X: SimplicialSet, E: EMSpace) -> MapCocycleBijection:
 # -- the loop identification ----------------------------------------------
 
 
-def _cross_section(w: Cochain, k: int, sign: int) -> Cochain:
-    """sign times the cross product of w with the top cell of Delta^k.
-
-    Supported on X x Delta^k where the simplex path of a generator is
-    (0, ..., 0, 1, ..., k), with value sign * w(front face) there.  Where
-    the values land is compiled once per base, k and degree into one
-    Gather.
-    """
-    X, m = w.complex, w.degree
-    P = cylinder(X, k).complex
-    token = ("cross-section", m)
-    gather = P._cache.get(token)
-    if gather is None:
-        index = X.gen_index(m)
-        path = (0,) * (m + 1) + tuple(range(1, k + 1))
-        positions = []
-        for gx, wx, t, wt in P.generators(m + k):
-            p = len(index)
-            if vertex_path(Simplex(t, wt), m + k) == path:
-                front = Simplex(gx, wx)
-                for v in range(m + k, m, -1):
-                    front = X.face(front, v)
-                if not front.word:
-                    p = index[front.gen]
-            positions.append(p)
-        gather = P._cache[token] = Gather(positions, len(index))
-    vals = gather.get(w.vec + (w.coeffs.zero,))
-    return Cochain._trusted(P, m + k, w.coeffs, vals if sign > 0 else map(neg, vals))
-
-
 def e_section(w: Cochain) -> Cochain:
     """The based loop presenting w: an end-trivial cocycle on X x Delta^1.
 
@@ -477,7 +414,7 @@ def e_section(w: Cochain) -> Cochain:
     the value there is (-1)^n w(front face).  Fiber integration over the
     interval recovers w exactly.
     """
-    return _cross_section(w, 1, -1 if w.degree % 2 else 1)
+    return cross_section(w, 1, -1 if w.degree % 2 else 1)
 
 
 def relative_section(w: Cochain) -> Cochain:
@@ -486,9 +423,11 @@ def relative_section(w: Cochain) -> Cochain:
 
     It is the cross product of w with the relative class of the triangle,
     supported where the triangle path is (0, ..., 0, 1, 2), so it is closed
-    when w is.  Fiber integration over the triangle recovers w exactly.
+    when w is.  Fiber integration over the triangle recovers w exactly: it
+    is g in the contraction of the relative cochains of X x Delta^2 onto
+    the base (see cochains.shih_homotopy).
     """
-    return _cross_section(w, 2, 1)
+    return cross_section(w, 2)
 
 
 def loop_integrate(z: Cochain) -> Cochain:

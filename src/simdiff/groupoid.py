@@ -6,11 +6,17 @@ witness relation, and every structural operation -- composition, inverses,
 the sum, unitors, associator, braid -- is a specific Moore horn fill, so the
 whole calculus is algorithmic and exact.
 
-Equality of morphism classes is a decision procedure: the difference of two
-parallel representatives lives on the generators whose simplex-factor path
-covers the triangle, and it is a witnessed coboundary there or refuted by an
-integral functional.  One Smith form per base complex, degree and ring
-answers every later comparison.
+Homotopy existence and equality of morphism classes are decided on the
+base.  The difference D of two parallel representatives lives on the
+generators whose simplex-factor path covers the triangle: it is a closed
+relative cochain of (X x Delta^2, X x dDelta^2).  Through the
+Eilenberg-Zilber contraction of those cochains onto the base's
+(cohomology.solve_relative_coboundary), D is a coboundary there exactly
+when its integral over the triangle is one on X, which the base's cached
+coboundary system decides; the primitive is h D + g b, with h the dual of
+Shih's homotopy (one plan per degree, cached on X x Delta^2) and g the
+relative section.  A homotopy between objects is found the same way from
+the faces it must have.  No linear system on a product is ever factored.
 
 In this model the object sum is strictly associative, commutative and unital
 at the data level, so the structural cells land in identity classes; the
@@ -37,15 +43,15 @@ from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
-from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology, delta_system,
-                         face_pins, solve_closed_extension, solve_coboundary_in)
+from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology, face_pins,
+                         solve_closed_extension, solve_relative_coboundary)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cylinder,
                         identity_map, pair_canonical, product_map,
                         standard_simplex, vertex_path)
 from .em import MappingComplex, e_section, loop_integrate, moore_fill
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
-from .exact import System, smith_normal_form  # noqa: F401
+from .exact import smith_normal_form  # noqa: F401
 from .report import Check, Report
 from .words import apply_word, word_of_surjection
 
@@ -450,17 +456,20 @@ class MappingGroupoid:
                  tgt: MapObject) -> Cochain | CoboundaryObstruction:
         """One closed level-2 filler from src to tgt, or what refutes one.
 
-        The pins are lid 0 on X x Delta^1, face 1 the target and face 2 the
-        source, solved over the groupoid's ring.  They pin the same
-        generators for every pair, so every call substitutes into one
-        cached system.  Every other filler differs from this one by the
-        em.relative_section of a cocycle one degree down (the cross product
-        with the triangle's relative class; Hatcher, Algebraic Topology,
-        3.B) plus a coboundary vanishing on the faces.
+        The faces are lid 0 on X x Delta^1, face 1 the target and face 2
+        the source; cohomology.solve_closed_extension pins them as K0 and
+        solves over the groupoid's ring through the contraction of the
+        relative cochains of X x Delta^2: with y = delta K0 and delta b =
+        fiber_integrate(y) on the base, the filler is K0 - h y - g b, h the
+        dual of Shih's homotopy (cached per degree on X x Delta^2) and g =
+        em.relative_section.  Every other filler differs from this one by
+        the relative section of a cocycle one degree down (the cross
+        product with the triangle's relative class; Hatcher, Algebraic
+        Topology, 3.B) plus a coboundary vanishing on the faces.
         """
         cyl2 = cylinder(self.base, 2)
-        pins = face_pins(cyl2, {0: self.maps.zero(1), 1: tgt.data, 2: src.data})
-        return solve_closed_extension(cyl2.complex, self.degree + 1, pins, self.coeffs)
+        pinned = face_pins(cyl2, {0: self.maps.zero(1), 1: tgt.data, 2: src.data})
+        return solve_closed_extension(cyl2, pinned, self.coeffs)
 
     # -- class equality ---------------------------------------------------
 
@@ -468,62 +477,35 @@ class MappingGroupoid:
         if c0.source != c1.source or c0.target != c1.target:
             raise ValueError("classes compare only between equal endpoints")
 
-    def _solver(self) -> System:
-        """delta Q = D restricted to the inside of X x Delta^2.
-
-        Parallel-homotopy differences are supported on interior generators,
-        and interior coboundaries stay interior, so the relative system
-        pins every generator that misses a vertex of the triangle.  It is
-        factored once; each comparison is a substitution.
-        """
-        P = cylinder(self.base, 2).complex
-        q = self.degree + 1
-        token = ("prism-boundary", q)
-        if token not in P._cache:
-            # (positions pinned in degree q - 1, positions dropped in degree q)
-            P._cache[token] = tuple(
-                frozenset(p for p, g in enumerate(P.generators(d)) if not _interior(g, 2))
-                for d in (q - 1, q))
-        pinned, dropped = P._cache[token]
-        return delta_system(P, q - 1, pinned, self.coeffs, dropped)
+    def _primitive(self, c0: HomotopyClass, c1: HomotopyClass):
+        """Q with delta Q = D = c1 - c0 in the relative cochains, or what
+        refutes one: D vanishes on the three faces, so with delta b =
+        fiber_integrate(D) on the base, Q = h D + g b
+        (cohomology.solve_relative_coboundary)."""
+        self._require_parallel(c0, c1)
+        return solve_relative_coboundary(c1.rep.data - c0.rep.data, cylinder(self.base, 2))
 
     def same_class(self, c0: HomotopyClass, c1: HomotopyClass) -> bool:
-        self._require_parallel(c0, c1)
-        diff = c1.rep.data - c0.rep.data
-        if diff.is_zero():
-            return True
-        return isinstance(solve_coboundary_in(self._solver(), diff, self.coeffs),
-                          CoboundaryWitness)
+        """Are two parallel morphisms equal?  Exactly when the integral of
+        their difference over the triangle is a coboundary on the base,
+        which the base's cached coboundary system decides."""
+        return isinstance(self._primitive(c0, c1), CoboundaryWitness)
 
     def compare(self, c0: HomotopyClass, c1: HomotopyClass) -> ClassComparison:
         """Decide equality and build the evidence.
 
         Equal classes get a closed level-3 witness with faces
-        (c1, c0, s0 target, s0 source); unequal ones an obstruction
+        (c1, c0, s0 target, s0 source): s0 c0 plus delta of Q = h D + g b
+        placed on face 0 of X x Delta^3.  Unequal ones get the base
+        certificate for fiber_integrate(D) composed with the integral, a
         functional on the interior level-2 generators.
         """
-        self._require_parallel(c0, c1)
-        M = self.maps
-        diff = c1.rep.data - c0.rep.data
-        reflexive = M.degeneracy(c0.rep.data, 0)
-        if diff.is_zero():
-            return ClassComparison(True, witness=reflexive)
-        got = solve_coboundary_in(self._solver(), diff, self.coeffs)
+        got = self._primitive(c0, c1)
         if isinstance(got, CoboundaryObstruction):
             return ClassComparison(False, obstruction=got)
-        witness = reflexive + coboundary(self._level3_pushforward(got.primitive))
-        return ClassComparison(True, witness=witness)
-
-    def _level3_pushforward(self, Q: Cochain) -> Cochain:
-        """Copy interior 2-prism data onto the 0-face of the 3-prism."""
-        inc = cylinder(self.base, 3).face_inclusion(0)
-        vals = {}
-        for g, v in Q.values.items():
-            img = inc(Simplex(g))
-            if img.word:
-                raise AssertionError("interior generator degenerated under lift")
-            vals[img.gen] = v
-        return Cochain(inc.target, Q.degree, self.coeffs, vals)
+        lift = face_pins(cylinder(self.base, 3), {0: got.primitive})
+        return ClassComparison(True, witness=self.maps.degeneracy(c0.rep.data, 0)
+                               + coboundary(lift))
 
     def verify_witness(self, c0: HomotopyClass, c1: HomotopyClass,
                        G: Cochain) -> bool:

@@ -26,7 +26,7 @@ from operator import add, mul
 
 from simdiff.cochains import INTEGERS, Cochain, coboundary
 from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, cochain_of,
-                                delta_system, face_pins, solve_coboundary, vector_of)
+                                delta_system, solve_coboundary, vector_of)
 from simdiff.complexes import cylinder
 from simdiff.diffhat import HatClass, HatComparison, HatTheory, PeriodObstruction
 from simdiff.em import relative_section
@@ -34,21 +34,19 @@ from simdiff.exact import Obstruction, System, blind
 from simdiff.groupoid import HomotopyClass, Homotopy2
 
 from dense import delta_matrix, kernel_int, transpose
+from reference_pins import pin_positions, pinned_system
 
 
 def kernel(T: HatTheory) -> list[Cochain]:
     """The pinned system's kernel as cochains on X x Delta^2, in its order.
 
-    The faces pin the same generators for every pair of objects, so the
-    unit's faces give the pinned positions of all of them.
+    The faces pin the same generators for every pair of objects: every
+    generator over the triangle's boundary.
     """
     n, X = T.degree, T.base
     cyl2 = cylinder(X, 2)
-    lid = Cochain.zero(cylinder(X, 1).complex, n + 1, INTEGERS)
-    unit = T.groupoid.unit()
-    pins = face_pins(cyl2, {0: lid, 1: unit.data, 2: unit.data})
     P = cyl2.complex
-    S = delta_system(P, n + 1, pins.positions)
+    S = pinned_system(P, n + 1, pin_positions(cyl2, (0, 1, 2), n + 1))
     out = []
     for kv in S.kernel:
         vec = [0] * len(P.generators(n + 1))

@@ -6,7 +6,9 @@ These tests install and uninstall the benchmark's tracer, whose install
 raises KeyError when a name in its TARGETS has gone, and resolve the names
 the workloads read, running cochain_key on a cochain the kernel built.  A
 traced hat-compare op and a traced coherence-battery op must still open the
-spans of the layers their per-layer numbers are read from.
+spans of the layers their per-layer numbers are read from.  A traced
+hat-compare set-up and its first ops must factor no matrix larger than
+the base's coboundaries.
 """
 
 import importlib
@@ -18,7 +20,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import tracing, workloads  # noqa: E402
-from simdiff import diffhat, moncat  # noqa: E402
+from simdiff import complexes, diffhat, moncat  # noqa: E402
 from simdiff.cochains import Cochain, INTEGERS, coboundary  # noqa: E402
 from simdiff.complexes import circle  # noqa: E402
 
@@ -87,3 +89,26 @@ def test_traced_coherence_op_keeps_its_layers():
     layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
     seen = {layer[n] for n in tracer.names if n in layer}
     assert {"em.moore_fill", "groupoid.ops", "groupoid.validate"} <= seen
+
+
+def test_traced_hat_compare_factors_only_base_sized_matrices(monkeypatch):
+    """Homotopies and class questions are solved on the base: no Smith form
+    in set-up, the warm-up op or four ops has more rows than the torus has
+    generators in any degree (the pinned system on torus x Delta^2 it used
+    to factor was 351 x 81)."""
+    # a fresh torus, so factorizations cached by earlier tests are seen
+    monkeypatch.setattr(complexes, "_FIXTURES", {})
+    w = workloads.WORKLOADS["hat-compare"](0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        w.setup()
+        for i in range(-1, 4):
+            pair = w.make_input(i)
+            assert w.check(pair, w.run(pair)) is None
+    X = w.theory.base
+    assert X is complexes.torus()
+    widest = max(len(X.generators(d)) for d in range(X.top_dim + 1))
+    shapes = [key[:2] for idx, key in tracer.keys.items()
+              if tracer.names[idx] == "exact.smith_normal_form"]
+    assert shapes
+    assert all(rows <= widest for rows, _ in shapes), shapes

@@ -18,6 +18,7 @@ from simdiff.diffhat import HatTheory, PeriodObstruction
 from simdiff.groupoid import HomotopyClass, Homotopy2, MappingGroupoid, _interior
 
 import reference_periods
+from reference_pins import pin_positions
 
 
 def unit_coboundaries(X, n, skip=()):
@@ -51,12 +52,11 @@ def assert_tight(ob, target, spanning):
 def closed_extension_problem(cyl, faces, degree):
     """(pinned cochain, free generators) of the closed-extension problem
     whose faces are given, with the pins checked by pullback."""
-    pins = face_pins(cyl, faces)
-    pinned = pins.cochain
+    pinned = face_pins(cyl, faces)
     for i, F in faces.items():
         assert pullback(cyl.face_inclusion(i), pinned) == F
     gens = cyl.complex.generators(degree)
-    return pinned, {gens[p] for p in pins.positions}
+    return pinned, {gens[p] for p in pin_positions(cyl, faces, degree)}
 
 
 def homotopy_problem(T, src, tgt):

@@ -6,17 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
-                              mod_coefficients, random_cochain)
+                              mod_coefficients, pullback, random_cochain)
 from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
-                                GroupPresentation, cochain_of, cohomology, delta_system,
-                                face_pins, is_coboundary, solve_closed_extension,
-                                solve_coboundary, vector_of)
+                                GroupPresentation, cohomology, delta_system, face_pins,
+                                is_coboundary, solve_closed_extension, solve_coboundary)
 from simdiff.complexes import (Simplex, circle, cylinder, from_facets, key_str, point,
                                rp2, sphere2, torus)
 from simdiff.groupoid import MappingGroupoid
 
 from dense import delta_matrix, kernel_mod_prime
-from reference_pins import pins_by_generator
+from reference_pins import pin_positions, pins_by_generator
 
 
 def test_presentation_rendering():
@@ -153,6 +152,18 @@ def test_solve_coboundary_mod():
     assert isinstance(res, CoboundaryObstruction)
 
 
+@pytest.mark.parametrize("v", [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2), Fraction(5)])
+def test_degree_zero_certificate_pairs_off_a_rational_value(v):
+    # a rational target asked over Z: the weight 1/(2|numerator|) pairs
+    # with it to +-1/(2 * denominator), never an integer, and never
+    # divides by zero on a value in (-1, 1)
+    target = Cochain(point(), 0, RATIONALS, {"*": v})
+    res = solve_coboundary(target, INTEGERS)
+    assert isinstance(res, CoboundaryObstruction) and res.ring == "Z"
+    assert res.refutes(target)
+    assert abs(res.pairing(target)) == Fraction(1, 2 * v.denominator)
+
+
 def test_is_coboundary_degree_zero():
     X = point()
     assert not is_coboundary(Cochain(X, 0, INTEGERS, {"*": 1}))
@@ -160,47 +171,62 @@ def test_is_coboundary_degree_zero():
 
 
 def test_solve_closed_extension_cylinder():
-    # a closed extension joining equal ends exists; its kernel is end-trivial
-    from simdiff.cochains import pullback
+    # closed faces of a closed cochain extend to a closed cochain on
+    # X x Delta^2 with exactly those faces
     X = torus()
-    cyl = cylinder(X, 1)
+    cyl = cylinder(X, 2)
     z = cohomology(X, 2, INTEGERS).generators[0]
-    i0, i1 = cyl.end_inclusions
-    pins = face_pins(cyl, {1: z, 0: z})
-    w = solve_closed_extension(cyl.complex, 2, pins, INTEGERS)
+    W = pullback(cyl.projection, z) + coboundary(
+        random_cochain(cyl.complex, 1, INTEGERS, random.Random(2), density=0.3))
+    faces = {i: pullback(cyl.face_inclusion(i), W) for i in range(3)}
+    w = solve_closed_extension(cyl, face_pins(cyl, faces), INTEGERS)
     assert isinstance(w, Cochain)
     assert coboundary(w).is_zero()
-    assert pullback(i0, w) == z and pullback(i1, w) == z
-    # the other extensions differ from w by the pinned system's kernel
-    S = delta_system(cyl.complex, 2, pins.positions)
-    N = len(cyl.complex.generators(2))
-    for kv in S.kernel[:3]:
-        vec = [0] * N
-        for p, v in zip(S.cols, kv):
-            vec[p] = v
-        k = cochain_of(cyl.complex, 2, INTEGERS, vec)
-        assert coboundary(k).is_zero()
-        assert pullback(i0, k).is_zero() and pullback(i1, k).is_zero()
+    for i, F in faces.items():
+        assert pullback(cyl.face_inclusion(i), w) == F
 
 
 def test_solve_closed_extension_detects_impossible():
-    # ends in different classes cannot be joined by a closed extension
+    # a loop on a free class and the unit cannot be joined by a homotopy
     X = torus()
-    cyl = cylinder(X, 1)
-    z = cohomology(X, 2, INTEGERS).generators[0]
-    pins = face_pins(cyl, {1: z, 0: z.scale(2)})
-    res = solve_closed_extension(cyl.complex, 2, pins, INTEGERS)
+    cyl = cylinder(X, 2)
+    G = MappingGroupoid(X, INTEGERS, 1)
+    src = G.from_cocycle(cohomology(X, 1, INTEGERS).generators[0])
+    faces = {0: G.maps.zero(1), 1: G.unit().data, 2: src.data}
+    pinned = face_pins(cyl, faces)
+    res = solve_closed_extension(cyl, pinned, INTEGERS)
     assert isinstance(res, CoboundaryObstruction)
     # re-verified from the definition: the functional refutes delta of the
     # pinned part and is blind on delta of every free generator
     P = cyl.complex
+    held = pin_positions(cyl, faces, 2)
     free = [coboundary(Cochain.indicator(P, g, INTEGERS))
-            for p, g in enumerate(P.generators(2)) if p not in pins.positions]
-    pinned = pins.cochain
+            for p, g in enumerate(P.generators(2)) if p not in held]
     assert res.certifies(coboundary(pinned), free)
     g, v = next(iter(res.functional.items()))
     flipped = CoboundaryObstruction({**res.functional, g: -v}, res.ring)
     assert res.ring != "Q" or not flipped.certifies(coboundary(pinned), free)
+
+
+def test_solve_closed_extension_refutes_faces_that_are_not_closed():
+    # a face that is not closed leaves delta K0 with a value over the
+    # boundary, which no free generator reaches: that generator refutes
+    X = circle(3)
+    cyl = cylinder(X, 2)
+    for coeffs in (INTEGERS, RATIONALS, mod_coefficients(3)):
+        wall = cylinder(X, 1).complex
+        bent = Cochain.indicator(wall, wall.generators(1)[0], coeffs)
+        pinned = face_pins(cyl, {0: bent, 1: Cochain.zero(wall, 1, coeffs),
+                                 2: Cochain.zero(wall, 1, coeffs)})
+        res = solve_closed_extension(cyl, pinned, coeffs)
+        assert isinstance(res, CoboundaryObstruction) and res.ring == coeffs.label()
+        P = cyl.complex
+        held = pin_positions(cyl, (0, 1, 2), 1)
+        free = [coboundary(Cochain.indicator(P, g, coeffs))
+                for p, g in enumerate(P.generators(1)) if p not in held]
+        spanning = free + ([Cochain.indicator(P, g, INTEGERS, coeffs.modulus)
+                            for g in res.functional] if coeffs.modulus else [])
+        assert res.certifies(coboundary(pinned), spanning)
 
 
 def test_face_pins_disjoint_ends():
@@ -208,10 +234,10 @@ def test_face_pins_disjoint_ends():
     cyl = cylinder(X, 1)
     a = Cochain(X, 0, INTEGERS, {"*": 1})
     b = Cochain(X, 0, INTEGERS, {"*": 2})
-    pins = face_pins(cyl, {0: a, 1: b})
+    pinned = face_pins(cyl, {0: a, 1: b})
     # ends are disjoint generators, so unequal values on them never clash
-    assert len(pins.positions) == 2
-    assert sorted(pins.cochain.vec) == [1, 2]
+    assert len(pin_positions(cyl, (0, 1), 0)) == 2
+    assert sorted(pinned.vec) == [1, 2]
 
 
 def test_face_pins_conflict_on_shared_edge():
@@ -246,9 +272,11 @@ def test_face_pins_rejects_faces_of_another_degree_or_ring():
         face_pins(cyl, {0: one, 1: Cochain.zero(X, 1, RATIONALS)})
     with pytest.raises(ValueError, match="at least one face"):
         face_pins(cyl, {})
-    pins = face_pins(cyl, {0: one})
-    with pytest.raises(ValueError, match="pins live on torusxD1 in degree 1"):
-        solve_closed_extension(cyl.complex, 2, pins, INTEGERS)
+    pinned = face_pins(cyl, {0: one})
+    with pytest.raises(ValueError, match="pins live on torusxD1, not on torusxD2"):
+        solve_closed_extension(cylinder(X, 2), pinned, INTEGERS)
+    with pytest.raises(ValueError, match="solved on X x Delta"):
+        solve_closed_extension(cyl, pinned, INTEGERS)
 
 def walked_face_pins(cyl, faces):
     """face_pins by walking the inclusion simplex by simplex."""
@@ -277,7 +305,7 @@ def test_face_pins_match_the_inclusion_walk(coeffs):
         a, b = (G.random_object(rng).data.map_values(coeffs.normalize, coeffs)
                 for _ in range(2))
         faces = {0: Cochain.zero(cylinder(X, 1).complex, 2, coeffs), 1: b, 2: a}
-        got = pins_by_generator(face_pins(cyl2, faces))
+        got = pins_by_generator(face_pins(cyl2, faces), pin_positions(cyl2, faces, 2))
         assert got == walked_face_pins(cyl2, faces)
         assert {type(v) for v in got.values()} == {type(coeffs.zero)}
 

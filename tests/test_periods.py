@@ -25,6 +25,7 @@ from simdiff.diffhat import HatTheory, PeriodObstruction, _random_form
 from simdiff.groupoid import HomotopyClass, Homotopy2
 
 import reference_periods as ref
+from reference_pins import pin_positions
 from dense import from_rows, invariant_factors, transpose
 
 BASES = {"point": point, "circle": lambda: circle(3), "circle4": lambda: circle(4),
@@ -103,15 +104,16 @@ def assert_checked(T: HatTheory, R: ref.Reference, x, y, comp) -> None:
     n = T.degree
     diff = x.omega - y.omega
     if comp.homotopy is None:
-        # the objects are not homotopic: refuted on the pinned system of
-        # X x Delta^2 against delta of every free generator
+        # the objects are not homotopic: the certificate refutes delta of
+        # the pinned faces and is blind on delta of every free generator
+        # of X x Delta^2
         cyl1, cyl2 = cylinder(T.base, 1), cylinder(T.base, 2)
-        pins = face_pins(cyl2, {0: Cochain.zero(cyl1.complex, n + 1, INTEGERS),
-                                1: y.obj.data, 2: x.obj.data})
-        free = [p for p in range(len(cyl2.complex.generators(n + 1)))
-                if p not in pins.positions]
+        pinned = face_pins(cyl2, {0: Cochain.zero(cyl1.complex, n + 1, INTEGERS),
+                                  1: y.obj.data, 2: x.obj.data})
+        held = pin_positions(cyl2, (0, 1, 2), n + 1)
+        free = [p for p in range(len(cyl2.complex.generators(n + 1))) if p not in held]
         assert comp.obstruction.certifies(
-            coboundary(pins.cochain), unit_coboundaries(cyl2.complex, n + 1, INTEGERS, free))
+            coboundary(pinned), unit_coboundaries(cyl2.complex, n + 1, INTEGERS, free))
         return
     h = HomotopyClass(Homotopy2(x.obj, y.obj, comp.homotopy))
     character = T.character.on_morphism(h)

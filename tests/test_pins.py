@@ -1,14 +1,19 @@
-"""The positional pinned solve against the generator-keyed reference.
+"""The pinned solves: positional against generator-keyed, and the
+contraction against both.
 
-face_pins now compiles where the faces land once per face set and returns
-the pinned cochain by position, delta_system keys pinned systems by
-position, the right-hand side is -delta of the pinned cochain, and the
-substitution reads S's rank rows only, testing A x0 = b before it reads
-any row past the rank.  tests/reference_pins.py keeps the code this
-replaced; here both answer the same problems and must agree exactly:
-pins, particular solutions, obstructions ("Z", "Q" and "Z/k") and
-face-conflict errors.  The reference's kernel cochains, built from
-System.kernel, must be closed and vanish on every pin.
+face_pins compiles where the faces land once per face set and returns
+the pinned cochain by position.  The positional pinned solve (a pinned
+system keyed by position, the right-hand side -delta of the pinned
+cochain, a substitution that reads S's rank rows only) and the
+generator-keyed one it replaced are both kept in tests/reference_pins.py;
+here they answer the same problems and must agree exactly: pins,
+particular solutions, obstructions ("Z", "Q" and "Z/k") and face-conflict
+errors.  The reference's kernel cochains, built from System.kernel, must
+be closed and vanish on every pin.  On X x Delta^2 with all three faces
+given, the package's solve_closed_extension answers through the
+Eilenberg-Zilber contraction instead; it must give the same verdict, a
+closed cochain with the given faces, or a certificate blind on delta of
+every free generator.
 """
 
 import random
@@ -19,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import reference_pins as ref
 from simdiff.cochains import (INTEGERS, RATIONALS, Cochain, coboundary, mod_coefficients,
                               pullback, random_cochain)
-from simdiff.cohomology import (CoboundaryObstruction, cohomology, delta_system, face_pins,
+from simdiff.cohomology import (CoboundaryObstruction, cohomology, face_pins,
                                 solve_closed_extension)
 from simdiff.complexes import circle, cylinder, genus2, rp2, torus
 from simdiff.exact import System
@@ -39,22 +44,42 @@ def pinned_answers(cyl, faces, degree, coeffs):
             face_pins(cyl, faces)
         assert str(got.value) == str(e)
         return str(e)
-    pins = face_pins(cyl, faces)
-    got_pins = ref.pins_by_generator(pins)
+    pinned = face_pins(cyl, faces)
+    positions = ref.pin_positions(cyl, faces, degree)
+    got_pins = ref.pins_by_generator(pinned, positions)
     assert got_pins == want_pins
     assert [type(v) for v in got_pins.values()] == [type(v) for v in want_pins.values()]
-    got = solve_closed_extension(cyl.complex, degree, pins, coeffs)
-    S = delta_system(cyl.complex, degree, pins.positions, coeffs)
+    got = ref.solve_pinned_extension(cyl.complex, degree, positions, pinned, coeffs)
+    S = ref.pinned_system(cyl.complex, degree, positions, coeffs)
     want = ref.solve_closed_extension(cyl.complex, degree, want_pins, coeffs, S)
     if isinstance(want, ref.PinnedSolution):
         assert got == want.particular
         for K in want.kernel:
             assert coboundary(K).is_zero()
-            assert not any(K.vec[p] for p in pins.positions)
+            assert not any(K.vec[p] for p in positions)
     else:
         assert type(got) is type(want)
         assert got.ring == want.ring and got.functional == want.functional
+    if cyl.k == 2 and len(faces) == 3:
+        assert_contraction_agrees(cyl, faces, pinned, positions, got, coeffs)
     return got
+
+
+def assert_contraction_agrees(cyl, faces, pinned, positions, want, coeffs):
+    """The package's solve_closed_extension against the pinned verdict."""
+    got = solve_closed_extension(cyl, pinned, coeffs)
+    assert type(got) is type(want)
+    if isinstance(got, Cochain):
+        assert coboundary(got).is_zero()
+        for i, F in faces.items():
+            assert pullback(cyl.face_inclusion(i), got) == F
+        return
+    P, degree = cyl.complex, pinned.degree
+    free = [coboundary(Cochain.indicator(P, g, coeffs))
+            for p, g in enumerate(P.generators(degree)) if p not in positions]
+    if coeffs.modulus:
+        free += [Cochain.indicator(P, g, INTEGERS, coeffs.modulus) for g in got.functional]
+    assert got.certifies(coboundary(pinned), free)
 
 
 def closed_cochain(cyl, degree, coeffs, rng):

@@ -25,11 +25,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from simdiff import exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary_values,
                               mod_coefficients)
-from simdiff.cohomology import Pins, delta_system, face_pins
+from simdiff.cohomology import delta_system
 from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
 from simdiff.diffhat import HatTheory
 from simdiff.exact import Obstruction, Solution, System, solve_int, solve_mod, solve_rational
 
+import reference_pins as ref
 from dense import delta_matrix, mat_vec, transpose
 
 RINGS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
@@ -138,14 +139,12 @@ def fixture_deltas() -> list[tuple[str, list[list[int]]]]:
     return out
 
 
-def pinned_torus_system() -> tuple[System, Pins]:
-    """The 351 x 81 closed-extension system behind HatTheory(torus, 1)."""
-    X = torus()
-    cyl2 = cylinder(X, 2)
-    lid = Cochain.zero(cylinder(X, 1).complex, 2, INTEGERS)
-    G = HatTheory(X, 1).groupoid
-    pins = face_pins(cyl2, {0: lid, 1: G.unit().data, 2: G.unit().data})
-    return delta_system(cyl2.complex, 2, pins.positions), pins
+def pinned_torus_system() -> tuple[System, frozenset]:
+    """The 351 x 81 closed-extension system HatTheory(torus, 1) used to
+    factor (the pinned reference), and its pinned positions."""
+    cyl2 = cylinder(torus(), 2)
+    positions = ref.pin_positions(cyl2, (0, 1, 2), 2)
+    return ref.pinned_system(cyl2.complex, 2, positions), positions
 
 
 def residues(v, S: System) -> list:
@@ -264,33 +263,46 @@ def test_pin_table_moves_known_values_like_the_dense_matrix():
     P = cylinder(torus(), 2).complex
     D = delta_matrix(P, 2)
     rng = random.Random(2)
-    known = {p: rng.randint(-2, 2) for p in pins.positions}
+    known = {p: rng.randint(-2, 2) for p in pins}
     vec = [known.get(p, 0) for p in range(len(P.generators(2)))]
     b = [-v for v in coboundary_values(Cochain(P, 2, INTEGERS, dict(zip(P.generators(2), vec))))]
     dense = [-sum(D[q][p] * v for p, v in known.items()) for q in S.rows]
     assert S.rows == list(range(len(P.generators(3))))
     assert b == dense
     # and S's columns are the positions left free, in order
-    assert S.cols == [p for p in range(len(P.generators(2))) if p not in pins.positions]
+    assert S.cols == [p for p in range(len(P.generators(2))) if p not in pins]
     assert S.matrix == [[D[q][p] for p in S.cols] for q in S.rows]
 
 
+def test_delta_systems_are_cached_by_degree_and_ring():
+    Y = cylinder(circle(3), 1).complex
+    Z = delta_system(Y, 1)
+    assert delta_system(Y, 1, INTEGERS) is Z
+    assert delta_system(Y, 1, RATIONALS) is not Z
+    assert delta_system(Y, 1, mod_coefficients(2)).ring == "Z/2"
+    assert delta_system(Y, 2) is not Z
+    assert Z.rows == list(range(len(Y.generators(2))))
+    assert Z.cols == list(range(len(Y.generators(1))))
+    assert Z.matrix == delta_matrix(Y, 1)
+
+
 def test_systems_are_cached_by_degree_pins_and_ring():
+    # the pinned systems of the reference path
     S, pins = pinned_torus_system()
     P = cylinder(torus(), 2).complex
-    assert delta_system(P, 2, frozenset(sorted(pins.positions))) is S
+    assert ref.pinned_system(P, 2, frozenset(sorted(pins))) is S
     Y = cylinder(circle(3), 1).complex
     ends = frozenset(p for p, g in enumerate(Y.generators(1)) if len(g[2]) == 1)
-    Z = delta_system(Y, 1, ends)
-    assert delta_system(Y, 1, frozenset(set(ends))) is Z
-    assert delta_system(Y, 1, ends, RATIONALS) is not Z
-    assert delta_system(Y, 1, ends, mod_coefficients(2)).ring == "Z/2"
-    assert delta_system(Y, 1) is not Z
-    assert len(delta_system(Y, 1).cols) == len(Z.cols) + len(ends)
+    Z = ref.pinned_system(Y, 1, ends)
+    assert ref.pinned_system(Y, 1, frozenset(set(ends))) is Z
+    assert ref.pinned_system(Y, 1, ends, RATIONALS) is not Z
+    assert ref.pinned_system(Y, 1, ends, mod_coefficients(2)).ring == "Z/2"
+    assert ref.pinned_system(Y, 1) is not Z
+    assert len(ref.pinned_system(Y, 1).cols) == len(Z.cols) + len(ends)
     # dropped equations are positions one degree up, a key of their own
     tops = frozenset(range(0, len(Y.generators(2)), 2))
-    W = delta_system(Y, 1, ends, dropped=tops)
-    assert W is not Z and delta_system(Y, 1, ends, INTEGERS, tops) is W
+    W = ref.pinned_system(Y, 1, ends, dropped=tops)
+    assert W is not Z and ref.pinned_system(Y, 1, ends, INTEGERS, tops) is W
     assert W.rows == [q for q in Z.rows if q not in tops] and W.cols == Z.cols
 
 
@@ -310,9 +322,13 @@ def test_a_solve_leaves_the_kernel_unbuilt():
     assert T.compare(x, x).equal
     assert not T.compare(x, T.from_form(Cochain(T.carrier, 0, RATIONALS, {
         T.carrier.generators(0)[0]: Fraction(1, 2)}))).equal
+    # and it factors no system on X x Delta^2 at all: it solves in the
+    # base's coboundary systems, and only HatTheory's own read of the
+    # cocycles below the degree builds a kernel there
     P = cylinder(T.base, 2).complex
-    pinned = [S for token, S in P._cache.items() if token[0] == "system"]
-    assert pinned and not any("kernel" in vars(S) for S in pinned)
+    assert not any(token[0] == "system" for token in P._cache)
+    base = {token[1]: S for token, S in T.base._cache.items() if token[0] == "system"}
+    assert base and all(("kernel" in vars(S)) == (n == T.degree - 1) for n, S in base.items())
 
 
 def test_ring_kind_is_validated():
@@ -373,7 +389,7 @@ def test_rational_systems_with_fraction_entries(system, rng):
     check_against_one_shot(S, A, b)
 
 
-def test_ten_compares_factor_the_pinned_matrix_once(monkeypatch):
+def test_ten_compares_factor_each_base_matrix_once(monkeypatch):
     shapes = []
     real = exact.smith_normal_form
 
@@ -393,5 +409,9 @@ def test_ten_compares_factor_the_pinned_matrix_once(monkeypatch):
         shift = T.character.on_morphism(m)
         y = T.hat(m.target, (-shift) if i % 2 == 0 else shift.scale(Fraction(1, 2)))
         decisions.append(T.compare(x, y).equal)
-    assert shapes.count((351, 81)) == 1
+    # the 351 x 81 pinned system on torus x Delta^2 is gone: every matrix
+    # factored is one of the base's, each once
+    assert (351, 81) not in shapes
+    assert all(r <= 27 and c <= 27 for r, c in shapes)
+    assert len(shapes) == len(set(shapes))
     assert all(decisions[::2])
