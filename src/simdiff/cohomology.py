@@ -3,11 +3,13 @@
 The coboundary in each degree is a sparse integer matrix over the generator
 bases.  Integer Smith form gives presentations H = Z^r + sum Z/d, coordinates
 for classifying cocycles, and representative cocycles for each summand.
-A presentation of H^n reads only the factorizations of delta_n and
-delta_{n-1} that delta_system caches on the complex; the image form behind
-representatives and coordinates (delta_{n-1} in cocycle coordinates, a
-Smith form of its own) is built on first use.  Rational cohomology rides on
-the integer computation (torsion dropped).
+A presentation of H^n reads only the Smith diagonals of delta_n and
+delta_{n-1} that delta_system caches on the complex (their ranks and
+invariant factors), so it replays none of their transforms; the image form
+behind representatives and coordinates (delta_{n-1} in cocycle
+coordinates, read off delta_n's T and Tinv, a Smith form of its own) is
+built on first use.  Rational cohomology rides on the integer computation
+(torsion dropped).
 
 delta_system is the one constructor of linear systems on cochains: delta
 of a complex in one degree over one ring, factored once and cached on the
@@ -233,10 +235,11 @@ class _Classes:
 class CohomologyGroup:
     """H^n(X; Z) (or Q) with representatives and coordinates.
 
-    The presentation reads two factorizations that delta_system caches on
-    X: delta_n's and delta_{n-1}'s.  The cocycles are a saturated sublattice
-    holding every coboundary, so H^n has free rank dim ker delta_n - rank
-    delta_{n-1} and torsion the invariant factors > 1 of delta_{n-1}.
+    The presentation reads the diagonals of two factorizations that
+    delta_system caches on X, delta_n's and delta_{n-1}'s.  The cocycles
+    are a saturated sublattice holding every coboundary, so H^n has free
+    rank dim ker delta_n - rank delta_{n-1} and torsion the invariant
+    factors > 1 of delta_{n-1}.
 
     generators and classify also need the image form: delta_{n-1} in the
     cocycle basis's coordinates, factored by its own Smith form, which
@@ -328,17 +331,25 @@ class CohomologyGroup:
         return out
 
     def classify(self, c: Cochain) -> tuple[tuple, tuple]:
-        """(free coords, torsion coords) of a cocycle's class."""
+        """(free coords, torsion coords) of a cocycle's class.
+
+        c must be a degree-n cocycle on this group's complex, with integer
+        values if the group is integral; anything else raises ValueError.
+        """
+        if c.complex is not self.complex:
+            raise ValueError(f"classify on {self.complex.name} got a cochain on "
+                             f"another complex, {c.complex.name}")
+        if c.degree != self.degree:
+            raise ValueError(f"classify in degree {self.degree} got a cochain "
+                             f"of degree {c.degree}")
+        vec = [Fraction(v) for v in vector_of(c)]
+        denom = lcm(*(v.denominator for v in vec)) if vec else 1
+        if denom != 1 and self.coeffs.kind == "Z":
+            raise ValueError("classify over Z got a non-integral value")
         if not coboundary(c).is_zero():
             raise ValueError("classify expects a cocycle")
         k = self._integral._classes
-        vec = vector_of(c)
-        if self.coeffs.kind == "Q":
-            denom = lcm(*(Fraction(v).denominator for v in vec)) if vec else 1
-            ivec = [int(Fraction(v) * denom) for v in vec]
-        else:
-            denom = 1
-            ivec = [int(v) for v in vec]
+        ivec = [int(v * denom) for v in vec]
         u = self._kernel_coords(ivec)
         w = apply_rows(k.image.S, u) if k.image is not None else u
         if self.coeffs.kind == "Q":

@@ -27,18 +27,22 @@ The one-shot solvers solve_int, solve_mod and solve_rational factor and
 substitute in one call, with the same substitution code.  Everything is
 pure Python over int and Fraction, so every certificate is exact.
 
-The Smith form eliminates on sparse rows and columns and keeps them: no
-transform is ever made dense, and a substitution touches only its
-nonzeros.  Coboundary matrices hold a few nonzeros per row and almost
-every pivot is +-1, so the work follows the nonzeros and their fill rather
-than the cube of the matrix size.  The pivot order is the dense
-smallest-entry rule, so the transforms, and every cocycle and certificate
-read off them, are the ones a dense elimination gives.
+The Smith form eliminates on D alone, held as sparse rows, and logs each
+elementary row and column operation.  S, Sinv, T and Tinv are replayed
+from those logs, each on its first read, as sparse rows or columns: none
+is made dense, a presentation that reads only the diagonal builds none of
+them, and a substitution touches only the nonzeros of those it reads.
+Coboundary matrices hold a few nonzeros per row and almost every pivot is
++-1, so the work follows the nonzeros and their fill rather than the cube
+of the matrix size.  The pivot order is the dense smallest-entry rule and
+the replay applies the same operations in the same order, so the
+transforms, and every cocycle and certificate read off them, are the ones
+a dense elimination gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -82,86 +86,122 @@ def apply_cols(M: Sparse, y: Sequence, n: int) -> list:
     return out
 
 
+def _axpy(dst: dict[int, int], src: Mapping[int, int], q: int) -> None:
+    """dst += q * src, dropping the entries that cancel."""
+    for t, v in src.items():
+        w = dst.get(t, 0) + q * v
+        if w:
+            dst[t] = w
+        else:
+            del dst[t]
+
+
+def _replay(n: int, log: Sequence[tuple], inverse: bool) -> Sparse:
+    """The n x n identity with a log's operations applied, as sparse vectors.
+
+    An operation (i, j, q) is line i += q * line j, (i, j) swaps lines i
+    and j, and (i,) negates line i, where a line is a row for the row log
+    and a column for the column log.  The forward transform (S, T) is held
+    as those lines, so vector i gains q times vector j.  Its inverse (Sinv,
+    Tinv) is held the other way round and takes the inverse operation on
+    the other side: vector j loses q times vector i.  A swap or a negation
+    is its own inverse and acts alike on both.
+    """
+    M = [{i: 1} for i in range(n)]
+    for op in log:
+        if len(op) == 3:
+            i, j, q = op
+            if inverse:
+                _axpy(M[j], M[i], -q)
+            else:
+                _axpy(M[i], M[j], q)
+        elif len(op) == 2:
+            i, j = op
+            M[i], M[j] = M[j], M[i]
+        else:
+            i, = op
+            M[i] = {t: -v for t, v in M[i].items()}
+    return M
+
+
 @dataclass
 class SmithForm:
-    """D = S A T with S, T unimodular, kept as the elimination built them.
+    """D = S A T with S, T unimodular; the transforms are built on first read.
 
     A is r x c (shape).  D is rectangular diagonal; diagonal lists its
-    min(r, c) entries d_0 | d_1 | ..., nonnegative, the zeros last.  S and
-    Tinv are sparse rows {column: entry}, Sinv and T sparse columns
-    {row: entry}: S b and Tinv v are read row by row, T y and a column of
-    T or Sinv column by column, and none of the four is made dense.
+    min(r, c) entries d_0 | d_1 | ..., nonnegative, the zeros last.  The
+    elimination leaves two logs of elementary operations, row_log on the
+    rows and col_log on the column positions.  S and Sinv are the row log
+    replayed on the r x r identity, T and Tinv the column log on the c x c
+    one, each on its first read and cached: a reader of T alone pays for
+    T alone.  S and Tinv are sparse rows {column: entry}, Sinv and T
+    sparse columns {row: entry}: S b and Tinv v are read row by row, T y
+    and a column of T or Sinv column by column, and none of the four is
+    made dense.
     """
 
     shape: tuple[int, int]
     diagonal: list[int]
-    S: Sparse
-    T: Sparse
-    Sinv: Sparse
-    Tinv: Sparse
+    row_log: list[tuple] = field(repr=False)
+    col_log: list[tuple] = field(repr=False)
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
+
+    @cached_property
+    def S(self) -> Sparse:
+        return _replay(self.shape[0], self.row_log, inverse=False)
+
+    @cached_property
+    def Sinv(self) -> Sparse:
+        return _replay(self.shape[0], self.row_log, inverse=True)
+
+    @cached_property
+    def T(self) -> Sparse:
+        return _replay(self.shape[1], self.col_log, inverse=False)
+
+    @cached_property
+    def Tinv(self) -> Sparse:
+        return _replay(self.shape[1], self.col_log, inverse=True)
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
     """D = S A T by sparse elimination that replays the dense pivot order.
 
     The pivot is the smallest |entry| of the trailing block, first in
-    row-major order; the scan stops at the first row holding a +-1.  The
-    pivot is swapped into place and made positive, rows then columns are
-    reduced by it, and a pass that leaves a remainder starts over.  Once the
-    pivot's row and column are clear, a row whose entries it does not divide
-    is added to its row and the search starts over (never for pivot 1).
-    The trailing block holding no entry ends the elimination.
+    row-major order.  The pivot is swapped into place and made positive,
+    rows then columns are reduced by it, and a pass that leaves a remainder
+    starts over.  Once the pivot's row and column are clear, a row whose
+    entries it does not divide is added to its row and the search starts
+    over.  The trailing block holding no entry ends the elimination.
 
-    D is held as rows {column id: entry} with a lazy column permutation, so
-    a column swap touches no entry; S and Tinv are sparse rows, Sinv and T
-    sparse columns, and the SmithForm keeps them as they are.  The
-    operations are the dense elimination's, in its order, so every factor
-    equals a dense loop's entry for entry (tests/test_snf.py keeps one as
-    the reference).
+    divides is the last pivot whose scan found every later entry a
+    multiple of it (at first 1), and integer row and column operations keep
+    every trailing entry a multiple of it.  So no entry is smaller: the
+    pivot search stops at the first row holding a +-divides, and a pivot
+    equal to divides skips the scan, which could find nothing.
+
+    Only D is updated, held as rows {column id: entry} with a lazy column
+    permutation, so a column swap touches no entry.  Each operation is
+    appended to the row or the column log, which SmithForm replays into S,
+    Sinv, T and Tinv when one is first read.  The operations are the dense
+    elimination's, in its order, so every factor equals a dense loop's
+    entry for entry (tests/test_snf.py keeps one as the reference).
     """
     r = len(A)
     c = len(A[0]) if r else 0
     D = [{j: int(v) for j, v in filter(itemgetter(1), enumerate(row))} for row in A]
     pos = list(range(c))  # column id -> position
     at = list(range(c))  # position -> column id
-    S = [{i: 1} for i in range(r)]
-    Sinv = [{i: 1} for i in range(r)]
-    T = [{j: 1} for j in range(c)]
-    Tinv = [{j: 1} for j in range(c)]
-
-    def axpy(dst, src, q):
-        # dst += q * src, dropping the entries that cancel
-        for t, v in src.items():
-            w = dst.get(t, 0) + q * v
-            if w:
-                dst[t] = w
-            else:
-                del dst[t]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        S[i], S[j] = S[j], S[i]
-        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
+    row_log: list[tuple] = []
+    col_log: list[tuple] = []
+    divides = 1  # every trailing entry is a multiple of it
 
     def row_add(i, j, q):
         # row i += q * row j
-        axpy(D[i], D[j], q)
-        axpy(S[i], S[j], q)
-        axpy(Sinv[j], Sinv[i], -q)
-
-    def row_neg(i):
-        for M in (D, S, Sinv):
-            M[i] = {t: -v for t, v in M[i].items()}
-
-    def col_swap(i, j):
-        at[i], at[j] = at[j], at[i]
-        pos[at[i]], pos[at[j]] = i, j
-        T[i], T[j] = T[j], T[i]
-        Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
+        _axpy(D[i], D[j], q)
+        row_log.append((i, j, q))
 
     def col_add(i, j, q, rows):
         # col i += q * col j, whose entries all lie in rows
@@ -172,8 +212,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 row[ci] = w
             else:
                 del row[ci]
-        axpy(T[i], T[j], q)
-        axpy(Tinv[j], Tinv[i], -q)
+        col_log.append((i, j, q))
 
     def pivot(k):
         # (|entry|, row, position) of the pivot, or None for a zero block
@@ -184,7 +223,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 m = min(map(abs, row.values()))
                 if best is None or m < best[0]:
                     best = (m, i, min(pos[t] for t, v in row.items() if abs(v) == m))
-                    if m == 1:
+                    if m == divides:
                         break
         return best
 
@@ -195,12 +234,16 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 break
             _, pi, pj = best
             if pi != k:
-                row_swap(k, pi)
+                D[k], D[pi] = D[pi], D[k]
+                row_log.append((k, pi))
             if pj != k:
-                col_swap(k, pj)
+                at[k], at[pj] = at[pj], at[k]
+                pos[at[k]], pos[at[pj]] = k, pj
+                col_log.append((k, pj))
             ck = at[k]
             if D[k][ck] < 0:
-                row_neg(k)
+                D[k] = {t: -v for t, v in D[k].items()}
+                row_log.append((k,))
             p = D[k][ck]
             rows = [D[k]]  # where the pivot column is nonzero after the row pass
             for i in range(k + 1, r):
@@ -214,19 +257,20 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                     col_add(pos[t], k, -(v // p), rows)
             if len(rows) > 1 or len(D[k]) > 1:
                 continue  # a remainder is left in the pivot's column or row
-            if p == 1:
-                break  # a unit divides every entry: nothing to fold
+            if p == divides:
+                break  # p divides every later entry: nothing to fold
             # divisibility: fold a row holding a non-multiple into the pivot's
             offender = next((i for i in range(k + 1, r)
                              if any(v % p for v in D[i].values())), None)
             if offender is None:
+                divides = p
                 break
             row_add(k, offender, 1)
         if best is None:
             break  # the trailing block is zero, and so are all later ones
 
     diagonal = [D[k].get(at[k], 0) for k in range(min(r, c))]
-    return SmithForm((r, c), diagonal, S, T, Sinv, Tinv)
+    return SmithForm((r, c), diagonal, row_log, col_log)
 
 
 # -- solvers ---------------------------------------------------------------
@@ -272,7 +316,7 @@ class Substitution:
 
     rank_rows holds S's rows up to the rank by compile_rows, and cols A's
     sparse columns {row: entry}, for the test A x0 = b.  S's rows past the
-    rank stay as the elimination left them: only an inconsistent
+    rank stay sparse, as the replay built them: only an inconsistent
     right-hand side reads them, for its certificate.
     """
 
@@ -361,8 +405,9 @@ class System:
     denominator of its entries, and a "Q" obstruction, a row of S, is
     scaled back by the same factors, so it is a functional on A.  The
     Substitution that solve substitutes into (S's rank rows and the
-    factored matrix's rows, compiled) is built on the first solve, so a
-    system factored only for its rank or diagonal never pays for it.
+    factored matrix's rows, compiled) is built on the first solve, and each
+    transform of the form on its first read, so a system factored only for
+    its rank or diagonal never replays S or T.
     """
 
     def __init__(self, A: Sequence[Sequence], rows: Sequence[Hashable],

@@ -104,6 +104,40 @@ def test_classify_rejects_non_cocycle():
         H.classify(c)
 
 
+def test_classify_rejects_a_cocycle_on_another_complex():
+    T, C = torus(), circle(3)
+    c = cohomology(C, 1, INTEGERS).generators[0]
+    with pytest.raises(ValueError, match="another complex"):
+        cohomology(T, 1, INTEGERS).classify(c)
+    g = cohomology(T, 1, INTEGERS).generators[0]
+    with pytest.raises(ValueError, match="another complex"):
+        cohomology(C, 1, INTEGERS).same_class(g, g)
+
+
+def test_classify_rejects_a_cocycle_of_another_degree():
+    X = torus()
+    g = cohomology(X, 1, INTEGERS).generators[0]
+    with pytest.raises(ValueError, match="degree 2 got a cochain of degree 1"):
+        cohomology(X, 2, INTEGERS).classify(g)
+    with pytest.raises(ValueError, match="degree"):
+        cohomology(X, 2, RATIONALS).classify(g.map_values(Fraction, RATIONALS))
+
+
+def test_classify_over_z_rejects_a_non_integral_value():
+    X = torus()
+    H = cohomology(X, 1, INTEGERS)
+    h = H.generators[0]
+    half = h.map_values(lambda v: Fraction(v, 2), RATIONALS)
+    with pytest.raises(ValueError, match="non-integral"):
+        H.classify(half)
+    with pytest.raises(ValueError, match="non-integral"):
+        H.same_class(half, h.scale(0))
+    # integral values held as rationals classify as the integer cocycle
+    assert H.classify(half.scale(2)) == H.classify(h) == ((1, 0), ())
+    # over Q the half is half a class
+    assert cohomology(X, 1, RATIONALS).classify(half) == ((Fraction(1, 2), 0), ())
+
+
 def test_solve_coboundary_witness():
     rng = random.Random(13)
     X = rp2()

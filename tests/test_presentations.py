@@ -22,7 +22,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 import reference_cohomology as ref
 from dense import delta_matrix, kernel_mod_prime
 from simdiff.cochains import INTEGERS, RATIONALS, Cochain, coboundary, random_cochain
-from simdiff.cohomology import cohomology
+from simdiff.cohomology import cohomology, delta_system
 from simdiff.complexes import build_standard, cylinder, from_facets, torus
 from simdiff.diffhat import hat_group
 
@@ -96,3 +96,20 @@ def test_divisible_rank_is_the_coboundary_rank_mod_a_large_prime(kind):
         A = delta_matrix(X, n - 1) if n else []
         rank = len(A[0]) - len(kernel_mod_prime(A, 1000003)) if A else 0
         assert hat_group(X, n).divisible_rank == rank, n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_presentations_build_no_transform(facets):
+    # the cohomology-fresh benchmark workload's op: presentations of a fresh
+    # complex read the Smith diagonals of delta_system's forms and replay no
+    # transform
+    P = cylinder(from_facets("X", [tuple(sorted(f)) for f in facets]), 1).complex
+    for n in range(P.top_dim + 2):
+        cohomology(P, n, INTEGERS).presentation
+        cohomology(P, n, RATIONALS).presentation
+    # the cached forms below the top degree, where delta_system leaves none
+    forms = [delta_system(P, n).form for n in range(P.top_dim)]
+    assert all(forms)
+    assert all(not {"S", "Sinv", "T", "Tinv"} & set(vars(f)) for f in forms)

@@ -1,13 +1,16 @@
 """The sparse Smith form against the dense loop it replaced, and sympy.
 
-exact.smith_normal_form eliminates on sparse rows and columns but replays
-the dense elimination's pivots and operations, so its D, S, T, Sinv and
-Tinv, made dense here, must equal the dense loop's entry for entry, and
-S Sinv and T Tinv must be identities.  The dense loop is kept here as the
-reference.
+exact.smith_normal_form eliminates on sparse rows but replays the dense
+elimination's pivots and operations, and SmithForm replays the same
+operations from its logs into S, T, Sinv and Tinv when each is first read.
+So its D, S, T, Sinv and Tinv, made dense here, must equal the dense
+loop's entry for entry, whatever order they are read in, and S Sinv and
+T Tinv must be identities.  The dense loop is kept here as the reference.
 """
 
 import sys
+import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -122,8 +125,22 @@ def reference_smith_normal_form(A):
     return D, S, T, Sinv, Tinv
 
 
+TRANSFORMS = ("S", "Sinv", "T", "Tinv")
+
+
 def assert_replays(A) -> SmithForm:
+    """Factor A and check every factor against the dense loop.
+
+    The transforms are replayed on first read, each from its own log, so
+    the order they are read in must not matter: half of the matrices (by
+    a checksum of A, so the split is fixed) read them in reversed order
+    before the comparison.
+    """
     f = smith_normal_form(A)
+    assert not set(TRANSFORMS) & set(vars(f))
+    if zlib.crc32(repr(A).encode()) & 1:
+        for name in reversed(TRANSFORMS):
+            getattr(f, name)
     D, S, T, Sinv, Tinv = dense_factors(f)
     assert (D, S, T, Sinv, Tinv) == reference_smith_normal_form(A)
     r, c = f.shape
@@ -197,13 +214,13 @@ def test_generated_matrices_replay_the_dense_loop(A):
 # -- the branches a unit pivot never takes ---------------------------------------
 
 
-def lines_run(A) -> set[int]:
-    """Line numbers of exact.py executed while factoring A."""
-    hit: set[int] = set()
+def lines_run(A) -> Counter:
+    """How often each line of exact.py ran while factoring A."""
+    hit: Counter = Counter()
 
     def local(frame, event, arg):
         if event == "line":
-            hit.add(frame.f_lineno)
+            hit[frame.f_lineno] += 1
         return local
 
     def tracer(frame, event, arg):
@@ -238,3 +255,51 @@ def test_non_unit_branches_are_reached_and_replayed():
     assert all(line not in hit for line in branches.values())
     for A in ([[2, 0], [0, 3]], [[2, 4], [6, 8]], [[4, 6], [6, 4]], [[3, 0, 0], [0, 2, 0]]):
         assert_replays(A)
+
+
+# -- a pivot that repeats a divisor --------------------------------------------
+
+
+def diag(*entries) -> list[list[int]]:
+    return [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+
+
+REPEATING = [diag(2, 4, 2), diag(2, 6, 4), diag(2, 2, 4, 6), diag(3, 3, 6, 9, 2),
+             diag(4, 2, 2, 8), [[2, 4, 0], [4, 2, 6], [0, 6, 4]]]
+
+
+@pytest.mark.parametrize("A", REPEATING)
+def test_repeated_divisors_replay_the_dense_loop(A):
+    f = assert_replays(A)
+    assert_sympy_diagonal(A, f)
+    for modulus in (2, 4, 6):
+        f = assert_replays(_lift(A, modulus))
+        assert_sympy_diagonal(_lift(A, modulus), f)
+
+
+def test_a_pivot_equal_to_the_last_divisor_skips_the_scan():
+    scan, skip = line_of("divides = p"), line_of("break  # p divides every later entry")
+    # the first 2 scans the later rows and finds only multiples of 2; the
+    # three 2s after it cannot find a non-multiple, so they do not scan
+    hit = lines_run(diag(2, 2, 2, 2))
+    assert (hit[scan], hit[skip]) == (1, 3)
+    # a larger pivot scans again: 6 does not divide 4, so the fold runs
+    hit = lines_run(diag(2, 6, 4))
+    assert hit[line_of("row_add(k, offender, 1)")] >= 1
+    assert smith_normal_form(diag(2, 6, 4)).diagonal == [2, 2, 12]
+
+
+# -- transforms on demand --------------------------------------------------------
+
+
+def test_a_fresh_form_builds_each_transform_on_its_first_read():
+    A = deltas("torus", 1)[1]
+    reference = dense_factors(smith_normal_form(A))
+    for name in TRANSFORMS:
+        f = smith_normal_form(A)
+        assert not set(TRANSFORMS) & set(vars(f))
+        assert f.rank and f.diagonal
+        first = getattr(f, name)
+        assert set(TRANSFORMS) & set(vars(f)) == {name}
+        assert getattr(f, name) is first
+    assert dense_factors(f) == reference
