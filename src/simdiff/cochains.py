@@ -31,14 +31,14 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress, repeat
 from operator import add, mul, neg, sub
 from typing import Any, Hashable, Iterable, Iterator
 
-from .complexes import (FaceMemo, Gather, LinearPlan, ProductWithSimplex, Simplex,
-                        SimplicialMap, SimplicialSet, cylinder, json_int, key_str,
-                        vertex_path)
-from .words import apply_word, surjection_of_word, word_of_surjection
+from .complexes import (Gather, LinearPlan, ProductWithSimplex, Simplex, SimplicialMap,
+                        SimplicialSet, cylinder, face_at, json_int, key_str, vertex_path)
+from .words import Word, apply_word, surjection_of_word, word_of_surjection
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,21 @@ class Coefficients:
         return self.kind == "Q"
 
     def normalize(self, v) -> Any:
+        """v as an element of the ring.  Over Z and Z/k a value that is not
+        an int must be an integral rational: a fraction, a float with a
+        fractional part, nan, inf or a non-number raises ValueError."""
         if self.kind == "Q":
             return Fraction(v)
-        if self.kind == "Zmod":
-            return int(v) % self.modulus
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"non-integer value {v} for Z coefficients")
-            return v.numerator
-        return int(v)
+        if type(v) is not int:
+            try:
+                q = Fraction(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"{v!r} is not a value for {self.label()} coefficients") from None
+            if q.denominator != 1:
+                raise ValueError(f"non-integer value {v} for {self.label()} coefficients")
+            v = q.numerator
+        return v % self.modulus if self.modulus else v
 
     def label(self) -> str:
         return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
@@ -101,6 +107,14 @@ def embed_rational(A: Coefficients, v) -> Fraction:
     if A.kind == "Zmod":
         return Fraction(0)
     return Fraction(v)
+
+
+def _gen_dim(X: SimplicialSet, gen: Hashable) -> int:
+    """The dimension of a generator of X; ValueError naming it if X has none."""
+    try:
+        return X.gen_dim(gen)
+    except KeyError:
+        raise ValueError(f"{X.name} has no generator {gen!r}") from None
 
 
 class CochainValues(Mapping):
@@ -169,10 +183,11 @@ class Cochain:
         index = complex.gen_index(degree)
         vec = [coeffs.zero] * len(index)
         for gen, v in (values or {}).items():
-            if complex.gen_dim(gen) != degree:
-                raise ValueError(
-                    f"value on {gen!r} of dim {complex.gen_dim(gen)} in degree {degree}")
-            vec[index[gen]] = coeffs.normalize(v)
+            i = index.get(gen)
+            if i is None:
+                raise ValueError(f"value on {gen!r} of dim {_gen_dim(complex, gen)}"
+                                 f" in degree {degree}")
+            vec[i] = coeffs.normalize(v)
         self.vec = tuple(vec)
 
     @classmethod
@@ -197,7 +212,7 @@ class Cochain:
     @classmethod
     def indicator(cls, X: SimplicialSet, gen: Hashable, coeffs: Coefficients,
                   value=1) -> "Cochain":
-        return cls(X, X.gen_dim(gen), coeffs, {gen: value})
+        return cls(X, _gen_dim(X, gen), coeffs, {gen: value})
 
     @property
     def values(self) -> CochainValues:
@@ -414,7 +429,8 @@ def cross_section(w: Cochain, k: int, sign: int = 1) -> Cochain:
 # -- the Eilenberg-Zilber contraction of X x Delta^2 rel X x dDelta^2 ---------
 
 
-def _shih_terms(path: tuple[int, ...]):
+@cache
+def _shih_terms(path: tuple[int, ...]) -> tuple[tuple[int, Word, int, Word], ...]:
     """The terms of Shih's homotopy on an m-simplex (a, b) of X x Delta^2
     whose triangle side covers the triangle, b given by its vertex path.
 
@@ -425,11 +441,12 @@ def _shih_terms(path: tuple[int, ...]):
             (s_{beta + mb} s_{mb - 1} d_{m-q+1} ... d_m a,
              s_{alpha + mb} d_{mb} ... d_{m-q-1} b)
 
-    (Gonzalez-Diaz and Real, JPAA 139, 1999).  Each term is yielded as
+    (Gonzalez-Diaz and Real, JPAA 139, 1999).  Each term is listed as
     (q, degeneracies of the base side, innermost first, sign, word of the
     triangle side).
     """
     m = len(path) - 1
+    terms = []
     for q in range(m):
         for p in range(m - q):
             mb = m - p - q
@@ -440,8 +457,9 @@ def _shih_terms(path: tuple[int, ...]):
                     b = b[:a + mb + 1] + b[a + mb:]
                 if len(set(b)) == 3:
                     twist = sum(a - i for i, a in enumerate(alpha))
-                    yield (q, (mb - 1, *(v + mb for v in every if v not in alpha)),
-                           -1 if (mb + twist) % 2 else 1, word_of_surjection(b))
+                    terms.append((q, (mb - 1, *(v + mb for v in every if v not in alpha)),
+                                  -1 if (mb + twist) % 2 else 1, word_of_surjection(b)))
+    return tuple(terms)
 
 
 def _shih_plan(cyl: ProductWithSimplex, degree: int) -> LinearPlan:
@@ -450,30 +468,28 @@ def _shih_plan(cyl: ProductWithSimplex, degree: int) -> LinearPlan:
     Row t is the sum of sign * z(term) over the terms of Shih's homotopy
     on the (degree - 1)-generator at position t that are generators over
     the whole triangle (the others are degenerate or lie where z vanishes).
-    The base side is read off X's compiled face table and the word algebra;
-    rows over the triangle's boundary are empty.
+    The base side is read off X's compiled face table and the word algebra,
+    the terms off the cached _shih_terms; rows over the triangle's boundary
+    are empty.
     """
     P, X = cyl.complex, cyl.base
     token = ("shih", degree)
     plan = P._cache.get(token)
     if plan is None:
         m = degree - 1
-        index, xgens, face = P.gen_index(degree), X.generators(), FaceMemo(X._table)
-        sides: dict[tuple, list] = {}  # the terms, per word of the triangle side
+        index, xgens, table = P.gen_index(degree), X.generators(), X._table
         rows = []
         for gx, wx, gd, wd in P.generators(m):
             row: dict[int, int] = {}
             rows.append(row)
             if len(gd) < 3:
                 continue
-            if wd not in sides:
-                sides[wd] = list(_shih_terms(surjection_of_word(wd, m)))
             dim = X.gen_dim(gx)
             r0 = X.offset(dim) + X.gen_index(dim)[gx]
-            for q, extra, sign, wb in sides[wd]:
+            for q, extra, sign, wb in _shih_terms(surjection_of_word(wd, m)):
                 r, w = r0, wx
                 for i in range(m, m - q, -1):
-                    r, w = face(r, w, i)
+                    r, w = face_at(table, r, w, i)
                 w = apply_word(w, extra)
                 if not set(w).intersection(wb):
                     col = index[xgens[r], w, (0, 1, 2), wb]

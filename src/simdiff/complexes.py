@@ -7,6 +7,11 @@ generators may be degenerate, so a frozen complex compiles its face table to
 word algebra from :mod:`simdiff.words` does the rest.  Validation, the
 cochain kernels' face tables and products all read the compiled table.
 
+Word-keyed results (the word algebra, the canonical pair words, the
+shuffles of two dimensions) are cached at module level, where they are
+defined: they are bounded by dimension.  Memos keyed by simplices of one
+complex (FaceMemo.row, the product's numbering) live for one build.
+
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
 are disjoint.  product() computes each generator's faces from its factors'
@@ -18,7 +23,7 @@ ladder fixtures, which reuse the same machinery).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
@@ -188,22 +193,13 @@ class SimplicialSet:
             raise KeyError(f"{self.name}: no generator {key!r}")
         return Simplex(key)
 
-    def _gen_face(self, key: Hashable, dim: int, i: int) -> Simplex:
-        q, word = self._table[self._start[dim] + self._index[dim][key]][i]
-        return Simplex(self._order[q], word)
-
     def face(self, s: Simplex, i: int) -> Simplex:
         p = self._dims[s.gen]
         d = p + len(s.word)
         if d == 0 or not 0 <= i <= d:
             raise ValueError(f"face index {i} out of range for dimension {d}")
-        if s.word:
-            word, residual = apply_face(s.word, i)
-            if residual is None:
-                return Simplex(s.gen, word)
-            return degenerate(self._gen_face(s.gen, p, residual), word)
-        return self._gen_face(s.gen, p, i)
-
+        r, word = face_at(self._table, self._start[p] + self._index[p][s.gen], s.word, i)
+        return Simplex(self._order[r], word)
 
     def degeneracy(self, s: Simplex, j: int) -> Simplex:
         d = self.dim_of(s)
@@ -235,54 +231,47 @@ class SimplicialSet:
         freeze.  Reference problems (a missing generator, a bad word, a face
         of the wrong dimension) are listed in the order the generators were
         added; only when there are none are the identities d_i d_j =
-        d_{j-1} d_i checked, in generator order.  The word algebra is
-        memoized on the words for the one call.
+        d_{j-1} d_i checked, in generator order, through face_at and the
+        cached word algebra.
         """
         table, order = self._table, self._order
         dims = [d for d in sorted(self._by_dim) for _ in self._by_dim[d]]
-        words: dict[tuple[Word, int], str | None] = {}
         bad: dict[int, list[str]] = {}
         for q, row in enumerate(table):
             expect = dims[q] - 1
             for i, (r, w) in enumerate(row):
                 # all but the common case, a nondegenerate face of dimension expect
                 if w or r < 0 or dims[r] != expect:
-                    msg = self._face_problem(dims, r, w, expect, words)
+                    msg = self._face_problem(dims, r, w, expect)
                     if msg:
                         bad.setdefault(q, []).append(f"{order[q]!r}: face {i} {msg}")
         if bad:
             return [msg for key, d in self._dims.items()
                     for msg in bad.get(self._start[d] + self._index[d][key], ())]
         out: list[str] = []
-        face = FaceMemo(table)
         for q, row in enumerate(table):
             for j in range(1, len(row) if len(row) > 2 else 0):
                 rj, wj = row[j]
                 below = None if wj else table[rj]
                 for i in range(j):
-                    left = face(rj, wj, i) if below is None else below[i]
+                    left = face_at(table, rj, wj, i) if below is None else below[i]
                     ri, wi = row[i]
-                    right = face(ri, wi, j - 1) if wi else table[ri][j - 1]
+                    right = face_at(table, ri, wi, j - 1) if wi else table[ri][j - 1]
                     if left != right:
                         out.append(f"{order[q]!r}: d_{i} d_{j} != d_{j-1} d_{i}"
                                    f" ({Simplex(order[left[0]], left[1])} vs"
                                    f" {Simplex(order[right[0]], right[1])})")
         return out
 
-    def _face_problem(self, dims: list[int], r: int, w: Word, expect: int,
-                      words: dict[tuple[Word, int], str | None]) -> str | None:
+    def _face_problem(self, dims: list[int], r: int, w: Word, expect: int) -> str | None:
         """What is wrong with the face (r, w) of a generator of dimension
-        expect + 1, or None; words memoizes the word checks for one call."""
+        expect + 1, or None."""
         if r < 0:
             return f"references missing {self._missing[-1 - r]!r}"
-        if (w, dims[r]) not in words:
-            try:
-                check_word(w, dims[r])
-                words[w, dims[r]] = None
-            except ValueError as e:
-                words[w, dims[r]] = f"has bad word ({e})"
-        if words[w, dims[r]] is not None:
-            return words[w, dims[r]]
+        try:
+            check_word(w, dims[r])
+        except ValueError as e:
+            return f"has bad word ({e})"
         if dims[r] + len(w) != expect:
             return f"has dimension {dims[r] + len(w)}, expected {expect}"
         return None
@@ -675,45 +664,37 @@ def build_standard(kind: str, **params) -> SimplicialSet:
 # -- products --------------------------------------------------------------
 
 
-class FaceMemo:
-    """Faces of (position, word) simplices over one compiled face table.
+def face_at(table: tuple, r: int, w: Word, i: int) -> tuple[int, Word]:
+    """Face i of the simplex (r, w), generator position r and word w, over
+    a compiled face table, as (position, word)."""
+    if not w:
+        return table[r][i]
+    word, residual = apply_face(w, i)
+    if residual is None:
+        return r, word
+    r, w = table[r][residual]
+    return r, apply_word(w, word)
 
-    The word algebra is memoized on the words, which are few, and row() on
-    the simplex; a memo lives for one build or one validation and is then
-    dropped.
-    """
+
+class FaceMemo:
+    """The face rows of (position, word) simplices over one compiled face
+    table, memoized on the simplex for one build."""
 
     def __init__(self, table: tuple):
         self.table = table
-        self.through: dict[tuple[Word, int], tuple[Word, int | None]] = {}
-        self.raised: dict[tuple[Word, Word], Word] = {}
         self.rows: dict[tuple[int, Word], tuple[tuple[int, ...], tuple[Word, ...]]] = {}
-
-    def __call__(self, r: int, w: Word, i: int) -> tuple[int, Word]:
-        if not w:
-            return self.table[r][i]
-        hit = self.through.get((w, i))
-        if hit is None:
-            hit = self.through[w, i] = apply_face(w, i)
-        word, residual = hit
-        if residual is None:
-            return r, word
-        r, w = self.table[r][residual]
-        if word:
-            up = self.raised.get((w, word))
-            if up is None:
-                up = self.raised[w, word] = apply_word(w, word)
-            w = up
-        return r, w
 
     def row(self, r: int, w: Word, d: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """(positions, words) of faces 0..d of the d-simplex (r, w), memoized."""
         hit = self.rows.get((r, w))
         if hit is None:
-            hit = self.rows[r, w] = tuple(zip(*(self(r, w, i) for i in range(d + 1))))
+            table = self.table
+            hit = self.rows[r, w] = tuple(zip(*(face_at(table, r, w, i)
+                                                for i in range(d + 1))))
         return hit
 
 
+@cache
 def _pair_words(wx: Word, wy: Word) -> tuple[Word, Word, Word]:
     """Canonical form of a pair of component words.
 
@@ -737,18 +718,27 @@ def _pair_words(wx: Word, wy: Word) -> tuple[Word, Word, Word]:
     return wx, wy, word
 
 
-def _pair(sx: Simplex, sy: Simplex) -> Simplex:
-    """Canonical form of a component pair as a product simplex."""
-    wx, wy, word = _pair_words(sx.word, sy.word)
-    return Simplex((sx.gen, wx, sy.gen, wy), word)
-
-
 def pair_canonical(P: SimplicialSet, sx: Simplex, sy: Simplex) -> Simplex:
-    """_pair, checked against the generators of the product complex P."""
-    s = _pair(sx, sy)
-    if s.gen not in P._dims:
-        raise KeyError(f"{P.name}: pair {s.gen!r} is not a generator")
-    return s
+    """Canonical form of a component pair as a simplex of the product
+    complex P, checked against P's generators."""
+    wx, wy, word = _pair_words(sx.word, sy.word)
+    key = (sx.gen, wx, sy.gen, wy)
+    if key not in P._dims:
+        raise KeyError(f"{P.name}: pair {key!r} is not a generator")
+    return Simplex(key, word)
+
+
+@cache
+def _shuffles(p: int, q: int) -> tuple[tuple[Word, Word, str, str], ...]:
+    """The disjoint word pairs over a p- and a q-generator, with their
+    strings, in enumeration order."""
+    out = []
+    for d in range(max(p, q), p + q + 1):
+        for wx in combinations(range(d), d - p):
+            rest = [v for v in range(d) if v not in wx]
+            for wy in combinations(rest, d - q):
+                out.append((wx, wy, ",".join(map(str, wx)), ",".join(map(str, wy))))
+    return tuple(out)
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> SimplicialSet:
@@ -758,28 +748,15 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
     (position of gx, wx, position of gy, wy), and its key string is put
     together once from the factors' key strings and the word strings.  Its
     faces come from the factors' compiled tables and are handed to freeze
-    as (number, word) pairs, so no Simplex is built; the memos are keyed by
-    ints and words and dropped when the build ends.
+    as (number, word) pairs, so no Simplex is built.  The face rows and
+    the numbering are memoized for this build; the word algebra, the
+    shuffles and the canonical pair words come from module-level caches.
     """
     P = SimplicialSet(name or f"{X.name}x{Y.name}")
     xgens, ygens = X.generators(), Y.generators()
     xdims = [X.gen_dim(g) for g in xgens]
     ydims = [Y.gen_dim(g) for g in ygens]
     ystrs = [key_str(g) for g in ygens]
-    shuffles: dict[tuple[int, int], list[tuple[Word, Word, str, str]]] = {}
-
-    def shuffles_of(p: int, q: int) -> list[tuple[Word, Word, str, str]]:
-        """The disjoint word pairs over a p- and a q-generator, with their
-        strings, in enumeration order."""
-        if (p, q) not in shuffles:
-            out = shuffles[p, q] = []
-            for d in range(max(p, q), p + q + 1):
-                for wx in combinations(range(d), d - p):
-                    rest = [v for v in range(d) if v not in wx]
-                    for wy in combinations(rest, d - q):
-                        out.append((wx, wy, ",".join(map(str, wx)), ",".join(map(str, wy))))
-        return shuffles[p, q]
-
     numbered: dict[tuple[int, Word, int, Word], int] = {}
     keys, dims, strs = [], [], []
     for ax, gx in enumerate(xgens):
@@ -788,7 +765,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
         sx = None if isinstance(gx, int) else key_str(gx)
         for ay, gy in enumerate(ygens):
             sy = ystrs[ay]
-            for wx, wy, swx, swy in shuffles_of(p, ydims[ay]):
+            for wx, wy, swx, swy in _shuffles(p, ydims[ay]):
                 key = (gx, wx, gy, wy)
                 numbered[ax, wx, ay, wy] = len(keys)
                 keys.append(key)
@@ -796,7 +773,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
                 strs.append(key_str(key) if sx is None else f"({sx}|{swx})*({sy}|{swy})")
 
     xface, yface = FaceMemo(X._table), FaceMemo(Y._table)
-    pairs: dict[tuple, tuple[tuple[Word, Word, Word], ...]] = {}
     rows = []
     for (ax, wx, ay, wy), d in zip(numbered, dims):
         if not d:
@@ -804,11 +780,8 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
             continue
         xpos, xwords = xface.row(ax, wx, d)
         ypos, ywords = yface.row(ay, wy, d)
-        canon = pairs.get((xwords, ywords))
-        if canon is None:
-            canon = pairs[xwords, ywords] = tuple(map(_pair_words, xwords, ywords))
-        rows.append(tuple([(numbered[a, cx, b, cy], w)
-                           for a, b, (cx, cy, w) in zip(xpos, ypos, canon)]))
+        rows.append(tuple([(numbered[a, cx, b, cy], w) for a, b, (cx, cy, w)
+                           in zip(xpos, ypos, map(_pair_words, xwords, ywords))]))
     P._dims = dict(zip(keys, dims))
     P._added, P._strs = rows, strs
     P._factors = (X, Y)

@@ -192,17 +192,15 @@ class MappingComplex(SimplicialGroup):
 
 
 def _product_codegeneracy(X: SimplicialSet, m: int, j: int) -> SimplicialMap:
-    """id_X x sigma_j: X x Delta^{m+1} -> X x Delta^m (to X itself at m=0)."""
+    """id_X x sigma_j: X x Delta^{m+1} -> X x Delta^m; at m = 0 it is the
+    cylinder's projection to X."""
+    if m == 0:
+        return cylinder(X, 1).projection
     token = ("product_codegeneracy", m, j)
     if token not in X._cache:
-        src = cylinder(X, m + 1).complex
-        if m == 0:
-            images = {key: Simplex(key[0], key[1]) for key in src.generators()}
-            X._cache[token] = SimplicialMap(src, X, images, f"idxsigma_{j}")
-        else:
-            X._cache[token] = product_map(
-                src, cylinder(X, m).complex, identity_map(X),
-                codegeneracy_map(m, j), f"idxsigma_{j}")
+        X._cache[token] = product_map(
+            cylinder(X, m + 1).complex, cylinder(X, m).complex, identity_map(X),
+            codegeneracy_map(m, j), f"idxsigma_{j}")
     return X._cache[token]
 
 

@@ -14,10 +14,20 @@ using the simplicial identities
 Words correspond to monotone surjections of finite ordinals; the conversion
 helpers at the bottom exist so tests can check the algebra against plain
 composition of vertex maps.
+
+The five word operations are pure and are cached here, once, with
+functools.cache; every product build, face and structure map reads them
+through that cache, and no caller keeps a word memo of its own.  The
+caches are keyed by words and small ints, so they are bounded by the
+dimensions in use (a word on an m-simplex is a subset of {0..m-1}), not by
+how many complexes a process builds.  They return tuples only, so a shared
+entry cannot be mutated.  check_word is not cached: it validates input and
+raises.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -39,6 +49,7 @@ def check_word(word: Word, base_dim: int | None = None) -> None:
         prev = a
 
 
+@cache
 def compose_degeneracy(word: Word, j: int) -> Word:
     """Canonical word of the composite s_j s_word (s_j outermost).
 
@@ -51,6 +62,7 @@ def compose_degeneracy(word: Word, j: int) -> Word:
     return word[:k] + (j,) + tuple(a + 1 for a in word[k:])
 
 
+@cache
 def apply_word(word: Word, extra: Word) -> Word:
     """Canonical word of s_extra s_word (extra applied on top, innermost first)."""
     for a in extra:
@@ -58,6 +70,7 @@ def apply_word(word: Word, extra: Word) -> Word:
     return word
 
 
+@cache
 def apply_face(word: Word, i: int) -> tuple[Word, int | None]:
     """Push d_i through s_word: d_i s_word = s_word' (d_residual).
 
@@ -84,6 +97,7 @@ def apply_face(word: Word, i: int) -> tuple[Word, int | None]:
     return out, face
 
 
+@cache
 def surjection_of_word(word: Word, m: int) -> tuple[int, ...]:
     """Vertex map [m] -> [m - len(word)] of the codegeneracy composite."""
     values = list(range(m + 1))
@@ -92,6 +106,7 @@ def surjection_of_word(word: Word, m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@cache
 def word_of_surjection(theta: tuple[int, ...]) -> Word:
     """Inverse of surjection_of_word: collect the positions of repeats."""
     return tuple(i for i in range(len(theta) - 1) if theta[i] == theta[i + 1])

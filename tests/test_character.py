@@ -95,6 +95,17 @@ def test_cocycle_groupoid_validates_objects_and_morphisms():
     assert m.eta == q
     with pytest.raises(ValueError):
         CG.morphism(closed, closed + coboundary(q), q.scale(2))
+    with pytest.raises(ValueError, match="arrows do not meet"):
+        CG.compose(m, m)
+    with pytest.raises(ValueError, match="right degree"):
+        CG.object(q)
+    with pytest.raises(ValueError, match="right degree"):
+        CG.object(Cochain.zero(circle(6), 1, INTEGERS))
+    with pytest.raises(ValueError, match="wrong coefficients"):
+        CG.object(closed.map_values(lambda v: v, RATIONALS))
+    S = sphere2()
+    with pytest.raises(ValueError, match="objects must be closed"):
+        CocycleGroupoid(S, 1, INTEGERS).object(Cochain.indicator(S, (0, 1), INTEGERS))
 
 
 def test_cocycle_groupoid_equality_is_eta_up_to_coboundary():

@@ -27,6 +27,35 @@ def test_integer_coefficients_reject_fractions():
         Cochain(X, 0, INTEGERS, {"*": Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
+def test_integer_rings_reject_values_that_are_not_integers(coeffs):
+    # int() truncated these: 2.7 read as 2 and 7/2 as 3, and a scale by 0.5
+    # gave the zero cochain
+    X = circle(3)
+    for bad in (2.7, 0.5, Fraction(7, 2), float("nan"), float("inf"), "junk", None):
+        with pytest.raises(ValueError):
+            Cochain(X, 1, coeffs, {"e0": bad})
+        with pytest.raises(ValueError):
+            Cochain(X, 1, coeffs, {"e0": 3}).scale(bad)
+    with pytest.raises(ValueError, match=f"non-integer value 7/2 for {coeffs.label()}"):
+        cochain_from_json(X, {"coefficients": coeffs.label(), "degree": 1,
+                              "values": [{"id": "e0", "value": "7/2"}]})
+    # integral values of any type are ring elements
+    c = Cochain(X, 1, coeffs, {"e0": 4.0, "e1": Fraction(-6, 3), "e2": "5"})
+    assert c == Cochain(X, 1, coeffs, {"e0": 4, "e1": -2, "e2": 5})
+    assert all(type(v) is int for v in c.vec)
+
+
+def test_cochains_name_a_generator_the_complex_lacks():
+    X = circle(3)
+    with pytest.raises(ValueError, match="circle3 has no generator 'nope'"):
+        Cochain(X, 1, INTEGERS, {"nope": 1})
+    with pytest.raises(ValueError, match="circle3 has no generator 'nope'"):
+        Cochain.indicator(X, "nope", INTEGERS)
+    with pytest.raises(ValueError, match="value on 'v0' of dim 0 in degree 1"):
+        Cochain(X, 1, INTEGERS, {"v0": 1})
+
+
 def test_scale_takes_ring_elements_only():
     X = circle(3)
     c = Cochain(X, 1, INTEGERS, {"e0": 2, "e1": -1})

@@ -218,6 +218,10 @@ def test_solve_closed_extension_cylinder():
     assert coboundary(w).is_zero()
     for i, F in faces.items():
         assert pullback(cyl.face_inclusion(i), w) == F
+    # pins over Z are carried into Q first: the answer is the one pinned over Q
+    rational = {i: F.map_values(Fraction, RATIONALS) for i, F in faces.items()}
+    assert (solve_closed_extension(cyl, face_pins(cyl, faces), RATIONALS)
+            == solve_closed_extension(cyl, face_pins(cyl, rational), RATIONALS))
 
 
 def test_solve_closed_extension_detects_impossible():

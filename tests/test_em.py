@@ -192,6 +192,9 @@ def test_moore_fill_rejects_bad_horns():
         moore_fill(E, 4, 0, {})
     with pytest.raises(ValueError, match="exactly faces"):
         moore_fill(E, 2, 1, {0: x})
+    for missing in (-1, 3):
+        with pytest.raises(ValueError, match=f"missing face index {missing} out of range"):
+            moore_fill(E, 2, missing, {0: x, 1: x})
 
     # face identities land in level 0, which is trivial for the circle's
     # mapping complex only at the K-space; over a base they can clash

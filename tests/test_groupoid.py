@@ -39,6 +39,13 @@ def test_object_validation():
         G.from_cocycle(Cochain.zero(circle(), 2, INTEGERS))
     with pytest.raises(ValueError):
         MappingGroupoid(circle(), INTEGERS, -1)
+    # in degree 0 the object data are 1-cochains on circle x Delta^1
+    G0 = MappingGroupoid(circle(), INTEGERS, 0)
+    P = G0.maps.level_complex(1)
+    with pytest.raises(ValueError, match="must be closed"):
+        G0.object(Cochain.indicator(P, ("e0", (), (0, 1), ()), INTEGERS))
+    with pytest.raises(ValueError, match="must vanish on both ends"):
+        G0.object(G0.maps.degeneracy(Cochain.indicator(circle(), "e0", INTEGERS), 0))
 
 
 def test_homotopy_validation():
@@ -47,6 +54,20 @@ def test_homotopy_validation():
     u = G.unit()
     with pytest.raises(ValueError):
         Homotopy2(f, u, G.maps.degeneracy(f.data, 1))  # face 1 is f, not u
+    other = MappingGroupoid(circle(), INTEGERS, 1)
+    with pytest.raises(ValueError, match="different groupoids"):
+        Homotopy2(u, other.unit(), G.maps.zero(2))
+    with pytest.raises(ValueError, match="level-2 of matching degree"):
+        Homotopy2(u, u, u.data)
+    with pytest.raises(ValueError, match="level-2 of matching degree"):
+        Homotopy2(u, u, Cochain.zero(G.maps.level_complex(2), 1, INTEGERS))
+    P = G.maps.level_complex(2)
+    with pytest.raises(ValueError, match="must be closed"):
+        Homotopy2(u, u, Cochain.indicator(P, P.generators(2)[0], INTEGERS))
+    with pytest.raises(ValueError, match="face 2 must restrict to the source"):
+        Homotopy2(u, f, G.maps.degeneracy(f.data, 1))  # face 2 is f, not u
+    with pytest.raises(ValueError, match="face 0 must vanish"):
+        Homotopy2(u, f, G.maps.degeneracy(f.data, 0))  # face 0 is f
     with pytest.raises(ValueError):
         G.compose(G.identity(f), G.identity(u))  # middle objects differ
     with pytest.raises(ValueError):
@@ -181,6 +202,11 @@ def test_interchange_both_orders():
     assert first.rep.data == h.rep.data + k.rep.data == second.rep.data
     got = G.compare(first, second)
     assert got.equal and G.verify_witness(first, second, got.witness)
+    # a witness off level 3, off the mapping complex or of another degree
+    W = got.witness
+    assert not G.verify_witness(first, second, first.rep.data)
+    assert not G.verify_witness(first, second, Cochain.zero(torus(), 2, INTEGERS))
+    assert not G.verify_witness(first, second, Cochain.zero(W.complex, 1, INTEGERS))
 
 
 def test_unit_unitors_coincide():

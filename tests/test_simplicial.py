@@ -11,6 +11,8 @@ from simdiff.complexes import (
     SimplicialSet,
     build_standard,
     circle,
+    codegeneracy_map,
+    coface_map,
     complex_from_json,
     complex_to_json,
     compose_maps,
@@ -250,6 +252,31 @@ def test_duplicate_generator_rejected():
     X.add_generator("a", 0)
     with pytest.raises(ConstructionError):
         X.add_generator("a", 0)
+
+
+def _add_after_freeze():
+    X = SimplicialSet("p")
+    X.add_generator("a", 0)
+    X.freeze().add_generator("b", 0)
+
+
+@pytest.mark.parametrize("build, match", [
+    (_add_after_freeze, "frozen"),
+    (lambda: SimplicialSet("n").add_generator("a", -1), "negative dimension"),
+    (lambda: SimplicialSet("v").add_generator("a", 0, [Simplex("b")]), "vertex 'a' has faces"),
+    (lambda: SimplicialSet("f").add_generator("e", 1, [Simplex("a")]), "has 1 faces"),
+    (lambda: from_facets("r", [(0, 1, 1)]), "repeats a vertex"),
+    (lambda: coface_map(2, 3), "coface index 3"),
+    (lambda: codegeneracy_map(1, 2), "codegeneracy index 2"),
+    (lambda: circle(3).face(Simplex("e0"), 2), "face index 2 out of range for dimension 1"),
+    (lambda: circle(3).face(Simplex("v0"), 0), "face index 0 out of range for dimension 0"),
+    (lambda: circle(3).degeneracy(Simplex("e0"), 2), "degeneracy index 2"),
+    (lambda: cylinder(circle(3), 1).face_inclusion(2), "face index 2 out of range"),
+], ids=["frozen", "negative-dim", "vertex-faces", "face-count", "repeated-vertex",
+        "coface", "codegeneracy", "face", "vertex-face", "degeneracy", "face-inclusion"])
+def test_construction_and_index_errors_are_value_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_from_facets_names_a_facet_whose_labels_do_not_sort():

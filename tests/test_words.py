@@ -2,11 +2,19 @@
 
 A word is faithfully a monotone surjection of ordinals; both operations are
 checked exhaustively against plain composition of vertex maps for all small
-dimensions.
+dimensions.  The word operations and the word-keyed helpers built on them
+are cached at module level: the caches must stop growing once the words of
+a workload's dimensions are in, and a cached answer must equal a fresh one
+and be immutable.
 """
+
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from simdiff import cochains, complexes, words
 from simdiff.words import (
     apply_face,
     apply_word,
@@ -105,3 +113,72 @@ def test_apply_word_stacks_innermost_first():
     # s_1 s_0 applied to an edge vertexwise: double the middle then the front
     assert apply_word((), (0, 1)) == (0, 1)
     assert apply_word((0,), (0, 2)) == (0, 1, 2)
+
+
+# -- the module-level caches -------------------------------------------------
+
+CACHED = (words.compose_degeneracy, words.apply_word, words.apply_face,
+          words.surjection_of_word, words.word_of_surjection,
+          complexes._pair_words, complexes._shuffles, cochains._shih_terms)
+
+
+def test_check_word_is_not_cached():
+    # it validates input and raises; only the pure operations are cached
+    assert not hasattr(check_word, "cache_info")
+    assert all(hasattr(fn, "cache_info") for fn in CACHED)
+
+
+def test_caches_stop_growing_on_fresh_complexes():
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.workloads import CohomologyFresh
+
+    w = CohomologyFresh(seed=5)
+    w.setup()
+    for i in range(5):
+        w.run(w.make_input(i))
+    sizes = [fn.cache_info().currsize for fn in CACHED]
+    for i in range(5, 55):
+        w.run(w.make_input(i))
+    assert [fn.cache_info().currsize for fn in CACHED] == sizes
+
+
+def _immutable(x) -> bool:
+    if isinstance(x, tuple):
+        return all(map(_immutable, x))
+    return x is None or isinstance(x, (int, str))
+
+
+def _words(m: int):
+    """Every word on an m-simplex."""
+    return [word_of_surjection(theta)
+            for k in range(m + 1) for theta in monotone_surjections(m, k)]
+
+
+def _calls(m: int):
+    """(cached function, arguments) over the words of dimension m."""
+    ws = _words(m)
+    for w in ws:
+        yield words.surjection_of_word, (w, m)
+        yield words.word_of_surjection, (surjection_of_word(w, m),)
+        for j in range(m + 1):
+            yield words.compose_degeneracy, (w, j)
+            if m:
+                yield words.apply_face, (w, j)
+        for extra in [(j,) for j in range(m + 1)] + list(combinations(range(m + 2), 2)):
+            yield words.apply_word, (w, extra)
+        for v in ws:
+            yield complexes._pair_words, (w, v)
+        if m - len(w) == 2:
+            yield cochains._shih_terms, (surjection_of_word(w, m),)
+    for p in range(m + 1):
+        yield complexes._shuffles, (p, m - p)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_cached_answers_are_fresh_answers_and_tuples(m):
+    for fn, args in _calls(m):
+        got = fn(*args)
+        assert got == fn.__wrapped__(*args), (fn.__name__, args)
+        assert type(got) is tuple and _immutable(got), (fn.__name__, args)
