@@ -36,10 +36,12 @@ from .complexes import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    cached_on,
     circle,
     compose_maps,
     constant_map,
     cylinder,
+    derived,
     identity_map,
     point,
 )
@@ -137,7 +139,6 @@ class CocycleGroupoid:
         self.base = X
         self.degree = degree
         self.coeffs = coeffs
-        self._instance: SymMonGroupoidInstance | None = None
 
     # -- objects and arrows ------------------------------------------------
 
@@ -201,29 +202,28 @@ class CocycleGroupoid:
 
     # -- packaging ---------------------------------------------------------
 
+    @derived("instance")
     def as_instance(self) -> SymMonGroupoidInstance:
-        if self._instance is None:
-            self._instance = SymMonGroupoidInstance(
-                name=f"cocycles({self.base.name}, deg {self.degree},"
-                     f" {self.coeffs.label()})",
-                unit=self.zero(),
-                oplus=lambda a, b: a + b,
-                oplus_mor=self.oplus_mor,
-                identity=self.identity,
-                compose=self.compose,
-                inverse=self.inverse,
-                associator=lambda a, b, c: self.identity(a + b + c),
-                left_unitor=self.identity,
-                right_unitor=self.identity,
-                braid=lambda a, b: self.identity(a + b),
-                eq=self.eq,
-                source=lambda m: m.source,
-                target=lambda m: m.target,
-                sample_objects=lambda rng, k: [self.random_object(rng)
-                                               for _ in range(k)],
-                random_morphism=self.random_morphism,
-            )
-        return self._instance
+        return SymMonGroupoidInstance(
+            name=f"cocycles({self.base.name}, deg {self.degree},"
+                 f" {self.coeffs.label()})",
+            unit=self.zero(),
+            oplus=lambda a, b: a + b,
+            oplus_mor=self.oplus_mor,
+            identity=self.identity,
+            compose=self.compose,
+            inverse=self.inverse,
+            associator=lambda a, b, c: self.identity(a + b + c),
+            left_unitor=self.identity,
+            right_unitor=self.identity,
+            braid=lambda a, b: self.identity(a + b),
+            eq=self.eq,
+            source=lambda m: m.source,
+            target=lambda m: m.target,
+            sample_objects=lambda rng, k: [self.random_object(rng)
+                                           for _ in range(k)],
+            random_morphism=self.random_morphism,
+        )
 
 
 # -- functors between cocycle groupoids ------------------------------------
@@ -276,10 +276,8 @@ def transfer_functor(base: SimplicialSet, src: CocycleGroupoid,
 
 
 def character_groupoid(G: MappingGroupoid) -> CocycleGroupoid:
-    token = ("character-groupoid", G.degree)
-    if token not in G.base._cache:
-        G.base._cache[token] = CocycleGroupoid(G.base, G.degree, RATIONALS)
-    return G.base._cache[token]
+    return cached_on(G.base, ("character-groupoid", G.degree),
+                     CocycleGroupoid, G.base, G.degree, RATIONALS)
 
 
 def object_character(G: MappingGroupoid, obj: MapObject) -> Cochain:

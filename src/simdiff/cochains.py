@@ -37,7 +37,7 @@ from operator import add, mul, neg, sub
 from typing import Any, Hashable, Iterable, Iterator
 
 from .complexes import (Gather, LinearPlan, ProductWithSimplex, Simplex, SimplicialMap,
-                        SimplicialSet, cylinder, face_at, json_int, key_str, vertex_path)
+                        SimplicialSet, cylinder, derived, face_at, json_int, key_str)
 from .words import Word, apply_word, surjection_of_word, word_of_surjection
 
 
@@ -61,17 +61,18 @@ class Coefficients:
         return self.kind == "Q"
 
     def normalize(self, v) -> Any:
-        """v as an element of the ring.  Over Z and Z/k a value that is not
-        an int must be an integral rational: a fraction, a float with a
-        fractional part, nan, inf or a non-number raises ValueError."""
-        if self.kind == "Q":
-            return Fraction(v)
-        if type(v) is not int:
+        """v as an element of the ring, read through Fraction(v) unless it
+        is an int over Z or Z/k.  A value Fraction cannot take (nan, inf,
+        None, a non-number) raises ValueError for every ring; over Z and
+        Z/k so does a fraction or a float with a fractional part."""
+        if self.kind == "Q" or type(v) is not int:
             try:
                 q = Fraction(v)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise ValueError(
                     f"{v!r} is not a value for {self.label()} coefficients") from None
+            if self.kind == "Q":
+                return q
             if q.denominator != 1:
                 raise ValueError(f"non-integer value {v} for {self.label()} coefficients")
             v = q.numerator
@@ -288,6 +289,7 @@ def _combine(gathers, padded: tuple) -> Iterable:
     return out
 
 
+@derived("face_table")
 def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
     """(sign, gather of face i) for i = 0..n+1 over the (n+1)-generators of X.
 
@@ -296,17 +298,14 @@ def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
     alternate from +1.  Read off the compiled face table once per complex
     and degree.
     """
-    token = ("face_table", n)
-    if token not in X._cache:
-        start = X.offset(n)
-        size = len(X.generators(n))
-        columns = zip(*X.face_rows(n + 1)) if X.generators(n + 1) else [()] * (n + 2)
-        X._cache[token] = tuple(
-            (-1 if i % 2 else 1, Gather([size if w else q - start for q, w in col], size))
-            for i, col in enumerate(columns))
-    return X._cache[token]
+    start = X.offset(n)
+    size = len(X.generators(n))
+    columns = zip(*X.face_rows(n + 1)) if X.generators(n + 1) else [()] * (n + 2)
+    return tuple((-1 if i % 2 else 1, Gather([size if w else q - start for q, w in col], size))
+                 for i, col in enumerate(columns))
 
 
+@derived("delta_table")
 def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
 
@@ -315,20 +314,17 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
     dropped and repeated faces merged into one coefficient (rows may come
     out empty).
     """
-    token = ("delta_table", n)
-    if token not in X._cache:
-        faces = face_table(X, n)
-        size = len(X.generators(n))
-        rows = []
-        for r in range(len(X.generators(n + 1))):
-            row: dict[int, int] = {}
-            for sign, g in faces:
-                p = g.positions[r]
-                if p != size:
-                    row[p] = row.get(p, 0) + sign
-            rows.append(tuple((p, a) for p, a in row.items() if a))
-        X._cache[token] = tuple(rows)
-    return X._cache[token]
+    faces = face_table(X, n)
+    size = len(X.generators(n))
+    rows = []
+    for r in range(len(X.generators(n + 1))):
+        row: dict[int, int] = {}
+        for sign, g in faces:
+            p = g.positions[r]
+            if p != size:
+                row[p] = row.get(p, 0) + sign
+        rows.append(tuple((p, a) for p, a in row.items() if a))
+    return tuple(rows)
 
 
 def coboundary_values(c: Cochain) -> Iterable:
@@ -350,6 +346,7 @@ def pullback(f: SimplicialMap, c: Cochain) -> Cochain:
                             gather.get(c.vec + (c.coeffs.zero,)))
 
 
+@derived("fiber_table")
 def fiber_table(cyl: ProductWithSimplex, degree: int) -> tuple[tuple[int, Gather], ...]:
     """(sign, gather of cell j) over the (degree - k)-generators of the base.
 
@@ -358,17 +355,13 @@ def fiber_table(cyl: ProductWithSimplex, degree: int) -> tuple[tuple[int, Gather
     column j of the decomposition is one gather with one sign.  Built once
     per product and degree.
     """
-    P = cyl.complex
-    token = ("fiber_table", degree)
-    if token not in P._cache:
-        index = P.gen_index(degree)
-        gens = cyl.base.generators(degree - cyl.k)
-        table = []
-        for column in zip(*(cyl.decomposition[g] for g in gens)):
-            (sign,) = {s for s, _ in column}
-            table.append((sign, Gather([index[cell] for _, cell in column], len(index))))
-        P._cache[token] = tuple(table)
-    return P._cache[token]
+    index = cyl.complex.gen_index(degree)
+    gens = cyl.base.generators(degree - cyl.k)
+    table = []
+    for column in zip(*(cyl.decomposition[g] for g in gens)):
+        (sign,) = {s for s, _ in column}
+        table.append((sign, Gather([index[cell] for _, cell in column], len(index))))
+    return tuple(table)
 
 
 def fiber_integrate(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
@@ -401,29 +394,38 @@ def cross_section(w: Cochain, k: int, sign: int = 1) -> Cochain:
     Supported on X x Delta^k where the simplex path of a generator is
     (0, ..., 0, 1, ..., k), with value sign * w(front face) there.  Where
     the values land is compiled once per base, k and degree into one
-    Gather.  For k = 2 and sign 1 it is the dual of the Alexander-Whitney
-    map, g in the contraction that shih_homotopy completes.
+    Gather (_cross_section_gather).  For k = 2 and sign 1 it is the dual
+    of the Alexander-Whitney map, g in the contraction that shih_homotopy
+    completes.
     """
-    X, m = w.complex, w.degree
-    P = cylinder(X, k).complex
-    token = ("cross-section", m)
-    gather = P._cache.get(token)
-    if gather is None:
-        index = X.gen_index(m)
-        path = (0,) * (m + 1) + tuple(range(1, k + 1))
-        positions = []
-        for gx, wx, t, wt in P.generators(m + k):
-            p = len(index)
-            if vertex_path(Simplex(t, wt), m + k) == path:
-                front = Simplex(gx, wx)
-                for v in range(m + k, m, -1):
-                    front = X.face(front, v)
-                if not front.word:
-                    p = index[front.gen]
-            positions.append(p)
-        gather = P._cache[token] = Gather(positions, len(index))
-    vals = gather.get(w.vec + (w.coeffs.zero,))
-    return Cochain._trusted(P, m + k, w.coeffs, vals if sign > 0 else map(neg, vals))
+    cyl = cylinder(w.complex, k)
+    vals = _cross_section_gather(cyl, w.degree).get(w.vec + (w.coeffs.zero,))
+    return Cochain._trusted(cyl.complex, w.degree + k, w.coeffs,
+                            vals if sign > 0 else map(neg, vals))
+
+
+@derived("cross-section")
+def _cross_section_gather(cyl: ProductWithSimplex, m: int) -> Gather:
+    """For each (m + k)-generator of X x Delta^k, the position of its front
+    m-face in X's degree-m generators, the sentinel off the path (0, ..., 0,
+    1, ..., k) or where that face is degenerate.  The simplex path comes
+    from the word algebra and the front face from X's compiled table."""
+    X, k = cyl.base, cyl.k
+    d, table, start = m + k, X._table, X.offset(m)
+    size = len(X.generators(m))
+    path = (0,) * (m + 1) + tuple(range(1, k + 1))
+    positions = []
+    for gx, wx, t, wt in cyl.complex.generators(d):
+        p = size
+        if tuple(t[v] for v in surjection_of_word(wt, d)) == path:
+            dim = X.gen_dim(gx)
+            r, word = X.offset(dim) + X.gen_index(dim)[gx], wx
+            for v in range(d, m, -1):
+                r, word = face_at(table, r, word, v)
+            if not word:
+                p = r - start
+        positions.append(p)
+    return Gather(positions, size)
 
 
 # -- the Eilenberg-Zilber contraction of X x Delta^2 rel X x dDelta^2 ---------
@@ -462,6 +464,7 @@ def _shih_terms(path: tuple[int, ...]) -> tuple[tuple[int, Word, int, Word], ...
     return tuple(terms)
 
 
+@derived("shih")
 def _shih_plan(cyl: ProductWithSimplex, degree: int) -> LinearPlan:
     """h: R^degree -> R^(degree - 1) as one LinearPlan, cached on X x Delta^2.
 
@@ -473,29 +476,25 @@ def _shih_plan(cyl: ProductWithSimplex, degree: int) -> LinearPlan:
     are empty.
     """
     P, X = cyl.complex, cyl.base
-    token = ("shih", degree)
-    plan = P._cache.get(token)
-    if plan is None:
-        m = degree - 1
-        index, xgens, table = P.gen_index(degree), X.generators(), X._table
-        rows = []
-        for gx, wx, gd, wd in P.generators(m):
-            row: dict[int, int] = {}
-            rows.append(row)
-            if len(gd) < 3:
-                continue
-            dim = X.gen_dim(gx)
-            r0 = X.offset(dim) + X.gen_index(dim)[gx]
-            for q, extra, sign, wb in _shih_terms(surjection_of_word(wd, m)):
-                r, w = r0, wx
-                for i in range(m, m - q, -1):
-                    r, w = face_at(table, r, w, i)
-                w = apply_word(w, extra)
-                if not set(w).intersection(wb):
-                    col = index[xgens[r], w, (0, 1, 2), wb]
-                    row[col] = row.get(col, 0) + sign
-        plan = P._cache[token] = LinearPlan(rows, len(P.generators(degree)))
-    return plan
+    m = degree - 1
+    index, xgens, table = P.gen_index(degree), X.generators(), X._table
+    rows = []
+    for gx, wx, gd, wd in P.generators(m):
+        row: dict[int, int] = {}
+        rows.append(row)
+        if len(gd) < 3:
+            continue
+        dim = X.gen_dim(gx)
+        r0 = X.offset(dim) + X.gen_index(dim)[gx]
+        for q, extra, sign, wb in _shih_terms(surjection_of_word(wd, m)):
+            r, w = r0, wx
+            for i in range(m, m - q, -1):
+                r, w = face_at(table, r, w, i)
+            w = apply_word(w, extra)
+            if not set(w).intersection(wb):
+                col = index[xgens[r], w, (0, 1, 2), wb]
+                row[col] = row.get(col, 0) + sign
+    return LinearPlan(rows, len(P.generators(degree)))
 
 
 def shih_homotopy(z: Cochain, cyl: ProductWithSimplex) -> Cochain:

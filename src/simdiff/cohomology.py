@@ -53,10 +53,11 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, cross_section,
                        delta_table, fiber_integrate, shih_homotopy)
-from .complexes import Gather, ProductWithSimplex, SimplicialSet, key_str
+from .complexes import Gather, ProductWithSimplex, SimplicialSet, cached_on, derived, key_str
 from .exact import Obstruction, SmithForm, System, apply_rows, blind, smith_normal_form
 
 
+@derived("system")
 def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> System:
     """delta: C^n -> C^{n+1} of X over coeffs, factored once.
 
@@ -64,18 +65,15 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
     in order.  The system is cached on X under (n, coeffs), never under
     matrix content.
     """
-    token = ("system", n, coeffs)
-    if token not in X._cache:
-        width = len(X.generators(n))
-        A = []
-        for sparse in delta_table(X, n):
-            row = [0] * width
-            for p, a in sparse:
-                row[p] = a
-            A.append(row)
-        kind = "Q" if coeffs.exact_field else coeffs.kind
-        X._cache[token] = System(A, range(len(A)), range(width), kind, coeffs.modulus)
-    return X._cache[token]
+    width = len(X.generators(n))
+    A = []
+    for sparse in delta_table(X, n):
+        row = [0] * width
+        for p, a in sparse:
+            row[p] = a
+        A.append(row)
+    kind = "Q" if coeffs.exact_field else coeffs.kind
+    return System(A, range(len(A)), range(width), kind, coeffs.modulus)
 
 
 def vector_of(c: Cochain) -> list:
@@ -362,11 +360,9 @@ class CohomologyGroup:
         return self.classify(c1) == self.classify(c2)
 
 
+@derived("cohomology")
 def cohomology(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> CohomologyGroup:
-    token = ("cohomology", n, coeffs)
-    if token not in X._cache:
-        X._cache[token] = CohomologyGroup(X, n, coeffs)
-    return X._cache[token]
+    return CohomologyGroup(X, n, coeffs)
 
 
 # -- the relative problems on X x Delta^2 ------------------------------------
@@ -493,10 +489,7 @@ def face_pins(cyl: ProductWithSimplex, faces: Mapping[int, Cochain]) -> Cochain:
         if F.degree != degree or (F.coeffs is not coeffs and F.coeffs != coeffs):
             raise ValueError(f"face {i} is not a degree-{degree} cochain over {coeffs.label()}")
     P = cyl.complex
-    token = ("pin-plan", degree, order)
-    plan = P._cache.get(token)
-    if plan is None:
-        plan = P._cache[token] = _PinPlan(cyl, degree, order)
+    plan = cached_on(cyl, ("pin-plan", degree, order), _PinPlan, cyl, degree, order)
     vec = tuple(chain.from_iterable(F.vec for F in faces.values())) + (coeffs.zero,)
     earlier, later = plan.earlier.get(vec), plan.later.get(vec)
     if earlier != later:

@@ -7,10 +7,15 @@ generators may be degenerate, so a frozen complex compiles its face table to
 word algebra from :mod:`simdiff.words` does the rest.  Validation, the
 cochain kernels' face tables and products all read the compiled table.
 
-Word-keyed results (the word algebra, the canonical pair words, the
-shuffles of two dimensions) are cached at module level, where they are
-defined: they are bounded by dimension.  Memos keyed by simplices of one
-complex (FaceMemo.row, the product's numbering) live for one build.
+Three memo rules.  Results keyed by words and small ints (the word
+algebra, the canonical pair words, the shuffles of two dimensions, the
+fixtures) are functools caches at module level, where they are defined:
+they are bounded by dimension and by the fixtures in use.  Memos keyed by
+simplices of one complex (FaceMemo.row, the product's numbering) live for
+one build.  Data derived from one complex, map, cylinder or group (face
+and coboundary tables, factored systems, structure maps, fill plans) goes
+through derived or cached_on, which keep it in that owner's _cache: it
+lives exactly as long as its owner, and no other module touches the store.
 
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
@@ -22,8 +27,9 @@ ladder fixtures, which reuse the same machinery).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
@@ -375,6 +381,47 @@ class LinearPlan:
         return self.order.get(out)
 
 
+# -- derived data ----------------------------------------------------------
+
+
+def cached_on(owner: Any, key: Hashable, build: Callable, *args) -> Any:
+    """owner._cache[key], set to build(*args) the first time; an owner gets
+    its store on first use.  derived is the door for a function of its
+    owner; a build whose owner is not its first argument, or whose key
+    leaves out one of its arguments, comes through here."""
+    store = vars(owner).setdefault("_cache", {})
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
+
+
+def derived(name: str) -> Callable[[Callable], Callable]:
+    """Decorator: fn(owner, *args) is cached on owner under (name, *args),
+    keywords and defaults resolved first, so every way of passing the same
+    arguments reaches one entry."""
+    def wrap(fn: Callable) -> Callable:
+        signature = inspect.signature(fn)
+        params = list(signature.parameters.values())[1:]
+        defaults = tuple(p.default for p in params if p.default is not p.empty)
+        width, head = len(params), (name,)
+
+        @wraps(fn)
+        def get(owner, *args, **kwargs):
+            if kwargs:
+                bound = signature.bind(owner, *args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args[1:]
+            elif len(args) < width:
+                args += defaults[len(args) - width:]
+            try:
+                return owner._cache[head + args]
+            except (AttributeError, KeyError):
+                pass
+            return cached_on(owner, head + args, fn, owner, *args)
+        return get
+    return wrap
+
+
 # -- simplicial maps -------------------------------------------------------
 
 
@@ -384,7 +431,7 @@ class SimplicialMap:
     Images may be degenerate.  Compatibility with degeneracies is automatic
     from the word algebra; compatibility with faces is what check() verifies.
     The images are read-only, so the pullback tables and cylinder maps
-    cached on the map can never go stale.
+    derived on the map can never go stale.
     """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet,
@@ -393,34 +440,27 @@ class SimplicialMap:
         self.target = target
         self.images = MappingProxyType(dict(images))
         self.name = name or f"{source.name}->{target.name}"
-        self._pullback: dict[int, Gather] = {}
-        self._cylinders: dict[int, SimplicialMap] = {}
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.images[s.gen], s.word)
 
+    @derived("pullback")
     def pullback_table(self, dim: int) -> Gather:
         """The position of each source generator's image among the target
         generators of one dimension, the sentinel where the image is
         degenerate; built once per degree."""
-        if dim not in self._pullback:
-            images = self.images
-            index = self.target.gen_index(dim)
-            size = len(index)
-            self._pullback[dim] = Gather(
-                (size if images[g].word else index[images[g].gen]
-                 for g in self.source.generators(dim)), size)
-        return self._pullback[dim]
+        images = self.images
+        index = self.target.gen_index(dim)
+        size = len(index)
+        return Gather((size if images[g].word else index[images[g].gen]
+                       for g in self.source.generators(dim)), size)
 
+    @derived("cylinder_map")
     def cylinder_map(self, k: int) -> "SimplicialMap":
         """This map times the identity of Delta^k, between the two
-        cylinders; built once per k and kept on the map, so it lives
-        exactly as long as the map does."""
-        if k not in self._cylinders:
-            self._cylinders[k] = product_map(
-                cylinder(self.source, k).complex, cylinder(self.target, k).complex,
-                self, identity_map(standard_simplex(k)))
-        return self._cylinders[k]
+        cylinders; built once per k."""
+        return product_map(cylinder(self.source, k).complex, cylinder(self.target, k).complex,
+                           self, identity_map(standard_simplex(k)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SimplicialMap)
@@ -509,30 +549,30 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     return X.freeze()
 
 
-_STANDARD: dict[int, SimplicialSet] = {}
-
-
 def standard_simplex(k: int) -> SimplicialSet:
     """The standard k-simplex; memoized so maps can share the instance."""
     if k < 0:
         raise ConstructionError("standard simplex needs k >= 0")
-    if k not in _STANDARD:
-        _STANDARD[k] = from_facets(f"delta{k}", [tuple(range(k + 1))])
-    return _STANDARD[k]
+    return _standard_simplex(k)
+
+
+@cache
+def _standard_simplex(k: int) -> SimplicialSet:
+    return from_facets(f"delta{k}", [tuple(range(k + 1))])
 
 
 def coface_map(k: int, i: int) -> SimplicialMap:
     """The inclusion delta(k-1) -> delta(k) missing vertex i."""
     if not 0 <= i <= k:
         raise ConstructionError(f"coface index {i} out of range for delta{k}")
-    key = ("coface", k, i)
-    src, tgt = standard_simplex(k - 1), standard_simplex(k)
-    if key not in tgt._cache:
-        images = {}
-        for g in src.generators():
-            images[g] = Simplex(tuple(v if v < i else v + 1 for v in g))
-        tgt._cache[key] = SimplicialMap(src, tgt, images, f"delta_{i}")
-    return tgt._cache[key]
+    return _coface_map(standard_simplex(k), k, i)
+
+
+@derived("coface")
+def _coface_map(tgt: SimplicialSet, k: int, i: int) -> SimplicialMap:
+    src = standard_simplex(k - 1)
+    images = {g: Simplex(tuple(v if v < i else v + 1 for v in g)) for g in src.generators()}
+    return SimplicialMap(src, tgt, images, f"delta_{i}")
 
 
 def vertex_induced_map(src: SimplicialSet, tgt: SimplicialSet, vfun,
@@ -558,64 +598,59 @@ def codegeneracy_map(k: int, j: int) -> SimplicialMap:
     """The collapse delta(k+1) -> delta(k) merging vertices j, j+1."""
     if not 0 <= j <= k:
         raise ConstructionError(f"codegeneracy index {j} out of range for delta{k}")
-    key = ("codegeneracy", k, j)
-    src, tgt = standard_simplex(k + 1), standard_simplex(k)
-    if key not in tgt._cache:
-        tgt._cache[key] = vertex_induced_map(
-            src, tgt, lambda v: v if v <= j else v - 1, f"sigma_{j}")
-    return tgt._cache[key]
+    return _codegeneracy_map(standard_simplex(k), k, j)
 
 
-_FIXTURES: dict[tuple, SimplicialSet] = {}
+@derived("codegeneracy")
+def _codegeneracy_map(tgt: SimplicialSet, k: int, j: int) -> SimplicialMap:
+    return vertex_induced_map(standard_simplex(k + 1), tgt,
+                              lambda v: v if v <= j else v - 1, f"sigma_{j}")
 
 
-def _memo(token: tuple, build: Callable[[], SimplicialSet]) -> SimplicialSet:
-    if token not in _FIXTURES:
-        _FIXTURES[token] = build()
-    return _FIXTURES[token]
-
-
+@cache
 def point() -> SimplicialSet:
-    def build():
-        X = SimplicialSet("pt")
-        X.add_generator("*", 0)
-        return X.freeze()
-    return _memo(("pt",), build)
+    X = SimplicialSet("pt")
+    X.add_generator("*", 0)
+    return X.freeze()
 
 
 def circle(n: int = 3) -> SimplicialSet:
-    """Cyclic triangulation of the circle; edge e_i runs v_i -> v_{i+1}."""
+    """Cyclic triangulation of the circle; edge e_i runs v_i -> v_{i+1}.
+    One instance per n, however n is passed."""
     if n < 3:
         raise ConstructionError("circle needs at least 3 vertices")
-
-    def build():
-        X = SimplicialSet(f"circle{n}")
-        for i in range(n):
-            X.add_generator(f"v{i}", 0)
-        for i in range(n):
-            X.add_generator(f"e{i}", 1,
-                            [Simplex(f"v{(i + 1) % n}"), Simplex(f"v{i}")])
-        return X.freeze()
-    return _memo(("circle", n), build)
+    return _circle(n)
 
 
+@cache
+def _circle(n: int) -> SimplicialSet:
+    X = SimplicialSet(f"circle{n}")
+    for i in range(n):
+        X.add_generator(f"v{i}", 0)
+    for i in range(n):
+        X.add_generator(f"e{i}", 1, [Simplex(f"v{(i + 1) % n}"), Simplex(f"v{i}")])
+    return X.freeze()
+
+
+@cache
 def sphere2() -> SimplicialSet:
     """Boundary of the 3-simplex."""
-    return _memo(("sphere2",),
-                 lambda: from_facets("sphere2", combinations(range(4), 3)))
+    return from_facets("sphere2", combinations(range(4), 3))
 
 
 RP2_TRIANGLES = [(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5),
                  (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5)]
 
 
+@cache
 def rp2() -> SimplicialSet:
     """The 6-vertex triangulation of the real projective plane."""
-    return _memo(("rp2",), lambda: from_facets("rp2", RP2_TRIANGLES))
+    return from_facets("rp2", RP2_TRIANGLES)
 
 
+@cache
 def torus() -> SimplicialSet:
-    return _memo(("torus",), lambda: product(circle(3), circle(3), name="torus"))
+    return product(circle(3), circle(3), name="torus")
 
 
 def _torus9(rename: Callable[[int], Hashable]) -> list[tuple]:
@@ -630,12 +665,11 @@ def _torus9(rename: Callable[[int], Hashable]) -> list[tuple]:
             if set(t) != hole]
 
 
+@cache
 def genus2() -> SimplicialSet:
     """Two 9-vertex tori, each minus one triangle, glued along its boundary."""
-    def build():
-        second = {0: 0, 3: 3, 4: 4, 1: 9, 2: 10, 5: 11, 6: 12, 7: 13, 8: 14}
-        return from_facets("genus2", _torus9(int) + _torus9(second.__getitem__))
-    return _memo(("genus2",), build)
+    second = {0: 0, 3: 3, 4: 4, 1: 9, 2: 10, 5: 11, 6: 12, 7: 13, 8: 14}
+    return from_facets("genus2", _torus9(int) + _torus9(second.__getitem__))
 
 
 _FIXTURE_BUILDERS: dict[str, Callable[..., SimplicialSet]] = {
@@ -646,8 +680,8 @@ _FIXTURE_BUILDERS: dict[str, Callable[..., SimplicialSet]] = {
     "torus": torus,
     "rp2": rp2,
     "genus2": genus2,
-    "rp2xS1": lambda: _memo(("rp2xS1",), lambda: product(rp2(), circle(3), name="rp2xS1")),
-    "T3": lambda: _memo(("T3",), lambda: product(torus(), circle(3), name="T3")),
+    "rp2xS1": cache(lambda: product(rp2(), circle(3), name="rp2xS1")),
+    "T3": cache(lambda: product(torus(), circle(3), name="T3")),
 }
 
 
@@ -792,10 +826,16 @@ def product_map(P: SimplicialSet, Q: SimplicialSet,
                 f: SimplicialMap, g: SimplicialMap,
                 name: str = "") -> SimplicialMap:
     """The map f x g between product complexes built by product()."""
+    fimg, gimg, targets = f.images, g.images, Q._dims
     images = {}
     for key in P.generators():
         gx, wx, gy, wy = key
-        images[key] = pair_canonical(Q, f(Simplex(gx, wx)), g(Simplex(gy, wy)))
+        sx, sy = fimg[gx], gimg[gy]
+        cx, cy, word = _pair_words(apply_word(sx.word, wx), apply_word(sy.word, wy))
+        pair = (sx.gen, cx, sy.gen, cy)
+        if pair not in targets:
+            raise KeyError(f"{Q.name}: pair {pair!r} is not a generator")
+        images[key] = Simplex(pair, word)
     return SimplicialMap(P, Q, images, name or f"{f.name}x{g.name}")
 
 
@@ -820,7 +860,8 @@ class ProductWithSimplex:
     """X x Delta^k with its prism decomposition and structural maps.
 
     The decomposition, the projection and the face inclusions are built
-    the first time they are used.
+    the first time they are used.  Data derived from the cylinder shares
+    its complex's store.
     """
 
     def __init__(self, X: SimplicialSet, k: int):
@@ -830,7 +871,7 @@ class ProductWithSimplex:
         self.base = X
         self.k = k
         self.complex = product(X, D, name=f"{X.name}xD{k}")
-        self._inclusions: dict[int, SimplicialMap] = {}
+        self._cache = self.complex._cache
 
     @cached_property
     def decomposition(self) -> PrismDecomposition:
@@ -854,29 +895,22 @@ class ProductWithSimplex:
             {key: Simplex(key[0], key[1]) for key in self.complex.generators()},
             f"proj_{self.base.name}")
 
+    @derived("face_inclusion")
     def face_inclusion(self, i: int) -> SimplicialMap:
         """id x delta_i, from X x Delta^{k-1} (or X itself when k = 1)."""
         if not 0 <= i <= self.k:
             raise ConstructionError(f"face index {i} out of range")
-        if i not in self._inclusions:
-            if self.k == 1:
-                vertex = (1 - i,)
-                images = {}
-                for g in self.base.generators():
-                    p = self.base.gen_dim(g)
-                    images[g] = Simplex((g, (), vertex, tuple(range(p))))
-                m = SimplicialMap(self.base, self.complex, images,
-                                  f"end{1 - i}_{self.base.name}")
-            else:
-                src = cylinder(self.base, self.k - 1).complex
-                images = {}
-                for key in src.generators():
-                    gx, wx, gd, wd = key
-                    lifted = tuple(v if v < i else v + 1 for v in gd)
-                    images[key] = Simplex((gx, wx, lifted, wd))
-                m = SimplicialMap(src, self.complex, images, f"idxdelta_{i}")
-            self._inclusions[i] = m
-        return self._inclusions[i]
+        if self.k == 1:
+            images = {g: Simplex((g, (), (1 - i,), tuple(range(self.base.gen_dim(g)))))
+                      for g in self.base.generators()}
+            return SimplicialMap(self.base, self.complex, images, f"end{1 - i}_{self.base.name}")
+        src = cylinder(self.base, self.k - 1).complex
+        images = {}
+        for key in src.generators():
+            gx, wx, gd, wd = key
+            lifted = tuple(v if v < i else v + 1 for v in gd)
+            images[key] = Simplex((gx, wx, lifted, wd))
+        return SimplicialMap(src, self.complex, images, f"idxdelta_{i}")
 
     @property
     def end_inclusions(self) -> tuple[SimplicialMap, SimplicialMap]:
@@ -886,12 +920,10 @@ class ProductWithSimplex:
         return self.face_inclusion(1), self.face_inclusion(0)
 
 
+@derived("cylinder")
 def cylinder(X: SimplicialSet, k: int = 1) -> ProductWithSimplex:
     """Memoized X x Delta^k with decomposition and inclusions."""
-    token = ("cylinder", k)
-    if token not in X._cache:
-        X._cache[token] = ProductWithSimplex(X, k)
-    return X._cache[token]
+    return ProductWithSimplex(X, k)
 
 
 # -- vertex paths ----------------------------------------------------------

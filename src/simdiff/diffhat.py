@@ -46,7 +46,7 @@ from .cohomology import (
     keyed_json,
     solve_coboundary,
 )
-from .complexes import SimplicialSet, cylinder
+from .complexes import SimplicialSet, cached_on, cylinder, derived
 from .em import relative_section
 from .exact import Obstruction, System, blind, compile_rows
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
@@ -143,17 +143,13 @@ class HatTheory:
         self.model = model or CharacterModel("plain")
         # theories over one base share the groupoid, so their objects are
         # interchangeable and cross-model functors need no translation
-        token = ("hat-groupoid", n)
-        if token not in X._cache:
-            X._cache[token] = MappingGroupoid(X, INTEGERS, n)
-        self.groupoid = X._cache[token]
+        self.groupoid = cached_on(X, ("hat-groupoid", n), MappingGroupoid, X, INTEGERS, n)
         self.character = self.model.character(self.groupoid)
         self.carrier = self.character.carrier
         if self.model.kind == "halved":
             self._push = halving(X, self.model.parity(X)).realize
         else:
             self._push = lambda w: w
-        self._periods: System | None = None
 
     # -- representatives ----------------------------------------------
 
@@ -252,6 +248,7 @@ class HatTheory:
         cyl2 = cylinder(self.base, 2)
         return self._push(rational_form(fiber_integrate(B, cyl2)))
 
+    @derived("periods")
     def _period_system(self) -> System:
         """Quotient functionals on the pushes of the cocycle basis W.
 
@@ -259,14 +256,12 @@ class HatTheory:
         integrates back to w exactly.  W is the same for every pair, so
         the matrix is factored once per theory.
         """
-        if self._periods is None:
-            X, n = self.base, self.degree
-            cols = [tuple(map(int, self._push(cochain_of(X, n - 1, RATIONALS, w)).vec))
-                    for w in self._cocycles]
-            M = [[sum(map(mul, a, read(col))) for col in cols]
-                 for read, a in self._functional_rows]
-            self._periods = System(M, range(len(M)), range(len(cols)))
-        return self._periods
+        X, n = self.base, self.degree
+        cols = [tuple(map(int, self._push(cochain_of(X, n - 1, RATIONALS, w)).vec))
+                for w in self._cocycles]
+        M = [[sum(map(mul, a, read(col))) for col in cols]
+             for read, a in self._functional_rows]
+        return System(M, range(len(M)), range(len(cols)))
 
     def compare(self, x: HatClass, y: HatClass) -> HatComparison:
         """Decide x = y with a literal witness or a refuting functional."""

@@ -13,9 +13,9 @@ A group supplies its face and degeneracy maps between level complexes
 
 Horn filling (moore_fill) is Moore's filler, a fixed integer-linear map of
 the horn's faces.  It is compiled once per horn shape -- level complex,
-degree, level and missing face -- into gathers cached in the level-m
-complex's _cache, so the plan outlives the groups and groupoids built on
-that complex and serves every ring.  Every call still checks that each
+degree, level and missing face -- into gathers derived on the level-m
+complex, so the plan outlives the groups and groupoids built on that
+complex and serves every ring.  Every call still checks that each
 face is a cochain of the right complex, degree and ring and that the horn
 identities hold; only the filler's arithmetic is precompiled.
 
@@ -37,9 +37,9 @@ from typing import Callable
 
 from .cochains import (Cochain, Coefficients, coboundary, cross_section, embed_rational,
                        fiber_integrate, pullback)
-from .complexes import (ConstructionError, Gather, LinearPlan, ProductWithSimplex, Simplex,
-                        SimplicialMap, SimplicialSet, codegeneracy_map,
-                        coface_map, cylinder, identity_map, key_str,
+from .complexes import (ConstructionError, Gather, LinearPlan, Simplex,
+                        SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
+                        coface_map, cylinder, derived, identity_map, key_str,
                         product_map, standard_simplex, vertex_path)
 from .cohomology import cochain_of, delta_system
 from .report import Report, scan
@@ -93,7 +93,6 @@ class EMSpace(SimplicialGroup):
             raise ValueError("EM degree must be >= 0")
         self.coeffs = coeffs
         self.n = n
-        self._levels: dict[int, list[Cochain]] = {}
 
     def __repr__(self):
         return f"K({self.coeffs.label()},{self.n})"
@@ -107,13 +106,12 @@ class EMSpace(SimplicialGroup):
     def element_level(self, z: Cochain) -> int:
         return z.complex.top_dim
 
+    @derived("level")
     def level(self, m: int) -> list[Cochain]:
         """Spanning set of the level-m group (a basis when A = Z)."""
-        if m not in self._levels:
-            D = standard_simplex(m)
-            self._levels[m] = [cochain_of(D, self.n, self.coeffs, v)
-                               for v in delta_system(D, self.n, coeffs=self.coeffs).kernel]
-        return self._levels[m]
+        D = standard_simplex(m)
+        return [cochain_of(D, self.n, self.coeffs, v)
+                for v in delta_system(D, self.n, self.coeffs).kernel]
 
     def contains(self, z: Cochain) -> bool:
         return (z.degree == self.n and z.coeffs == self.coeffs
@@ -146,8 +144,8 @@ class MappingComplex(SimplicialGroup):
     """Hom(X x Delta^*, K(A,n)) in cocycle form: level m is C-degree-n
     cocycle data on X x Delta^m, with level 0 living on X itself.
 
-    Levels are capped at 3, which is all the homotopy calculus needs.  Each
-    level's cylinder is looked up once; after that an element's level is
+    Levels are capped at 3, which is all the homotopy calculus needs.  Once
+    an element's level is found, the next element on that complex costs
     one lookup by the identity of its complex.
     """
 
@@ -155,20 +153,12 @@ class MappingComplex(SimplicialGroup):
         self.base = X
         self.coeffs = coeffs
         self.n = n
-        self._cylinders: dict[int, ProductWithSimplex] = {}
         self._level_of: dict[int, int] = {id(X): 0}
-
-    def _cylinder(self, m: int) -> ProductWithSimplex:
-        cyl = self._cylinders.get(m)
-        if cyl is None:
-            cyl = self._cylinders[m] = cylinder(self.base, m)
-            self._level_of[id(cyl.complex)] = m
-        return cyl
 
     def level_complex(self, m: int) -> SimplicialSet:
         if m == 0:
             return self.base
-        return self._cylinder(m).complex
+        return cylinder(self.base, m).complex
 
     def degree(self) -> int:
         return self.n
@@ -179,29 +169,27 @@ class MappingComplex(SimplicialGroup):
             return m
         for m in (1, 2, 3):
             if z.complex is self.level_complex(m):
+                self._level_of[id(z.complex)] = m
                 return m
         raise ValueError("element does not belong to this mapping complex")
 
     def face_map(self, m: int, i: int) -> SimplicialMap:
         if m == 0:
             raise ValueError("level-0 elements have no faces")
-        return self._cylinder(m).face_inclusion(i)
+        return cylinder(self.base, m).face_inclusion(i)
 
     def degeneracy_map(self, m: int, j: int) -> SimplicialMap:
         return _product_codegeneracy(self.base, m, j)
 
 
+@derived("product_codegeneracy")
 def _product_codegeneracy(X: SimplicialSet, m: int, j: int) -> SimplicialMap:
     """id_X x sigma_j: X x Delta^{m+1} -> X x Delta^m; at m = 0 it is the
     cylinder's projection to X."""
     if m == 0:
         return cylinder(X, 1).projection
-    token = ("product_codegeneracy", m, j)
-    if token not in X._cache:
-        X._cache[token] = product_map(
-            cylinder(X, m + 1).complex, cylinder(X, m).complex, identity_map(X),
-            codegeneracy_map(m, j), f"idxsigma_{j}")
-    return X._cache[token]
+    return product_map(cylinder(X, m + 1).complex, cylinder(X, m).complex, identity_map(X),
+                       codegeneracy_map(m, j), f"idxsigma_{j}")
 
 
 # -- horn filling ----------------------------------------------------------
@@ -277,9 +265,9 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     The filler is Moore's (May, Simplicial Objects in Algebraic Topology,
     section 17), a fixed integer-linear map of the faces.  It is compiled
     once per horn shape (level complex, degree, m, missing) into a
-    _MoorePlan cached in level_complex(m)._cache, which every group and
-    ring on that complex shares; a call checks the faces and the horn
-    identities and then evaluates the plan's gathers.
+    _MoorePlan derived on level_complex(m) and keyed without the group, so
+    every group and ring on that complex shares it; a call checks the
+    faces and the horn identities and then evaluates the plan's gathers.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -296,10 +284,7 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
             raise ValueError(f"face {j} is not a degree-{d} {coeffs.label()} "
                              f"cochain on the level-{m - 1} complex")
     P = G.level_complex(m)
-    token = ("moore_plan", d, m, missing)
-    plan = P._cache.get(token)
-    if plan is None:
-        plan = P._cache[token] = _MoorePlan(G, m, missing)
+    plan = cached_on(P, ("moore_plan", d, m, missing), _MoorePlan, G, m, missing)
     padded = sum([faces[j].vec for j in expected], ()) + (coeffs.zero,)
     left, right = plan.left.get(padded), plan.right.get(padded)
     if left != right:

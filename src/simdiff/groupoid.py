@@ -45,9 +45,8 @@ from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
 from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology, face_pins,
                          solve_closed_extension, solve_relative_coboundary)
-from .complexes import (Simplex, SimplicialMap, SimplicialSet, cylinder,
-                        identity_map, pair_canonical, product_map,
-                        standard_simplex, vertex_path)
+from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, cylinder,
+                        derived, pair_canonical, vertex_path)
 from .em import MappingComplex, e_section, loop_integrate, moore_fill
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
@@ -184,6 +183,13 @@ def _interior(key, k: int) -> bool:
     return len(key[2]) == k + 1
 
 
+@derived("covering")
+def _covering(P: SimplicialSet, degree: int, need: frozenset) -> tuple[int, ...]:
+    """Positions of the generators of one degree of P = X x Delta^m whose
+    simplex factor covers ``need``."""
+    return tuple(p for p, g in enumerate(P.generators(degree)) if need <= set(g[2]))
+
+
 # -- instance surface for the generic coherence battery --------------------
 
 
@@ -318,20 +324,10 @@ class MappingGroupoid:
         q = self.degree + 1
         norm = self.coeffs.normalize
         vec = [self.coeffs.zero] * len(P.generators(q - 1))
-        for p in self._covering(m, need):
+        for p in _covering(P, self.degree, need):
             if rng.random() < density:
                 vec[p] = norm(rng.randint(-3, 3))
         return coboundary(Cochain._trusted(P, q - 1, self.coeffs, vec))
-
-    def _covering(self, m: int, need: frozenset) -> tuple[int, ...]:
-        """Positions of the generators of X x Delta^m one degree below the
-        object data whose simplex factor covers ``need``; cached."""
-        P = self.maps.level_complex(m)
-        token = ("covering", self.degree, need)
-        if token not in P._cache:
-            P._cache[token] = tuple(p for p, g in enumerate(P.generators(self.degree))
-                                    if need <= set(g[2]))
-        return P._cache[token]
 
     def _fill(self, m: int, missing: int, faces: dict[int, Cochain]) -> Cochain:
         """The Moore filler, plus an interior coboundary under perturbation.
@@ -340,7 +336,8 @@ class MappingGroupoid:
         coboundary is zero, so it is neither drawn nor built.
         """
         w = moore_fill(self.maps, m, missing, faces)
-        if self.perturb is not None and self._covering(m, frozenset(range(m + 1)) - {missing}):
+        if self.perturb is not None and _covering(self.maps.level_complex(m), self.degree,
+                                                  frozenset(range(m + 1)) - {missing}):
             w = w + self._interior_coboundary(m, self.perturb, keep=missing)
         return w
 
@@ -551,8 +548,8 @@ class MappingGroupoid:
         The triangle inclusions split the square along the diagonal.
         """
         S = self._square().complex
-        cache = S._cache
-        if "square_model" not in cache:
+
+        def build():
             Y = self.maps.level_complex(1)
             T = self.maps.level_complex(2)
             qimg = {}
@@ -584,8 +581,8 @@ class MappingGroupoid:
             dimg = {key: pair_canonical(S, Simplex(key), Simplex(key[2], key[3]))
                     for key in Y.generators()}
             diag = SimplicialMap(Y, S, dimg, "square_diagonal")
-            cache["square_model"] = (collapse, lower, upper, diag)
-        return cache["square_model"]
+            return collapse, lower, upper, diag
+        return cached_on(S, "square_model", build)
 
     def to_square(self, c: HomotopyClass) -> Cochain:
         """Present a morphism on (X x D1) x D1: bottom source, top target."""
@@ -594,14 +591,11 @@ class MappingGroupoid:
     def square_faces(self, K: Cochain) -> tuple[Cochain, Cochain, Cochain, Cochain]:
         """(bottom, top, basepoint end, far end) restrictions of square data."""
         sq = self._square()
-        Y = self.maps.level_complex(1)
         inner = cylinder(self.base, 1)
-        one = identity_map(standard_simplex(1))
-        S = sq.complex
         return (pullback(sq.face_inclusion(1), K),
                 pullback(sq.face_inclusion(0), K),
-                pullback(product_map(Y, S, inner.face_inclusion(1), one), K),
-                pullback(product_map(Y, S, inner.face_inclusion(0), one), K))
+                pullback(inner.face_inclusion(1).cylinder_map(1), K),
+                pullback(inner.face_inclusion(0).cylinder_map(1), K))
 
     def from_square(self, K: Cochain) -> HomotopyClass:
         """Fold closed square data back into a triangle morphism.

@@ -28,6 +28,7 @@ from .complexes import (
     circle,
     compose_maps,
     cylinder,
+    derived,
     identity_map,
     point,
     vertex_path,
@@ -215,15 +216,12 @@ def maps_equal(a: SimplicialMap, b: SimplicialMap) -> bool:
     return all(a(Simplex(g)) == b(Simplex(g)) for g in a.source.generators())
 
 
+@derived("edge-endpoints")
 def _edge_table(Y: SimplicialSet) -> dict:
-    token = ("edge-endpoints",)
-    table = Y._cache.get(token)
-    if table is None:
-        table = {}
-        for e in Y.generators(1):
-            s = Simplex(e)
-            table[(Y.face(s, 1).gen, Y.face(s, 0).gen)] = e
-        Y._cache[token] = table
+    table = {}
+    for e in Y.generators(1):
+        s = Simplex(e)
+        table[(Y.face(s, 1).gen, Y.face(s, 0).gen)] = e
     return table
 
 

@@ -4,9 +4,12 @@ SimplicialSet, from_facets, _pair and product are the package's code from
 before freeze compiled the face tables to positions: faces are stored as
 Simplex objects, product sorts its generators by key_str and freeze sorts
 them again, and problems() walks Simplex faces.  face_table and
-delta_table build the cochain tables through SimplicialSet.face.  The
-differential tests in test_compiled.py compare the compiled construction
-with these, generator for generator and face for face.
+delta_table build the cochain tables through SimplicialSet.face.
+product_map builds each image from Simplex objects through pair_canonical,
+and cross_section_positions walks Simplex faces to find where
+cochains.cross_section puts its values.  The differential tests in
+test_compiled.py compare the compiled construction with these, generator
+for generator and face for face.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
-from simdiff.complexes import ConstructionError, Gather, Simplex, degenerate, key_str
+from simdiff import complexes
+from simdiff.complexes import (ConstructionError, Gather, Simplex, SimplicialMap, degenerate,
+                               key_str, pair_canonical, vertex_path)
 from simdiff.words import Word, apply_face, check_word, compose_degeneracy
 
 _NO_INDEX: Mapping[Hashable, int] = MappingProxyType({})
@@ -295,3 +300,33 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
             rows.append(tuple((p, a) for p, a in row.items() if a))
         X._cache[token] = tuple(rows)
     return X._cache[token]
+
+
+def product_map(P: complexes.SimplicialSet, Q: complexes.SimplicialSet,
+                f: SimplicialMap, g: SimplicialMap, name: str = "") -> SimplicialMap:
+    """The map f x g between product complexes built by product()."""
+    images = {}
+    for key in P.generators():
+        gx, wx, gy, wy = key
+        images[key] = pair_canonical(Q, f(Simplex(gx, wx)), g(Simplex(gy, wy)))
+    return SimplicialMap(P, Q, images, name or f"{f.name}x{g.name}")
+
+
+def cross_section_positions(cyl: complexes.ProductWithSimplex, m: int) -> list[int]:
+    """For each (m + k)-generator of X x Delta^k, the position of its front
+    m-face among X's m-generators where its simplex path is (0, ..., 0, 1,
+    ..., k) and that face is nondegenerate, else the sentinel."""
+    X, k, P = cyl.base, cyl.k, cyl.complex
+    index = X.gen_index(m)
+    path = (0,) * (m + 1) + tuple(range(1, k + 1))
+    positions = []
+    for gx, wx, t, wt in P.generators(m + k):
+        p = len(index)
+        if vertex_path(Simplex(t, wt), m + k) == path:
+            front = Simplex(gx, wx)
+            for v in range(m + k, m, -1):
+                front = X.face(front, v)
+            if not front.word:
+                p = index[front.gen]
+        positions.append(p)
+    return positions

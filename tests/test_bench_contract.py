@@ -13,6 +13,7 @@ the base's coboundaries.
 
 import importlib
 import sys
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,7 +98,7 @@ def test_traced_hat_compare_factors_only_base_sized_matrices(monkeypatch):
     generators in any degree (the pinned system on torus x Delta^2 it used
     to factor was 351 x 81)."""
     # a fresh torus, so factorizations cached by earlier tests are seen
-    monkeypatch.setattr(complexes, "_FIXTURES", {})
+    monkeypatch.setattr(complexes, "torus", cache(complexes.torus.__wrapped__))
     w = workloads.WORKLOADS["hat-compare"](0)
     tracer = tracing.Tracer()
     with tracer.installed():

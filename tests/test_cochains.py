@@ -32,7 +32,7 @@ def test_integer_rings_reject_values_that_are_not_integers(coeffs):
     # int() truncated these: 2.7 read as 2 and 7/2 as 3, and a scale by 0.5
     # gave the zero cochain
     X = circle(3)
-    for bad in (2.7, 0.5, Fraction(7, 2), float("nan"), float("inf"), "junk", None):
+    for bad in (2.7, 0.5, Fraction(7, 2), float("nan"), float("inf"), "junk", None, [1], "1/0"):
         with pytest.raises(ValueError):
             Cochain(X, 1, coeffs, {"e0": bad})
         with pytest.raises(ValueError):
@@ -44,6 +44,18 @@ def test_integer_rings_reject_values_that_are_not_integers(coeffs):
     c = Cochain(X, 1, coeffs, {"e0": 4.0, "e1": Fraction(-6, 3), "e2": "5"})
     assert c == Cochain(X, 1, coeffs, {"e0": 4, "e1": -2, "e2": 5})
     assert all(type(v) is int for v in c.vec)
+
+
+def test_rationals_reject_values_that_are_not_numbers():
+    # Fraction(v) raised TypeError, OverflowError or ZeroDivisionError here
+    X = circle(3)
+    for bad in (None, float("inf"), float("nan"), "junk", [1], "1/0"):
+        with pytest.raises(ValueError, match="is not a value for Q coefficients"):
+            Cochain(X, 1, RATIONALS, {"e0": bad})
+        with pytest.raises(ValueError, match="is not a value for Q coefficients"):
+            Cochain(X, 1, RATIONALS, {"e0": 3}).scale(bad)
+    c = Cochain(X, 1, RATIONALS, {"e0": 0.5, "e1": "7/2", "e2": 2})
+    assert c.vec == (Fraction(1, 2), Fraction(7, 2), Fraction(2))
 
 
 def test_cochains_name_a_generator_the_complex_lacks():

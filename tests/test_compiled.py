@@ -5,17 +5,22 @@ face tables: Simplex faces, key_str sorts in product and freeze, and
 problems() on Simplex objects.  Both must give the same generators in the
 same order, the same faces, the same cochain tables and the same problem
 lists, on generated complexes, their products with standard simplices,
-products of the fixtures and hand-built broken complexes.
+products of the fixtures and hand-built broken complexes.  product_map
+must give the same images as the reference's Simplex construction, and
+cross_section's compiled gather the same positions as the reference's
+Simplex walk.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_complexes as ref
-from simdiff import complexes
+from simdiff import cochains, complexes
 from simdiff.cochains import delta_table, face_table
-from simdiff.complexes import (ConstructionError, Simplex, SimplicialSet, circle, from_facets,
-                               product, rp2, sphere2, standard_simplex, torus)
+from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, SimplicialSet,
+                               build_standard, circle, codegeneracy_map, coface_map,
+                               constant_map, cylinder, from_facets, identity_map, point,
+                               product, product_map, rp2, sphere2, standard_simplex, torus)
 
 
 def compiled_faces(X):
@@ -171,3 +176,70 @@ def test_keys_with_equal_strings_keep_the_order_they_were_added_in(first, second
     new = build(SimplicialSet)
     assert new.generators(0) == ("0", second, first)
     assert_same(new, build(ref.SimplicialSet))
+
+
+# -- product maps and cross sections ---------------------------------------------
+
+
+def assert_same_images(P, Q, f, g):
+    new, old = product_map(P, Q, f, g), ref.product_map(P, Q, f, g)
+    assert new.source is old.source and new.target is old.target
+    assert dict(new.images) == dict(old.images)
+
+
+def assert_same_cylinder_maps(X):
+    """id x sigma_j, id x delta_i, and the collapse of X to a point times
+    sigma_j and the identity, between the cylinders of X and of a point."""
+    for m in (1, 2):
+        for j in range(m + 1):
+            sigma = codegeneracy_map(m, j)
+            assert_same_images(cylinder(X, m + 1).complex, cylinder(X, m).complex,
+                               identity_map(X), sigma)
+            assert_same_images(cylinder(X, m + 1).complex, cylinder(point(), m).complex,
+                               constant_map(X, point(), "*"), sigma)
+    for k in (1, 2, 3):
+        if k > 1:
+            for i in range(k + 1):
+                assert_same_images(cylinder(X, k - 1).complex, cylinder(X, k).complex,
+                                   identity_map(X), coface_map(k, i))
+        assert_same_images(cylinder(X, k).complex, cylinder(point(), k).complex,
+                           constant_map(X, point(), "*"), identity_map(standard_simplex(k)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(facet_sets, labels)
+def test_product_maps_on_generated_cylinders_match_the_reference(facets, names):
+    assert_same_cylinder_maps(from_facets("X", relabel(facets, names)))
+
+
+def rotation(n):
+    X = circle(n)
+    images = {f"{kind}{i}": Simplex(f"{kind}{(i + 1) % n}") for kind in "ve" for i in range(n)}
+    return SimplicialMap(X, X, images, "rotate")
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere2", "rp2", "torus"])
+def test_product_maps_on_fixture_cylinders_match_the_reference(name):
+    assert_same_cylinder_maps(build_standard(name))
+
+
+def test_product_maps_on_fixture_products_match_the_reference():
+    C = circle(3)
+    T = product(C, C)
+    rot, crush = rotation(3), constant_map(C, C, "v1")
+    for f, g in [(rot, identity_map(C)), (rot, crush), (crush, rot), (crush, crush)]:
+        assert_same_images(T, T, f, g)
+    X = product(rp2(), C)
+    assert_same_images(X, product(point(), C), constant_map(rp2(), point(), "*"), rot)
+    assert_same_images(X, X, identity_map(rp2()), crush)
+
+
+@pytest.mark.parametrize("name", sorted(complexes._FIXTURE_BUILDERS))
+def test_cross_section_gathers_match_the_walk(name):
+    X = build_standard(name)
+    for k in (1, 2, 3):
+        cyl = cylinder(X, k)
+        for m in range(3):
+            got = cochains._cross_section_gather(cyl, m)
+            assert got.positions == tuple(ref.cross_section_positions(cyl, m)), (k, m)
+            assert got.size == len(X.generators(m))

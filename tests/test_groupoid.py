@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from simdiff import groupoid
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
-                              mod_coefficients)
+                              mod_coefficients, pullback)
 from simdiff.cohomology import cohomology, is_coboundary
-from simdiff.complexes import Simplex, circle, cylinder, point, torus
+from simdiff.complexes import (Simplex, circle, cylinder, identity_map, point,
+                               standard_simplex, torus)
 from simdiff.groupoid import (HomotopyClass, Homotopy2, MappingGroupoid,
                               _interior)
 
+import reference_complexes as ref
 import reference_pins
 from dense import kernel_int
 
@@ -557,6 +560,28 @@ def test_square_round_trip_and_faces():
     assert bottom == f.data and top == h.target.data
     assert near.is_zero() and far.is_zero()
     assert G.same_class(G.from_square(K), h)
+
+
+def test_square_faces_reuse_the_cached_maps(monkeypatch):
+    # the side faces are the cylinder maps of the end inclusions, read from
+    # their owners' caches, not a product_map rebuilt on every call
+    G = MappingGroupoid(circle(), INTEGERS, 1)
+    rng = random.Random(26)
+    K = G.to_square(G.random_morphism(G.random_object(rng), rng))
+    used = []
+
+    def spy(f, c):
+        used.append(f)
+        return pullback(f, c)
+    monkeypatch.setattr(groupoid, "pullback", spy)
+    first = G.square_faces(K)
+    assert G.square_faces(K) == first
+    assert len(used) == 8 and all(a is b for a, b in zip(used[:4], used[4:]))
+    inner, sq = cylinder(circle(), 1), G._square()
+    one = identity_map(standard_simplex(1))
+    for i, f in zip((1, 0), used[2:4]):
+        assert f is inner.face_inclusion(i).cylinder_map(1)
+        assert f == ref.product_map(inner.complex, sq.complex, inner.face_inclusion(i), one)
 
 
 def test_square_integral_is_minus_triangle_integral():
