@@ -308,11 +308,11 @@ def character_functor(G: MappingGroupoid) -> MonFunctor:
     CG = character_groupoid(G)
 
     def on_objects(o: MapObject) -> Cochain:
-        return rational_form(o.integral())
+        return object_character(G, o)
 
     def on_morphisms(m: HomotopyClass) -> CocycleMorphism:
         return CG.morphism(on_objects(m.source), on_objects(m.target),
-                           rational_form(m.integral()))
+                           morphism_character(G, m))
 
     def mu(a: MapObject, b: MapObject) -> CocycleMorphism:
         s = G.oplus_objects(a, b)[0]

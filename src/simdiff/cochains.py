@@ -2,7 +2,9 @@
 
 Cochains are maps on the nondegenerate generators of one dimension;
 degenerate simplices evaluate to zero.  Coefficients are the integers, the
-rationals (standing in for real forms), or integers mod k.
+rationals (standing in for real forms), or integers mod k: the ring
+object exact.Coefficients, re-exported here with INTEGERS, RATIONALS and
+mod_coefficients.
 
 Real coefficients are modeled by exact rationals throughout, which is what
 makes every identity in the test suite hold with zero tolerance.
@@ -29,7 +31,6 @@ questions on X x Delta^2 be solved on X.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress, repeat
@@ -38,56 +39,8 @@ from typing import Any, Hashable, Iterable, Iterator
 
 from .complexes import (Gather, LinearPlan, ProductWithSimplex, Simplex, SimplicialMap,
                         SimplicialSet, cylinder, derived, face_at, json_int, key_str)
+from .exact import INTEGERS, RATIONALS, Coefficients, mod_coefficients
 from .words import Word, apply_word, surjection_of_word, word_of_surjection
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    """Coefficient system: Z, Q or Z/k; zero is the ring's own zero."""
-
-    kind: str
-    modulus: int = 0
-    zero: Any = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Zmod"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "Zmod" and self.modulus < 2:
-            raise ValueError("Zmod needs modulus >= 2")
-        object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
-
-    @property
-    def exact_field(self) -> bool:
-        return self.kind == "Q"
-
-    def normalize(self, v) -> Any:
-        """v as an element of the ring, read through Fraction(v) unless it
-        is an int over Z or Z/k.  A value Fraction cannot take (nan, inf,
-        None, a non-number) raises ValueError for every ring; over Z and
-        Z/k so does a fraction or a float with a fractional part."""
-        if self.kind == "Q" or type(v) is not int:
-            try:
-                q = Fraction(v)
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                raise ValueError(
-                    f"{v!r} is not a value for {self.label()} coefficients") from None
-            if self.kind == "Q":
-                return q
-            if q.denominator != 1:
-                raise ValueError(f"non-integer value {v} for {self.label()} coefficients")
-            v = q.numerator
-        return v % self.modulus if self.modulus else v
-
-    def label(self) -> str:
-        return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
-
-
-INTEGERS = Coefficients("Z")
-RATIONALS = Coefficients("Q")
-
-
-def mod_coefficients(k: int) -> Coefficients:
-    return Coefficients("Zmod", modulus=k)
 
 
 def parse_coefficients(text: str) -> Coefficients:
@@ -552,9 +505,13 @@ def cochain_from_json(X: SimplicialSet, data: dict) -> Cochain:
     except (KeyError, TypeError, AttributeError, OverflowError,
             ZeroDivisionError) as e:
         raise ValueError(f"malformed cochain JSON: {e!r}") from None
-    ids = {key_str(g): g for g in X.generators()}
-    try:
-        vals = {ids[i]: v for i, v in valstr.items()}
-    except KeyError as e:
-        raise ValueError(f"cochain references unknown generator {e}") from None
+    ids: dict[str, list] = {}
+    for g in X.generators():
+        ids.setdefault(key_str(g), []).append(g)
+    vals = {}
+    for i, v in valstr.items():
+        gens = ids.get(i, [])
+        if len(gens) != 1:
+            raise ValueError(f"cochain id {i!r} names {len(gens)} generators of {X.name}: {gens}")
+        vals[gens[0]] = v
     return Cochain(X, degree, coeffs, vals)

@@ -9,13 +9,17 @@ invariant factors), so it replays none of their transforms; the image form
 behind representatives and coordinates (delta_{n-1} in cocycle
 coordinates, read off delta_n's T and Tinv, a Smith form of its own) is
 built on first use.  Rational cohomology rides on the integer computation
-(torsion dropped).
+(torsion dropped: its generators are the free ones, over Q).
 
 delta_system is the one constructor of linear systems on cochains: delta
-of a complex in one degree over one ring, factored once and cached on the
-complex.  solve_coboundary answers "is this cochain a coboundary" with
-either a primitive or a functional certificate, by one substitution into
-that system.
+of a complex in one degree over one ring (the Coefficients object itself),
+an exact.System factored once and cached on the complex; nothing here
+calls exact's one-shot solvers.  exact answers in Solution | Obstruction
+over positions; from here up every question on cochains is answered in
+one shape, the answer cochain or a CoboundaryObstruction.
+solve_coboundary answers "is this cochain a coboundary" with the
+primitive or a functional certificate, by one substitution into that
+system.
 
 Homotopy existence and class equality are questions on X x Delta^2 about
 the relative cochains R of (X x Delta^2, X x dDelta^2), and they are
@@ -72,8 +76,7 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
         for p, a in sparse:
             row[p] = a
         A.append(row)
-    kind = "Q" if coeffs.exact_field else coeffs.kind
-    return System(A, range(len(A)), range(width), kind, coeffs.modulus)
+    return System(A, width, coeffs)
 
 
 def vector_of(c: Cochain) -> list:
@@ -116,11 +119,6 @@ class GroupPresentation:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion),
                 "divisible_rank": self.divisible_rank, "circle_rank": self.circle_rank,
                 "pretty": str(self)}
-
-
-@dataclass
-class CoboundaryWitness:
-    primitive: Cochain
 
 
 def keyed_json(values: Mapping[Hashable, object]) -> dict[str, str]:
@@ -178,18 +176,19 @@ def _pair_off(gen: Hashable, v, coeffs: Coefficients) -> CoboundaryObstruction:
     Over Z the weight is 1/(2|numerator of v|), so even a target value that
     is not an integer pairs to +-1/(2 * its denominator).
     """
-    w = (Fraction(1) if coeffs.exact_field else Fraction(1, coeffs.modulus)
+    w = (Fraction(1) if coeffs.kind == "Q" else Fraction(1, coeffs.modulus)
          if coeffs.modulus else Fraction(1, 2 * abs(Fraction(v).numerator)))
     return CoboundaryObstruction({gen: w}, coeffs.label())
 
 
-def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
-    """Find beta with delta beta = target, else a certificate.
+def solve_coboundary(target: Cochain,
+                     coeffs: Coefficients | None = None) -> Cochain | CoboundaryObstruction:
+    """The primitive beta with delta beta = target, else a certificate.
 
-    Returns CoboundaryWitness or CoboundaryObstruction.  The coefficient
-    ring defaults to the target's own; a target asked over Z/k is reduced
-    mod k first, so zero is decided in the ring asked for.  The answer is
-    one substitution into the cached delta_system(X, n - 1, coeffs).
+    The coefficient ring defaults to the target's own; a target asked
+    over Z/k is reduced mod k first, so zero is decided in the ring asked
+    for.  The answer is one substitution into the cached
+    delta_system(X, n - 1, coeffs).
     """
     coeffs = coeffs or target.coeffs
     if coeffs.modulus and coeffs != target.coeffs:
@@ -197,7 +196,7 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
     X = target.complex
     n = target.degree
     if target.is_zero():
-        return CoboundaryWitness(Cochain.zero(X, max(n - 1, 0), coeffs))
+        return Cochain.zero(X, max(n - 1, 0), coeffs)
     if n < 1 or not X.generators(n - 1):
         # nothing to be a coboundary of: pair off the first nonzero value,
         # in generator order
@@ -208,11 +207,11 @@ def solve_coboundary(target: Cochain, coeffs: Coefficients | None = None):
         gens = X.generators(n)
         return CoboundaryObstruction({gens[q]: v for q, v in enumerate(res.functional) if v},
                                      res.ring)
-    return CoboundaryWitness(Cochain._trusted(X, n - 1, coeffs, res.x0))
+    return Cochain._trusted(X, n - 1, coeffs, res.x0)
 
 
 def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
-    return isinstance(solve_coboundary(target, coeffs), CoboundaryWitness)
+    return not isinstance(solve_coboundary(target, coeffs), CoboundaryObstruction)
 
 
 @dataclass(frozen=True)
@@ -314,18 +313,19 @@ class CohomologyGroup:
 
     @property
     def generators(self) -> list[Cochain]:
-        """Representative cocycles: free summands first, then torsion."""
+        """Representative cocycles over the group's ring: free summands
+        first, then torsion, which the rational group drops."""
         k = self._integral._classes
         out = []
         c = len(self.complex.generators(self.degree))
-        for pos in k.free_pos + k.torsion_pos:
+        for pos in k.free_pos + (k.torsion_pos if self.coeffs.kind == "Z" else []):
             # column pos of Sinv in the kernel basis
             u = k.image.Sinv[pos] if k.image is not None else {pos: 1}
             vec = [0] * c
             for i, a in u.items():
                 for t, v in k.cocycles[i].items():
                     vec[t] += a * v
-            out.append(cochain_of(self.complex, self.degree, INTEGERS, vec))
+            out.append(cochain_of(self.complex, self.degree, self.coeffs, vec))
         return out
 
     def classify(self, c: Cochain) -> tuple[tuple, tuple]:
@@ -368,8 +368,9 @@ def cohomology(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> Coh
 # -- the relative problems on X x Delta^2 ------------------------------------
 
 
-def solve_relative_coboundary(target: Cochain, cyl: ProductWithSimplex):
-    """Find x in R with delta x = target, else a certificate.
+def solve_relative_coboundary(target: Cochain,
+                              cyl: ProductWithSimplex) -> Cochain | CoboundaryObstruction:
+    """The x in R with delta x = target, else a certificate.
 
     R is the relative cochains of (X x Delta^2, X x dDelta^2), and target
     must be closed and in R.  Through the contraction (f, g, h) of R onto
@@ -380,11 +381,10 @@ def solve_relative_coboundary(target: Cochain, cyl: ProductWithSimplex):
     delta x = target.  Otherwise the base certificate phi refutes, and
     phi o f refutes here, since f commutes with delta.
 
-    Returns CoboundaryWitness or CoboundaryObstruction over target's ring.
+    Both are over target's ring.
     """
     if target.is_zero():
-        return CoboundaryWitness(Cochain.zero(target.complex, max(target.degree - 1, 0),
-                                              target.coeffs))
+        return Cochain.zero(target.complex, max(target.degree - 1, 0), target.coeffs)
     base = fiber_integrate(target, cyl)
     got = solve_coboundary(base)
     if isinstance(got, CoboundaryObstruction):
@@ -394,8 +394,8 @@ def solve_relative_coboundary(target: Cochain, cyl: ProductWithSimplex):
     x = shih_homotopy(target, cyl)
     if base.degree:
         # in degree 0 there is no b: f target is zero
-        x = x + cross_section(got.primitive, 2)
-    return CoboundaryWitness(x)
+        x = x + cross_section(got, 2)
+    return x
 
 
 def solve_closed_extension(cyl: ProductWithSimplex, pinned: Cochain,
@@ -428,7 +428,7 @@ def solve_closed_extension(cyl: ProductWithSimplex, pinned: Cochain,
     got = solve_relative_coboundary(y, cyl)
     if isinstance(got, CoboundaryObstruction):
         return got
-    return pinned - got.primitive
+    return pinned - got
 
 
 class _PinPlan:

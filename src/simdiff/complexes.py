@@ -963,13 +963,21 @@ def json_key(value: Any) -> Hashable:
 
 
 def complex_from_json(data: dict) -> SimplicialSet:
+    """The complex complex_to_json wrote.  Ids that print alike (1 and "1")
+    would be written alike, so they raise ConstructionError naming both."""
     try:
         X = SimplicialSet(str(data["name"]))
+        printed: dict[str, Hashable] = {}
         for entry in data["generators"]:
+            key = json_key(entry["id"])
+            other = printed.setdefault(key_str(key), key)
+            if other != key:
+                raise ConstructionError(f"{X.name}: generator ids {other!r} and {key!r}"
+                                        f" both print as {key_str(key)!r}")
             faces = [Simplex(json_key(f["id"]),
                              tuple(json_int(j) for j in f.get("degeneracies", ())))
                      for f in entry.get("faces", ())]
-            X.add_generator(json_key(entry["id"]), json_int(entry["dim"]), faces)
+            X.add_generator(key, json_int(entry["dim"]), faces)
     except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ConstructionError(f"malformed complex JSON: {e!r}") from None
     return X.freeze()

@@ -38,7 +38,6 @@ from .cochains import (
 )
 from .cohomology import (
     CoboundaryObstruction,
-    CoboundaryWitness,
     GroupPresentation,
     cohomology,
     cochain_of,
@@ -261,7 +260,7 @@ class HatTheory:
                 for w in self._cocycles]
         M = [[sum(map(mul, a, read(col))) for col in cols]
              for read, a in self._functional_rows]
-        return System(M, range(len(M)), range(len(cols)))
+        return System(M, len(cols), INTEGERS)
 
     def compare(self, x: HatClass, y: HatClass) -> HatComparison:
         """Decide x = y with a literal witness or a refuting functional."""
@@ -296,10 +295,9 @@ class HatTheory:
         residual = (x.omega - y.omega) - morH
         if residual.is_zero():
             return HatComparison(True, homotopy=data)
-        fill = solve_coboundary(residual)
-        if not isinstance(fill, CoboundaryWitness):
+        shift = solve_coboundary(residual)
+        if isinstance(shift, CoboundaryObstruction):
             raise ArithmeticError("residual escaped the coboundary image")
-        shift = fill.primitive
         if morH + coboundary(shift) != x.omega - y.omega:
             raise ArithmeticError("witness failed its literal check")
         return HatComparison(True, homotopy=data, shift=shift)
@@ -493,12 +491,12 @@ def _claim_curvature_class_matches(T: HatTheory, rng: random.Random,
         x = T.hat(G.random_object(rng), _random_form(T, rng))
         diff = (T.curvature(x)
                 - T._push(rational_form(x.obj.integral())))
-        wit = solve_coboundary(diff, RATIONALS)
-        if isinstance(wit, CoboundaryWitness):
-            rounds.append((coboundary(wit.primitive) == diff,
-                           {"primitive_support": len(wit.primitive.values)}))
-        else:
+        primitive = solve_coboundary(diff, RATIONALS)
+        if isinstance(primitive, CoboundaryObstruction):
             rounds.append((False, {}))
+        else:
+            rounds.append((coboundary(primitive) == diff,
+                           {"primitive_support": len(primitive.values)}))
     return tally("curvature-class-is-rational-class", rounds)
 
 

@@ -1,31 +1,35 @@
-"""Exact linear algebra: one factor-once System behind every solver.
+"""Exact linear algebra: one ring object and one factor-once System.
 
-A System holds one matrix A over one ring, with named rows (equations) and
-columns (unknowns).  When it is built it factors one integer matrix, once,
-as a Smith form D = S A' T:
+Coefficients is the ring: Z, Q or Z/k (INTEGERS, RATIONALS,
+mod_coefficients(k)).  It depends on nothing, so it lives here, and
+simdiff.cochains re-exports it.
 
-* over Z, A' is A;
-* over Z/k, A' is the integer lift [A | k I];
-* over Q, A' is A with each row scaled to clear its denominators.
+Every linear question is one System(A, width, coeffs): A x = b in width
+unknowns over coeffs, for many b.  It factors one integer matrix A',
+once, as a Smith form D = S A' T: A itself over Z, the lift [A | k I]
+over Z/k, and over Q, A with each row scaled to clear its denominators.
+The first solve compiles S's rank rows (System.rank_rows) and A''s
+sparse columns (System.columns).  Each solve(b) is then one integer
+substitution, solve_int_snf: y = S b over the diagonal, x0 = T y, then
+the test A' x0 = b.  Over Z/k solve_mod_snf, the one Z/k reduction, cuts
+x0 to the unknowns mod k; over Q, b is scaled like A' first.  The kernel
+basis (T's columns past the rank) is built only when System.kernel is
+read, never by a solve.
 
-The kernel basis (the columns of T past the rank) is read off only when
-System.kernel is read, never by a solve, so a system factored for its
-rank, its diagonal or its right-hand sides never makes it dense.  The
-Substitution is built on the first solve: S's rows up to the rank
-compiled to (column read, coefficient tuple) pairs, and A' kept as sparse
-columns.  System.solve(b) for each new right-hand side is one
-substitution: y from S's rank rows divided by the diagonal, x0 = T y,
-then the test A' x0 = b.  It returns a Solution (one particular x0; the
-others differ from it by System.kernel) or an Obstruction, a functional
-that Obstruction.check re-verifies against System.matrix (over Z/k the
-lift [A | k I]) without trusting the solver: a row of S over its invariant
-factor ("Z", "Z/k") or, read only when the test fails, the first row of S
-past the rank that does not vanish on b ("Q").  blind() is the one
-definition of what each ring's certificate means.
+The answer has two shapes, one per layer.  Here it is a Solution (one x0;
+the others differ from it by System.kernel) or an Obstruction, a
+functional that Obstruction.check re-verifies against System.matrix
+without trusting the solver.  Its sense names what it refutes, not the
+ring asked: a row of S over its invariant factor ("Z", and "Z/k" over
+Z/k) or, read only when the test fails, the first row of S past the rank
+that does not vanish on b ("Q").  blind() is the one definition of each
+sense.  From the cochain layer up (simdiff.cohomology) the answer is the
+solution cochain or a CoboundaryObstruction.
 
-The one-shot solvers solve_int, solve_mod and solve_rational factor and
-substitute in one call, with the same substitution code.  Everything is
-pure Python over int and Fraction, so every certificate is exact.
+solve_int, solve_rational and solve_mod are System(A, width, ring).solve(b)
+in one call.  They remain only as names the benchmark's tracer
+(bench/tracing.py) wraps.  Everything is pure Python over int and
+Fraction, so every certificate is exact.
 
 The Smith form eliminates on D alone, held as sparse rows, and logs each
 elementary row and column operation.  S, Sinv, T and Tinv are replayed
@@ -47,7 +51,59 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import floordiv, itemgetter, mul, ne
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
+
+
+# -- the ring ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """Coefficient system: Z, Q or Z/k; zero is the ring's own zero."""
+
+    kind: str
+    modulus: int = 0
+    zero: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in ("Z", "Q", "Zmod"):
+            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        if self.kind == "Zmod" and self.modulus < 2:
+            raise ValueError("Zmod needs modulus >= 2")
+        object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
+
+    def normalize(self, v) -> Any:
+        """v as an element of the ring, read through Fraction(v) unless it
+        is an int over Z or Z/k.  A value Fraction cannot take (nan, inf,
+        None, a non-number) raises ValueError for every ring; over Z and
+        Z/k so does a fraction or a float with a fractional part."""
+        if self.kind == "Q" or type(v) is not int:
+            try:
+                q = Fraction(v)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise ValueError(
+                    f"{v!r} is not a value for {self.label()} coefficients") from None
+            if self.kind == "Q":
+                return q
+            if q.denominator != 1:
+                raise ValueError(f"non-integer value {v} for {self.label()} coefficients")
+            v = q.numerator
+        return v % self.modulus if self.modulus else v
+
+    def label(self) -> str:
+        return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
+
+
+INTEGERS = Coefficients("Z")
+RATIONALS = Coefficients("Q")
+
+
+def mod_coefficients(k: int) -> Coefficients:
+    return Coefficients("Zmod", modulus=k)
+
+
+# -- the Smith form ------------------------------------------------------------
+
 
 Sparse = list[dict[int, int]]
 
@@ -273,7 +329,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm((r, c), diagonal, row_log, col_log)
 
 
-# -- solvers ---------------------------------------------------------------
+# -- the factor-once system ------------------------------------------------
 
 
 @dataclass
@@ -298,7 +354,7 @@ def blind(value, ring: str) -> bool:
 class Obstruction:
     """A functional certifying unsolvability, in the sense of blind().
 
-    ring "Z/k" is checked against the lift [A | k I].
+    ring is the sense; "Z/k" is checked against the lift [A | k I].
     """
 
     functional: list[Fraction]
@@ -311,127 +367,50 @@ class Obstruction:
         return all(blind(v, self.ring) for v in rA) and not blind(rb, self.ring)
 
 
-class Substitution:
-    """A Smith form D = S A T compiled for many right-hand sides.
-
-    rank_rows holds S's rows up to the rank by compile_rows, and cols A's
-    sparse columns {row: entry}, for the test A x0 = b.  S's rows past the
-    rank stay sparse, as the replay built them: only an inconsistent
-    right-hand side reads them, for its certificate.
-    """
-
-    __slots__ = ("form", "rank_rows", "cols")
-
-    def __init__(self, form: SmithForm, A: Sequence[Sequence[int]]):
-        self.form = form
-        self.rank_rows = compile_rows(form.S[:form.rank])
-        self.cols = [{i: int(v) for i, v in enumerate(col) if v} for col in zip(*A)]
-
-
-def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstruction:
-    """An integer solution of A x = b, or an obstruction row."""
-    if not A:
-        return Solution([])
-    return solve_int_snf(Substitution(smith_normal_form(A), A), b)
-
-
-def solve_int_snf(sub: Substitution, b: Sequence[int]) -> Solution | Obstruction:
-    """solve_int against a precomputed nonempty Smith form, compiled.
-
-    y_i = (S b)_i / d_i over the rank rows, the first row d_i does not
-    divide giving a "Z" obstruction; then x0 = T y.  A x0 = b holds exactly
-    when S b vanishes past the rank, so only when it fails are those rows
-    read, the first nonzero one giving a "Q" obstruction.  Splitting the
-    decomposition from the substitution lets callers solving many
-    right-hand sides against one matrix pay for it once.
-    """
-    f = sub.form
-    r, c = f.shape
-    sb = [sum(map(mul, a, read(b))) for read, a in sub.rank_rows]
-    for i, (v, d) in enumerate(zip(sb, f.diagonal)):
-        if v % d:
-            return Obstruction([Fraction(f.S[i].get(t, 0), d) for t in range(r)], "Z")
-    x0 = apply_cols(f.T, list(map(floordiv, sb, f.diagonal)), c)
-    if any(map(ne, apply_cols(sub.cols, x0, r), b)):
-        for row in f.S[f.rank:]:
-            if sum(a * b[t] for t, a in row.items()):
-                # rationally inconsistent: rA = 0 with rb != 0
-                return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
-        raise ArithmeticError("A x0 != b although S b vanishes past the rank")
-    return Solution(x0)
-
-
-def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
-    """A rational solution of A x = b, or a functional with rA=0, rb!=0."""
-    return System(A, range(len(A)), range(len(A[0]) if A else 0), "Q").solve(b)
-
-
 def _lift(A: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     """The integer lift [A | k I] of a matrix over Z/k."""
     r = len(A)
     return [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
 
 
-def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution | None:
-    """A solution of A x = b over Z/k, via the integer lift [A | k I]."""
-    if not A:
-        return Solution([])
-    lift = _lift(A, k)
-    return solve_mod_snf(Substitution(smith_normal_form(lift), lift), b, k)
-
-
-def solve_mod_snf(sub: Substitution, b: Sequence[int], k: int) -> Solution | None:
-    """solve_mod against a precomputed, compiled Smith form of the lift [A | k I]."""
-    c = sub.form.shape[1] - sub.form.shape[0]
-    res = solve_int_snf(sub, list(b))
-    if isinstance(res, Obstruction):
-        return None
-    return Solution([v % k for v in res.x0[:c]])
-
-
-# -- the factor-once system ------------------------------------------------
-
-
 class System:
-    """A x = b over one ring for many right-hand sides b, factored once.
+    """A x = b in width unknowns over the ring coeffs, for many b, factored once.
 
-    kind is "Z", "Zmod" (with modulus k) or "Q".  rows and cols name the
-    equations and the unknowns (delta_system names them by generator
-    position).  matrix is what an Obstruction is checked against: A itself,
-    or over Z/k the lift [A | k I].
-
-    Every ring factors an integer matrix by smith_normal_form.  Over Q, A
-    may hold Fractions: row i is first scaled by the least common
-    denominator of its entries, and a "Q" obstruction, a row of S, is
-    scaled back by the same factors, so it is a functional on A.  The
-    Substitution that solve substitutes into (S's rank rows and the
-    factored matrix's rows, compiled) is built on the first solve, and each
-    transform of the form on its first read, so a system factored only for
-    its rank or diagonal never replays S or T.
+    matrix is what an Obstruction is checked against: A itself, or over
+    Z/k the lift [A | k I].  With no equations there is no form and every
+    vector of length width solves.  Over Q, A may hold Fractions: row i is
+    scaled by the least common denominator of its entries before it is
+    factored, and a "Q" obstruction, a row of S, is scaled back by the same
+    factors, so it is a functional on A.  rank_rows and columns are built
+    on the first solve, and each transform of the form on its first read.
     """
 
-    def __init__(self, A: Sequence[Sequence], rows: Sequence[Hashable],
-                 cols: Sequence[Hashable], kind: str = "Z", modulus: int = 0):
-        if kind not in ("Z", "Zmod", "Q"):
-            raise ValueError(f"unknown ring kind {kind!r}")
-        self.rows = list(rows)
-        self.cols = list(cols)
-        self.kind = kind
-        self.modulus = modulus
-        self.ring = f"Z/{modulus}" if kind == "Zmod" else kind
-        self.matrix = _lift(A, modulus) if kind == "Zmod" else A
+    def __init__(self, A: Sequence[Sequence], width: int, coeffs: Coefficients):
+        self.width = width
+        self.coeffs = coeffs
+        self.matrix = _lift(A, coeffs.modulus) if coeffs.modulus else A
         self.form: SmithForm | None = None  # no equations leave no form
         if not A:
             return
-        if kind == "Q":
+        if coeffs.kind == "Q":
             self._scale = [lcm(*(v.denominator for v in row)) for row in A]
         self.form = smith_normal_form(self._factored())
 
     def _factored(self) -> Sequence[Sequence]:
         """The integer matrix the Smith form factors."""
-        if self.kind != "Q":
+        if self.coeffs.kind != "Q":
             return self.matrix
         return [[v * m for v in row] for row, m in zip(self.matrix, self._scale)]
+
+    @cached_property
+    def rank_rows(self) -> list[tuple[Callable, tuple[int, ...]]]:
+        """S's rows up to the rank, compiled; the rest stay sparse rows."""
+        return compile_rows(self.form.S[:self.form.rank])
+
+    @cached_property
+    def columns(self) -> Sparse:
+        """The factored matrix as sparse columns {row: entry}."""
+        return [{i: int(v) for i, v in enumerate(col) if v} for col in zip(*self._factored())]
 
     @cached_property
     def kernel(self) -> list[list]:
@@ -442,31 +421,23 @@ class System:
         reduced mod k, without zeros and repeats; with no equations every
         vector solves, and the basis is the unit vectors.
         """
-        c, f = len(self.cols), self.form
+        c, f, k = self.width, self.form, self.coeffs.modulus
         if f is None:
             return [[int(i == j) for i in range(c)] for j in range(c)]
-        if self.kind != "Zmod":
+        if not k:
             return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
-        k = self.modulus
         residues = (tuple(col.get(t, 0) % k for t in range(c)) for col in f.T[f.rank:])
         return [list(w) for w in dict.fromkeys(residues) if any(w)]
-
-    @cached_property
-    def _substitution(self) -> Substitution:
-        return Substitution(self.form, self._factored())
 
     def solve(self, b: Sequence) -> Solution | Obstruction:
         """Substitute b into the factorization: one solution, or why none."""
         if self.form is None:
-            return Solution([0] * len(self.cols))
-        if self.kind == "Q":
+            return Solution([0] * self.width)
+        if self.coeffs.kind == "Q":
             return self._solve_rational(b)
-        res = solve_int_snf(self._substitution, b)
-        if self.kind == "Z":
-            return res
-        if isinstance(res, Obstruction):
-            return Obstruction(res.functional, self.ring)
-        return Solution([v % self.modulus for v in res.x0[:len(self.cols)]])
+        if self.coeffs.modulus:
+            return solve_mod_snf(self, b)
+        return solve_int_snf(self, b)
 
     def _solve_rational(self, b: Sequence) -> Solution | Obstruction:
         # b scaled like A's rows, cleared of denominators and multiplied by
@@ -474,8 +445,61 @@ class System:
         # substitution then divides exactly, and x0 is its answer over e
         f = self.form
         e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
-        res = solve_int_snf(self._substitution,
-                            [int(v * m * e) for v, m in zip(b, self._scale)])
+        res = solve_int_snf(self, [int(v * m * e) for v, m in zip(b, self._scale)])
         if isinstance(res, Obstruction):
             return Obstruction([v * m for v, m in zip(res.functional, self._scale)], "Q")
         return Solution([Fraction(v, e) for v in res.x0])
+
+
+def solve_int_snf(system: System, b: Sequence[int]) -> Solution | Obstruction:
+    """The integer substitution of b into a system's nonempty Smith form.
+
+    y_i = (S b)_i / d_i over the rank rows, the first row d_i does not
+    divide giving a "Z" obstruction; then x0 = T y.  A' x0 = b holds
+    exactly when S b vanishes past the rank, so only when it fails are
+    those rows read, the first nonzero one giving a "Q" obstruction.
+    """
+    f = system.form
+    r, c = f.shape
+    sb = [sum(map(mul, a, read(b))) for read, a in system.rank_rows]
+    for i, (v, d) in enumerate(zip(sb, f.diagonal)):
+        if v % d:
+            return Obstruction([Fraction(f.S[i].get(t, 0), d) for t in range(r)], "Z")
+    x0 = apply_cols(f.T, list(map(floordiv, sb, f.diagonal)), c)
+    if any(map(ne, apply_cols(system.columns, x0, r), b)):
+        for row in f.S[f.rank:]:
+            if sum(a * b[t] for t, a in row.items()):
+                # rationally inconsistent: rA = 0 with rb != 0
+                return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
+        raise ArithmeticError("A x0 != b although S b vanishes past the rank")
+    return Solution(x0)
+
+
+def solve_mod_snf(system: System, b: Sequence[int]) -> Solution | Obstruction:
+    """The one Z/k reduction of the integer substitution into the lift
+    [A | k I]: x0 cut to the unknowns mod k, or the certificate, always a
+    row of S over its invariant factor (the lift has full row rank), in
+    the sense "Z/k"."""
+    res = solve_int_snf(system, b)
+    if isinstance(res, Obstruction):
+        return Obstruction(res.functional, system.coeffs.label())
+    k = system.coeffs.modulus
+    return Solution([v % k for v in res.x0[:system.width]])
+
+
+# -- the one-shot solvers ----------------------------------------------------
+
+
+def solve_int(A: Sequence[Sequence[int]], b: Sequence[int]) -> Solution | Obstruction:
+    """An integer solution of A x = b, or an obstruction row."""
+    return System(A, len(A[0]) if A else 0, INTEGERS).solve(b)
+
+
+def solve_rational(A: Sequence[Sequence], b: Sequence) -> Solution | Obstruction:
+    """A rational solution of A x = b, or a functional with rA=0, rb!=0."""
+    return System(A, len(A[0]) if A else 0, RATIONALS).solve(b)
+
+
+def solve_mod(A: Sequence[Sequence[int]], b: Sequence[int], k: int) -> Solution | Obstruction:
+    """A solution of A x = b over Z/k, or a "Z/k" functional on the lift."""
+    return System(A, len(A[0]) if A else 0, mod_coefficients(k)).solve(b)

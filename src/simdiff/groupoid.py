@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
-from .cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology, face_pins,
-                         solve_closed_extension, solve_relative_coboundary)
+from .cohomology import (CoboundaryObstruction, cohomology, face_pins, solve_closed_extension,
+                         solve_relative_coboundary)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, cylinder,
                         derived, pair_canonical, vertex_path)
 from .em import MappingComplex, e_section, loop_integrate, moore_fill
@@ -249,8 +250,6 @@ class MappingGroupoid:
                  perturb: random.Random | None = None):
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        if coeffs.kind not in ("Z", "Q", "Zmod"):
-            raise ValueError("groupoid coefficients must be Z, Q or Z/k")
         self.base = X
         self.coeffs = coeffs
         self.degree = n
@@ -474,7 +473,8 @@ class MappingGroupoid:
         if c0.source != c1.source or c0.target != c1.target:
             raise ValueError("classes compare only between equal endpoints")
 
-    def _primitive(self, c0: HomotopyClass, c1: HomotopyClass):
+    def _primitive(self, c0: HomotopyClass,
+                   c1: HomotopyClass) -> Cochain | CoboundaryObstruction:
         """Q with delta Q = D = c1 - c0 in the relative cochains, or what
         refutes one: D vanishes on the three faces, so with delta b =
         fiber_integrate(D) on the base, Q = h D + g b
@@ -486,7 +486,7 @@ class MappingGroupoid:
         """Are two parallel morphisms equal?  Exactly when the integral of
         their difference over the triangle is a coboundary on the base,
         which the base's cached coboundary system decides."""
-        return isinstance(self._primitive(c0, c1), CoboundaryWitness)
+        return not isinstance(self._primitive(c0, c1), CoboundaryObstruction)
 
     def compare(self, c0: HomotopyClass, c1: HomotopyClass) -> ClassComparison:
         """Decide equality and build the evidence.
@@ -500,7 +500,7 @@ class MappingGroupoid:
         got = self._primitive(c0, c1)
         if isinstance(got, CoboundaryObstruction):
             return ClassComparison(False, obstruction=got)
-        lift = face_pins(cylinder(self.base, 3), {0: got.primitive})
+        lift = face_pins(cylinder(self.base, 3), {0: got})
         return ClassComparison(True, witness=self.maps.degeneracy(c0.rep.data, 0)
                                + coboundary(lift))
 
@@ -524,14 +524,23 @@ class MappingGroupoid:
 
     def verify_obstruction(self, c0: HomotopyClass, c1: HomotopyClass,
                            ob: CoboundaryObstruction) -> bool:
-        """Check that a functional genuinely refutes the equality: it must
-        certify the difference against the coboundary of every interior
-        generator one degree down."""
+        """Check that a functional genuinely refutes the equality: its sense
+        must be one this ring's solve gives ("Q" over Q, "Z" or "Q" over Z,
+        "Z/k" over Z/k), and it must certify the difference against the
+        coboundary of every interior generator one degree down and, over
+        Z/k, k times the unit cochain on each generator it reads."""
+        k = self.coeffs.modulus
+        senses = {"Q": ("Q",), "Z": ("Z", "Q")}.get(self.coeffs.kind, (self.coeffs.label(),))
+        if ob.ring not in senses:
+            return False
         P = cylinder(self.base, 2).complex
         q = self.degree + 1
-        return ob.certifies(c1.rep.data - c0.rep.data,
-                            (coboundary(Cochain(P, q - 1, INTEGERS, {g: 1}))
-                             for g in P.generators(q - 1) if _interior(g, 2)))
+        index = P.gen_index(q)
+        spanning = chain((coboundary(Cochain(P, q - 1, INTEGERS, {g: 1}))
+                          for g in P.generators(q - 1) if _interior(g, 2)),
+                         (Cochain(P, q, INTEGERS, {g: k}) for g in ob.functional
+                          if k and g in index))
+        return ob.certifies(c1.rep.data - c0.rep.data, spanning)
 
     # -- the square presentation ------------------------------------------
 

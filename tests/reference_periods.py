@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, mul
 
 from simdiff.cochains import INTEGERS, Cochain, coboundary
-from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, cochain_of,
+from simdiff.cohomology import (CoboundaryObstruction, cochain_of,
                                 delta_system, solve_coboundary, vector_of)
 from simdiff.complexes import cylinder
 from simdiff.diffhat import HatClass, HatComparison, HatTheory, PeriodObstruction
@@ -94,7 +94,7 @@ class Reference:
         self.kernel = kernel(T)
         self.functionals = quotient_functionals(T)
         M = period_matrix(T, self.functionals, self.kernel)
-        self.periods = System(M, range(len(M)), range(len(self.kernel)))
+        self.periods = System(M, len(self.kernel), INTEGERS)
 
     def compare(self, x: HatClass, y: HatClass) -> HatComparison:
         T = self.theory
@@ -129,10 +129,9 @@ class Reference:
         residual = (x.omega - y.omega) - morH
         if residual.is_zero():
             return HatComparison(True, homotopy=data)
-        fill = solve_coboundary(residual)
-        if not isinstance(fill, CoboundaryWitness):
+        shift = solve_coboundary(residual)
+        if isinstance(shift, CoboundaryObstruction):
             raise ArithmeticError("residual escaped the coboundary image")
-        shift = fill.primitive
         if morH + coboundary(shift) != x.omega - y.omega:
             raise ArithmeticError("witness failed its literal check")
         return HatComparison(True, homotopy=data, shift=shift)

@@ -21,6 +21,8 @@ pin plan, b = -delta pi from the face gathers, compiled rank rows and the
 test A x0 = b) can be compared with them answer for answer.  The reference builds its own
 matrix and checks it against the positional system's, then substitutes
 into that system's Smith form, so each pinned problem is factored once.
+A System does not name the positions its rows and columns came from, so
+PinnedSystem keeps them beside it here.
 
 The positional solve returns no kernel cochains with its particular
 solution.  The generator-keyed reference still builds them, from
@@ -38,7 +40,7 @@ from typing import Hashable, Iterable, Mapping
 from simdiff import cohomology
 from simdiff.cochains import (INTEGERS, Cochain, Coefficients, coboundary, coboundary_values,
                               delta_table)
-from simdiff.cohomology import CoboundaryObstruction, CoboundaryWitness
+from simdiff.cohomology import CoboundaryObstruction
 from simdiff.complexes import Gather, ProductWithSimplex, Simplex, SimplicialSet, cylinder
 from simdiff.exact import (Obstruction, SmithForm, Solution, System, _lift, apply_cols,
                            apply_rows)
@@ -46,6 +48,16 @@ from simdiff.groupoid import ClassComparison, _interior
 
 
 # -- the positional pinned path --------------------------------------------
+
+
+class PinnedSystem(System):
+    """A System that also names the positions its rows and columns were
+    kept from: rows in X.generators(n + 1), cols in X.generators(n)."""
+
+    def __init__(self, A, rows: list[int], cols: list[int], coeffs: Coefficients):
+        super().__init__(A, len(cols), coeffs)
+        self.rows = rows
+        self.cols = cols
 
 
 def pin_positions(cyl: ProductWithSimplex, order: Iterable[int], degree: int) -> frozenset:
@@ -57,7 +69,7 @@ def pin_positions(cyl: ProductWithSimplex, order: Iterable[int], degree: int) ->
 
 def pinned_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset(),
                   coeffs: Coefficients = INTEGERS,
-                  dropped: frozenset[int] = frozenset()) -> System:
+                  dropped: frozenset[int] = frozenset()) -> PinnedSystem:
     """delta: C^n -> C^{n+1} over coeffs, with some generators held out.
 
     pinned holds positions in X.generators(n): an unknown with a known
@@ -81,12 +93,11 @@ def pinned_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset()
                     row[j] = a
             rows.append(q)
             A.append(row)
-        kind = "Q" if coeffs.exact_field else coeffs.kind
-        X._cache[token] = System(A, rows, free, kind, coeffs.modulus)
+        X._cache[token] = PinnedSystem(A, rows, free, coeffs)
     return X._cache[token]
 
 
-def _on_rows(S: System, res: Obstruction, gens) -> CoboundaryObstruction:
+def _on_rows(S: PinnedSystem, res: Obstruction, gens) -> CoboundaryObstruction:
     return CoboundaryObstruction({gens[q]: v for q, v in zip(S.rows, res.functional) if v},
                                  res.ring)
 
@@ -123,7 +134,7 @@ def solve_faces(cyl: ProductWithSimplex, faces: Mapping[int, Cochain],
                                   cohomology.face_pins(cyl, faces), coeffs)
 
 
-def prism_boundary_system(G) -> System:
+def prism_boundary_system(G) -> PinnedSystem:
     """delta Q = D restricted to the inside of X x Delta^2: every generator
     missing a vertex of the triangle pinned one degree down and dropped in
     the degree of D."""
@@ -148,13 +159,13 @@ def solve_interior(G, D: Cochain):
     out = [G.coeffs.zero] * len(X.generators(n - 1))
     for p, v in zip(S.cols, res.x0):
         out[p] = v
-    return CoboundaryWitness(Cochain._trusted(X, n - 1, G.coeffs, out))
+    return Cochain._trusted(X, n - 1, G.coeffs, out)
 
 
 def same_class(G, c0, c1) -> bool:
     """MappingGroupoid.same_class on the prism-boundary system."""
     diff = c1.rep.data - c0.rep.data
-    return diff.is_zero() or isinstance(solve_interior(G, diff), CoboundaryWitness)
+    return diff.is_zero() or not isinstance(solve_interior(G, diff), CoboundaryObstruction)
 
 
 def level3_pushforward(G, Q: Cochain) -> Cochain:
@@ -179,7 +190,7 @@ def compare(G, c0, c1) -> ClassComparison:
     got = solve_interior(G, diff)
     if isinstance(got, CoboundaryObstruction):
         return ClassComparison(False, obstruction=got)
-    lift = level3_pushforward(G, got.primitive)
+    lift = level3_pushforward(G, got)
     return ClassComparison(True, witness=reflexive + coboundary(lift))
 
 
@@ -270,25 +281,26 @@ def solve_int_snf(f: SmithForm, b) -> Solution | Obstruction:
 def solve(S: System, b) -> Solution | Obstruction:
     """System.solve through the full-S substitution."""
     if S.form is None:
-        return Solution([0] * len(S.cols))
+        return Solution([0] * S.width)
     f = S.form
-    if S.kind == "Q":
+    if S.coeffs.kind == "Q":
         e = lcm(*(v.denominator for v in b)) * (f.diagonal[f.rank - 1] if f.rank else 1)
         res = solve_int_snf(f, [int(v * m * e) for v, m in zip(b, S._scale)])
         if isinstance(res, Obstruction):
             return Obstruction([v * m for v, m in zip(res.functional, S._scale)], "Q")
         return Solution([Fraction(v, e) for v in res.x0])
     res = solve_int_snf(f, b)
-    if S.kind == "Z":
+    k = S.coeffs.modulus
+    if not k:
         return res
     if isinstance(res, Obstruction):
-        return Obstruction(res.functional, S.ring)
-    return Solution([v % S.modulus for v in res.x0[:len(S.cols)]])
+        return Obstruction(res.functional, S.coeffs.label())
+    return Solution([v % k for v in res.x0[:S.width]])
 
 
 def solve_closed_extension(P: SimplicialSet, degree: int, pins: Mapping[Hashable, object],
                            coeffs: Coefficients,
-                           S: System) -> PinnedSolution | CoboundaryObstruction:
+                           S: PinnedSystem) -> PinnedSolution | CoboundaryObstruction:
     """Closed cochains on P with the generator-keyed pins, or a certificate.
 
     S is the positional system for the same pins: its matrix must be the

@@ -5,8 +5,8 @@ renaming a name in simdiff could break it while every test here passes.
 These tests install and uninstall the benchmark's tracer, whose install
 raises KeyError when a name in its TARGETS has gone, and resolve the names
 the workloads read, running cochain_key on a cochain the kernel built.  A
-traced hat-compare op and a traced coherence-battery op must still open the
-spans of the layers their per-layer numbers are read from.  A traced
+traced hat-compare, coherence-battery or cohomology-fresh op must still
+open the spans of the layers its per-layer numbers are read from.  A traced
 hat-compare set-up and its first ops must factor no matrix larger than
 the base's coboundaries.
 """
@@ -90,6 +90,22 @@ def test_traced_coherence_op_keeps_its_layers():
     layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
     seen = {layer[n] for n in tracer.names if n in layer}
     assert {"em.moore_fill", "groupoid.ops", "groupoid.validate"} <= seen
+
+
+def test_traced_cohomology_op_keeps_its_layers():
+    """A cohomology-fresh op must still reach its groups through the traced
+    cohomology and factor them by the traced Smith form."""
+    w = workloads.WORKLOADS["cohomology-fresh"](0)
+    w.setup()
+    r = w.make_input(0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.span(tracing.OP):
+            got = w.run(r)
+    assert w.check(r, got) is None
+    layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
+    seen = {layer[n] for n in tracer.names if n in layer}
+    assert {"exact.smith_normal_form", "cohomology.cohomology"} <= seen
 
 
 def test_traced_hat_compare_factors_only_base_sized_matrices(monkeypatch):

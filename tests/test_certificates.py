@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback)
-from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness, cohomology,
-                                face_pins, solve_coboundary)
+from simdiff.cohomology import (CoboundaryObstruction, cohomology, face_pins,
+                                solve_coboundary)
 from simdiff.complexes import build_standard, circle, cylinder, point, rp2, torus
 from simdiff.diffhat import HatTheory, PeriodObstruction
 from simdiff.groupoid import HomotopyClass, Homotopy2, MappingGroupoid, _interior
@@ -113,8 +113,8 @@ def test_zero_is_decided_in_the_ring_asked_for():
     # 2 vanishes mod 2: the integer target is a coboundary over Z/2
     X = point()
     got = solve_coboundary(Cochain(X, 0, INTEGERS, {"*": 2}), mod_coefficients(2))
-    assert isinstance(got, CoboundaryWitness)
-    assert got.primitive.coeffs == mod_coefficients(2) and got.primitive.is_zero()
+    assert isinstance(got, Cochain)
+    assert got.coeffs == mod_coefficients(2) and got.is_zero()
     # the first value that survives mod 2 is the one paired off
     Y = circle(3)
     target = Cochain(Y, 0, INTEGERS, {"v0": 2, "v1": 3})

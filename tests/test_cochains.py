@@ -8,8 +8,8 @@ from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
                               fiber_integrate, mod_coefficients,
                               parse_coefficients, pullback, random_cochain)
-from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, circle,
-                               complex_from_json, cylinder, point, rp2, sphere2,
+from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, SimplicialSet,
+                               circle, complex_from_json, cylinder, point, rp2, sphere2,
                                standard_simplex, torus)
 
 
@@ -226,6 +226,16 @@ def test_cochain_json_round_trip():
     assert data["values"][0] == {"id": "e0", "value": "1/2"}
     back = cochain_from_json(X, data)
     assert back == c
+
+
+def test_cochain_json_rejects_an_id_that_prints_two_generators():
+    X = SimplicialSet("x")
+    X.add_generator(1, 0, [])
+    X.add_generator("1", 0, [])
+    X.freeze()
+    c = Cochain(X, 0, INTEGERS, {1: 5})
+    with pytest.raises(ValueError, match=r"names 2 generators of x: \[1, '1'\]"):
+        cochain_from_json(X, cochain_to_json(c))
 
 
 def test_cochain_json_rejects_unknown_generator():

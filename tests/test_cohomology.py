@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback, random_cochain)
-from simdiff.cohomology import (CoboundaryObstruction, CoboundaryWitness,
-                                GroupPresentation, cohomology, delta_system, face_pins,
-                                is_coboundary, solve_closed_extension, solve_coboundary)
-from simdiff.complexes import (Simplex, circle, cylinder, from_facets, key_str, point,
-                               rp2, sphere2, torus)
+from simdiff.cohomology import (CoboundaryObstruction, GroupPresentation, cohomology,
+                                delta_system, face_pins, is_coboundary,
+                                solve_closed_extension, solve_coboundary)
+from simdiff.complexes import (Simplex, build_standard, circle, cylinder, from_facets,
+                               key_str, point, rp2, sphere2, torus)
 from simdiff.groupoid import MappingGroupoid
 
 from dense import delta_matrix, kernel_mod_prime
@@ -63,6 +63,20 @@ def test_rational_cohomology_drops_torsion():
     assert H.presentation == GroupPresentation()
     H = cohomology(torus(), 1, RATIONALS)
     assert H.presentation == GroupPresentation(free_rank=2)
+
+
+@pytest.mark.parametrize("kind", ["pt", "delta_k", "circle", "sphere2", "torus", "rp2",
+                                  "genus2", "rp2xS1", "T3"])
+def test_generators_list_each_summand_once_over_the_group_ring(kind):
+    # the rational group has no torsion summands, so it lists no torsion
+    # generators, and its generators are rational cochains
+    X = build_standard(kind)
+    for n in range(X.top_dim + 2):
+        for ring in (INTEGERS, RATIONALS):
+            H = cohomology(X, n, ring)
+            gens = H.generators
+            assert len(gens) == H.presentation.free_rank + len(H.presentation.torsion), (n, ring)
+            assert all(c.coeffs == ring for c in gens), (n, ring)
 
 
 def test_generators_are_cocycles_and_classify_as_unit_vectors():
@@ -143,8 +157,8 @@ def test_solve_coboundary_witness():
     X = rp2()
     beta = random_cochain(X, 1, INTEGERS, rng)
     res = solve_coboundary(coboundary(beta))
-    assert isinstance(res, CoboundaryWitness)
-    assert coboundary(res.primitive) == coboundary(beta)
+    assert isinstance(res, Cochain)
+    assert coboundary(res) == coboundary(beta)
 
 
 def test_solve_coboundary_obstruction_integer():
@@ -159,8 +173,8 @@ def test_solve_coboundary_obstruction_integer():
     bdry = coboundary(random_cochain(X, 1, INTEGERS, rng))
     assert res.pairing(bdry).denominator == 1
     rat = solve_coboundary(z.map_values(Fraction, RATIONALS))
-    assert isinstance(rat, CoboundaryWitness)
-    assert coboundary(rat.primitive) == z.map_values(Fraction, RATIONALS)
+    assert isinstance(rat, Cochain)
+    assert coboundary(rat) == z.map_values(Fraction, RATIONALS)
 
 
 def test_solve_coboundary_obstruction_rational():

@@ -7,7 +7,8 @@ import pytest
 from simdiff import groupoid
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback)
-from simdiff.cohomology import cohomology, is_coboundary
+from simdiff.cohomology import (CoboundaryObstruction, cohomology, is_coboundary,
+                                solve_relative_coboundary)
 from simdiff.complexes import (Simplex, circle, cylinder, identity_map, point,
                                standard_simplex, torus)
 from simdiff.groupoid import (HomotopyClass, Homotopy2, MappingGroupoid,
@@ -462,6 +463,52 @@ def test_oracle_matches_pinned_solve(coeffs):
             assert G.verify_obstruction(h, other, got.obstruction)
     # some basis vector must represent a nonzero relative class: H^1 != 0
     assert False in verdicts
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, RATIONALS, Z2, mod_coefficients(3)])
+def test_verify_obstruction_accepts_every_genuine_certificate(coeffs):
+    G = MappingGroupoid(circle(3), coeffs, 2)
+    rng = random.Random(23)
+    h = G.random_morphism(G.random_object(rng), rng)
+    P, cols, basis = closed_interior_basis(circle(3), 3)
+    found = 0
+    for vec in basis:
+        D = Cochain(P, 3, coeffs, {g: v for g, v in zip(cols, vec) if v})
+        other = HomotopyClass(Homotopy2(h.source, h.target, h.rep.data + D))
+        got = G.compare(h, other)
+        if not got.equal:
+            assert G.verify_obstruction(h, other, got.obstruction), got.obstruction.ring
+            found += 1
+    assert found
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (3, 2)])
+def test_verify_obstruction_reads_the_certificate_sense(k, m):
+    # f and f o id are equal, and their difference is a coboundary over
+    # Z/k; its lift to Z is not one over Q, so the base solve refutes the
+    # lift in the sense "Q", which refutes nothing over Z/k.  Scaled so it
+    # pairs with the difference to 1/m, that functional is blind on every
+    # coboundary but not on k times every unit cochain, so it fails as a
+    # "Z/k" certificate too.
+    refuted = 0
+    for seed in range(5):
+        G = MappingGroupoid(circle(3), mod_coefficients(k), 2, perturb=random.Random(seed))
+        rng = random.Random(seed)
+        f = G.random_morphism(G.random_object(rng), rng)
+        g = G.compose(f, G.identity(f.target))
+        assert G.same_class(f, g)
+        lifted = (g.rep.data - f.rep.data).map_values(int, INTEGERS)
+        ob = solve_relative_coboundary(lifted, cylinder(G.base, 2))
+        if isinstance(ob, CoboundaryObstruction):
+            assert ob.ring == "Q"
+            assert not G.verify_obstruction(f, g, ob)
+            w = 1 / (m * ob.pairing(lifted))
+            scaled = CoboundaryObstruction({x: v * w for x, v in ob.functional.items()},
+                                           f"Z/{k}")
+            assert scaled.refutes(g.rep.data - f.rep.data)
+            assert not G.verify_obstruction(f, g, scaled)
+            refuted += 1
+    assert refuted >= 3
 
 
 def test_oracle_accepts_interior_coboundaries():

@@ -2,8 +2,9 @@ import random
 
 from fractions import Fraction
 
-from simdiff.exact import (Obstruction, Solution, System, smith_normal_form, solve_int,
-                           solve_mod, solve_rational)
+from simdiff.exact import (INTEGERS, RATIONALS, Obstruction, Solution, System, _lift,
+                           mod_coefficients, smith_normal_form, solve_int, solve_mod,
+                           solve_rational)
 
 from dense import (dense_factors, identity_matrix, invariant_factors, kernel_int,
                    kernel_mod_prime, mat_mul, mat_vec)
@@ -59,7 +60,7 @@ def test_solve_int_simple():
 def test_solve_int_kernel():
     res = solve_int([[1, 1]], [0])
     assert isinstance(res, Solution)
-    kernel = System([[1, 1]], [0], [0, 1]).kernel
+    kernel = System([[1, 1]], 2, INTEGERS).kernel
     assert len(kernel) == 1
     (k,) = kernel
     assert k[0] + k[1] == 0 and abs(k[0]) == 1
@@ -75,7 +76,7 @@ def test_solve_int_random():
         res = solve_int(A, b)
         assert isinstance(res, Solution)
         assert mat_vec(A, res.x0) == b
-        for k in System(A, range(r), range(c)).kernel:
+        for k in System(A, c, INTEGERS).kernel:
             assert all(v == 0 for v in mat_vec(A, k))
 
 
@@ -111,7 +112,7 @@ def test_solve_rational_random():
         res = solve_rational(A, b)
         assert isinstance(res, Solution)
         assert mat_vec(A, res.x0) == b
-        for k in System(A, range(r), range(c), "Q").kernel:
+        for k in System(A, c, RATIONALS).kernel:
             assert all(v == 0 for v in mat_vec(A, k))
 
 
@@ -131,13 +132,14 @@ def test_kernel_mod_prime():
 
 def test_solve_mod():
     res = solve_mod([[2]], [1], 4)
-    assert res is None
+    assert isinstance(res, Obstruction) and res.ring == "Z/4"
+    assert res.check(_lift([[2]], 4), [1])
     res = solve_mod([[3]], [1], 4)
     assert isinstance(res, Solution)
     assert (3 * res.x0[0]) % 4 == 1
     res = solve_mod([[2]], [2], 4)
     assert isinstance(res, Solution)
     assert (2 * res.x0[0]) % 4 == 2
-    kernel = System([[2]], [0], [0], "Zmod", 4).kernel
+    kernel = System([[2]], 1, mod_coefficients(4)).kernel
     assert any((2 * k[0]) % 4 == 0 and k[0] % 4 for k in kernel)
 

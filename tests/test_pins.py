@@ -166,7 +166,7 @@ def test_ends_in_different_classes_match_the_reference(base, coeffs):
         assert verdicts[degree] == by_ring[coeffs.label()]
 
 
-KINDS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
+KINDS = [INTEGERS, mod_coefficients(2), mod_coefficients(6), RATIONALS]
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,7 +174,7 @@ KINDS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
        st.randoms(use_true_random=False))
 def test_random_matrices_substitute_like_the_full_S_reference(r, c, kind, rng):
     A = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(c)] for _ in range(r)]
-    S = System(A, range(r), range(c), *kind)
+    S = System(A, c, kind)
     for i in range(6):
         b = mat_vec(A, [rng.randint(-3, 3) for _ in range(c)])
         if i % 2:

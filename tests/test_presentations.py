@@ -56,7 +56,10 @@ def assert_same_groups(X) -> None:
             assert new.classify(c) == old.classify(c), n
         qnew, qold = cohomology(X, n, RATIONALS), ref.cohomology(X, n, RATIONALS)
         assert qnew.presentation == qold.presentation, n
-        assert [c.vec for c in qnew.generators] == [c.vec for c in qold.generators], n
+        # the eager rational group also listed the torsion generators, over
+        # Z; the rational group lists the free ones alone, over Q
+        free = qold.generators[:qold.presentation.free_rank]
+        assert [c.vec for c in qnew.generators] == [c.vec for c in free], n
         for c in samples(X, n, gens, rng):
             q = c.map_values(Fraction, RATIONALS).scale(Fraction(1, rng.randint(1, 4)))
             assert qnew.classify(q) == qold.classify(q), n

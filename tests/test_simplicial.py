@@ -247,6 +247,13 @@ def test_json_rejects_list_and_object_ids(blob):
         complex_from_json(json.loads(blob))
 
 
+def test_json_rejects_ids_that_print_alike():
+    # 1 and "1" would both be written "1", so neither reading keeps them
+    blob = '{"name": "x", "generators": [{"id": 1, "dim": 0}, {"id": "1", "dim": 0}]}'
+    with pytest.raises(ConstructionError, match="ids 1 and '1' both print as '1'"):
+        complex_from_json(json.loads(blob))
+
+
 def test_duplicate_generator_rejected():
     X = SimplicialSet("dup")
     X.add_generator("a", 0)

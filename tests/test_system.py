@@ -22,18 +22,19 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from simdiff import exact
+from simdiff import cochains, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary_values,
                               mod_coefficients)
 from simdiff.cohomology import delta_system
 from simdiff.complexes import build_standard, circle, cylinder, product, sphere2, torus
 from simdiff.diffhat import HatTheory
-from simdiff.exact import Obstruction, Solution, System, solve_int, solve_mod, solve_rational
+from simdiff.exact import (Coefficients, Obstruction, Solution, System, _lift, solve_int,
+                           solve_mod, solve_rational)
 
 import reference_pins as ref
 from dense import delta_matrix, mat_vec, transpose
 
-RINGS = [("Z", 0), ("Zmod", 2), ("Zmod", 6), ("Q", 0)]
+RINGS = [INTEGERS, mod_coefficients(2), mod_coefficients(6), RATIONALS]
 
 
 # -- the Q reference: dense Gauss-Jordan ---------------------------------------
@@ -148,7 +149,8 @@ def pinned_torus_system() -> tuple[System, frozenset]:
 
 
 def residues(v, S: System) -> list:
-    return [x % S.modulus for x in v] if S.kind == "Zmod" else list(v)
+    k = S.coeffs.modulus
+    return [x % k for x in v] if k else list(v)
 
 
 def verify(S: System, A, b, got) -> None:
@@ -163,24 +165,25 @@ def verify(S: System, A, b, got) -> None:
 
 
 def one_shot(S: System, A, b):
-    if S.kind == "Z":
+    if S.coeffs.kind == "Z":
         return solve_int(A, b)
-    if S.kind == "Q":
+    if S.coeffs.kind == "Q":
         return solve_rational(A, b)
-    return solve_mod(A, b, S.modulus)
+    return solve_mod(A, b, S.coeffs.modulus)
 
 
 def check_against_one_shot(S: System, A, b):
     got = S.solve(b)
     ref = one_shot(S, A, b)
-    if S.kind == "Q":
+    if S.coeffs.kind == "Q":
         assert_same_rational_solutions(S, A, b, got)
-    if ref is None:
-        # solve_mod has no certificate; the system's must still verify
-        assert isinstance(got, Obstruction) and got.ring == S.ring
-    else:
-        assert type(got) is type(ref)
-        assert vars(got) == vars(ref)
+    assert type(got) is type(ref)
+    assert vars(got) == vars(ref)
+    k = S.coeffs.modulus
+    if k and isinstance(ref, Obstruction):
+        # the one-shot Z/k certificate checks against the lift built here
+        assert ref.ring == f"Z/{k}"
+        assert ref.check(_lift(A, k), b)
     verify(S, A, b, got)
     return got
 
@@ -202,13 +205,13 @@ def test_fixture_deltas_agree_with_one_shot_solvers_in_every_ring():
     rng = random.Random(3)
     verdicts = {ring: set() for ring in RINGS}
     for _, A in fixture_deltas():
-        for kind, k in RINGS:
-            S = System(A, range(len(A)), range(len(A[0])), kind, k)
+        for ring in RINGS:
+            S = System(A, len(A[0]), ring)
             for b in right_hand_sides(A, rng, 6):
-                if kind == "Q" and rng.random() < 0.5:
+                if ring == RATIONALS and rng.random() < 0.5:
                     b = [Fraction(v, 2) for v in b]
                 got = check_against_one_shot(S, A, b)
-                verdicts[(kind, k)].add(type(got))
+                verdicts[ring].add(type(got))
     for ring, seen in verdicts.items():
         assert seen == {Solution, Obstruction}, ring
 
@@ -216,16 +219,16 @@ def test_fixture_deltas_agree_with_one_shot_solvers_in_every_ring():
 def test_fixture_kernels_have_the_rank_sympy_gives():
     for name, A in fixture_deltas():
         rank = Matrix(A).rank()
-        for kind in ("Z", "Q"):
-            S = System(A, range(len(A)), range(len(A[0])), kind)
-            assert S.form.rank == rank, (name, kind)
-            assert len(S.kernel) == len(A[0]) - rank, (name, kind)
+        for ring in (INTEGERS, RATIONALS):
+            S = System(A, len(A[0]), ring)
+            assert S.form.rank == rank, (name, ring)
+            assert len(S.kernel) == len(A[0]) - rank, (name, ring)
 
 
 def test_rational_verdicts_match_sympy_ranks():
     rng = random.Random(5)
     for _, A in fixture_deltas():
-        S = System(A, range(len(A)), range(len(A[0])), "Q")
+        S = System(A, len(A[0]), RATIONALS)
         rank = Matrix(A).rank()
         for b in right_hand_sides(A, rng, 4):
             solvable = Matrix(A).row_join(Matrix(b)).rank() == rank
@@ -235,7 +238,7 @@ def test_rational_verdicts_match_sympy_ranks():
 def test_cached_diagonal_matches_sympy():
     cases = fixture_deltas() + [("torus pinned", pinned_torus_system()[0].matrix)]
     for name, A in cases:
-        S = System(A, range(len(A)), range(len(A[0])))
+        S = System(A, len(A[0]), INTEGERS)
         ours = sorted(d for d in S.form.diagonal if d)
         D = sympy_snf(Matrix(A), domain=ZZ)
         theirs = sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
@@ -279,10 +282,9 @@ def test_delta_systems_are_cached_by_degree_and_ring():
     Z = delta_system(Y, 1)
     assert delta_system(Y, 1, INTEGERS) is Z
     assert delta_system(Y, 1, RATIONALS) is not Z
-    assert delta_system(Y, 1, mod_coefficients(2)).ring == "Z/2"
+    assert delta_system(Y, 1, mod_coefficients(2)).coeffs == mod_coefficients(2)
     assert delta_system(Y, 2) is not Z
-    assert Z.rows == list(range(len(Y.generators(2))))
-    assert Z.cols == list(range(len(Y.generators(1))))
+    assert Z.width == len(Y.generators(1))
     assert Z.matrix == delta_matrix(Y, 1)
 
 
@@ -296,7 +298,7 @@ def test_systems_are_cached_by_degree_pins_and_ring():
     Z = ref.pinned_system(Y, 1, ends)
     assert ref.pinned_system(Y, 1, frozenset(set(ends))) is Z
     assert ref.pinned_system(Y, 1, ends, RATIONALS) is not Z
-    assert ref.pinned_system(Y, 1, ends, mod_coefficients(2)).ring == "Z/2"
+    assert ref.pinned_system(Y, 1, ends, mod_coefficients(2)).coeffs == mod_coefficients(2)
     assert ref.pinned_system(Y, 1) is not Z
     assert len(ref.pinned_system(Y, 1).cols) == len(Z.cols) + len(ends)
     # dropped equations are positions one degree up, a key of their own
@@ -308,9 +310,9 @@ def test_systems_are_cached_by_degree_pins_and_ring():
 
 def test_a_solve_leaves_the_kernel_unbuilt():
     # the kernel is dense, so only a reader of System.kernel builds it
-    for kind, k in RINGS:
+    for ring in RINGS:
         for _, A in fixture_deltas()[:3]:
-            S = System(A, range(len(A)), range(len(A[0])), kind, k)
+            S = System(A, len(A[0]), ring)
             S.solve([0] * len(A))
             S.solve(mat_vec(A, [1] * len(A[0])))
             assert "kernel" not in vars(S)
@@ -331,17 +333,24 @@ def test_a_solve_leaves_the_kernel_unbuilt():
     assert base and all(("kernel" in vars(S)) == (n == T.degree - 1) for n, S in base.items())
 
 
+def test_one_ring_object_serves_every_layer():
+    assert cochains.Coefficients is exact.Coefficients
+    assert cochains.INTEGERS is exact.INTEGERS and cochains.RATIONALS is exact.RATIONALS
+    assert cochains.mod_coefficients is exact.mod_coefficients
+    assert delta_system(circle(3), 0, RATIONALS).coeffs is RATIONALS
+
+
 def test_ring_kind_is_validated():
     with pytest.raises(ValueError):
-        System([[1]], [0], [0], "R")
+        System([[1]], 1, Coefficients("R"))
 
 
 def test_mod_obstruction_is_a_checkable_certificate():
-    S = System([[2]], [0], [0], "Zmod", 4)
+    S = System([[2]], 1, mod_coefficients(4))
     got = S.solve([1])
     assert isinstance(got, Obstruction) and got.ring == "Z/4"
     assert got.check(S.matrix, [1])
-    assert solve_mod([[2]], [1], 4) is None
+    assert solve_mod([[2]], [1], 4) == got
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,7 +358,7 @@ def test_mod_obstruction_is_a_checkable_certificate():
        st.randoms(use_true_random=False))
 def test_random_matrices_agree_with_one_shot_solvers(r, c, ring, rng):
     A = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(c)] for _ in range(r)]
-    S = System(A, range(r), range(c), *ring)
+    S = System(A, c, ring)
     for b in right_hand_sides(A, rng, 4):
         check_against_one_shot(S, A, b)
 
@@ -382,7 +391,7 @@ def rational_systems(draw):
 def test_rational_systems_with_fraction_entries(system, rng):
     A, b = system
     c = len(A[0])
-    S = System(A, range(len(A)), range(c), "Q")
+    S = System(A, c, RATIONALS)
     assert S.form.rank == Matrix(A).rank()
     x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)]
     assert isinstance(check_against_one_shot(S, A, mat_vec(A, x)), Solution)
