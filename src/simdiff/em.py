@@ -15,9 +15,12 @@ Horn filling (moore_fill) is Moore's filler, a fixed integer-linear map of
 the horn's faces.  It is compiled once per horn shape -- level complex,
 degree, level and missing face -- into gathers derived on the level-m
 complex, so the plan outlives the groups and groupoids built on that
-complex and serves every ring.  Every call still checks that each
-face is a cochain of the right complex, degree and ring and that the horn
-identities hold; only the filler's arithmetic is precompiled.
+complex and serves every ring.  The plan also carries the filler's
+missing face, a subset of the same rows, so a caller that reads only
+that face (every level-3 fill of the groupoid calculus) evaluates it
+alone.  Every call still checks that each face is a cochain of the right
+complex, degree and ring and that the horn identities hold; only the
+filler's arithmetic is precompiled.
 
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
@@ -173,7 +176,10 @@ class MappingComplex(SimplicialGroup):
                 return m
         raise ValueError("element does not belong to this mapping complex")
 
+    @derived("face_map")
     def face_map(self, m: int, i: int) -> SimplicialMap:
+        """The cylinder's face inclusion, memoized on the group so that a
+        face costs one lookup before its pullback table."""
         if m == 0:
             raise ValueError("level-0 elements have no faces")
         return cylinder(self.base, m).face_inclusion(i)
@@ -207,10 +213,13 @@ class _MoorePlan:
     followed by one ring zero (the sentinel).  pairs lists each identity
     d_{l-1} x_j = d_j x_l as (j, l, start, stop): its two sides are the
     slices [start:stop] of left and right.  The filler is a sparse signed
-    integer matrix over the concatenation, compiled to a LinearPlan.
+    integer matrix over the concatenation, compiled to a LinearPlan; face
+    is the LinearPlan of its rows at the pullback table of d_missing, the
+    filler's missing face on level_complex(m - 1), taken from the same
+    rows (a degenerate image reads the zero).
     """
 
-    __slots__ = ("pairs", "left", "right", "filler")
+    __slots__ = ("pairs", "left", "right", "filler", "face")
 
     def __init__(self, G: SimplicialGroup, m: int, missing: int):
         d = G.degree()
@@ -251,16 +260,20 @@ class _MoorePlan:
                         row[k] = row.get(k, 0) + c
 
         self.filler = LinearPlan(w, sentinel)
+        missing_face = G.face_map(m, missing).pullback_table(d).positions
+        self.face = LinearPlan([w[p] if p != size else {} for p in missing_face], sentinel)
 
 
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
-               faces: dict[int, Cochain]) -> Cochain:
+               faces: dict[int, Cochain], *, face_only: bool = False) -> Cochain:
     """Deterministic filler for the horn with the given faces.
 
     faces maps each j != missing to the required d_j of the result.  Each
     face must be a cochain on level_complex(m - 1) of the group's degree
     and ring, or ValueError names it; incompatible faces raise with the
-    first violated identity.
+    first violated identity.  With face_only set the result is the
+    filler's missing face d_missing, on level_complex(m - 1), evaluated
+    without the rest of the filler; the checks are the same.
 
     The filler is Moore's (May, Simplicial Objects in Algebraic Topology,
     section 17), a fixed integer-linear map of the faces.  It is compiled
@@ -292,6 +305,8 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
             if left[a:b] != right[a:b]:
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
+    if face_only:
+        return Cochain._trusted(below, d, coeffs, plan.face.apply(padded))
     return Cochain._trusted(P, d, coeffs, plan.filler.apply(padded))
 
 

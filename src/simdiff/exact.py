@@ -409,8 +409,12 @@ class System:
 
     @cached_property
     def columns(self) -> Sparse:
-        """The factored matrix as sparse columns {row: entry}."""
-        return [{i: int(v) for i, v in enumerate(col) if v} for col in zip(*self._factored())]
+        """The factored matrix as sparse columns {row: entry}: the nonzeros
+        of matrix, over Q scaled by their row's factor, so the factored
+        matrix is built once, for the Smith form."""
+        scale = self._scale if self.coeffs.kind == "Q" else [1] * len(self.matrix)
+        return [{i: int(v * scale[i]) for i, v in enumerate(col) if v}
+                for col in zip(*self.matrix)]
 
     @cached_property
     def kernel(self) -> list[list]:

@@ -31,8 +31,11 @@ synthetic instances checked by the monoidal-category module.
 
 Every fill goes through em.moore_fill, whose compiled plans are cached on
 the cylinders of the base: a new groupoid on the same base, of any ring,
-reuses them.  The MapObject and Homotopy2 constructors validate every
-object and morphism they are given.
+reuses them.  A structural cell is the missing face of a level-3 horn,
+and only that face is ever read, so each level-3 fill evaluates it alone
+(moore_fill's face_only) and never builds the level-3 filler.  The
+MapObject and Homotopy2 constructors validate every object and morphism
+they are given.
 """
 
 from __future__ import annotations
@@ -328,17 +331,22 @@ class MappingGroupoid:
                 vec[p] = norm(rng.randint(-3, 3))
         return coboundary(Cochain._trusted(P, q - 1, self.coeffs, vec))
 
-    def _fill(self, m: int, missing: int, faces: dict[int, Cochain]) -> Cochain:
-        """The Moore filler, plus an interior coboundary under perturbation.
+    def _fill(self, missing: int, faces: dict[int, Cochain]) -> Cochain:
+        """The missing face of the level-3 Moore filler, evaluated alone,
+        plus the same face of an interior coboundary under perturbation.
 
-        Where no generator is eligible (every level-3 fill in degree 1) that
-        coboundary is zero, so it is neither drawn nor built.
+        The perturbation draws what perturbing the whole filler drew, in
+        the same order, so representatives and the Random state match it
+        bit for bit.  Where no generator is eligible (every fill in degree
+        1) that coboundary is zero, so it is neither drawn nor built.
         """
-        w = moore_fill(self.maps, m, missing, faces)
-        if self.perturb is not None and _covering(self.maps.level_complex(m), self.degree,
-                                                  frozenset(range(m + 1)) - {missing}):
-            w = w + self._interior_coboundary(m, self.perturb, keep=missing)
-        return w
+        M = self.maps
+        face = moore_fill(M, 3, missing, faces, face_only=True)
+        if self.perturb is not None and _covering(M.level_complex(3), self.degree,
+                                                  frozenset(range(4)) - {missing}):
+            face = face + M.face(self._interior_coboundary(3, self.perturb, keep=missing),
+                                 missing)
+        return face
 
     # -- groupoid structure -----------------------------------------------
 
@@ -349,18 +357,17 @@ class MappingGroupoid:
         """first then second; the middle objects must carry equal data."""
         if first.target != second.source:
             raise ValueError("middle objects differ")
-        w = self._fill(3, 2, {0: self.maps.zero(2),
+        face = self._fill(2, {0: self.maps.zero(2),
                               1: second.rep.data,
                               3: first.rep.data})
-        return HomotopyClass(Homotopy2(first.source, second.target,
-                                       self.maps.face(w, 2)))
+        return HomotopyClass(Homotopy2(first.source, second.target, face))
 
     def inverse(self, c: HomotopyClass) -> HomotopyClass:
         f = c.source
-        w = self._fill(3, 1, {0: self.maps.zero(2),
+        face = self._fill(1, {0: self.maps.zero(2),
                               2: self.maps.degeneracy(f.data, 1),
                               3: c.rep.data})
-        return HomotopyClass(Homotopy2(c.target, f, self.maps.face(w, 1)))
+        return HomotopyClass(Homotopy2(c.target, f, face))
 
     # -- monoidal structure -----------------------------------------------
 
@@ -383,34 +390,33 @@ class MappingGroupoid:
         src, sigma = self.oplus_objects(f0, f1)
         tgt, _ = self.oplus_objects(g0, g1)
         s0f1 = M.degeneracy(f1.data, 0)
-        tau = self._fill(3, 2, {0: s0f1, 1: sigma,
-                                3: M.degeneracy(f0.data, 1)})
-        upper = self._fill(3, 1, {0: M.degeneracy(f1.data, 1),
-                                  2: left.rep.data + s0f1,
-                                  3: M.face(tau, 2)})
-        half = M.face(upper, 1)
-        lower = self._fill(3, 2, {0: M.zero(2),
-                                  1: M.degeneracy(g0.data, 1) + right.rep.data,
-                                  3: half})
-        return HomotopyClass(Homotopy2(src, tgt, M.face(lower, 2)))
+        tau = self._fill(2, {0: s0f1, 1: sigma,
+                             3: M.degeneracy(f0.data, 1)})
+        half = self._fill(1, {0: M.degeneracy(f1.data, 1),
+                              2: left.rep.data + s0f1,
+                              3: tau})
+        lower = self._fill(2, {0: M.zero(2),
+                               1: M.degeneracy(g0.data, 1) + right.rep.data,
+                               3: half})
+        return HomotopyClass(Homotopy2(src, tgt, lower))
 
     def left_unitor(self, f: MapObject) -> HomotopyClass:
         """unit (+) f -> f."""
         M = self.maps
         src, sigma = self.oplus_objects(self.unit(), f)
-        w = self._fill(3, 1, {0: M.degeneracy(f.data, 1),
+        face = self._fill(1, {0: M.degeneracy(f.data, 1),
                               2: M.degeneracy(f.data, 0),
                               3: sigma})
-        return HomotopyClass(Homotopy2(src, f, M.face(w, 1)))
+        return HomotopyClass(Homotopy2(src, f, face))
 
     def right_unitor(self, f: MapObject) -> HomotopyClass:
         """f (+) unit -> f."""
         M = self.maps
         src, sigma = self.oplus_objects(f, self.unit())
-        w = self._fill(3, 2, {0: M.zero(2),
+        face = self._fill(2, {0: M.zero(2),
                               1: M.degeneracy(f.data, 1),
                               3: sigma})
-        return HomotopyClass(Homotopy2(src, f, M.face(w, 2)))
+        return HomotopyClass(Homotopy2(src, f, face))
 
     def associator(self, a: MapObject, b: MapObject,
                    c: MapObject) -> HomotopyClass:
@@ -420,14 +426,14 @@ class MappingGroupoid:
         src, sig_ab_c = self.oplus_objects(ab, c)
         bc, _ = self.oplus_objects(b, c)
         tgt, sig_a_bc = self.oplus_objects(a, bc)
-        tau = self._fill(3, 2, {0: M.degeneracy(c.data, 0),
-                                1: sig_ab_c,
-                                3: M.degeneracy(ab.data, 1)})
+        tau = self._fill(2, {0: M.degeneracy(c.data, 0),
+                             1: sig_ab_c,
+                             3: M.degeneracy(ab.data, 1)})
         x2 = sig_a_bc + M.degeneracy(b.data, 1) - M.degeneracy(b.data, 0)
-        kappa = self._fill(3, 1, {0: M.degeneracy(c.data, 1),
-                                  2: x2,
-                                  3: M.face(tau, 2)})
-        return HomotopyClass(Homotopy2(src, tgt, M.face(kappa, 1)))
+        kappa = self._fill(1, {0: M.degeneracy(c.data, 1),
+                               2: x2,
+                               3: tau})
+        return HomotopyClass(Homotopy2(src, tgt, kappa))
 
     def unitors_and_associator(self, f: MapObject, g: MapObject,
                                h: MapObject):
@@ -623,10 +629,10 @@ class MappingGroupoid:
         mid = MapObject(self, pullback(diag, K))
         M = self.maps
         first = HomotopyClass(Homotopy2(source, mid, pullback(lower, K)))
-        w = self._fill(3, 1, {0: M.degeneracy(target.data, 1),
+        face = self._fill(1, {0: M.degeneracy(target.data, 1),
                               2: M.degeneracy(target.data, 0),
                               3: pullback(upper, K)})
-        second = HomotopyClass(Homotopy2(mid, target, M.face(w, 1)))
+        second = HomotopyClass(Homotopy2(mid, target, face))
         return self.compose(first, second)
 
     def square_integral(self, K: Cochain) -> Cochain:

@@ -4,10 +4,15 @@ This is the loop em.moore_fill ran on every call before the filler was
 compiled to one cached linear plan per horn shape.  It reads the group's
 face, degeneracy and zero, builds a Cochain per step, and serves as the
 oracle that the compiled plan must match entry for entry.
+
+groupoid_fill is MappingGroupoid._fill as it was before level-3 fills
+evaluated only their missing face: the whole filler, perturbed as a
+whole, and then that face read off it.
 """
 
 from simdiff.cochains import Cochain
 from simdiff.em import SimplicialGroup
+from simdiff.groupoid import MappingGroupoid, _covering
 
 
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
@@ -35,3 +40,14 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     for j in range(m, missing, -1):
         w = w + G.degeneracy(faces[j] - G.face(w, j), j - 1)
     return w
+
+
+def groupoid_fill(g: MappingGroupoid, missing: int, faces: dict[int, Cochain]) -> Cochain:
+    """Face ``missing`` of the level-3 filler of the groupoid's horn, plus
+    an interior coboundary on the whole filler under perturbation."""
+    M = g.maps
+    w = moore_fill(M, 3, missing, faces)
+    if g.perturb is not None and _covering(M.level_complex(3), g.degree,
+                                           frozenset(range(4)) - {missing}):
+        w = w + g._interior_coboundary(3, g.perturb, keep=missing)
+    return M.face(w, missing)

@@ -229,13 +229,23 @@ def _fill_outcome(fill, G, m, missing, faces):
         return str(e)
 
 
+def _face_only(G, m, missing, faces):
+    return moore_fill(G, m, missing, faces, face_only=True)
+
+
+def _reference_face(G, m, missing, faces):
+    return G.face(reference_fill.moore_fill(G, m, missing, faces), missing)
+
+
 _RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Z/3": mod_coefficients(3)}
 
 
 def _compare_with_reference(G, rng, trials=2):
     """Compiled filler against the reference loop on random horns of every
     shape: faces of a random level element, then the same horn with one
-    face disturbed, which the two must reject with the same message."""
+    face disturbed, which the two must reject with the same message.  The
+    face-only fill must give the reference filler's missing face, and
+    reject the disturbed horn with the same message too."""
     for m in (2, 3):
         for missing in range(m + 1):
             for _ in range(trials):
@@ -246,11 +256,16 @@ def _compare_with_reference(G, rng, trials=2):
                 assert got == want
                 assert list(map(type, got.vec)) == list(map(type, want.vec))
                 assert all(G.face(got, j) == x for j, x in faces.items())
+                face, want_face = _face_only(G, m, missing, faces), G.face(want, missing)
+                assert face == want_face and face.complex is G.level_complex(m - 1)
+                assert list(map(type, face.vec)) == list(map(type, want_face.vec))
                 j = rng.choice(sorted(faces))
                 faces[j] = faces[j] + random_cochain(
                     G.level_complex(m - 1), G.degree(), G.coeffs, rng)
                 assert (_fill_outcome(moore_fill, G, m, missing, faces)
                         == _fill_outcome(reference_fill.moore_fill, G, m, missing, faces))
+                assert (_fill_outcome(_face_only, G, m, missing, faces)
+                        == _fill_outcome(_reference_face, G, m, missing, faces))
 
 
 @pytest.mark.parametrize("ring", ["Z", "Z/3"])

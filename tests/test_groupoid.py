@@ -11,10 +11,13 @@ from simdiff.cohomology import (CoboundaryObstruction, cohomology, is_coboundary
                                 solve_relative_coboundary)
 from simdiff.complexes import (Simplex, circle, cylinder, identity_map, point,
                                standard_simplex, torus)
+from simdiff.em import MappingComplex
 from simdiff.groupoid import (HomotopyClass, Homotopy2, MappingGroupoid,
                               _interior)
+from simdiff.moncat import check_coherence
 
 import reference_complexes as ref
+import reference_fill
 import reference_pins
 from dense import kernel_int
 
@@ -374,6 +377,52 @@ def test_compose_draws_perturbation_only_above_degree_1(n, draws):
     composite = noisy.compose(h, k)
     assert (noisy.perturb.getstate() != before) == draws
     assert (composite.source, composite.target) == (f, k.target)
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
+@pytest.mark.parametrize("seed", [43, 44, 45])
+def test_face_only_fills_perturb_like_the_whole_filler(seed, coeffs, monkeypatch):
+    """Every level-3 op gives the representative, and leaves the
+    perturbation Random in the state, that filling the whole level-3
+    horn, perturbing it and reading one face gives."""
+    G = MappingGroupoid(circle(3), coeffs, 2, perturb=random.Random(seed))
+    rng = random.Random(seed + 100)
+    a, b, c = (G.random_object(rng) for _ in range(3))
+    h = G.random_morphism(a, rng)
+    k = G.random_morphism(h.target, rng)
+    l = G.random_morphism(b, rng)
+    ops = {"compose": (G.compose, h, k), "inverse": (G.inverse, h),
+           "oplus_morphisms": (G.oplus_morphisms, h, l),
+           "left_unitor": (G.left_unitor, a), "right_unitor": (G.right_unitor, b),
+           "associator": (G.associator, a, b, c), "from_square": (G.from_square, G.to_square(k))}
+    for name, (op, *args) in ops.items():
+        before = G.perturb.getstate()
+        got = op(*args)
+        after = G.perturb.getstate()
+        G.perturb.setstate(before)
+        with monkeypatch.context() as patch:
+            patch.setattr(G, "_fill", lambda missing, faces: reference_fill.groupoid_fill(
+                G, missing, faces))
+            want = op(*args)
+        assert got.rep.data == want.rep.data, name
+        assert list(map(type, got.rep.data.vec)) == list(map(type, want.rep.data.vec)), name
+        assert G.perturb.getstate() == after != before, name
+
+
+def test_degree_1_coherence_reads_no_level_3_face(monkeypatch):
+    """Structural cells are read as faces of level-3 horns, evaluated
+    alone, so a coherence battery never takes a face of a level-3 element."""
+    levels = []
+    real = MappingComplex.face
+
+    def counting(self, z, i):
+        levels.append(self.element_level(z))
+        return real(self, z, i)
+
+    monkeypatch.setattr(MappingComplex, "face", counting)
+    G = MappingGroupoid(circle(3), INTEGERS, 1, perturb=random.Random(46))
+    assert check_coherence(G.as_instance(), trials=1, seed=46).ok
+    assert levels and 3 not in levels
 
 
 def test_new_groupoid_reuses_cached_fill_plans():

@@ -398,6 +398,26 @@ def test_rational_systems_with_fraction_entries(system, rng):
     check_against_one_shot(S, A, b)
 
 
+def test_a_rational_system_builds_its_factored_matrix_once(monkeypatch):
+    calls = []
+    real = System._factored
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(System, "_factored", counting)
+    # torus delta1 with row i divided by i % 4 + 1: Fraction entries, and
+    # rows whose scale factors differ
+    A = [[Fraction(v, i % 4 + 1) for v in row] for i, row in enumerate(delta_matrix(torus(), 1))]
+    S = System(A, len(A[0]), RATIONALS)
+    x = [Fraction(j % 3 - 1, j % 2 + 1) for j in range(len(A[0]))]
+    assert isinstance(check_against_one_shot(S, A, mat_vec(A, x)), Solution)
+    assert calls.count(S) == 1
+    dense = [[v * m for v in row] for row, m in zip(S.matrix, S._scale)]
+    assert S.columns == [{i: int(v) for i, v in enumerate(col) if v} for col in zip(*dense)]
+
+
 def test_ten_compares_factor_each_base_matrix_once(monkeypatch):
     shapes = []
     real = exact.smith_normal_form
