@@ -23,12 +23,18 @@ are disjoint.  product() computes each generator's faces from its factors'
 compiled tables and spells its key string from theirs, once.  Only products
 with standard simplices are part of the public surface (plus the torus and
 ladder fixtures, which reuse the same machinery).
+
+A map into a product is a pairing <first, second> of its two components
+(pair_map): product maps, the face inclusions and codegeneracies of the
+cylinders and the square model of the groupoid are all built that way.  Such a map is a rule on
+generator keys, and its images are read one dimension at a time: a
+pullback table runs the rule on the generators of its own degree only.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from itertools import combinations
 from operator import add, itemgetter, neg
@@ -95,6 +101,8 @@ class SimplicialSet:
         self._start: dict[int, int] = {}
         self._table: tuple[tuple[tuple[int, Word], ...], ...] = ()
         self._missing: tuple[Hashable, ...] = ()
+        # the two factors of a complex built by product()
+        self._factors: tuple[SimplicialSet, SimplicialSet] | None = None
         self._frozen = False
         self._cache: dict[Any, Any] = {}
 
@@ -428,18 +436,30 @@ def derived(name: str) -> Callable[[Callable], Callable]:
 class SimplicialMap:
     """Map of simplicial sets given on generators.
 
-    Images may be degenerate.  Compatibility with degeneracies is automatic
-    from the word algebra; compatibility with faces is what check() verifies.
-    The images are read-only, so the pullback tables and cylinder maps
-    derived on the map can never go stale.
+    The images come as a mapping, or as a rule from a generator key to its
+    image; images is then built on its first read, and pullback_table
+    calls the rule on one dimension's generators.  Images may be
+    degenerate.  Compatibility with degeneracies is automatic from the word
+    algebra; compatibility with faces is what check() verifies.  The images
+    are read-only and a rule must be pure, so the pullback tables and
+    cylinder maps derived on the map can never go stale.
     """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet,
-                 images: Mapping[Hashable, Simplex], name: str = ""):
+                 images: Mapping[Hashable, Simplex] | Callable[[Hashable], Simplex],
+                 name: str = ""):
         self.source = source
         self.target = target
-        self.images = MappingProxyType(dict(images))
+        if isinstance(images, Mapping):
+            self.images = MappingProxyType(dict(images))
+            images = self.images.__getitem__
+        self.rule = images
         self.name = name or f"{source.name}->{target.name}"
+
+    @cached_property
+    def images(self) -> Mapping[Hashable, Simplex]:
+        rule = self.rule
+        return MappingProxyType({key: rule(key) for key in self.source.generators()})
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.images[s.gen], s.word)
@@ -448,12 +468,12 @@ class SimplicialMap:
     def pullback_table(self, dim: int) -> Gather:
         """The position of each source generator's image among the target
         generators of one dimension, the sentinel where the image is
-        degenerate; built once per degree."""
-        images = self.images
+        degenerate; built once per degree, from the images of that
+        degree's generators only."""
         index = self.target.gen_index(dim)
         size = len(index)
-        return Gather((size if images[g].word else index[images[g].gen]
-                       for g in self.source.generators(dim)), size)
+        return Gather((size if s.word else index[s.gen]
+                       for s in map(self.rule, self.source.generators(dim))), size)
 
     @derived("cylinder_map")
     def cylinder_map(self, k: int) -> "SimplicialMap":
@@ -491,7 +511,7 @@ class SimplicialMap:
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {k: Simplex(k) for k in X.generators()}, f"id_{X.name}")
+    return SimplicialMap(X, X, Simplex, f"id_{X.name}")
 
 
 def compose_maps(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
@@ -505,8 +525,8 @@ def compose_maps(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 
 def constant_map(X: SimplicialSet, Y: SimplicialSet, vertex: Hashable) -> SimplicialMap:
     v = Y.simplex(vertex)
-    images = {k: degenerate(v, tuple(range(X.gen_dim(k)))) for k in X.generators()}
-    return SimplicialMap(X, Y, images, f"const_{key_str(vertex)}")
+    return SimplicialMap(X, Y, lambda k: degenerate(v, tuple(range(X.gen_dim(k)))),
+                         f"const_{key_str(vertex)}")
 
 
 # -- fixtures --------------------------------------------------------------
@@ -752,16 +772,6 @@ def _pair_words(wx: Word, wy: Word) -> tuple[Word, Word, Word]:
     return wx, wy, word
 
 
-def pair_canonical(P: SimplicialSet, sx: Simplex, sy: Simplex) -> Simplex:
-    """Canonical form of a component pair as a simplex of the product
-    complex P, checked against P's generators."""
-    wx, wy, word = _pair_words(sx.word, sy.word)
-    key = (sx.gen, wx, sy.gen, wy)
-    if key not in P._dims:
-        raise KeyError(f"{P.name}: pair {key!r} is not a generator")
-    return Simplex(key, word)
-
-
 @cache
 def _shuffles(p: int, q: int) -> tuple[tuple[Word, Word, str, str], ...]:
     """The disjoint word pairs over a p- and a q-generator, with their
@@ -822,46 +832,45 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
     return P.freeze()
 
 
+def pair_map(P: SimplicialSet, Q: SimplicialSet, first: Callable[[Hashable], Simplex],
+             second: Callable[[Hashable], Simplex], name: str) -> SimplicialMap:
+    """The pairing <first, second>: P -> Q, Q built by product().  A key
+    goes to the canonical pair of first(key) and second(key), simplices of
+    Q's two factors; a pair that is not a generator of Q raises
+    ConstructionError when it is read."""
+    targets = Q._dims
+
+    def rule(key: Hashable) -> Simplex:
+        sx, sy = first(key), second(key)
+        cx, cy, word = _pair_words(sx.word, sy.word)
+        pair = (sx.gen, cx, sy.gen, cy)
+        if pair not in targets:
+            raise ConstructionError(f"{Q.name}: pair {pair!r} is not a generator")
+        return Simplex(pair, word)
+    return SimplicialMap(P, Q, rule, name)
+
+
 def product_map(P: SimplicialSet, Q: SimplicialSet,
                 f: SimplicialMap, g: SimplicialMap,
                 name: str = "") -> SimplicialMap:
-    """The map f x g between product complexes built by product()."""
-    fimg, gimg, targets = f.images, g.images, Q._dims
-    images = {}
-    for key in P.generators():
-        gx, wx, gy, wy = key
-        sx, sy = fimg[gx], gimg[gy]
-        cx, cy, word = _pair_words(apply_word(sx.word, wx), apply_word(sy.word, wy))
-        pair = (sx.gen, cx, sy.gen, cy)
-        if pair not in targets:
-            raise KeyError(f"{Q.name}: pair {pair!r} is not a generator")
-        images[key] = Simplex(pair, word)
-    return SimplicialMap(P, Q, images, name or f"{f.name}x{g.name}")
-
-
-@dataclass(frozen=True)
-class PrismDecomposition:
-    """Shuffle cells of base x Delta^k, per base generator, with signs.
-
-    The cell of an m-generator x for the partition B | A of {0..m+k-1}
-    (|B| = k words on the base side) is the pair (s_B x, s_A iota_k); its
-    sign is the signature of the partition, (-1)^{#{(b,a) in BxA : b > a}}.
-    """
-
-    base_name: str
-    k: int
-    cells: dict[Hashable, tuple[tuple[int, tuple], ...]] = field(hash=False)
-
-    def __getitem__(self, gen: Hashable) -> tuple[tuple[int, tuple], ...]:
-        return self.cells[gen]
+    """The map f x g between product complexes built by product(): the
+    pairing <f pi_1, g pi_2>.  P must be the product of the sources of f
+    and g, and Q of their targets."""
+    for R, (A, B) in ((P, (f.source, g.source)), (Q, (f.target, g.target))):
+        if R._factors != (A, B):
+            raise ConstructionError(f"product map {f.name}x{g.name}: {R.name} is not"
+                                    f" the product {A.name}x{B.name}")
+    first, second = f.rule, g.rule
+    return pair_map(P, Q, lambda key: degenerate(first(key[0]), key[1]),
+                    lambda key: degenerate(second(key[2]), key[3]), name or f"{f.name}x{g.name}")
 
 
 class ProductWithSimplex:
     """X x Delta^k with its prism decomposition and structural maps.
 
-    The decomposition, the projection and the face inclusions are built
-    the first time they are used.  Data derived from the cylinder shares
-    its complex's store.
+    The decomposition is built the first time it is used, and the
+    projection and the face inclusions build their images one dimension
+    at a time.  Data derived from the cylinder shares its complex's store.
     """
 
     def __init__(self, X: SimplicialSet, k: int):
@@ -874,7 +883,14 @@ class ProductWithSimplex:
         self._cache = self.complex._cache
 
     @cached_property
-    def decomposition(self) -> PrismDecomposition:
+    def decomposition(self) -> Mapping[Hashable, tuple[tuple[int, tuple], ...]]:
+        """The shuffle cells of each base generator, with signs.
+
+        The cell of an m-generator x for the partition B | A of {0..m+k-1}
+        (|B| = k words on the base side) is the pair (s_B x, s_A iota_k);
+        its sign is the signature of the partition,
+        (-1)^{#{(b,a) in BxA : b > a}}.
+        """
         X, k = self.base, self.k
         iota = tuple(range(k + 1))
         cells: dict[Hashable, tuple[tuple[int, tuple], ...]] = {}
@@ -886,38 +902,25 @@ class ProductWithSimplex:
                 inv = sum(1 for b in B for a in A if b > a)
                 entries.append(((-1) ** inv, (g, B, iota, A)))
             cells[g] = tuple(entries)
-        return PrismDecomposition(X.name, k, cells)
+        return MappingProxyType(cells)
 
     @cached_property
     def projection(self) -> SimplicialMap:
-        return SimplicialMap(
-            self.complex, self.base,
-            {key: Simplex(key[0], key[1]) for key in self.complex.generators()},
-            f"proj_{self.base.name}")
+        return SimplicialMap(self.complex, self.base, lambda key: Simplex(key[0], key[1]),
+                             f"proj_{self.base.name}")
 
     @derived("face_inclusion")
     def face_inclusion(self, i: int) -> SimplicialMap:
-        """id x delta_i, from X x Delta^{k-1} (or X itself when k = 1)."""
+        """id x delta_i, from X x Delta^{k-1}; when k = 1, the pairing
+        <id_X, the constant vertex 1 - i> from X itself."""
         if not 0 <= i <= self.k:
             raise ConstructionError(f"face index {i} out of range")
+        X = self.base
         if self.k == 1:
-            images = {g: Simplex((g, (), (1 - i,), tuple(range(self.base.gen_dim(g)))))
-                      for g in self.base.generators()}
-            return SimplicialMap(self.base, self.complex, images, f"end{1 - i}_{self.base.name}")
-        src = cylinder(self.base, self.k - 1).complex
-        images = {}
-        for key in src.generators():
-            gx, wx, gd, wd = key
-            lifted = tuple(v if v < i else v + 1 for v in gd)
-            images[key] = Simplex((gx, wx, lifted, wd))
-        return SimplicialMap(src, self.complex, images, f"idxdelta_{i}")
-
-    @property
-    def end_inclusions(self) -> tuple[SimplicialMap, SimplicialMap]:
-        """(i_0, i_1): inclusions of X at vertex 0 and vertex 1 (k = 1 only)."""
-        if self.k != 1:
-            raise ConstructionError("end inclusions only exist for k = 1")
-        return self.face_inclusion(1), self.face_inclusion(0)
+            end = constant_map(X, standard_simplex(1), (1 - i,))
+            return pair_map(X, self.complex, Simplex, end.rule, f"end{1 - i}_{X.name}")
+        return product_map(cylinder(X, self.k - 1).complex, self.complex, identity_map(X),
+                           coface_map(self.k, i), f"idxdelta_{i}")
 
 
 @derived("cylinder")

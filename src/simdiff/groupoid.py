@@ -49,8 +49,8 @@ from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
                        fiber_integrate, pullback, random_cochain)
 from .cohomology import (CoboundaryObstruction, cohomology, face_pins, solve_closed_extension,
                          solve_relative_coboundary)
-from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, cylinder,
-                        derived, pair_canonical, vertex_path)
+from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
+                        cylinder, degenerate, derived, pair_map, vertex_path)
 from .em import MappingComplex, e_section, loop_integrate, moore_fill
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
@@ -555,48 +555,40 @@ class MappingGroupoid:
 
     def _square_maps(self) -> tuple[SimplicialMap, SimplicialMap,
                                     SimplicialMap, SimplicialMap]:
-        """(collapse, lower triangle, upper triangle, diagonal).
+        """(collapse, lower triangle, upper triangle, diagonal), each a
+        pairing into a product.
 
-        collapse sends square vertices (a, b) to 0, 1, 0, 2: the bottom
-        edge becomes the source edge, the top edge the target edge, the
-        basepoint end degenerates and the far end lands on the zero face.
-        The triangle inclusions split the square along the diagonal.
+        collapse is <pi_X pi_Y, q>, where q sends square vertices (a, b) to
+        0, 1, 0, 2 (_Q_VERTEX): the bottom edge becomes the source edge, the
+        top edge the target edge, the basepoint end degenerates and the far
+        end lands on the zero face.  The triangle inclusions split the
+        square along the diagonal: the lower one is <id x sigma_1, sigma_0>
+        and the upper one <id x sigma_0, sigma_1>, each sigma read on the
+        Delta^2 factor.  The diagonal is <id_Y, pi_Delta>.
         """
         S = self._square().complex
 
         def build():
-            Y = self.maps.level_complex(1)
-            T = self.maps.level_complex(2)
-            qimg = {}
-            for key in S.generators():
-                (gx, wx, ga, wa), wA, gb, wb = key
+            M = self.maps
+            Y, T = M.level_complex(1), M.level_complex(2)
+            base = cylinder(self.base, 1).projection.rule
+
+            def path(key):
+                (_, _, ga, wa), wA, gb, wb = key
                 d = S.gen_dim(key)
-                sx = Simplex(gx, apply_word(wx, wA))
                 pa = vertex_path(Simplex(ga, apply_word(wa, wA)), d)
                 pb = vertex_path(Simplex(gb, wb), d)
-                path = tuple(_Q_VERTEX[ab] for ab in zip(pa, pb))
-                qimg[key] = pair_canonical(T, sx, _delta_simplex(2, path))
-            collapse = SimplicialMap(S, T, qimg, "square_collapse")
+                return _delta_simplex(2, tuple(_Q_VERTEX[ab] for ab in zip(pa, pb)))
+            collapse = pair_map(S, T, lambda key: degenerate(base(key[0]), key[1]), path,
+                                "square_collapse")
 
-            def triangle(vmap: dict, name: str) -> SimplicialMap:
-                imgs = {}
-                for key in T.generators():
-                    gx, wx, gd, wd = key
-                    d = T.gen_dim(key)
-                    pd = vertex_path(Simplex(gd, wd), d)
-                    sy = pair_canonical(
-                        Y, Simplex(gx, wx),
-                        _delta_simplex(1, tuple(vmap[v][0] for v in pd)))
-                    imgs[key] = pair_canonical(
-                        S, sy, _delta_simplex(1, tuple(vmap[v][1] for v in pd)))
-                return SimplicialMap(T, S, imgs, name)
-
-            lower = triangle({0: (0, 0), 1: (1, 0), 2: (1, 1)}, "lower_triangle")
-            upper = triangle({0: (0, 0), 1: (0, 1), 2: (1, 1)}, "upper_triangle")
-            dimg = {key: pair_canonical(S, Simplex(key), Simplex(key[2], key[3]))
-                    for key in Y.generators()}
-            diag = SimplicialMap(Y, S, dimg, "square_diagonal")
-            return collapse, lower, upper, diag
+            def triangle(j: int, name: str) -> SimplicialMap:
+                sigma = codegeneracy_map(1, 1 - j).rule
+                return pair_map(T, S, M.degeneracy_map(1, j).rule,
+                                lambda key: degenerate(sigma(key[2]), key[3]), name)
+            diag = pair_map(Y, S, Simplex, lambda key: Simplex(key[2], key[3]),
+                            "square_diagonal")
+            return collapse, triangle(1, "lower_triangle"), triangle(0, "upper_triangle"), diag
         return cached_on(S, "square_model", build)
 
     def to_square(self, c: HomotopyClass) -> Cochain:

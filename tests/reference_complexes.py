@@ -5,11 +5,14 @@ before freeze compiled the face tables to positions: faces are stored as
 Simplex objects, product sorts its generators by key_str and freeze sorts
 them again, and problems() walks Simplex faces.  face_table and
 delta_table build the cochain tables through SimplicialSet.face.
-product_map builds each image from Simplex objects through pair_canonical,
-and cross_section_positions walks Simplex faces to find where
-cochains.cross_section puts its values.  The differential tests in
+product_map, face_inclusion, projection and square_maps build every image
+of every dimension at once, from Simplex objects through pair_canonical,
+as the package did before its maps into products became pairings read one
+dimension at a time; cross_section_positions walks Simplex faces to find
+where cochains.cross_section puts its values.  The differential tests in
 test_compiled.py compare the compiled construction with these, generator
-for generator and face for face.
+for generator and face for face, image for image.  end_inclusions names the
+two ends of a 1-cylinder for the tests that read them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from simdiff import complexes
-from simdiff.complexes import (ConstructionError, Gather, Simplex, SimplicialMap, degenerate,
-                               key_str, pair_canonical, vertex_path)
-from simdiff.words import Word, apply_face, check_word, compose_degeneracy
+from simdiff.complexes import (ConstructionError, Gather, Simplex, SimplicialMap, cylinder,
+                               degenerate, key_str, vertex_path)
+from simdiff.groupoid import _Q_VERTEX, _delta_simplex
+from simdiff.words import Word, apply_face, apply_word, check_word, compose_degeneracy
 
 _NO_INDEX: Mapping[Hashable, int] = MappingProxyType({})
 
@@ -302,6 +306,15 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
     return X._cache[token]
 
 
+def pair_canonical(P: complexes.SimplicialSet, sx: Simplex, sy: Simplex) -> Simplex:
+    """Canonical form of a component pair as a simplex of the product
+    complex P, checked against P's generators."""
+    pair = _pair(sx, sy)
+    if pair.gen not in P._dims:
+        raise KeyError(f"{P.name}: pair {pair.gen!r} is not a generator")
+    return pair
+
+
 def product_map(P: complexes.SimplicialSet, Q: complexes.SimplicialSet,
                 f: SimplicialMap, g: SimplicialMap, name: str = "") -> SimplicialMap:
     """The map f x g between product complexes built by product()."""
@@ -310,6 +323,75 @@ def product_map(P: complexes.SimplicialSet, Q: complexes.SimplicialSet,
         gx, wx, gy, wy = key
         images[key] = pair_canonical(Q, f(Simplex(gx, wx)), g(Simplex(gy, wy)))
     return SimplicialMap(P, Q, images, name or f"{f.name}x{g.name}")
+
+
+def face_inclusion(cyl: complexes.ProductWithSimplex, i: int) -> SimplicialMap:
+    """id x delta_i, from X x Delta^{k-1} (or X itself when k = 1)."""
+    X, k = cyl.base, cyl.k
+    if k == 1:
+        images = {g: Simplex((g, (), (1 - i,), tuple(range(X.gen_dim(g)))))
+                  for g in X.generators()}
+        return SimplicialMap(X, cyl.complex, images, f"end{1 - i}_{X.name}")
+    src = cylinder(X, k - 1).complex
+    images = {}
+    for key in src.generators():
+        gx, wx, gd, wd = key
+        lifted = tuple(v if v < i else v + 1 for v in gd)
+        images[key] = Simplex((gx, wx, lifted, wd))
+    return SimplicialMap(src, cyl.complex, images, f"idxdelta_{i}")
+
+
+def projection(cyl: complexes.ProductWithSimplex) -> SimplicialMap:
+    """X x Delta^k -> X."""
+    return SimplicialMap(cyl.complex, cyl.base,
+                         {key: Simplex(key[0], key[1]) for key in cyl.complex.generators()},
+                         f"proj_{cyl.base.name}")
+
+
+def end_inclusions(cyl: complexes.ProductWithSimplex) -> tuple[SimplicialMap, SimplicialMap]:
+    """(i_0, i_1): the inclusions of X at vertex 0 and vertex 1 of X x Delta^1."""
+    if cyl.k != 1:
+        raise ConstructionError("end inclusions only exist for k = 1")
+    return cyl.face_inclusion(1), cyl.face_inclusion(0)
+
+
+def square_maps(G) -> tuple[SimplicialMap, SimplicialMap, SimplicialMap, SimplicialMap]:
+    """(collapse, lower triangle, upper triangle, diagonal) of the square
+    model of the mapping groupoid G, each image built through pair_canonical
+    from vertex paths."""
+    S = G._square().complex
+    Y = G.maps.level_complex(1)
+    T = G.maps.level_complex(2)
+    qimg = {}
+    for key in S.generators():
+        (gx, wx, ga, wa), wA, gb, wb = key
+        d = S.gen_dim(key)
+        sx = Simplex(gx, apply_word(wx, wA))
+        pa = vertex_path(Simplex(ga, apply_word(wa, wA)), d)
+        pb = vertex_path(Simplex(gb, wb), d)
+        path = tuple(_Q_VERTEX[ab] for ab in zip(pa, pb))
+        qimg[key] = pair_canonical(T, sx, _delta_simplex(2, path))
+    collapse = SimplicialMap(S, T, qimg, "square_collapse")
+
+    def triangle(vmap: dict, name: str) -> SimplicialMap:
+        imgs = {}
+        for key in T.generators():
+            gx, wx, gd, wd = key
+            d = T.gen_dim(key)
+            pd = vertex_path(Simplex(gd, wd), d)
+            sy = pair_canonical(
+                Y, Simplex(gx, wx),
+                _delta_simplex(1, tuple(vmap[v][0] for v in pd)))
+            imgs[key] = pair_canonical(
+                S, sy, _delta_simplex(1, tuple(vmap[v][1] for v in pd)))
+        return SimplicialMap(T, S, imgs, name)
+
+    lower = triangle({0: (0, 0), 1: (1, 0), 2: (1, 1)}, "lower_triangle")
+    upper = triangle({0: (0, 0), 1: (0, 1), 2: (1, 1)}, "upper_triangle")
+    dimg = {key: pair_canonical(S, Simplex(key), Simplex(key[2], key[3]))
+            for key in Y.generators()}
+    diag = SimplicialMap(Y, S, dimg, "square_diagonal")
+    return collapse, lower, upper, diag
 
 
 def cross_section_positions(cyl: complexes.ProductWithSimplex, m: int) -> list[int]:

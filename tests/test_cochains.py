@@ -12,6 +12,8 @@ from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, Simpli
                                circle, complex_from_json, cylinder, point, rp2, sphere2,
                                standard_simplex, torus)
 
+from reference_complexes import end_inclusions
+
 
 def test_parse_coefficients():
     assert parse_coefficients("Z") == INTEGERS
@@ -189,7 +191,7 @@ def test_stokes_end_inclusion_order():
     # k = 1 in the classical form: delta(int z) = i1# z - i0# z - int(delta z)
     X = circle(3)
     cyl = cylinder(X, 1)
-    i0, i1 = cyl.end_inclusions
+    i0, i1 = end_inclusions(cyl)
     rng = random.Random(3)
     for trial in range(10):
         z = random_cochain(cyl.complex, 2, RATIONALS, rng)

@@ -5,10 +5,11 @@ face tables: Simplex faces, key_str sorts in product and freeze, and
 problems() on Simplex objects.  Both must give the same generators in the
 same order, the same faces, the same cochain tables and the same problem
 lists, on generated complexes, their products with standard simplices,
-products of the fixtures and hand-built broken complexes.  product_map
-must give the same images as the reference's Simplex construction, and
-cross_section's compiled gather the same positions as the reference's
-Simplex walk.
+products of the fixtures and hand-built broken complexes.  product_map,
+the face inclusions, the codegeneracies, the cylinder maps and the square
+model, all pairings read one dimension at a time, must give the same
+images and names as the reference's Simplex loops, and cross_section's
+compiled gather the same positions as the reference's Simplex walk.
 """
 
 import pytest
@@ -16,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_complexes as ref
 from simdiff import cochains, complexes
-from simdiff.cochains import delta_table, face_table
+from simdiff.cochains import INTEGERS, delta_table, face_table
 from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, SimplicialSet,
                                build_standard, circle, codegeneracy_map, coface_map,
                                constant_map, cylinder, from_facets, identity_map, point,
                                product, product_map, rp2, sphere2, standard_simplex, torus)
+from simdiff.em import MappingComplex
+from simdiff.groupoid import MappingGroupoid
 
 
 def compiled_faces(X):
@@ -181,10 +184,47 @@ def test_keys_with_equal_strings_keep_the_order_they_were_added_in(first, second
 # -- product maps and cross sections ---------------------------------------------
 
 
-def assert_same_images(P, Q, f, g):
-    new, old = product_map(P, Q, f, g), ref.product_map(P, Q, f, g)
+def assert_same_map(new, old):
+    """Same ends, same name, same image for every generator.  The images
+    are read through the rule, so the maps that the package caches keep
+    building theirs one dimension at a time."""
     assert new.source is old.source and new.target is old.target
-    assert dict(new.images) == dict(old.images)
+    assert new.name == old.name
+    gens = new.source.generators()
+    assert dict(zip(gens, map(new.rule, gens))) == dict(old.images)
+
+
+def assert_same_images(P, Q, f, g):
+    assert_same_map(product_map(P, Q, f, g), ref.product_map(P, Q, f, g))
+
+
+def assert_same_structure_maps(X, top=3):
+    """The face inclusions of X x Delta^k, k = 1..top, the codegeneracies
+    of the mapping complex on X, levels 0..top - 1, the square model of the mapping
+    groupoid on X, the cylinder maps of the collapse of X to a point, k = 1,
+    2, and those of the ends of X x Delta^1, k = 1, against the reference
+    loops."""
+    for k in range(1, top + 1):
+        cyl = cylinder(X, k)
+        for i in range(k + 1):
+            assert_same_map(cyl.face_inclusion(i), ref.face_inclusion(cyl, i))
+    maps = MappingComplex(X, INTEGERS, 1)
+    assert_same_map(maps.degeneracy_map(0, 0), ref.projection(cylinder(X, 1)))
+    for m in range(1, top):
+        for j in range(m + 1):
+            assert_same_map(maps.degeneracy_map(m, j),
+                            ref.product_map(cylinder(X, m + 1).complex, cylinder(X, m).complex,
+                                            identity_map(X), codegeneracy_map(m, j),
+                                            f"idxsigma_{j}"))
+    G = MappingGroupoid(X, INTEGERS, 1)
+    for new, old in zip(G._square_maps(), ref.square_maps(G), strict=True):
+        assert_same_map(new, old)
+    collapse = constant_map(X, point(), "*")
+    ends = [cylinder(X, 1).face_inclusion(i) for i in (0, 1)]
+    for f, k in [(collapse, 1), (collapse, 2)] + [(end, 1) for end in ends]:
+        P, Q = cylinder(f.source, k).complex, cylinder(f.target, k).complex
+        assert_same_map(f.cylinder_map(k),
+                        ref.product_map(P, Q, f, identity_map(standard_simplex(k))))
 
 
 def assert_same_cylinder_maps(X):
@@ -221,6 +261,14 @@ def rotation(n):
 @pytest.mark.parametrize("name", ["circle", "sphere2", "rp2", "torus"])
 def test_product_maps_on_fixture_cylinders_match_the_reference(name):
     assert_same_cylinder_maps(build_standard(name))
+
+
+@pytest.mark.parametrize("name, top", [("pt", 3), ("circle", 3), ("torus", 3), ("rp2", 3),
+                                       ("genus2", 3), ("rp2xS1", 2)])
+def test_structure_maps_on_fixtures_match_the_reference(name, top):
+    # on rp2 x S^1 the level-3 maps alone would take seconds; levels 1 and 2
+    # cover every map shape
+    assert_same_structure_maps(build_standard(name), top)
 
 
 def test_product_maps_on_fixture_products_match_the_reference():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from simdiff import groupoid
+from simdiff import complexes, groupoid
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback)
 from simdiff.cohomology import (CoboundaryObstruction, cohomology, is_coboundary,
@@ -423,6 +423,23 @@ def test_degree_1_coherence_reads_no_level_3_face(monkeypatch):
     G = MappingGroupoid(circle(3), INTEGERS, 1, perturb=random.Random(46))
     assert check_coherence(G.as_instance(), trials=1, seed=46).ok
     assert levels and 3 not in levels
+
+
+def test_a_degree_one_round_reads_the_level_maps_in_degree_two_only():
+    # a circle of its own, so that no other test has read its maps
+    X = complexes._circle.__wrapped__(3)
+    G = MappingGroupoid(X, INTEGERS, 1)
+    assert check_coherence(G.as_instance(), trials=1).ok
+    M = G.maps
+    level_maps = ([M.face_map(m, i) for m in (1, 2, 3) for i in range(m + 1)]
+                  + [M.degeneracy_map(m, j) for m in (0, 1, 2) for j in range(m + 1)])
+    read = set()
+    for f in level_maps:
+        assert "images" not in vars(f), f.name
+        tables = {key for key in vars(f).get("_cache", {}) if key[0] == "pullback"}
+        assert tables <= {("pullback", 2)}, f.name
+        read |= tables
+    assert read == {("pullback", 2)}
 
 
 def test_new_groupoid_reuses_cached_fill_plans():

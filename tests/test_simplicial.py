@@ -20,6 +20,7 @@ from simdiff.complexes import (
     cylinder,
     from_facets,
     identity_map,
+    pair_map,
     point,
     product,
     product_map,
@@ -29,6 +30,8 @@ from simdiff.complexes import (
     torus,
     vertex_path,
 )
+
+from reference_complexes import end_inclusions
 
 
 def counts(X):
@@ -171,15 +174,15 @@ def test_end_inclusions_commute_with_maps():
     fx = product_map(cx.complex, cy.complex, f, identity_map(standard_simplex(1)))
     fx.check()
     for e in (0, 1):
-        left = compose_maps(cx.end_inclusions[e], fx)
-        right = compose_maps(f, cy.end_inclusions[e])
+        left = compose_maps(end_inclusions(cx)[e], fx)
+        right = compose_maps(f, end_inclusions(cy)[e])
         assert left == right
 
 
 def test_projection_after_end_inclusion_is_identity():
     X = rp2()
     c = cylinder(X, 1)
-    for inc in c.end_inclusions:
+    for inc in end_inclusions(c):
         assert compose_maps(inc, c.projection) == identity_map(X)
 
 
@@ -279,8 +282,22 @@ def _add_after_freeze():
     (lambda: circle(3).face(Simplex("v0"), 0), "face index 0 out of range for dimension 0"),
     (lambda: circle(3).degeneracy(Simplex("e0"), 2), "degeneracy index 2"),
     (lambda: cylinder(circle(3), 1).face_inclusion(2), "face index 2 out of range"),
+    (lambda: product_map(cylinder(circle(3), 1).complex, cylinder(torus(), 1).complex,
+                         identity_map(circle(3)), identity_map(standard_simplex(1))),
+     "torusxD1 is not the product circle3xdelta1"),
+    (lambda: product_map(cylinder(circle(3), 1).complex, cylinder(rp2(), 1).complex,
+                         identity_map(rp2()), identity_map(standard_simplex(1))),
+     "circle3xD1 is not the product rp2xdelta1"),
+    (lambda: product_map(circle(3), cylinder(circle(3), 1).complex,
+                         identity_map(circle(3)), identity_map(standard_simplex(1))),
+     "circle3 is not the product circle3xdelta1"),
+    (lambda: pair_map(circle(3), cylinder(circle(3), 1).complex, Simplex, Simplex,
+                      "diagonal").pullback_table(0),
+     r"circle3xD1: pair \('v0', \(\), 'v0', \(\)\) is not a generator"),
 ], ids=["frozen", "negative-dim", "vertex-faces", "face-count", "repeated-vertex",
-        "coface", "codegeneracy", "face", "vertex-face", "degeneracy", "face-inclusion"])
+        "coface", "codegeneracy", "face", "vertex-face", "degeneracy", "face-inclusion",
+        "product-map-target", "product-map-source", "product-map-not-a-product",
+        "pair-map-not-a-pair"])
 def test_construction_and_index_errors_are_value_errors(build, match):
     with pytest.raises(ValueError, match=match):
         build()
