@@ -5,9 +5,11 @@ presentation as JSON.  ``simdiff cert --space torus --degree 2 [--model
 sheared] [--trials N] [--seed S]`` prints the exactness certificate of the
 refined degree-n classes as report JSON and exits 1 when a check failed.
 Fixture parameters are passed as ``--param name=value`` (for example
-``--space circle --param n=5``).  Bad input -- an unknown space, parameter,
-degree, model, trial count or coefficient string -- exits with status 2
-and a one-line message on stderr.
+``--space circle --param n=5``).  ``--space A*B`` names the product of two
+fixtures, each with its default parameters (``--space rp2*circle`` is the
+rp2xS1 fixture); a product takes no ``--param``.  Bad input -- an unknown
+space or factor, parameter, degree, model, trial count or coefficient
+string -- exits with status 2 and a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 from .character import CharacterModel
 from .cochains import parse_coefficients
 from .cohomology import cohomology
-from .complexes import _FIXTURE_BUILDERS, build_standard
+from .complexes import _FIXTURE_BUILDERS, SimplicialSet, build_standard, product
 from .diffhat import exactness_certificate
 
 
@@ -40,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
     cert = commands.add_parser("cert", help="exactness certificate of refined classes")
     for sub in (coh, cert):
         sub.add_argument("--space", required=True,
-                         help=", ".join(_FIXTURE_BUILDERS))
+                         help=", ".join(_FIXTURE_BUILDERS) + ", or A*B for a product of two")
         sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                          help="fixture parameter, repeatable")
         sub.add_argument("--degree", required=True, type=int)
@@ -62,6 +64,16 @@ def _params(items: Sequence[str]) -> dict[str, str]:
     return params
 
 
+def _space(name: str, items: Sequence[str]) -> SimplicialSet:
+    """The fixture called name, or the product A x B when name is A*B."""
+    first, star, second = name.partition("*")
+    if not star:
+        return build_standard(name, **_params(items))
+    if items:
+        raise ValueError(f"the product {name} takes no --param")
+    return product(build_standard(first), build_standard(second))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -70,12 +82,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "cert":
             if args.trials < 0:
                 raise ValueError(f"trials must be >= 0, got {args.trials}")
-            X = build_standard(args.space, **_params(args.param))
+            X = _space(args.space, args.param)
             out = exactness_certificate(X, args.degree, args.trials, args.seed,
                                         CharacterModel(args.model))
         else:
             coeffs = parse_coefficients(args.coeffs)
-            X = build_standard(args.space, **_params(args.param))
+            X = _space(args.space, args.param)
             out = cohomology(X, args.degree, coeffs).presentation
     except ValueError as e:
         print("simdiff: error: " + " ".join(str(e).split()), file=sys.stderr)

@@ -13,9 +13,10 @@ fixtures) are functools caches at module level, where they are defined:
 they are bounded by dimension and by the fixtures in use.  Memos keyed by
 simplices of one complex (FaceMemo.row, the product's numbering) live for
 one build.  Data derived from one complex, map, cylinder or group (face
-and coboundary tables, factored systems, structure maps, fill plans) goes
-through derived or cached_on, which keep it in that owner's _cache: it
-lives exactly as long as its owner, and no other module touches the store.
+and coboundary tables, factored systems, structure maps, fill plans, a
+group's fills) goes through derived or cached_on, which keep it in that
+owner's _cache: it lives exactly as long as its owner, and no other
+module touches the store.
 
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
@@ -392,15 +393,20 @@ class LinearPlan:
 # -- derived data ----------------------------------------------------------
 
 
+_MISSING = object()
+
+
 def cached_on(owner: Any, key: Hashable, build: Callable, *args) -> Any:
     """owner._cache[key], set to build(*args) the first time; an owner gets
     its store on first use.  derived is the door for a function of its
     owner; a build whose owner is not its first argument, or whose key
-    leaves out one of its arguments, comes through here."""
+    leaves out one of its arguments, comes through here.  A hit hashes the
+    key once and a miss twice; a build that raises stores nothing."""
     store = vars(owner).setdefault("_cache", {})
-    if key not in store:
-        store[key] = build(*args)
-    return store[key]
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = build(*args)
+    return value
 
 
 def derived(name: str) -> Callable[[Callable], Callable]:

@@ -18,9 +18,18 @@ complex, so the plan outlives the groups and groupoids built on that
 complex and serves every ring.  The plan also carries the filler's
 missing face, a subset of the same rows, so a caller that reads only
 that face (every level-3 fill of the groupoid calculus) evaluates it
-alone.  Every call still checks that each face is a cochain of the right
-complex, degree and ring and that the horn identities hold; only the
-filler's arithmetic is precompiled.
+alone.
+
+Each fill is memoized on its group G under ("moore_fill", m, missing,
+face_only, *faces in index order).  The memo holds cochains only, on the
+group's level complexes, and lives as long as the group: for a mapping
+groupoid, as long as the groupoid, so a groupoid made for one battery
+frees it with the battery, and a long-lived one (a HatTheory's) keeps one
+entry per distinct horn it fills, one per distinct sum of objects.  Every
+call checks that each face is a cochain of the right complex, degree and
+ring before the lookup; a horn is checked against its identities and
+evaluated when it is first filled, and a horn that raises stores nothing,
+so it raises again on every call.
 
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
@@ -149,7 +158,8 @@ class MappingComplex(SimplicialGroup):
 
     Levels are capped at 3, which is all the homotopy calculus needs.  Once
     an element's level is found, the next element on that complex costs
-    one lookup by the identity of its complex.
+    one lookup by the identity of its complex.  boundary reads every face
+    of an element through one gather per level and degree.
     """
 
     def __init__(self, X: SimplicialSet, coeffs: Coefficients, n: int):
@@ -186,6 +196,20 @@ class MappingComplex(SimplicialGroup):
 
     def degeneracy_map(self, m: int, j: int) -> SimplicialMap:
         return _product_codegeneracy(self.base, m, j)
+
+    @derived("boundary_gather")
+    def boundary_gather(self, m: int, d: int) -> Gather:
+        """The pullback tables of face_map(m, 0..m) in degree d, concatenated
+        in index order: one gather reads every face of a level-m element."""
+        size = len(self.level_complex(m).generators(d))
+        return Gather([p for i in range(m + 1)
+                       for p in self.face_map(m, i).pullback_table(d).positions], size)
+
+    def boundary(self, z: Cochain) -> tuple:
+        """The values of d_0 z, ..., d_m z, concatenated in index order, m
+        the level of z: face i is the i-th of m + 1 equal slices."""
+        gather = self.boundary_gather(self.element_level(z), z.degree)
+        return gather.get(z.vec + (z.coeffs.zero,))
 
 
 @derived("product_codegeneracy")
@@ -279,8 +303,11 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     section 17), a fixed integer-linear map of the faces.  It is compiled
     once per horn shape (level complex, degree, m, missing) into a
     _MoorePlan derived on level_complex(m) and keyed without the group, so
-    every group and ring on that complex shares it; a call checks the
-    faces and the horn identities and then evaluates the plan's gathers.
+    every group and ring on that complex shares it.  The face checks run
+    on every call; the fill itself is memoized on G under ("moore_fill",
+    m, missing, face_only, *faces in index order), so an equal horn is
+    checked against its identities and evaluated once per group.  A horn
+    that raises stores nothing.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -290,15 +317,24 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     if sorted(faces) != expected:
         raise ValueError(f"horn needs exactly faces {expected}")
     below, d, coeffs = G.level_complex(m - 1), G.degree(), G.coeffs
-    for j in expected:
-        x = faces[j]
-        if not (isinstance(x, Cochain) and x.complex is below
-                and x.degree == d and x.coeffs == coeffs):
+    horn = tuple(faces[j] for j in expected)
+    for j, x in zip(expected, horn):
+        if not (isinstance(x, Cochain) and x.complex is below and x.degree == d
+                and (x.coeffs is coeffs or x.coeffs == coeffs)):
             raise ValueError(f"face {j} is not a degree-{d} {coeffs.label()} "
                              f"cochain on the level-{m - 1} complex")
+    return cached_on(G, ("moore_fill", m, missing, face_only, *horn),
+                     _fill_horn, G, m, missing, horn, face_only)
+
+
+def _fill_horn(G: SimplicialGroup, m: int, missing: int, horn: tuple[Cochain, ...],
+               face_only: bool) -> Cochain:
+    """moore_fill on checked faces, given in index order: check the horn
+    identities, then evaluate the compiled plan."""
+    d, coeffs = G.degree(), G.coeffs
     P = G.level_complex(m)
     plan = cached_on(P, ("moore_plan", d, m, missing), _MoorePlan, G, m, missing)
-    padded = sum([faces[j].vec for j in expected], ()) + (coeffs.zero,)
+    padded = sum([x.vec for x in horn], ()) + (coeffs.zero,)
     left, right = plan.left.get(padded), plan.right.get(padded)
     if left != right:
         for j, l, a, b in plan.pairs:
@@ -306,7 +342,7 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
     if face_only:
-        return Cochain._trusted(below, d, coeffs, plan.face.apply(padded))
+        return Cochain._trusted(G.level_complex(m - 1), d, coeffs, plan.face.apply(padded))
     return Cochain._trusted(P, d, coeffs, plan.filler.apply(padded))
 
 

@@ -33,9 +33,17 @@ Every fill goes through em.moore_fill, whose compiled plans are cached on
 the cylinders of the base: a new groupoid on the same base, of any ring,
 reuses them.  A structural cell is the missing face of a level-3 horn,
 and only that face is ever read, so each level-3 fill evaluates it alone
-(moore_fill's face_only) and never builds the level-3 filler.  The
-MapObject and Homotopy2 constructors validate every object and morphism
-they are given.
+(moore_fill's face_only) and never builds the level-3 filler.  moore_fill
+memoizes each fill on the groupoid's mapping complex, keyed by its faces,
+so a horn met again (the same sum of objects, the same structural cell)
+is checked and evaluated once per groupoid; the memo holds cochains only
+and is freed with the groupoid.  The perturbation is added after the
+fill, so it draws on every call, whether the fill was memoized or not.
+
+The MapObject and Homotopy2 constructors validate every object and
+morphism they are given: closedness mod the ring, then every face at once
+through the mapping complex's boundary gather, compared slice by slice
+in the order the error messages name them.
 """
 
 from __future__ import annotations
@@ -75,9 +83,8 @@ class MapObject:
             raise ValueError(f"object data must have degree {groupoid.degree + 1}")
         if not coboundary(data).is_zero():
             raise ValueError("object data must be closed")
-        for i in (0, 1):
-            if not maps.face(data, i).is_zero():
-                raise ValueError("object data must vanish on both ends")
+        if any(maps.boundary(data)):
+            raise ValueError("object data must vanish on both ends")
         self.groupoid = groupoid
         self.data = data
 
@@ -109,15 +116,22 @@ class Homotopy2:
             raise ValueError("homotopy data must be level-2 of matching degree")
         if not coboundary(data).is_zero():
             raise ValueError("homotopy data must be closed")
-        if maps.face(data, 2) != source.data:
+        faces, n = maps.boundary(data), len(source.data.vec)
+        if not _restricts(data, faces[2 * n:], source.data):
             raise ValueError("face 2 must restrict to the source")
-        if maps.face(data, 1) != target.data:
+        if not _restricts(data, faces[n:2 * n], target.data):
             raise ValueError("face 1 must restrict to the target")
-        if not maps.face(data, 0).is_zero():
+        if any(faces[:n]):
             raise ValueError("face 0 must vanish")
         self.source = source
         self.target = target
         self.data = data
+
+
+def _restricts(data: Cochain, face: tuple, end: Cochain) -> bool:
+    """Is the face slice of level-2 data the object data end, as the
+    cochains would compare?  Complex and degree already agree."""
+    return face == end.vec and (data.coeffs is end.coeffs or data.coeffs == end.coeffs)
 
 
 class HomotopyClass:

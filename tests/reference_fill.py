@@ -16,11 +16,13 @@ from simdiff.groupoid import MappingGroupoid, _covering
 
 
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
-               faces: dict[int, Cochain]) -> Cochain:
+               faces: dict[int, Cochain], *, face_only: bool = False) -> Cochain:
     """Deterministic filler for the horn with the given faces.
 
     faces maps each j != missing to the required d_j of the result.
-    Incompatible faces raise with the first violated identity.
+    Incompatible faces raise with the first violated identity.  With
+    face_only set the result is the filler's face d_missing, read off the
+    whole filler.  Nothing is memoized.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -39,7 +41,7 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
         w = w + G.degeneracy(faces[j] - G.face(w, j), j)
     for j in range(m, missing, -1):
         w = w + G.degeneracy(faces[j] - G.face(w, j), j - 1)
-    return w
+    return G.face(w, missing) if face_only else w
 
 
 def groupoid_fill(g: MappingGroupoid, missing: int, faces: dict[int, Cochain]) -> Cochain:

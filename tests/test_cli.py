@@ -54,6 +54,29 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert err.startswith("simdiff: error: ") and err.count("\n") == 1
 
 
+def test_a_product_of_fixtures_prints_the_fixture_product(capsys):
+    code, out, err = run(capsys, "cohomology", "--space", "rp2*circle", "--degree", "3")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "cohomology", "--space", "rp2xS1", "--degree", "3")[1]
+    code, out, err = run(capsys, "cert", "--space", "circle*pt", "--degree", "1",
+                         "--trials", "1")
+    assert code == 0 and json.loads(out)["witness"]["space"] == "circle3xpt"
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cert"])
+@pytest.mark.parametrize("space, params", [
+    ("rp2*circle", ("--param", "n=4")),
+    ("rp2*klein", ()),
+    ("klein*rp2", ()),
+    ("rp2*", ()),
+    ("rp2*circle*circle", ()),
+])
+def test_a_bad_product_exits_2_with_one_line(capsys, command, space, params):
+    code, out, err = run(capsys, command, "--space", space, *params, "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("simdiff: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [(), ("bench",), ("cohomology", "--bogus"), ("cert", "--bogus")])
 def test_bad_command_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

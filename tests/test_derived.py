@@ -12,11 +12,13 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 from simdiff import complexes
 from simdiff.cochains import INTEGERS, RATIONALS
 from simdiff.cohomology import cohomology, delta_system
-from simdiff.complexes import (build_standard, circle, cylinder, from_facets, standard_simplex,
-                               torus)
+from simdiff.complexes import (build_standard, cached_on, circle, cylinder, from_facets,
+                               standard_simplex, torus)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "simdiff"
 
@@ -66,3 +68,37 @@ def test_defaults_and_keywords_reach_one_entry():
     assert cohomology(X, 1, RATIONALS) is cohomology(X, n=1, coeffs=RATIONALS)
     assert cohomology(X, 1) is not cohomology(X, 1, RATIONALS)
     assert cylinder(X) is cylinder(X, 1) is cylinder(X, k=1)
+
+
+class _CountedKey:
+    """A key that counts how often it is hashed."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+
+def test_cached_on_hashes_a_hit_once_and_stores_no_failed_build():
+    class Owner:
+        pass
+
+    owner, key, calls = Owner(), _CountedKey(), []
+
+    def build(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ValueError("first build fails")
+        return 2 * x
+
+    with pytest.raises(ValueError, match="first build fails"):
+        cached_on(owner, key, build, 3)
+    assert vars(owner)["_cache"] == {}
+    key.hashes = 0
+    assert cached_on(owner, key, build, 3) == 6 and calls == [3, 3]
+    assert key.hashes == 2
+    key.hashes = 0
+    assert cached_on(owner, key, build, 4) == 6 and calls == [3, 3]
+    assert key.hashes == 1

@@ -265,6 +265,14 @@ def test_certificates_pass_on_genus2():
         assert cert.ok, (n, cert.failures())
 
 
+def test_certificates_pass_on_rp2_times_circle():
+    # a product base with torsion: H^2 = H^3 = Z/2
+    X = build_standard("rp2xS1")
+    for n in (1, 2):
+        cert = exactness_certificate(X, n, trials=2, seed=11)
+        assert cert.ok, (n, cert.failures())
+
+
 def test_certificate_is_deterministic():
     X = circle(3)
     a = exactness_certificate(X, 1, trials=3, seed=7).to_json()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from simdiff import complexes
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback, random_cochain)
 from simdiff.cohomology import CoboundaryObstruction, cohomology
@@ -221,6 +222,60 @@ def test_moore_fill_rejects_bad_horns():
                     moore_fill(G, 2, 1, {0: good, 2: good, j: x})
         with pytest.raises(ValueError, match="^face 0 "):
             moore_fill(G, 2, 1, {0: bad[1], 2: bad[0]})
+
+
+def _counting_applies(monkeypatch) -> list:
+    """Record every LinearPlan evaluation from here on."""
+    applied, real = [], complexes.LinearPlan.apply
+
+    def apply(plan, padded):
+        applied.append(plan)
+        return real(plan, padded)
+    monkeypatch.setattr(complexes.LinearPlan, "apply", apply)
+    return applied
+
+
+def test_an_equal_horn_is_filled_once_per_group(monkeypatch):
+    rng = random.Random(15)
+    G = MappingComplex(circle(3), INTEGERS, 1)
+    w = _random_level(G, 3, rng)
+    faces = {j: G.face(w, j) for j in (0, 1, 3)}
+    applied = _counting_applies(monkeypatch)
+    first = moore_fill(G, 3, 2, faces)
+    assert len(applied) == 1
+    # equal faces that are other objects reach the same entry
+    again = moore_fill(G, 3, 2, {j: x + G.zero(2) for j, x in faces.items()})
+    assert again == first and len(applied) == 1
+    # the face alone is another entry, and so is another group
+    assert moore_fill(G, 3, 2, faces, face_only=True) == G.face(first, 2)
+    assert len(applied) == 2
+    assert moore_fill(MappingComplex(circle(3), INTEGERS, 1), 3, 2, faces) == first
+    assert len(applied) == 3
+
+
+def test_an_incompatible_horn_raises_on_every_call(monkeypatch):
+    G = MappingComplex(circle(3), INTEGERS, 1)
+    cyl = cylinder(circle(3), 1)
+    u = Cochain(circle(3), 1, INTEGERS, {"e0": 1})
+    faces = {0: pullback(cyl.projection, u), 2: G.zero(1)}
+    applied = _counting_applies(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"d_1 x_0 != d_0 x_2"):
+            moore_fill(G, 2, 1, faces)
+    assert applied == []
+
+
+def test_a_wrong_ring_face_raises_after_the_same_horn_was_filled():
+    rng = random.Random(16)
+    G = MappingComplex(circle(3), INTEGERS, 1)
+    w = _random_level(G, 2, rng)
+    faces = {0: G.face(w, 0), 2: G.face(w, 2)}
+    assert G.face(moore_fill(G, 2, 1, faces), 1) == G.face(w, 1)
+    for ring in (RATIONALS, Z2):
+        wrong = {j: x.map_values(lambda v: v, ring) for j, x in faces.items()}
+        for face_only in (False, True):
+            with pytest.raises(ValueError, match=r"^face 0 is not a degree-1 Z cochain"):
+                moore_fill(G, 2, 1, wrong, face_only=face_only)
 
 
 def _fill_outcome(fill, G, m, missing, faces):

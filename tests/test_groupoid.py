@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from simdiff import complexes, groupoid
-from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
+from simdiff import complexes, em, groupoid
+from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary, coboundary_values,
                               mod_coefficients, pullback)
 from simdiff.cohomology import (CoboundaryObstruction, cohomology, is_coboundary,
                                 solve_relative_coboundary)
@@ -79,6 +79,37 @@ def test_homotopy_validation():
         G.compose(G.identity(f), G.identity(u))  # middle objects differ
     with pytest.raises(ValueError):
         G.compare(G.identity(f), G.identity(u))  # not parallel
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, Z2], ids=["Z", "Z/2"])
+def test_homotopy_validation_names_each_face(coeffs):
+    G = MappingGroupoid(circle(), coeffs, 1)
+    f = G.from_cocycle(Cochain(circle(), 1, coeffs, {"e0": 1}))
+    u = G.unit()
+    with pytest.raises(ValueError, match="face 1 must restrict to the target"):
+        Homotopy2(f, u, G.maps.degeneracy(f.data, 1))  # face 1 is f, not u
+    with pytest.raises(ValueError, match="face 0 must vanish"):
+        Homotopy2(u, f, G.maps.degeneracy(f.data, 0))  # face 0 is f
+    with pytest.raises(ValueError, match="face 2 must restrict to the source"):
+        Homotopy2(u, f, G.maps.degeneracy(f.data, 1))  # face 2 is f, not u
+    # the faces are compared as cochains, ring included
+    Q = MappingGroupoid(circle(), RATIONALS, 1)
+    fq = Q.object(f.data.map_values(lambda v: v, RATIONALS))
+    with pytest.raises(ValueError, match="face 2 must restrict to the source"):
+        Homotopy2(fq, fq, G.maps.degeneracy(f.data, 1))
+
+
+def test_data_closed_mod_k_is_accepted():
+    """Closedness is read mod k: over Z/2 an object or homotopy whose
+    unreduced coboundary is even and nonzero is valid."""
+    G = MappingGroupoid(torus(), Z2, 1)
+    rng = random.Random(21)
+    data = next(d for d in (G._edge_coboundary(rng) for _ in range(20))
+                if any(coboundary_values(d)))
+    f = G.object(data)
+    s1f = G.maps.degeneracy(data, 1)
+    assert any(coboundary_values(s1f))
+    assert Homotopy2(f, f, s1f).data == s1f
 
 
 # -- loops on the point ----------------------------------------------------
@@ -407,6 +438,43 @@ def test_face_only_fills_perturb_like_the_whole_filler(seed, coeffs, monkeypatch
         assert got.rep.data == want.rep.data, name
         assert list(map(type, got.rep.data.vec)) == list(map(type, want.rep.data.vec)), name
         assert G.perturb.getstate() == after != before, name
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
+def test_memoized_fills_keep_the_perturbed_battery(coeffs, monkeypatch):
+    """Fills memoized on the group give the report, and leave the
+    perturbation Random in the state, that the unmemoized reference loop
+    gives, in degree 2 where every level-3 fill draws."""
+    def battery():
+        G = MappingGroupoid(circle(3), coeffs, 2, perturb=random.Random(48))
+        report = check_coherence(G.as_instance(), trials=2, seed=48)
+        return report.to_json(), G.perturb.getstate()
+
+    got = battery()
+    assert got[0]["ok"]
+    monkeypatch.setattr(groupoid, "moore_fill", reference_fill.moore_fill)
+    assert battery() == got
+
+
+def test_a_coherence_round_fills_each_distinct_horn_once(monkeypatch):
+    """On circle(12) in degree 1 a round makes 324 fills of 157 distinct
+    horns; each distinct horn is checked and evaluated once."""
+    X = circle(12)
+    fills, evaluated = [], []
+    real_fill, real_horn = em.moore_fill, em._fill_horn
+
+    def fill(*args, **kwargs):
+        fills.append(args[1])
+        return real_fill(*args, **kwargs)
+
+    def horn(*args):
+        evaluated.append(args[1])
+        return real_horn(*args)
+    monkeypatch.setattr(groupoid, "moore_fill", fill)
+    monkeypatch.setattr(em, "_fill_horn", horn)
+    G = MappingGroupoid(X, INTEGERS, 1, perturb=random.Random(7))
+    assert check_coherence(G.as_instance(), trials=1, seed=7).ok
+    assert len(fills) == 324 and len(evaluated) <= 160
 
 
 def test_degree_1_coherence_reads_no_level_3_face(monkeypatch):

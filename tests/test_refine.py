@@ -135,6 +135,14 @@ def test_shear_equivalence_on_genus2():
     assert rep.ok, rep.failures()
 
 
+def test_shear_equivalence_on_rp2_times_circle():
+    X = build_standard("rp2xS1")
+    G = build_tilde(X, 1)
+    Gs = build_tilde(X, 1, CharacterModel("sheared"))
+    rep = check_equivalence(canonical_comparison(G, Gs), seed=1, trials=2)
+    assert rep.ok, rep.failures()
+
+
 def test_halved_equivalence_and_lattice():
     G = build_tilde(circle(3), 1)
     Gh = build_tilde(circle(3), 1, CharacterModel("halved"))
