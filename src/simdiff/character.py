@@ -335,14 +335,23 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
     """Audit the character functor with literal defects and prism integrals.
 
     Beyond the class-level battery, the coherence squares are rechecked as
-    literal cochain identities (zero defect; a perturbed groupoid moves the
-    defects by coboundaries, so that check fails there from degree 2 up,
-    while the class-level checks must not), and equality witnesses from
-    the class oracle are integrated: their triangle-face alternating sums
-    must vanish, and from degree two up the 3-prism integral of a witness
-    must cobound that alternating sum.  The report holds the functor
-    battery's checks followed by ``literal-defects-zero`` and
-    ``witness-integrals``, both drawn from one generator.
+    literal cochain identities, and equality witnesses from the class
+    oracle are integrated: their triangle-face alternating sums must
+    vanish, and from degree two up the 3-prism integral of a witness must
+    cobound that alternating sum.  The report holds the functor battery's
+    checks followed by ``literal-defects-zero`` and ``witness-integrals``,
+    both drawn from one generator.
+
+    ``literal-defects-zero`` stays in this report: it audits the closed
+    forms of the groupoid's cells, and holds on every unperturbed
+    groupoid.  Each defect is the triangle integral of the cells'
+    perturbation faces and nothing else.  Take composition: h + k - s_1 b
+    + P_2 integrates to tri(h) + tri(k) + tri(P_2), since tri(s_1 b) = 0,
+    so its defect is exactly tri(P_2).  P_2 is the face of an interior
+    coboundary, so its integral is a coboundary on the base and every
+    class-level check still holds, but from degree 2 up, where generators
+    are eligible, it is not zero.  So a perturbed groupoid of degree 2 or
+    more fails this one check, and only this one.
     """
     F = check_monoidal_functor(character_functor(G), trials=trials, seed=seed)
     rng = random.Random(seed + 101)

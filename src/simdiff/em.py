@@ -12,24 +12,15 @@ A group supplies its face and degeneracy maps between level complexes
 (face_map, degeneracy_map); the base class pulls back along them.
 
 Horn filling (moore_fill) is Moore's filler, a fixed integer-linear map of
-the horn's faces.  It is compiled once per horn shape -- level complex,
-degree, level and missing face -- into gathers derived on the level-m
-complex, so the plan outlives the groups and groupoids built on that
-complex and serves every ring.  The plan also carries the filler's
-missing face, a subset of the same rows, so a caller that reads only
-that face (every level-3 fill of the groupoid calculus) evaluates it
-alone.
-
-Each fill is memoized on its group G under ("moore_fill", m, missing,
-face_only, *faces in index order).  The memo holds cochains only, on the
-group's level complexes, and lives as long as the group: for a mapping
-groupoid, as long as the groupoid, so a groupoid made for one battery
-frees it with the battery, and a long-lived one (a HatTheory's) keeps one
-entry per distinct horn it fills, one per distinct sum of objects.  Every
+the horn's faces: the generic Kan filler of any simplicial group here.  It
+is compiled once per horn shape -- level complex, degree, level and
+missing face -- into gathers derived on the level-m complex, so the plan
+outlives the groups built on that complex and serves every ring.  Every
 call checks that each face is a cochain of the right complex, degree and
-ring before the lookup; a horn is checked against its identities and
-evaluated when it is first filled, and a horn that raises stores nothing,
-so it raises again on every call.
+ring, then the horn identities, then evaluates the plan; nothing is
+memoized.  The mapping groupoid's structural cells are faces of such
+fills, but every horn there has zero or degenerate faces, so the groupoid
+writes each face out in closed form and fills no horn (see groupoid.py).
 
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
@@ -237,13 +228,10 @@ class _MoorePlan:
     followed by one ring zero (the sentinel).  pairs lists each identity
     d_{l-1} x_j = d_j x_l as (j, l, start, stop): its two sides are the
     slices [start:stop] of left and right.  The filler is a sparse signed
-    integer matrix over the concatenation, compiled to a LinearPlan; face
-    is the LinearPlan of its rows at the pullback table of d_missing, the
-    filler's missing face on level_complex(m - 1), taken from the same
-    rows (a degenerate image reads the zero).
+    integer matrix over the concatenation, compiled to a LinearPlan.
     """
 
-    __slots__ = ("pairs", "left", "right", "filler", "face")
+    __slots__ = ("pairs", "left", "right", "filler")
 
     def __init__(self, G: SimplicialGroup, m: int, missing: int):
         d = G.degree()
@@ -284,30 +272,22 @@ class _MoorePlan:
                         row[k] = row.get(k, 0) + c
 
         self.filler = LinearPlan(w, sentinel)
-        missing_face = G.face_map(m, missing).pullback_table(d).positions
-        self.face = LinearPlan([w[p] if p != size else {} for p in missing_face], sentinel)
 
 
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
-               faces: dict[int, Cochain], *, face_only: bool = False) -> Cochain:
+               faces: dict[int, Cochain]) -> Cochain:
     """Deterministic filler for the horn with the given faces.
 
     faces maps each j != missing to the required d_j of the result.  Each
     face must be a cochain on level_complex(m - 1) of the group's degree
     and ring, or ValueError names it; incompatible faces raise with the
-    first violated identity.  With face_only set the result is the
-    filler's missing face d_missing, on level_complex(m - 1), evaluated
-    without the rest of the filler; the checks are the same.
+    first violated identity.
 
     The filler is Moore's (May, Simplicial Objects in Algebraic Topology,
     section 17), a fixed integer-linear map of the faces.  It is compiled
     once per horn shape (level complex, degree, m, missing) into a
     _MoorePlan derived on level_complex(m) and keyed without the group, so
-    every group and ring on that complex shares it.  The face checks run
-    on every call; the fill itself is memoized on G under ("moore_fill",
-    m, missing, face_only, *faces in index order), so an equal horn is
-    checked against its identities and evaluated once per group.  A horn
-    that raises stores nothing.
+    every group and ring on that complex shares it.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -317,32 +297,21 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     if sorted(faces) != expected:
         raise ValueError(f"horn needs exactly faces {expected}")
     below, d, coeffs = G.level_complex(m - 1), G.degree(), G.coeffs
-    horn = tuple(faces[j] for j in expected)
-    for j, x in zip(expected, horn):
+    for j in expected:
+        x = faces[j]
         if not (isinstance(x, Cochain) and x.complex is below and x.degree == d
                 and (x.coeffs is coeffs or x.coeffs == coeffs)):
             raise ValueError(f"face {j} is not a degree-{d} {coeffs.label()} "
                              f"cochain on the level-{m - 1} complex")
-    return cached_on(G, ("moore_fill", m, missing, face_only, *horn),
-                     _fill_horn, G, m, missing, horn, face_only)
-
-
-def _fill_horn(G: SimplicialGroup, m: int, missing: int, horn: tuple[Cochain, ...],
-               face_only: bool) -> Cochain:
-    """moore_fill on checked faces, given in index order: check the horn
-    identities, then evaluate the compiled plan."""
-    d, coeffs = G.degree(), G.coeffs
     P = G.level_complex(m)
     plan = cached_on(P, ("moore_plan", d, m, missing), _MoorePlan, G, m, missing)
-    padded = sum([x.vec for x in horn], ()) + (coeffs.zero,)
+    padded = sum([faces[j].vec for j in expected], ()) + (coeffs.zero,)
     left, right = plan.left.get(padded), plan.right.get(padded)
     if left != right:
         for j, l, a, b in plan.pairs:
             if left[a:b] != right[a:b]:
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
-    if face_only:
-        return Cochain._trusted(G.level_complex(m - 1), d, coeffs, plan.face.apply(padded))
     return Cochain._trusted(P, d, coeffs, plan.filler.apply(padded))
 
 

@@ -3,8 +3,9 @@
 Objects are end-trivial closed data on ``X x Delta^1`` (level-1 elements of
 the mapping complex), morphisms are level-2 homotopies taken up to a level-3
 witness relation, and every structural operation -- composition, inverses,
-the sum, unitors, associator, braid -- is a specific Moore horn fill, so the
-whole calculus is algorithmic and exact.
+the sum, unitors, associator, braid -- is the missing face of a specific
+Moore horn fill, written out in closed form, so the whole calculus is
+algorithmic and exact.
 
 Homotopy existence and equality of morphism classes are decided on the
 base.  The difference D of two parallel representatives lives on the
@@ -22,23 +23,40 @@ In this model the object sum is strictly associative, commutative and unital
 at the data level, so the structural cells land in identity classes; the
 point of running the coherence battery here is that a perturbation hook can
 add interior coboundaries to every morphism-producing filler, and no class
-outcome may change.  The hook moves fillers from degree 2 up only: a
-level-3 fill is perturbed by delta of a degree-n cochain on generators of
-X x Delta^3 whose simplex factor covers three vertices, and in degree 1
-no generator does, so a degree-1 fill draws no random numbers and builds
-no coboundary at all.  Genuinely nontrivial coherence data lives in the
-synthetic instances checked by the monoidal-category module.
+outcome may change.  The hook moves fillers from degree 2 up only: the
+face k of a level-3 fill moves by P_k, the face k of delta of a degree-n
+cochain on generators of X x Delta^3 whose simplex factor covers the three
+vertices other than k, and in degree 1 no generator does, so a degree-1
+operation draws no random numbers and builds no coboundary at all.
+Genuinely nontrivial coherence data lives in the synthetic instances
+checked by the monoidal-category module.
 
-Every fill goes through em.moore_fill, whose compiled plans are cached on
-the cylinders of the base: a new groupoid on the same base, of any ring,
-reuses them.  A structural cell is the missing face of a level-3 horn,
-and only that face is ever read, so each level-3 fill evaluates it alone
-(moore_fill's face_only) and never builds the level-3 filler.  moore_fill
-memoizes each fill on the groupoid's mapping complex, keyed by its faces,
-so a horn met again (the same sum of objects, the same structural cell)
-is checked and evaluated once per groupoid; the memo holds cochains only
-and is freed with the groupoid.  The perturbation is added after the
-fill, so it draws on every call, whether the fill was memoized or not.
+The closed forms.  Moore's filler (em.moore_fill; May, Simplicial Objects
+in Algebraic Topology, section 17) is a recurrence in the faces and
+degeneracies s_j = M.degeneracy(., j).  Every horn behind a cell here has
+a zero face or degenerate faces on end-trivial data, so the simplicial
+identities (d_i s_j = s_j d_{i-1} for i > j + 1, d_i s_j = s_{j-1} d_i for
+i < j, d_j s_j = d_{j+1} s_j = id) and d_1 f = 0 on objects collapse it to
+a few terms.  For compose, the level-3 horn (0, k, _, h) fills to
+w = s_1 k + s_2 (h - s_1 b), b the middle object, and the face read is
+d_2 w = h + k - s_1 b.  With P_k the face k of the perturbation (above):
+
+    oplus_objects(f, g)       = (f + g, s_0 g + s_1 f)
+    compose(h: a->b, k: b->c) = h + k - s_1 b + P_2
+    inverse(h: f->g)          = s_1 f + s_1 g - h + P_1
+    oplus_morphisms(l, r)     = l + r - P_2 + P_1 + P_2'  (drawn 2, 1, 2)
+    left_unitor(f)            = s_1 f + P_1
+    right_unitor(f)           = s_1 f + P_2
+    associator(a, b, c)       = s_1 (a + b + c) - P_2 + P_1  (drawn 2, 1)
+    from_square, upper half   = s_1 m + s_0 t - U + P_1
+
+where U is the upper triangle's data, m = d_1 U the diagonal and t the
+top.  A multi-step recipe sees an earlier P only with sign +-1, because
+d_1 of an interior coboundary's face vanishes.  tests/reference_fill.py
+keeps the fill recipes, and the tests check these forms against them bit
+for bit, Random state included.  No horn check reads the arguments, so
+every operation checks that each object or morphism it is given lies over
+this groupoid's base, ring and degree, and raises ValueError otherwise.
 
 The MapObject and Homotopy2 constructors validate every object and
 morphism they are given: closedness mod the ring, then every face at once
@@ -59,7 +77,7 @@ from .cohomology import (CoboundaryObstruction, cohomology, face_pins, solve_clo
                          solve_relative_coboundary)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
                         cylinder, degenerate, derived, pair_map, vertex_path)
-from .em import MappingComplex, e_section, loop_integrate, moore_fill
+from .em import MappingComplex, e_section, loop_integrate
 # smith_normal_form is unused here, but bench/tests/test_tracing.py checks
 # that the tracer rewraps it in this module; drop it with that assertion
 from .exact import smith_normal_form  # noqa: F401
@@ -81,6 +99,8 @@ class MapObject:
             raise ValueError("object data must live on the 1-cylinder")
         if data.degree != groupoid.degree + 1:
             raise ValueError(f"object data must have degree {groupoid.degree + 1}")
+        if data.coeffs is not groupoid.coeffs and data.coeffs != groupoid.coeffs:
+            raise ValueError(f"object data must have {groupoid.coeffs.label()} coefficients")
         if not coboundary(data).is_zero():
             raise ValueError("object data must be closed")
         if any(maps.boundary(data)):
@@ -345,43 +365,53 @@ class MappingGroupoid:
                 vec[p] = norm(rng.randint(-3, 3))
         return coboundary(Cochain._trusted(P, q - 1, self.coeffs, vec))
 
-    def _fill(self, missing: int, faces: dict[int, Cochain]) -> Cochain:
-        """The missing face of the level-3 Moore filler, evaluated alone,
-        plus the same face of an interior coboundary under perturbation.
+    def _perturbed(self, data: Cochain, keep: int, sign: int = 1) -> Cochain:
+        """data + sign P_keep, where P_keep is the face ``keep`` of an
+        interior coboundary on X x Delta^3: what perturbing the level-3
+        fill whose missing face is ``keep`` adds to that face.
 
-        The perturbation draws what perturbing the whole filler drew, in
-        the same order, so representatives and the Random state match it
-        bit for bit.  Where no generator is eligible (every fill in degree
-        1) that coboundary is zero, so it is neither drawn nor built.
+        P_keep is absent, and draws nothing, when the groupoid does not
+        perturb or no generator is eligible (every fill in degree 1).
         """
         M = self.maps
-        face = moore_fill(M, 3, missing, faces, face_only=True)
-        if self.perturb is not None and _covering(M.level_complex(3), self.degree,
-                                                  frozenset(range(4)) - {missing}):
-            face = face + M.face(self._interior_coboundary(3, self.perturb, keep=missing),
-                                 missing)
-        return face
+        if self.perturb is None or not _covering(M.level_complex(3), self.degree,
+                                                 frozenset(range(4)) - {keep}):
+            return data
+        P = M.face(self._interior_coboundary(3, self.perturb, keep=keep), keep)
+        return data + P if sign > 0 else data - P
+
+    def _own(self, *cells) -> None:
+        """Raise ValueError unless every object or morphism lies over this
+        groupoid's base, ring and degree."""
+        for x in cells:
+            g = x.groupoid
+            if g is not self and (g.base is not self.base or g.degree != self.degree
+                                  or g.coeffs != self.coeffs):
+                raise ValueError(f"{x!r} does not lie over {self.base.name} in degree "
+                                 f"{self.degree} with {self.coeffs.label()} coefficients")
+
+    def _sum(self, f: MapObject, g: MapObject) -> MapObject:
+        return MapObject(self, f.data + g.data)
 
     # -- groupoid structure -----------------------------------------------
 
     def identity(self, f: MapObject) -> HomotopyClass:
+        self._own(f)
         return HomotopyClass(Homotopy2(f, f, self.maps.degeneracy(f.data, 1)))
 
     def compose(self, first: HomotopyClass, second: HomotopyClass) -> HomotopyClass:
         """first then second; the middle objects must carry equal data."""
+        self._own(first, second)
         if first.target != second.source:
             raise ValueError("middle objects differ")
-        face = self._fill(2, {0: self.maps.zero(2),
-                              1: second.rep.data,
-                              3: first.rep.data})
-        return HomotopyClass(Homotopy2(first.source, second.target, face))
+        data = first.rep.data + second.rep.data - self.maps.degeneracy(second.source.data, 1)
+        return HomotopyClass(Homotopy2(first.source, second.target, self._perturbed(data, 2)))
 
     def inverse(self, c: HomotopyClass) -> HomotopyClass:
-        f = c.source
-        face = self._fill(1, {0: self.maps.zero(2),
-                              2: self.maps.degeneracy(f.data, 1),
-                              3: c.rep.data})
-        return HomotopyClass(Homotopy2(c.target, f, face))
+        self._own(c)
+        M, f, g = self.maps, c.source, c.target
+        data = M.degeneracy(f.data, 1) + M.degeneracy(g.data, 1) - c.rep.data
+        return HomotopyClass(Homotopy2(g, f, self._perturbed(data, 1)))
 
     # -- monoidal structure -----------------------------------------------
 
@@ -389,65 +419,43 @@ class MappingGroupoid:
         """The sum of two objects and the 2-simplex witnessing it.
 
         The witness carries f on edge (0,1), g on (1,2) and the sum on
-        (0,2).  This fill is deterministic even under perturbation so that
+        (0,2).  It is deterministic even under perturbation so that
         repeated sums of the same objects agree on the nose.
         """
-        sigma = moore_fill(self.maps, 2, 1, {0: g.data, 2: f.data})
-        return MapObject(self, self.maps.face(sigma, 1)), sigma
+        self._own(f, g)
+        M = self.maps
+        return self._sum(f, g), M.degeneracy(g.data, 0) + M.degeneracy(f.data, 1)
 
     def oplus_morphisms(self, left: HomotopyClass,
                         right: HomotopyClass) -> HomotopyClass:
-        """The sum of two morphisms, by the three-step filler recipe."""
-        M = self.maps
-        f0, g0 = left.source, left.target
-        f1, g1 = right.source, right.target
-        src, sigma = self.oplus_objects(f0, f1)
-        tgt, _ = self.oplus_objects(g0, g1)
-        s0f1 = M.degeneracy(f1.data, 0)
-        tau = self._fill(2, {0: s0f1, 1: sigma,
-                             3: M.degeneracy(f0.data, 1)})
-        half = self._fill(1, {0: M.degeneracy(f1.data, 1),
-                              2: left.rep.data + s0f1,
-                              3: tau})
-        lower = self._fill(2, {0: M.zero(2),
-                               1: M.degeneracy(g0.data, 1) + right.rep.data,
-                               3: half})
-        return HomotopyClass(Homotopy2(src, tgt, lower))
+        """The sum of two morphisms, by the three-step filler recipe: the
+        sum's witness moved by P_2, then the half step and the lower step."""
+        self._own(left, right)
+        data = self._perturbed(left.rep.data + right.rep.data, 2, -1)
+        data = self._perturbed(self._perturbed(data, 1), 2)
+        return HomotopyClass(Homotopy2(self._sum(left.source, right.source),
+                                       self._sum(left.target, right.target), data))
 
     def left_unitor(self, f: MapObject) -> HomotopyClass:
         """unit (+) f -> f."""
-        M = self.maps
-        src, sigma = self.oplus_objects(self.unit(), f)
-        face = self._fill(1, {0: M.degeneracy(f.data, 1),
-                              2: M.degeneracy(f.data, 0),
-                              3: sigma})
-        return HomotopyClass(Homotopy2(src, f, face))
+        self._own(f)
+        data = self._perturbed(self.maps.degeneracy(f.data, 1), 1)
+        return HomotopyClass(Homotopy2(self._sum(self.unit(), f), f, data))
 
     def right_unitor(self, f: MapObject) -> HomotopyClass:
         """f (+) unit -> f."""
-        M = self.maps
-        src, sigma = self.oplus_objects(f, self.unit())
-        face = self._fill(2, {0: M.zero(2),
-                              1: M.degeneracy(f.data, 1),
-                              3: sigma})
-        return HomotopyClass(Homotopy2(src, f, face))
+        self._own(f)
+        data = self._perturbed(self.maps.degeneracy(f.data, 1), 2)
+        return HomotopyClass(Homotopy2(self._sum(f, self.unit()), f, data))
 
     def associator(self, a: MapObject, b: MapObject,
                    c: MapObject) -> HomotopyClass:
-        """(a+b)+c -> a+(b+c)."""
-        M = self.maps
-        ab, _ = self.oplus_objects(a, b)
-        src, sig_ab_c = self.oplus_objects(ab, c)
-        bc, _ = self.oplus_objects(b, c)
-        tgt, sig_a_bc = self.oplus_objects(a, bc)
-        tau = self._fill(2, {0: M.degeneracy(c.data, 0),
-                             1: sig_ab_c,
-                             3: M.degeneracy(ab.data, 1)})
-        x2 = sig_a_bc + M.degeneracy(b.data, 1) - M.degeneracy(b.data, 0)
-        kappa = self._fill(1, {0: M.degeneracy(c.data, 1),
-                               2: x2,
-                               3: tau})
-        return HomotopyClass(Homotopy2(src, tgt, kappa))
+        """(a+b)+c -> a+(b+c), by two fills drawing P_2 then P_1."""
+        self._own(a, b, c)
+        src = self._sum(self._sum(a, b), c)
+        data = self._perturbed(self.maps.degeneracy(src.data, 1), 2, -1)
+        return HomotopyClass(Homotopy2(src, self._sum(a, self._sum(b, c)),
+                                       self._perturbed(data, 1)))
 
     def unitors_and_associator(self, f: MapObject, g: MapObject,
                                h: MapObject):
@@ -462,6 +470,7 @@ class MappingGroupoid:
         data adds commutatively), so it contributes an identity cell; the
         composite still exercises sums, inverses and composition.
         """
+        self._own(f, g)
         up = self.oplus_morphisms(self.inverse(self.right_unitor(f)),
                                   self.inverse(self.left_unitor(g)))
         down = self.oplus_morphisms(self.left_unitor(g), self.right_unitor(f))
@@ -622,7 +631,9 @@ class MappingGroupoid:
         """Fold closed square data back into a triangle morphism.
 
         The lower triangle is already morphism-shaped onto the diagonal;
-        the upper half arrives transposed and is straightened by one fill.
+        the upper half U arrives transposed and is straightened by one
+        fill, s_1 m + s_0 t - U + P_1 with m = d_1 U the diagonal and t the
+        top.
         """
         if not coboundary(K).is_zero():
             raise ValueError("square data must be closed")
@@ -635,10 +646,8 @@ class MappingGroupoid:
         mid = MapObject(self, pullback(diag, K))
         M = self.maps
         first = HomotopyClass(Homotopy2(source, mid, pullback(lower, K)))
-        face = self._fill(1, {0: M.degeneracy(target.data, 1),
-                              2: M.degeneracy(target.data, 0),
-                              3: pullback(upper, K)})
-        second = HomotopyClass(Homotopy2(mid, target, face))
+        data = M.degeneracy(mid.data, 1) + M.degeneracy(top, 0) - pullback(upper, K)
+        second = HomotopyClass(Homotopy2(mid, target, self._perturbed(data, 1)))
         return self.compose(first, second)
 
     def square_integral(self, K: Cochain) -> Cochain:

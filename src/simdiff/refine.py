@@ -93,7 +93,8 @@ class TildeGroupoid:
         return TildeMorphism(x, x, Cochain.zero(
             self.theory.carrier, self.theory.degree - 1, RATIONALS))
 
-    def compose(self, second: TildeMorphism, first: TildeMorphism) -> TildeMorphism:
+    def compose(self, first: TildeMorphism, second: TildeMorphism) -> TildeMorphism:
+        """first then second."""
         if not self.theory.eq(first.target, second.source):
             raise ValueError("arrows do not abut")
         return TildeMorphism(first.source, second.target,

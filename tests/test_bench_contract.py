@@ -76,9 +76,9 @@ def test_traced_hat_compare_op_keeps_its_layers():
 
 
 def test_traced_coherence_op_keeps_its_layers():
-    """A coherence-battery op must still fill horns through em.moore_fill
-    and build its cells through the traced groupoid operations and
-    constructors."""
+    """A coherence-battery op must still build its cells through the
+    traced groupoid operations and constructors.  It fills no horn: each
+    structural cell is written out in closed form (groupoid.py)."""
     w = workloads.WORKLOADS["coherence-battery"](0)
     w.setup()
     s = w.make_input(0)
@@ -89,7 +89,7 @@ def test_traced_coherence_op_keeps_its_layers():
     assert w.check(s, report) is None
     layer = {tracing.span_name(m, p): name for name, m, p, _ in tracing.TARGETS}
     seen = {layer[n] for n in tracer.names if n in layer}
-    assert {"em.moore_fill", "groupoid.ops", "groupoid.validate"} <= seen
+    assert {"groupoid.ops", "groupoid.validate"} <= seen
 
 
 def test_traced_cohomology_op_keeps_its_layers():

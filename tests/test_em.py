@@ -235,22 +235,33 @@ def _counting_applies(monkeypatch) -> list:
     return applied
 
 
-def test_an_equal_horn_is_filled_once_per_group(monkeypatch):
-    rng = random.Random(15)
-    G = MappingComplex(circle(3), INTEGERS, 1)
-    w = _random_level(G, 3, rng)
-    faces = {j: G.face(w, j) for j in (0, 1, 3)}
-    applied = _counting_applies(monkeypatch)
-    first = moore_fill(G, 3, 2, faces)
-    assert len(applied) == 1
-    # equal faces that are other objects reach the same entry
-    again = moore_fill(G, 3, 2, {j: x + G.zero(2) for j, x in faces.items()})
-    assert again == first and len(applied) == 1
-    # the face alone is another entry, and so is another group
-    assert moore_fill(G, 3, 2, faces, face_only=True) == G.face(first, 2)
-    assert len(applied) == 2
-    assert moore_fill(MappingComplex(circle(3), INTEGERS, 1), 3, 2, faces) == first
-    assert len(applied) == 3
+def test_new_group_reuses_cached_fill_plans():
+    """The compiled horn fillers live on the cylinders of the base, so a
+    second group on it, over another ring, fills with the same plans."""
+    X = circle(4)
+    rng = random.Random(17)
+
+    def plans():
+        return {(m, key): plan for m in (2, 3)
+                for key, plan in cylinder(X, m).complex._cache.items()
+                if key[0] == "moore_plan"}
+
+    def fill_every_shape(G):
+        for m in (2, 3):
+            for missing in range(m + 1):
+                w = _random_level(G, m, rng)
+                faces = {j: G.face(w, j) for j in range(m + 1) if j != missing}
+                assert all(G.face(moore_fill(G, m, missing, faces), j) == x
+                           for j, x in faces.items())
+
+    fill_every_shape(MappingComplex(X, INTEGERS, 1))
+    built = plans()
+    assert {(m, key[3]) for m, key in built} == {(2, 0), (2, 1), (2, 2), (3, 0),
+                                                 (3, 1), (3, 2), (3, 3)}
+    fill_every_shape(MappingComplex(X, RATIONALS, 1))
+    again = plans()
+    assert again.keys() == built.keys()
+    assert all(again[key] is plan for key, plan in built.items())
 
 
 def test_an_incompatible_horn_raises_on_every_call(monkeypatch):
@@ -273,9 +284,8 @@ def test_a_wrong_ring_face_raises_after_the_same_horn_was_filled():
     assert G.face(moore_fill(G, 2, 1, faces), 1) == G.face(w, 1)
     for ring in (RATIONALS, Z2):
         wrong = {j: x.map_values(lambda v: v, ring) for j, x in faces.items()}
-        for face_only in (False, True):
-            with pytest.raises(ValueError, match=r"^face 0 is not a degree-1 Z cochain"):
-                moore_fill(G, 2, 1, wrong, face_only=face_only)
+        with pytest.raises(ValueError, match=r"^face 0 is not a degree-1 Z cochain"):
+            moore_fill(G, 2, 1, wrong)
 
 
 def _fill_outcome(fill, G, m, missing, faces):
@@ -285,23 +295,13 @@ def _fill_outcome(fill, G, m, missing, faces):
         return str(e)
 
 
-def _face_only(G, m, missing, faces):
-    return moore_fill(G, m, missing, faces, face_only=True)
-
-
-def _reference_face(G, m, missing, faces):
-    return G.face(reference_fill.moore_fill(G, m, missing, faces), missing)
-
-
 _RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Z/3": mod_coefficients(3)}
 
 
 def _compare_with_reference(G, rng, trials=2):
     """Compiled filler against the reference loop on random horns of every
     shape: faces of a random level element, then the same horn with one
-    face disturbed, which the two must reject with the same message.  The
-    face-only fill must give the reference filler's missing face, and
-    reject the disturbed horn with the same message too."""
+    face disturbed, which the two must reject with the same message."""
     for m in (2, 3):
         for missing in range(m + 1):
             for _ in range(trials):
@@ -312,16 +312,11 @@ def _compare_with_reference(G, rng, trials=2):
                 assert got == want
                 assert list(map(type, got.vec)) == list(map(type, want.vec))
                 assert all(G.face(got, j) == x for j, x in faces.items())
-                face, want_face = _face_only(G, m, missing, faces), G.face(want, missing)
-                assert face == want_face and face.complex is G.level_complex(m - 1)
-                assert list(map(type, face.vec)) == list(map(type, want_face.vec))
                 j = rng.choice(sorted(faces))
                 faces[j] = faces[j] + random_cochain(
                     G.level_complex(m - 1), G.degree(), G.coeffs, rng)
                 assert (_fill_outcome(moore_fill, G, m, missing, faces)
                         == _fill_outcome(reference_fill.moore_fill, G, m, missing, faces))
-                assert (_fill_outcome(_face_only, G, m, missing, faces)
-                        == _fill_outcome(_reference_face, G, m, missing, faces))
 
 
 @pytest.mark.parametrize("ring", ["Z", "Z/3"])

@@ -9,7 +9,7 @@ from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary, cobounda
                               mod_coefficients, pullback)
 from simdiff.cohomology import (CoboundaryObstruction, cohomology, is_coboundary,
                                 solve_relative_coboundary)
-from simdiff.complexes import (Simplex, circle, cylinder, identity_map, point,
+from simdiff.complexes import (Simplex, circle, cylinder, identity_map, point, rp2,
                                standard_simplex, torus)
 from simdiff.em import MappingComplex
 from simdiff.groupoid import (HomotopyClass, Homotopy2, MappingGroupoid,
@@ -410,71 +410,112 @@ def test_compose_draws_perturbation_only_above_degree_1(n, draws):
     assert (composite.source, composite.target) == (f, k.target)
 
 
-@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
-@pytest.mark.parametrize("seed", [43, 44, 45])
-def test_face_only_fills_perturb_like_the_whole_filler(seed, coeffs, monkeypatch):
-    """Every level-3 op gives the representative, and leaves the
-    perturbation Random in the state, that filling the whole level-3
-    horn, perturbing it and reading one face gives."""
-    G = MappingGroupoid(circle(3), coeffs, 2, perturb=random.Random(seed))
-    rng = random.Random(seed + 100)
+def _cells(G, rng):
+    """Arguments for every structural operation, drawn from rng alone."""
     a, b, c = (G.random_object(rng) for _ in range(3))
     h = G.random_morphism(a, rng)
     k = G.random_morphism(h.target, rng)
     l = G.random_morphism(b, rng)
-    ops = {"compose": (G.compose, h, k), "inverse": (G.inverse, h),
-           "oplus_morphisms": (G.oplus_morphisms, h, l),
-           "left_unitor": (G.left_unitor, a), "right_unitor": (G.right_unitor, b),
-           "associator": (G.associator, a, b, c), "from_square": (G.from_square, G.to_square(k))}
-    for name, (op, *args) in ops.items():
-        before = G.perturb.getstate()
-        got = op(*args)
-        after = G.perturb.getstate()
-        G.perturb.setstate(before)
-        with monkeypatch.context() as patch:
-            patch.setattr(G, "_fill", lambda missing, faces: reference_fill.groupoid_fill(
-                G, missing, faces))
-            want = op(*args)
+    return {"compose": (h, k), "inverse": (h,), "oplus_morphisms": (h, l),
+            "left_unitor": (a,), "right_unitor": (b,), "associator": (a, b, c),
+            "braid": (a, b), "from_square": (G.to_square(k),)}
+
+
+def _assert_cells_match_the_fill_recipes(X, coeffs, n, seed, perturbed):
+    """Each operation's representative, its value types and the state it
+    leaves the perturbation Random in equal the fill recipes'."""
+    def make(cls):
+        return cls(X, coeffs, n, perturb=random.Random(seed) if perturbed else None)
+    G, F = make(MappingGroupoid), make(reference_fill.FillGroupoid)
+    want_args = _cells(F, random.Random(seed + 100))
+    for name, args in _cells(G, random.Random(seed + 100)).items():
+        before = G.perturb.getstate() if perturbed else None
+        got = getattr(G, name)(*args)
+        want = getattr(F, name)(*want_args[name])
         assert got.rep.data == want.rep.data, name
         assert list(map(type, got.rep.data.vec)) == list(map(type, want.rep.data.vec)), name
-        assert G.perturb.getstate() == after != before, name
+        if perturbed:
+            assert G.perturb.getstate() == F.perturb.getstate(), name
+            assert (G.perturb.getstate() != before) == (n >= 2), name
 
 
 @pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
-def test_memoized_fills_keep_the_perturbed_battery(coeffs, monkeypatch):
-    """Fills memoized on the group give the report, and leave the
-    perturbation Random in the state, that the unmemoized reference loop
-    gives, in degree 2 where every level-3 fill draws."""
-    def battery():
-        G = MappingGroupoid(circle(3), coeffs, 2, perturb=random.Random(48))
+@pytest.mark.parametrize("seed", [43, 44, 45])
+def test_face_only_fills_perturb_like_the_whole_filler(seed, coeffs):
+    """Every level-3 cell is the one face an operation reads, in closed
+    form; it equals filling the whole level-3 horn, perturbing it and
+    reading that face, and draws what that drew."""
+    _assert_cells_match_the_fill_recipes(circle(3), coeffs, 2, seed, True)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
+@pytest.mark.parametrize("base", ["circle3", "torus", "rp2"])
+def test_closed_form_cells_match_the_fill_recipes(base, coeffs, n, perturbed):
+    X = {"circle3": circle(3), "torus": torus(), "rp2": rp2()}[base]
+    _assert_cells_match_the_fill_recipes(X, coeffs, n, 7, perturbed)
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, mod_coefficients(3)], ids=["Z", "Z/3"])
+def test_closed_form_cells_keep_the_perturbed_battery(coeffs):
+    """The closed forms give the coherence report, and leave the
+    perturbation Random in the state, that the fill recipes give, in
+    degree 2 where every level-3 cell draws."""
+    def battery(cls):
+        G = cls(circle(3), coeffs, 2, perturb=random.Random(48))
         report = check_coherence(G.as_instance(), trials=2, seed=48)
         return report.to_json(), G.perturb.getstate()
 
-    got = battery()
+    got = battery(MappingGroupoid)
     assert got[0]["ok"]
-    monkeypatch.setattr(groupoid, "moore_fill", reference_fill.moore_fill)
-    assert battery() == got
+    assert battery(reference_fill.FillGroupoid) == got
 
 
-def test_a_coherence_round_fills_each_distinct_horn_once(monkeypatch):
-    """On circle(12) in degree 1 a round makes 324 fills of 157 distinct
-    horns; each distinct horn is checked and evaluated once."""
-    X = circle(12)
-    fills, evaluated = [], []
-    real_fill, real_horn = em.moore_fill, em._fill_horn
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_coherence_round_fills_no_horn(n, monkeypatch):
+    """Every structural cell is written out in closed form: a round calls
+    no horn filler and compiles no fill plan on the base's cylinders."""
+    # a circle of its own, so that no other test has filled on its cylinders
+    X = complexes._circle.__wrapped__(3)
+    fills = []
+    real = em.moore_fill
 
-    def fill(*args, **kwargs):
-        fills.append(args[1])
-        return real_fill(*args, **kwargs)
-
-    def horn(*args):
-        evaluated.append(args[1])
-        return real_horn(*args)
-    monkeypatch.setattr(groupoid, "moore_fill", fill)
-    monkeypatch.setattr(em, "_fill_horn", horn)
-    G = MappingGroupoid(X, INTEGERS, 1, perturb=random.Random(7))
+    def counting(*args, **kwargs):
+        fills.append(args[1:3])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(em, "moore_fill", counting)
+    G = MappingGroupoid(X, INTEGERS, n, perturb=random.Random(7))
     assert check_coherence(G.as_instance(), trials=1, seed=7).ok
-    assert len(fills) == 324 and len(evaluated) <= 160
+    assert fills == []
+    assert not hasattr(groupoid, "moore_fill")
+    assert not any(key[0] == "moore_plan" for m in (1, 2, 3)
+                   for key in vars(cylinder(X, m).complex).get("_cache", {}))
+
+
+_FOREIGN = {"another base": (circle(4), INTEGERS, 1),
+            "another ring": (circle(3), mod_coefficients(3), 1),
+            "another degree": (circle(3), INTEGERS, 0)}
+
+
+@pytest.mark.parametrize("foreign", sorted(_FOREIGN))
+def test_every_operation_rejects_a_foreign_argument(foreign):
+    """An object, morphism or square from a groupoid over another base,
+    ring or degree raises ValueError in every operation, in any position."""
+    G = MappingGroupoid(circle(3), INTEGERS, 1)
+    H = MappingGroupoid(*_FOREIGN[foreign])
+    own, other = _cells(G, random.Random(3)), _cells(H, random.Random(3))
+    for cells in (own, other):
+        cells["oplus_objects"], cells["identity"] = cells["braid"], cells["left_unitor"]
+    for name, args in own.items():
+        for i in range(len(args)):
+            mixed = args[:i] + (other[name][i],) + args[i + 1:]
+            with pytest.raises(ValueError):
+                getattr(G, name)(*mixed)
+    # data of another ring on this groupoid's complex is not an object of it
+    if foreign == "another ring":
+        with pytest.raises(ValueError, match="Z coefficients"):
+            G.object(other["left_unitor"][0].data)
 
 
 def test_degree_1_coherence_reads_no_level_3_face(monkeypatch):
@@ -508,30 +549,6 @@ def test_a_degree_one_round_reads_the_level_maps_in_degree_two_only():
         assert tables <= {("pullback", 2)}, f.name
         read |= tables
     assert read == {("pullback", 2)}
-
-
-def test_new_groupoid_reuses_cached_fill_plans():
-    """The compiled horn fillers live on the cylinders of the base, so a
-    second groupoid on it, over another ring, fills with the same plans."""
-    X = circle(4)
-    rng = random.Random(17)
-
-    def plans():
-        return {(m, key): plan for m in (2, 3)
-                for key, plan in cylinder(X, m).complex._cache.items()
-                if key[0] == "moore_plan"}
-
-    first = MappingGroupoid(X, INTEGERS, 1)
-    f, g = first.random_object(rng), first.random_object(rng)
-    first.braid(f, g)
-    built = plans()
-    assert {key[3] for _, key in built} == {1, 2}
-    second = MappingGroupoid(X, RATIONALS, 1)
-    second.braid(second.object(f.data.map_values(lambda v: v, RATIONALS)),
-                 second.object(g.data.map_values(lambda v: v, RATIONALS)))
-    again = plans()
-    assert again.keys() == built.keys()
-    assert all(again[key] is plan for key, plan in built.items())
 
 
 # -- the class oracle against the full solve -------------------------------

@@ -69,13 +69,14 @@ def test_compose_inverse_oplus():
     y = T.add(x, T.from_form(_random_form(T, rng)))
     z = T.add(y, T.from_form(_random_form(T, rng)))
     m1, m2 = G.hom(x, y), G.hom(y, z)
-    both = G.compose(m2, m1)
+    both = G.compose(m1, m2)
     assert both.form == m1.form + m2.form
+    assert T.eq(both.source, x) and T.eq(both.target, z)
     assert G.verify(both).equal
-    round_trip = G.compose(G.inverse(m1), m1)
+    round_trip = G.compose(m1, G.inverse(m1))
     assert G.parallel(round_trip, G.identity(x))
     with pytest.raises(ValueError):
-        G.compose(m1, m2)  # endpoints do not abut
+        G.compose(m2, m1)  # endpoints do not abut
     s = G.oplus(m1, m2)
     assert T.eq(s.source, T.add(x, y)) and T.eq(s.target, T.add(y, z))
     assert G.verify(s).equal
@@ -135,10 +136,11 @@ def test_shear_equivalence_on_genus2():
     assert rep.ok, rep.failures()
 
 
-def test_shear_equivalence_on_rp2_times_circle():
+@pytest.mark.parametrize("n", [1, 2])
+def test_shear_equivalence_on_rp2_times_circle(n):
     X = build_standard("rp2xS1")
-    G = build_tilde(X, 1)
-    Gs = build_tilde(X, 1, CharacterModel("sheared"))
+    G = build_tilde(X, n)
+    Gs = build_tilde(X, n, CharacterModel("sheared"))
     rep = check_equivalence(canonical_comparison(G, Gs), seed=1, trials=2)
     assert rep.ok, rep.failures()
 
