@@ -7,29 +7,31 @@ generators may be degenerate, so a frozen complex compiles its face table to
 word algebra from :mod:`simdiff.words` does the rest.  Validation, the
 cochain kernels' face tables and products all read the compiled table.
 
-Three memo rules.  Results keyed by words and small ints (the word
-algebra, the canonical pair words, the shuffles of two dimensions, the
-fixtures) are functools caches at module level, where they are defined:
-they are bounded by dimension and by the fixtures in use.  Memos keyed by
-simplices of one complex (FaceMemo.row, the product's numbering) live for
-one build.  Data derived from one complex, map, cylinder or group (face
-and coboundary tables, factored systems, structure maps, fill plans, a
-group's fills) goes through derived or cached_on, which keep it in that
-owner's _cache: it lives exactly as long as its owner, and no other
-module touches the store.
+Two memo rules.  Results keyed by words and small ints (the word algebra,
+the canonical pair words, the shuffles of two dimensions, the face recipe
+and pair index of each product shape, the fixtures) are functools caches
+at module level, where they are defined: they are bounded by dimension and
+by the fixtures in use.  Data derived from one complex, map, cylinder or
+group (face and coboundary tables, factored systems, structure maps, fill
+plans) goes through derived or cached_on, which keep it in that owner's
+_cache: it lives exactly as long as its owner, and no other module
+touches the store.  No memo is keyed by the simplices of one complex.
 
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
-are disjoint.  product() computes each generator's faces from its factors'
-compiled tables and spells its key string from theirs, once.  Only products
-with standard simplices are part of the public surface (plus the torus and
-ladder fixtures, which reuse the same machinery).
+are disjoint.  The generators over one pair of factor generators are the
+shuffles of their dimensions, so product() numbers them by arithmetic,
+reads their faces off the factors' compiled tables through the recipe of
+their shape, and spells each key string from the factors' once.  Only
+products with standard simplices are part of the public surface (plus the
+torus and ladder fixtures, which reuse the same machinery).
 
 A map into a product is a pairing <first, second> of its two components
 (pair_map): product maps, the face inclusions and codegeneracies of the
-cylinders and the square model of the groupoid are all built that way.  Such a map is a rule on
-generator keys, and its images are read one dimension at a time: a
-pullback table runs the rule on the generators of its own degree only.
+cylinders and the square model of the groupoid are all built that way.
+Such a map is a rule on generator keys, and its images are read one
+dimension at a time: a pullback table runs the rule on the generators of
+its own degree only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -91,8 +93,8 @@ class SimplicialSet:
         self.name = name
         self._dims: dict[Hashable, int] = {}
         # until freeze, the faces of each generator in the order added: Simplex
-        # objects from add_generator, or (id, word) pairs from product, id
-        # counting generators in the order added; product also sets the key
+        # objects from add_generator, or (id, word) pairs from _compiled, id
+        # counting generators in the order added; _compiled also sets the key
         # strings, which freeze otherwise spells with key_str
         self._added: list[tuple] = []
         self._strs: list[str] | None = None
@@ -125,6 +127,17 @@ class SimplicialSet:
                 f"{self.name}: generator {key!r} of dim {dim} has {len(faces)} faces")
         self._dims[key] = dim
         self._added.append(faces)
+
+    @classmethod
+    def _compiled(cls, name: str, keys: list, dims: list[int],
+                  rows: list[tuple[tuple[int, Word], ...]], strs: list[str]) -> "SimplicialSet":
+        """The frozen complex of the given generators, in the order added,
+        with their faces as (id, word) rows, ids counting that order, and
+        their key strings; freeze orders and checks it like any other."""
+        X = cls(name)
+        X._dims = dict(zip(keys, dims))
+        X._added, X._strs = rows, strs
+        return X.freeze()
 
     def freeze(self) -> "SimplicialSet":
         if not self._frozen:
@@ -542,9 +555,9 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     """Ordered simplicial complex generated by the given top faces.
 
     Vertex labels must be sortable; every subset of a facet becomes a
-    generator keyed by its sorted vertex tuple.
+    generator keyed by its sorted vertex tuple.  The faces go to freeze as
+    (id, ()) rows, ids from one subset -> id dict, so no Simplex is built.
     """
-    X = SimplicialSet(name)
     seen: set[tuple] = set()
     subsets: list[tuple] = []
     for facet in facets:
@@ -566,13 +579,11 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     except TypeError as e:
         raise ConstructionError(
             f"{name}: vertex labels of different facets do not sort together ({e})") from None
-    for sub in subsets:
-        if len(sub) == 1:
-            X.add_generator(sub, 0)
-        else:
-            faces = [Simplex(sub[:i] + sub[i + 1:]) for i in range(len(sub))]
-            X.add_generator(sub, len(sub) - 1, faces)
-    return X.freeze()
+    ids = {sub: i for i, sub in enumerate(subsets)}
+    rows = [tuple([(ids[sub[:i] + sub[i + 1:]], ()) for i in range(len(sub))])
+            if len(sub) > 1 else () for sub in subsets]
+    return SimplicialSet._compiled(name, subsets, [len(sub) - 1 for sub in subsets], rows,
+                                   [key_str(sub) for sub in subsets])
 
 
 def standard_simplex(k: int) -> SimplicialSet:
@@ -736,24 +747,6 @@ def face_at(table: tuple, r: int, w: Word, i: int) -> tuple[int, Word]:
     return r, apply_word(w, word)
 
 
-class FaceMemo:
-    """The face rows of (position, word) simplices over one compiled face
-    table, memoized on the simplex for one build."""
-
-    def __init__(self, table: tuple):
-        self.table = table
-        self.rows: dict[tuple[int, Word], tuple[tuple[int, ...], tuple[Word, ...]]] = {}
-
-    def row(self, r: int, w: Word, d: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """(positions, words) of faces 0..d of the d-simplex (r, w), memoized."""
-        hit = self.rows.get((r, w))
-        if hit is None:
-            table = self.table
-            hit = self.rows[r, w] = tuple(zip(*(face_at(table, r, w, i)
-                                                for i in range(d + 1))))
-        return hit
-
-
 @cache
 def _pair_words(wx: Word, wy: Word) -> tuple[Word, Word, Word]:
     """Canonical form of a pair of component words.
@@ -791,51 +784,93 @@ def _shuffles(p: int, q: int) -> tuple[tuple[Word, Word, str, str], ...]:
     return tuple(out)
 
 
+@cache
+def _pair_index(p: int, q: int, wx: Word, wy: Word) -> tuple[int, Word]:
+    """The canonical pair of s_wx x and s_wy y, x a p- and y a q-generator:
+    the index of its component words in _shuffles(p, q), and its word."""
+    cx, cy, word = _pair_words(wx, wy)
+    for k, (sx, sy, _, _) in enumerate(_shuffles(p, q)):
+        if sx == cx and sy == cy:
+            return k, word
+    raise AssertionError(f"({cx}, {cy}) is not a shuffle of ({p}, {q})")
+
+
+@cache
+def _face_recipe(p: int, q: int) -> tuple[tuple[tuple, ...], ...]:
+    """How the faces of a product generator over a p- and a q-generator are
+    made: one row per shuffle (wx, wy) of _shuffles(p, q), one entry
+    (cell, k, word, a, lx, b, ly) per face i of it.
+
+    d_i s_wx x = s_lx d_{a-1} x: the x side takes its factor's face a - 1,
+    or keeps x when a = 0 (d_i cancels against wx); b and ly say the same
+    of the y side.  cell = a * width + b, width = q + 2 (1 when q = 0),
+    indexes the factor pair the face lies over in the grid of (x or a face
+    of x, y or a face of y) that product() lays out for each pair of
+    generators.  When the factor faces are nondegenerate, the face is
+    shuffle k of that pair with degeneracy word `word`.
+    """
+    width = q + 2 if q else 1
+    out = []
+    for wx, wy, _, _ in _shuffles(p, q):
+        faces = []
+        d = p + len(wx)
+        for i in range(d + 1 if d else 0):
+            lx, a = apply_face(wx, i)
+            ly, b = apply_face(wy, i)
+            a, b = 0 if a is None else a + 1, 0 if b is None else b + 1
+            faces.append((a * width + b, *_pair_index(p - (a > 0), q - (b > 0), lx, ly),
+                          a, lx, b, ly))
+        out.append(tuple(faces))
+    return tuple(out)
+
+
 def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> SimplicialSet:
     """Simplicial product via shuffle enumeration of nondegenerate pairs.
 
-    A generator (gx, wx, gy, wy) is numbered in enumeration order as
-    (position of gx, wx, position of gy, wy), and its key string is put
-    together once from the factors' key strings and the word strings.  Its
-    faces come from the factors' compiled tables and are handed to freeze
-    as (number, word) pairs, so no Simplex is built.  The face rows and
-    the numbering are memoized for this build; the word algebra, the
-    shuffles and the canonical pair words come from module-level caches.
+    The generators over the factor generators at positions ax and ay are
+    the shuffles of their dimensions, with ids in enumeration order from
+    base[ax * ny + ay] on, so a generator's id is arithmetic; its key
+    string is put together once from the factors' key strings and the word
+    strings.  Its faces come from the cached recipe of its shape: the face
+    over a pair of factor generators is the first id of that pair plus the
+    shuffle index the recipe names.  Where a factor's face is itself
+    degenerate, its word is composed with the word the recipe leaves on
+    that side, as face_at does, and the pair is made canonical again.  The
+    faces are handed to freeze as (id, word) pairs, so no Simplex is built.
     """
-    P = SimplicialSet(name or f"{X.name}x{Y.name}")
-    xgens, ygens = X.generators(), Y.generators()
-    xdims = [X.gen_dim(g) for g in xgens]
-    ydims = [Y.gen_dim(g) for g in ygens]
-    ystrs = [key_str(g) for g in ygens]
-    numbered: dict[tuple[int, Word, int, Word], int] = {}
-    keys, dims, strs = [], [], []
-    for ax, gx in enumerate(xgens):
-        p = xdims[ax]
+    xdims = [X.gen_dim(g) for g in X.generators()]
+    ydims = [Y.gen_dim(g) for g in Y.generators()]
+    ny = len(ydims)
+    base = list(accumulate((len(_shuffles(p, q)) for p in xdims for q in ydims), initial=0))
+    # per y generator: key, dimension, key string, and the positions and
+    # words of itself and its faces
+    ys = [(gy, q, key_str(gy), (ay, *(r for r, _ in row)), ((), *(w for _, w in row)))
+          for ay, (gy, q, row) in enumerate(zip(Y.generators(), ydims, Y._table))]
+    keys, dims, strs, rows = [], [], [], []
+    for ax, (gx, p, xrow) in enumerate(zip(X.generators(), xdims, X._table)):
+        xs, xwords = (ax, *(r for r, _ in xrow)), ((), *(w for _, w in xrow))
         # key_str reads a 4-tuple with an int first entry as a plain tuple
         sx = None if isinstance(gx, int) else key_str(gx)
-        for ay, gy in enumerate(ygens):
-            sy = ystrs[ay]
-            for wx, wy, swx, swy in _shuffles(p, ydims[ay]):
-                key = (gx, wx, gy, wy)
-                numbered[ax, wx, ay, wy] = len(keys)
-                keys.append(key)
-                dims.append(p + len(wx))
-                strs.append(key_str(key) if sx is None else f"({sx}|{swx})*({sy}|{swy})")
-
-    xface, yface = FaceMemo(X._table), FaceMemo(Y._table)
-    rows = []
-    for (ax, wx, ay, wy), d in zip(numbered, dims):
-        if not d:
-            rows.append(())
-            continue
-        xpos, xwords = xface.row(ax, wx, d)
-        ypos, ywords = yface.row(ay, wy, d)
-        rows.append(tuple([(numbered[a, cx, b, cy], w) for a, b, (cx, cy, w)
-                           in zip(xpos, ypos, map(_pair_words, xwords, ywords))]))
-    P._dims = dict(zip(keys, dims))
-    P._added, P._strs = rows, strs
+        for gy, q, sy, yfaces, ywords in ys:
+            shuffles = _shuffles(p, q)
+            pairs = [(gx, wx, gy, wy) for wx, wy, _, _ in shuffles]
+            keys.extend(pairs)
+            dims.extend([p + len(wx) for wx, _, _, _ in shuffles])
+            strs.extend(map(key_str, pairs) if sx is None else
+                        [f"({sx}|{swx})*({sy}|{swy})" for _, _, swx, swy in shuffles])
+            grid = [base[rx * ny + ry] for rx in xs for ry in yfaces]
+            for faces in _face_recipe(p, q):
+                row = []
+                for c, k, w, a, lx, b, ly in faces:
+                    tx, ty = xwords[a], ywords[b]
+                    if tx or ty:
+                        k, w = _pair_index(xdims[xs[a]], ydims[yfaces[b]],
+                                           apply_word(tx, lx), apply_word(ty, ly))
+                    row.append((grid[c] + k, w))
+                rows.append(tuple(row))
+    P = SimplicialSet._compiled(name or f"{X.name}x{Y.name}", keys, dims, rows, strs)
     P._factors = (X, Y)
-    return P.freeze()
+    return P
 
 
 def pair_map(P: SimplicialSet, Q: SimplicialSet, first: Callable[[Hashable], Simplex],

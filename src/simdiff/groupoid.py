@@ -381,14 +381,15 @@ class MappingGroupoid:
         return data + P if sign > 0 else data - P
 
     def _own(self, *cells) -> None:
-        """Raise ValueError unless every object or morphism lies over this
-        groupoid's base, ring and degree."""
+        """Raise ValueError unless every object or morphism belongs to this
+        groupoid, the rule Homotopy2 applies to its source and target: a
+        second groupoid over the same base, ring and degree is another
+        groupoid."""
         for x in cells:
-            g = x.groupoid
-            if g is not self and (g.base is not self.base or g.degree != self.degree
-                                  or g.coeffs != self.coeffs):
-                raise ValueError(f"{x!r} does not lie over {self.base.name} in degree "
-                                 f"{self.degree} with {self.coeffs.label()} coefficients")
+            if x.groupoid is not self:
+                raise ValueError(f"{x!r} does not belong to this groupoid over "
+                                 f"{self.base.name} in degree {self.degree} with "
+                                 f"{self.coeffs.label()} coefficients")
 
     def _sum(self, f: MapObject, g: MapObject) -> MapObject:
         return MapObject(self, f.data + g.data)

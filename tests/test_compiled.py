@@ -106,6 +106,14 @@ def reference_torus():
      lambda: ref.product(reference_torus(), reference_circle(3))),
     (lambda: product(circle(4), torus()),
      lambda: ref.product(reference_circle(4), reference_torus())),
+    # BROKEN["valid"] has the degenerate face a.(0,), whose word the
+    # product composes with the word its face recipe leaves
+    (lambda: product(valid(SimplicialSet), standard_simplex(2)),
+     lambda: ref.product(valid(ref.SimplicialSet), reference_simplex(2))),
+    (lambda: product(valid(SimplicialSet), circle(3)),
+     lambda: ref.product(valid(ref.SimplicialSet), reference_circle(3))),
+    (lambda: product(circle(3), valid(SimplicialSet)),
+     lambda: ref.product(reference_circle(3), valid(ref.SimplicialSet))),
 ])
 def test_fixture_products_match_the_reference(build, build_ref):
     assert_same(build(), build_ref())
@@ -123,13 +131,39 @@ def test_products_with_int_keyed_factors_match_the_reference():
                 ref.product(build(ref.SimplicialSet), reference_circle(3)))
 
 
+def test_every_product_validates_once(monkeypatch):
+    """product() hands its rows to freeze, and freeze's check() runs
+    problems() on every product, once."""
+    calls = []
+    real = SimplicialSet.problems
+
+    def spy(self):
+        calls.append(self.name)
+        return real(self)
+    monkeypatch.setattr(SimplicialSet, "problems", spy)
+    X, D, V = from_facets("X", [(0, 1, 2), (1, 3)]), standard_simplex(2), valid(SimplicialSet)
+    for A, B in ((X, D), (V, circle(3)), (D, X)):
+        calls.clear()
+        P = product(A, B)
+        assert calls == [P.name]
+
+
 # -- the same problems, in the same order --------------------------------------
 
 
-def broken(cls, case):
+def added(cls, case):
     X = cls(case)
     for key, dim, faces in BROKEN[case]:
         X.add_generator(key, dim, faces)
+    return X
+
+
+def valid(cls):
+    return added(cls, "valid").freeze()
+
+
+def broken(cls, case):
+    X = added(cls, case)
     try:
         X.freeze()
     except ConstructionError as e:

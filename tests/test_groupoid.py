@@ -495,18 +495,27 @@ def test_a_coherence_round_fills_no_horn(n, monkeypatch):
 
 _FOREIGN = {"another base": (circle(4), INTEGERS, 1),
             "another ring": (circle(3), mod_coefficients(3), 1),
-            "another degree": (circle(3), INTEGERS, 0)}
+            "another degree": (circle(3), INTEGERS, 0),
+            "another instance": (circle(3), INTEGERS, 1)}
 
 
 @pytest.mark.parametrize("foreign", sorted(_FOREIGN))
 def test_every_operation_rejects_a_foreign_argument(foreign):
     """An object, morphism or square from a groupoid over another base,
-    ring or degree raises ValueError in every operation, in any position."""
+    ring or degree raises ValueError in every operation, in any position.
+    So do the objects and morphisms of a second groupoid over the same
+    base, ring and degree, as in Homotopy2, though they carry the same
+    data as this one's."""
     G = MappingGroupoid(circle(3), INTEGERS, 1)
     H = MappingGroupoid(*_FOREIGN[foreign])
     own, other = _cells(G, random.Random(3)), _cells(H, random.Random(3))
     for cells in (own, other):
         cells["oplus_objects"], cells["identity"] = cells["braid"], cells["left_unitor"]
+    if foreign == "another instance":
+        # square data is a cochain on the shared square complex, not a cell
+        assert G.from_square(*other.pop("from_square")).groupoid is G
+        del own["from_square"]
+        assert own["left_unitor"] == other["left_unitor"]
     for name, args in own.items():
         for i in range(len(args)):
             mixed = args[:i] + (other[name][i],) + args[i + 1:]

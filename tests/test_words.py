@@ -119,7 +119,8 @@ def test_apply_word_stacks_innermost_first():
 
 CACHED = (words.compose_degeneracy, words.apply_word, words.apply_face,
           words.surjection_of_word, words.word_of_surjection,
-          complexes._pair_words, complexes._shuffles, cochains._shih_terms)
+          complexes._pair_words, complexes._shuffles, complexes._pair_index,
+          complexes._face_recipe, cochains._shih_terms)
 
 
 def test_check_word_is_not_cached():
@@ -170,10 +171,12 @@ def _calls(m: int):
             yield words.apply_word, (w, extra)
         for v in ws:
             yield complexes._pair_words, (w, v)
+            yield complexes._pair_index, (m - len(w), m - len(v), w, v)
         if m - len(w) == 2:
             yield cochains._shih_terms, (surjection_of_word(w, m),)
     for p in range(m + 1):
         yield complexes._shuffles, (p, m - p)
+        yield complexes._face_recipe, (p, m - p)
 
 
 @pytest.mark.parametrize("m", range(7))
