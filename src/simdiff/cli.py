@@ -5,11 +5,13 @@ presentation as JSON.  ``simdiff cert --space torus --degree 2 [--model
 sheared] [--trials N] [--seed S]`` prints the exactness certificate of the
 refined degree-n classes as report JSON and exits 1 when a check failed.
 Fixture parameters are passed as ``--param name=value`` (for example
-``--space circle --param n=5``).  ``--space A*B`` names the product of two
-fixtures, each with its default parameters (``--space rp2*circle`` is the
-rp2xS1 fixture); a product takes no ``--param``.  Bad input -- an unknown
-space or factor, parameter, degree, model, trial count or coefficient
-string -- exits with status 2 and a one-line message on stderr.
+``--space circle --param n=5``).  ``--space A*B*...`` names the product of
+any number of fixtures, each with its default parameters, folded from the
+left: ``--space rp2*circle`` is the rp2xS1 fixture, and
+``--space rp2*circle*circle`` is (rp2 x S1) x S1.  A product takes no
+``--param``.  Bad input -- an unknown space or factor, an empty factor,
+parameter, degree, model, trial count or coefficient string -- exits with
+status 2 and a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from typing import Sequence
 
 from .character import CharacterModel
@@ -42,7 +45,7 @@ def _parser() -> argparse.ArgumentParser:
     cert = commands.add_parser("cert", help="exactness certificate of refined classes")
     for sub in (coh, cert):
         sub.add_argument("--space", required=True,
-                         help=", ".join(_FIXTURE_BUILDERS) + ", or A*B for a product of two")
+                         help=", ".join(_FIXTURE_BUILDERS) + ", or A*B*... for a product")
         sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                          help="fixture parameter, repeatable")
         sub.add_argument("--degree", required=True, type=int)
@@ -65,13 +68,14 @@ def _params(items: Sequence[str]) -> dict[str, str]:
 
 
 def _space(name: str, items: Sequence[str]) -> SimplicialSet:
-    """The fixture called name, or the product A x B when name is A*B."""
-    first, star, second = name.partition("*")
-    if not star:
+    """The fixture called name, or when name is A*B*..., the product of
+    its factors, folded from the left: (A x B) x ..."""
+    first, *rest = name.split("*")
+    if not rest:
         return build_standard(name, **_params(items))
     if items:
         raise ValueError(f"the product {name} takes no --param")
-    return product(build_standard(first), build_standard(second))
+    return reduce(product, map(build_standard, rest), build_standard(first))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

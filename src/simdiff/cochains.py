@@ -263,19 +263,19 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
     """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
 
     One row ((position, coefficient), ...) per (n+1)-generator, in
-    generator order, with positions in X.generators(n); degenerate faces are
-    dropped and repeated faces merged into one coefficient (rows may come
-    out empty).
+    generator order, with positions in X.generators(n), read straight off
+    X.face_rows(n + 1) in face order: degenerate faces are dropped and
+    repeated faces merged into one coefficient (rows may come out empty).
     """
-    faces = face_table(X, n)
-    size = len(X.generators(n))
+    start = X.offset(n)
     rows = []
-    for r in range(len(X.generators(n + 1))):
+    for faces in X.face_rows(n + 1):
         row: dict[int, int] = {}
-        for sign, g in faces:
-            p = g.positions[r]
-            if p != size:
-                row[p] = row.get(p, 0) + sign
+        sign = 1
+        for q, w in faces:
+            if not w:
+                row[q - start] = row.get(q - start, 0) + sign
+            sign = -sign
         rows.append(tuple((p, a) for p, a in row.items() if a))
     return tuple(rows)
 

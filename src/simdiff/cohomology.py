@@ -66,17 +66,11 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
     """delta: C^n -> C^{n+1} of X over coeffs, factored once.
 
     Rows and columns are the generator positions of degrees n + 1 and n,
-    in order.  The system is cached on X under (n, coeffs), never under
-    matrix content.
+    in order.  The rows are delta_table's, handed over sparse as {column:
+    entry}, with the width; no dense row is built.  The system is cached on
+    X under (n, coeffs), never under matrix content.
     """
-    width = len(X.generators(n))
-    A = []
-    for sparse in delta_table(X, n):
-        row = [0] * width
-        for p, a in sparse:
-            row[p] = a
-        A.append(row)
-    return System(A, width, coeffs)
+    return System(list(map(dict, delta_table(X, n))), len(X.generators(n)), coeffs)
 
 
 def vector_of(c: Cochain) -> list:
@@ -281,18 +275,19 @@ class CohomologyGroup:
         else:
             cocycles = out.T[out.rank:]
             # delta_{n-1} in kernel coordinates: the rows of Tinv past the
-            # rank (the kernel's dual basis) times delta_{n-1}, row by row
-            Y: list[list[int]] = []
-            if n >= 1:
+            # rank (the kernel's dual basis) times delta_{n-1}, row by row,
+            # as sparse rows in the width of C^{n-1}
+            Y: list[dict[int, int]] = []
+            width = len(X.generators(n - 1)) if n >= 1 else 0
+            if width:
                 faces = delta_table(X, n - 1)
-                width = len(X.generators(n - 1))
                 for dual in out.Tinv[out.rank:]:
-                    y = [0] * width
+                    y: dict[int, int] = {}
                     for t, a in dual.items():
                         for j, w in faces[t]:
-                            y[j] += a * w
+                            y[j] = y.get(j, 0) + a * w
                     Y.append(y)
-            image = smith_normal_form(Y) if Y and Y[0] else None
+            image = smith_normal_form(Y, width) if Y else None
         dia = image.diagonal if image is not None else []
         return _Classes(
             cocycles, image,

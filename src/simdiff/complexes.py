@@ -5,7 +5,11 @@ arbitrary simplex is a generator decorated with a degeneracy word.  Faces of
 generators may be degenerate, so a frozen complex compiles its face table to
 (position, word) pairs, the position indexing its generator tuple, and the
 word algebra from :mod:`simdiff.words` does the rest.  Validation, the
-cochain kernels' face tables and products all read the compiled table.
+cochain kernels' face tables, the coboundary rows and products all read
+the compiled table.  One ordering function (_ordering: by dimension, key
+string, then order added) fixes every generator's position before any
+face row is written, so product(), from_facets() and freeze's resolution
+of Simplex faces each write a row once, already in positions.
 
 Two memo rules.  Results keyed by words and small ints (the word algebra,
 the canonical pair words, the shuffles of two dimensions, the face recipe
@@ -39,7 +43,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -80,24 +84,23 @@ class SimplicialSet:
 
     add_generator records each generator's key, dimension and faces;
     freeze() compiles them once, and the complex is immutable from then on.
-    Freezing orders the generators by dimension, then key string, so that
-    cochain bases and JSON output are deterministic, builds the generator
-    tuple and the position index of each dimension, and stores the face
-    table by position: face i of the generator at position q of
-    generators() is the pair (position, word), the position again in
+    Freezing orders the generators by dimension, then key string (then
+    order added), so that cochain bases and JSON output are deterministic,
+    writes each face row once with positions, builds the generator tuple
+    and the position index of each dimension, and checks the result.  The
+    face table is stored by position: face i of the generator at position
+    q of generators() is the pair (position, word), the position again in
     generators() and the word its degeneracies.  face(), the cochain
     kernels and the validation in problems() all read that table.
+    product() and from_facets() fix the positions the same way and hand
+    over rows already written with them (_compiled), so no row is copied.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._dims: dict[Hashable, int] = {}
-        # until freeze, the faces of each generator in the order added: Simplex
-        # objects from add_generator, or (id, word) pairs from _compiled, id
-        # counting generators in the order added; _compiled also sets the key
-        # strings, which freeze otherwise spells with key_str
-        self._added: list[tuple] = []
-        self._strs: list[str] | None = None
+        # until freeze, the Simplex faces of each generator in the order added
+        self._added: list[tuple[Simplex, ...]] = []
         self._order: tuple[Hashable, ...] = ()
         self._by_dim: dict[int, tuple[Hashable, ...]] = {}
         self._index: dict[int, Mapping[Hashable, int]] = {}
@@ -129,58 +132,58 @@ class SimplicialSet:
         self._added.append(faces)
 
     @classmethod
-    def _compiled(cls, name: str, keys: list, dims: list[int],
-                  rows: list[tuple[tuple[int, Word], ...]], strs: list[str]) -> "SimplicialSet":
-        """The frozen complex of the given generators, in the order added,
-        with their faces as (id, word) rows, ids counting that order, and
-        their key strings; freeze orders and checks it like any other."""
+    def _compiled(cls, name: str, keys: list, dims: list[int], order: list[int],
+                  table: Sequence[tuple[tuple[int, Word], ...]]) -> "SimplicialSet":
+        """The frozen complex of the given generators: keys and dims in the
+        order added, order from _ordering(dims, key strings), and table the
+        face rows in position order, each face a (position, word) pair.  It
+        is checked like any other."""
         X = cls(name)
         X._dims = dict(zip(keys, dims))
-        X._added, X._strs = rows, strs
-        return X.freeze()
+        X._seal(order, table)
+        return X
 
     def freeze(self) -> "SimplicialSet":
         if not self._frozen:
             keys = list(self._dims)
-            dims = list(self._dims.values())
-            rows = self._added
-            if self._strs is None:
-                rows = self._resolve(keys)
-                self._strs = [key_str(k) for k in keys]
-            order = [i for _, _, i in sorted(zip(dims, self._strs, range(len(keys))))]
-            # pos[id] is the position of a generator, and pos[-1 - k] = -1 - k
-            # keeps the marks of missing references
-            pos = [0] * len(order) + list(range(-len(self._missing), 0))
-            for q, i in enumerate(order):
-                pos[i] = q
-            self._order = tuple(keys[i] for i in order)
-            self._table = tuple(tuple([(pos[j], w) for j, w in rows[i]]) for i in order)
-            start = 0
-            for d in sorted(set(dims)):
-                gens = self._order[start:start + dims.count(d)]
-                self._by_dim[d] = gens
-                self._index[d] = MappingProxyType({k: p for p, k in enumerate(gens)})
-                self._start[d] = start
-                start += len(gens)
-            self._added, self._strs = [], None
-            self._frozen = True
-            self.check()
+            order, pos = _ordering(list(self._dims.values()), [key_str(k) for k in keys])
+            self._seal(order, self._resolve(keys, order, pos))
         return self
 
-    def _resolve(self, keys: list) -> list[tuple[tuple[int, Word], ...]]:
-        """The added Simplex faces as (id, word) pairs; a face on a missing
-        generator gets id -1 - k, k indexing self._missing."""
-        ids = {k: i for i, k in enumerate(keys)}
+    def _seal(self, order: list[int], table: Sequence[tuple[tuple[int, Word], ...]]) -> None:
+        """Store the generators in position order and their face table,
+        build the index of each dimension, and check the result."""
+        keys = list(self._dims)
+        self._order = tuple(map(keys.__getitem__, order))
+        self._table = tuple(table)
+        dims = list(self._dims.values())
+        start = 0
+        for d in sorted(set(dims)):
+            gens = self._order[start:start + dims.count(d)]
+            self._by_dim[d] = gens
+            self._index[d] = MappingProxyType({k: p for p, k in enumerate(gens)})
+            self._start[d] = start
+            start += len(gens)
+        self._added = []
+        self._frozen = True
+        self.check()
+
+    def _resolve(self, keys: list, order: list[int],
+                 pos: list[int]) -> list[tuple[tuple[int, Word], ...]]:
+        """The added Simplex faces as (position, word) rows in position
+        order; a face on a missing generator gets -1 - k, k indexing
+        self._missing."""
+        at = {k: pos[i] for i, k in enumerate(keys)}
         missing: list[Hashable] = []
         rows = []
-        for faces in self._added:
+        for i in order:
             row = []
-            for f in faces:
-                i = ids.get(f.gen)
-                if i is None:
+            for f in self._added[i]:
+                q = at.get(f.gen)
+                if q is None:
                     missing.append(f.gen)
-                    i = -len(missing)
-                row.append((i, f.word))
+                    q = -len(missing)
+                row.append((q, f.word))
             rows.append(tuple(row))
         self._missing = tuple(missing)
         return rows
@@ -256,40 +259,59 @@ class SimplicialSet:
         """Simplicial-identity and reference violations, empty when valid.
 
         Runs on the compiled table, so it has nothing to check before
-        freeze.  Reference problems (a missing generator, a bad word, a face
-        of the wrong dimension) are listed in the order the generators were
-        added; only when there are none are the identities d_i d_j =
-        d_{j-1} d_i checked, in generator order, through face_at and the
-        cached word algebra.
+        freeze, and reads it one dimension and one column at a time:
+        column i of a dimension is face i of each of its generators.
+        Reference problems (a missing generator, a bad word, a face of the
+        wrong dimension) are listed in the order the generators were added.
+        A dimension whose faces are all nondegenerate and lie in the
+        positions of the dimension below has none, so only the other
+        dimensions are read face by face.  Only when there are none are the
+        identities d_i d_j = d_{j-1} d_i checked: for each dimension and
+        each i < j, face i of column j against face j - 1 of column i,
+        through face_at and the cached word algebra.  A violation is listed
+        by generator, then j, then i.
         """
         table, order = self._table, self._order
         dims = [d for d in sorted(self._by_dim) for _ in self._by_dim[d]]
+        # per dimension d > 0, its faces in one flat row-major list, with
+        # their positions and words: column i is every (d + 1)-th from i
+        layers = []
+        for d in sorted(self._by_dim):
+            if d:
+                flat = list(chain.from_iterable(self.face_rows(d)))
+                layers.append((d, self._start[d], flat, list(map(itemgetter(0), flat)),
+                               list(map(itemgetter(1), flat))))
         bad: dict[int, list[str]] = {}
-        for q, row in enumerate(table):
-            expect = dims[q] - 1
-            for i, (r, w) in enumerate(row):
-                # all but the common case, a nondegenerate face of dimension expect
-                if w or r < 0 or dims[r] != expect:
-                    msg = self._face_problem(dims, r, w, expect)
-                    if msg:
-                        bad.setdefault(q, []).append(f"{order[q]!r}: face {i} {msg}")
+        for d, start, flat, rs, ws in layers:
+            lo = self._start.get(d - 1, 0)
+            if lo <= min(rs) and max(rs) < lo + len(self._by_dim.get(d - 1, ())) \
+                    and not any(ws):
+                continue
+            for k, (r, w) in enumerate(flat):
+                msg = self._face_problem(dims, r, w, d - 1)
+                if msg:
+                    q, i = divmod(k, d + 1)
+                    q += start
+                    bad.setdefault(q, []).append(f"{order[q]!r}: face {i} {msg}")
         if bad:
             return [msg for key, d in self._dims.items()
                     for msg in bad.get(self._start[d] + self._index[d][key], ())]
-        out: list[str] = []
-        for q, row in enumerate(table):
-            for j in range(1, len(row) if len(row) > 2 else 0):
-                rj, wj = row[j]
-                below = None if wj else table[rj]
+        found: list[tuple[int, int, int, tuple, tuple]] = []
+        for d, start, flat, rs, ws in layers:
+            n = d + 1
+            # per column, the rows of its faces, or None when one is degenerate
+            below = [None if any(ws[c::n]) else list(map(table.__getitem__, rs[c::n]))
+                     for c in range(n)] if d > 1 else []
+            for j in range(1, len(below)):
                 for i in range(j):
-                    left = face_at(table, rj, wj, i) if below is None else below[i]
-                    ri, wi = row[i]
-                    right = face_at(table, ri, wi, j - 1) if wi else table[ri][j - 1]
+                    left = _faces_of(table, flat, n, j, below[j], i)
+                    right = _faces_of(table, flat, n, i, below[i], j - 1)
                     if left != right:
-                        out.append(f"{order[q]!r}: d_{i} d_{j} != d_{j-1} d_{i}"
-                                   f" ({Simplex(order[left[0]], left[1])} vs"
-                                   f" {Simplex(order[right[0]], right[1])})")
-        return out
+                        found += [(start + q, j, i, a, b) for q, (a, b)
+                                  in enumerate(zip(left, right)) if a != b]
+        return [f"{order[q]!r}: d_{i} d_{j} != d_{j-1} d_{i}"
+                f" ({Simplex(order[a[0]], a[1])} vs {Simplex(order[b[0]], b[1])})"
+                for q, j, i, a, b in sorted(found)]
 
     def _face_problem(self, dims: list[int], r: int, w: Word, expect: int) -> str | None:
         """What is wrong with the face (r, w) of a generator of dimension
@@ -315,6 +337,30 @@ class SimplicialSet:
             counts[d] = counts.get(d, 0) + 1
         shape = ",".join(f"{counts[d]}" for d in sorted(counts))
         return f"<SimplicialSet {self.name} ({shape})>"
+
+
+def _faces_of(table: tuple, flat: list[tuple[int, Word]], n: int, c: int,
+              below: list | None, e: int) -> list[tuple[int, Word]]:
+    """Face e of each face in column c of flat, the faces of one dimension
+    of a compiled table in row-major order, n to a row.  below, when
+    given, holds the face rows of that column's faces, all nondegenerate,
+    and the faces are read off them."""
+    if below is not None:
+        return list(map(itemgetter(e), below))
+    return [face_at(table, r, w, e) for r, w in flat[c::n]]
+
+
+def _ordering(dims: list[int], strs: list[str]) -> tuple[list[int], list[int]]:
+    """Where generators go, given their dimensions and key strings in the
+    order added: order[q] is the id (the index in that order) of the
+    generator at position q, sorted by (dimension, key string, id), and
+    pos[id] is its position.  Every complex fixes its positions here,
+    before any face row is written."""
+    order = [i for _, _, i in sorted(zip(dims, strs, range(len(dims))))]
+    pos = [0] * len(order)
+    for q, i in enumerate(order):
+        pos[i] = q
+    return order, pos
 
 
 def key_str(key: Hashable) -> str:
@@ -555,8 +601,9 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     """Ordered simplicial complex generated by the given top faces.
 
     Vertex labels must be sortable; every subset of a facet becomes a
-    generator keyed by its sorted vertex tuple.  The faces go to freeze as
-    (id, ()) rows, ids from one subset -> id dict, so no Simplex is built.
+    generator keyed by its sorted vertex tuple.  Positions are fixed
+    first, and the faces are written once as (position, ()) rows, positions
+    from one subset -> position dict, so no Simplex is built.
     """
     seen: set[tuple] = set()
     subsets: list[tuple] = []
@@ -579,11 +626,12 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
     except TypeError as e:
         raise ConstructionError(
             f"{name}: vertex labels of different facets do not sort together ({e})") from None
-    ids = {sub: i for i, sub in enumerate(subsets)}
-    rows = [tuple([(ids[sub[:i] + sub[i + 1:]], ()) for i in range(len(sub))])
-            if len(sub) > 1 else () for sub in subsets]
-    return SimplicialSet._compiled(name, subsets, [len(sub) - 1 for sub in subsets], rows,
-                                   [key_str(sub) for sub in subsets])
+    dims = [len(sub) - 1 for sub in subsets]
+    order, pos = _ordering(dims, [key_str(sub) for sub in subsets])
+    at = dict(zip(subsets, pos))
+    table = tuple(tuple([(at[sub[:i] + sub[i + 1:]], ()) for i in range(len(sub))])
+                  if len(sub) > 1 else () for sub in map(subsets.__getitem__, order))
+    return SimplicialSet._compiled(name, subsets, dims, order, table)
 
 
 def standard_simplex(k: int) -> SimplicialSet:
@@ -831,33 +879,42 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
     the shuffles of their dimensions, with ids in enumeration order from
     base[ax * ny + ay] on, so a generator's id is arithmetic; its key
     string is put together once from the factors' key strings and the word
-    strings.  Its faces come from the cached recipe of its shape: the face
-    over a pair of factor generators is the first id of that pair plus the
-    shuffle index the recipe names.  Where a factor's face is itself
+    strings.  The keys, dimensions and key strings come first, and
+    _ordering turns them into positions.  Then the faces come from the
+    cached recipe of each shape: the face over a pair of factor generators
+    is the first id of that pair plus the shuffle index the recipe names,
+    read through pos into a position.  Where a factor's face is itself
     degenerate, its word is composed with the word the recipe leaves on
-    that side, as face_at does, and the pair is made canonical again.  The
-    faces are handed to freeze as (id, word) pairs, so no Simplex is built.
+    that side, as face_at does, and the pair is made canonical again.  Each
+    row is written once, as (position, word) pairs, and the rows are only
+    reordered into position order, so no Simplex is built and no row
+    copied.
     """
     xdims = [X.gen_dim(g) for g in X.generators()]
     ydims = [Y.gen_dim(g) for g in Y.generators()]
     ny = len(ydims)
     base = list(accumulate((len(_shuffles(p, q)) for p in xdims for q in ydims), initial=0))
-    # per y generator: key, dimension, key string, and the positions and
-    # words of itself and its faces
-    ys = [(gy, q, key_str(gy), (ay, *(r for r, _ in row)), ((), *(w for _, w in row)))
-          for ay, (gy, q, row) in enumerate(zip(Y.generators(), ydims, Y._table))]
-    keys, dims, strs, rows = [], [], [], []
-    for ax, (gx, p, xrow) in enumerate(zip(X.generators(), xdims, X._table)):
-        xs, xwords = (ax, *(r for r, _ in xrow)), ((), *(w for _, w in xrow))
+    ystrs = [key_str(gy) for gy in Y.generators()]
+    keys, dims, strs = [], [], []
+    for gx, p in zip(X.generators(), xdims):
         # key_str reads a 4-tuple with an int first entry as a plain tuple
         sx = None if isinstance(gx, int) else key_str(gx)
-        for gy, q, sy, yfaces, ywords in ys:
+        for gy, q, sy in zip(Y.generators(), ydims, ystrs):
             shuffles = _shuffles(p, q)
             pairs = [(gx, wx, gy, wy) for wx, wy, _, _ in shuffles]
             keys.extend(pairs)
             dims.extend([p + len(wx) for wx, _, _, _ in shuffles])
             strs.extend(map(key_str, pairs) if sx is None else
                         [f"({sx}|{swx})*({sy}|{swy})" for _, _, swx, swy in shuffles])
+    order, pos = _ordering(dims, strs)
+    # per y generator: dimension, and the positions and words of itself
+    # and its faces
+    ys = [(q, (ay, *(r for r, _ in row)), ((), *(w for _, w in row)))
+          for ay, (q, row) in enumerate(zip(ydims, Y._table))]
+    rows = []
+    for ax, (p, xrow) in enumerate(zip(xdims, X._table)):
+        xs, xwords = (ax, *(r for r, _ in xrow)), ((), *(w for _, w in xrow))
+        for q, yfaces, ywords in ys:
             grid = [base[rx * ny + ry] for rx in xs for ry in yfaces]
             for faces in _face_recipe(p, q):
                 row = []
@@ -866,9 +923,10 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
                     if tx or ty:
                         k, w = _pair_index(xdims[xs[a]], ydims[yfaces[b]],
                                            apply_word(tx, lx), apply_word(ty, ly))
-                    row.append((grid[c] + k, w))
+                    row.append((pos[grid[c] + k], w))
                 rows.append(tuple(row))
-    P = SimplicialSet._compiled(name or f"{X.name}x{Y.name}", keys, dims, rows, strs)
+    P = SimplicialSet._compiled(name or f"{X.name}x{Y.name}", keys, dims, order,
+                                tuple(map(rows.__getitem__, order)))
     P._factors = (X, Y)
     return P
 

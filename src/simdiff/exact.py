@@ -5,9 +5,12 @@ mod_coefficients(k)).  It depends on nothing, so it lives here, and
 simdiff.cochains re-exports it.
 
 Every linear question is one System(A, width, coeffs): A x = b in width
-unknowns over coeffs, for many b.  It factors one integer matrix A',
-once, as a Smith form D = S A' T: A itself over Z, the lift [A | k I]
-over Z/k, and over Q, A with each row scaled to clear its denominators.
+unknowns over coeffs, for many b.  A's rows are sparse {column: entry},
+as the coboundaries come (cohomology.delta_system), or dense lists, and
+every step reads them as they come: no row is made dense.  It factors one
+integer matrix A', once, as a Smith form D = S A' T: A itself over Z, the
+lift [A | k I] over Z/k, and over Q, A with each row scaled to clear its
+denominators.
 The first solve compiles S's rank rows (System.rank_rows) and A''s
 sparse columns (System.columns).  Each solve(b) is then one integer
 substitution, solve_int_snf: y = S b over the diagonal, x0 = T y, then
@@ -31,11 +34,13 @@ in one call.  They remain only as names the benchmark's tracer
 (bench/tracing.py) wraps.  Everything is pure Python over int and
 Fraction, so every certificate is exact.
 
-The Smith form eliminates on D alone, held as sparse rows, and logs each
-elementary row and column operation.  S, Sinv, T and Tinv are replayed
-from those logs, each on its first read, as sparse rows or columns: none
-is made dense, a presentation that reads only the diagonal builds none of
-them, and a substitution touches only the nonzeros of those it reads.
+The Smith form eliminates on D alone, held as sparse rows sorted into
+column order as they arrive, with a column -> rows index that finds the
+rows a pivot column touches, and logs each elementary row and column
+operation.  S, Sinv, T and Tinv are replayed from those logs, each on its
+first read, as sparse rows or columns: none is made dense, a
+presentation that reads only the diagonal builds none of them, and a
+substitution touches only the nonzeros of those it reads.
 Coboundary matrices hold a few nonzeros per row and almost every pivot is
 +-1, so the work follows the nonzeros and their fill rather than the cube
 of the matrix size.  The pivot order is the dense smallest-entry rule and
@@ -222,8 +227,22 @@ class SmithForm:
         return _replay(self.shape[1], self.col_log, inverse=True)
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
+def entries(row: Mapping[int, Any] | Sequence) -> Iterable[tuple[int, Any]]:
+    """A row's (column, entry) pairs: a sparse row {column: entry} as it
+    is, a dense row's nonzeros in column order."""
+    if isinstance(row, Mapping):
+        return row.items()
+    return filter(itemgetter(1), enumerate(row))
+
+
+def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
+                      width: int | None = None) -> SmithForm:
     """D = S A T by sparse elimination that replays the dense pivot order.
+
+    A's rows are sparse {column: entry} in width columns, or dense lists,
+    whose length is the width when none is given.  Each row is sorted into
+    column order as it arrives, without its zeros, so both forms factor
+    alike.
 
     The pivot is the smallest |entry| of the trailing block, first in
     row-major order.  The pivot is swapped into place and made positive,
@@ -239,15 +258,23 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
     equal to divides skips the scan, which could find nothing.
 
     Only D is updated, held as rows {column id: entry} with a lazy column
-    permutation, so a column swap touches no entry.  Each operation is
-    appended to the row or the column log, which SmithForm replays into S,
-    Sinv, T and Tinv when one is first read.  The operations are the dense
-    elimination's, in its order, so every factor equals a dense loop's
-    entry for entry (tests/test_snf.py keeps one as the reference).
+    permutation, so a column swap touches no entry.  holds[column id] is
+    a column -> rows index, the set of rows with an entry in that column,
+    kept exact by every operation, so the row pass visits only the rows
+    that hold the pivot column, in row order, instead of every later row.
+    Each operation is appended to the row or the column log, which
+    SmithForm replays into S, Sinv, T and Tinv when one is first read.  The
+    operations are the dense elimination's, in its order, so every factor
+    equals a dense loop's entry for entry (tests/test_snf.py keeps one as
+    the reference).
     """
     r = len(A)
-    c = len(A[0]) if r else 0
-    D = [{j: int(v) for j, v in filter(itemgetter(1), enumerate(row))} for row in A]
+    c = width if width is not None else len(A[0]) if r else 0
+    D = [{j: int(v) for j, v in sorted(entries(row)) if v} for row in A]
+    holds: list[set[int]] = [set() for _ in range(c)]
+    for i, row in enumerate(D):
+        for t in row:
+            holds[t].add(i)
     pos = list(range(c))  # column id -> position
     at = list(range(c))  # position -> column id
     row_log: list[tuple] = []
@@ -255,20 +282,47 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
     divides = 1  # every trailing entry is a multiple of it
 
     def row_add(i, j, q):
-        # row i += q * row j
-        _axpy(D[i], D[j], q)
+        # row i += q * row j (q != 0), dropping the entries that cancel
+        dst = D[i]
+        get = dst.get
+        for t, v in D[j].items():
+            w = get(t)
+            if w is None:
+                dst[t] = q * v
+                holds[t].add(i)
+            elif w + q * v:
+                dst[t] = w + q * v
+            else:
+                del dst[t]
+                holds[t].discard(i)
         row_log.append((i, j, q))
 
     def col_add(i, j, q, rows):
         # col i += q * col j, whose entries all lie in rows
         ci, cj = at[i], at[j]
-        for row in rows:
+        held = holds[ci]
+        for s in rows:
+            row = D[s]
             w = row.get(ci, 0) + q * row[cj]
             if w:
                 row[ci] = w
+                held.add(s)
             else:
                 del row[ci]
+                held.discard(s)
         col_log.append((i, j, q))
+
+    def row_swap(i, j):
+        for t in D[i]:
+            holds[t].discard(i)
+        for t in D[j]:
+            holds[t].discard(j)
+        D[i], D[j] = D[j], D[i]
+        for t in D[i]:
+            holds[t].add(i)
+        for t in D[j]:
+            holds[t].add(j)
+        row_log.append((i, j))
 
     def pivot(k):
         # (|entry|, row, position) of the pivot, or None for a zero block
@@ -290,8 +344,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 break
             _, pi, pj = best
             if pi != k:
-                D[k], D[pi] = D[pi], D[k]
-                row_log.append((k, pi))
+                row_swap(k, pi)
             if pj != k:
                 at[k], at[pj] = at[pj], at[k]
                 pos[at[k]], pos[at[pj]] = k, pj
@@ -301,13 +354,12 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithForm:
                 D[k] = {t: -v for t, v in D[k].items()}
                 row_log.append((k,))
             p = D[k][ck]
-            rows = [D[k]]  # where the pivot column is nonzero after the row pass
-            for i in range(k + 1, r):
-                v = D[i].get(ck)
-                if v:
-                    row_add(i, k, -(v // p))
+            rows = [k]  # where the pivot column is nonzero after the row pass
+            for i in sorted(holds[ck]):
+                if i > k:
+                    row_add(i, k, -(D[i][ck] // p))
                     if ck in D[i]:
-                        rows.append(D[i])
+                        rows.append(i)
             for t, v in list(D[k].items()):
                 if t != ck:
                     col_add(pos[t], k, -(v // p), rows)
@@ -360,47 +412,63 @@ class Obstruction:
     functional: list[Fraction]
     ring: str
 
-    def check(self, A: Sequence[Sequence[int]], b: Sequence) -> bool:
+    def check(self, A: Sequence[Mapping[int, int] | Sequence[int]], b: Sequence) -> bool:
+        """The functional r is blind on every column of A (rows sparse or
+        dense) and not blind on b: r A over A's nonzeros, since a column
+        with none pairs to zero, which is blind in every sense."""
         r = self.functional
-        rA = [sum(ri * aij for ri, aij in zip(r, col) if ri) for col in zip(*A)] if A and A[0] else []
+        rA: dict[int, Any] = {}
+        for ri, row in zip(r, A):
+            if ri:
+                for t, a in entries(row):
+                    rA[t] = rA.get(t, 0) + ri * a
         rb = sum(ri * bi for ri, bi in zip(r, b) if ri)
-        return all(blind(v, self.ring) for v in rA) and not blind(rb, self.ring)
+        return all(blind(v, self.ring) for v in rA.values()) and not blind(rb, self.ring)
 
 
-def _lift(A: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """The integer lift [A | k I] of a matrix over Z/k."""
+def _lift(A: Sequence[Mapping[int, int] | Sequence[int]], k: int,
+          width: int | None = None) -> list:
+    """The integer lift [A | k I] of a matrix over Z/k, in A's row form: a
+    dense row gains its row of k I, a sparse row {column: entry} in width
+    columns the one entry k at column width + i."""
     r = len(A)
-    return [list(row) + [k if i == j else 0 for j in range(r)] for i, row in enumerate(A)]
+    return [{**row, width + i: k} if isinstance(row, Mapping)
+            else [*row, *(k if i == j else 0 for j in range(r))] for i, row in enumerate(A)]
 
 
 class System:
     """A x = b in width unknowns over the ring coeffs, for many b, factored once.
 
-    matrix is what an Obstruction is checked against: A itself, or over
-    Z/k the lift [A | k I].  With no equations there is no form and every
-    vector of length width solves.  Over Q, A may hold Fractions: row i is
-    scaled by the least common denominator of its entries before it is
-    factored, and a "Q" obstruction, a row of S, is scaled back by the same
-    factors, so it is a functional on A.  rank_rows and columns are built
-    on the first solve, and each transform of the form on its first read.
+    A's rows are sparse {column: entry} or dense lists, and every step
+    reads them as they come.  matrix is what an Obstruction is checked
+    against: A itself, or over Z/k the lift [A | k I], in A's row form.
+    With no equations there is no form and every vector of length width
+    solves.  Over Q, A may hold Fractions: row i is scaled by the least
+    common denominator of its entries before it is factored, and a "Q"
+    obstruction, a row of S, is scaled back by the same factors, so it is
+    a functional on A.  rank_rows and columns are built on the first
+    solve, and each transform of the form on its first read.
     """
 
-    def __init__(self, A: Sequence[Sequence], width: int, coeffs: Coefficients):
+    def __init__(self, A: Sequence[Mapping[int, Any] | Sequence], width: int,
+                 coeffs: Coefficients):
         self.width = width
         self.coeffs = coeffs
-        self.matrix = _lift(A, coeffs.modulus) if coeffs.modulus else A
+        k = coeffs.modulus
+        self.matrix = _lift(A, k, width) if k else A
         self.form: SmithForm | None = None  # no equations leave no form
         if not A:
             return
         if coeffs.kind == "Q":
-            self._scale = [lcm(*(v.denominator for v in row)) for row in A]
-        self.form = smith_normal_form(self._factored())
+            self._scale = [lcm(*(v.denominator for _, v in entries(row))) for row in A]
+        self.form = smith_normal_form(self._factored(), width + len(A) if k else width)
 
-    def _factored(self) -> Sequence[Sequence]:
+    def _factored(self) -> Sequence[Mapping[int, int] | Sequence[int]]:
         """The integer matrix the Smith form factors."""
         if self.coeffs.kind != "Q":
             return self.matrix
-        return [[v * m for v in row] for row, m in zip(self.matrix, self._scale)]
+        return [{t: int(v * m) for t, v in entries(row)}
+                for row, m in zip(self.matrix, self._scale)]
 
     @cached_property
     def rank_rows(self) -> list[tuple[Callable, tuple[int, ...]]]:
@@ -412,9 +480,13 @@ class System:
         """The factored matrix as sparse columns {row: entry}: the nonzeros
         of matrix, over Q scaled by their row's factor, so the factored
         matrix is built once, for the Smith form."""
-        scale = self._scale if self.coeffs.kind == "Q" else [1] * len(self.matrix)
-        return [{i: int(v * scale[i]) for i, v in enumerate(col) if v}
-                for col in zip(*self.matrix)]
+        cols: Sparse = [{} for _ in range(self.form.shape[1])]
+        scale = self._scale if self.coeffs.kind == "Q" else None
+        for i, row in enumerate(self.matrix):
+            m = scale[i] if scale else 1
+            for t, v in entries(row):
+                cols[t][i] = int(v * m)
+        return cols
 
     @cached_property
     def kernel(self) -> list[list]:

@@ -63,13 +63,28 @@ def test_a_product_of_fixtures_prints_the_fixture_product(capsys):
     assert code == 0 and json.loads(out)["witness"]["space"] == "circle3xpt"
 
 
+def test_a_product_of_three_fixtures_folds_from_the_left(capsys):
+    # (rp2 x S1) x S1 = rp2 x T2, by Kunneth: H^2 = Z + Z/2, H^3 = Z/2 + Z/2
+    for degree, pretty in (("2", "Z + Z/2"), ("3", "Z/2 + Z/2")):
+        code, out, err = run(capsys, "cohomology", "--space", "rp2*circle*circle",
+                             "--degree", degree)
+        assert code == 0 and err == ""
+        assert json.loads(out)["pretty"] == pretty
+    code, out, err = run(capsys, "cohomology", "--space", "circle*circle*circle",
+                         "--degree", "1")
+    assert code == 0 and json.loads(out)["pretty"] == "Z^3"
+
+
 @pytest.mark.parametrize("command", ["cohomology", "cert"])
 @pytest.mark.parametrize("space, params", [
     ("rp2*circle", ("--param", "n=4")),
     ("rp2*klein", ()),
     ("klein*rp2", ()),
     ("rp2*", ()),
-    ("rp2*circle*circle", ()),
+    ("rp2**circle", ()),
+    ("*rp2", ()),
+    ("rp2*circle*klein", ()),
+    ("rp2*circle*circle", ("--param", "n=4")),
 ])
 def test_a_bad_product_exits_2_with_one_line(capsys, command, space, params):
     code, out, err = run(capsys, command, "--space", space, *params, "--degree", "1")

@@ -11,7 +11,7 @@ from simdiff.cohomology import (CoboundaryObstruction, GroupPresentation, cohomo
                                 delta_system, face_pins, is_coboundary,
                                 solve_closed_extension, solve_coboundary)
 from simdiff.complexes import (Simplex, build_standard, circle, cylinder, from_facets,
-                               key_str, point, rp2, sphere2, torus)
+                               key_str, point, product, rp2, sphere2, torus)
 from simdiff.groupoid import MappingGroupoid
 
 from dense import delta_matrix, kernel_mod_prime
@@ -56,6 +56,15 @@ KNOWN_GROUPS = [
 def test_integer_cohomology(name, build, deg, expected):
     H = cohomology(build(), deg, INTEGERS)
     assert H.presentation == expected
+
+
+def test_rp2_times_rp2_has_the_kunneth_groups():
+    # H^n(RP2 x RP2; Z) by Kunneth: the Z/2 tensor terms and the Tor term
+    X = product(rp2(), rp2())
+    groups = [str(cohomology(X, n, INTEGERS).presentation) for n in range(X.top_dim + 1)]
+    assert groups == ["Z", "0", "Z/2 + Z/2", "Z/2", "Z/2"]
+    assert [str(cohomology(X, n, RATIONALS).presentation)
+            for n in range(X.top_dim + 1)] == ["Z", "0", "0", "0", "0"]
 
 
 def test_rational_cohomology_drops_torsion():
@@ -374,9 +383,9 @@ def test_top_degree_reuses_the_factored_delta(monkeypatch):
     calls = [0]
     original = exact.smith_normal_form
 
-    def counted(A):
+    def counted(A, width=None):
         calls[0] += 1
-        return original(A)
+        return original(A, width)
 
     monkeypatch.setattr(exact, "smith_normal_form", counted)
     monkeypatch.setattr(cohomology_module, "smith_normal_form", counted)

@@ -202,6 +202,34 @@ def test_problems_match_the_reference(case):
     assert len(new[1]) > 0 or case == "valid"
 
 
+def test_a_broken_face_recipe_fails_the_product_like_the_reference(monkeypatch):
+    """Swap faces 0 and 1 of one shuffle of the (1, 1) shape: every face
+    keeps its dimension, so only identities break.  product() must refuse
+    the complex, and problems() must list what the reference lists for
+    the same table, in the same order."""
+    real = complexes._face_recipe
+
+    def broken_recipe(p, q):
+        rows = real(p, q)
+        if (p, q) != (1, 1):
+            return rows
+        first, second, *rest = rows[1]
+        return (rows[0], (second, first, *rest), *rows[2:])
+    monkeypatch.setattr(complexes, "_face_recipe", broken_recipe)
+    with pytest.raises(ConstructionError, match=r"d_\d d_\d != d_\d d_\d") as raised:
+        product(circle(3), circle(3), name="broken")
+    monkeypatch.setattr(SimplicialSet, "check", lambda self: None)
+    P = product(circle(3), circle(3), name="broken")
+    old = ref.SimplicialSet("broken")
+    for g in P.generators():
+        old.add_generator(g, P.gen_dim(g), P.faces(Simplex(g)) if P.gen_dim(g) else ())
+    with pytest.raises(ConstructionError):
+        old.freeze()
+    problems = P.problems()
+    assert problems == old.problems() != []
+    assert str(raised.value) == "broken: " + "; ".join(problems[:5])
+
+
 @pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1)])
 def test_keys_with_equal_strings_keep_the_order_they_were_added_in(first, second):
     def build(cls):

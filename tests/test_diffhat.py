@@ -273,6 +273,14 @@ def test_certificates_pass_on_rp2_times_circle():
         assert cert.ok, (n, cert.failures())
 
 
+@pytest.mark.parametrize("kind", ["rp2xS1", "T3"])
+def test_degree_three_certificates_pass_on_three_dimensional_products(kind):
+    # rp2 x S1 in its top degree, where H^3 = Z/2 is all torsion, and T3,
+    # where H^3 = Z is free
+    cert = exactness_certificate(build_standard(kind), 3, trials=2, seed=11)
+    assert cert.ok, cert.failures()
+
+
 def test_certificate_is_deterministic():
     X = circle(3)
     a = exactness_certificate(X, 1, trials=3, seed=7).to_json()

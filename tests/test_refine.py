@@ -136,7 +136,7 @@ def test_shear_equivalence_on_genus2():
     assert rep.ok, rep.failures()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_shear_equivalence_on_rp2_times_circle(n):
     X = build_standard("rp2xS1")
     G = build_tilde(X, n)

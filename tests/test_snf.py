@@ -6,8 +6,12 @@ operations from its logs into S, T, Sinv and Tinv when each is first read.
 So its D, S, T, Sinv and Tinv, made dense here, must equal the dense
 loop's entry for entry, whatever order they are read in, and S Sinv and
 T Tinv must be identities.  The dense loop is kept here as the reference.
+Every matrix is factored twice, from dense rows and from sparse rows
+{column: entry} in shuffled insertion order with the width given apart,
+and the two factorizations must agree in every log and factor.
 """
 
+import random
 import sys
 import zlib
 from collections import Counter
@@ -128,17 +132,32 @@ def reference_smith_normal_form(A):
 TRANSFORMS = ("S", "Sinv", "T", "Tinv")
 
 
+def sparse_rows(A, seed: int) -> list[dict[int, int]]:
+    """A's rows as {column: entry} in shuffled insertion order.  Zero rows
+    come out empty, and now and then a row keeps an explicit zero, which
+    the Smith form must drop."""
+    rng = random.Random(seed)
+    out = []
+    for row in A:
+        items = [(j, v) for j, v in enumerate(row) if v or rng.random() < 0.1]
+        rng.shuffle(items)
+        out.append(dict(items))
+    return out
+
+
 def assert_replays(A) -> SmithForm:
     """Factor A and check every factor against the dense loop.
 
     The transforms are replayed on first read, each from its own log, so
     the order they are read in must not matter: half of the matrices (by
     a checksum of A, so the split is fixed) read them in reversed order
-    before the comparison.
+    before the comparison.  A is factored a second time from sparse rows,
+    with the width passed, which must give the same logs and factors.
     """
     f = smith_normal_form(A)
     assert not set(TRANSFORMS) & set(vars(f))
-    if zlib.crc32(repr(A).encode()) & 1:
+    checksum = zlib.crc32(repr(A).encode())
+    if checksum & 1:
         for name in reversed(TRANSFORMS):
             getattr(f, name)
     D, S, T, Sinv, Tinv = dense_factors(f)
@@ -146,6 +165,10 @@ def assert_replays(A) -> SmithForm:
     r, c = f.shape
     assert mat_mul(S, Sinv) == identity_matrix(r)
     assert mat_mul(T, Tinv) == identity_matrix(c)
+    g = smith_normal_form(sparse_rows(A, checksum), c)
+    assert (g.shape, g.diagonal, g.row_log, g.col_log) == (f.shape, f.diagonal,
+                                                          f.row_log, f.col_log)
+    assert dense_factors(g) == (D, S, T, Sinv, Tinv)
     return f
 
 
@@ -205,10 +228,32 @@ def sparse_matrices(draw):
 @example([[6], [4], [0]])
 @example([[2, 0], [0, 3]])
 @example([[0, 0], [0, 0]])
+@example([[1, 0, 0], [0, 0, 0]])
+@example([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
 def test_generated_matrices_replay_the_dense_loop(A):
     f = assert_replays(A)
     if A and A[0]:
         assert_sympy_diagonal(A, f)
+
+
+@pytest.mark.parametrize("rows, width", [([], 0), ([], 3), ([{}, {}], 0), ([{}, {}], 2),
+                                         ([{0: 0}, {}], 1), ([{2: -3}], 4)])
+def test_the_width_of_sparse_rows_comes_from_the_argument(rows, width):
+    # no entry in a trailing column, or none at all: the shape and the
+    # transforms still span the width given
+    f = smith_normal_form(rows, width)
+    dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+    D, S, T, Sinv, Tinv = dense_factors(f)
+    assert f.shape == (len(rows), width)
+    assert len(f.diagonal) == min(len(rows), width)
+    assert len(T) == len(Tinv) == width and len(S) == len(Sinv) == len(rows)
+    if rows and width:
+        assert (D, S, T, Sinv, Tinv) == reference_smith_normal_form(dense)
+    else:
+        # 0 x c and r x 0: nothing to eliminate, the transforms are identities
+        assert f.diagonal == [] and f.row_log == f.col_log == []
+        assert S == Sinv == identity_matrix(len(rows))
+        assert T == Tinv == identity_matrix(width)
 
 
 # -- the branches a unit pivot never takes ---------------------------------------

@@ -32,7 +32,7 @@ from simdiff.exact import (Coefficients, Obstruction, Solution, System, _lift, s
                            solve_mod, solve_rational)
 
 import reference_pins as ref
-from dense import delta_matrix, mat_vec, transpose
+from dense import delta_matrix, from_rows, mat_vec, transpose
 
 RINGS = [INTEGERS, mod_coefficients(2), mod_coefficients(6), RATIONALS]
 
@@ -216,6 +216,37 @@ def test_fixture_deltas_agree_with_one_shot_solvers_in_every_ring():
         assert seen == {Solution, Obstruction}, ring
 
 
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, mod_coefficients(3)])
+def test_sparse_and_dense_rows_give_the_same_answers(ring):
+    # the same matrix as dense rows and as {column: entry} rows in shuffled
+    # insertion order; over Q each row is divided by a small scale, so the
+    # entries are Fractions and the rows' scale factors differ
+    rng = random.Random(8)
+    verdicts = set()
+    for _, A in fixture_deltas():
+        if ring == RATIONALS:
+            A = [[Fraction(v, i % 3 + 1) for v in row] for i, row in enumerate(A)]
+        rows = []
+        for row in A:
+            items = [(j, v) for j, v in enumerate(row) if v]
+            rng.shuffle(items)
+            rows.append(dict(items))
+        c = len(A[0])
+        dense, sparse = System(A, c, ring), System(rows, c, ring)
+        assert sparse.form.diagonal == dense.form.diagonal
+        assert sparse.columns == dense.columns
+        assert sparse.kernel == dense.kernel
+        for b in right_hand_sides(A, rng, 6):
+            got, ref = sparse.solve(b), dense.solve(b)
+            assert type(got) is type(ref) and vars(got) == vars(ref)
+            if isinstance(got, Obstruction):
+                assert got.check(sparse.matrix, b) and got.check(dense.matrix, b)
+            else:
+                assert residues(mat_vec(A, got.x0), sparse) == residues(b, sparse)
+            verdicts.add(type(got))
+    assert verdicts == {Solution, Obstruction}
+
+
 def test_fixture_kernels_have_the_rank_sympy_gives():
     for name, A in fixture_deltas():
         rank = Matrix(A).rank()
@@ -285,7 +316,9 @@ def test_delta_systems_are_cached_by_degree_and_ring():
     assert delta_system(Y, 1, mod_coefficients(2)).coeffs == mod_coefficients(2)
     assert delta_system(Y, 2) is not Z
     assert Z.width == len(Y.generators(1))
-    assert Z.matrix == delta_matrix(Y, 1)
+    # the rows come sparse, {column: entry}, and hold delta's matrix
+    assert all(type(row) is dict for row in Z.matrix)
+    assert from_rows(Z.matrix, Z.width) == delta_matrix(Y, 1)
 
 
 def test_systems_are_cached_by_degree_pins_and_ring():
@@ -422,9 +455,10 @@ def test_ten_compares_factor_each_base_matrix_once(monkeypatch):
     shapes = []
     real = exact.smith_normal_form
 
-    def counting(A):
-        shapes.append((len(A), len(A[0]) if A else 0))
-        return real(A)
+    def counting(A, width=None):
+        # System hands its rows over with their width
+        shapes.append((len(A), width))
+        return real(A, width)
 
     monkeypatch.setattr(exact, "smith_normal_form", counting)
     # a fresh torus, so no earlier test has factored its systems
