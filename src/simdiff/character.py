@@ -24,6 +24,7 @@ from .cochains import (
     RATIONALS,
     coboundary,
     fiber_integrate,
+    is_closed,
     pullback,
     random_cochain,
 )
@@ -150,7 +151,7 @@ class CocycleGroupoid:
             raise ValueError("object must be a base cochain of the right degree")
         if z.coeffs != self.coeffs:
             raise ValueError("object has the wrong coefficients")
-        if not coboundary(z).is_zero():
+        if not is_closed(z):
             raise ValueError("objects must be closed")
         return z
 
@@ -399,7 +400,7 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
         one = G.compose(f, g)
         two = G.compose(f, G.compose(g, G.identity(g.target)))
         W = G.compare(one, two).witness
-        if W is None or not coboundary(W).is_zero():
+        if W is None or not is_closed(W):
             return False
         ints = [tri(G.maps.face(W, i)) for i in range(4)]
         alt = ints[0] - ints[1] + ints[2] - ints[3]
@@ -435,7 +436,7 @@ def cell_with_integral(G: MappingGroupoid, source: MapObject,
     if isinstance(data, CoboundaryObstruction):
         raise ValueError("the faces admit no closed filling")
     rest = eta - fiber_integrate(data, cylinder(X, 2))
-    if not coboundary(rest).is_zero():
+    if not is_closed(rest):
         raise ValueError("no cell carries the requested integral class")
     return HomotopyClass(Homotopy2(source, target, data + relative_section(rest)))
 

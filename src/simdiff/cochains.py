@@ -259,13 +259,15 @@ def face_table(X: SimplicialSet, n: int) -> tuple[tuple[int, Gather], ...]:
 
 
 @derived("delta_table")
-def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def delta_table(X: SimplicialSet, n: int) -> tuple[dict[int, int], ...]:
     """The sparse coboundary C^n -> C^{n+1} of X, built once and cached.
 
-    One row ((position, coefficient), ...) per (n+1)-generator, in
-    generator order, with positions in X.generators(n), read straight off
+    One row {position: coefficient} per (n+1)-generator, in generator
+    order, with positions in X.generators(n), read straight off
     X.face_rows(n + 1) in face order: degenerate faces are dropped and
     repeated faces merged into one coefficient (rows may come out empty).
+    These rows are the ones cohomology.delta_system factors; no reader
+    mutates them.
     """
     start = X.offset(n)
     rows = []
@@ -276,7 +278,7 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[tuple[tuple[int, int], ...], 
             if not w:
                 row[q - start] = row.get(q - start, 0) + sign
             sign = -sign
-        rows.append(tuple((p, a) for p, a in row.items() if a))
+        rows.append(row if all(row.values()) else {p: a for p, a in row.items() if a})
     return tuple(rows)
 
 
@@ -288,6 +290,14 @@ def coboundary_values(c: Cochain) -> Iterable:
 def coboundary(c: Cochain) -> Cochain:
     """Alternating sum over faces, degree raised by one; delta delta = 0."""
     return Cochain._trusted(c.complex, c.degree + 1, c.coeffs, coboundary_values(c))
+
+
+def is_closed(c: Cochain) -> bool:
+    """Is delta c zero in c's ring?  Read off coboundary_values, reduced
+    mod k, without building delta c; stops at the first nonzero value."""
+    k = c.coeffs.modulus
+    values = coboundary_values(c)
+    return not any(v % k for v in values) if k else not any(values)
 
 
 def pullback(f: SimplicialMap, c: Cochain) -> Cochain:

@@ -56,7 +56,7 @@ from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, cross_section,
-                       delta_table, fiber_integrate, shih_homotopy)
+                       delta_table, fiber_integrate, is_closed, shih_homotopy)
 from .complexes import Gather, ProductWithSimplex, SimplicialSet, cached_on, derived, key_str
 from .exact import Obstruction, SmithForm, System, apply_rows, blind, smith_normal_form
 
@@ -66,11 +66,11 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
     """delta: C^n -> C^{n+1} of X over coeffs, factored once.
 
     Rows and columns are the generator positions of degrees n + 1 and n,
-    in order.  The rows are delta_table's, handed over sparse as {column:
-    entry}, with the width; no dense row is built.  The system is cached on
+    in order.  The rows are delta_table's own {column: entry} rows, not
+    copies, with the width; no dense row is built.  The system is cached on
     X under (n, coeffs), never under matrix content.
     """
-    return System(list(map(dict, delta_table(X, n))), len(X.generators(n)), coeffs)
+    return System(delta_table(X, n), len(X.generators(n)), coeffs)
 
 
 def vector_of(c: Cochain) -> list:
@@ -284,7 +284,7 @@ class CohomologyGroup:
                 for dual in out.Tinv[out.rank:]:
                     y: dict[int, int] = {}
                     for t, a in dual.items():
-                        for j, w in faces[t]:
+                        for j, w in faces[t].items():
                             y[j] = y.get(j, 0) + a * w
                     Y.append(y)
             image = smith_normal_form(Y, width) if Y else None
@@ -339,7 +339,7 @@ class CohomologyGroup:
         denom = lcm(*(v.denominator for v in vec)) if vec else 1
         if denom != 1 and self.coeffs.kind == "Z":
             raise ValueError("classify over Z got a non-integral value")
-        if not coboundary(c).is_zero():
+        if not is_closed(c):
             raise ValueError("classify expects a cocycle")
         k = self._integral._classes
         ivec = [int(v * denom) for v in vec]

@@ -41,12 +41,13 @@ its own degree only.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from itertools import accumulate, chain, combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .words import (
     Word,

@@ -34,6 +34,7 @@ from .cochains import (
     RATIONALS,
     coboundary,
     fiber_integrate,
+    is_closed,
     random_cochain,
 )
 from .cohomology import (
@@ -452,7 +453,7 @@ def _negative_forms_round(T: HatTheory) -> Check:
     else:
         for g in T.carrier.generators(n - 1):
             ind = Cochain.indicator(T.carrier, g, RATIONALS, Fraction(1, 2))
-            if not coboundary(ind).is_zero():
+            if not is_closed(ind):
                 candidate, kind = ind, "non-closed"
                 break
     if candidate is None:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .cochains import (Cochain, Coefficients, coboundary, cross_section, embed_rational,
-                       fiber_integrate, pullback)
+from .cochains import (Cochain, Coefficients, cross_section, embed_rational, fiber_integrate,
+                       is_closed, pullback)
 from .complexes import (ConstructionError, Gather, LinearPlan, Simplex,
                         SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
                         coface_map, cylinder, derived, identity_map, key_str,
@@ -118,7 +118,7 @@ class EMSpace(SimplicialGroup):
 
     def contains(self, z: Cochain) -> bool:
         return (z.degree == self.n and z.coeffs == self.coeffs
-                and coboundary(z).is_zero())
+                and is_closed(z))
 
     def face_map(self, m: int, i: int) -> SimplicialMap:
         return coface_map(m, i)
@@ -527,7 +527,7 @@ def check_iota_compatibility(coeffs: Coefficients, n: int,
     def simplicial(abm) -> dict | None:
         a, b, m = abm
         y = structure_element(a, b, n)
-        if not coboundary(y).is_zero():
+        if not is_closed(y):
             return {"detail": f"non-cocycle value at {_describe(a)}"}
         for i in range(m + 1):
             left = pullback(coface_map(m, i), y)

@@ -51,12 +51,13 @@ a dense elimination gives.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import floordiv, itemgetter, mul, ne
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 
 # -- the ring ----------------------------------------------------------------

@@ -59,9 +59,18 @@ every operation checks that each object or morphism it is given lies over
 this groupoid's base, ring and degree, and raises ValueError otherwise.
 
 The MapObject and Homotopy2 constructors validate every object and
-morphism they are given: closedness mod the ring, then every face at once
-through the mapping complex's boundary gather, compared slice by slice
-in the order the error messages name them.
+morphism they are given, on every call: closedness mod the ring
+(cochains.is_closed), then every face at once through the mapping complex's
+boundary gather, compared slice by slice in the order the error messages
+name them.  The structural operations (unit, the sums, identity, compose,
+inverse, the unitors, associator, braid) and from_square validate each
+distinct cell once per groupoid: they compute a cell's data (and draw its
+perturbation) first, then look it up in a memo keyed on the object data,
+or on (data, source data, target data) for a homotopy, and on a miss build
+it through the public constructor.  The samplers, object and from_cocycle
+use the constructors directly.  The memo holds at most _CELL_MEMO_SIZE
+cells and is cleared when full, so a long-lived groupoid does not grow
+with every call.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from itertools import chain
 from typing import Any, Callable
 
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary,
-                       fiber_integrate, pullback, random_cochain)
+                       fiber_integrate, is_closed, pullback, random_cochain)
 from .cohomology import (CoboundaryObstruction, cohomology, face_pins, solve_closed_extension,
                          solve_relative_coboundary)
 from .complexes import (Simplex, SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
@@ -101,7 +110,7 @@ class MapObject:
             raise ValueError(f"object data must have degree {groupoid.degree + 1}")
         if data.coeffs is not groupoid.coeffs and data.coeffs != groupoid.coeffs:
             raise ValueError(f"object data must have {groupoid.coeffs.label()} coefficients")
-        if not coboundary(data).is_zero():
+        if not is_closed(data):
             raise ValueError("object data must be closed")
         if any(maps.boundary(data)):
             raise ValueError("object data must vanish on both ends")
@@ -134,7 +143,7 @@ class Homotopy2:
         maps = g.maps
         if maps.element_level(data) != 2 or data.degree != g.degree + 1:
             raise ValueError("homotopy data must be level-2 of matching degree")
-        if not coboundary(data).is_zero():
+        if not is_closed(data):
             raise ValueError("homotopy data must be closed")
         faces, n = maps.boundary(data), len(source.data.vec)
         if not _restricts(data, faces[2 * n:], source.data):
@@ -261,6 +270,10 @@ class SymMonGroupoidInstance:
 
 # -- the groupoid ----------------------------------------------------------
 
+# validated cells one groupoid keeps for its own operations (one coherence
+# trial on circle(12) holds under a hundred)
+_CELL_MEMO_SIZE = 1024
+
 _Q_VERTEX = {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 2}
 
 
@@ -292,11 +305,13 @@ class MappingGroupoid:
         self.degree = n
         self.maps = MappingComplex(X, coeffs, n + 1)
         self.perturb = perturb
+        self._cells: dict = {}  # key -> MapObject or Homotopy2 validated for it
+        self._perturbs: dict[int, bool] = {}  # keep -> does P_keep draw?
 
     # -- object constructors ----------------------------------------------
 
     def unit(self) -> MapObject:
-        return MapObject(self, self.maps.zero(1))
+        return self._object(self.maps.zero(1))
 
     def object(self, data: Cochain) -> MapObject:
         return MapObject(self, data)
@@ -371,13 +386,18 @@ class MappingGroupoid:
         fill whose missing face is ``keep`` adds to that face.
 
         P_keep is absent, and draws nothing, when the groupoid does not
-        perturb or no generator is eligible (every fill in degree 1).
+        perturb or no generator is eligible (every fill in degree 1); that
+        is decided once per groupoid and keep.
         """
-        M = self.maps
-        if self.perturb is None or not _covering(M.level_complex(3), self.degree,
-                                                 frozenset(range(4)) - {keep}):
+        if self.perturb is None:
             return data
-        P = M.face(self._interior_coboundary(3, self.perturb, keep=keep), keep)
+        draws = self._perturbs.get(keep)
+        if draws is None:
+            draws = self._perturbs[keep] = bool(_covering(
+                self.maps.level_complex(3), self.degree, frozenset(range(4)) - {keep}))
+        if not draws:
+            return data
+        P = self.maps.face(self._interior_coboundary(3, self.perturb, keep=keep), keep)
         return data + P if sign > 0 else data - P
 
     def _own(self, *cells) -> None:
@@ -391,14 +411,35 @@ class MappingGroupoid:
                                  f"{self.base.name} in degree {self.degree} with "
                                  f"{self.coeffs.label()} coefficients")
 
+    def _object(self, data: Cochain) -> MapObject:
+        """The object on data, validated by MapObject once per groupoid."""
+        f = self._cells.get(data)
+        return f if f is not None else self._keep(data, MapObject(self, data))
+
+    def _morphism(self, source: MapObject, target: MapObject,
+                  data: Cochain) -> HomotopyClass:
+        """The morphism source -> target on data, validated by Homotopy2
+        once per groupoid; source and target are this groupoid's."""
+        key = (data, source.data, target.data)
+        h = self._cells.get(key)
+        return HomotopyClass(h if h is not None
+                             else self._keep(key, Homotopy2(source, target, data)))
+
+    def _keep(self, key, cell):
+        cells = self._cells
+        if len(cells) >= _CELL_MEMO_SIZE:
+            cells.clear()
+        cells[key] = cell
+        return cell
+
     def _sum(self, f: MapObject, g: MapObject) -> MapObject:
-        return MapObject(self, f.data + g.data)
+        return self._object(f.data + g.data)
 
     # -- groupoid structure -----------------------------------------------
 
     def identity(self, f: MapObject) -> HomotopyClass:
         self._own(f)
-        return HomotopyClass(Homotopy2(f, f, self.maps.degeneracy(f.data, 1)))
+        return self._morphism(f, f, self.maps.degeneracy(f.data, 1))
 
     def compose(self, first: HomotopyClass, second: HomotopyClass) -> HomotopyClass:
         """first then second; the middle objects must carry equal data."""
@@ -406,13 +447,13 @@ class MappingGroupoid:
         if first.target != second.source:
             raise ValueError("middle objects differ")
         data = first.rep.data + second.rep.data - self.maps.degeneracy(second.source.data, 1)
-        return HomotopyClass(Homotopy2(first.source, second.target, self._perturbed(data, 2)))
+        return self._morphism(first.source, second.target, self._perturbed(data, 2))
 
     def inverse(self, c: HomotopyClass) -> HomotopyClass:
         self._own(c)
         M, f, g = self.maps, c.source, c.target
         data = M.degeneracy(f.data, 1) + M.degeneracy(g.data, 1) - c.rep.data
-        return HomotopyClass(Homotopy2(g, f, self._perturbed(data, 1)))
+        return self._morphism(g, f, self._perturbed(data, 1))
 
     # -- monoidal structure -----------------------------------------------
 
@@ -434,20 +475,20 @@ class MappingGroupoid:
         self._own(left, right)
         data = self._perturbed(left.rep.data + right.rep.data, 2, -1)
         data = self._perturbed(self._perturbed(data, 1), 2)
-        return HomotopyClass(Homotopy2(self._sum(left.source, right.source),
-                                       self._sum(left.target, right.target), data))
+        return self._morphism(self._sum(left.source, right.source),
+                              self._sum(left.target, right.target), data)
 
     def left_unitor(self, f: MapObject) -> HomotopyClass:
         """unit (+) f -> f."""
         self._own(f)
         data = self._perturbed(self.maps.degeneracy(f.data, 1), 1)
-        return HomotopyClass(Homotopy2(self._sum(self.unit(), f), f, data))
+        return self._morphism(self._sum(self.unit(), f), f, data)
 
     def right_unitor(self, f: MapObject) -> HomotopyClass:
         """f (+) unit -> f."""
         self._own(f)
         data = self._perturbed(self.maps.degeneracy(f.data, 1), 2)
-        return HomotopyClass(Homotopy2(self._sum(f, self.unit()), f, data))
+        return self._morphism(self._sum(f, self.unit()), f, data)
 
     def associator(self, a: MapObject, b: MapObject,
                    c: MapObject) -> HomotopyClass:
@@ -455,8 +496,7 @@ class MappingGroupoid:
         self._own(a, b, c)
         src = self._sum(self._sum(a, b), c)
         data = self._perturbed(self.maps.degeneracy(src.data, 1), 2, -1)
-        return HomotopyClass(Homotopy2(src, self._sum(a, self._sum(b, c)),
-                                       self._perturbed(data, 1)))
+        return self._morphism(src, self._sum(a, self._sum(b, c)), self._perturbed(data, 1))
 
     def unitors_and_associator(self, f: MapObject, g: MapObject,
                                h: MapObject):
@@ -546,7 +586,7 @@ class MappingGroupoid:
         if G.degree != self.degree + 1:
             return False
         s, t = c0.source, c0.target
-        return (coboundary(G).is_zero()
+        return (is_closed(G)
                 and M.face(G, 0) == c1.rep.data
                 and M.face(G, 1) == c0.rep.data
                 and M.face(G, 2) == M.degeneracy(t.data, 0)
@@ -636,19 +676,19 @@ class MappingGroupoid:
         fill, s_1 m + s_0 t - U + P_1 with m = d_1 U the diagonal and t the
         top.
         """
-        if not coboundary(K).is_zero():
+        if not is_closed(K):
             raise ValueError("square data must be closed")
         bottom, top, near, far = self.square_faces(K)
         if not near.is_zero() or not far.is_zero():
             raise ValueError("square data must vanish on both vertical ends")
         _, lower, upper, diag = self._square_maps()
-        source = MapObject(self, bottom)
-        target = MapObject(self, top)
-        mid = MapObject(self, pullback(diag, K))
+        source = self._object(bottom)
+        target = self._object(top)
+        mid = self._object(pullback(diag, K))
         M = self.maps
-        first = HomotopyClass(Homotopy2(source, mid, pullback(lower, K)))
+        first = self._morphism(source, mid, pullback(lower, K))
         data = M.degeneracy(mid.data, 1) + M.degeneracy(top, 0) - pullback(upper, K)
-        second = HomotopyClass(Homotopy2(mid, target, self._perturbed(data, 1)))
+        second = self._morphism(mid, target, self._perturbed(data, 1))
         return self.compose(first, second)
 
     def square_integral(self, K: Cochain) -> Cochain:

@@ -18,7 +18,7 @@ def delta_matrix(X, n: int) -> list[list[int]]:
     rows = []
     for sparse in delta_table(X, n):
         row = [0] * width
-        for p, a in sparse:
+        for p, a in sparse.items():
             row[p] = a
         rows.append(row)
     return rows

@@ -55,7 +55,7 @@ class CohomologyGroup:
             for dual in out.form.Tinv[out.form.rank:]:
                 y = [0] * width
                 for t, a in dual.items():
-                    for j, w in faces[t]:
+                    for j, w in faces[t].items():
                         y[j] += a * w
                 Y.append(y)
         elif n >= 1:

@@ -87,7 +87,7 @@ def pinned_system(X: SimplicialSet, n: int, pinned: frozenset[int] = frozenset()
             if q in dropped:
                 continue
             row = [0] * len(free)
-            for p, a in sparse:
+            for p, a in sparse.items():
                 j = column.get(p)
                 if j is not None:
                     row[j] = a
@@ -242,7 +242,7 @@ def delta_system(X: SimplicialSet, n: int, pinned: frozenset) -> tuple[list, lis
         if gen in pinned:
             continue
         row = [0] * len(free)
-        for p, a in sparse:
+        for p, a in sparse.items():
             j = column.get(p)
             if j is not None:
                 row[j] = a

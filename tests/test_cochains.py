@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
-                              fiber_integrate, mod_coefficients,
+                              fiber_integrate, is_closed, mod_coefficients,
                               parse_coefficients, pullback, random_cochain)
 from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, SimplicialSet,
                                circle, complex_from_json, cylinder, point, rp2, sphere2,
@@ -107,6 +107,36 @@ def test_coboundary_squares_to_zero():
         for n in range(X.top_dim):
             c = random_cochain(X, n, INTEGERS, rng)
             assert coboundary(coboundary(c)).is_zero()
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, RATIONALS, mod_coefficients(3)],
+                         ids=["Z", "Q", "Z/3"])
+def test_is_closed_agrees_with_the_built_coboundary(coeffs):
+    """is_closed reads delta c mod k off the face gathers and answers as
+    coboundary(c).is_zero() would, on random, closed and top-degree data."""
+    rng = random.Random(17)
+    seen = set()
+    for X in (circle(3), sphere2(), rp2(), torus(), cylinder(torus(), 1).complex):
+        for n in range(X.top_dim + 1):
+            for _ in range(4):
+                c = random_cochain(X, n, coeffs, rng, density=rng.choice((0.1, 0.7)))
+                if coeffs is RATIONALS:
+                    c = c.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+                for z in (c, coboundary(c)) if n < X.top_dim else (c,):
+                    assert is_closed(z) == coboundary(z).is_zero()
+                    seen.add(is_closed(z))
+    assert seen == {True, False}
+
+
+def test_is_closed_reads_delta_mod_k():
+    # delta c = c(12) - c(02) + c(01) = 2 - 0 + 1 = 3 on the triangle:
+    # closed over Z/3, not over Z
+    D2 = standard_simplex(2)
+    values = {(0, 1): 1, (1, 2): 2}
+    mod3 = Cochain(D2, 1, mod_coefficients(3), values)
+    assert is_closed(mod3) and coboundary(mod3).is_zero()
+    assert not is_closed(Cochain(D2, 1, INTEGERS, values))
+    assert not is_closed(Cochain(D2, 1, mod_coefficients(2), values))
 
 
 def test_top_degree_coboundary_vanishes():

@@ -31,7 +31,10 @@ def compiled_faces(X):
 
 
 def tables(X, face_table, delta_table):
-    return [([(sign, g.positions, g.size) for sign, g in face_table(X, n)], delta_table(X, n))
+    # a delta row as its (position, coefficient) pairs in face order, read
+    # off the package's {position: coefficient} rows and the reference's pairs
+    return [([(sign, g.positions, g.size) for sign, g in face_table(X, n)],
+             [tuple(dict(row).items()) for row in delta_table(X, n)])
             for n in range(X.top_dim)]
 
 

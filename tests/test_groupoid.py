@@ -1,6 +1,7 @@
 """The mapping groupoid: fillers, classes, coherence, the square model."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -525,6 +526,78 @@ def test_every_operation_rejects_a_foreign_argument(foreign):
     if foreign == "another ring":
         with pytest.raises(ValueError, match="Z coefficients"):
             G.object(other["left_unitor"][0].data)
+
+
+def test_public_homotopy_revalidates_data_the_memo_holds():
+    """The memo serves the groupoid's own operations only: Homotopy2 and
+    MapObject check every call, so memoized data with a wrong target is
+    still refused, and an operation repeated returns the cell it built."""
+    G = MappingGroupoid(circle(3), INTEGERS, 1, perturb=random.Random(5))
+    rng = random.Random(5)
+    f = G.random_object(rng)
+    g = next(o for o in (G.random_object(rng) for _ in range(20)) if o != f)
+    unitor = G.left_unitor(f)
+    assert G.left_unitor(f).rep is unitor.rep
+    assert any(cell is unitor.rep for cell in G._cells.values())
+    with pytest.raises(ValueError, match="face 1 must restrict to the target"):
+        Homotopy2(unitor.source, g, unitor.rep.data)
+    held = G.unit().data
+    assert G._cells[held] is G.unit()
+    assert G.object(held) is not G.unit()
+
+
+def test_a_coherence_round_validates_each_distinct_cell_once(monkeypatch):
+    """Past the samplers, which validate through the public constructors,
+    each object or homotopy a round's operations make passes the full
+    checks once: the closedness tests read each memo key's data once."""
+    tested, sampled = [], []
+    real = groupoid.is_closed
+
+    def spy(c):
+        tested.append(c)
+        return real(c)
+    monkeypatch.setattr(groupoid, "is_closed", spy)
+    G = MappingGroupoid(circle(12), INTEGERS, 1, perturb=random.Random(7))
+    sample_object, sample_morphism = G.random_object, G.random_morphism
+
+    def random_object(rng):
+        f = sample_object(rng)
+        sampled.append(f.data)
+        return f
+
+    def random_morphism(source, rng):
+        h = sample_morphism(source, rng)
+        sampled.extend((h.target.data, h.rep.data))
+        return h
+    G.random_object, G.random_morphism = random_object, random_morphism
+    assert check_coherence(G.as_instance(), trials=1, seed=7).ok
+    memo = Counter(key if isinstance(key, Cochain) else key[0] for key in G._cells)
+    assert sampled and set(memo.values()) == {1}
+    assert Counter(tested) == Counter(sampled) + memo
+
+
+def test_the_cell_memo_stays_within_its_bound(monkeypatch):
+    """Many rounds on one groupoid clear the memo when it is full instead
+    of letting it grow, and the rounds still pass."""
+    monkeypatch.setattr(groupoid, "_CELL_MEMO_SIZE", 16)
+
+    class Watched(dict):
+        peak = clears = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Watched.peak = max(Watched.peak, len(self))
+
+        def clear(self):
+            Watched.clears += 1
+            super().clear()
+
+    G = MappingGroupoid(circle(3), INTEGERS, 1, perturb=random.Random(9))
+    G._cells = Watched()
+    for seed in range(4):
+        assert check_coherence(G.as_instance(), trials=1, seed=seed).ok
+        assert len(G._cells) <= 16
+    assert Watched.peak == 16 and Watched.clears >= 4
 
 
 def test_degree_1_coherence_reads_no_level_3_face(monkeypatch):
