@@ -71,7 +71,6 @@ from .subdiv import (
     halving,
     homotopy_chain,
     lift_map,
-    maps_equal,
     rotation,
     subdivide,
     transfer,
@@ -230,25 +229,27 @@ class CocycleGroupoid:
 # -- functors between cocycle groupoids ------------------------------------
 
 
+def _cochain_functor(src: CocycleGroupoid, dst: CocycleGroupoid,
+                     fn: Callable[[Cochain], Cochain], name: str) -> MonFunctor:
+    """The strictly monoidal functor applying the cochain map fn to objects
+    and to every part of an arrow."""
+    return MonFunctor(
+        name=name,
+        source=src.as_instance(),
+        target=dst.as_instance(),
+        on_objects=fn,
+        on_morphisms=lambda m: CocycleMorphism(fn(m.source), fn(m.target), fn(m.eta)),
+        mu=lambda a, b: dst.identity(fn(a) + fn(b)),
+        unit_cell=dst.identity(dst.zero()),
+    )
+
+
 def pullback_functor(src: CocycleGroupoid, dst: CocycleGroupoid,
                      f: SimplicialMap, name: str = "") -> MonFunctor:
     """Pullback along f as a strictly monoidal functor of cocycle groupoids."""
     if f.source is not dst.base or f.target is not src.base:
         raise ValueError("map does not run between the groupoid bases")
-
-    def on_morphisms(m: CocycleMorphism) -> CocycleMorphism:
-        return CocycleMorphism(pullback(f, m.source), pullback(f, m.target),
-                               pullback(f, m.eta))
-
-    return MonFunctor(
-        name=name or f"({f.name})^*",
-        source=src.as_instance(),
-        target=dst.as_instance(),
-        on_objects=lambda z: pullback(f, z),
-        on_morphisms=on_morphisms,
-        mu=lambda a, b: dst.identity(pullback(f, a) + pullback(f, b)),
-        unit_cell=dst.identity(dst.zero()),
-    )
+    return _cochain_functor(src, dst, lambda z: pullback(f, z), name or f"({f.name})^*")
 
 
 def transfer_functor(base: SimplicialSet, src: CocycleGroupoid,
@@ -256,21 +257,8 @@ def transfer_functor(base: SimplicialSet, src: CocycleGroupoid,
     """Summing a halved model back to its base, as a monoidal functor."""
     if src.base is not subdivide(base) or dst.base is not base:
         raise ValueError("transfer runs from the halved model to the base")
-
-    def on_morphisms(m: CocycleMorphism) -> CocycleMorphism:
-        return CocycleMorphism(transfer(base, m.source),
-                               transfer(base, m.target),
-                               transfer(base, m.eta))
-
-    return MonFunctor(
-        name=name or f"transfer({base.name})",
-        source=src.as_instance(),
-        target=dst.as_instance(),
-        on_objects=lambda z: transfer(base, z),
-        on_morphisms=on_morphisms,
-        mu=lambda a, b: dst.identity(transfer(base, a) + transfer(base, b)),
-        unit_cell=dst.identity(dst.zero()),
-    )
+    return _cochain_functor(src, dst, lambda z: transfer(base, z),
+                            name or f"transfer({base.name})")
 
 
 # -- integration as a monoidal functor -------------------------------------
@@ -704,10 +692,9 @@ def composition_equation_report(model: CharacterModel,
         if not (a_gf.correction(z) - pasted).is_zero():
             ok = False
     if model.kind == "halved":
-        lifts_compose = maps_equal(a_gf.lift,
-                                   compose_maps(a_f.lift, a_g.lift))
+        lifts_compose = a_gf.lift == compose_maps(a_f.lift, a_g.lift)
     else:
-        lifts_compose = maps_equal(a_gf.lift, gf)
+        lifts_compose = a_gf.lift == gf
     return Report(f"composition({gf.name}, {model.kind})", trials, seed, [
         Check("corrections-compose", ok, trials),
         Check("lifts-compose", lifts_compose, 1)])

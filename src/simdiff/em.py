@@ -11,16 +11,14 @@ X x Delta^m; these are what the homotopy-of-maps machinery fills horns in.
 A group supplies its face and degeneracy maps between level complexes
 (face_map, degeneracy_map); the base class pulls back along them.
 
-Horn filling (moore_fill) is Moore's filler, a fixed integer-linear map of
-the horn's faces: the generic Kan filler of any simplicial group here.  It
-is compiled once per horn shape -- level complex, degree, level and
-missing face -- into gathers derived on the level-m complex, so the plan
-outlives the groups built on that complex and serves every ring.  Every
-call checks that each face is a cochain of the right complex, degree and
-ring, then the horn identities, then evaluates the plan; nothing is
-memoized.  The mapping groupoid's structural cells are faces of such
-fills, but every horn there has zero or degenerate faces, so the groupoid
-writes each face out in closed form and fills no horn (see groupoid.py).
+Horn filling (moore_fill) is Moore's filler, the generic Kan filler of any
+simplicial group here: one recurrence on the group's own face, degeneracy
+and zero.  Every call checks that each face is a cochain of the right
+complex, degree and ring, then the horn identities, then runs the
+recurrence; there is no plan and nothing is cached.  The mapping
+groupoid's structural cells are faces of such fills, but every horn there
+has zero or degenerate faces, so the groupoid writes each face out in
+closed form and fills no horn (see groupoid.py).
 
 Index convention: E_n := K(A,n), so a degree-n cohomology class of X is a
 homotopy class of maps X -> E_n and the loop identification lowers the
@@ -35,15 +33,13 @@ one check per property and level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .cochains import (Cochain, Coefficients, cross_section, embed_rational, fiber_integrate,
                        is_closed, pullback)
-from .complexes import (ConstructionError, Gather, LinearPlan, Simplex,
-                        SimplicialMap, SimplicialSet, cached_on, codegeneracy_map,
-                        coface_map, cylinder, derived, identity_map, key_str,
-                        product_map, standard_simplex, vertex_path)
+from .complexes import (ConstructionError, Gather, Simplex, SimplicialMap, SimplicialSet,
+                        codegeneracy_map, coface_map, cylinder, derived, identity_map,
+                        key_str, product_map, standard_simplex, vertex_path)
 from .cohomology import cochain_of, delta_system
 from .report import Report, scan
 
@@ -216,64 +212,6 @@ def _product_codegeneracy(X: SimplicialSet, m: int, j: int) -> SimplicialMap:
 # -- horn filling ----------------------------------------------------------
 
 
-class _MoorePlan:
-    """Moore's filler for one horn shape, compiled to gathers.
-
-    It is built by running Moore's recurrence once on symbolic rows, from
-    the pullback tables of the group's face and degeneracy maps.  The
-    level complex fixes those maps and the coefficients are integers, so
-    one plan serves every ring.
-
-    Both halves read the horn's face vectors concatenated in index order,
-    followed by one ring zero (the sentinel).  pairs lists each identity
-    d_{l-1} x_j = d_j x_l as (j, l, start, stop): its two sides are the
-    slices [start:stop] of left and right.  The filler is a sparse signed
-    integer matrix over the concatenation, compiled to a LinearPlan.
-    """
-
-    __slots__ = ("pairs", "left", "right", "filler")
-
-    def __init__(self, G: SimplicialGroup, m: int, missing: int):
-        d = G.degree()
-        expected = [j for j in range(m + 1) if j != missing]
-        n = len(G.level_complex(m - 1).generators(d))
-        size = len(G.level_complex(m).generators(d))
-        sentinel = len(expected) * n
-        block = {j: b * n for b, j in enumerate(expected)}
-
-        def face_of(j: int, i: int) -> list[int]:
-            """Where d_i x_j reads the concatenation."""
-            table = G.face_map(m - 1, i).pullback_table(d).positions
-            return [sentinel if p == n else block[j] + p for p in table]
-
-        self.pairs, left, right = [], [], []
-        for j, l in combinations(expected, 2):
-            start = len(left)
-            left += face_of(j, l - 1)
-            right += face_of(l, j)
-            self.pairs.append((j, l, start, len(left)))
-        self.left, self.right = Gather(left, sentinel), Gather(right, sentinel)
-
-        # Moore's recurrence run once on rows {input position: coefficient}
-        w: list[dict[int, int]] = [{} for _ in range(size)]
-        steps = ([(j, j) for j in range(missing)]
-                 + [(j, j - 1) for j in range(m, missing, -1)])
-        for j, s in steps:
-            diff = []
-            for q, p in enumerate(G.face_map(m, j).pullback_table(d).positions):
-                row = {block[j] + q: 1}
-                for k, c in (w[p].items() if p != size else ()):
-                    row[k] = row.get(k, 0) - c
-                diff.append(row)
-            for p, q in enumerate(G.degeneracy_map(m - 1, s).pullback_table(d).positions):
-                if q != n:
-                    row = w[p]
-                    for k, c in diff[q].items():
-                        row[k] = row.get(k, 0) + c
-
-        self.filler = LinearPlan(w, sentinel)
-
-
 def moore_fill(G: SimplicialGroup, m: int, missing: int,
                faces: dict[int, Cochain]) -> Cochain:
     """Deterministic filler for the horn with the given faces.
@@ -283,11 +221,10 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
     and ring, or ValueError names it; incompatible faces raise with the
     first violated identity.
 
-    The filler is Moore's (May, Simplicial Objects in Algebraic Topology,
-    section 17), a fixed integer-linear map of the faces.  It is compiled
-    once per horn shape (level complex, degree, m, missing) into a
-    _MoorePlan derived on level_complex(m) and keyed without the group, so
-    every group and ring on that complex shares it.
+    The filler is Moore's recurrence (May, Simplicial Objects in Algebraic
+    Topology, section 17) on the group's own face, degeneracy and zero:
+    w = 0, then w += s_j (x_j - d_j w) for j < missing, then
+    w += s_{j-1} (x_j - d_j w) for j from m down to missing + 1.
     """
     if m not in (2, 3):
         raise ValueError("horn filling is supported for levels 2 and 3")
@@ -303,16 +240,17 @@ def moore_fill(G: SimplicialGroup, m: int, missing: int,
                 and (x.coeffs is coeffs or x.coeffs == coeffs)):
             raise ValueError(f"face {j} is not a degree-{d} {coeffs.label()} "
                              f"cochain on the level-{m - 1} complex")
-    P = G.level_complex(m)
-    plan = cached_on(P, ("moore_plan", d, m, missing), _MoorePlan, G, m, missing)
-    padded = sum([faces[j].vec for j in expected], ()) + (coeffs.zero,)
-    left, right = plan.left.get(padded), plan.right.get(padded)
-    if left != right:
-        for j, l, a, b in plan.pairs:
-            if left[a:b] != right[a:b]:
+    for j in expected:
+        for l in expected:
+            if j < l and G.face(faces[j], l - 1) != G.face(faces[l], j):
                 raise ValueError(
                     f"incompatible horn: d_{l - 1} x_{j} != d_{j} x_{l}")
-    return Cochain._trusted(P, d, coeffs, plan.filler.apply(padded))
+    w = G.zero(m)
+    for j in range(missing):
+        w = w + G.degeneracy(faces[j] - G.face(w, j), j)
+    for j in range(m, missing, -1):
+        w = w + G.degeneracy(faces[j] - G.face(w, j), j - 1)
+    return w
 
 
 # -- fundamental cocycles --------------------------------------------------

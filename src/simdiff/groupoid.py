@@ -498,12 +498,6 @@ class MappingGroupoid:
         data = self._perturbed(self.maps.degeneracy(src.data, 1), 2, -1)
         return self._morphism(src, self._sum(a, self._sum(b, c)), self._perturbed(data, 1))
 
-    def unitors_and_associator(self, f: MapObject, g: MapObject,
-                               h: MapObject):
-        """(left unitor of f, right unitor of f, associator (h+g)+f -> h+(g+f))."""
-        return (self.left_unitor(f), self.right_unitor(f),
-                self.associator(h, g, f))
-
     def braid(self, f: MapObject, g: MapObject) -> HomotopyClass:
         """f+g -> g+f, as the unitor / interchange chain.
 

@@ -210,12 +210,6 @@ def halving(X: SimplicialSet, parity: str = "floor") -> Halving:
 # -- lifting maps through comparisons --------------------------------------
 
 
-def maps_equal(a: SimplicialMap, b: SimplicialMap) -> bool:
-    if a.source is not b.source or a.target is not b.target:
-        return False
-    return all(a(Simplex(g)) == b(Simplex(g)) for g in a.source.generators())
-
-
 @derived("edge-endpoints")
 def _edge_table(Y: SimplicialSet) -> dict:
     table = {}
@@ -297,7 +291,7 @@ def lift_map(f: SimplicialMap, comp_src: SimplicialMap,
         images[e] = edge_image(e, assignment[a], assignment[b])
     lifted = SimplicialMap(M2, N2, images, name or f"lift({f.name})")
     lifted.check()
-    if not maps_equal(compose_maps(lifted, comp_tgt), compose_maps(comp_src, f)):
+    if compose_maps(lifted, comp_tgt) != compose_maps(comp_src, f):
         raise ConstructionError("lift does not commute with the comparisons")
     return lifted
 

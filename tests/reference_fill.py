@@ -1,9 +1,9 @@
-"""Reference for the compiled horn filler: Moore's iterative loop.
+"""Reference for the horn filler: Moore's iterative loop.
 
-This is the loop em.moore_fill ran on every call before the filler was
-compiled to one cached linear plan per horn shape.  It reads the group's
-face, degeneracy and zero, builds a Cochain per step, and serves as the
-oracle that the compiled plan must match entry for entry.
+moore_fill reads the group's face, degeneracy and zero, builds a Cochain
+per step, and serves as the oracle that em.moore_fill must match entry for
+entry and message for message.  It is written apart from the package, so
+a change to em.moore_fill cannot change the oracle with it.
 
 groupoid_fill fills a level-3 horn of a mapping groupoid the way the
 groupoid once built every structural cell: the whole filler, perturbed as

@@ -235,35 +235,6 @@ def _counting_applies(monkeypatch) -> list:
     return applied
 
 
-def test_new_group_reuses_cached_fill_plans():
-    """The compiled horn fillers live on the cylinders of the base, so a
-    second group on it, over another ring, fills with the same plans."""
-    X = circle(4)
-    rng = random.Random(17)
-
-    def plans():
-        return {(m, key): plan for m in (2, 3)
-                for key, plan in cylinder(X, m).complex._cache.items()
-                if key[0] == "moore_plan"}
-
-    def fill_every_shape(G):
-        for m in (2, 3):
-            for missing in range(m + 1):
-                w = _random_level(G, m, rng)
-                faces = {j: G.face(w, j) for j in range(m + 1) if j != missing}
-                assert all(G.face(moore_fill(G, m, missing, faces), j) == x
-                           for j, x in faces.items())
-
-    fill_every_shape(MappingComplex(X, INTEGERS, 1))
-    built = plans()
-    assert {(m, key[3]) for m, key in built} == {(2, 0), (2, 1), (2, 2), (3, 0),
-                                                 (3, 1), (3, 2), (3, 3)}
-    fill_every_shape(MappingComplex(X, RATIONALS, 1))
-    again = plans()
-    assert again.keys() == built.keys()
-    assert all(again[key] is plan for key, plan in built.items())
-
-
 def test_an_incompatible_horn_raises_on_every_call(monkeypatch):
     G = MappingComplex(circle(3), INTEGERS, 1)
     cyl = cylinder(circle(3), 1)
@@ -299,9 +270,9 @@ _RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Z/3": mod_coefficients(3)}
 
 
 def _compare_with_reference(G, rng, trials=2):
-    """Compiled filler against the reference loop on random horns of every
-    shape: faces of a random level element, then the same horn with one
-    face disturbed, which the two must reject with the same message."""
+    """The package's filler against the reference loop on random horns of
+    every shape: faces of a random level element, then the same horn with
+    one face disturbed, which the two must reject with the same message."""
     for m in (2, 3):
         for missing in range(m + 1):
             for _ in range(trials):
@@ -330,6 +301,8 @@ def test_compiled_fill_matches_reference_on_em_spaces(n, ring):
 @pytest.mark.parametrize("base", [circle(3), torus(), rp2()],
                          ids=["circle3", "torus", "rp2"])
 def test_compiled_fill_matches_reference_on_mapping_complexes(base, n):
+    """em.moore_fill against the reference loop on mapping complexes of
+    three bases, over Z, Q and Z/3."""
     for ring in _RINGS.values():
         _compare_with_reference(MappingComplex(base, ring, n), random.Random(200 + n))
 

@@ -178,7 +178,7 @@ def test_structural_cell_data():
     rng = random.Random(3)
     a, b, c = (G.random_object(rng) for _ in range(3))
     M = G.maps
-    lam, rho, alpha = G.unitors_and_associator(a, b, c)
+    lam, rho, alpha = G.left_unitor(a), G.right_unitor(a), G.associator(c, b, a)
     assert lam.rep.data == rho.rep.data == M.degeneracy(a.data, 1)
     assert lam.source.data == a.data and lam.target is a
     assert alpha.rep.data == M.degeneracy(a.data + b.data + c.data, 1)

@@ -32,7 +32,6 @@ from simdiff.subdiv import (
     halving_homotopy,
     homotopy_chain,
     lift_map,
-    maps_equal,
     one_step_homotopy,
     path_simplex,
     prism_primitive,
@@ -113,8 +112,8 @@ def test_halving_homotopy_rejects_degree_zero():
 
 def test_matched_parity_lifts_are_standard():
     d = covering(3, 2)
-    assert maps_equal(lift_map(d, FLOOR6, FLOOR3), covering(6, 2))
-    assert maps_equal(lift_map(rotation(3), FLOOR3, FLOOR3), rotation(6, 2))
+    assert lift_map(d, FLOOR6, FLOOR3) == covering(6, 2)
+    assert lift_map(rotation(3), FLOOR3, FLOOR3) == rotation(6, 2)
 
 
 def test_mixed_parity_lift_shifts_by_one():
@@ -122,7 +121,7 @@ def test_mixed_parity_lift_shifts_by_one():
     dp = lift_map(d, CEIL6, FLOOR3)
     for k in range(12):
         assert dp(Simplex(f"v{k}")) == Simplex(f"v{(k + 1) % 6}")
-    assert maps_equal(compose_maps(dp, FLOOR3), compose_maps(CEIL6, d))
+    assert compose_maps(dp, FLOOR3) == compose_maps(CEIL6, d)
 
 
 def test_lift_pins_select_the_odd_inclusion():
@@ -190,7 +189,7 @@ def test_composite_staircase_matches_pasted_primitives():
     rp = lift_map(r, FLOOR3, FLOOR3)
     rd = circle_map(6, 3, lambda k: k + 1, "rd")
     rdp = lift_map(rd, CEIL6, FLOOR3)
-    assert maps_equal(rdp, compose_maps(dp, rp))
+    assert rdp == compose_maps(dp, rp)
     z = Cochain(C3, 1, RATIONALS, {"e0": Fraction(2), "e2": Fraction(7, 3)})
     direct = chain_primitive(
         homotopy_chain(compose_maps(FLOOR6, rd), compose_maps(rdp, CEIL3)), z)
@@ -203,7 +202,7 @@ def test_strict_pairs_have_empty_staircases():
     r = rotation(3)
     rp = lift_map(r, FLOOR3, FLOOR3)
     ga, gb = compose_maps(rp, CEIL3), compose_maps(CEIL3, r)
-    assert maps_equal(ga, gb)
+    assert ga == gb
     assert homotopy_chain(gb, ga) == []
     p = constant_map(C3, point(), "*")
     pp = lift_map(p, FLOOR3, identity_map(point()))
