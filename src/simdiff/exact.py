@@ -42,11 +42,15 @@ first read, as sparse rows or columns: none is made dense, a
 presentation that reads only the diagonal builds none of them, and a
 substitution touches only the nonzeros of those it reads.
 Coboundary matrices hold a few nonzeros per row and almost every pivot is
-+-1, so the work follows the nonzeros and their fill rather than the cube
-of the matrix size.  The pivot order is the dense smallest-entry rule and
-the replay applies the same operations in the same order, so the
-transforms, and every cocycle and certificate read off them, are the ones
-a dense elimination gives.
++-1, so the elimination runs in two phases.  A unit phase takes +-1
+pivots, the shortest row first and in it the column that holds the
+fewest rows, so the work follows the nonzeros and keeps fill low; then
+the dense elimination's smallest-entry loop factors only what is left,
+the part that can carry torsion.  No choice depends on how a row's entries were ordered
+as they came, so dense and sparse rows of one matrix give the same logs.
+The diagonal, and every presentation and verdict read off it, is the one
+any elimination gives; S and T, and the cocycles and certificates read
+off them, are those of this pivot order.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import floordiv, itemgetter, mul, ne
 from typing import Any, Callable, Iterable, Sequence
@@ -191,15 +196,15 @@ class SmithForm:
     """D = S A T with S, T unimodular; the transforms are built on first read.
 
     A is r x c (shape).  D is rectangular diagonal; diagonal lists its
-    min(r, c) entries d_0 | d_1 | ..., nonnegative, the zeros last.  The
-    elimination leaves two logs of elementary operations, row_log on the
-    rows and col_log on the column positions.  S and Sinv are the row log
-    replayed on the r x r identity, T and Tinv the column log on the c x c
-    one, each on its first read and cached: a reader of T alone pays for
-    T alone.  S and Tinv are sparse rows {column: entry}, Sinv and T
-    sparse columns {row: entry}: S b and Tinv v are read row by row, T y
-    and a column of T or Sinv column by column, and none of the four is
-    made dense.
+    min(r, c) entries d_0 | d_1 | ..., nonnegative, the 1s of the unit
+    phase first and the zeros last.  The elimination leaves two logs of
+    elementary operations, row_log on the rows and col_log on the column
+    positions.  S and Sinv are the row log replayed on the r x r identity,
+    T and Tinv the column log on the c x c one, each on its first read and
+    cached: a reader of T alone pays for T alone.  S and Tinv are sparse
+    rows {column: entry}, Sinv and T sparse columns {row: entry}: S b and
+    Tinv v are read row by row, T y and a column of T or Sinv column by
+    column, and none of the four is made dense.
     """
 
     shape: tuple[int, int]
@@ -238,19 +243,40 @@ def entries(row: Mapping[int, Any] | Sequence) -> Iterable[tuple[int, Any]]:
 
 def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
                       width: int | None = None) -> SmithForm:
-    """D = S A T by sparse elimination that replays the dense pivot order.
+    """D = S A T by sparse elimination: unit pivots first, then the
+    smallest-entry loop on what they leave.
 
     A's rows are sparse {column: entry} in width columns, or dense lists,
     whose length is the width when none is given.  Each row is sorted into
     column order as it arrives, without its zeros, so both forms factor
     alike.
 
-    The pivot is the smallest |entry| of the trailing block, first in
-    row-major order.  The pivot is swapped into place and made positive,
-    rows then columns are reduced by it, and a pass that leaves a remainder
-    starts over.  Once the pivot's row and column are clear, a row whose
-    entries it does not divide is added to its row and the search starts
-    over.  The trailing block holding no entry ends the elimination.
+    Only D is updated, held as rows {column id: entry} with a lazy column
+    permutation, so a column swap touches no entry.  holds[column id] is
+    a column -> rows index, the set of rows with an entry in that column,
+    kept exact by every operation, so a row pass visits only the rows that
+    hold the pivot column, in row order, instead of every later row.  Each
+    operation is appended to the row or the column log, which SmithForm
+    replays into S, Sinv, T and Tinv when one is first read.
+
+    The unit phase pops rows from a lazy heap on (current length, row
+    index), skipping an entry whose row was taken or has changed since,
+    and takes the first that holds a +-1.  Its pivot is the +-1 whose
+    column holds the fewest rows, ties by column id.  The row is negated
+    if the pivot is -1, the row pass clears the pivot column from the
+    other rows (each changed row is pushed again), and column operations
+    clear the pivot row, which then holds its pivot alone.  No column has
+    moved yet, so those operations are logged on column ids.  When no row
+    holds a +-1, row and column swaps bring the u unit pivots to the
+    first u diagonal places, in the order they were taken.
+
+    The smallest-entry loop then runs from k = u.  Its pivot is the
+    smallest |entry| of the trailing block, first in row-major order.  The
+    pivot is swapped into place and made positive, rows then columns are
+    reduced by it, and a pass that leaves a remainder starts over.  Once
+    the pivot's row and column are clear, a row whose entries it does not
+    divide is added to its row and the search starts over.  The trailing
+    block holding no entry ends the elimination.
 
     divides is the last pivot whose scan found every later entry a
     multiple of it (at first 1), and integer row and column operations keep
@@ -258,16 +284,9 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
     pivot search stops at the first row holding a +-divides, and a pivot
     equal to divides skips the scan, which could find nothing.
 
-    Only D is updated, held as rows {column id: entry} with a lazy column
-    permutation, so a column swap touches no entry.  holds[column id] is
-    a column -> rows index, the set of rows with an entry in that column,
-    kept exact by every operation, so the row pass visits only the rows
-    that hold the pivot column, in row order, instead of every later row.
-    Each operation is appended to the row or the column log, which
-    SmithForm replays into S, Sinv, T and Tinv when one is first read.  The
-    operations are the dense elimination's, in its order, so every factor
-    equals a dense loop's entry for entry (tests/test_snf.py keeps one as
-    the reference).
+    A matrix with no +-1 entry gives the unit phase nothing to take, and
+    its factors are the dense loop's (tests/test_snf.py keeps that loop as
+    the reference); otherwise only the diagonal is.
     """
     r = len(A)
     c = width if width is not None else len(A[0]) if r else 0
@@ -325,6 +344,56 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
             holds[t].add(j)
         row_log.append((i, j))
 
+    def col_swap(i, j):
+        at[i], at[j] = at[j], at[i]
+        pos[at[i]], pos[at[j]] = i, j
+        col_log.append((i, j))
+
+    # the unit phase: the shortest row holding a +-1 first
+    units = []  # (row, column id) of each unit pivot, in the order taken
+    done = [False] * r
+    queue = [(len(row), i) for i, row in enumerate(D) if row]
+    heapify(queue)
+    while queue:
+        n, i = heappop(queue)
+        row = D[i]
+        if done[i] or len(row) != n:
+            continue  # a stale entry: the row was taken, or has changed since
+        # its +-1 whose column holds the fewest rows, ties by column id
+        best = min(((len(holds[t]), t) for t, v in row.items() if v == 1 or v == -1),
+                   default=None)
+        if best is None:
+            continue  # pushed again if a row operation ever changes it
+        t = best[1]
+        if row[t] < 0:
+            D[i] = row = {s: -v for s, v in row.items()}
+            row_log.append((i,))
+        for s in sorted(holds[t]):
+            if s != i:
+                row_add(s, i, -D[s][t])
+                if D[s]:
+                    heappush(queue, (len(D[s]), s))
+        # no column is swapped yet, so positions are column ids, and column
+        # t is now nonzero in row i alone: each column operation clears one
+        # entry of row i and touches no other row
+        for s, v in row.items():
+            if s != t:
+                holds[s].discard(i)
+                col_log.append((s, t, -v))
+        D[i] = {t: 1}
+        done[i] = True
+        units.append((i, t))
+    at_row = list(range(r))  # index -> the row there
+    home = list(range(r))  # row -> its index
+    for k, (i, t) in enumerate(units):
+        j = home[i]
+        if j != k:
+            row_swap(k, j)
+            o = at_row[k]
+            at_row[k], at_row[j], home[i], home[o] = i, o, k, j
+        if pos[t] != k:
+            col_swap(k, pos[t])
+
     def pivot(k):
         # (|entry|, row, position) of the pivot, or None for a zero block
         best = None
@@ -338,7 +407,8 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
                         break
         return best
 
-    for k in range(min(r, c)):
+    # the smallest-entry loop on what the units leave
+    for k in range(len(units), min(r, c)):
         while True:
             best = pivot(k)
             if best is None:
@@ -347,9 +417,7 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
             if pi != k:
                 row_swap(k, pi)
             if pj != k:
-                at[k], at[pj] = at[pj], at[k]
-                pos[at[k]], pos[at[pj]] = k, pj
-                col_log.append((k, pj))
+                col_swap(k, pj)
             ck = at[k]
             if D[k][ck] < 0:
                 D[k] = {t: -v for t, v in D[k].items()}

@@ -101,6 +101,7 @@ PRODUCTS = {
     "genus2xS1": (genus2, lambda: circle(3), ["Z", "Z^5", "Z^5", "Z"]),
     "rp2xrp2": (rp2, rp2, ["Z", "0", "Z/2 + Z/2", "Z/2", "Z/2"]),
     "T4": (lambda: build_standard("T3"), lambda: circle(3), ["Z", "Z^4", "Z^6", "Z^4", "Z"]),
+    "genus2xgenus2": (genus2, genus2, ["Z", "Z^8", "Z^18", "Z^8", "Z"]),
 }
 
 

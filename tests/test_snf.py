@@ -1,11 +1,16 @@
-"""The sparse Smith form against the dense loop it replaced, and sympy.
+"""The sparse Smith form against what a Smith form promises, the dense loop
+it replaced, and sympy.
 
-exact.smith_normal_form eliminates on sparse rows but replays the dense
-elimination's pivots and operations, and SmithForm replays the same
-operations from its logs into S, T, Sinv and Tinv when each is first read.
-So its D, S, T, Sinv and Tinv, made dense here, must equal the dense
-loop's entry for entry, whatever order they are read in, and S Sinv and
-T Tinv must be identities.  The dense loop is kept here as the reference.
+exact.smith_normal_form eliminates in two phases: a unit phase that takes
++-1 pivots, shortest row first, and then the dense smallest-entry loop on
+what the units leave.  SmithForm replays its logs into S, T, Sinv and Tinv
+when each is first read.  The unit phase takes another pivot order than
+the dense loop, so the factors are checked for what they promise rather
+than entry for entry: D = S A T, S Sinv and T Tinv are identities, and the
+diagonal is in divisor order and equals the dense loop's diagonal and
+sympy's invariant factors.  A matrix with no +-1 entry gives the unit
+phase nothing to take, and there the factors must still equal the dense
+loop's entry for entry; the dense loop is kept here as that reference.
 Every matrix is factored twice, from dense rows and from sparse rows
 {column: entry} in shuffled insertion order with the width given apart,
 and the two factorizations must agree in every log and factor.
@@ -145,14 +150,35 @@ def sparse_rows(A, seed: int) -> list[dict[int, int]]:
     return out
 
 
-def assert_replays(A) -> SmithForm:
-    """Factor A and check every factor against the dense loop.
+def is_unit_free(A) -> bool:
+    return not any(v == 1 or v == -1 for row in A for v in row)
 
-    The transforms are replayed on first read, each from its own log, so
-    the order they are read in must not matter: half of the matrices (by
-    a checksum of A, so the split is fixed) read them in reversed order
-    before the comparison.  A is factored a second time from sparse rows,
-    with the width passed, which must give the same logs and factors.
+
+def assert_divisor_order(diagonal) -> None:
+    nonzero = [d for d in diagonal if d]
+    assert diagonal[:len(nonzero)] == nonzero and all(d > 0 for d in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def assert_sympy_diagonal(A, f: SmithForm) -> None:
+    if not A or not A[0]:
+        return
+    D = sympy_snf(Matrix(A), domain=ZZ)
+    theirs = sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
+    assert sorted(d for d in f.diagonal if d) == theirs
+
+
+def assert_smith_form(A) -> SmithForm:
+    """Factor A and check what the factorization promises.
+
+    D = S A T with S Sinv and T Tinv identities; the diagonal in divisor
+    order, equal to the dense loop's and to sympy's; and for a matrix with
+    no +-1 entry, every factor equal to the dense loop's.  The transforms
+    are replayed on first read, each from its own log, so the order they
+    are read in must not matter: half of the matrices (by a checksum of A,
+    so the split is fixed) read them in reversed order first.  A is
+    factored a second time from sparse rows, with the width passed, which
+    must give the same logs and factors.
     """
     f = smith_normal_form(A)
     assert not set(TRANSFORMS) & set(vars(f))
@@ -160,22 +186,23 @@ def assert_replays(A) -> SmithForm:
     if checksum & 1:
         for name in reversed(TRANSFORMS):
             getattr(f, name)
-    D, S, T, Sinv, Tinv = dense_factors(f)
-    assert (D, S, T, Sinv, Tinv) == reference_smith_normal_form(A)
+    factors = dense_factors(f)
+    D, S, T, Sinv, Tinv = factors
     r, c = f.shape
+    assert mat_mul(mat_mul(S, A), T) == D
     assert mat_mul(S, Sinv) == identity_matrix(r)
     assert mat_mul(T, Tinv) == identity_matrix(c)
+    assert_divisor_order(f.diagonal)
+    reference = reference_smith_normal_form(A)
+    assert f.diagonal == [reference[0][i][i] for i in range(min(r, c))]
+    assert_sympy_diagonal(A, f)
+    if is_unit_free(A):
+        assert factors == reference
     g = smith_normal_form(sparse_rows(A, checksum), c)
     assert (g.shape, g.diagonal, g.row_log, g.col_log) == (f.shape, f.diagonal,
                                                           f.row_log, f.col_log)
-    assert dense_factors(g) == (D, S, T, Sinv, Tinv)
+    assert dense_factors(g) == factors
     return f
-
-
-def assert_sympy_diagonal(A, f: SmithForm) -> None:
-    D = sympy_snf(Matrix(A), domain=ZZ)
-    theirs = sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
-    assert sorted(d for d in f.diagonal if d) == theirs
 
 
 def deltas(name: str, k: int) -> list[list[list[int]]]:
@@ -191,20 +218,19 @@ def deltas(name: str, k: int) -> list[list[list[int]]]:
 @pytest.mark.parametrize("name", list(BASES))
 def test_fixture_deltas_replay_the_dense_loop(name, k):
     for A in deltas(name, k):
-        assert_replays(A)
+        assert_smith_form(A)
 
 
 def test_rp2_times_delta3_low_degrees_replay_the_dense_loop():
     for A in deltas("rp2", 3)[:2]:
-        assert_replays(A)
+        assert_smith_form(A)
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 6])
 def test_mod_k_lifts_replay_the_dense_loop(modulus):
     cases = [A for name in BASES for A in deltas(name, 0)] + deltas("circle", 1)
     for A in cases:
-        f = assert_replays(_lift(A, modulus))
-        assert_sympy_diagonal(_lift(A, modulus), f)
+        assert_smith_form(_lift(A, modulus))
 
 
 # -- generated matrices --------------------------------------------------------
@@ -231,9 +257,47 @@ def sparse_matrices(draw):
 @example([[1, 0, 0], [0, 0, 0]])
 @example([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
 def test_generated_matrices_replay_the_dense_loop(A):
-    f = assert_replays(A)
-    if A and A[0]:
-        assert_sympy_diagonal(A, f)
+    assert_smith_form(A)
+
+
+# -- both phases ----------------------------------------------------------------
+
+UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 4, 6, -6])
+
+
+@st.composite
+def mixed_matrices(draw):
+    """[[U, 0], [0, B]] with its rows and columns shuffled.  U holds a +-1,
+    which the unit phase takes; B is nonzero with even entries only, and no
+    operation on U's rows and columns reaches it, so the smallest-entry
+    loop must run on B."""
+    ur, uc, br, bc = (draw(st.integers(1, 4)) for _ in range(4))
+    U = [[draw(ENTRIES) for _ in range(uc)] for _ in range(ur)]
+    U[draw(st.integers(0, ur - 1))][draw(st.integers(0, uc - 1))] = draw(st.sampled_from([1, -1]))
+    B = [[draw(UNIT_FREE) for _ in range(bc)] for _ in range(br)]
+    B[draw(st.integers(0, br - 1))][draw(st.integers(0, bc - 1))] = draw(st.sampled_from([2, -4, 6]))
+    rows = [u + [0] * bc for u in U] + [[0] * uc + b for b in B]
+    order = draw(st.permutations(range(uc + bc)))
+    return [[row[j] for j in order] for row in draw(st.permutations(rows))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices())
+@example([[2, 1], [4, 0]])
+@example([[0, 3, 0], [1, 2, 0], [0, 0, 4]])
+def test_mixed_matrices_take_unit_pivots_then_run_the_loop(A):
+    # the unit phase puts only 1s on the diagonal, so an invariant factor
+    # past 1 comes from the smallest-entry loop
+    f = assert_smith_form(A)
+    assert 1 in f.diagonal and any(d > 1 for d in f.diagonal)
+
+
+def test_the_unit_phase_takes_the_shortest_row_first():
+    # row 1 is the shortest row with a +-1: it is negated, then clears
+    # column 1 from row 0, before row 0 is touched as a pivot
+    f = smith_normal_form([[1, 1, 1], [0, -1, 0]])
+    assert f.row_log[:2] == [(1,), (0, 1, -1)]
+    assert f.diagonal == [1, 1]
 
 
 @pytest.mark.parametrize("rows, width", [([], 0), ([], 3), ([{}, {}], 0), ([{}, {}], 2),
@@ -287,6 +351,17 @@ def line_of(marker: str) -> int:
     return found[0]
 
 
+def test_unit_pivots_leave_the_loop_only_the_remainder():
+    taken, search = line_of("units.append((i, t))"), line_of("best = pivot(k)")
+    # full rank by units alone: the smallest-entry loop never searches
+    hit = lines_run([[1, 1, 0], [0, -1, 1]])
+    assert (hit[taken], hit[search]) == (2, 0)
+    # one unit, then the loop finds the 4 its column operation left
+    hit = lines_run([[2, 1], [4, 0]])
+    assert hit[taken] == 1 and hit[search] >= 1
+    assert smith_normal_form([[2, 1], [4, 0]]).diagonal == [1, 4]
+
+
 def test_non_unit_branches_are_reached_and_replayed():
     branches = {
         "non-unit pivot": line_of("offender = next("),
@@ -299,7 +374,7 @@ def test_non_unit_branches_are_reached_and_replayed():
     hit = lines_run([[1, 1, 0], [0, -1, 1]])
     assert all(line not in hit for line in branches.values())
     for A in ([[2, 0], [0, 3]], [[2, 4], [6, 8]], [[4, 6], [6, 4]], [[3, 0, 0], [0, 2, 0]]):
-        assert_replays(A)
+        assert_smith_form(A)
 
 
 # -- a pivot that repeats a divisor --------------------------------------------
@@ -315,11 +390,9 @@ REPEATING = [diag(2, 4, 2), diag(2, 6, 4), diag(2, 2, 4, 6), diag(3, 3, 6, 9, 2)
 
 @pytest.mark.parametrize("A", REPEATING)
 def test_repeated_divisors_replay_the_dense_loop(A):
-    f = assert_replays(A)
-    assert_sympy_diagonal(A, f)
+    assert_smith_form(A)
     for modulus in (2, 4, 6):
-        f = assert_replays(_lift(A, modulus))
-        assert_sympy_diagonal(_lift(A, modulus), f)
+        assert_smith_form(_lift(A, modulus))
 
 
 def test_a_pivot_equal_to_the_last_divisor_skips_the_scan():
