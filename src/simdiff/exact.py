@@ -46,11 +46,11 @@ Coboundary matrices hold a few nonzeros per row and almost every pivot is
 pivots, the shortest row first and in it the column that holds the
 fewest rows, so the work follows the nonzeros and keeps fill low; then
 the dense elimination's smallest-entry loop factors only what is left,
-the part that can carry torsion.  No choice depends on how a row's entries were ordered
-as they came, so dense and sparse rows of one matrix give the same logs.
-The diagonal, and every presentation and verdict read off it, is the one
-any elimination gives; S and T, and the cocycles and certificates read
-off them, are those of this pivot order.
+the part that can carry torsion.  No choice depends on the order a row's
+entries came in, so dense and sparse rows of one matrix give the same
+logs.  The diagonal, and every presentation and verdict read off it, is
+the one any elimination gives; S and T, and the cocycles and
+certificates read off them, are those of this pivot order.
 """
 
 from __future__ import annotations
