@@ -266,8 +266,8 @@ def delta_table(X: SimplicialSet, n: int) -> tuple[dict[int, int], ...]:
     order, with positions in X.generators(n), read straight off
     X.face_rows(n + 1) in face order: degenerate faces are dropped and
     repeated faces merged into one coefficient (rows may come out empty).
-    These rows are the ones cohomology.delta_system factors; no reader
-    mutates them.
+    These rows are the ones cohomology.delta_system and
+    cohomology.cleared_form factor; no reader mutates them.
     """
     start = X.offset(n)
     rows = []

@@ -3,13 +3,26 @@
 The coboundary in each degree is a sparse integer matrix over the generator
 bases.  Integer Smith form gives presentations H = Z^r + sum Z/d, coordinates
 for classifying cocycles, and representative cocycles for each summand.
-A presentation of H^n reads only the Smith diagonals of delta_n and
-delta_{n-1} that delta_system caches on the complex (their ranks and
-invariant factors), so it replays none of their transforms; the image form
-behind representatives and coordinates (delta_{n-1} in cocycle
-coordinates, read off delta_n's T and Tinv, a Smith form of its own) is
-built on first use.  Rational cohomology rides on the integer computation
-(torsion dropped: its generators are the free ones, over Q).
+
+A presentation of H^n reads only the ranks of delta_n and delta_{n-1} and
+the invariant factors of delta_{n-1}, so it reads them off a cleared chain
+(clearing: Chen-Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).
+cleared_form(X, n) is the Smith form of delta_n without the rows at the
+unit pivots of cleared_form(X, n + 1), built from the top degree down, and
+it replays no transform.  The clearing lemma: if A is a set of rows of
+delta_{n+1} whose form took unit pivots at the columns P, then delta_n
+without the rows P has delta_n's rank and invariant factors.  Proof: the
+rows of Tinv at the unit places are rows of S A, which delta_{n+1} delta_n
+= 0 makes annihilate delta_n, and on the columns P they are upper
+unitriangular (exact.SmithForm), so with the unit rows off P they form a
+unimodular U, and U delta_n is delta_n without the rows P under zero rows.
+A row subset of delta_{n+1} still composes to zero with delta_n, so the
+lemma holds at every step down.  The image form behind representatives
+and coordinates (delta_{n-1} in cocycle coordinates, read off the full
+delta_n's T and Tinv in delta_system, a Smith form of its own) is built on
+first use.  Rational cohomology rides on the integer computation (torsion
+dropped: its generators are the free ones, over Q).
 
 delta_system is the one constructor of linear systems on cochains: delta
 of a complex in one degree over one ring (the Coefficients object itself),
@@ -71,6 +84,28 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
     X under (n, coeffs), never under matrix content.
     """
     return System(delta_table(X, n), len(X.generators(n)), coeffs)
+
+
+@derived("cleared")
+def cleared_form(X: SimplicialSet, n: int) -> SmithForm | None:
+    """The Smith form of delta_n without the rows at the unit pivots of
+    cleared_form(X, n + 1), or None when no row is left.
+
+    Its rank and invariant factors are delta_n's (the clearing lemma in
+    the module docstring); its transforms are not delta_n's and nothing
+    reads them.  The rows are delta_table's own, not copies, and the form
+    is cached on X under n, so the forms above n are built first, once.
+    """
+    rows = delta_table(X, n)
+    if not rows:
+        return None
+    above = cleared_form(X, n + 1)
+    if above is not None and above.units:
+        pivoted = set(above.units)
+        rows = [row for i, row in enumerate(rows) if i not in pivoted]
+        if not rows:
+            return None
+    return smith_normal_form(rows, len(X.generators(n)))
 
 
 def vector_of(c: Cochain) -> list:
@@ -226,14 +261,20 @@ class _Classes:
 class CohomologyGroup:
     """H^n(X; Z) (or Q) with representatives and coordinates.
 
-    The presentation reads the diagonals of two factorizations that
-    delta_system caches on X, delta_n's and delta_{n-1}'s.  The cocycles
-    are a saturated sublattice holding every coboundary, so H^n has free
-    rank dim ker delta_n - rank delta_{n-1} and torsion the invariant
-    factors > 1 of delta_{n-1}.
+    The cocycles are a saturated sublattice holding every coboundary, so
+    H^n has free rank dim ker delta_n - rank delta_{n-1} and torsion the
+    invariant factors > 1 of delta_{n-1}.  The presentation reads these
+    off the diagonals of cleared_form(X, n) and cleared_form(X, n - 1),
+    which have delta_n's and delta_{n-1}'s ranks and invariant factors:
+    the rows of Tinv at delta_{n+1}'s unit places lie in its row space, so
+    they annihilate delta_n, and they are unitriangular on the unit
+    columns, so a unimodular row change turns delta_n into delta_n without
+    those rows under zero rows (Chen-Kerber 2011; Bauer-Kerber-Reininghaus
+    2014).
 
     generators and classify also need the image form: delta_{n-1} in the
-    cocycle basis's coordinates, factored by its own Smith form, which
+    coordinates of the cocycle basis that delta_system's full
+    factorization of delta_n gives, factored by its own Smith form, which
     gives the free and torsion positions.  It is built on first use.  The
     rational group delegates to the integral group, so both rings share
     that one build.
@@ -251,9 +292,9 @@ class CohomologyGroup:
                 free_rank=self._integral.presentation.free_rank)
             return
         self._integral = self
-        out = delta_system(X, n).form
-        below = delta_system(X, n - 1).form if n >= 1 else None
-        # no generators one degree up (down) leaves no form: rank zero
+        out = cleared_form(X, n)
+        below = cleared_form(X, n - 1) if n >= 1 else None
+        # no row left one degree up (down) leaves no form: rank zero
         cocycles = len(X.generators(n)) - (out.rank if out else 0)
         self.presentation = GroupPresentation(
             free_rank=cocycles - (below.rank if below else 0),

@@ -40,6 +40,7 @@ from .cochains import (
 from .cohomology import (
     CoboundaryObstruction,
     GroupPresentation,
+    cleared_form,
     cohomology,
     cochain_of,
     delta_system,
@@ -332,8 +333,9 @@ def hat_group(X: SimplicialSet, n: int) -> GroupPresentation:
             free_rank=cohomology(X, 0, INTEGERS).presentation.free_rank)
     top = cohomology(X, n, INTEGERS).presentation
     below = cohomology(X, n - 1, INTEGERS).presentation
-    # rank of delta in degree n - 1, from the factorization cohomology shares
-    D = delta_system(X, n - 1).form
+    # rank of delta in degree n - 1, off the cleared form the presentation
+    # of H^n read
+    D = cleared_form(X, n - 1)
     drank = D.rank if D is not None else 0
     return GroupPresentation(free_rank=top.free_rank, torsion=top.torsion,
                              divisible_rank=drank,

@@ -197,7 +197,14 @@ class SmithForm:
 
     A is r x c (shape).  D is rectangular diagonal; diagonal lists its
     min(r, c) entries d_0 | d_1 | ..., nonnegative, the 1s of the unit
-    phase first and the zeros last.  The elimination leaves two logs of
+    phase first and the zeros last.  units lists the column ids of A at
+    the unit pivots, in the order taken: pivot k sits at diagonal place k
+    with entry 1.  The unit phase adds a pivot's column only to columns not
+    yet pivoted, and the loop after it touches only later places, so the
+    rows of Tinv at places 0..len(units) - 1, read on the columns units,
+    form an upper unitriangular block in that order; each of those rows is
+    row k of S A, so it lies in A's row space.  cohomology.cleared_form
+    rests on both.  The elimination leaves two logs of
     elementary operations, row_log on the rows and col_log on the column
     positions.  S and Sinv are the row log replayed on the r x r identity,
     T and Tinv the column log on the c x c one, each on its first read and
@@ -211,6 +218,7 @@ class SmithForm:
     diagonal: list[int]
     row_log: list[tuple] = field(repr=False)
     col_log: list[tuple] = field(repr=False)
+    units: tuple[int, ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -268,7 +276,8 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
     clear the pivot row, which then holds its pivot alone.  No column has
     moved yet, so those operations are logged on column ids.  When no row
     holds a +-1, row and column swaps bring the u unit pivots to the
-    first u diagonal places, in the order they were taken.
+    first u diagonal places, in the order they were taken, and
+    SmithForm.units records their column ids in that order.
 
     The smallest-entry loop then runs from k = u.  Its pivot is the
     smallest |entry| of the trailing block, first in row-major order.  The
@@ -447,7 +456,7 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
             break  # the trailing block is zero, and so are all later ones
 
     diagonal = [D[k].get(at[k], 0) for k in range(min(r, c))]
-    return SmithForm((r, c), diagonal, row_log, col_log)
+    return SmithForm((r, c), diagonal, row_log, col_log, tuple(t for _, t in units))
 
 
 # -- the factor-once system ------------------------------------------------

@@ -391,14 +391,17 @@ def test_top_degree_reuses_the_factored_delta(monkeypatch):
     monkeypatch.setattr(cohomology_module, "smith_normal_form", counted)
     P = cylinder(from_facets("torus7", TORUS7), 1).complex
     groups = [cohomology(P, n, INTEGERS) for n in range(P.top_dim + 1)]
-    # the presentations read delta_0..delta_2, factored once each
+    # the presentations read the cleared delta_0..delta_2, factored once
+    # each, and no full delta
     assert [str(G.presentation) for G in groups] == ["Z", "Z^2", "Z", "0"]
     assert calls[0] == 3
-    # representatives add the image forms of H^1 and H^2; H^3 reuses delta_2
+    assert not any(key[0] == "system" for key in P._cache)
+    # representatives add the full delta_1 and delta_2 and the image forms
+    # of H^1 and H^2; H^3 reuses delta_2
     assert [len(groups[n].generators) for n in (1, 2)] == [2, 1]
-    assert calls[0] == 5
+    assert calls[0] == 7
     assert groups[3].generators == []
-    assert calls[0] == 5
+    assert calls[0] == 7
     assert groups[3]._classes.image is delta_system(P, 2).form
     # neither read a dense kernel, which System builds on first read
     assert not any("kernel" in vars(delta_system(P, n)) for n in range(P.top_dim + 1))

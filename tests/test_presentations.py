@@ -1,14 +1,17 @@
-"""Cohomology presentations from the cached factorizations, against the eager group.
+"""Cohomology presentations from the cleared chain, against the eager group.
 
 reference_cohomology keeps the constructor from before presentations were
-read off delta_system's factorizations of delta_n and delta_{n-1}: it
-factors delta_{n-1} in cocycle coordinates at once and reads the
-presentation off that form.  Both must give the same presentation, the
-same representative cocycles and the same classify answers, over Z and Q,
-on every fixture, on torus x Delta^3 and on generated complexes.  The
-torsion is also checked against sympy's invariant factors of delta_{n-1},
-and hat_group's divisible rank against the rank of delta_{n-1} mod a large
-prime by row reduction, which uses no Smith form.
+read off Smith diagonals alone: it factors delta_{n-1} in cocycle
+coordinates at once and reads the presentation off that form.  Today a
+presentation reads the ranks and invariant factors of cohomology's
+cleared forms, delta_n without the rows delta_{n+1}'s form took unit
+pivots at.  Both must give the same presentation, the same
+representative cocycles and the same classify answers, over Z and Q, on
+every fixture, on torus x Delta^3 and on generated complexes.  Each
+cleared form must have the rank and invariant factors of the full delta
+in delta_system.  The torsion is also checked against sympy's invariant
+factors of delta_{n-1}, and hat_group's divisible rank against the rank of
+delta_{n-1} mod a large prime by row reduction, which uses no Smith form.
 """
 
 import random
@@ -22,8 +25,8 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 import reference_cohomology as ref
 from dense import delta_matrix, kernel_mod_prime
 from simdiff.cochains import INTEGERS, RATIONALS, Cochain, coboundary, random_cochain
-from simdiff.cohomology import cohomology, delta_system
-from simdiff.complexes import build_standard, cylinder, from_facets, torus
+from simdiff.cohomology import cleared_form, cohomology, delta_system
+from simdiff.complexes import build_standard, cylinder, from_facets, product, rp2, torus
 from simdiff.diffhat import hat_group
 
 KINDS = ["pt", "delta_k", "circle", "sphere2", "torus", "rp2", "genus2", "rp2xS1", "T3"]
@@ -106,13 +109,50 @@ def test_divisible_rank_is_the_coboundary_rank_mod_a_large_prime(kind):
                 min_size=1, max_size=8))
 def test_presentations_build_no_transform(facets):
     # the cohomology-fresh benchmark workload's op: presentations of a fresh
-    # complex read the Smith diagonals of delta_system's forms and replay no
-    # transform
+    # complex read the Smith diagonals of the cleared forms, build no
+    # delta_system and replay no transform
     P = cylinder(from_facets("X", [tuple(sorted(f)) for f in facets]), 1).complex
     for n in range(P.top_dim + 2):
         cohomology(P, n, INTEGERS).presentation
         cohomology(P, n, RATIONALS).presentation
-    # the cached forms below the top degree, where delta_system leaves none
-    forms = [delta_system(P, n).form for n in range(P.top_dim)]
-    assert all(forms)
+    assert not any(key[0] == "system" for key in P._cache)
+    # delta_top has no rows, so the top degree leaves no form and the one
+    # below it clears no row; lower forms may be cleared away entirely
+    assert cleared_form(P, P.top_dim) is None
+    assert cleared_form(P, P.top_dim - 1) is not None
+    forms = [f for f in (cleared_form(P, n) for n in range(P.top_dim)) if f is not None]
     assert all(not {"S", "Sinv", "T", "Tinv"} & set(vars(f)) for f in forms)
+
+
+def assert_cleared_like_full(X) -> None:
+    """Each cleared form has the rank and the invariant factors > 1 of the
+    full delta that delta_system factors, in every degree."""
+    for n in range(X.top_dim + 1):
+        cleared, full = cleared_form(X, n), delta_system(X, n).form
+        if full is None:
+            assert cleared is None, n
+            continue
+        assert (cleared.rank if cleared else 0) == full.rank, n
+        torsion = [d for d in cleared.diagonal if d > 1] if cleared else []
+        assert torsion == [d for d in full.diagonal if d > 1], n
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+def test_cleared_forms_have_the_full_ranks_and_invariant_factors(kind):
+    assert_cleared_like_full(FIXTURES[kind]())
+
+
+def test_cleared_forms_keep_the_torsion_of_rp2_times_rp2():
+    # Z/2 in three degrees, Z/2 + Z/2 in degree 2
+    X = product(rp2(), rp2())
+    assert_cleared_like_full(X)
+    assert [str(cohomology(X, n, INTEGERS).presentation) for n in range(X.top_dim + 1)] == [
+        "Z", "0", "Z/2 + Z/2", "Z/2", "Z/2"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_cleared_forms_match_the_full_deltas_on_generated_cylinders(facets):
+    assert_cleared_like_full(
+        cylinder(from_facets("X", [tuple(sorted(f)) for f in facets]), 1).complex)

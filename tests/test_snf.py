@@ -13,7 +13,10 @@ phase nothing to take, and there the factors must still equal the dense
 loop's entry for entry; the dense loop is kept here as that reference.
 Every matrix is factored twice, from dense rows and from sparse rows
 {column: entry} in shuffled insertion order with the width given apart,
-and the two factorizations must agree in every log and factor.
+and the two factorizations must agree in every log and factor.  Each unit
+pivot that SmithForm.units records must hold a 1 on the diagonal, and
+Tinv's rows at the unit places, read on the unit columns, must be upper
+unitriangular in the order taken: cohomology's cleared forms rest on it.
 """
 
 import random
@@ -27,6 +30,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from simdiff import exact
+from simdiff.cochains import delta_table
 from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
 from simdiff.exact import SmithForm, _lift, smith_normal_form
 
@@ -164,6 +168,17 @@ def assert_sympy_diagonal(A, f: SmithForm) -> None:
     assert sorted(d for d in f.diagonal if d) == theirs
 
 
+def assert_unit_block(f: SmithForm) -> None:
+    """Unit pivot k holds the diagonal place k with a 1, and row k of Tinv
+    holds 1 at column units[k] and 0 at every earlier unit column."""
+    units = f.units
+    assert len(set(units)) == len(units) and all(0 <= t < f.shape[1] for t in units)
+    assert f.diagonal[:len(units)] == [1] * len(units)
+    for k, t in enumerate(units):
+        row = f.Tinv[k]
+        assert [row.get(s, 0) for s in units[:k + 1]] == [0] * k + [1], (k, t)
+
+
 def assert_smith_form(A) -> SmithForm:
     """Factor A and check what the factorization promises.
 
@@ -183,6 +198,7 @@ def assert_smith_form(A) -> SmithForm:
         for name in reversed(TRANSFORMS):
             getattr(f, name)
     factors = dense_factors(f)
+    assert_unit_block(f)
     D, S, T, Sinv, Tinv = factors
     r, c = f.shape
     assert mat_mul(mat_mul(S, A), T) == D
@@ -196,8 +212,8 @@ def assert_smith_form(A) -> SmithForm:
         # the unit phase takes nothing, and the loop is the dense one
         assert factors == reference
     g = smith_normal_form(sparse_rows(A, checksum), c)
-    assert (g.shape, g.diagonal, g.row_log, g.col_log) == (f.shape, f.diagonal,
-                                                          f.row_log, f.col_log)
+    assert (g.shape, g.diagonal, g.row_log, g.col_log, g.units) == (
+        f.shape, f.diagonal, f.row_log, f.col_log, f.units)
     assert dense_factors(g) == factors
     return f
 
@@ -221,6 +237,17 @@ def test_fixture_deltas_replay_the_dense_loop(name, k):
 def test_rp2_times_delta3_low_degrees_replay_the_dense_loop():
     for A in deltas("rp2", 3)[:2]:
         assert_smith_form(A)
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_delta3_cylinder_deltas_leave_tinv_unitriangular_on_the_unit_columns(name):
+    # what clearing rests on, in every degree of the cylinders too large
+    # for the dense loop, on the sparse rows cohomology factors
+    Y = cylinder(BASES[name](), 3).complex
+    for n in range(Y.top_dim):
+        f = smith_normal_form(delta_table(Y, n), len(Y.generators(n)))
+        assert f.units and len(f.units) <= f.rank
+        assert_unit_block(f)
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 6])
