@@ -9,20 +9,21 @@ the invariant factors of delta_{n-1}, so it reads them off a cleared chain
 (clearing: Chen-Kerber, "Persistent homology computation with a twist",
 EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).
 cleared_form(X, n) is the Smith form of delta_n without the rows at the
-unit pivots of cleared_form(X, n + 1), built from the top degree down, and
-it replays no transform.  The clearing lemma: if A is a set of rows of
-delta_{n+1} whose form took unit pivots at the columns P, then delta_n
-without the rows P has delta_n's rank and invariant factors.  Proof: the
-rows of Tinv at the unit places are rows of S A, which delta_{n+1} delta_n
-= 0 makes annihilate delta_n, and on the columns P they are upper
-unitriangular (exact.SmithForm), so with the unit rows off P they form a
-unimodular U, and U delta_n is delta_n without the rows P under zero rows.
+unit pivots of cleared_form(X, n + 1), built from the top degree down; one
+that clears no row is delta_system(X, n).form.  The clearing lemma: if A
+is a set of rows of delta_{n+1} whose form took unit pivots at the columns
+P, then delta_n without the rows P has delta_n's rank and invariant
+factors.  Proof: the rows of Tinv at the unit places are rows of S A,
+which delta_{n+1} delta_n = 0 makes annihilate delta_n, and on the
+columns P they are upper unitriangular (exact.SmithForm), so with the
+unit rows off P they form a unimodular U, and U delta_n is delta_n
+without the rows P under zero rows.
 A row subset of delta_{n+1} still composes to zero with delta_n, so the
 lemma holds at every step down.  The image form behind representatives
-and coordinates (delta_{n-1} in cocycle coordinates, read off the full
-delta_n's T and Tinv in delta_system, a Smith form of its own) is built on
-first use.  Rational cohomology rides on the integer computation (torsion
-dropped: its generators are the free ones, over Q).
+and coordinates (delta_{n-1} in cocycle coordinates, read through the
+logs of the full delta_n's form in delta_system, a Smith form of its own)
+is built on first use.  Rational cohomology rides on the integer
+computation (torsion dropped: its generators are the free ones, over Q).
 
 delta_system is the one constructor of linear systems on cochains: delta
 of a complex in one degree over one ring (the Coefficients object itself),
@@ -71,7 +72,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, cross_section,
                        delta_table, fiber_integrate, is_closed, shih_homotopy)
 from .complexes import Gather, ProductWithSimplex, SimplicialSet, cached_on, derived, key_str
-from .exact import Obstruction, SmithForm, System, apply_rows, blind, smith_normal_form
+from .exact import Obstruction, Row, SmithForm, System, blind, replay, smith_normal_form, unit
 
 
 @derived("system")
@@ -92,20 +93,20 @@ def cleared_form(X: SimplicialSet, n: int) -> SmithForm | None:
     cleared_form(X, n + 1), or None when no row is left.
 
     Its rank and invariant factors are delta_n's (the clearing lemma in
-    the module docstring); its transforms are not delta_n's and nothing
-    reads them.  The rows are delta_table's own, not copies, and the form
-    is cached on X under n, so the forms above n are built first, once.
+    the module docstring).  One that clears no row is delta_system(X,
+    n).form, so delta_n is factored once; nothing reads the logs of any
+    other.  The rows are delta_table's own, not copies, and the form is
+    cached on X under n, so the forms above n are built first, once.
     """
     rows = delta_table(X, n)
     if not rows:
         return None
     above = cleared_form(X, n + 1)
-    if above is not None and above.units:
-        pivoted = set(above.units)
-        rows = [row for i, row in enumerate(rows) if i not in pivoted]
-        if not rows:
-            return None
-    return smith_normal_form(rows, len(X.generators(n)))
+    if above is None or not above.units:
+        return delta_system(X, n).form
+    pivoted = set(above.units)
+    rows = [row for i, row in enumerate(rows) if i not in pivoted]
+    return smith_normal_form(rows, len(X.generators(n))) if rows else None
 
 
 def vector_of(c: Cochain) -> list:
@@ -247,12 +248,11 @@ def is_coboundary(target: Cochain, coeffs: Coefficients | None = None) -> bool:
 class _Classes:
     """What representatives and classify read, built once per integral group.
 
-    cocycles holds the cocycle basis as sparse columns {generator position:
-    entry}; image is the Smith form of delta_{n-1} in its coordinates,
-    None when there is nothing to divide out.
+    image is the Smith form of delta_{n-1} in cocycle coordinates, None
+    when there is nothing to divide out; free_pos and torsion_pos are the
+    places of its diagonal that give free and torsion summands.
     """
 
-    cocycles: Sequence[Mapping[int, int]]
     image: SmithForm | None
     free_pos: list[int]
     torsion_pos: list[int]
@@ -273,11 +273,12 @@ class CohomologyGroup:
     2014).
 
     generators and classify also need the image form: delta_{n-1} in the
-    coordinates of the cocycle basis that delta_system's full
-    factorization of delta_n gives, factored by its own Smith form, which
-    gives the free and torsion positions.  It is built on first use.  The
-    rational group delegates to the integral group, so both rings share
-    that one build.
+    coordinates of the cocycle basis (T's columns past the rank in
+    delta_system's full factorization of delta_n), factored by its own
+    Smith form, which gives the free and torsion positions.  It is built
+    on first use, and no cocycle basis is: a representative is T (0, u),
+    one replay.  The rational group delegates to the integral group, so
+    both rings share that one build.
     """
 
     def __init__(self, X: SimplicialSet, n: int, coeffs: Coefficients):
@@ -310,40 +311,22 @@ class CohomologyGroup:
             # no generators one degree up: everything is a cocycle, the
             # basis is the unit basis, and delta_{n-1} in its coordinates is
             # delta_{n-1} itself, already factored by its system
-            cocycles: Sequence[Mapping[int, int]] = [
-                {i: 1} for i in range(len(X.generators(n)))]
+            z = len(X.generators(n))
             image = delta_system(X, n - 1).form if n >= 1 else None
         else:
-            cocycles = out.T[out.rank:]
-            # delta_{n-1} in kernel coordinates: the rows of Tinv past the
-            # rank (the kernel's dual basis) times delta_{n-1}, row by row,
-            # as sparse rows in the width of C^{n-1}
-            Y: list[dict[int, int]] = []
+            z = out.shape[1] - out.rank
+            # delta_{n-1} in kernel coordinates, the rows of Tinv past the
+            # rank times delta_{n-1}: Tinv delta_{n-1} (zero up to the rank)
+            # past the rank, by one replay on delta_{n-1}'s sparse rows
             width = len(X.generators(n - 1)) if n >= 1 else 0
-            if width:
-                faces = delta_table(X, n - 1)
-                for dual in out.Tinv[out.rank:]:
-                    y: dict[int, int] = {}
-                    for t, a in dual.items():
-                        for j, w in faces[t].items():
-                            y[j] = y.get(j, 0) + a * w
-                    Y.append(y)
+            Y = replay(out.col_log, map(Row, delta_table(X, n - 1)), transpose=True,
+                       inverse=True)[out.rank:] if width else []
             image = smith_normal_form(Y, width) if Y else None
         dia = image.diagonal if image is not None else []
         return _Classes(
-            cocycles, image,
-            free_pos=[i for i in range(len(cocycles)) if i >= len(dia) or dia[i] == 0],
+            image,
+            free_pos=[i for i in range(z) if i >= len(dia) or dia[i] == 0],
             torsion_pos=[i for i, d in enumerate(dia) if d > 1])
-
-    def _kernel_coords(self, vec: Sequence[int]) -> list[int]:
-        """Coordinates of a cocycle vector in the kernel basis."""
-        f = delta_system(self.complex, self.degree).form
-        if f is None:
-            return list(vec)
-        u = apply_rows(f.Tinv, vec)
-        if any(u[:f.rank]):
-            raise ValueError("vector is not a cocycle")
-        return u[f.rank:]
 
     # -- public ------------------------------------------------------------
 
@@ -352,15 +335,14 @@ class CohomologyGroup:
         """Representative cocycles over the group's ring: free summands
         first, then torsion, which the rational group drops."""
         k = self._integral._classes
+        f = delta_system(self.complex, self.degree).form
+        z = len(self.complex.generators(self.degree)) - (f.rank if f is not None else 0)
         out = []
-        c = len(self.complex.generators(self.degree))
         for pos in k.free_pos + (k.torsion_pos if self.coeffs.kind == "Z" else []):
-            # column pos of Sinv in the kernel basis
-            u = k.image.Sinv[pos] if k.image is not None else {pos: 1}
-            vec = [0] * c
-            for i, a in u.items():
-                for t, v in k.cocycles[i].items():
-                    vec[t] += a * v
+            # column pos of the image form's Sinv, in the kernel basis
+            u = (replay(k.image.row_log, unit(z, pos), inverse=True)
+                 if k.image is not None else unit(z, pos))
+            vec = replay(f.col_log, [0] * f.rank + u, transpose=True) if f is not None else u
             out.append(cochain_of(self.complex, self.degree, self.coeffs, vec))
         return out
 
@@ -383,9 +365,15 @@ class CohomologyGroup:
         if not is_closed(c):
             raise ValueError("classify expects a cocycle")
         k = self._integral._classes
-        ivec = [int(v * denom) for v in vec]
-        u = self._kernel_coords(ivec)
-        w = apply_rows(k.image.S, u) if k.image is not None else u
+        f = delta_system(self.complex, self.degree).form
+        u = [int(v * denom) for v in vec]
+        if f is not None:
+            # coordinates in the kernel basis: Tinv u past the rank
+            u = replay(f.col_log, u, transpose=True, inverse=True)
+            if any(u[:f.rank]):
+                raise ValueError("vector is not a cocycle")
+            u = u[f.rank:]
+        w = replay(k.image.row_log, u) if k.image is not None else u
         if self.coeffs.kind == "Q":
             return tuple(Fraction(w[i], denom) for i in k.free_pos), ()
         free = tuple(w[i] for i in k.free_pos)

@@ -49,7 +49,7 @@ from .cohomology import (
 )
 from .complexes import SimplicialSet, cached_on, cylinder, derived
 from .em import relative_section
-from .exact import Obstruction, System, blind, compile_rows
+from .exact import Obstruction, System, blind, compile_rows, replay_units
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
 from .subdiv import halving
@@ -228,22 +228,25 @@ class HatTheory:
         the vectors the cached delta_system lists."""
         return delta_system(self.base, self.degree - 1).kernel
 
+    @cached_property
     def _quotient_functionals(self) -> list[dict[int, int]]:
         """Sparse integer rows spanning the annihilator of rational
         coboundaries in carrier degree n - 1: the rows of S past the rank in
         the cached Smith form S D T of delta_{n-2}, since r D = 0 exactly
-        when r is an integer combination of them.  Unit rows below n = 2.
+        when r is an integer combination of them (exact.replay_units).
+        Unit rows below n = 2.  Built once per theory and read by
+        _functional_rows and _period_obstruction.
         """
         n, C = self.degree, self.carrier
         if n < 2:
             return [{j: 1} for j in range(len(C.generators(n - 1)))]
         f = delta_system(C, n - 2).form
-        return f.S[f.rank:] if f is not None else []
+        return replay_units(f.row_log, f.shape[0], f.rank, transpose=True) if f else []
 
     @cached_property
     def _functional_rows(self) -> list:
         """The quotient functionals, compiled by exact.compile_rows."""
-        return compile_rows(self._quotient_functionals())
+        return compile_rows(self._quotient_functionals)
 
     def _character_column(self, B: Cochain) -> Cochain:
         cyl2 = cylinder(self.base, 2)
@@ -309,7 +312,7 @@ class HatTheory:
         functional on carrier generators, with its value on the periods v."""
         gens = self.carrier.generators(self.degree - 1)
         fun: dict = {}
-        for yr, phi in zip(got.functional, self._quotient_functionals()):
+        for yr, phi in zip(got.functional, self._quotient_functionals):
             if yr:
                 for t, p in phi.items():
                     fun[gens[t]] = fun.get(gens[t], Fraction(0)) + yr * p

@@ -11,13 +11,14 @@ every step reads them as they come: no row is made dense.  It factors one
 integer matrix A', once, as a Smith form D = S A' T: A itself over Z, the
 lift [A | k I] over Z/k, and over Q, A with each row scaled to clear its
 denominators.
-The first solve compiles S's rank rows (System.rank_rows) and A''s
-sparse columns (System.columns).  Each solve(b) is then one integer
-substitution, solve_int_snf: y = S b over the diagonal, x0 = T y, then
-the test A' x0 = b.  Over Z/k solve_mod_snf, the one Z/k reduction, cuts
-x0 to the unknowns mod k; over Q, b is scaled like A' first.  The kernel
-basis (T's columns past the rank) is built only when System.kernel is
-read, never by a solve.
+The Smith form is held as its two elimination logs, which replay reads
+one vector at a time, so a transform that fills (T of a long circle's
+delta_0) is never built.  Each solve(b) is one integer substitution,
+solve_int_snf: y = S b over the diagonal, x0 = T y, then the test A' x0
+= b on A''s sparse columns (System.columns).  Over Z/k solve_mod_snf,
+the one Z/k reduction, cuts x0 to the unknowns mod k; over Q, b is
+scaled like A' first.  The kernel basis (T's columns past the rank) is
+replayed only when System.kernel is read, never by a solve.
 
 The answer has two shapes, one per layer.  Here it is a Solution (one x0;
 the others differ from it by System.kernel) or an Obstruction, a
@@ -37,10 +38,7 @@ Fraction, so every certificate is exact.
 The Smith form eliminates on D alone, held as sparse rows sorted into
 column order as they arrive, with a column -> rows index that finds the
 rows a pivot column touches, and logs each elementary row and column
-operation.  S, Sinv, T and Tinv are replayed from those logs, each on its
-first read, as sparse rows or columns: none is made dense, a
-presentation that reads only the diagonal builds none of them, and a
-substitution touches only the nonzeros of those it reads.
+operation; the logs are what it returns.
 Coboundary matrices hold a few nonzeros per row and almost every pivot is
 +-1, so the elimination runs in two phases.  A unit phase takes +-1
 pivots, the shortest row first and in it the column that holds the
@@ -61,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import floordiv, itemgetter, mul, ne
+from operator import floordiv, itemgetter, ne
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -119,11 +117,6 @@ def mod_coefficients(k: int) -> Coefficients:
 Sparse = list[dict[int, int]]
 
 
-def apply_rows(M: Sparse, v: Sequence) -> list:
-    """M v for M held as sparse rows {column: entry}."""
-    return [sum(a * v[t] for t, a in row.items()) for row in M]
-
-
 def _reader(idx: tuple[int, ...]) -> Callable[[Sequence], tuple]:
     """v -> the tuple of v's entries at idx, by one C-level getter."""
     if len(idx) > 1:
@@ -153,65 +146,94 @@ def apply_cols(M: Sparse, y: Sequence, n: int) -> list:
     return out
 
 
-def _axpy(dst: dict[int, int], src: Mapping[int, int], q: int) -> None:
-    """dst += q * src, dropping the entries that cancel."""
-    for t, v in src.items():
-        w = dst.get(t, 0) + q * v
-        if w:
-            dst[t] = w
-        else:
-            del dst[t]
+class Row(dict):
+    """A sparse vector {index: entry} that replay carries as one entry of a
+    vector, so a block of vectors (the rows of a matrix) is read in one
+    pass: q * row scales a copy, += adds in place, dropping what cancels."""
+
+    def __rmul__(self, q: int) -> Row:
+        return Row({t: q * a for t, a in self.items()})
+
+    def __neg__(self) -> Row:
+        return -1 * self
+
+    def __iadd__(self, other: Mapping[int, int]) -> Row:
+        for t, a in other.items():
+            w = self.get(t, 0) + a
+            if w:
+                self[t] = w
+            else:
+                self.pop(t, None)
+        return self
 
 
-def _replay(n: int, log: Sequence[tuple], inverse: bool) -> Sparse:
-    """The n x n identity with a log's operations applied, as sparse vectors.
-
-    An operation (i, j, q) is line i += q * line j, (i, j) swaps lines i
-    and j, and (i,) negates line i, where a line is a row for the row log
-    and a column for the column log.  The forward transform (S, T) is held
-    as those lines, so vector i gains q times vector j.  Its inverse (Sinv,
-    Tinv) is held the other way round and takes the inverse operation on
-    the other side: vector j loses q times vector i.  A swap or a negation
-    is its own inverse and acts alike on both.
+def replay(log: Sequence[tuple], v: Iterable, transpose: bool = False,
+           inverse: bool = False) -> list:
+    """P v, P^T v, P^-1 v or P^-T v for P = E_m ... E_1, the product of a
+    log's operations (i, j, q): E = I + q e_i e_j^T, (i, j): a swap, (i,):
+    a negation.  The row log's P is S, the column log's T^T, so S b =
+    replay(row_log, b), Sinv e = replay(row_log, e, inverse=True), T y =
+    replay(col_log, y, transpose=True), Tinv v = replay(col_log, v,
+    transpose=True, inverse=True), and a row of S or Tinv is
+    replay(row_log, unit(r, i), transpose=True) or replay(col_log,
+    unit(c, k), inverse=True).  v's entries are numbers, or Rows (updated
+    in place) when v is a matrix held by rows, as in replay_units.
     """
-    M = [{i: 1} for i in range(n)]
-    for op in log:
+    v = list(v)
+    sign = -1 if inverse else 1
+    for op in (log if transpose == inverse else reversed(log)):
         if len(op) == 3:
             i, j, q = op
-            if inverse:
-                _axpy(M[j], M[i], -q)
-            else:
-                _axpy(M[i], M[j], q)
+            if transpose:
+                i, j = j, i
+            if v[j]:
+                v[i] += sign * q * v[j]
         elif len(op) == 2:
             i, j = op
-            M[i], M[j] = M[j], M[i]
+            v[i], v[j] = v[j], v[i]
         else:
             i, = op
-            M[i] = {t: -v for t, v in M[i].items()}
-    return M
+            v[i] = -v[i]
+    return v
+
+
+def unit(n: int, k: int) -> list[int]:
+    """The k-th unit vector of length n."""
+    return [int(t == k) for t in range(n)]
+
+
+def replay_units(log: Sequence[tuple], n: int, first: int, transpose: bool = False,
+                 inverse: bool = False) -> list[dict[int, int]]:
+    """replay of unit(n, k) for k = first .. n - 1, as sparse vectors
+    {index: entry}: one replay of the block [0; I] held as Rows, whose cost
+    follows the nonzeros rather than one pass of the log per vector."""
+    block = replay(log, [Row({t - first: 1} if t >= first else {}) for t in range(n)],
+                   transpose, inverse)
+    out: list[dict[int, int]] = [{} for _ in range(n - first)]
+    for t, line in enumerate(block):
+        for k, a in line.items():
+            out[k][t] = a
+    return out
 
 
 @dataclass
 class SmithForm:
-    """D = S A T with S, T unimodular; the transforms are built on first read.
+    """D = S A T with S, T unimodular, held as the elimination's two logs.
 
     A is r x c (shape).  D is rectangular diagonal; diagonal lists its
     min(r, c) entries d_0 | d_1 | ..., nonnegative, the 1s of the unit
-    phase first and the zeros last.  units lists the column ids of A at
-    the unit pivots, in the order taken: pivot k sits at diagonal place k
-    with entry 1.  The unit phase adds a pivot's column only to columns not
-    yet pivoted, and the loop after it touches only later places, so the
-    rows of Tinv at places 0..len(units) - 1, read on the columns units,
-    form an upper unitriangular block in that order; each of those rows is
-    row k of S A, so it lies in A's row space.  cohomology.cleared_form
-    rests on both.  The elimination leaves two logs of
-    elementary operations, row_log on the rows and col_log on the column
-    positions.  S and Sinv are the row log replayed on the r x r identity,
-    T and Tinv the column log on the c x c one, each on its first read and
-    cached: a reader of T alone pays for T alone.  S and Tinv are sparse
-    rows {column: entry}, Sinv and T sparse columns {row: entry}: S b and
-    Tinv v are read row by row, T y and a column of T or Sinv column by
-    column, and none of the four is made dense.
+    phase first and the zeros last.  row_log and col_log, the elementary
+    operations on the rows and on the column positions in the order
+    taken, are the only form of S, Sinv, T and Tinv: no transform is
+    built, and replay applies one to a vector in one pass over its log.
+    units lists the column ids of A at the unit pivots, in the order
+    taken: pivot k sits at diagonal place k with entry 1.  The unit phase
+    adds a pivot's column only to columns not yet pivoted, and the loop
+    after it touches only later places, so the rows of Tinv at places
+    0..len(units) - 1, read on the columns units, form an upper
+    unitriangular block in that order; each of those rows is row k of
+    S A, so it lies in A's row space.  cohomology.cleared_form rests on
+    both.
     """
 
     shape: tuple[int, int]
@@ -223,22 +245,6 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
-
-    @cached_property
-    def S(self) -> Sparse:
-        return _replay(self.shape[0], self.row_log, inverse=False)
-
-    @cached_property
-    def Sinv(self) -> Sparse:
-        return _replay(self.shape[0], self.row_log, inverse=True)
-
-    @cached_property
-    def T(self) -> Sparse:
-        return _replay(self.shape[1], self.col_log, inverse=False)
-
-    @cached_property
-    def Tinv(self) -> Sparse:
-        return _replay(self.shape[1], self.col_log, inverse=True)
 
 
 def entries(row: Mapping[int, Any] | Sequence) -> Iterable[tuple[int, Any]]:
@@ -264,8 +270,8 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
     a column -> rows index, the set of rows with an entry in that column,
     kept exact by every operation, so a row pass visits only the rows that
     hold the pivot column, in row order, instead of every later row.  Each
-    operation is appended to the row or the column log, which SmithForm
-    replays into S, Sinv, T and Tinv when one is first read.
+    operation is appended to the row or the column log, which replay
+    reads as S, Sinv, T and Tinv.
 
     The unit phase pops rows from a lazy heap on (current length, row
     index), skipping an entry whose row was taken or has changed since,
@@ -524,8 +530,7 @@ class System:
     solves.  Over Q, A may hold Fractions: row i is scaled by the least
     common denominator of its entries before it is factored, and a "Q"
     obstruction, a row of S, is scaled back by the same factors, so it is
-    a functional on A.  rank_rows and columns are built on the first
-    solve, and each transform of the form on its first read.
+    a functional on A.  columns is built on the first solve.
     """
 
     def __init__(self, A: Sequence[Mapping[int, Any] | Sequence], width: int,
@@ -549,11 +554,6 @@ class System:
                 for row, m in zip(self.matrix, self._scale)]
 
     @cached_property
-    def rank_rows(self) -> list[tuple[Callable, tuple[int, ...]]]:
-        """S's rows up to the rank, compiled; the rest stay sparse rows."""
-        return compile_rows(self.form.S[:self.form.rank])
-
-    @cached_property
     def columns(self) -> Sparse:
         """The factored matrix as sparse columns {row: entry}: the nonzeros
         of matrix, over Q scaled by their row's factor, so the factored
@@ -571,16 +571,17 @@ class System:
         """A basis of the solutions of A x = 0 (over Z/k a spanning set),
         dense, built on first read; no solve reads it.
 
-        The columns of T past the rank, over Z/k cut to the unknowns and
-        reduced mod k, without zeros and repeats; with no equations every
-        vector solves, and the basis is the unit vectors.
+        The columns of T past the rank (replay_units), over Z/k cut to
+        the unknowns and reduced mod k, without zeros and repeats; with no
+        equations every vector solves, and the basis is the unit vectors.
         """
         c, f, k = self.width, self.form, self.coeffs.modulus
         if f is None:
-            return [[int(i == j) for i in range(c)] for j in range(c)]
+            return [unit(c, j) for j in range(c)]
+        cols = replay_units(f.col_log, f.shape[1], f.rank, transpose=True)
         if not k:
-            return [[col.get(t, 0) for t in range(c)] for col in f.T[f.rank:]]
-        residues = (tuple(col.get(t, 0) % k for t in range(c)) for col in f.T[f.rank:])
+            return [[col.get(t, 0) for t in range(c)] for col in cols]
+        residues = (tuple(col.get(t, 0) % k for t in range(c)) for col in cols)
         return [list(w) for w in dict.fromkeys(residues) if any(w)]
 
     def solve(self, b: Sequence) -> Solution | Obstruction:
@@ -608,24 +609,28 @@ class System:
 def solve_int_snf(system: System, b: Sequence[int]) -> Solution | Obstruction:
     """The integer substitution of b into a system's nonempty Smith form.
 
-    y_i = (S b)_i / d_i over the rank rows, the first row d_i does not
-    divide giving a "Z" obstruction; then x0 = T y.  A' x0 = b holds
-    exactly when S b vanishes past the rank, so only when it fails are
-    those rows read, the first nonzero one giving a "Q" obstruction.
+    y_i = (S b)_i / d_i up to the rank, the first place d_i does not divide
+    giving a "Z" obstruction (row i of S over d_i); then x0 = T y.  A' x0
+    = b holds exactly when S b vanishes past the rank, so only when the
+    test fails is the first nonzero place past the rank read, its row of S
+    giving a "Q" obstruction.
     """
     f = system.form
     r, c = f.shape
-    sb = [sum(map(mul, a, read(b))) for read, a in system.rank_rows]
-    for i, (v, d) in enumerate(zip(sb, f.diagonal)):
-        if v % d:
-            return Obstruction([Fraction(f.S[i].get(t, 0), d) for t in range(r)], "Z")
-    x0 = apply_cols(f.T, list(map(floordiv, sb, f.diagonal)), c)
+    sb = replay(f.row_log, b)
+    for i, d in enumerate(f.diagonal[:f.rank]):
+        if sb[i] % d:
+            row = replay(f.row_log, unit(r, i), transpose=True)
+            return Obstruction([Fraction(v, d) for v in row], "Z")
+    y = list(map(floordiv, sb, f.diagonal[:f.rank]))
+    x0 = replay(f.col_log, y + [0] * (c - f.rank), transpose=True)
     if any(map(ne, apply_cols(system.columns, x0, r), b)):
-        for row in f.S[f.rank:]:
-            if sum(a * b[t] for t, a in row.items()):
-                # rationally inconsistent: rA = 0 with rb != 0
-                return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
-        raise ArithmeticError("A x0 != b although S b vanishes past the rank")
+        i = next((i for i in range(f.rank, r) if sb[i]), None)
+        if i is None:
+            raise ArithmeticError("A x0 != b although S b vanishes past the rank")
+        # rationally inconsistent: rA = 0 with rb != 0
+        return Obstruction(list(map(Fraction, replay(f.row_log, unit(r, i), transpose=True))),
+                           "Q")
     return Solution(x0)
 
 

@@ -6,7 +6,10 @@ cocycle basis, delta_{n-1} in kernel coordinates (Y), the Smith form of Y
 and the free and torsion positions at once, and reads the presentation off
 Y's diagonal.  The rational group copies the integral group's attributes.
 The differential tests in test_presentations.py compare the package's
-groups with these: presentations, representatives and classify.
+groups with these: presentations, representatives and classify.  The
+transforms are the identity replays of dense.transforms, built once per
+group, so the package's log replays are checked against code they do not
+share.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Sequence
 from simdiff.cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
 from simdiff.cohomology import GroupPresentation, cochain_of, delta_system, vector_of
 from simdiff.complexes import SimplicialSet
-from simdiff.exact import apply_rows, smith_normal_form
+from simdiff.exact import smith_normal_form
 
-from dense import delta_matrix
+from dense import apply_rows, delta_matrix, transforms
 
 
 class CohomologyGroup:
@@ -44,15 +47,23 @@ class CohomologyGroup:
         out = delta_system(X, n)
         # no generators one degree up leaves no form: everything is a cocycle
         self._snf_out = out.form
-        self._kernel = out.kernel  # the cocycle basis
-        z = len(out.kernel)
+        # the transforms, replayed on the identity (dense.transforms), and
+        # the cocycle basis: T's columns past the rank, or the unit basis
+        c = len(X.generators(n))
+        if out.form is None:
+            self._kernel = [[int(i == j) for i in range(c)] for j in range(c)]
+        else:
+            self._out_transforms = transforms(out.form)
+            self._kernel = [[col.get(t, 0) for t in range(c)]
+                            for col in self._out_transforms[2][out.form.rank:]]
+        z = len(self._kernel)
         # delta_{n-1} in kernel coordinates: the rows of Tinv past the rank
         # (the kernel's dual basis) times delta_{n-1}, row by row
         Y: list[list[int]] = []
         if n >= 1 and out.form is not None:
             faces = delta_table(X, n - 1)
             width = len(X.generators(n - 1))
-            for dual in out.form.Tinv[out.form.rank:]:
+            for dual in self._out_transforms[3][out.form.rank:]:
                 y = [0] * width
                 for t, a in dual.items():
                     for j, w in faces[t].items():
@@ -66,6 +77,7 @@ class CohomologyGroup:
             self._snf_img = (delta_system(X, n - 1).form if out.form is None
                              else smith_normal_form(Y))
             dia = self._snf_img.diagonal
+            self._img_transforms = transforms(self._snf_img)
         else:
             self._snf_img = None
             dia = []
@@ -83,7 +95,7 @@ class CohomologyGroup:
         f = self._snf_out
         if f is None:
             return list(vec)
-        u = apply_rows(f.Tinv, vec)
+        u = apply_rows(self._out_transforms[3], vec)
         if any(u[:f.rank]):
             raise ValueError("vector is not a cocycle")
         return u[f.rank:]
@@ -97,7 +109,7 @@ class CohomologyGroup:
         c = len(self.complex.generators(self.degree))
         for pos in self._free_pos + self._torsion_pos:
             # column pos of Sinv in the kernel basis
-            u = self._snf_img.Sinv[pos] if self._snf_img is not None else {pos: 1}
+            u = self._img_transforms[1][pos] if self._snf_img is not None else {pos: 1}
             vec = [0] * c
             for i, a in u.items():
                 for t, v in enumerate(self._kernel[i]):
@@ -118,7 +130,7 @@ class CohomologyGroup:
             denom = 1
             ivec = [int(v) for v in vec]
         u = self._kernel_coords(ivec)
-        w = apply_rows(self._snf_img.S, u) if self._snf_img is not None else u
+        w = apply_rows(self._img_transforms[0], u) if self._snf_img is not None else u
         if self.coeffs.kind == "Q":
             return tuple(Fraction(w[i], denom) for i in self._free_pos), ()
         free = tuple(w[i] for i in self._free_pos)

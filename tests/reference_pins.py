@@ -42,9 +42,10 @@ from simdiff.cochains import (INTEGERS, Cochain, Coefficients, coboundary, cobou
                               delta_table)
 from simdiff.cohomology import CoboundaryObstruction
 from simdiff.complexes import Gather, ProductWithSimplex, Simplex, SimplicialSet, cylinder
-from simdiff.exact import (Obstruction, SmithForm, Solution, System, _lift, apply_cols,
-                           apply_rows)
+from simdiff.exact import Obstruction, SmithForm, Solution, System, _lift, apply_cols
 from simdiff.groupoid import ClassComparison, _interior
+
+from dense import apply_rows, transforms
 
 
 # -- the positional pinned path --------------------------------------------
@@ -266,8 +267,9 @@ def rhs(pins: Mapping[Hashable, list], rows: int, known: Mapping[Hashable, objec
 def solve_int_snf(f: SmithForm, b) -> Solution | Obstruction:
     """The substitution through every row of S."""
     r, c = f.shape
+    S, _, T, _ = transforms(f)
     y = []
-    for i, (row, sb) in enumerate(zip(f.S, apply_rows(f.S, b))):
+    for i, (row, sb) in enumerate(zip(S, apply_rows(S, b))):
         d = f.diagonal[i] if i < c else 0
         if d:
             if sb % d:
@@ -275,7 +277,7 @@ def solve_int_snf(f: SmithForm, b) -> Solution | Obstruction:
             y.append(sb // d)
         elif sb:
             return Obstruction([Fraction(row.get(t, 0)) for t in range(r)], "Q")
-    return Solution(apply_cols(f.T, y, c))
+    return Solution(apply_cols(T, y, c))
 
 
 def solve(S: System, b) -> Solution | Obstruction:

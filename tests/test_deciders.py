@@ -150,7 +150,7 @@ def test_period_lattice_is_the_pinned_kernels(theories):
     T, _ = theories
     kernel = reference_periods.kernel(T)
     width = len(T.carrier.generators(0))
-    functionals = from_rows(T._quotient_functionals(), width)
+    functionals = from_rows(T._quotient_functionals, width)
     old = transpose(reference_periods.period_matrix(T, functionals, kernel))
     new = transpose(T._period_system().matrix)
     assert invariant_factors(old) == invariant_factors(old + new) == invariant_factors(new)

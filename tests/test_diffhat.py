@@ -215,7 +215,7 @@ def test_period_matrix_dots_every_functional_with_every_column(build, n):
     assert loops
     cols = [[int(v) for v in T._character_column(B).vec] for B in loops]
     expected = [[sum(p * col[i] for i, p in phi.items()) for col in cols]
-                for phi in T._quotient_functionals()]
+                for phi in T._quotient_functionals]
     assert T._period_system().matrix == expected
 
 

@@ -1,19 +1,33 @@
-"""Every name a simdiff module imports is used in that module.
+"""Every name a simdiff module imports is used in that module, and every
+top-level function or class of the package is named somewhere.
 
-No linter runs on the package, so this AST scan stands in for the
-unused-import rule.  A name counts as used when the module reads it
-anywhere, annotations included, when the module lists it in __all__, or
-when its import line carries ``# noqa`` (a name that another package
-resolves here).  Names inside string annotations are not read, and no
-module needs one: the modules import annotations from __future__.
+No linter runs on the package, so these AST scans stand in for the
+unused-import and dead-code rules.  An imported name counts as used when
+the module reads it anywhere, annotations included, when the module lists
+it in __all__, or when its import line carries ``# noqa`` (a name that
+another package resolves here).  Names inside string annotations are not
+read, and no module needs one: the modules import annotations from
+__future__.
+
+A top-level definition counts as named when its own module reads it, when
+a file of the package, the tests or the benchmark (bench/) imports it
+from that module, or when any of them names it as an attribute or spells
+it in a string that is a dotted name, as the benchmark's tracer names
+what it wraps.  Its own definition, a docstring, a comment, or a name
+that another file reads but defines or imports from elsewhere (a
+reference copy in the tests) does not count.  A helper whose last reader
+is gone, left behind by a change, fails the scan.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import simdiff
 
 MODULES = sorted(Path(simdiff.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+READERS = sorted(p for part in ("src", "tests", "bench") for p in (ROOT / part).rglob("*.py"))
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -60,3 +74,68 @@ def test_the_scan_finds_an_unused_import():
               "x: list[Callable] = chain()\n")
     tree = ast.parse(source)
     assert set(_imported(tree, source.splitlines())) - _read(tree) == {"combinations", "os"}
+
+
+def _names(tree: ast.AST) -> tuple[set[str], set[tuple[str, str]], set[str]]:
+    """What a file names: (the names it reads, the (module, name) pairs it
+    imports, by the module's last component, and the names any module's
+    may be: attributes and dotted-name strings)."""
+    reads, imports, anywhere = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imports |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            anywhere.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            anywhere.update(node.value.split("."))
+    return reads, imports, anywhere
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Each top-level function or class, with the line it is defined on."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _unnamed(module: str, tree: ast.Module, others: list[tuple]) -> set[str]:
+    """The top-level definitions of module (tree) that it does not read
+    and that no other file (each given by its _names) imports from it or
+    names as an attribute or a dotted-name string."""
+    reads, _, anywhere = _names(tree)
+    imported = set()
+    for _, imports, attrs in others:
+        imported |= {name for source, name in imports if source == module}
+        anywhere |= attrs
+    return set(_defined(tree)) - reads - imported - anywhere
+
+
+def test_every_top_level_definition_is_named():
+    trees = {p: ast.parse(p.read_text()) for p in READERS}
+    names = {p: _names(tree) for p, tree in trees.items()}
+    unnamed = {}
+    for path in MODULES:
+        tree = trees[path]
+        others = [n for p, n in names.items() if p != path]
+        for name in _unnamed(path.stem, tree, others):
+            unnamed[f"{path.name}:{_defined(tree)[name]}"] = name
+    assert unnamed == {}
+
+
+def test_the_scan_finds_an_unnamed_definition():
+    module = ast.parse('"""Mentions _ghost only in prose."""\n'
+                       "def _ghost(): pass\n"
+                       "def _twin(): pass\n"
+                       "def helper(): return _kept()\n"
+                       "def _kept(): pass\n"
+                       "def shared(): pass\n"
+                       "class Wrapped: pass\n")
+    # another file that defines and reads its own _twin, imports shared
+    # from the module and names Wrapped in a tracer-style string
+    other = ast.parse("from simdiff.mod import shared\n"
+                      "def _twin(): pass\n"
+                      "_twin(); shared()\n"
+                      "TARGET = ('simdiff.mod', 'Wrapped.method')\n")
+    assert _unnamed("mod", module, [_names(other)]) == {"_ghost", "_twin", "helper"}

@@ -58,7 +58,7 @@ def test_loop_periods_span_the_kernel_periods(case):
     T, R = case
     n = T.degree
     width = len(T.carrier.generators(n - 1))
-    new = from_rows(T._quotient_functionals(), width)
+    new = from_rows(T._quotient_functionals, width)
     # the cached factorization's rows span the reference's saturated lattice
     assert same_lattice(R.functionals, new)
     # in either functional basis, the loops' periods span the kernel's
@@ -71,7 +71,7 @@ def test_loop_periods_span_the_kernel_periods(case):
 def test_period_matrix_is_the_section_then_integrate_matrix(case):
     T, _ = case
     width = len(T.carrier.generators(T.degree - 1))
-    functionals = from_rows(T._quotient_functionals(), width)
+    functionals = from_rows(T._quotient_functionals, width)
     assert T._period_system().matrix == ref.period_matrix(T, functionals, ref.loops(T))
 
 
@@ -132,6 +132,18 @@ def assert_checked(T: HatTheory, R: ref.Reference, x, y, comp) -> None:
     periods = [T._character_column(B) for B in R.kernel]
     assert ob.certifies(target, periods + lower)
     assert ob.pairing(target) == ob.value
+
+
+def test_unequal_compares_read_one_set_of_quotient_functionals():
+    # the quotient functionals are replayed once per theory: the period
+    # system and every period obstruction read the same rows
+    T = HatTheory(torus(), 2)
+    read = []
+    for x, y in pairs(T, 0) + pairs(T, 1):
+        if isinstance(T.compare(x, y).obstruction, PeriodObstruction):
+            read.append(vars(T)["_quotient_functionals"])
+    assert len(read) >= 2
+    assert all(rows is T._quotient_functionals for rows in read)
 
 
 def test_compare_matches_the_kernel_reference(case):

@@ -109,19 +109,27 @@ def test_divisible_rank_is_the_coboundary_rank_mod_a_large_prime(kind):
                 min_size=1, max_size=8))
 def test_presentations_build_no_transform(facets):
     # the cohomology-fresh benchmark workload's op: presentations of a fresh
-    # complex read the Smith diagonals of the cleared forms, build no
-    # delta_system and replay no transform
+    # complex read the Smith diagonals of the cleared forms, and no form
+    # holds more than its logs.  A delta that clears no row (the top
+    # nonzero one, or one whose form above was cleared away) is factored
+    # once, as delta_system's form; no other system is built
     P = cylinder(from_facets("X", [tuple(sorted(f)) for f in facets]), 1).complex
     for n in range(P.top_dim + 2):
         cohomology(P, n, INTEGERS).presentation
         cohomology(P, n, RATIONALS).presentation
-    assert not any(key[0] == "system" for key in P._cache)
+    systems = [key for key in P._cache if key[0] == "system"]
+    assert ("system", P.top_dim - 1, INTEGERS) in systems
+    for _, n, coeffs in systems:
+        above = cleared_form(P, n + 1)
+        assert coeffs == INTEGERS and (above is None or not above.units)
+        assert cleared_form(P, n) is delta_system(P, n).form
     # delta_top has no rows, so the top degree leaves no form and the one
     # below it clears no row; lower forms may be cleared away entirely
     assert cleared_form(P, P.top_dim) is None
     assert cleared_form(P, P.top_dim - 1) is not None
     forms = [f for f in (cleared_form(P, n) for n in range(P.top_dim)) if f is not None]
-    assert all(not {"S", "Sinv", "T", "Tinv"} & set(vars(f)) for f in forms)
+    assert all(set(vars(f)) == {"shape", "diagonal", "row_log", "col_log", "units"}
+               for f in forms)
 
 
 def assert_cleared_like_full(X) -> None:

@@ -3,8 +3,10 @@ it replaced, and sympy.
 
 exact.smith_normal_form eliminates in two phases: a unit phase that takes
 +-1 pivots, shortest row first, and then the dense smallest-entry loop on
-what the units leave.  SmithForm replays its logs into S, T, Sinv and Tinv
-when each is first read.  The unit phase takes another pivot order than
+what the units leave.  SmithForm holds only its logs; the tests read S, T,
+Sinv and Tinv through dense.transforms, the logs replayed on the identity,
+and check exact.replay, which reads them one vector at a time, against
+those in all of its readings.  The unit phase takes another pivot order than
 the dense loop, so the factors are checked for what they promise rather
 than entry for entry: D = S A T, S Sinv and T Tinv are identities, and the
 diagonal is in divisor order and equals the dense loop's diagonal and
@@ -17,6 +19,9 @@ and the two factorizations must agree in every log and factor.  Each unit
 pivot that SmithForm.units records must hold a 1 on the diagonal, and
 Tinv's rows at the unit places, read on the unit columns, must be upper
 unitriangular in the order taken: cohomology's cleared forms rest on it.
+On a long circle's delta_0 the chained unit pivots fill T, and there the
+solves, kernels and representatives read through replay must equal those
+read off the reference transforms.
 """
 
 import random
@@ -30,11 +35,15 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from simdiff import exact
-from simdiff.cochains import delta_table
+from simdiff.cochains import INTEGERS, delta_table
 from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
-from simdiff.exact import SmithForm, _lift, smith_normal_form
+from simdiff.cohomology import cohomology, delta_system
+from simdiff.exact import (SmithForm, Solution, _lift, apply_cols, replay, replay_units,
+                           smith_normal_form)
 
-from dense import delta_matrix, dense_factors, identity_matrix, mat_mul
+import reference_cohomology
+from dense import (apply_rows, delta_matrix, dense_factors, from_cols, from_rows, identity_matrix,
+                   mat_mul, mat_vec, transforms, transpose)
 
 BASES = {"circle": lambda: circle(3), "sphere2": sphere2, "rp2": rp2, "torus": torus}
 
@@ -138,7 +147,7 @@ def reference_smith_normal_form(A):
     return D, S, T, Sinv, Tinv
 
 
-TRANSFORMS = ("S", "Sinv", "T", "Tinv")
+FIELDS = {"shape", "diagonal", "row_log", "col_log", "units"}
 
 
 def sparse_rows(A, seed: int) -> list[dict[int, int]]:
@@ -174,8 +183,9 @@ def assert_unit_block(f: SmithForm) -> None:
     units = f.units
     assert len(set(units)) == len(units) and all(0 <= t < f.shape[1] for t in units)
     assert f.diagonal[:len(units)] == [1] * len(units)
+    Tinv = transforms(f)[3]
     for k, t in enumerate(units):
-        row = f.Tinv[k]
+        row = Tinv[k]
         assert [row.get(s, 0) for s in units[:k + 1]] == [0] * k + [1], (k, t)
 
 
@@ -184,19 +194,15 @@ def assert_smith_form(A) -> SmithForm:
 
     D = S A T with S Sinv and T Tinv identities; the diagonal in divisor
     order, equal to the dense loop's and to sympy's; and for a matrix with
-    no +-1 entry, every factor equal to the dense loop's.  The transforms
-    are replayed on first read, each from its own log, so the order they
-    are read in must not matter: half of the matrices (by a checksum of A,
-    so the split is fixed) read them in reversed order first.  A is
-    factored a second time from sparse rows, with the width passed, which
-    must give the same logs and factors.
+    no +-1 entry, every factor equal to the dense loop's.  The form holds
+    its logs and nothing else, and the factors are its logs replayed on
+    the identity (dense.transforms).  A is factored a second time from
+    sparse rows (shuffled by a checksum of A, so the order is fixed), with
+    the width passed, which must give the same logs and factors.
     """
     f = smith_normal_form(A)
-    assert not set(TRANSFORMS) & set(vars(f))
+    assert set(vars(f)) == FIELDS
     checksum = zlib.crc32(repr(A).encode())
-    if checksum & 1:
-        for name in reversed(TRANSFORMS):
-            getattr(f, name)
     factors = dense_factors(f)
     assert_unit_block(f)
     D, S, T, Sinv, Tinv = factors
@@ -433,17 +439,96 @@ def test_a_pivot_equal_to_the_last_divisor_skips_the_scan():
     assert smith_normal_form(diag(2, 6, 4)).diagonal == [2, 2, 12]
 
 
-# -- transforms on demand --------------------------------------------------------
+# -- the logs, read by replay ----------------------------------------------------
 
 
-def test_a_fresh_form_builds_each_transform_on_its_first_read():
+@st.composite
+def replay_cases(draw):
+    """A matrix with or without +-1 entries, now and then lifted to
+    [A | k I], and one vector for each side of it."""
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    values = draw(st.sampled_from([ENTRIES, UNIT_FREE]))
+    A = [[draw(values) for _ in range(c)] for _ in range(r)]
+    k = draw(st.sampled_from([0, 0, 2, 3, 6]))
+    if k:
+        A, c = _lift(A, k), c + r
+    vector = st.lists(st.integers(-9, 9), min_size=r, max_size=r)
+    return A, draw(vector), draw(st.lists(st.integers(-9, 9), min_size=c, max_size=c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_cases())
+@example(([[2, 0], [0, 3]], [1, -1], [2, 5]))
+@example(([[1, 1, 0], [0, -1, 1]], [3, 4], [1, 0, -2]))
+def test_replay_is_the_reference_transform_times_a_vector(case):
+    # all four transforms and their transposes, which give a row of S or
+    # Tinv from a unit vector, against the logs replayed on the identity,
+    # on one vector and on a block of unit vectors
+    A, b, y = case
+    given_b, given_y = list(b), list(y)
+    f = smith_normal_form(A)
+    r, c = f.shape
+    S, Sinv, T, Tinv = transforms(f)
+    S, Sinv, T, Tinv = from_rows(S, r), from_cols(Sinv, r), from_cols(T, c), from_rows(Tinv, c)
+    row_readings = {(False, False): S, (False, True): Sinv,
+                    (True, False): transpose(S), (True, True): transpose(Sinv)}
+    col_readings = {(True, False): T, (True, True): Tinv,
+                    (False, False): transpose(T), (False, True): transpose(Tinv)}
+    for log, n, v, readings in ((f.row_log, r, b, row_readings),
+                                (f.col_log, c, y, col_readings)):
+        for (tr, inv), M in readings.items():
+            assert replay(log, v, transpose=tr, inverse=inv) == mat_vec(M, v), (tr, inv)
+            # the unit vectors from n // 2 on, as one replay of a block of Rows
+            block = replay_units(log, n, n // 2, transpose=tr, inverse=inv)
+            assert [[col.get(t, 0) for t in range(n)] for col in block] == transpose(M)[n // 2:]
+    # the vectors are read, not changed
+    assert (b, y) == (given_b, given_y)
+
+
+def test_a_form_holds_only_its_logs():
+    # no transform is built or cached: reading every transform through
+    # replay leaves the form as the elimination made it
     A = deltas("torus", 1)[1]
-    reference = dense_factors(smith_normal_form(A))
-    for name in TRANSFORMS:
-        f = smith_normal_form(A)
-        assert not set(TRANSFORMS) & set(vars(f))
-        assert f.rank and f.diagonal
-        first = getattr(f, name)
-        assert set(TRANSFORMS) & set(vars(f)) == {name}
-        assert getattr(f, name) is first
+    f = smith_normal_form(A)
+    reference = dense_factors(f)
+    before = {name: list(value) if isinstance(value, list) else value
+              for name, value in vars(f).items()}
+    r, c = f.shape
+    for log, n in ((f.row_log, r), (f.col_log, c)):
+        for tr in (False, True):
+            for inv in (False, True):
+                replay(log, [1] * n, transpose=tr, inverse=inv)
+    assert set(vars(f)) == FIELDS and vars(f) == before
     assert dense_factors(f) == reference
+
+
+def test_a_filled_t_reads_the_same_through_replay():
+    # circle(2000)'s delta_0: the chained unit pivots fill T (939k
+    # entries), while its log stays about as long as the circle
+    X = circle(2000)
+    system = delta_system(X, 0)
+    f = system.form
+    r, c = f.shape
+    S, Sinv, T, Tinv = transforms(f)
+    assert sum(map(len, T)) > 900_000 and len(f.col_log) < 3 * c
+    # a coboundary solves to the reference's x0; a vector on one edge does
+    # not, and the first row of S past the rank that sees it refutes it
+    rng = random.Random(2000)
+    x = [rng.randint(-5, 5) for _ in range(c)]
+    b = [sum(a * x[t] for t, a in row.items()) for row in delta_table(X, 0)]
+    sb = apply_rows(S, b)
+    y = [v // d for v, d in zip(sb, f.diagonal[:f.rank])] + [0] * (c - f.rank)
+    assert system.solve(b) == Solution(apply_cols(T, y, c))
+    loop = [1] + [0] * (r - 1)
+    got = system.solve(loop)
+    i = next(i for i in range(f.rank, r) if sum(a * loop[t] for t, a in S[i].items()))
+    assert got.ring == "Q" and got.functional == [S[i].get(t, 0) for t in range(r)]
+    # the kernel: T's columns past the rank
+    assert system.kernel == [[col.get(t, 0) for t in range(c)] for col in T[f.rank:]]
+    # representatives in both degrees, and the classes they stand for
+    for n in (0, 1):
+        new = cohomology(X, n, INTEGERS)
+        old = reference_cohomology.cohomology(X, n, INTEGERS)
+        assert [g.vec for g in new.generators] == [g.vec for g in old.generators], n
+        assert [new.classify(g) for g in new.generators] == [
+            old.classify(g) for g in new.generators], n
