@@ -10,15 +10,33 @@ kunneth reads only the factors' presentations, so it reads no transform
 of any Smith form and never factors a coboundary of the product: it checks
 the product's groups by code that shares nothing with their elimination
 but the factors' own groups.
+
+hat_kunneth extends it to the whole hat group (Hatcher, section 3.B, and
+the Eilenberg-Zilber shuffles).  Its divisible rank is rank delta_{n-1}
+over Q, and rank delta_j = c_j - b_j - rank delta_{j-1}, so
+
+    rank delta_{n-1} = sum_{j=0}^{n-1} (-1)^(n-1-j) (c_j - b_j),
+
+with c_j the number of nondegenerate j-simplices and b_j the Betti
+numbers.  For X x Y both come from the factors: a nondegenerate
+j-simplex of the product is a p-simplex of X, a q-simplex of Y and a
+shuffle placing p + q - j shared steps among j, so
+
+    c_j(X x Y) = sum_{p,q} c_p(X) c_q(Y) j! / ((j-p)! (j-q)! (p+q-j)!),
+
+and b_j is the free rank of the Kunneth sum.  The count is also checked
+against product itself.
 """
 
-from math import gcd
+from functools import cache
+from math import factorial, gcd
 
 import pytest
 
 from simdiff.cochains import INTEGERS
 from simdiff.cohomology import GroupPresentation, cohomology
 from simdiff.complexes import build_standard, circle, genus2, product, rp2, torus
+from simdiff.diffhat import hat_group
 
 
 def prime_powers(d: int) -> list[tuple[int, int]]:
@@ -87,6 +105,33 @@ def kunneth(X, Y, n: int) -> GroupPresentation:
                              torsion=tuple(d for d in invariant_factors(orders) if d > 1))
 
 
+def simplex_counts(X, Y) -> list[int]:
+    """c_j(X x Y) for j = 0 .. dim X + dim Y, from the factors' counts."""
+    cx = [len(X.generators(p)) for p in range(X.top_dim + 1)]
+    cy = [len(Y.generators(q)) for q in range(Y.top_dim + 1)]
+    return [sum(a * b * factorial(j) // (factorial(j - p) * factorial(j - q)
+                                         * factorial(p + q - j))
+                for p, a in enumerate(cx) for q, b in enumerate(cy)
+                if p <= j and q <= j <= p + q)
+            for j in range(len(cx) + len(cy) - 1)]
+
+
+def hat_kunneth(X, Y, n: int) -> GroupPresentation:
+    """The hat group of X x Y in degree n from the factors alone: H^n by
+    Kunneth, one rational line per unit of rank delta_{n-1} (the
+    alternating sum over the counts and Betti numbers below n) and one
+    circle per free class in degree n - 1."""
+    top = kunneth(X, Y, n)
+    if n == 0:
+        return GroupPresentation(free_rank=top.free_rank)
+    counts = simplex_counts(X, Y)
+    rank = sum((-1) ** (n - 1 - j) * (counts[j] - kunneth(X, Y, j).free_rank)
+               for j in range(n))
+    return GroupPresentation(free_rank=top.free_rank, torsion=top.torsion,
+                             divisible_rank=rank,
+                             circle_rank=kunneth(X, Y, n - 1).free_rank)
+
+
 def test_invariant_factors_merge_primary_parts():
     assert invariant_factors([]) == ()
     assert invariant_factors([2, 3]) == (6,)
@@ -105,11 +150,37 @@ PRODUCTS = {
 }
 
 
+@cache
+def built(name: str):
+    """(X, Y, X x Y) for one of PRODUCTS, built once per session."""
+    build_x, build_y, _ = PRODUCTS[name]
+    X, Y = build_x(), build_y()
+    return X, Y, product(X, Y)
+
+
 @pytest.mark.parametrize("name", list(PRODUCTS))
 def test_product_cohomology_is_the_kunneth_sum(name):
-    build_x, build_y, expected = PRODUCTS[name]
-    X, Y = build_x(), build_y()
-    P = product(X, Y)
+    expected = PRODUCTS[name][2]
+    X, Y, P = built(name)
     oracle = [kunneth(X, Y, n) for n in range(P.top_dim + 2)]
     assert [str(G) for G in oracle] == expected + ["0"]
     assert [cohomology(P, n, INTEGERS).presentation for n in range(P.top_dim + 1)] == oracle[:-1]
+
+
+def test_simplex_counts_of_small_products():
+    # circle(3) x circle(3): 9 vertices, 9 + 9 + 9 edges, 2 * 9 triangles
+    assert simplex_counts(circle(3), circle(3)) == [9, 27, 18]
+    assert simplex_counts(rp2(), circle(3)) == [18, 108, 180, 90]
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_product_simplex_counts_are_the_shuffle_sum(name):
+    X, Y, P = built(name)
+    assert simplex_counts(X, Y) == [len(P.generators(j)) for j in range(P.top_dim + 1)]
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_product_hat_group_is_the_kunneth_hat_group(name):
+    X, Y, P = built(name)
+    for n in range(P.top_dim + 2):
+        assert hat_group(P, n) == hat_kunneth(X, Y, n), n
