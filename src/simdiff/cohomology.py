@@ -4,36 +4,35 @@ The coboundary in each degree is a sparse integer matrix over the generator
 bases.  Integer Smith form gives presentations H = Z^r + sum Z/d, coordinates
 for classifying cocycles, and representative cocycles for each summand.
 
-A presentation of H^n reads only the ranks of delta_n and delta_{n-1} and
-the invariant factors of delta_{n-1}, so it reads them off a cleared chain
-(clearing: Chen-Kerber, "Persistent homology computation with a twist",
-EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).
-cleared_form(X, n) is the Smith form of delta_n without the rows at the
-unit pivots of cleared_form(X, n + 1), built from the top degree down; one
-that clears no row is delta_system(X, n).form.  The clearing lemma: if A
-is a set of rows of delta_{n+1} whose form took unit pivots at the columns
-P, then delta_n without the rows P has delta_n's rank and invariant
-factors.  Proof: the rows of Tinv at the unit places are rows of S A,
-which delta_{n+1} delta_n = 0 makes annihilate delta_n, and on the
-columns P they are upper unitriangular (exact.SmithForm), so with the
-unit rows off P they form a unimodular U, and U delta_n is delta_n
-without the rows P under zero rows.
-A row subset of delta_{n+1} still composes to zero with delta_n, so the
-lemma holds at every step down.  The image form behind representatives
-and coordinates (delta_{n-1} in cocycle coordinates, read through the
-logs of the full delta_n's form in delta_system, a Smith form of its own)
-is built on first use.  Rational cohomology rides on the integer
-computation (torsion dropped: its generators are the free ones, over Q).
+delta_system(X, n, coeffs) is the one factorization of delta_n: an
+exact.System over one ring (the Coefficients object itself), cached on the
+complex, on delta_n without the rows at the unit pivots of the integral
+delta_system(X, n + 1).form, built from the top degree down (clearing:
+Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011;
+Bauer-Kerber-Reininghaus, "Clear and compress", 2014); kept_rows(X, n)
+lists the rows it keeps.  The clearing lemma: if A is a set of rows of
+delta_{n+1} whose form took unit pivots at the columns P, then U delta_n =
+[0; delta_n'] for a unimodular U, delta_n' being delta_n without the rows
+P.  Proof: the rows of Tinv at the unit places are rows of S A, which
+delta_{n+1} delta_n = 0 makes annihilate delta_n, and on the columns P
+they are upper unitriangular (exact.SmithForm), so with the unit rows off
+P they form U.  A row subset of delta_{n+1} still composes to zero with
+delta_n, so the lemma holds at every step down.  U is invertible over Z,
+Q and Z/k, so over each delta_n' has delta_n's rank, invariant factors
+and kernel; for a closed b, delta x = b exactly when delta_n' x = b on the
+kept rows, and a certificate on the kept rows extends by zero; and the
+integer annihilator of delta_n is spanned by the rows of delta_{n+1} and
+the rows of S past the rank of delta_n''s form, extended by zero.
 
-delta_system is the one constructor of linear systems on cochains: delta
-of a complex in one degree over one ring (the Coefficients object itself),
-an exact.System factored once and cached on the complex; nothing here
-calls exact's one-shot solvers.  exact answers in Solution | Obstruction
-over positions; from here up every question on cochains is answered in
-one shape, the answer cochain or a CoboundaryObstruction.
-solve_coboundary answers "is this cochain a coboundary" with the
-primitive or a functional certificate, by one substitution into that
-system.
+The image form behind representatives and coordinates (delta_{n-1} in
+cocycle coordinates, read through the logs of delta_n's form, a Smith
+form of its own) is built on first use.  Rational cohomology rides on the
+integer computation (torsion dropped: its generators are the free ones,
+over Q).  Nothing here calls exact's one-shot solvers.  exact answers in
+Solution | Obstruction over positions; from here up every question on
+cochains is answered in one shape, the answer cochain or a
+CoboundaryObstruction.  solve_coboundary refutes a target that is not
+closed by a row of delta and substitutes any other into the cached system.
 
 Homotopy existence and class equality are questions on X x Delta^2 about
 the relative cochains R of (X x Delta^2, X x dDelta^2), and they are
@@ -69,44 +68,33 @@ from itertools import chain
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, cross_section,
-                       delta_table, fiber_integrate, is_closed, shih_homotopy)
+from .cochains import (Cochain, Coefficients, INTEGERS, coboundary, coboundary_values,
+                       cross_section, delta_table, fiber_integrate, is_closed, shih_homotopy)
 from .complexes import Gather, ProductWithSimplex, SimplicialSet, cached_on, derived, key_str
 from .exact import Obstruction, Row, SmithForm, System, blind, replay, smith_normal_form, unit
 
 
+@derived("kept")
+def kept_rows(X: SimplicialSet, n: int) -> tuple[int, ...]:
+    """The rows of delta_n that delta_system(X, n) keeps: every position but
+    the unit pivots of the integral delta_system(X, n + 1).form."""
+    rows = delta_table(X, n)
+    above = delta_system(X, n + 1).form if rows else None
+    cleared = set(above.units) if above else ()
+    return tuple(i for i in range(len(rows)) if i not in cleared)
+
+
 @derived("system")
 def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> System:
-    """delta: C^n -> C^{n+1} of X over coeffs, factored once.
+    """delta: C^n -> C^{n+1} of X over coeffs on the rows kept_rows(X, n),
+    factored once: the one factorization of delta_n (module docstring).
 
-    Rows and columns are the generator positions of degrees n + 1 and n,
-    in order.  The rows are delta_table's own {column: entry} rows, not
-    copies, with the width; no dense row is built.  The system is cached on
-    X under (n, coeffs), never under matrix content.
-    """
-    return System(delta_table(X, n), len(X.generators(n)), coeffs)
-
-
-@derived("cleared")
-def cleared_form(X: SimplicialSet, n: int) -> SmithForm | None:
-    """The Smith form of delta_n without the rows at the unit pivots of
-    cleared_form(X, n + 1), or None when no row is left.
-
-    Its rank and invariant factors are delta_n's (the clearing lemma in
-    the module docstring).  One that clears no row is delta_system(X,
-    n).form, so delta_n is factored once; nothing reads the logs of any
-    other.  The rows are delta_table's own, not copies, and the form is
-    cached on X under n, so the forms above n are built first, once.
+    The rows are delta_table's own {column: entry} rows, not copies, with
+    the width; no dense row is built.  The system is cached on X under
+    (n, coeffs), never under matrix content.
     """
     rows = delta_table(X, n)
-    if not rows:
-        return None
-    above = cleared_form(X, n + 1)
-    if above is None or not above.units:
-        return delta_system(X, n).form
-    pivoted = set(above.units)
-    rows = [row for i, row in enumerate(rows) if i not in pivoted]
-    return smith_normal_form(rows, len(X.generators(n))) if rows else None
+    return System([rows[i] for i in kept_rows(X, n)], len(X.generators(n)), coeffs)
 
 
 def vector_of(c: Cochain) -> list:
@@ -217,8 +205,10 @@ def solve_coboundary(target: Cochain,
 
     The coefficient ring defaults to the target's own; a target asked
     over Z/k is reduced mod k first, so zero is decided in the ring asked
-    for.  The answer is one substitution into the cached
-    delta_system(X, n - 1, coeffs).
+    for.  A target that is not closed is refuted by the row of delta at
+    the first generator where delta target is nonzero ("Q"; over Z/k that
+    row over k, "Z/k").  Any other is one substitution of its values on
+    kept_rows(X, n - 1) into the cached delta_system(X, n - 1, coeffs).
     """
     coeffs = coeffs or target.coeffs
     if coeffs.modulus and coeffs != target.coeffs:
@@ -227,16 +217,22 @@ def solve_coboundary(target: Cochain,
     n = target.degree
     if target.is_zero():
         return Cochain.zero(X, max(n - 1, 0), coeffs)
+    gens = X.generators(n)
     if n < 1 or not X.generators(n - 1):
         # nothing to be a coboundary of: pair off the first nonzero value,
         # in generator order
         return _pair_off(*next(iter(target.values.items())), coeffs)
-    S = delta_system(X, n - 1, coeffs)
-    res = S.solve(list(target.vec))
+    k = coeffs.modulus
+    bad = next((p for p, v in enumerate(coboundary_values(target)) if (v % k if k else v)), None)
+    if bad is not None:
+        w = Fraction(1, k or 1)
+        return CoboundaryObstruction({gens[p]: w * a for p, a in delta_table(X, n)[bad].items()},
+                                     coeffs.label() if k else "Q")
+    kept = kept_rows(X, n - 1)
+    res = delta_system(X, n - 1, coeffs).solve([target.vec[q] for q in kept])
     if isinstance(res, Obstruction):
-        gens = X.generators(n)
-        return CoboundaryObstruction({gens[q]: v for q, v in enumerate(res.functional) if v},
-                                     res.ring)
+        return CoboundaryObstruction({gens[kept[q]]: v for q, v in enumerate(res.functional)
+                                      if v}, res.ring)
     return Cochain._trusted(X, n - 1, coeffs, res.x0)
 
 
@@ -264,17 +260,14 @@ class CohomologyGroup:
     The cocycles are a saturated sublattice holding every coboundary, so
     H^n has free rank dim ker delta_n - rank delta_{n-1} and torsion the
     invariant factors > 1 of delta_{n-1}.  The presentation reads these
-    off the diagonals of cleared_form(X, n) and cleared_form(X, n - 1),
-    which have delta_n's and delta_{n-1}'s ranks and invariant factors:
-    the rows of Tinv at delta_{n+1}'s unit places lie in its row space, so
-    they annihilate delta_n, and they are unitriangular on the unit
-    columns, so a unimodular row change turns delta_n into delta_n without
-    those rows under zero rows (Chen-Kerber 2011; Bauer-Kerber-Reininghaus
-    2014).
+    off the diagonals of delta_system(X, n).form and delta_system(X, n -
+    1).form, which have delta_n's and delta_{n-1}'s ranks and invariant
+    factors though rows are cleared (the clearing lemma in the module
+    docstring).
 
     generators and classify also need the image form: delta_{n-1} in the
     coordinates of the cocycle basis (T's columns past the rank in
-    delta_system's full factorization of delta_n), factored by its own
+    delta_system(X, n).form, a basis of ker delta_n), factored by its own
     Smith form, which gives the free and torsion positions.  It is built
     on first use, and no cocycle basis is: a representative is T (0, u),
     one replay.  The rational group delegates to the integral group, so
@@ -293,8 +286,8 @@ class CohomologyGroup:
                 free_rank=self._integral.presentation.free_rank)
             return
         self._integral = self
-        out = cleared_form(X, n)
-        below = cleared_form(X, n - 1) if n >= 1 else None
+        out = delta_system(X, n).form
+        below = delta_system(X, n - 1).form if n >= 1 else None
         # no row left one degree up (down) leaves no form: rank zero
         cocycles = len(X.generators(n)) - (out.rank if out else 0)
         self.presentation = GroupPresentation(
@@ -308,9 +301,10 @@ class CohomologyGroup:
         X, n = self.complex, self.degree
         out = delta_system(X, n).form
         if out is None:
-            # no generators one degree up: everything is a cocycle, the
-            # basis is the unit basis, and delta_{n-1} in its coordinates is
-            # delta_{n-1} itself, already factored by its system
+            # no row of delta_n is left, so delta_n is zero: everything is a
+            # cocycle, the basis is the unit basis, and delta_{n-1} in its
+            # coordinates is delta_{n-1} itself, which its system factors
+            # with no row cleared
             z = len(X.generators(n))
             image = delta_system(X, n - 1).form if n >= 1 else None
         else:

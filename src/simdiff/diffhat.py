@@ -40,10 +40,10 @@ from .cochains import (
 from .cohomology import (
     CoboundaryObstruction,
     GroupPresentation,
-    cleared_form,
     cohomology,
     cochain_of,
     delta_system,
+    kept_rows,
     keyed_json,
     solve_coboundary,
 )
@@ -231,17 +231,20 @@ class HatTheory:
     @cached_property
     def _quotient_functionals(self) -> list[dict[int, int]]:
         """Sparse integer rows spanning the annihilator of rational
-        coboundaries in carrier degree n - 1: the rows of S past the rank in
-        the cached Smith form S D T of delta_{n-2}, since r D = 0 exactly
-        when r is an integer combination of them (exact.replay_units).
-        Unit rows below n = 2.  Built once per theory and read by
-        _functional_rows and _period_obstruction.
+        coboundaries in carrier degree n - 1: the rows delta_system(C, n -
+        1) keeps and the rows of S past the rank of delta_system(C, n -
+        2).form, on the rows it keeps (the clearing lemma in cohomology;
+        exact.replay_units).  Unit rows below n = 2.  Built once per
+        theory and read by _functional_rows and _period_obstruction.
         """
         n, C = self.degree, self.carrier
         if n < 2:
             return [{j: 1} for j in range(len(C.generators(n - 1)))]
         f = delta_system(C, n - 2).form
-        return replay_units(f.row_log, f.shape[0], f.rank, transpose=True) if f else []
+        kept = kept_rows(C, n - 2)
+        past = replay_units(f.row_log, f.shape[0], f.rank, transpose=True) if f else []
+        return ([row for row in delta_system(C, n - 1).matrix if row]
+                + [{kept[i]: a for i, a in r.items()} for r in past])
 
     @cached_property
     def _functional_rows(self) -> list:
@@ -336,9 +339,9 @@ def hat_group(X: SimplicialSet, n: int) -> GroupPresentation:
             free_rank=cohomology(X, 0, INTEGERS).presentation.free_rank)
     top = cohomology(X, n, INTEGERS).presentation
     below = cohomology(X, n - 1, INTEGERS).presentation
-    # rank of delta in degree n - 1, off the cleared form the presentation
-    # of H^n read
-    D = cleared_form(X, n - 1)
+    # rank of delta in degree n - 1, off the form the presentation of H^n
+    # read
+    D = delta_system(X, n - 1).form
     drank = D.rank if D is not None else 0
     return GroupPresentation(free_rank=top.free_rank, torsion=top.torsion,
                              divisible_rank=drank,

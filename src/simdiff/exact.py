@@ -232,8 +232,8 @@ class SmithForm:
     after it touches only later places, so the rows of Tinv at places
     0..len(units) - 1, read on the columns units, form an upper
     unitriangular block in that order; each of those rows is row k of
-    S A, so it lies in A's row space.  cohomology.cleared_form rests on
-    both.
+    S A, so it lies in A's row space.  cohomology.delta_system's clearing
+    rests on both.
     """
 
     shape: tuple[int, int]

@@ -13,10 +13,20 @@ now reads them only through exact.replay on one vector at a time.  The
 identity replay is kept here, as it was, so every check of D = S A T, of
 the inverses and of replay itself has a reference that shares no code
 with replay.
+
+solvable_mod_prime decides A x = b over Z/p by sparse row reduction, so
+a verdict over Z/p has a reference that shares no code with the Smith
+form or its lift [A | p I].
+
+full_delta is the whole coboundary delta_n as an exact.System, every row
+of delta_table kept: the factorization the package made before
+cohomology.delta_system dropped the rows that clearing proves redundant.
+The references and the agreement tests read it, so they do not read the
+system under test.
 """
 
-from simdiff.cochains import delta_table
-from simdiff.exact import SmithForm, Sparse, smith_normal_form
+from simdiff.cochains import INTEGERS, Coefficients, delta_table
+from simdiff.exact import SmithForm, Sparse, System, smith_normal_form
 
 
 def _axpy(dst: dict[int, int], src, q: int) -> None:
@@ -68,6 +78,43 @@ def transforms(f: SmithForm) -> tuple[Sparse, Sparse, Sparse, Sparse]:
 def apply_rows(M: Sparse, v) -> list:
     """M v for M held as sparse rows {column: entry}."""
     return [sum(a * v[t] for t, a in row.items()) for row in M]
+
+
+def full_delta(X, n: int, coeffs: Coefficients = INTEGERS) -> System:
+    """delta: C^n -> C^{n+1} of X over coeffs with every row, factored once
+    and cached on X under ("full-delta", n, coeffs)."""
+    token = ("full-delta", n, coeffs)
+    if token not in X._cache:
+        X._cache[token] = System(delta_table(X, n), len(X.generators(n)), coeffs)
+    return X._cache[token]
+
+
+def solvable_mod_prime(A, b, p: int) -> bool:
+    """Has A x = b a solution over Z/p, p prime?  A's rows are sparse
+    {column: entry}; each row, with b_i appended past every column, is
+    reduced mod p against the pivots so far (pivot rows are monic), so b
+    is outside A's column space exactly when the appended column takes a
+    pivot."""
+    end = 1 + max((t for row in A for t in row), default=0)
+    pivots: dict[int, dict[int, int]] = {}
+    for row, bi in zip(A, b):
+        r = {t: v % p for t, v in row.items() if v % p}
+        if bi % p:
+            r[end] = bi % p
+        while r:
+            t = min(r)
+            if t not in pivots:
+                inv = pow(r[t], -1, p)
+                pivots[t] = {u: v * inv % p for u, v in r.items()}
+                break
+            q = r[t]
+            for u, v in pivots[t].items():
+                w = (r.get(u, 0) - q * v) % p
+                if w:
+                    r[u] = w
+                else:
+                    r.pop(u, None)
+    return end not in pivots
 
 
 def delta_matrix(X, n: int) -> list[list[int]]:

@@ -9,7 +9,8 @@ The differential tests in test_presentations.py compare the package's
 groups with these: presentations, representatives and classify.  The
 transforms are the identity replays of dense.transforms, built once per
 group, so the package's log replays are checked against code they do not
-share.
+share.  The coboundaries are dense.full_delta, every row of delta_n
+factored, not the package's cleared delta_system.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from math import lcm
 from typing import Sequence
 
 from simdiff.cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
-from simdiff.cohomology import GroupPresentation, cochain_of, delta_system, vector_of
+from simdiff.cohomology import GroupPresentation, cochain_of, vector_of
 from simdiff.complexes import SimplicialSet
 from simdiff.exact import smith_normal_form
 
-from dense import apply_rows, delta_matrix, transforms
+from dense import apply_rows, delta_matrix, full_delta, transforms
 
 
 class CohomologyGroup:
@@ -44,7 +45,7 @@ class CohomologyGroup:
         self.complex = X
         self.degree = n
         self.coeffs = coeffs
-        out = delta_system(X, n)
+        out = full_delta(X, n)
         # no generators one degree up leaves no form: everything is a cocycle
         self._snf_out = out.form
         # the transforms, replayed on the identity (dense.transforms), and
@@ -74,7 +75,7 @@ class CohomologyGroup:
         if z and Y and Y[0]:
             # with no generators one degree up the kernel basis is the unit
             # basis, so Y is delta_{n-1}, already factored by its system
-            self._snf_img = (delta_system(X, n - 1).form if out.form is None
+            self._snf_img = (full_delta(X, n - 1).form if out.form is None
                              else smith_normal_form(Y))
             dia = self._snf_img.diagonal
             self._img_transforms = transforms(self._snf_img)

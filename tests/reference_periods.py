@@ -25,15 +25,14 @@ from itertools import repeat
 from operator import add, mul
 
 from simdiff.cochains import INTEGERS, Cochain, coboundary
-from simdiff.cohomology import (CoboundaryObstruction, cochain_of,
-                                delta_system, solve_coboundary, vector_of)
+from simdiff.cohomology import CoboundaryObstruction, cochain_of, solve_coboundary, vector_of
 from simdiff.complexes import cylinder
 from simdiff.diffhat import HatClass, HatComparison, HatTheory, PeriodObstruction
 from simdiff.em import relative_section
 from simdiff.exact import Obstruction, System, blind
 from simdiff.groupoid import HomotopyClass, Homotopy2
 
-from dense import delta_matrix, kernel_int, transpose
+from dense import delta_matrix, full_delta, kernel_int, transpose
 from reference_pins import pin_positions, pinned_system
 
 
@@ -57,11 +56,13 @@ def kernel(T: HatTheory) -> list[Cochain]:
 
 
 def loops(T: HatTheory) -> list[Cochain]:
-    """The relative section of each cocycle delta_system(X, n - 1).kernel
-    lists, in its order: closed data on X x Delta^2, zero on the faces."""
+    """The relative section of each cocycle full_delta(X, n - 1).kernel
+    lists, in its order: closed data on X x Delta^2, zero on the faces.
+    The cocycles are the full delta's, so their order and basis need not
+    be the package's."""
     X, n = T.base, T.degree
     return [relative_section(cochain_of(X, n - 1, INTEGERS, w))
-            for w in delta_system(X, n - 1).kernel]
+            for w in full_delta(X, n - 1).kernel]
 
 
 def quotient_functionals(T: HatTheory) -> list[list[int]]:

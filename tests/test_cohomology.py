@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from simdiff import cohomology as cohomology_module, exact
 from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
                               mod_coefficients, pullback, random_cochain)
-from simdiff.cohomology import (CoboundaryObstruction, GroupPresentation, cleared_form, cohomology,
+from simdiff.cohomology import (CoboundaryObstruction, GroupPresentation, cohomology,
                                 delta_system, face_pins, is_coboundary,
                                 solve_closed_extension, solve_coboundary)
 from simdiff.complexes import (Simplex, build_standard, circle, cylinder, from_facets,
@@ -391,19 +391,18 @@ def test_top_degree_reuses_the_factored_delta(monkeypatch):
     monkeypatch.setattr(cohomology_module, "smith_normal_form", counted)
     P = cylinder(from_facets("torus7", TORUS7), 1).complex
     groups = [cohomology(P, n, INTEGERS) for n in range(P.top_dim + 1)]
-    # the presentations read the cleared delta_0..delta_2, factored once
-    # each; delta_2 clears no row, so its cleared form is delta_system's
-    # own, and it is the one full delta factored
+    # the presentations read delta_system's cleared delta_0..delta_2,
+    # factored once each from the top down; delta_3 has no rows and no form
     assert [str(G.presentation) for G in groups] == ["Z", "Z^2", "Z", "0"]
     assert calls[0] == 3
-    assert [key for key in P._cache if key[0] == "system"] == [("system", 2, INTEGERS)]
-    assert cleared_form(P, 2) is delta_system(P, 2).form
-    # representatives add the full delta_1 and the image forms of H^1 and
-    # H^2; H^2 and H^3 reuse delta_2
+    assert sorted(key[1] for key in P._cache if key[0] == "system") == [0, 1, 2, 3]
+    assert delta_system(P, 3).form is None
+    # representatives add only the image forms of H^1 and H^2, since the
+    # cocycle bases read the same forms; H^2 and H^3 reuse delta_2
     assert [len(groups[n].generators) for n in (1, 2)] == [2, 1]
-    assert calls[0] == 6
+    assert calls[0] == 5
     assert groups[3].generators == []
-    assert calls[0] == 6
+    assert calls[0] == 5
     assert groups[3]._classes.image is delta_system(P, 2).form
     # neither read a dense kernel, which System builds on first read
     assert not any("kernel" in vars(delta_system(P, n)) for n in range(P.top_dim + 1))

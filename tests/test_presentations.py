@@ -8,8 +8,8 @@ cleared forms, delta_n without the rows delta_{n+1}'s form took unit
 pivots at.  Both must give the same presentation, the same
 representative cocycles and the same classify answers, over Z and Q, on
 every fixture, on torus x Delta^3 and on generated complexes.  Each
-cleared form must have the rank and invariant factors of the full delta
-in delta_system.  The torsion is also checked against sympy's invariant
+cleared form must have the rank, the invariant factors and the kernel of
+the full delta, factored here as dense.full_delta.  The torsion is also checked against sympy's invariant
 factors of delta_{n-1}, and hat_group's divisible rank against the rank of
 delta_{n-1} mod a large prime by row reduction, which uses no Smith form.
 """
@@ -23,9 +23,9 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 import reference_cohomology as ref
-from dense import delta_matrix, kernel_mod_prime
+from dense import delta_matrix, full_delta, kernel_mod_prime
 from simdiff.cochains import INTEGERS, RATIONALS, Cochain, coboundary, random_cochain
-from simdiff.cohomology import cleared_form, cohomology, delta_system
+from simdiff.cohomology import cohomology, delta_system, kept_rows
 from simdiff.complexes import build_standard, cylinder, from_facets, product, rp2, torus
 from simdiff.diffhat import hat_group
 
@@ -48,24 +48,46 @@ def samples(X, n: int, gens: list[Cochain], rng: random.Random) -> list[Cochain]
     return out
 
 
+def combination(X, n: int, coeffs, coords, gens) -> Cochain:
+    out = Cochain.zero(X, n, coeffs)
+    for a, g in zip(coords, gens):
+        out = out + g.scale(a)
+    return out
+
+
 def assert_same_groups(X) -> None:
+    """The package's group and the reference's have one presentation, and
+    the package's representatives and coordinates are right by the
+    reference's classify, which shares no Smith form with them: each
+    sample minus its coordinates times the representatives is a
+    coboundary, and so is each torsion representative times its order.
+    The representatives themselves may differ, since the cleared forms'
+    cocycle bases are not the full deltas'."""
     rng = random.Random(X.name)
     for n in range(X.top_dim + 2):
         new, old = cohomology(X, n, INTEGERS), ref.cohomology(X, n, INTEGERS)
-        assert new.presentation == old.presentation, n
+        p = new.presentation
+        assert p == old.presentation, n
         gens = new.generators
-        assert [c.vec for c in gens] == [c.vec for c in old.generators], n
-        for c in samples(X, n, gens, rng):
-            assert new.classify(c) == old.classify(c), n
+        r, zero = p.free_rank, ((0,) * p.free_rank, (0,) * len(p.torsion))
+        assert len(gens) == r + len(p.torsion), n
+        for i, g in enumerate(gens):
+            unit = tuple(int(j == i) for j in range(len(gens)))
+            assert new.classify(g) == (unit[:r], unit[r:]), n
+        for t, d in zip(gens[r:], p.torsion):
+            assert old.classify(t.scale(d)) == zero, n
+        for c in samples(X, n, old.generators, rng) + samples(X, n, gens, rng):
+            free, torsion = new.classify(c)
+            assert old.classify(c - combination(X, n, INTEGERS, free + torsion, gens)) == zero, n
         qnew, qold = cohomology(X, n, RATIONALS), ref.cohomology(X, n, RATIONALS)
         assert qnew.presentation == qold.presentation, n
-        # the eager rational group also listed the torsion generators, over
-        # Z; the rational group lists the free ones alone, over Q
-        free = qold.generators[:qold.presentation.free_rank]
-        assert [c.vec for c in qnew.generators] == [c.vec for c in free], n
-        for c in samples(X, n, gens, rng):
+        # the rational group lists the free representatives alone, over Q
+        qgens = qnew.generators
+        assert [c.vec for c in qgens] == [tuple(map(Fraction, c.vec)) for c in gens[:r]], n
+        for c in samples(X, n, old.generators, rng):
             q = c.map_values(Fraction, RATIONALS).scale(Fraction(1, rng.randint(1, 4)))
-            assert qnew.classify(q) == qold.classify(q), n
+            free, _ = qnew.classify(q)
+            assert qold.classify(q - combination(X, n, RATIONALS, free, qgens)) == (zero[0], ()), n
 
 
 @pytest.mark.parametrize("kind", sorted(FIXTURES))
@@ -109,40 +131,49 @@ def test_divisible_rank_is_the_coboundary_rank_mod_a_large_prime(kind):
                 min_size=1, max_size=8))
 def test_presentations_build_no_transform(facets):
     # the cohomology-fresh benchmark workload's op: presentations of a fresh
-    # complex read the Smith diagonals of the cleared forms, and no form
-    # holds more than its logs.  A delta that clears no row (the top
-    # nonzero one, or one whose form above was cleared away) is factored
-    # once, as delta_system's form; no other system is built
+    # complex read the Smith diagonals of delta_system's cleared forms, one
+    # integral system per degree, and no form holds more than its logs
     P = cylinder(from_facets("X", [tuple(sorted(f)) for f in facets]), 1).complex
     for n in range(P.top_dim + 2):
         cohomology(P, n, INTEGERS).presentation
         cohomology(P, n, RATIONALS).presentation
-    systems = [key for key in P._cache if key[0] == "system"]
-    assert ("system", P.top_dim - 1, INTEGERS) in systems
-    for _, n, coeffs in systems:
-        above = cleared_form(P, n + 1)
-        assert coeffs == INTEGERS and (above is None or not above.units)
-        assert cleared_form(P, n) is delta_system(P, n).form
+    systems = sorted(key[1:] for key in P._cache if key[0] == "system")
+    assert systems == [(n, INTEGERS) for n in range(P.top_dim + 2)]
+    assert not any("kernel" in vars(delta_system(P, n)) for n, _ in systems)
     # delta_top has no rows, so the top degree leaves no form and the one
     # below it clears no row; lower forms may be cleared away entirely
-    assert cleared_form(P, P.top_dim) is None
-    assert cleared_form(P, P.top_dim - 1) is not None
-    forms = [f for f in (cleared_form(P, n) for n in range(P.top_dim)) if f is not None]
+    assert delta_system(P, P.top_dim).form is None
+    assert delta_system(P, P.top_dim - 1).form is not None
+    assert len(kept_rows(P, P.top_dim - 1)) == len(P.generators(P.top_dim))
+    forms = [f for f in (delta_system(P, n).form for n in range(P.top_dim)) if f is not None]
     assert all(set(vars(f)) == {"shape", "diagonal", "row_log", "col_log", "units"}
                for f in forms)
 
 
 def assert_cleared_like_full(X) -> None:
     """Each cleared form has the rank and the invariant factors > 1 of the
-    full delta that delta_system factors, in every degree."""
+    full delta, and its system's kernel is a basis of the full delta's
+    kernel, in every degree."""
     for n in range(X.top_dim + 1):
-        cleared, full = cleared_form(X, n), delta_system(X, n).form
-        if full is None:
-            assert cleared is None, n
+        cleared, full = delta_system(X, n), full_delta(X, n)
+        if full.form is None:
+            assert cleared.form is None, n
             continue
-        assert (cleared.rank if cleared else 0) == full.rank, n
-        torsion = [d for d in cleared.diagonal if d > 1] if cleared else []
-        assert torsion == [d for d in full.diagonal if d > 1], n
+        assert (cleared.form.rank if cleared.form else 0) == full.form.rank, n
+        torsion = [d for d in cleared.form.diagonal if d > 1] if cleared.form else []
+        assert torsion == [d for d in full.form.diagonal if d > 1], n
+        kernel = cleared.kernel
+        assert len(kernel) == cleared.width - full.form.rank, n
+        cols = [[] for _ in range(cleared.width)]
+        for i, row in enumerate(full.matrix):
+            for t, a in row.items():
+                cols[t].append((i, a))
+        for v in kernel:
+            image: dict[int, int] = {}
+            for t, x in enumerate(v):
+                for i, a in cols[t] if x else ():
+                    image[i] = image.get(i, 0) + a * x
+            assert not any(image.values()), n
 
 
 @pytest.mark.parametrize("kind", sorted(FIXTURES))
