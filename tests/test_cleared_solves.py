@@ -25,7 +25,8 @@ from dense import full_delta, solvable_mod_prime
 from simdiff.cochains import (INTEGERS, RATIONALS, Cochain, coboundary, delta_table,
                               mod_coefficients, random_cochain)
 from simdiff.cohomology import CoboundaryObstruction, cohomology, kept_rows, solve_coboundary
-from simdiff.complexes import Simplex, SimplicialSet, build_standard, cylinder, from_facets, product, rp2
+from simdiff.complexes import (Simplex, SimplicialSet, build_standard, cylinder, from_facets,
+                               product, rp2)
 from simdiff.exact import Obstruction
 
 RINGS = [INTEGERS, RATIONALS, mod_coefficients(2), mod_coefficients(3)]
@@ -142,4 +143,5 @@ def test_a_target_not_closed_is_refuted_by_a_row_of_delta():
         assert isinstance(got, CoboundaryObstruction) and got.ring == sense
         assert assert_agrees(X, 1, c, coeffs) is False
     # 2c is zero mod 2, so it is the coboundary of zero there
-    assert solve_coboundary(c.scale(2), mod_coefficients(2)) == Cochain.zero(X, 0, mod_coefficients(2))
+    Z2 = mod_coefficients(2)
+    assert solve_coboundary(c.scale(2), Z2) == Cochain.zero(X, 0, Z2)

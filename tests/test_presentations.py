@@ -1,16 +1,17 @@
 """Cohomology presentations from the cleared chain, against the eager group.
 
 reference_cohomology keeps the constructor from before presentations were
-read off Smith diagonals alone: it factors delta_{n-1} in cocycle
-coordinates at once and reads the presentation off that form.  Today a
-presentation reads the ranks and invariant factors of cohomology's
-cleared forms, delta_n without the rows delta_{n+1}'s form took unit
-pivots at.  Both must give the same presentation, the same
-representative cocycles and the same classify answers, over Z and Q, on
-every fixture, on torus x Delta^3 and on generated complexes.  Each
-cleared form must have the rank, the invariant factors and the kernel of
-the full delta, factored here as dense.full_delta.  The torsion is also checked against sympy's invariant
-factors of delta_{n-1}, and hat_group's divisible rank against the rank of
+read off Smith diagonals alone: it factors the full delta_n
+(dense.full_delta), then delta_{n-1} in cocycle coordinates, and reads the
+presentation off that form.  Today a presentation reads the ranks and
+invariant factors of delta_system's cleared forms, delta_n without the
+rows delta_{n+1}'s form took unit pivots at.  Both must give the same
+presentation over Z and Q, on every fixture, on torus x Delta^3 and on
+generated complexes, and the package's representatives and classify
+answers must be right by the reference's classify.  Each cleared form
+must have the rank, the invariant factors and the kernel of the full
+delta.  The torsion is also checked against sympy's invariant factors of
+delta_{n-1}, and hat_group's divisible rank against the rank of
 delta_{n-1} mod a large prime by row reduction, which uses no Smith form.
 """
 
