@@ -327,7 +327,12 @@ class CohomologyGroup:
     @property
     def generators(self) -> list[Cochain]:
         """Representative cocycles over the group's ring: free summands
-        first, then torsion, which the rational group drops."""
+        first, then torsion, which the rational group drops.  They are
+        built once per group; each read gets a list of its own."""
+        return list(self._generators)
+
+    @cached_property
+    def _generators(self) -> tuple[Cochain, ...]:
         k = self._integral._classes
         f = delta_system(self.complex, self.degree).form
         z = len(self.complex.generators(self.degree)) - (f.rank if f is not None else 0)
@@ -338,7 +343,7 @@ class CohomologyGroup:
                  if k.image is not None else unit(z, pos))
             vec = replay(f.col_log, [0] * f.rank + u, transpose=True) if f is not None else u
             out.append(cochain_of(self.complex, self.degree, self.coeffs, vec))
-        return out
+        return tuple(out)
 
     def classify(self, c: Cochain) -> tuple[tuple, tuple]:
         """(free coords, torsion coords) of a cocycle's class.

@@ -16,19 +16,23 @@ the canonical pair words, the shuffles of two dimensions, the face recipe
 and pair index of each product shape, the fixtures) are functools caches
 at module level, where they are defined: they are bounded by dimension and
 by the fixtures in use.  Data derived from one complex, map, cylinder or
-group (face and coboundary tables, factored systems, structure maps, fill
-plans) goes through derived or cached_on, which keep it in that owner's
-_cache: it lives exactly as long as its owner, and no other module
-touches the store.  No memo is keyed by the simplices of one complex.
+group (key strings, face and coboundary tables, factored systems,
+structure maps, fill plans) goes through derived or cached_on, which keep
+it in that owner's _cache: it lives exactly as long as its owner, and no
+other module touches the store.  So do the shuffle blocks of a product
+X x Y: they are keyed by the second factor Y and the dimension p of a
+generator of X, and stored on Y, so every product with Delta^k reads the
+same few.  No memo is keyed by the simplices of one complex.
 
 Products are built by the shuffle (Eilenberg-Zilber) enumeration: a
 nondegenerate simplex of X x Y is a pair of decorated simplices whose words
 are disjoint.  The generators over one pair of factor generators are the
 shuffles of their dimensions, so product() numbers them by arithmetic,
 reads their faces off the factors' compiled tables through the recipe of
-their shape, and spells each key string from the factors' once.  Only
-products with standard simplices are part of the public surface (plus the
-torus and ladder fixtures, which reuse the same machinery).
+their shape, and spells each key string as the key string of its x
+followed by a tail its shuffle block holds.  Only products with standard
+simplices are part of the public surface (plus the torus and ladder
+fixtures, which reuse the same machinery).
 
 A map into a product is a pairing <first, second> of its two components
 (pair_map): product maps, the face inclusions and codegeneracies of the
@@ -47,7 +51,7 @@ from functools import cache, cached_property, wraps
 from itertools import accumulate, chain, combinations
 from operator import add, itemgetter, neg
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .words import (
     Word,
@@ -134,28 +138,36 @@ class SimplicialSet:
 
     @classmethod
     def _compiled(cls, name: str, keys: list, dims: list[int], order: list[int],
-                  table: Sequence[tuple[tuple[int, Word], ...]]) -> "SimplicialSet":
+                  table: Sequence[tuple[tuple[int, Word], ...]],
+                  strs: list[str] | None = None) -> "SimplicialSet":
         """The frozen complex of the given generators: keys and dims in the
         order added, order from _ordering(dims, key strings), and table the
-        face rows in position order, each face a (position, word) pair.  It
-        is checked like any other."""
+        face rows in position order, each face a (position, word) pair.
+        strs, when given, are the key strings in the order added, kept as
+        key_strings.  It is checked like any other."""
         X = cls(name)
         X._dims = dict(zip(keys, dims))
-        X._seal(order, table)
+        X._seal(order, table, strs)
         return X
 
     def freeze(self) -> "SimplicialSet":
         if not self._frozen:
             keys = list(self._dims)
-            order, pos = _ordering(list(self._dims.values()), [key_str(k) for k in keys])
-            self._seal(order, self._resolve(keys, order, pos))
+            strs = [key_str(k) for k in keys]
+            order, pos = _ordering(list(self._dims.values()), strs)
+            self._seal(order, self._resolve(keys, order, pos), strs)
         return self
 
-    def _seal(self, order: list[int], table: Sequence[tuple[tuple[int, Word], ...]]) -> None:
+    def _seal(self, order: list[int], table: Sequence[tuple[tuple[int, Word], ...]],
+              strs: list[str] | None = None) -> None:
         """Store the generators in position order and their face table,
-        build the index of each dimension, and check the result."""
+        and the key strings in position order when given, build the index
+        of each dimension, and check the result."""
         keys = list(self._dims)
         self._order = tuple(map(keys.__getitem__, order))
+        if strs is not None:
+            # the entry key_strings reads
+            self._cache[("key_strings",)] = tuple(map(strs.__getitem__, order))
         self._table = tuple(table)
         dims = list(self._dims.values())
         start = 0
@@ -356,8 +368,12 @@ def _ordering(dims: list[int], strs: list[str]) -> tuple[list[int], list[int]]:
     order added: order[q] is the id (the index in that order) of the
     generator at position q, sorted by (dimension, key string, id), and
     pos[id] is its position.  Every complex fixes its positions here,
-    before any face row is written."""
-    order = [i for _, _, i in sorted(zip(dims, strs, range(len(dims))))]
+    before any face row is written.  The ids are sorted by key string and
+    then by dimension, each pass a stable sort on one C-level key, which
+    orders them like (dimension, key string, id) without building a tuple
+    per generator."""
+    order = sorted(range(len(dims)), key=strs.__getitem__)
+    order.sort(key=dims.__getitem__)
     pos = [0] * len(order)
     for q, i in enumerate(order):
         pos[i] = q
@@ -496,6 +512,15 @@ def derived(name: str) -> Callable[[Callable], Callable]:
     return wrap
 
 
+@derived("key_strings")
+def key_strings(X: SimplicialSet) -> tuple[str, ...]:
+    """key_str of each generator of X, in position order.  from_facets and
+    freeze store the strings they sorted by here (_seal); a product does
+    not keep its own, which on a big cylinder would hold tens of MB, and
+    spells them on first read."""
+    return tuple(map(key_str, X.generators()))
+
+
 # -- simplicial maps -------------------------------------------------------
 
 
@@ -628,11 +653,12 @@ def from_facets(name: str, facets: Iterable[tuple]) -> SimplicialSet:
         raise ConstructionError(
             f"{name}: vertex labels of different facets do not sort together ({e})") from None
     dims = [len(sub) - 1 for sub in subsets]
-    order, pos = _ordering(dims, [key_str(sub) for sub in subsets])
+    strs = [key_str(sub) for sub in subsets]
+    order, pos = _ordering(dims, strs)
     at = dict(zip(subsets, pos))
     table = tuple(tuple([(at[sub[:i] + sub[i + 1:]], ()) for i in range(len(sub))])
                   if len(sub) > 1 else () for sub in map(subsets.__getitem__, order))
-    return SimplicialSet._compiled(name, subsets, dims, order, table)
+    return SimplicialSet._compiled(name, subsets, dims, order, table, strs)
 
 
 def standard_simplex(k: int) -> SimplicialSet:
@@ -873,14 +899,44 @@ def _face_recipe(p: int, q: int) -> tuple[tuple[tuple, ...], ...]:
     return tuple(out)
 
 
+class _ShuffleBlock(NamedTuple):
+    """The generators over one p-generator x of X and every generator of Y,
+    in enumeration order, without x: the pair key of each is
+    (x, wx, gy, wy), its dimension p + len(wx) and its key string
+    "(" + key_str(x) + tail.  counts[ay] is the number of shuffles over the
+    generator at position ay of Y."""
+
+    triples: tuple[tuple[Word, Hashable, Word], ...]
+    dims: tuple[int, ...]
+    tails: tuple[str, ...]
+    counts: tuple[int, ...]
+
+
+def _shuffle_block(Y: SimplicialSet, p: int) -> _ShuffleBlock:
+    """Y's block for the p-generators of a first factor, which product
+    caches on Y."""
+    triples, dims, tails, counts = [], [], [], []
+    for gy, sy in zip(Y.generators(), key_strings(Y)):
+        shuffles = _shuffles(p, Y.gen_dim(gy))
+        counts.append(len(shuffles))
+        for wx, wy, swx, swy in shuffles:
+            triples.append((wx, gy, wy))
+            dims.append(p + len(wx))
+            tails.append(f"|{swx})*({sy}|{swy})")
+    return _ShuffleBlock(tuple(triples), tuple(dims), tuple(tails), tuple(counts))
+
+
 def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> SimplicialSet:
     """Simplicial product via shuffle enumeration of nondegenerate pairs.
 
     The generators over the factor generators at positions ax and ay are
     the shuffles of their dimensions, with ids in enumeration order from
-    base[ax * ny + ay] on, so a generator's id is arithmetic; its key
-    string is put together once from the factors' key strings and the word
-    strings.  The keys, dimensions and key strings come first, and
+    base[ax * ny + ay] on, so a generator's id is arithmetic.  Everything
+    about them but x itself (the words and y of each pair, its dimension,
+    the tail of its key string and the shuffle counts) is one shuffle
+    block per dimension p of x, cached on Y under ("shuffle-block", p), so
+    each x adds its key to the block's triples and its key string to the
+    block's tails.  The keys, dimensions and key strings come first, and
     _ordering turns them into positions.  Then the faces come from the
     cached recipe of each shape: the face over a pair of factor generators
     is the first id of that pair plus the shuffle index the recipe names,
@@ -894,20 +950,21 @@ def product(X: SimplicialSet, Y: SimplicialSet, name: str | None = None) -> Simp
     xdims = [X.gen_dim(g) for g in X.generators()]
     ydims = [Y.gen_dim(g) for g in Y.generators()]
     ny = len(ydims)
-    base = list(accumulate((len(_shuffles(p, q)) for p in xdims for q in ydims), initial=0))
-    ystrs = [key_str(gy) for gy in Y.generators()]
+    blocks = {p: cached_on(Y, ("shuffle-block", p), _shuffle_block, Y, p) for p in set(xdims)}
+    base = list(accumulate(chain.from_iterable(blocks[p].counts for p in xdims), initial=0))
     keys, dims, strs = [], [], []
-    for gx, p in zip(X.generators(), xdims):
+    for gx, p, sx in zip(X.generators(), xdims, key_strings(X)):
+        block = blocks[p]
+        pairs = list(map((gx,).__add__, block.triples))
+        keys += pairs
+        dims += block.dims
         # key_str reads a 4-tuple with an int first entry as a plain tuple
-        sx = None if isinstance(gx, int) else key_str(gx)
-        for gy, q, sy in zip(Y.generators(), ydims, ystrs):
-            shuffles = _shuffles(p, q)
-            pairs = [(gx, wx, gy, wy) for wx, wy, _, _ in shuffles]
-            keys.extend(pairs)
-            dims.extend([p + len(wx) for wx, _, _, _ in shuffles])
-            strs.extend(map(key_str, pairs) if sx is None else
-                        [f"({sx}|{swx})*({sy}|{swy})" for _, _, swx, swy in shuffles])
+        strs += (map(key_str, pairs) if isinstance(gx, int) else
+                 map(f"({sx}".__add__, block.tails))
     order, pos = _ordering(dims, strs)
+    # the key strings are not kept (key_strings spells them on first read),
+    # and they go before the rows are built, which is when the build peaks
+    del strs
     # per y generator: dimension, and the positions and words of itself
     # and its faces
     ys = [(q, (ay, *(r for r, _ in row)), ((), *(w for _, w in row)))

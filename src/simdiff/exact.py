@@ -83,9 +83,12 @@ class Coefficients:
 
     def normalize(self, v) -> Any:
         """v as an element of the ring, read through Fraction(v) unless it
-        is an int over Z or Z/k.  A value Fraction cannot take (nan, inf,
-        None, a non-number) raises ValueError for every ring; over Z and
-        Z/k so does a fraction or a float with a fractional part."""
+        is an int over Z or Z/k, or a Fraction over Q, which is returned as
+        it is.  A value Fraction cannot take (nan, inf, None, a non-number)
+        raises ValueError for every ring; over Z and Z/k so does a fraction
+        or a float with a fractional part."""
+        if self.kind == "Q" and type(v) is Fraction:
+            return v
         if self.kind == "Q" or type(v) is not int:
             try:
                 q = Fraction(v)
@@ -305,7 +308,10 @@ def smith_normal_form(A: Sequence[Mapping[int, int] | Sequence[int]],
     """
     r = len(A)
     c = width if width is not None else len(A[0]) if r else 0
-    D = [{j: int(v) for j, v in sorted(entries(row)) if v} for row in A]
+    # a dict row (delta_table's, a Row) is read as it is: entries' Mapping
+    # check goes through the ABC machinery on every row
+    D = [{j: int(v) for j, v in sorted(row.items() if isinstance(row, dict)
+                                       else entries(row)) if v} for row in A]
     holds: list[set[int]] = [set() for _ in range(c)]
     for i, row in enumerate(D):
         for t in row:

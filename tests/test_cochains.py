@@ -60,6 +60,26 @@ def test_rationals_reject_values_that_are_not_numbers():
     assert c.vec == (Fraction(1, 2), Fraction(7, 2), Fraction(2))
 
 
+def test_normalize_returns_a_rational_fraction_as_it_is():
+    q = Fraction(-6, 4)
+    assert RATIONALS.normalize(q) is q
+    # every other value is read through Fraction(v), as before
+    for v, want in ((2, Fraction(2)), (True, Fraction(1)), (0.5, Fraction(1, 2)),
+                    ("7/2", Fraction(7, 2)), (Fraction(3, 1), Fraction(3))):
+        got = RATIONALS.normalize(v)
+        assert got == want and type(got) is Fraction
+    for bad in (None, float("inf"), float("nan"), "junk", [1], "1/0"):
+        with pytest.raises(ValueError, match="is not a value for Q coefficients"):
+            RATIONALS.normalize(bad)
+    # the integer rings still read a Fraction's value, and refuse a proper one
+    got = INTEGERS.normalize(Fraction(-6, 3))
+    assert got == -2 and type(got) is int
+    assert mod_coefficients(3).normalize(Fraction(-6, 3)) == 1
+    for coeffs in (INTEGERS, mod_coefficients(3)):
+        with pytest.raises(ValueError, match=f"non-integer value -3/2 for {coeffs.label()}"):
+            coeffs.normalize(q)
+
+
 def test_cochains_name_a_generator_the_complex_lacks():
     X = circle(3)
     with pytest.raises(ValueError, match="circle3 has no generator 'nope'"):

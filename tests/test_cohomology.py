@@ -88,6 +88,27 @@ def test_generators_list_each_summand_once_over_the_group_ring(kind):
             assert all(c.coeffs == ring for c in gens), (n, ring)
 
 
+def test_generators_are_built_once_and_read_as_fresh_lists(monkeypatch):
+    # random_object reads them many times per op: the first read builds the
+    # representatives, and a later read copies them without a replay
+    X = product(rp2(), circle(3))
+    built = []
+    real = cohomology_module.cochain_of
+    monkeypatch.setattr(cohomology_module, "cochain_of",
+                        lambda *args: built.append(args) or real(*args))
+    # H^1 = Z and H^2 = Z/2: a free and a torsion representative
+    for n, ring in ((1, INTEGERS), (2, INTEGERS), (1, RATIONALS)):
+        built.clear()
+        H = cohomology(X, n, ring)
+        first = H.generators
+        assert len(built) == len(first) == 1
+        second = H.generators
+        assert len(built) == 1
+        assert second == first and second is not first
+        second.append(second.pop(0))
+        assert H.generators == first
+
+
 def test_generators_are_cocycles_and_classify_as_unit_vectors():
     for X, deg in ((circle(3), 1), (torus(), 1), (torus(), 2), (rp2(), 2), (sphere2(), 2)):
         H = cohomology(X, deg, INTEGERS)

@@ -20,8 +20,9 @@ from simdiff import cochains, complexes
 from simdiff.cochains import INTEGERS, delta_table, face_table
 from simdiff.complexes import (ConstructionError, Simplex, SimplicialMap, SimplicialSet,
                                build_standard, circle, codegeneracy_map, coface_map,
-                               constant_map, cylinder, from_facets, identity_map, point,
-                               product, product_map, rp2, sphere2, standard_simplex, torus)
+                               constant_map, cylinder, from_facets, identity_map, key_str,
+                               key_strings, point, product, product_map, rp2, sphere2,
+                               standard_simplex, torus)
 from simdiff.em import MappingComplex
 from simdiff.groupoid import MappingGroupoid
 
@@ -88,6 +89,67 @@ def test_products_with_simplices_match_the_reference(facets, names, k):
     new = product(from_facets("X", F), standard_simplex(k))
     old = ref.product(ref.from_facets("X", F), reference_simplex(k))
     assert_same(new, old)
+
+
+# a second factor that is no simplex: up to three edges or triangles on
+# four vertices
+small_facet_sets = st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=3),
+                            min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(facet_sets, labels, small_facet_sets, labels)
+def test_products_of_two_generated_complexes_match_the_reference(facets, names,
+                                                                  second, second_names):
+    F, G = relabel(facets, names), relabel(second, second_names)
+    new = product(from_facets("X", F), from_facets("Y", G))
+    old = ref.product(ref.from_facets("X", F), ref.from_facets("Y", G))
+    assert_same(new, old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(facet_sets, labels)
+def test_key_strings_are_the_key_strings_in_position_order(facets, names):
+    # from_facets keeps the strings it sorted by; a product keeps none and
+    # spells them on first read
+    X = from_facets("X", relabel(facets, names))
+    assert ("key_strings",) in X._cache
+    assert key_strings(X) == tuple(map(key_str, X.generators()))
+    P = product(X, standard_simplex(1))
+    assert ("key_strings",) not in P._cache
+    assert key_strings(P) == tuple(map(key_str, P.generators()))
+
+
+def test_freeze_keeps_the_key_strings_it_sorted_by():
+    for X in (valid(SimplicialSet), ties(1, "1")):
+        assert X._cache[("key_strings",)] == tuple(map(key_str, X.generators()))
+        assert key_strings(X) is X._cache[("key_strings",)]
+
+
+def shuffle_blocks(Y):
+    return {key[1]: block for key, block in Y._cache.items()
+            if isinstance(key, tuple) and key[:1] == ("shuffle-block",)}
+
+
+def test_shuffle_blocks_are_cached_on_the_second_factor_and_immutable():
+    Y = from_facets("Y", [(0, 1, 2), (2, 3)])
+    X = from_facets("X", [(0, 1), (1, 2)])
+    P = product(X, Y)
+    blocks = shuffle_blocks(Y)
+    # one block per dimension of X, none on X or on the product
+    assert sorted(blocks) == [0, 1]
+    assert not shuffle_blocks(X) and not shuffle_blocks(P)
+    for p, block in blocks.items():
+        assert isinstance(block, tuple) and all(type(f) is tuple for f in block)
+        assert all(type(t) is tuple and len(t) == 3 for t in block.triples)
+        assert block == complexes._shuffle_block(Y, p)
+        assert len(block.triples) == len(block.dims) == len(block.tails) == sum(block.counts)
+    # a second product over the same Y reads the same blocks, and the
+    # blocks do not depend on the first factor
+    Q = product(from_facets("Z", [(5, 6), (7,)]), Y)
+    assert all(shuffle_blocks(Y)[p] is block for p, block in blocks.items())
+    assert_same(Q, ref.product(ref.from_facets("Z", [(5, 6), (7,)]),
+                               ref.from_facets("Y", [(0, 1, 2), (2, 3)])))
 
 
 def reference_torus():
@@ -233,17 +295,19 @@ def test_a_broken_face_recipe_fails_the_product_like_the_reference(monkeypatch):
     assert str(raised.value) == "broken: " + "; ".join(problems[:5])
 
 
+def ties(first, second, cls=SimplicialSet):
+    X = cls("ties")
+    for key in (second, "0", first):
+        X.add_generator(key, 0)
+    X.add_generator("e", 1, [Simplex(first), Simplex(second)])
+    return X.freeze()
+
+
 @pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1)])
 def test_keys_with_equal_strings_keep_the_order_they_were_added_in(first, second):
-    def build(cls):
-        X = cls("ties")
-        for key in (second, "0", first):
-            X.add_generator(key, 0)
-        X.add_generator("e", 1, [Simplex(first), Simplex(second)])
-        return X.freeze()
-    new = build(SimplicialSet)
+    new = ties(first, second)
     assert new.generators(0) == ("0", second, first)
-    assert_same(new, build(ref.SimplicialSet))
+    assert_same(new, ties(first, second, ref.SimplicialSet))
 
 
 # -- product maps and cross sections ---------------------------------------------

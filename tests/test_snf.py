@@ -28,6 +28,7 @@ import random
 import sys
 import zlib
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +39,7 @@ from simdiff import exact
 from simdiff.cochains import INTEGERS, delta_table
 from simdiff.complexes import circle, cylinder, rp2, sphere2, torus
 from simdiff.cohomology import cohomology, delta_system
-from simdiff.exact import (SmithForm, Solution, _lift, apply_cols, replay, replay_units,
+from simdiff.exact import (Row, SmithForm, Solution, _lift, apply_cols, replay, replay_units,
                            smith_normal_form)
 
 import reference_cohomology
@@ -288,6 +289,22 @@ def sparse_matrices(draw):
 @example([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
 def test_generated_matrices_replay_the_dense_loop(A):
     assert_smith_form(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+@example([[0, 2, -3, 4]])
+@example([[1, 0, 0], [0, 0, 0]])
+def test_every_row_type_gives_the_same_logs(A):
+    """A dict row and a Row are copied as they are, any other mapping
+    through entries(): all must give the dense rows' logs."""
+    c = len(A[0]) if A else 0
+    f = smith_normal_form(A)
+    rows = sparse_rows(A, zlib.crc32(repr(A).encode()))
+    for B in (rows, [Row(row) for row in rows], [MappingProxyType(row) for row in rows]):
+        g = smith_normal_form(B, c)
+        assert (g.shape, g.diagonal, g.row_log, g.col_log, g.units) == (
+            f.shape, f.diagonal, f.row_log, f.col_log, f.units)
 
 
 # -- both phases ----------------------------------------------------------------
