@@ -497,7 +497,9 @@ class DiffCharacter:
 
     on_object lands in closed degree-n cochains on the carrier; on_morphism
     one degree down.  The boundary of a morphism's character is always the
-    difference of its endpoint characters.
+    difference of its endpoint characters.  push carries a form on the base
+    to the carrier: the realization on the halved model, the identity for
+    the models whose carrier is the base.
     """
 
     model: str
@@ -505,6 +507,7 @@ class DiffCharacter:
     carrier: SimplicialSet
     on_object: Callable[[MapObject], Cochain]
     on_morphism: Callable[[HomotopyClass], Cochain]
+    push: Callable[[Cochain], Cochain] = lambda w: w
 
     @property
     def degree(self) -> int:
@@ -574,7 +577,8 @@ class CharacterModel:
         return DiffCharacter(
             self.kind, G, h.sd,
             on_object=lambda o: h.realize(object_character(G, o)),
-            on_morphism=lambda m: h.realize(morphism_character(G, m)))
+            on_morphism=lambda m: h.realize(morphism_character(G, m)),
+            push=h.realize)
 
     def arrow(self, dest: DiffCharacter, source: DiffCharacter,
               f: SimplicialMap, pins: dict | None = None) -> CharacterArrow:
@@ -666,10 +670,7 @@ def composition_equation_report(model: CharacterModel,
                                 char_N: DiffCharacter,
                                 char_P: DiffCharacter,
                                 f: SimplicialMap, g: SimplicialMap,
-                                trials: int = 5, seed: int = 0,
-                                pins_f: dict | None = None,
-                                pins_g: dict | None = None,
-                                pins_gf: dict | None = None) -> Report:
+                                trials: int = 5, seed: int = 0) -> Report:
     """Corrections compose along f then g against an independent equipment.
 
     The composite map gets its own lift and staircase; its correction must
@@ -679,10 +680,10 @@ def composition_equation_report(model: CharacterModel,
     """
     if f.target is not g.source:
         raise ValueError("maps do not compose")
-    a_f = model.arrow(char_M, char_N, f, pins=pins_f)
-    a_g = model.arrow(char_N, char_P, g, pins=pins_g)
+    a_f = model.arrow(char_M, char_N, f)
+    a_g = model.arrow(char_N, char_P, g)
     gf = compose_maps(f, g)
-    a_gf = model.arrow(char_M, char_P, gf, pins=pins_gf)
+    a_gf = model.arrow(char_M, char_P, gf)
     G_P = char_P.groupoid
     rng = random.Random(seed)
     ok = True

@@ -11,8 +11,9 @@ makes every identity in the test suite hold with zero tolerance.
 
 A cochain stores its values positionally: vec is a tuple with one value of
 the ring per generator of its degree, in the order of
-complex.generators(degree), zeros included.  values is a read-only Mapping
-view of vec that skips zeros and iterates in generator order.  Zeros
+complex.generators(degree), zeros included.  vec is the cochain; values
+is a read-only snapshot {generator: value} of its nonzero entries in
+generator order, a fresh dict built on each read and not kept.  Zeros
 compare and hash alike whatever their type, so == and hash read vec.
 
 Values are normalized where they enter: the public Cochain constructor
@@ -30,12 +31,13 @@ questions on X x Delta^2 be solved on X.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress, repeat
 from operator import add, mul, neg, sub
-from typing import Any, Hashable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable
 
 from .complexes import (Gather, LinearPlan, ProductWithSimplex, Simplex, SimplicialMap,
                         SimplicialSet, cylinder, derived, face_at, json_int, key_str)
@@ -69,59 +71,6 @@ def _gen_dim(X: SimplicialSet, gen: Hashable) -> int:
         return X.gen_dim(gen)
     except KeyError:
         raise ValueError(f"{X.name} has no generator {gen!r}") from None
-
-
-class CochainValues(Mapping):
-    """Read-only view of a cochain's nonzero values, in generator order."""
-
-    __slots__ = ("_gens", "_index", "_vec")
-
-    def __init__(self, gens: tuple, index: Mapping[Hashable, int], vec: tuple):
-        self._gens = gens
-        self._index = index
-        self._vec = vec
-
-    def __getitem__(self, gen: Hashable):
-        v = self._vec[self._index[gen]]
-        if not v:
-            raise KeyError(gen)
-        return v
-
-    def get(self, gen: Hashable, default=None):
-        i = self._index.get(gen)
-        if i is None:
-            return default
-        return self._vec[i] or default
-
-    def __contains__(self, gen: object) -> bool:
-        i = self._index.get(gen)
-        return i is not None and bool(self._vec[i])
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return compress(self._gens, self._vec)
-
-    def __len__(self) -> int:
-        return len(self._vec) - self._vec.count(0)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        m = self._mapping
-        return ((g, v) for g, v in zip(m._gens, m._vec) if v)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return filter(None, self._mapping._vec)
 
 
 class Cochain:
@@ -169,9 +118,13 @@ class Cochain:
         return cls(X, _gen_dim(X, gen), coeffs, {gen: value})
 
     @property
-    def values(self) -> CochainValues:
-        X = self.complex
-        return CochainValues(X.generators(self.degree), X.gen_index(self.degree), self.vec)
+    def values(self) -> Mapping[Hashable, Any]:
+        """A read-only snapshot {generator: value} of the nonzero values in
+        generator order, built from vec on each read: callers that look up
+        many generators read it once."""
+        vec = self.vec
+        return MappingProxyType(dict(zip(compress(self.complex.generators(self.degree), vec),
+                                         filter(None, vec))))
 
     def eval(self, s: Simplex):
         if s.word:
@@ -183,9 +136,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not any(self.vec)
-
-    def support(self) -> list[Hashable]:
-        return list(self.values)
 
     def _compatible(self, other: "Cochain") -> None:
         if (self.complex is not other.complex or self.degree != other.degree
@@ -228,7 +178,7 @@ class Cochain:
         return hash((id(self.complex), self.degree, self.vec))
 
     def __repr__(self):
-        n = len(self.values)
+        n = len(self.vec) - self.vec.count(0)
         return (f"<Cochain deg {self.degree} on {self.complex.name}"
                 f" ({self.coeffs.label()}), {n} nonzero>")
 
@@ -488,11 +438,11 @@ def shih_homotopy(z: Cochain, cyl: ProductWithSimplex) -> Cochain:
 
 
 def random_cochain(X: SimplicialSet, degree: int, coeffs: Coefficients, rng,
-                   low: int = -4, high: int = 4, density: float = 0.7) -> Cochain:
+                   density: float = 0.7) -> Cochain:
     vals = {}
     for gen in X.generators(degree):
         if rng.random() < density:
-            vals[gen] = rng.randint(low, high)
+            vals[gen] = rng.randint(-4, 4)
     return Cochain(X, degree, coeffs, vals)
 
 

@@ -97,10 +97,6 @@ def delta_system(X: SimplicialSet, n: int, coeffs: Coefficients = INTEGERS) -> S
     return System([rows[i] for i in kept_rows(X, n)], len(X.generators(n)), coeffs)
 
 
-def vector_of(c: Cochain) -> list:
-    return list(c.vec)
-
-
 def cochain_of(X: SimplicialSet, n: int, coeffs: Coefficients, vec: Sequence) -> Cochain:
     if len(vec) != len(X.generators(n)):
         raise ValueError(f"vector of length {len(vec)} for {len(X.generators(n))} generators")
@@ -357,7 +353,7 @@ class CohomologyGroup:
         if c.degree != self.degree:
             raise ValueError(f"classify in degree {self.degree} got a cochain "
                              f"of degree {c.degree}")
-        vec = [Fraction(v) for v in vector_of(c)]
+        vec = [Fraction(v) for v in c.vec]
         denom = lcm(*(v.denominator for v in vec)) if vec else 1
         if denom != 1 and self.coeffs.kind == "Z":
             raise ValueError("classify over Z got a non-integral value")

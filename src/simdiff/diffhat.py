@@ -52,7 +52,6 @@ from .em import relative_section
 from .exact import Obstruction, System, blind, compile_rows, replay_units
 from .groupoid import HomotopyClass, Homotopy2, MapObject, MappingGroupoid
 from .report import Check, Report, tally
-from .subdiv import halving
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +146,6 @@ class HatTheory:
         self.groupoid = cached_on(X, ("hat-groupoid", n), MappingGroupoid, X, INTEGERS, n)
         self.character = self.model.character(self.groupoid)
         self.carrier = self.character.carrier
-        if self.model.kind == "halved":
-            self._push = halving(X, self.model.parity(X)).realize
-        else:
-            self._push = lambda w: w
 
     # -- representatives ----------------------------------------------
 
@@ -253,7 +248,7 @@ class HatTheory:
 
     def _character_column(self, B: Cochain) -> Cochain:
         cyl2 = cylinder(self.base, 2)
-        return self._push(rational_form(fiber_integrate(B, cyl2)))
+        return self.character.push(rational_form(fiber_integrate(B, cyl2)))
 
     @derived("periods")
     def _period_system(self) -> System:
@@ -264,7 +259,7 @@ class HatTheory:
         the matrix is factored once per theory.
         """
         X, n = self.base, self.degree
-        cols = [tuple(map(int, self._push(cochain_of(X, n - 1, RATIONALS, w)).vec))
+        cols = [tuple(map(int, self.character.push(cochain_of(X, n - 1, RATIONALS, w)).vec))
                 for w in self._cocycles]
         M = [[sum(map(mul, a, read(col))) for col in cols]
              for read, a in self._functional_rows]
@@ -457,7 +452,7 @@ def _negative_forms_round(T: HatTheory) -> Check:
     if below.presentation.free_rank:
         half = rational_form(below.generators[0]).map_values(
             lambda v: v / 2, RATIONALS)
-        candidate, kind = T._push(half), "half-integral-class"
+        candidate, kind = T.character.push(half), "half-integral-class"
     else:
         for g in T.carrier.generators(n - 1):
             ind = Cochain.indicator(T.carrier, g, RATIONALS, Fraction(1, 2))
@@ -499,7 +494,7 @@ def _claim_curvature_class_matches(T: HatTheory, rng: random.Random,
     for _ in range(trials):
         x = T.hat(G.random_object(rng), _random_form(T, rng))
         diff = (T.curvature(x)
-                - T._push(rational_form(x.obj.integral())))
+                - T.character.push(rational_form(x.obj.integral())))
         primitive = solve_coboundary(diff, RATIONALS)
         if isinstance(primitive, CoboundaryObstruction):
             rounds.append((False, {}))

@@ -391,10 +391,11 @@ def structure_element(a: Cochain, b: Simplex, n: int) -> Cochain:
     d = a.complex.top_dim
     p = vertex_path(b, d)
     sign = 1 if (n - 1) % 2 == 0 else -1
+    values = a.values
     vals = {}
     for t in standard_simplex(d).generators(n):
         if p[t[-2]] == 0 and p[t[-1]] == 1:
-            v = a.values.get(t[:-1], 0)
+            v = values.get(t[:-1], 0)
             if v:
                 vals[t] = sign * v
     return Cochain(standard_simplex(d), n, a.coeffs, vals)
@@ -405,16 +406,15 @@ def structure_element(a: Cochain, b: Simplex, n: int) -> Cochain:
 
 def check_iota_compatibility(coeffs: Coefficients, n: int,
                              truncation: int | None = None,
-                             scale_upper: int = 1,
-                             scale_lower: int = 1) -> Report:
+                             scale_upper: int = 1) -> Report:
     """Verify the loop identity tying iota_{n-1} to iota_n.
 
     Checks, on spanning level elements up to the truncation (default n+3):
     both rules closed and reduced; the structure map lands in cocycles and
     is simplicial; the induced loop cocycle is closed and end-trivial; and
     integrating it over the interval returns the lower fundamental class.
-    The scale arguments deform the family (scale != 1 models an
-    incompatible choice and must be flagged by the final check).
+    scale_upper deforms the family (scale != 1 models an incompatible
+    choice and must be flagged by the final check).
 
     The checks are exhaustive, not sampled: the report's ``trials`` is the
     truncation level, its seed is 0, and each check is named
@@ -515,7 +515,7 @@ def check_iota_compatibility(coeffs: Coefficients, n: int,
             if v:
                 vals[key] = v
         pulled = Cochain(cyl.complex, n, coeffs, vals)
-        if fiber_integrate(pulled, cyl) == z.scale(scale_lower):
+        if fiber_integrate(pulled, cyl) == z:
             return None
         return {"detail": _describe(z)}
 

@@ -77,8 +77,12 @@ class Coefficients:
     def __post_init__(self):
         if self.kind not in ("Z", "Q", "Zmod"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "Zmod" and self.modulus < 2:
-            raise ValueError("Zmod needs modulus >= 2")
+        k = self.modulus
+        if self.kind == "Zmod":
+            if type(k) is not int or k < 2:
+                raise ValueError(f"Zmod needs an int modulus >= 2, not {k!r}")
+        elif type(k) is not int or k:
+            raise ValueError(f"{self.kind} takes modulus 0, not {k!r}")
         object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
 
     def normalize(self, v) -> Any:

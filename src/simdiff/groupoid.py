@@ -331,8 +331,7 @@ class MappingGroupoid:
         for gen in cohomology(X, n, INTEGERS).generators:
             c = rng.randrange(-2, 3)
             if c:
-                z = z + Cochain(X, n, self.coeffs,
-                                {g: c * v for g, v in gen.values.items()})
+                z = z + gen.map_values(lambda v: c * v, self.coeffs)
         data = e_section(z)
         if rng.random() < 0.7:
             data = data + self._edge_coboundary(rng)

@@ -189,8 +189,8 @@ def canonical_comparison(source: TildeGroupoid,
             z = rational_form(x.obj.integral())
             return B.hat(x.obj, x.omega - shear(base, z))
     elif pair == ("plain", "halved"):
-        push = B._push
-        on_object = lambda x: B.hat(x.obj, B._push(x.omega))
+        push = B.character.push
+        on_object = lambda x: B.hat(x.obj, push(x.omega))
     else:
         raise ValueError(f"no canonical comparison from {pair[0]} to {pair[1]}")
     return ModelComparison(source, target, on_object, push,
@@ -516,18 +516,17 @@ class BObstruction:
 
 def derive_B(source: TildeGroupoid, target: TildeGroupoid,
              on_object: Callable[[HatClass], HatClass], *,
-             push_form: Callable[[Cochain], Cochain] | None = None,
-             probes: int = 3) -> BObstruction:
+             push_form: Callable[[Cochain], Cochain] | None = None) -> BObstruction:
     """Lift the additivity defect of a class-preserving object map.
 
     The map must leave the integral class alone, or the defect has no
-    spanning datum; that is probed on a few samples up front and raises
+    spanning datum; that is probed on three samples up front and raises
     rather than reporting.
     """
     push = push_form if push_form is not None else (lambda w: w)
     A, B = source.theory, target.theory
     rng = random.Random(97)  # the precondition is structural, not statistical
-    for _ in range(probes):
+    for _ in range(3):
         x = source.random_object(rng)
         if A.underlying_class(x) != B.underlying_class(on_object(x)):
             raise ValueError("map moves the integral class; the defect has no lift")

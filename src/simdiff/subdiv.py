@@ -134,17 +134,18 @@ def transfer(X: SimplicialSet, c: Cochain) -> Cochain:
     if c.complex is not sd:
         raise ValueError("cochain does not live on the halved model")
     if X is point():
-        return Cochain(X, c.degree, c.coeffs, dict(c.values))
+        return Cochain(X, c.degree, c.coeffs, c.values)
     n = circle_edge_count(X)
+    values = c.values
     vals: dict[Hashable, object] = {}
     if c.degree == 0:
         for j in range(n):
-            v = c.values.get(f"v{2 * j}", 0)
+            v = values.get(f"v{2 * j}", 0)
             if v:
                 vals[f"v{j}"] = v
     elif c.degree == 1:
         for j in range(n):
-            v = c.values.get(f"e{2 * j}", 0) + c.values.get(f"e{2 * j + 1}", 0)
+            v = values.get(f"e{2 * j}", 0) + values.get(f"e{2 * j + 1}", 0)
             if v:
                 vals[f"e{j}"] = v
     return Cochain(X, c.degree, c.coeffs, vals)
@@ -166,11 +167,12 @@ def halving_homotopy(X: SimplicialSet, parity: str, c: Cochain) -> Cochain:
     vals: dict[Hashable, object] = {}
     if c.degree == 1 and X is not point():
         n = circle_edge_count(X)
+        values = c.values
         for j in range(n):
             if parity == "floor":
-                v = -c.values.get(f"e{2 * j}", 0)
+                v = -values.get(f"e{2 * j}", 0)
             else:
-                v = c.values.get(f"e{2 * j + 1}", 0)
+                v = values.get(f"e{2 * j + 1}", 0)
             if v:
                 vals[f"v{2 * j + 1}"] = v
     return Cochain(sd, c.degree - 1, c.coeffs, vals)

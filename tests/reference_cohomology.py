@@ -20,7 +20,7 @@ from math import lcm
 from typing import Sequence
 
 from simdiff.cochains import Cochain, Coefficients, INTEGERS, coboundary, delta_table
-from simdiff.cohomology import GroupPresentation, cochain_of, vector_of
+from simdiff.cohomology import GroupPresentation, cochain_of
 from simdiff.complexes import SimplicialSet
 from simdiff.exact import smith_normal_form
 
@@ -123,7 +123,7 @@ class CohomologyGroup:
         """(free coords, torsion coords) of a cocycle's class."""
         if not coboundary(c).is_zero():
             raise ValueError("classify expects a cocycle")
-        vec = vector_of(c)
+        vec = list(c.vec)
         if self.coeffs.kind == "Q":
             denom = lcm(*(Fraction(v).denominator for v in vec)) if vec else 1
             ivec = [int(Fraction(v) * denom) for v in vec]

@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, mul
 
 from simdiff.cochains import INTEGERS, Cochain, coboundary
-from simdiff.cohomology import CoboundaryObstruction, cochain_of, solve_coboundary, vector_of
+from simdiff.cohomology import CoboundaryObstruction, cochain_of, solve_coboundary
 from simdiff.complexes import cylinder
 from simdiff.diffhat import HatClass, HatComparison, HatTheory, PeriodObstruction
 from simdiff.em import relative_section
@@ -79,7 +79,7 @@ def quotient_functionals(T: HatTheory) -> list[list[int]]:
 def period_matrix(T: HatTheory, functionals: list[list[int]],
                   columns: list[Cochain]) -> list[list[int]]:
     """The functionals on the characters of the given cochains."""
-    colvecs = [[int(v) for v in vector_of(T._character_column(B))] for B in columns]
+    colvecs = [[int(v) for v in T._character_column(B).vec] for B in columns]
     M = []
     for phi in functionals:
         nonzero = [(i, p) for i, p in enumerate(phi) if p]
@@ -104,7 +104,7 @@ class Reference:
             return HatComparison(False, obstruction=particular)
         base = HomotopyClass(Homotopy2(x.obj, y.obj, particular))
         mor0 = T.character.on_morphism(base)
-        tvec = vector_of((x.omega - y.omega) - mor0)
+        tvec = list(((x.omega - y.omega) - mor0).vec)
         v = [sum(p * tvec[i] for i, p in enumerate(phi) if p)
              for phi in self.functionals]
         ring = "Z" if self.kernel else "Q"

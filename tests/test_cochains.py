@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from simdiff.cochains import (Cochain, INTEGERS, RATIONALS, coboundary,
+from simdiff.cochains import (Cochain, Coefficients, INTEGERS, RATIONALS, coboundary,
                               cochain_from_json, cochain_to_json, embed_rational,
                               fiber_integrate, is_closed, mod_coefficients,
                               parse_coefficients, pullback, random_cochain)
@@ -78,6 +78,18 @@ def test_normalize_returns_a_rational_fraction_as_it_is():
     for coeffs in (INTEGERS, mod_coefficients(3)):
         with pytest.raises(ValueError, match=f"non-integer value -3/2 for {coeffs.label()}"):
             coeffs.normalize(q)
+
+
+def test_a_modulus_must_be_an_int_that_fits_the_ring():
+    for bad in (lambda: mod_coefficients(2.5), lambda: Coefficients("Z", modulus=5),
+                lambda: mod_coefficients("3"), lambda: Coefficients("Q", modulus=3)):
+        with pytest.raises(ValueError, match="modulus"):
+            bad()
+    for bad in (True, 1, 0, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            mod_coefficients(bad)
+    assert mod_coefficients(2).label() == "Z/2"
+    assert Coefficients("Z") == INTEGERS and Coefficients("Q", modulus=0) == RATIONALS
 
 
 def test_cochains_name_a_generator_the_complex_lacks():

@@ -17,6 +17,13 @@ what it wraps.  Its own definition, a docstring, a comment, or a name
 that another file reads but defines or imports from elsewhere (a
 reference copy in the tests) does not count.  A helper whose last reader
 is gone, left behind by a change, fails the scan.
+
+A method of a package class that is not a dunder counts as read when any
+of those files, its own module included, reads it as an attribute or
+spells it after a dot in a dotted-name string, as the tracer spells
+MappingGroupoid.compose; a plain word string (a report key) does not
+count.  The scan goes by the method's name alone, so a dead method that
+shares its name with a live attribute elsewhere passes.
 """
 
 import ast
@@ -76,22 +83,22 @@ def test_the_scan_finds_an_unused_import():
     assert set(_imported(tree, source.splitlines())) - _read(tree) == {"combinations", "os"}
 
 
-def _names(tree: ast.AST) -> tuple[set[str], set[tuple[str, str]], set[str]]:
+def _names(tree: ast.AST) -> tuple[set[str], set[tuple[str, str]], set[str], set[str]]:
     """What a file names: (the names it reads, the (module, name) pairs it
-    imports, by the module's last component, and the names any module's
-    may be: attributes and dotted-name strings)."""
-    reads, imports, anywhere = set(), set(), set()
+    imports, by the module's last component, the attributes it reads, and
+    its strings that are dotted names)."""
+    reads, imports, attrs, dotted = set(), set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             reads.add(node.id)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imports |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
         elif isinstance(node, ast.Attribute):
-            anywhere.add(node.attr)
+            attrs.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and re.fullmatch(r"[\w.]+", node.value)):
-            anywhere.update(node.value.split("."))
-    return reads, imports, anywhere
+            dotted.add(node.value)
+    return reads, imports, attrs, dotted
 
 
 def _defined(tree: ast.Module) -> dict[str, int]:
@@ -104,12 +111,12 @@ def _unnamed(module: str, tree: ast.Module, others: list[tuple]) -> set[str]:
     """The top-level definitions of module (tree) that it does not read
     and that no other file (each given by its _names) imports from it or
     names as an attribute or a dotted-name string."""
-    reads, _, anywhere = _names(tree)
-    imported = set()
-    for _, imports, attrs in others:
+    own = _names(tree)
+    imported, anywhere = set(), set()
+    for _, imports, attrs, dotted in [own, *others]:
         imported |= {name for source, name in imports if source == module}
-        anywhere |= attrs
-    return set(_defined(tree)) - reads - imported - anywhere
+        anywhere |= attrs | {part for name in dotted for part in name.split(".")}
+    return set(_defined(tree)) - own[0] - imported - anywhere
 
 
 def test_every_top_level_definition_is_named():
@@ -139,3 +146,51 @@ def test_the_scan_finds_an_unnamed_definition():
                       "_twin(); shared()\n"
                       "TARGET = ('simdiff.mod', 'Wrapped.method')\n")
     assert _unnamed("mod", module, [_names(other)]) == {"_ghost", "_twin", "helper"}
+
+
+def _methods(tree: ast.Module) -> dict[str, int]:
+    """Each method of a class of the module that is not a dunder, as
+    Class.method, with the line it is defined on."""
+    return {f"{cls.name}.{node.name}": node.lineno
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _unread_methods(tree: ast.Module, names: list[tuple]) -> set[str]:
+    """The methods of tree whose name no file (each given by its _names)
+    reads as an attribute or spells after a dot in a dotted-name string."""
+    read = set()
+    for _, _, attrs, dotted in names:
+        read |= attrs | {name.rsplit(".", 1)[1] for name in dotted if "." in name}
+    return {m for m in _methods(tree) if m.split(".")[1] not in read}
+
+
+def test_every_method_is_read():
+    trees = {p: ast.parse(p.read_text()) for p in READERS}
+    names = [_names(tree) for tree in trees.values()]
+    unread = {}
+    for path in MODULES:
+        methods = _methods(trees[path])
+        for name in _unread_methods(trees[path], names):
+            unread[f"{path.name}:{methods[name]}"] = name
+    assert unread == {}
+
+
+def test_the_scan_finds_an_unread_method():
+    module = ast.parse("class Box:\n"
+                       "    def __len__(self): return 0\n"
+                       "    def _dead(self): pass\n"
+                       "    def used(self): return self._helper()\n"
+                       "    def _helper(self): pass\n"
+                       "    def traced(self): pass\n"
+                       "    @property\n"
+                       "    def size(self): return 1\n")
+    # another file that reads a function named _dead, not the method, and
+    # spells it in a string without a dot; it reads used and size as
+    # attributes and names traced in a tracer-style string
+    other = ast.parse("def _dead(): pass\n"
+                      "_dead(); Box().used(); Box().size\n"
+                      "TARGET = ('simdiff.mod', 'Box.traced', '_dead')\n")
+    assert _unread_methods(module, [_names(module), _names(other)]) == {"Box._dead"}
