@@ -63,7 +63,7 @@ from .moncat import (
     check_monoidal_functor,
     weak_inverse,
 )
-from .report import Check, Report, sampled
+from .report import Check, Report, check_laws
 from .subdiv import (
     chain_primitive,
     comparison,
@@ -185,10 +185,15 @@ class CocycleGroupoid:
 
     # -- sampling ----------------------------------------------------------
 
-    def random_object(self, rng: random.Random) -> Cochain:
+    def random_class(self, rng: random.Random) -> Cochain:
+        """A combination of the cocycle basis, coefficients in -2..2."""
         z = self.zero()
         for g in _embedded_generators(self.base, self.degree, self.coeffs):
             z = z + g.scale(self.coeffs.normalize(rng.randint(-2, 2)))
+        return z
+
+    def random_object(self, rng: random.Random) -> Cochain:
+        z = self.random_class(rng)
         q = random_cochain(self.base, self.degree - 1, self.coeffs, rng)
         return z + coboundary(q)
 
@@ -253,12 +258,12 @@ def pullback_functor(src: CocycleGroupoid, dst: CocycleGroupoid,
 
 
 def transfer_functor(base: SimplicialSet, src: CocycleGroupoid,
-                     dst: CocycleGroupoid, name: str = "") -> MonFunctor:
+                     dst: CocycleGroupoid) -> MonFunctor:
     """Summing a halved model back to its base, as a monoidal functor."""
     if src.base is not subdivide(base) or dst.base is not base:
         raise ValueError("transfer runs from the halved model to the base")
     return _cochain_functor(src, dst, lambda z: transfer(base, z),
-                            name or f"transfer({base.name})")
+                            f"transfer({base.name})")
 
 
 # -- integration as a monoidal functor -------------------------------------
@@ -397,10 +402,11 @@ def integration_witness_report(G: MappingGroupoid, trials: int = 10,
             return (coboundary(vol) - alt).is_zero()
         return alt.is_zero()
 
-    return Report(f"character({G.base.name}, deg {n})", trials, seed, F.results + [
-        sampled("literal-defects-zero", trials, literal_sample, literal, rng),
-        sampled("witness-integrals", trials, stokes_sample, stokes, rng),
-    ])
+    return Report(f"character({G.base.name}, deg {n})", trials, seed, F.results
+                  + check_laws((literal_sample(rng) for _ in range(trials)),
+                               {"literal-defects-zero": literal})
+                  + check_laws((stokes_sample(rng) for _ in range(trials)),
+                               {"witness-integrals": stokes}))
 
 
 # -- cells with a prescribed integral --------------------------------------
@@ -433,24 +439,21 @@ def suspension_consistency(G: MappingGroupoid, trials: int = 25,
                            seed: int = 0) -> Report:
     """Characters of built cells recover the data they were built from.
 
-    Each trial picks a closed base cocycle, a primitive step, and a closed
-    shift; the cell built from that eta must integrate back to eta's
-    class, and its endpoint characters must equal the chosen cocycles.
-    Every trial runs; the one check's counterexample counts the failures.
+    Each trial draws a closed base cocycle w0 and an arrow w0 -> w1 with
+    datum eta from the cocycle groupoid; the cell built from that eta must
+    integrate back to eta's class, and its endpoint characters must equal
+    the chosen cocycles.  The one check stops at its first failing trial.
     """
     n, X = G.degree, G.base
     CG = character_groupoid(G)
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        w0 = Cochain.zero(X, n, G.coeffs)
-        for g in _embedded_generators(X, n, G.coeffs):
-            w0 = w0 + g.scale(G.coeffs.normalize(rng.randint(-2, 2)))
-        q = random_cochain(X, n - 1, G.coeffs, rng)
-        w1 = w0 + coboundary(q)
-        eta = q
-        for g in _embedded_generators(X, n - 1, G.coeffs):
-            eta = eta + g.scale(G.coeffs.normalize(rng.randint(-1, 1)))
+    cocycles = CocycleGroupoid(X, n, G.coeffs)
+
+    def sample(rng: random.Random) -> dict:
+        w0 = cocycles.random_class(rng)
+        m = cocycles.random_morphism(rng, w0)
+        return dict(w0=w0, w1=m.target, eta=m.eta)
+
+    def recovers(w0: Cochain, w1: Cochain, eta: Cochain) -> bool:
         src, tgt = G.from_cocycle(w0), G.from_cocycle(w1)
         H = cell_with_integral(G, src, tgt, eta)
         lower = CG.morphism(rational_form(w0), rational_form(w1),
@@ -458,13 +461,13 @@ def suspension_consistency(G: MappingGroupoid, trials: int = 25,
         lifted = CG.morphism(object_character(G, src),
                              object_character(G, tgt),
                              morphism_character(G, H))
-        if not (CG.eq(lower, lifted)
+        return (CG.eq(lower, lifted)
                 and object_character(G, src) == rational_form(w0)
-                and object_character(G, tgt) == rational_form(w1)):
-            failures += 1
-    return Report(f"suspension({X.name}, deg {n})", trials, seed, [
-        Check("suspension-consistency", failures == 0, trials,
-              {"failures": failures} if failures else None)])
+                and object_character(G, tgt) == rational_form(w1))
+
+    report = Report(f"suspension({X.name}, deg {n})", trials, seed)
+    report.sample("suspension-consistency", sample, recovers, seed)
+    return report
 
 
 # -- restriction along base maps -------------------------------------------
@@ -625,44 +628,44 @@ def arrow_equation_report(model: CharacterModel, arrow: CharacterArrow,
     Morphism-level: the same square one degree down closes with the
     stated primitive as an explicit coboundary witness (absent primitives
     force a literally zero defect).  Identity arrows carry no correction.
-    One check per equation, each over every trial.
+    One check per equation, each stopped at its first failing trial; the
+    two equations share one stream of sampled morphisms.
     """
     G_N = arrow.source.groupoid
     G_M = arrow.dest.groupoid
+    ident = model.arrow(arrow.source, arrow.source, identity_map(G_N.base))
     rng = random.Random(seed)
-    object_eq = morphism_eq = identity_eq = True
-    for _ in range(trials):
+
+    def sample() -> dict:
         c = G_N.random_object(rng)
+        return dict(c=c, H=G_N.random_morphism(c, rng))
+
+    def object_equation(c: MapObject, H: HomotopyClass) -> bool:
         z = rational_form(c.integral())
         lhs = coboundary(arrow.correction(z))
         rhs = (arrow.pull(arrow.source.on_object(c))
                - arrow.dest.on_object(restrict_object(G_M, arrow.f, c)))
-        if not (lhs - rhs).is_zero():
-            object_eq = False
-        H = G_N.random_morphism(c, rng)
-        w = rational_form(H.integral())
+        return (lhs - rhs).is_zero()
+
+    def morphism_equation(c: MapObject, H: HomotopyClass) -> bool:
         z0 = rational_form(H.source.integral())
         z1 = rational_form(H.target.integral())
         defect = (arrow.pull(arrow.source.on_morphism(H))
                   + arrow.correction(z0) - arrow.correction(z1)
                   - arrow.dest.on_morphism(
                       restrict_morphism(G_M, arrow.f, H)))
-        witness = arrow.primitive(w)
+        witness = arrow.primitive(rational_form(H.integral()))
         if witness is None:
-            if not defect.is_zero():
-                morphism_eq = False
-        elif not (defect - coboundary(witness)).is_zero():
-            morphism_eq = False
-    ident = model.arrow(arrow.source, arrow.source, identity_map(G_N.base))
-    rng2 = random.Random(seed + 1)
-    for _ in range(trials):
-        z = rational_form(G_N.random_object(rng2).integral())
-        if not ident.correction(z).is_zero():
-            identity_eq = False
-    return Report(f"arrow({arrow.f.name}, {model.kind})", trials, seed, [
-        Check("object-equation", object_eq, trials),
-        Check("morphism-equation", morphism_eq, trials),
-        Check("identity-trivial", identity_eq, trials)])
+            return defect.is_zero()
+        return (defect - coboundary(witness)).is_zero()
+
+    report = Report(f"arrow({arrow.f.name}, {model.kind})", trials, seed, check_laws(
+        (sample() for _ in range(trials)),
+        {"object-equation": object_equation, "morphism-equation": morphism_equation}))
+    report.sample("identity-trivial",
+                  lambda rng: dict(z=rational_form(G_N.random_object(rng).integral())),
+                  lambda z: ident.correction(z).is_zero(), seed + 1)
+    return report
 
 
 def composition_equation_report(model: CharacterModel,
@@ -676,7 +679,8 @@ def composition_equation_report(model: CharacterModel,
     The composite map gets its own lift and staircase; its correction must
     equal the pasted one, the f-correction of the pulled-back form plus
     the f-pull of the g-correction, as literal cochains.  The report's
-    checks are ``corrections-compose`` (every trial) and ``lifts-compose``.
+    checks are ``corrections-compose`` (sampled, stopped at its first
+    failing trial) and ``lifts-compose``.
     """
     if f.target is not g.source:
         raise ValueError("maps do not compose")
@@ -685,20 +689,21 @@ def composition_equation_report(model: CharacterModel,
     gf = compose_maps(f, g)
     a_gf = model.arrow(char_M, char_P, gf)
     G_P = char_P.groupoid
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(trials):
-        z = rational_form(G_P.random_object(rng).integral())
+
+    def corrections_compose(z: Cochain) -> bool:
         pasted = a_f.correction(pullback(g, z)) + a_f.pull(a_g.correction(z))
-        if not (a_gf.correction(z) - pasted).is_zero():
-            ok = False
+        return (a_gf.correction(z) - pasted).is_zero()
+
     if model.kind == "halved":
         lifts_compose = a_gf.lift == compose_maps(a_f.lift, a_g.lift)
     else:
         lifts_compose = a_gf.lift == gf
-    return Report(f"composition({gf.name}, {model.kind})", trials, seed, [
-        Check("corrections-compose", ok, trials),
-        Check("lifts-compose", lifts_compose, 1)])
+    report = Report(f"composition({gf.name}, {model.kind})", trials, seed)
+    report.sample("corrections-compose",
+                  lambda rng: dict(z=rational_form(G_P.random_object(rng).integral())),
+                  corrections_compose, seed)
+    report.results.append(Check("lifts-compose", lifts_compose, 1))
+    return report
 
 
 # -- the halving transformation and its weak inverse -----------------------
@@ -707,12 +712,12 @@ def composition_equation_report(model: CharacterModel,
 HALVED_PARITIES = {"circle6": "ceil"}
 
 
-def _halved_node(X: SimplicialSet, degree: int, coeffs: Coefficients,
+def _halved_node(X: SimplicialSet, degree: int,
                  parity: str) -> tuple[TransformationNode,
                                        AdjointEquivalenceData,
                                        CocycleGroupoid, CocycleGroupoid]:
-    upper = CocycleGroupoid(X, degree, coeffs)
-    lower = CocycleGroupoid(subdivide(X), degree, coeffs)
+    upper = CocycleGroupoid(X, degree, RATIONALS)
+    lower = CocycleGroupoid(subdivide(X), degree, RATIONALS)
     h = halving(X, parity)
     node = TransformationNode(
         name=X.name, upper=upper.as_instance(), lower=lower.as_instance(),
@@ -743,8 +748,7 @@ class HalvedDiagram:
     lifts: dict[str, SimplicialMap]
 
 
-def halved_diagram(degree: int = 1,
-                   coeffs: Coefficients = RATIONALS) -> HalvedDiagram:
+def halved_diagram(degree: int = 1) -> HalvedDiagram:
     """Point, 3-circle and 6-circle with their halved comparisons.
 
     The 6-circle runs on the opposite parity, so the lifted covering
@@ -759,7 +763,7 @@ def halved_diagram(degree: int = 1,
     lower: dict[str, CocycleGroupoid] = {}
     for key, X in spaces.items():
         parity = HALVED_PARITIES.get(X.name, "floor")
-        node, adj, up, low = _halved_node(X, degree, coeffs, parity)
+        node, adj, up, low = _halved_node(X, degree, parity)
         nodes[key], adjoints[key] = node, adj
         upper[key], lower[key] = up, low
     maps = {

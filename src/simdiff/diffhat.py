@@ -217,6 +217,16 @@ class HatTheory:
         (MappingGroupoid.homotopy)."""
         return self.groupoid.homotopy(src, tgt)
 
+    def lift(self, x: HatClass) -> Cochain | CoboundaryObstruction:
+        """A rational datum whose inclusion is x: the character of a homotopy
+        from the unit to x's object, or what separates the two."""
+        unit = self.groupoid.unit()
+        sol = self.homotopies(unit, x.obj)
+        if isinstance(sol, CoboundaryObstruction):
+            return sol
+        connect = HomotopyClass(Homotopy2(unit, x.obj, sol))
+        return x.omega + self.character.on_morphism(connect)
+
     @cached_property
     def _cocycles(self) -> list[list[int]]:
         """W, the integral cocycle basis of the base one degree down, as
@@ -377,12 +387,10 @@ def _claim_kernel_class_is_forms(T: HatTheory, rng: random.Random,
         x = T.hat(c, _random_form(T, rng))
         free, torsion = T.underlying_class(x)
         in_kernel = not any(free) and not any(torsion)
-        sol = T.homotopies(G.unit(), c)
-        if isinstance(sol, CoboundaryObstruction):
+        alpha = T.lift(x)
+        if isinstance(alpha, CoboundaryObstruction):
             rounds.append((False, {"note": "coboundary object not null-homotopic"}))
             continue
-        connect = HomotopyClass(Homotopy2(G.unit(), c, sol))
-        alpha = x.omega + T.character.on_morphism(connect)
         comp = T.compare(T.from_form(alpha), x)
         back = T.underlying_class(T.from_form(_random_form(T, rng)))
         forms_in_kernel = not any(back[0]) and not any(back[1])

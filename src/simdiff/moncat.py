@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .groupoid import SymMonGroupoidInstance
 from .report import Check, Report, short_repr
@@ -68,9 +68,6 @@ def check_coherence(G: SymMonGroupoidInstance, trials: int = 25,
     report = Report(G.name, trials, seed)
     cp, op, om, idm = G.compose, G.oplus, G.oplus_mor, G.identity
 
-    def objects(rng: random.Random, k: int) -> list:
-        return G.sample_objects(rng, k)
-
     def pentagon(a, b, c, d) -> bool:
         one = cp(cp(om(G.associator(a, b, c), idm(d)),
                     G.associator(a, op(b, c), d)),
@@ -115,28 +112,29 @@ def check_coherence(G: SymMonGroupoidInstance, trials: int = 25,
         two = cp(G.braid(G.source(f), G.source(g)), om(g, f))
         return G.eq(one, two)
 
-    def mor_sample(rng: random.Random, k: int) -> list:
-        return [G.random_morphism(rng, a) for a in objects(rng, k)]
-
-    report.sample("pentagon",
-                  lambda rng: dict(zip("abcd", objects(rng, 4))), pentagon, seed + 1)
-    report.sample("triangle",
-                  lambda rng: dict(zip("ab", objects(rng, 2))), triangle, seed + 2)
-    report.sample("hexagon",
-                  lambda rng: dict(zip("abc", objects(rng, 3))), hexagon, seed + 3)
-    report.sample("braid-involutive",
-                  lambda rng: dict(zip("ab", objects(rng, 2))), involutive, seed + 4)
-    report.sample("naturality-associator",
-                  lambda rng: dict(zip("fgh", mor_sample(rng, 3))), natural_assoc,
-                  seed + 5)
-    report.sample("naturality-left-unitor",
-                  lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_left, seed + 6)
-    report.sample("naturality-right-unitor",
-                  lambda rng: dict(f=mor_sample(rng, 1)[0]), natural_right, seed + 7)
-    report.sample("naturality-braid",
-                  lambda rng: dict(zip("fg", mor_sample(rng, 2))), natural_braid,
-                  seed + 8)
+    report.sample("pentagon", _objects(G, "abcd"), pentagon, seed + 1)
+    report.sample("triangle", _objects(G, "ab"), triangle, seed + 2)
+    report.sample("hexagon", _objects(G, "abc"), hexagon, seed + 3)
+    report.sample("braid-involutive", _objects(G, "ab"), involutive, seed + 4)
+    report.sample("naturality-associator", _morphisms(G, "fgh"), natural_assoc, seed + 5)
+    report.sample("naturality-left-unitor", _morphisms(G, "f"), natural_left, seed + 6)
+    report.sample("naturality-right-unitor", _morphisms(G, "f"), natural_right, seed + 7)
+    report.sample("naturality-braid", _morphisms(G, "fg"), natural_braid, seed + 8)
     return report
+
+
+def _objects(G: SymMonGroupoidInstance,
+             names: Sequence[str]) -> Callable[[random.Random], dict]:
+    """A sampler of one object of G under each name."""
+    return lambda rng: dict(zip(names, G.sample_objects(rng, len(names))))
+
+
+def _morphisms(G: SymMonGroupoidInstance,
+               names: Sequence[str]) -> Callable[[random.Random], dict]:
+    """A sampler of one morphism of G under each name, each out of a
+    sampled object; the objects are drawn first."""
+    return lambda rng: dict(zip(names, [G.random_morphism(rng, a)
+                                        for a in G.sample_objects(rng, len(names))]))
 
 
 # -- skeletal instances from group cochains --------------------------------
@@ -151,8 +149,8 @@ class SkeletalMorphism:
 
 def skeletal_instance(modulus: int,
                       omega: Callable[[int, int, int], int],
-                      braiding: Callable[[int, int], int] | None = None,
-                      name: str | None = None) -> SymMonGroupoidInstance:
+                      braiding: Callable[[int, int], int] | None = None
+                      ) -> SymMonGroupoidInstance:
     """The one-object-per-group-element groupoid of a 3-cochain.
 
     Objects are Z/modulus, every morphism is an automorphism with a value in
@@ -179,7 +177,7 @@ def skeletal_instance(modulus: int,
         return mor(x.source + y.source, x.target + y.target, x.value + y.value)
 
     return SymMonGroupoidInstance(
-        name=name or f"skeletal(Z/{m})",
+        name=f"skeletal(Z/{m})",
         unit=0,
         oplus=lambda a, b: (a + b) % m,
         oplus_mor=oplus_mor,
@@ -288,12 +286,6 @@ def check_monoidal_functor(F: MonFunctor, trials: int = 25,
     cp, om, idm = T.compose, T.oplus_mor, T.identity
     Fo, Fm = F.on_objects, F.on_morphisms
 
-    def objects(rng, k):
-        return S.sample_objects(rng, k)
-
-    def morphisms(rng, k):
-        return [S.random_morphism(rng, a) for a in objects(rng, k)]
-
     def identities(a) -> bool:
         return T.eq(Fm(S.identity(a)), idm(Fo(a)))
 
@@ -301,7 +293,7 @@ def check_monoidal_functor(F: MonFunctor, trials: int = 25,
         return T.eq(Fm(S.compose(f, h)), cp(Fm(f), Fm(h)))
 
     def composable(rng) -> dict:
-        f = morphisms(rng, 1)[0]
+        f = S.random_morphism(rng, S.sample_objects(rng, 1)[0])
         return {"f": f, "h": S.random_morphism(rng, S.target(f))}
 
     def mu_natural(f, g) -> bool:
@@ -335,21 +327,13 @@ def check_monoidal_functor(F: MonFunctor, trials: int = 25,
         two = cp(Fm(S.braid(a, b)), F.mu(b, a))
         return T.eq(one, two)
 
-    report.sample("functor-identity",
-                  lambda rng: dict(a=objects(rng, 1)[0]), identities, seed + 11)
+    report.sample("functor-identity", _objects(S, "a"), identities, seed + 11)
     report.sample("functor-composition", composable, composites, seed + 12)
-    report.sample("mu-naturality",
-                  lambda rng: dict(zip("fg", morphisms(rng, 2))), mu_natural,
-                  seed + 13)
-    report.sample("associativity-square",
-                  lambda rng: dict(zip("abc", objects(rng, 3))), assoc_square,
-                  seed + 14)
-    report.sample("left-unit-square",
-                  lambda rng: dict(a=objects(rng, 1)[0]), unit_left, seed + 15)
-    report.sample("right-unit-square",
-                  lambda rng: dict(a=objects(rng, 1)[0]), unit_right, seed + 16)
-    report.sample("symmetry-square",
-                  lambda rng: dict(zip("ab", objects(rng, 2))), symmetry, seed + 17)
+    report.sample("mu-naturality", _morphisms(S, "fg"), mu_natural, seed + 13)
+    report.sample("associativity-square", _objects(S, "abc"), assoc_square, seed + 14)
+    report.sample("left-unit-square", _objects(S, "a"), unit_left, seed + 15)
+    report.sample("right-unit-square", _objects(S, "a"), unit_right, seed + 16)
+    report.sample("symmetry-square", _objects(S, "ab"), symmetry, seed + 17)
     return report
 
 
@@ -512,86 +496,91 @@ def weak_inverse(u: StrictTransformation,
 
     # recorded coherence of the construction
     for key, node in u.nodes.items():
-        sub = check_monoidal_functor(components[key], trials,
-                                     seed * 31 + len(key))
-        report.results.append(Check(
-            f"component-monoidal:{key}", sub.ok, trials,
-            None if sub.ok else sub.failures()[0].counterexample))
-
-        A, B = node.upper, node.lower
-        uc, v, data = node.component, components[key], adj[key]
-
-        def unit_monoidal(b, bp, *, A=A, B=B, uc=uc, v=v, data=data) -> bool:
-            one = B.compose(data.unit(B.oplus(b, bp)), B.compose(
-                uc.on_morphisms(v.mu(b, bp)),
-                uc.mu(v.on_objects(b), v.on_objects(bp))))
-            two = B.oplus_mor(data.unit(b), data.unit(bp))
-            return B.eq(one, two)
-
-        def counit_monoidal(a, ap, *, A=A, uc=uc, v=v, data=data) -> bool:
-            vu_mu = A.compose(v.on_morphisms(uc.mu(a, ap)),
-                              v.mu(uc.on_objects(a), uc.on_objects(ap)))
-            one = A.compose(vu_mu, A.oplus_mor(data.counit(a), data.counit(ap)))
-            two = data.counit(A.oplus(a, ap))
-            return A.eq(one, two)
-
-        report.sample(f"unit-monoidal:{key}",
-                      lambda rng, B=B: dict(zip(("b", "bp"), B.sample_objects(rng, 2))),
-                      unit_monoidal, seed * 37 + 1)
-        report.sample(f"counit-monoidal:{key}",
-                      lambda rng, A=A: dict(zip(("a", "ap"), A.sample_objects(rng, 2))),
-                      counit_monoidal, seed * 37 + 2)
-
+        _sample_node_laws(report, key, node, components[key], adj[key], seed)
     for arrow in u.arrows:
-        src, dst = u.nodes[arrow.src], u.nodes[arrow.dst]
-        v_src, v_dst = components[arrow.src], components[arrow.dst]
-        cell = cells[arrow.name]
-
-        def u_natural(k, *, arrow=arrow, src=src, dst=dst) -> bool:
-            one = dst.component.on_morphisms(arrow.upper.on_morphisms(k))
-            two = arrow.lower.on_morphisms(src.component.on_morphisms(k))
-            return dst.lower.eq(one, two)
-
-        def cell_natural(k, *, arrow=arrow, src=src, dst=dst,
-                         v_src=v_src, v_dst=v_dst, cell=cell) -> bool:
-            b, bp = src.lower.source(k), src.lower.target(k)
-            one = dst.upper.compose(
-                arrow.upper.on_morphisms(v_src.on_morphisms(k)), cell(bp))
-            two = dst.upper.compose(
-                cell(b), v_dst.on_morphisms(arrow.lower.on_morphisms(k)))
-            return dst.upper.eq(one, two)
-
-        def unit_mod_square(b, *, arrow=arrow, src=src, dst=dst,
-                            cell=cell) -> bool:
-            # unit: 1 => u.v against the pasted cell of u.v at this arrow
-            one = dst.lower.compose(
-                arrow.lower.on_morphisms(adj[arrow.src].unit(b)),
-                dst.component.on_morphisms(cell(b)))
-            two = adj[arrow.dst].unit(arrow.lower.on_objects(b))
-            return dst.lower.eq(one, two)
-
-        def counit_mod_square(a, *, arrow=arrow, src=src, dst=dst,
-                              cell=cell) -> bool:
-            # counit: v.u => 1, whose cell at the arrow is cell(u a)
-            one = arrow.upper.on_morphisms(adj[arrow.src].counit(a))
-            two = dst.upper.compose(
-                cell(src.component.on_objects(a)),
-                adj[arrow.dst].counit(arrow.upper.on_objects(a)))
-            return dst.upper.eq(one, two)
-
-        report.sample(f"transformation-naturality:{arrow.name}",
-                      lambda rng, src=src: dict(k=src.upper.random_morphism(
-                          rng, src.upper.sample_objects(rng, 1)[0])),
-                      u_natural, seed * 41 + 2)
-        report.sample(f"cell-naturality:{arrow.name}",
-                      lambda rng, src=src: dict(k=src.lower.random_morphism(
-                          rng, src.lower.sample_objects(rng, 1)[0])),
-                      cell_natural, seed * 41 + 3)
-        report.sample(f"unit-modification:{arrow.name}",
-                      lambda rng, src=src: dict(b=src.lower.sample_objects(rng, 1)[0]),
-                      unit_mod_square, seed * 41 + 4)
-        report.sample(f"counit-modification:{arrow.name}",
-                      lambda rng, src=src: dict(a=src.upper.sample_objects(rng, 1)[0]),
-                      counit_mod_square, seed * 41 + 5)
+        _sample_arrow_laws(report, u, arrow, components, cells[arrow.name], adj, seed)
 
     return WeakInverse(components, cells, report)
+
+
+def _sample_node_laws(report: Report, key: str, node: TransformationNode,
+                      v: MonFunctor, data: AdjointEquivalenceData,
+                      seed: int) -> None:
+    """The pasted component v as a monoidal functor, and the unit and
+    counit of one node's adjoint data as monoidal transformations."""
+    A, B, uc = node.upper, node.lower, node.component
+    sub = check_monoidal_functor(v, report.trials, seed * 31 + len(key))
+    report.results.append(Check(
+        f"component-monoidal:{key}", sub.ok, report.trials,
+        None if sub.ok else sub.failures()[0].counterexample))
+
+    def unit_monoidal(b, bp) -> bool:
+        one = B.compose(data.unit(B.oplus(b, bp)), B.compose(
+            uc.on_morphisms(v.mu(b, bp)),
+            uc.mu(v.on_objects(b), v.on_objects(bp))))
+        two = B.oplus_mor(data.unit(b), data.unit(bp))
+        return B.eq(one, two)
+
+    def counit_monoidal(a, ap) -> bool:
+        vu_mu = A.compose(v.on_morphisms(uc.mu(a, ap)),
+                          v.mu(uc.on_objects(a), uc.on_objects(ap)))
+        one = A.compose(vu_mu, A.oplus_mor(data.counit(a), data.counit(ap)))
+        two = data.counit(A.oplus(a, ap))
+        return A.eq(one, two)
+
+    report.sample(f"unit-monoidal:{key}", _objects(B, ("b", "bp")), unit_monoidal,
+                  seed * 37 + 1)
+    report.sample(f"counit-monoidal:{key}", _objects(A, ("a", "ap")), counit_monoidal,
+                  seed * 37 + 2)
+
+
+def _sample_arrow_laws(report: Report, u: StrictTransformation,
+                       arrow: TransformationArrow,
+                       components: Mapping[str, MonFunctor],
+                       cell: Callable[[Any], Any],
+                       adj: Mapping[str, AdjointEquivalenceData],
+                       seed: int) -> None:
+    """Naturality of u and of the pasted cell at one arrow, and the unit and
+    counit modification squares there."""
+    src, dst = u.nodes[arrow.src], u.nodes[arrow.dst]
+    v_src, v_dst = components[arrow.src], components[arrow.dst]
+    adj_src, adj_dst = adj[arrow.src], adj[arrow.dst]
+
+    def u_natural(k) -> bool:
+        one = dst.component.on_morphisms(arrow.upper.on_morphisms(k))
+        two = arrow.lower.on_morphisms(src.component.on_morphisms(k))
+        return dst.lower.eq(one, two)
+
+    def cell_natural(k) -> bool:
+        b, bp = src.lower.source(k), src.lower.target(k)
+        one = dst.upper.compose(
+            arrow.upper.on_morphisms(v_src.on_morphisms(k)), cell(bp))
+        two = dst.upper.compose(
+            cell(b), v_dst.on_morphisms(arrow.lower.on_morphisms(k)))
+        return dst.upper.eq(one, two)
+
+    def unit_mod_square(b) -> bool:
+        # unit: 1 => u.v against the pasted cell of u.v at this arrow
+        one = dst.lower.compose(
+            arrow.lower.on_morphisms(adj_src.unit(b)),
+            dst.component.on_morphisms(cell(b)))
+        two = adj_dst.unit(arrow.lower.on_objects(b))
+        return dst.lower.eq(one, two)
+
+    def counit_mod_square(a) -> bool:
+        # counit: v.u => 1, whose cell at the arrow is cell(u a)
+        one = arrow.upper.on_morphisms(adj_src.counit(a))
+        two = dst.upper.compose(
+            cell(src.component.on_objects(a)),
+            adj_dst.counit(arrow.upper.on_objects(a)))
+        return dst.upper.eq(one, two)
+
+    name = arrow.name
+    report.sample(f"transformation-naturality:{name}", _morphisms(src.upper, "k"),
+                  u_natural, seed * 41 + 2)
+    report.sample(f"cell-naturality:{name}", _morphisms(src.lower, "k"), cell_natural,
+                  seed * 41 + 3)
+    report.sample(f"unit-modification:{name}", _objects(src.lower, "b"), unit_mod_square,
+                  seed * 41 + 4)
+    report.sample(f"counit-modification:{name}", _objects(src.upper, "a"),
+                  counit_mod_square, seed * 41 + 5)

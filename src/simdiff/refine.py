@@ -23,8 +23,7 @@ from .cochains import Cochain, INTEGERS, RATIONALS
 from .cohomology import CoboundaryObstruction, cohomology, is_coboundary, keyed_json
 from .diffhat import HatClass, HatTheory, _random_form
 from .exact import smith_normal_form
-from .groupoid import Homotopy2, HomotopyClass
-from .report import Check, Report, scan, tally
+from .report import Check, Report, check_laws, scan, tally
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,29 +59,22 @@ class TildeGroupoid:
         return T.hat(T.groupoid.random_object(rng), _random_form(T, rng))
 
     def lift(self, d: HatClass) -> Cochain:
-        """A rational datum whose inclusion is d.
+        """A rational datum whose inclusion is d (HatTheory.lift).
 
-        Exists exactly when d's integral class vanishes; the connecting
-        homotopy's character supplies it.  The unit's own self-homotopy is
-        the zero cochain (its faces pin zero), so the zero class lifts to
-        the zero datum.
+        Exists exactly when d's integral class vanishes, and raises
+        otherwise.
         """
-        T = self.theory
-        unit = T.groupoid.unit()
-        sol = T.homotopies(unit, d.obj)
-        if isinstance(sol, CoboundaryObstruction):
+        alpha = self.theory.lift(d)
+        if isinstance(alpha, CoboundaryObstruction):
             raise ValueError("class has a nonzero integral part; no datum spans it")
-        connect = HomotopyClass(Homotopy2(unit, d.obj, sol))
-        return d.omega + T.character.on_morphism(connect)
+        return alpha
 
     def hom(self, x: HatClass, y: HatClass) -> TildeMorphism | CoboundaryObstruction:
         """The arrow x -> y, or the functional separating the classes."""
-        T = self.theory
-        d = T.sub(y, x)
-        sol = T.homotopies(T.groupoid.unit(), d.obj)
-        if isinstance(sol, CoboundaryObstruction):
-            return sol
-        return TildeMorphism(x, y, self.lift(d))
+        alpha = self.theory.lift(self.theory.sub(y, x))
+        if isinstance(alpha, CoboundaryObstruction):
+            return alpha
+        return TildeMorphism(x, y, alpha)
 
     def verify(self, m: TildeMorphism):
         """Recheck the arrow condition; a HatComparison either way."""
@@ -282,18 +274,12 @@ def _character_lattice(comp: ModelComparison) -> Check:
     below_t = cohomology(B.carrier, n - 1, INTEGERS)
     bs = below_s.presentation.free_rank
     bt = below_t.presentation.free_rank
-    cols: list[list[int]] = []
-    flat = True
-    for g in below_s.generators[:bs]:
-        img = comp.push_form(rational_form(g))
-        if any(v.denominator != 1 for v in img.values.values()):
-            flat = False
-            break
-        if not B.eq(B.from_form(img), B.zero()):
-            flat = False
-            break
-        free, _ = below_t.classify(img.map_values(int, INTEGERS))
-        cols.append(list(map(int, free)))
+    # each pushed character must be integral and a trivial refined class
+    images = [comp.push_form(rational_form(g)) for g in below_s.generators[:bs]]
+    flat = all(all(v.denominator == 1 for v in img.values.values())
+               and B.eq(B.from_form(img), B.zero()) for img in images)
+    cols = [list(map(int, below_t.classify(img.map_values(int, INTEGERS))[0]))
+            for img in images] if flat else []
     matrix = [list(row) for row in zip(*cols)] if cols else []
     sf = smith_normal_form(matrix) if matrix and matrix[0] else None
     iso = flat and bs == bt and (
@@ -351,40 +337,33 @@ def _essentially_surjective(comp: ModelComparison, rng: random.Random,
 
 def _monoidal_cells(comp: ModelComparison, rng: random.Random,
                     trials: int) -> list[Check]:
-    src = comp.source
+    src, cell = comp.source, comp.cell
     A, B = src.theory, comp.target.theory
-    arrows_ok = 0
-    fails: dict[str, list] = {"cocycle": [], "symmetry": [], "units": []}
 
-    def classes(*xs: HatClass) -> list:
-        return [[list(map(int, t)) for t in A.underlying_class(x)] for x in xs]
+    def exact(gap: Cochain, key: str, *xs: HatClass) -> dict | None:
+        # a failure shows the sampled classes it sits over and the gap
+        if is_coboundary(gap):
+            return None
+        return {key: [[list(map(int, t)) for t in A.underlying_class(x)] for x in xs],
+                "gap": keyed_json(gap.values)}
 
-    for _ in range(trials):
-        x, y, z = (src.random_object(rng) for _ in range(3))
+    def arrows(x: HatClass, y: HatClass, z: HatClass) -> bool:
         gap = B.sub(comp.on_object(A.add(x, y)),
                     B.add(comp.on_object(x), comp.on_object(y)))
-        if B.compare(B.from_form(comp.cell(x, y)), gap).equal:
-            arrows_ok += 1
-        coc = (comp.cell(x, A.add(y, z)) + comp.cell(y, z)
-               - comp.cell(x, y) - comp.cell(A.add(x, y), z))
-        if not is_coboundary(coc):
-            fails["cocycle"].append({"triple": classes(x, y, z),
-                                     "gap": keyed_json(coc.values)})
-        sym = comp.cell(x, y) - comp.cell(y, x)
-        if not is_coboundary(sym):
-            fails["symmetry"].append({"pair": classes(x, y),
-                                      "gap": keyed_json(sym.values)})
-        zero = A.zero()
-        for c in (comp.cell(x, zero), comp.cell(zero, x)):
-            if not is_coboundary(c):
-                fails["units"].append({"object": classes(x),
-                                       "gap": keyed_json(c.values)})
-    arrows = Check("monoidal-cells", arrows_ok == trials, trials,
-                   witness={"arrows-verified": arrows_ok})
-    return [arrows] + [
-        Check(f"monoidal-cells:{name}", not bad, trials,
-              {"failures": len(bad), **bad[0]} if bad else None)
-        for name, bad in fails.items()]
+        return B.compare(B.from_form(cell(x, y)), gap).equal
+
+    samples = (dict(zip("xyz", (src.random_object(rng) for _ in range(3))))
+               for _ in range(trials))
+    return check_laws(samples, {
+        "monoidal-cells": arrows,
+        "monoidal-cells:cocycle": lambda x, y, z: exact(
+            cell(x, A.add(y, z)) + cell(y, z) - cell(x, y) - cell(A.add(x, y), z),
+            "triple", x, y, z),
+        "monoidal-cells:symmetry": lambda x, y, z: exact(
+            cell(x, y) - cell(y, x), "pair", x, y),
+        "monoidal-cells:units": lambda x, y, z: (
+            exact(cell(x, A.zero()), "object", x)
+            or exact(cell(A.zero(), x), "object", x))})
 
 
 def check_equivalence(comp: ModelComparison, *, seed: int = 0,
@@ -405,7 +384,8 @@ def check_equivalence(comp: ModelComparison, *, seed: int = 0,
     (witness: the pushed lattice's ranks, matrix and Smith diagonal),
     ``essentially-surjective``, and ``monoidal-cells`` (the arrow
     condition) with one ``monoidal-cells:<identity>`` check per coherence
-    identity, whose counterexample counts the failures and shows the first.
+    identity, whose counterexample is its first failing triple of classes
+    with the gap.
     """
     rng = random.Random(seed)
     A, B = comp.source.theory, comp.target.theory
@@ -458,20 +438,18 @@ class BObstruction:
         """The cell in the shape ModelComparison wants."""
         return self.value
 
-    def with_defect(self, kind: str,
-                    rho: Cochain | None = None) -> "BObstruction":
+    def with_defect(self, kind: str) -> "BObstruction":
         """Corrupt exactly one identity; see with_cell_defect.
 
-        Here the bump must be visible modulo characters, so the default
-        takes a third of a character rather than a whole one.
+        Here the bump must be visible modulo characters, so it takes a
+        third of a character rather than a whole one.
         """
         B = self.target.theory
-        if rho is None:
-            below = cohomology(B.carrier, B.degree - 1, INTEGERS)
-            if not below.presentation.free_rank:
-                raise ValueError("no free character below; nothing to corrupt with")
-            rho = rational_form(below.generators[0]).map_values(
-                lambda v: v / 3, RATIONALS)
+        below = cohomology(B.carrier, B.degree - 1, INTEGERS)
+        if not below.presentation.free_rank:
+            raise ValueError("no free character below; nothing to corrupt with")
+        rho = rational_form(below.generators[0]).map_values(
+            lambda v: v / 3, RATIONALS)
         bump = _coordinate_defect(self.source.theory, kind, rho)
         return BObstruction(self.source, self.target, self.on_object,
                             self.push_form, bump=bump)
@@ -479,55 +457,53 @@ class BObstruction:
     def check_identities(self, *, seed: int = 0, trials: int = 8) -> Report:
         """Cocycle, symmetry, units, and translation, on seeded samples.
 
-        One check per identity, whose counterexample counts its failing
-        samples; the report's witness says whether any sampled cell was
-        nonzero, that is, whether the identities were tested on more than
-        the zero cell.
+        One check per identity, stopped at its first failing sample; the
+        report's witness says whether any sampled cell was nonzero, that
+        is, whether the identities were tested on more than the zero cell.
         """
         rng = random.Random(seed)
         A, B = self.source.theory, self.target.theory
-        fails = {"cocycle": 0, "symmetry": 0, "units": 0, "translation": 0}
-        nonzero_seen = False
-        for _ in range(trials):
+        value = self.value
+
+        def sample() -> dict:
             x, y, z = (self.source.random_object(rng) for _ in range(3))
-            beta = _random_form(A, rng)
-            lhs = self.value(x, A.add(y, z)) + self.value(y, z)
-            rhs = self.value(x, y) + self.value(A.add(x, y), z)
-            if not B.eq(B.from_form(lhs), B.from_form(rhs)):
-                fails["cocycle"] += 1
-            bxy = self.value(x, y)
-            if not B.eq(B.from_form(bxy), B.from_form(self.value(y, x))):
-                fails["symmetry"] += 1
-            if not (B.eq(B.from_form(self.value(x, A.zero())), B.zero())
-                    and B.eq(B.from_form(self.value(A.zero(), x)), B.zero())):
-                fails["units"] += 1
+            return dict(x=x, y=y, z=z, beta=_random_form(A, rng))
+
+        def same(a: Cochain, b: Cochain) -> bool:
+            return B.eq(B.from_form(a), B.from_form(b))
+
+        def null(a: Cochain) -> bool:
+            return B.eq(B.from_form(a), B.zero())
+
+        def translation(x, y, z, beta) -> bool:
             moved = self.on_object(A.add(x, A.from_form(beta)))
-            step = B.add(self.on_object(x),
-                         B.from_form(self.push_form(beta)))
-            if not B.eq(moved, step):
-                fails["translation"] += 1
-            if not nonzero_seen and not B.eq(B.from_form(bxy), B.zero()):
-                nonzero_seen = True
-        return Report("additivity-cell", trials, seed,
-                      [Check(k, v == 0, trials, {"failures": v} if v else None)
-                       for k, v in fails.items()],
-                      {"cell_seen_nonzero": nonzero_seen})
+            return B.eq(moved, B.add(self.on_object(x), B.from_form(self.push_form(beta))))
+
+        samples = [sample() for _ in range(trials)]
+        checks = check_laws(samples, {
+            "cocycle": lambda x, y, z, beta: same(
+                value(x, A.add(y, z)) + value(y, z), value(x, y) + value(A.add(x, y), z)),
+            "symmetry": lambda x, y, z, beta: same(value(x, y), value(y, x)),
+            "units": lambda x, y, z, beta: (null(value(x, A.zero()))
+                                            and null(value(A.zero(), x))),
+            "translation": translation})
+        nonzero = any(not null(value(s["x"], s["y"])) for s in samples)
+        return Report("additivity-cell", trials, seed, checks,
+                      {"cell_seen_nonzero": nonzero})
 
 
 def derive_B(source: TildeGroupoid, target: TildeGroupoid,
-             on_object: Callable[[HatClass], HatClass], *,
-             push_form: Callable[[Cochain], Cochain] | None = None) -> BObstruction:
+             on_object: Callable[[HatClass], HatClass]) -> BObstruction:
     """Lift the additivity defect of a class-preserving object map.
 
     The map must leave the integral class alone, or the defect has no
     spanning datum; that is probed on three samples up front and raises
-    rather than reporting.
+    rather than reporting.  Rational data move across unchanged.
     """
-    push = push_form if push_form is not None else (lambda w: w)
     A, B = source.theory, target.theory
     rng = random.Random(97)  # the precondition is structural, not statistical
     for _ in range(3):
         x = source.random_object(rng)
         if A.underlying_class(x) != B.underlying_class(on_object(x)):
             raise ValueError("map moves the integral class; the defect has no lift")
-    return BObstruction(source, target, on_object, push)
+    return BObstruction(source, target, on_object, lambda w: w)

@@ -8,6 +8,10 @@ and any supporting data (``witness``).  Nested verdicts are checks of their
 own, named ``parent:part``, so a report's verdict is always the conjunction
 of its checks and no producer aggregates by hand.
 
+Every sampled check runs through :func:`check_laws`: laws over one
+stream of samples, each stopped at its first failure, whose trial index
+and data are its counterexample.
+
 Reports are deterministic for a given seed: ``to_json`` holds no timing,
 and it leaves out a counterexample or witness that is ``None``.
 
@@ -18,9 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-__all__ = ["Check", "Report", "sampled", "scan", "short_repr", "tally"]
+__all__ = ["Check", "Report", "check_laws", "scan", "short_repr", "tally"]
 
 
 @dataclass
@@ -64,8 +68,9 @@ class Report:
     def sample(self, axiom: str, sampler: Callable[[random.Random], dict],
                law: Callable[..., bool], seed: int) -> None:
         """Append a sampled check of ``trials`` rounds drawn from its own seed."""
-        self.results.append(
-            sampled(axiom, self.trials, sampler, law, random.Random(seed)))
+        rng = random.Random(seed)
+        self.results += check_laws((sampler(rng) for _ in range(self.trials)),
+                                   {axiom: law})
 
     def to_json(self) -> dict:
         out = {"subject": self.subject, "trials": self.trials, "seed": self.seed,
@@ -75,9 +80,41 @@ class Report:
         return out
 
 
-def short_repr(x: Any, limit: int = 160) -> str:
+def short_repr(x: Any) -> str:
     text = repr(x)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
+def check_laws(samples: Iterable[dict],
+               laws: Mapping[str, Callable[..., Any]]) -> list[Check]:
+    """Test every law on each sample in turn, one check per law, in order.
+
+    A law takes the sample's entries as keywords and returns a verdict:
+    true, or None, when the sample passes; False when it fails, with the
+    sample's (abbreviated) entries as the counterexample; or a dict, its
+    own counterexample.  A law is not tested again after its first
+    failure, whose trial index heads the counterexample, and no sample is
+    drawn once every law has failed.
+    """
+    pending = dict(laws)
+    failed: dict[str, Check] = {}
+    checked = 0
+    for trial, sample in enumerate(samples):
+        checked = trial + 1
+        for axiom, law in list(pending.items()):
+            verdict = law(**sample)
+            if isinstance(verdict, dict):
+                bad = verdict
+            elif verdict is None or verdict:
+                continue
+            else:
+                bad = {k: short_repr(v) for k, v in sample.items()}
+            failed[axiom] = Check(axiom, False, checked, {"trial": trial, **bad})
+            del pending[axiom]
+        if not pending:
+            break
+    return [failed[axiom] if axiom in failed else Check(axiom, True, checked)
+            for axiom in laws]
 
 
 def scan(axiom: str, items: Iterable, defect: Callable[[Any], dict | None]) -> Check:
@@ -86,29 +123,8 @@ def scan(axiom: str, items: Iterable, defect: Callable[[Any], dict | None]) -> C
     ``defect(item)`` returns None when the item passes and the
     counterexample data otherwise.
     """
-    checked = 0
-    for item in items:
-        checked += 1
-        bad = defect(item)
-        if bad is not None:
-            return Check(axiom, False, checked, bad)
-    return Check(axiom, True, checked)
-
-
-def sampled(axiom: str, rounds: int, sampler: Callable[[random.Random], dict],
-            law: Callable[..., bool], rng: random.Random) -> Check:
-    """Draw up to ``rounds`` samples from rng and test the law on each.
-
-    Stops at the first failing sample, whose trial index and (abbreviated)
-    data are the counterexample.
-    """
-    def defect(trial: int) -> dict | None:
-        data = sampler(rng)
-        if law(**data):
-            return None
-        return {"trial": trial, **{k: short_repr(v) for k, v in data.items()}}
-
-    return scan(axiom, range(rounds), defect)
+    return check_laws(({"item": item} for item in items),
+                      {axiom: lambda item: defect(item)})[0]
 
 
 def tally(axiom: str, rounds: Sequence[tuple[bool, dict]]) -> Check:

@@ -222,8 +222,7 @@ def _edge_table(Y: SimplicialSet) -> dict:
 
 
 def lift_map(f: SimplicialMap, comp_src: SimplicialMap,
-             comp_tgt: SimplicialMap, pins: dict | None = None,
-             name: str = "") -> SimplicialMap:
+             comp_tgt: SimplicialMap, pins: dict | None = None) -> SimplicialMap:
     """A map of halved models commuting strictly with the comparisons.
 
     Searches vertex assignments in the comparison fibers (deterministic,
@@ -291,7 +290,7 @@ def lift_map(f: SimplicialMap, comp_src: SimplicialMap,
     images: dict[Hashable, Simplex] = {v: Simplex(assignment[v]) for v in verts}
     for e, a, b in edges:
         images[e] = edge_image(e, assignment[a], assignment[b])
-    lifted = SimplicialMap(M2, N2, images, name or f"lift({f.name})")
+    lifted = SimplicialMap(M2, N2, images, f"lift({f.name})")
     lifted.check()
     if compose_maps(lifted, comp_tgt) != compose_maps(comp_src, f):
         raise ConstructionError("lift does not commute with the comparisons")
@@ -332,8 +331,7 @@ def path_simplex(Y: SimplicialSet, keys: list) -> Simplex:
     raise ConstructionError(f"no simplex of {Y.name} along {keys!r}")
 
 
-def one_step_homotopy(g0: SimplicialMap, g1: SimplicialMap,
-                      name: str = "") -> SimplicialMap:
+def one_step_homotopy(g0: SimplicialMap, g1: SimplicialMap) -> SimplicialMap:
     """The prism homotopy from g0 to g1 when they differ by adjacent vertices.
 
     Defined on cylinder(source, 1); each prism generator maps to the simplex
@@ -353,7 +351,7 @@ def one_step_homotopy(g0: SimplicialMap, g1: SimplicialMap,
         path = [(g0 if t == 0 else g1)(Simplex(xk)).gen
                 for xk, t in zip(xkeys, tvals)]
         images[key] = path_simplex(Y, path)
-    H = SimplicialMap(P, Y, images, name or f"step({g0.name}->{g1.name})")
+    H = SimplicialMap(P, Y, images, f"step({g0.name}->{g1.name})")
     H.check()
     return H
 

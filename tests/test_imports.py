@@ -24,6 +24,15 @@ spells it after a dot in a dotted-name string, as the tracer spells
 MappingGroupoid.compose; a plain word string (a report key) does not
 count.  The scan goes by the method's name alone, so a dead method that
 shares its name with a live attribute elsewhere passes.
+
+A keyword default of a package function or method, nested ones included,
+counts as set when some call in those files, under the function's name,
+passes that parameter by keyword or by position; a call to a class counts
+for its __init__, and a call that spreads *args or **kwargs passes every
+parameter of its kind.  A default that no call sets is a knob nobody
+turns, or loop state captured through a default argument.  Lambdas are
+left out: no call names them.  The scan goes by names alone, so a call to
+another function of the same name counts.
 """
 
 import ast
@@ -194,3 +203,95 @@ def test_the_scan_finds_an_unread_method():
                       "_dead(); Box().used(); Box().size\n"
                       "TARGET = ('simdiff.mod', 'Box.traced', '_dead')\n")
     assert _unread_methods(module, [_names(module), _names(other)]) == {"Box._dead"}
+
+
+def _defaults(tree: ast.Module) -> list[tuple[int, str, str, int | None]]:
+    """Each keyword default of a named function or method of the module:
+    (the line of its def, the name a call uses, the parameter, its position
+    in a call or None when it is keyword-only).  A method's position leaves
+    out self; an __init__ goes by its class."""
+    out = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                name = cls if cls and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                out.extend((child.lineno, name, param, at) for param, at in params)
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(tree: ast.AST) -> dict[str, list[tuple[float, set]]]:
+    """Each call of the file by the name it calls (a bare or an attribute
+    name): how many arguments it passes by position (infinitely many when
+    it spreads *args) and the keywords it passes (None when it spreads
+    **kwargs)."""
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        spread = any(isinstance(a, ast.Starred) for a in node.args)
+        calls.setdefault(name, []).append(
+            (float("inf") if spread else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _unset_defaults(tree: ast.Module, calls: list[dict]) -> set[tuple[int, str]]:
+    """The keyword defaults of tree that no call (each file given by its
+    _calls) sets, as (line, "name:param")."""
+    unset = set()
+    for line, name, param, at in _defaults(tree):
+        passes = [c for file in calls for c in file.get(name, [])]
+        if not any(param in keywords or None in keywords
+                   or (at is not None and count > at) for count, keywords in passes):
+            unset.add((line, f"{name}:{param}"))
+    return unset
+
+
+def test_every_keyword_default_is_set_by_some_call():
+    trees = {p: ast.parse(p.read_text()) for p in READERS}
+    calls = [_calls(tree) for tree in trees.values()]
+    unset = {}
+    for path in MODULES:
+        for line, key in sorted(_unset_defaults(trees[path], calls)):
+            unset.setdefault(f"{path.name}:{line}", []).append(key)
+    assert unset == {}
+
+
+def test_the_scan_finds_an_unset_default():
+    module = ast.parse("def knob(x, y=1, z=2, *, w=3, v=4): pass\n"
+                       "class Box:\n"
+                       "    def __init__(self, a, b=0): pass\n"
+                       "    def put(self, k, m=1): pass\n"
+                       "    @staticmethod\n"
+                       "    def make(s=0): pass\n"
+                       "def paste(items):\n"
+                       "    for i in items:\n"
+                       "        def law(x, *, i=i): return x == i\n"
+                       "        check = lambda x, i=i: x == i\n")
+    # y by position, w by keyword, Box's b by position through the class,
+    # put's m by position after self, make's s spread by *args; z, v and
+    # the loop capture in law go unset, and the lambda is not scanned
+    other = ast.parse("knob(1, 2, w=5); Box(1, 2).put(3, 4)\n"
+                      "Box.make(*args); law(1)\n")
+    assert _unset_defaults(module, [_calls(module), _calls(other)]) == {
+        (1, "knob:z"), (1, "knob:v"), (9, "law:i")}

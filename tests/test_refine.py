@@ -61,6 +61,24 @@ def test_hom_and_automorphisms():
     assert G.verify(m).equal
 
 
+def test_hom_solves_the_unit_homotopy_once(monkeypatch):
+    G = build_tilde(circle(3), 1)
+    T = G.theory
+    rng = random.Random(4)
+    x = G.random_object(rng)
+    y = T.add(x, T.from_form(_random_form(T, rng)))
+    gen = cohomology(T.base, 1, INTEGERS).generators[0]
+    calls = []
+    real = HatTheory.homotopies
+    monkeypatch.setattr(HatTheory, "homotopies",
+                        lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+    # one solve per hom, whether the arrow exists or not
+    assert isinstance(G.hom(x, y), TildeMorphism)
+    assert len(calls) == 1
+    assert isinstance(G.hom(G.zero(), T.from_cocycle(gen)), CoboundaryObstruction)
+    assert len(calls) == 2
+
+
 def test_compose_inverse_oplus():
     G = build_tilde(circle(3), 1)
     T = G.theory

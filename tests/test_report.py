@@ -1,10 +1,12 @@
 """Every check battery returns the one Report record."""
 
+import dataclasses
 import json
 
 import pytest
 
 from simdiff.character import (
+    HALVED_PARITIES,
     CharacterModel,
     arrow_equation_report,
     composition_equation_report,
@@ -12,7 +14,7 @@ from simdiff.character import (
     integration_witness_report,
     suspension_consistency,
 )
-from simdiff.cochains import INTEGERS
+from simdiff.cochains import INTEGERS, Cochain
 from simdiff.complexes import circle
 from simdiff.diffhat import exactness_certificate
 from simdiff.em import check_iota_compatibility
@@ -46,6 +48,19 @@ def arrow_report(seed):
     chM = model.character(MappingGroupoid(circle(6), INTEGERS, 1))
     return arrow_equation_report(model, model.arrow(chM, chN, covering(3, 2)),
                                  trials=2, seed=seed)
+
+
+def corrupted_arrow_report(seed):
+    # the halved covering's correction is a nonzero staircase primitive;
+    # with it dropped the object equation no longer closes
+    model = CharacterModel("halved", HALVED_PARITIES)
+    chN = model.character(circle_groupoid())
+    chM = model.character(MappingGroupoid(circle(6), INTEGERS, 1))
+    arrow = model.arrow(chM, chN, covering(3, 2))
+    carrier = arrow.dest.carrier
+    broken = dataclasses.replace(
+        arrow, correction=lambda z: Cochain.zero(carrier, z.degree - 1, z.coeffs))
+    return arrow_equation_report(model, broken, trials=3, seed=seed)
 
 
 def composition_report(seed):
@@ -88,6 +103,7 @@ PRODUCERS = {
     "suspension_consistency": lambda seed: suspension_consistency(
         circle_groupoid(), trials=2, seed=seed),
     "arrow_equation_report": arrow_report,
+    "arrow_equation_report:corrupted": corrupted_arrow_report,
     "composition_equation_report": composition_report,
     "strictness_report": lambda seed: circle_groupoid().strictness_report(seed),
 }
@@ -119,6 +135,25 @@ def test_corrupted_fixtures_fail_exactly_their_checks():
         "check_equivalence": ["monoidal-cells:units"],
         "check_identities": ["units"],
     }
+
+
+def test_the_corrupted_arrow_fails_its_object_equation():
+    report = corrupted_arrow_report(5)
+    assert [c.axiom for c in report.failures()] == [
+        "object-equation", "morphism-equation"]
+    assert report.result("object-equation").to_json() == {
+        "axiom": "object-equation", "ok": False, "checked": 1,
+        "counterexample": {"trial": 0, "c": "MapObject(circle3, deg 1)",
+                           "H": "HomotopyClass(circle3, deg 1)"}}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_a_failing_check_stops_at_its_counterexample(name):
+    for check in PRODUCERS[name](5).failures():
+        if check.checked == 1 and check.counterexample is None:
+            continue  # a single fact, not a sampled law
+        trial = check.counterexample["trial"]
+        assert check.checked == trial + 1, (check.axiom, check.to_json())
 
 
 # check_coherence(skeletal_instance(2, g*h), trials=3, seed=6).to_json(),
